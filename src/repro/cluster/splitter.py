@@ -53,14 +53,26 @@ class Splitter:
         """Partition a columnar batch with the vectorized assigner.
 
         Produces the same row-to-partition assignment as :meth:`split`
-        (parity-tested), preserving within-partition order.  Raises
+        (parity-tested), preserving within-partition order.  Every row is
+        touched once: one stable sort of the partition ids (a counting
+        sort — NumPy radix-sorts 8- and 16-bit keys) orders the rows by
+        partition, each column is gathered once with that permutation,
+        and the partitions are handed out as contiguous, non-overlapping
+        slices of the gathered columns.  The returned batches are
+        therefore *read-only views of one buffer per column*: consumers
+        must not write into them.  Raises
         :class:`~repro.expr.vectorizer.UnsupportedExpression` when no
         vectorized assigner exists, so callers can fall back to rows.
         """
-        indices = self.assign_indices(batch, offset)
+        ids = self.assign_indices(batch, offset).astype(
+            np.min_scalar_type(self.num_partitions - 1), copy=False
+        )
+        gathered = batch.select(np.argsort(ids, kind="stable"))
+        counts = np.bincount(ids, minlength=self.num_partitions)
+        bounds = [0, *np.cumsum(counts).tolist()]
         return [
-            batch.select(indices == partition)
-            for partition in range(self.num_partitions)
+            gathered.slice(start, stop)
+            for start, stop in zip(bounds, bounds[1:])
         ]
 
     def assign_indices(self, batch: ColumnBatch, offset: int = 0) -> np.ndarray:

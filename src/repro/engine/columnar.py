@@ -99,6 +99,14 @@ class ColumnBatch:
             length = len(selector)
         return ColumnBatch(columns, length)
 
+    def slice(self, start: int, stop: int) -> "ColumnBatch":
+        """The contiguous rows ``[start, stop)`` as zero-copy views."""
+        columns = {
+            name: _take(column, slice(start, stop))
+            for name, column in self.columns.items()
+        }
+        return ColumnBatch(columns, stop - start)
+
     def to_rows(self) -> List[dict]:
         """Materialize as the row engine's list of dicts (native scalars)."""
         if self.length == 0:
@@ -306,7 +314,7 @@ def _attach_segment(name: str):
             resource_tracker.register = original
 
 
-def _take(column: Column, selector: np.ndarray) -> Column:
+def _take(column: Column, selector: Union[np.ndarray, slice]) -> Column:
     if isinstance(column, tuple):
         return tuple(part[selector] for part in column)
     return column[selector]

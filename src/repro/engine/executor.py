@@ -12,7 +12,8 @@ from typing import Dict, List, Mapping, Sequence
 
 from ..gsql.analyzer import NodeKind
 from ..plan.dag import QueryDag
-from .operators import Batch, build_operator
+from .operators import Batch
+from .variants import build_variant_operator
 
 
 def run_centralized(
@@ -21,7 +22,10 @@ def run_centralized(
     """Execute the whole DAG centrally.
 
     ``source_rows`` maps each base stream name to its full trace.  Returns
-    the output batch of every query node, keyed by node name.
+    the output batch of every query node, keyed by node name.  Nodes
+    compile through the same variant seam as every backend (FULL), so a
+    ``RANGE/SLIDE`` aggregation is answered over its sliding windows, not
+    as the tumbling query it would be without the clause.
     """
     outputs: Dict[str, Batch] = {}
     for node in dag.nodes():
@@ -33,7 +37,7 @@ def run_centralized(
                     f"no trace supplied for source stream {node.name!r}"
                 ) from None
             continue
-        operator = build_operator(node)
+        operator = build_variant_operator(node, "full")
         inputs = [outputs[name] for name in node.inputs]
         outputs[node.name] = operator.process(*inputs)
     return {

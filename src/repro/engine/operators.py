@@ -225,8 +225,10 @@ class JoinOp(Operator):
             for column, expr in zip(node.columns, node.select_exprs)
         ]
         self._join_type = node.join_type
-        self._left_columns = _input_columns(node, 0)
-        self._right_columns = _input_columns(node, 1)
+        # Every column the join can reference must exist (as NULL) on a
+        # padded side, or projecting/filtering padded rows would KeyError.
+        self._left_columns = sorted(node.input_attrs(0))
+        self._right_columns = sorted(node.input_attrs(1))
 
     def process(self, *batches: Batch) -> Batch:
         left_rows, right_rows = batches
@@ -319,33 +321,6 @@ class NullPadOp(Operator):
                 join._project(join._merge(row, None), padded=True) for row in rows
             ]
         return [join._project(join._merge(None, row), padded=True) for row in rows]
-
-
-def _input_columns(node: AnalyzedNode, index: int) -> List[str]:
-    """Column names of a join input referenced anywhere in the join.
-
-    Used to NULL-pad a missing side: every column the SELECT list, the
-    residual predicate, or this side's equality expressions can reference
-    must exist (as NULL) in the merged row, or projection/filtering on
-    padded rows would KeyError.  Qualified attributes (``alias.col``) are
-    matched by this input's alias and stripped; the per-side equality
-    expressions are unqualified attributes over this input's own columns.
-    """
-    alias = node.input_aliases[index]
-    prefix = alias + "."
-    names = set()
-    referenced = list(node.select_exprs)
-    if node.residual is not None:
-        referenced.append(node.residual)
-    for expr in referenced:
-        for attr in expr.attrs():
-            if attr.startswith(prefix):
-                names.add(attr[len(prefix):])
-    for eq in node.equalities:
-        side = eq.left if index == 0 else eq.right
-        for attr in side.attrs():
-            names.add(attr[len(prefix):] if attr.startswith(prefix) else attr)
-    return sorted(names)
 
 
 def build_operator(node: AnalyzedNode, variant: str = "full") -> Operator:

@@ -35,8 +35,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..expr.evaluator import compile_expr, compile_key
 from ..expr.expressions import Attr, Binary, Const, ScalarExpr
 from ..expr.vectorizer import materialize, vectorize_expr
@@ -134,8 +132,8 @@ def _bound_outputs(
 def take_prefix(batch, count: int) -> Tuple[object, object]:
     """Split a batch into its first ``count`` rows and the remainder.
 
-    Order and representation are preserved (row lists slice, columnar
-    batches select index ranges), so a flow-control queue can deliver a
+    Order and representation are preserved (row lists and columnar
+    batches both slice), so a flow-control queue can deliver a
     prefix of an entry and keep the tail queued without perturbing the
     within-partition row order that round-robin parity relies on.
     """
@@ -145,14 +143,13 @@ def take_prefix(batch, count: int) -> Tuple[object, object]:
     if count >= length:
         return batch, _empty_like(batch)
     if isinstance(batch, ColumnBatch):
-        indices = np.arange(length)
-        return batch.select(indices[:count]), batch.select(indices[count:])
+        return batch.slice(0, count), batch.slice(count, length)
     return batch[:count], batch[count:]
 
 
 def _empty_like(batch):
     if isinstance(batch, ColumnBatch):
-        return batch.select(np.arange(0))
+        return batch.slice(0, 0)
     return []
 
 

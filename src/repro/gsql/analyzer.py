@@ -198,6 +198,45 @@ class AnalyzedNode:
     def non_temporal_group_by(self) -> List[GroupByColumn]:
         return [g for g in self.group_by if not g.is_temporal]
 
+    def input_attrs(self, position: int) -> Optional[frozenset]:
+        """Columns of input ``position`` this node's expressions read;
+        None when it passes every column through (UNION).
+
+        That is everything evaluated over input rows: WHERE, the GROUP BY
+        expressions and aggregate arguments, a selection's SELECT list,
+        and for a join its side of each equality plus the
+        ``alias.column`` references of the residual and the SELECT list.
+        HAVING and an aggregation's SELECT list run over group-by names
+        and aggregate slots, not input columns.
+        """
+        if self.kind is NodeKind.UNION:
+            return None
+        if self.kind is NodeKind.JOIN:
+            exprs = [
+                eq.right if position else eq.left for eq in self.equalities
+            ]
+            qualified = list(self.select_exprs)
+            if self.residual is not None:
+                qualified.append(self.residual)
+            prefix = f"{self.input_aliases[position]}."
+            attrs = {
+                attr[len(prefix):]
+                for expr in qualified
+                for attr in expr.attrs()
+                if attr.startswith(prefix)
+            }
+        else:
+            exprs = [g.expr for g in self.group_by]
+            exprs += [call.arg for call in self.aggregates if call.arg is not None]
+            if self.where is not None:
+                exprs.append(self.where)
+            if self.kind is NodeKind.SELECTION:
+                exprs += self.select_exprs
+            attrs = set()
+        for expr in exprs:
+            attrs |= expr.attrs()
+        return frozenset(attrs)
+
     def describe(self) -> str:
         return f"{self.name}[{self.kind.value}] <- {', '.join(self.inputs)}"
 

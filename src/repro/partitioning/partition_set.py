@@ -26,6 +26,8 @@ HASH_RANGE = 1 << 32
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+#: Bytes one integer key element contributes to the hash.
+_KEY_BYTES = 16
 
 
 def fnv1a_hash(key: tuple) -> int:
@@ -33,7 +35,7 @@ def fnv1a_hash(key: tuple) -> int:
     value = _FNV_OFFSET
     for element in key:
         if isinstance(element, int):
-            data = element.to_bytes(16, "little", signed=True)
+            data = element.to_bytes(_KEY_BYTES, "little", signed=True)
         else:
             data = str(element).encode()
         for byte in data:
@@ -42,17 +44,33 @@ def fnv1a_hash(key: tuple) -> int:
     return (value ^ (value >> 32)) & 0xFFFFFFFF
 
 
+def _significant_bytes(lowest: int, highest: int) -> int:
+    """Leading bytes of the little-endian two's-complement encoding after
+    which every value in ``[lowest, highest]`` only repeats its sign byte
+    (``0x00``, or ``0xFF`` for a negative value)."""
+    if lowest >= 0:
+        return (highest.bit_length() + 7) // 8
+    # One more bit than the magnitude, for the sign.
+    return max(~lowest, highest).bit_length() // 8 + 1
+
+
 def fnv1a_hash_arrays(keys: Sequence[np.ndarray]) -> np.ndarray:
     """Vectorized :func:`fnv1a_hash` over parallel key-element arrays.
 
-    Bit-for-bit identical to the row hash for integer keys: each element
-    contributes the same 16 little-endian two's-complement bytes (8 value
-    bytes from the int64, then 8 sign-extension bytes), folded through the
-    same 64-bit FNV-1a state with wrapping uint64 arithmetic.
+    Bit-for-bit identical to the row hash for integer keys of any width
+    and signedness.  Each element stands for the same 16 little-endian
+    two's-complement bytes, but only the significant ones (found from the
+    array's min/max) are folded byte by byte.  The rest are sign bytes.
+    For a non-negative array they are all zero: ``x ^ 0 == x``, so each
+    of those ``k`` steps is one multiply by the prime, and because
+    multiplication modulo 2**64 is associative the ``k`` steps equal one
+    multiply by ``_FNV_PRIME**k mod 2**64``.  An array holding a negative
+    value folds its ``0xFF``/``0x00`` sign bytes one step at a time.
     """
     if not keys:
         raise ValueError("need at least one key array")
     value = np.full(len(keys[0]), _FNV_OFFSET, dtype=np.uint64)
+    scratch = np.empty_like(value)
     prime = np.uint64(_FNV_PRIME)
     byte_mask = np.uint64(0xFF)
     for key in keys:
@@ -60,16 +78,32 @@ def fnv1a_hash_arrays(keys: Sequence[np.ndarray]) -> np.ndarray:
             raise UnsupportedExpression(
                 f"vectorized hash needs integer keys, got dtype {key.dtype}"
             )
-        signed = key.astype(np.int64, copy=False)
-        low = signed.view(np.uint64)
-        sign_byte = np.where(signed < 0, np.uint64(0xFF), np.uint64(0))
-        for shift in range(8):
-            value ^= (low >> np.uint64(8 * shift)) & byte_mask
+        lowest, highest = (int(key.min()), int(key.max())) if len(key) else (0, 0)
+        if key.dtype.kind == "u":
+            # Unsigned keys have no sign bytes, even at or above 2**63.
+            bits = key.astype(np.uint64, copy=False)
+        else:
+            bits = key.astype(np.int64, copy=False).view(np.uint64)
+        significant = _significant_bytes(lowest, highest)
+        for index in range(significant):
+            np.right_shift(bits, np.uint64(8 * index), out=scratch)
+            np.bitwise_and(scratch, byte_mask, out=scratch)
+            value ^= scratch
             value *= prime
-        for _ in range(8):
-            value ^= sign_byte
-            value *= prime
-    return (value ^ (value >> np.uint64(32))) & np.uint64(0xFFFFFFFF)
+        if lowest < 0:
+            np.right_shift(bits, np.uint64(63), out=scratch)
+            scratch *= byte_mask  # 0xFF where negative, 0x00 elsewhere
+            for _ in range(_KEY_BYTES - significant):
+                value ^= scratch
+                value *= prime
+        else:
+            value *= np.uint64(
+                pow(_FNV_PRIME, _KEY_BYTES - significant, 1 << 64)
+            )
+    np.right_shift(value, np.uint64(32), out=scratch)
+    value ^= scratch
+    value &= np.uint64(0xFFFFFFFF)
+    return value
 
 
 @dataclass(frozen=True)

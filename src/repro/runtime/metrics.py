@@ -163,6 +163,7 @@ class MetricsRecorder:
         self.fault_counts: Dict[Tuple[int, str], int] = {}
         self.rebalance_counts: Dict[str, int] = {}
         self.fallback_nodes: Dict[str, str] = {}
+        self.source_columns: Dict[str, Tuple[List[str], List[str]]] = {}
         self.events: List[dict] = []
         self._phase: object = None
         self._pid = os.getpid()
@@ -187,6 +188,7 @@ class MetricsRecorder:
         self.fault_counts.clear()
         self.rebalance_counts.clear()
         self.fallback_nodes.clear()
+        self.source_columns.clear()
         self.events.clear()
         self._phase = None
 
@@ -346,6 +348,27 @@ class MetricsRecorder:
     @property
     def fallback_count(self) -> int:
         return len(self.fallback_nodes)
+
+    def record_source_columns(
+        self, stream: str, kept: List[str], dropped: List[str]
+    ) -> None:
+        """One source stream's lineage pruning: the columns some plan
+        node (or the splitter, or the epoch slicer) reads were ``kept``,
+        the rest ``dropped`` before the stream was sliced and split.
+        Traced as the stream's ``compile`` event, so a column that goes
+        missing downstream explains itself."""
+        self.source_columns[stream] = (kept, dropped)
+        if self.record_events:
+            self._event(
+                {
+                    "event": "compile",
+                    "node": stream,
+                    "label": "source",
+                    "fallback": False,
+                    "kept": kept,
+                    "dropped": dropped,
+                }
+            )
 
     # -- per-node counters -----------------------------------------------------
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     List,
     Mapping,
     Optional,
@@ -46,7 +47,7 @@ from typing import (
 
 from ..distopt.plan_ir import DistKind, DistNode, DistributedPlan, Variant
 from ..engine.aggregates import states_width
-from ..engine.columnar import ensure_rows
+from ..engine.columnar import ColumnBatch, ensure_rows
 from ..engine.sketches import summary_wire_bytes
 from ..engine.operators import Batch
 from ..engine.streaming import StreamingNode, Watermark
@@ -204,6 +205,30 @@ class InProcessExecutor(StepExecutor):
         )
 
 
+def _source_reads(
+    dag: QueryDag, plan: DistributedPlan
+) -> Dict[str, Optional[FrozenSet[str]]]:
+    """Per source stream, the attributes the plan's live nodes read
+    directly off its rows — None when every column is needed (the raw
+    stream is itself delivered, or passes through a UNION).
+
+    Reads further up the DAG need no separate walk: a derived column's
+    lineage only mentions attributes its producer already reads here.
+    """
+    reads: Dict[str, Optional[FrozenSet[str]]] = {
+        source.name: None if source.name in plan.delivery else frozenset()
+        for source in dag.sources()
+    }
+    for query in {node.query for node in plan.topological()} - {None}:
+        analyzed = dag.node(query)
+        for position, name in enumerate(analyzed.inputs):
+            if reads.get(name) is None:
+                continue
+            attrs = analyzed.input_attrs(position)
+            reads[name] = None if attrs is None else reads[name] | attrs
+    return reads
+
+
 def _node_label(node: DistNode) -> str:
     """A human-readable operator label for compile-event reporting."""
     if node.kind is DistKind.MERGE:
@@ -251,6 +276,12 @@ class SimulationResult:
     # What the adaptive rebalancer observed and did; None unless the run
     # passed ``rebalance=RebalancePolicy(...)``.
     rebalance: Optional[RebalanceLog] = None
+    # Lineage pruning per columnar source stream: (kept, dropped) column
+    # names.  Dropped columns are read by no plan node, the splitter or
+    # the epoch slicer, and never entered the run.
+    source_columns: Dict[str, Tuple[List[str], List[str]]] = field(
+        default_factory=dict
+    )
 
     def rows_dropped(self, host: int) -> int:
         """Total rows the flow-control layer dropped for ``host``."""
@@ -302,6 +333,11 @@ class SimulationResult:
                 f"host {host.index} ({role}): CPU {self.cpu_load(host.index):6.1f}%  "
                 f"net {net:10.1f} tuples/s"
             )
+        for stream, (kept, dropped) in sorted(self.source_columns.items()):
+            lines.append(
+                f"source {stream}: reads {', '.join(kept)}; "
+                f"pruned {', '.join(dropped) or 'nothing'}"
+            )
         return "\n".join(lines)
 
 
@@ -342,6 +378,7 @@ class ExecutionSession:
             )
             if variant is not None:
                 self._node_variants[node.node_id] = variant
+        self._source_reads = _source_reads(dag, plan)
 
     @property
     def backend(self) -> EngineBackend:
@@ -438,8 +475,15 @@ class ExecutionSession:
             recorder.record_compiled_node(
                 node_id, label, fallback, host=host, variant=variant
             )
+        # The splitter's key columns and the epoch slicer's column ride
+        # along with what the plan reads; every other column stops here.
+        partitioning = getattr(splitter, "partitioning_set", None)
+        routing = {epoch_column}
+        if partitioning is not None:
+            routing |= partitioning.attrs()
         prepared = {
-            stream: backend.prepare(rows) for stream, rows in source_rows.items()
+            stream: self._prune(stream, backend.prepare(rows), routing)
+            for stream, rows in source_rows.items()
         }
         if streaming:
             slices: Dict[str, Dict[object, Batch]] = {
@@ -476,7 +520,7 @@ class ExecutionSession:
                 recorder,
                 faults=faults,
                 dag=self._dag,
-                partitioning=getattr(splitter, "partitioning_set", None),
+                partitioning=partitioning,
             )
             host_of = rebalancer.effective_host
         # The ingest controller sits between the splitter and the hosts:
@@ -596,9 +640,22 @@ class ExecutionSession:
             shed_counts=dict(recorder.shed_counts),
             execution=executor.mode,
             rebalance=rebalancer.log if rebalancer is not None else None,
+            source_columns=dict(recorder.source_columns),
         )
 
     # -- internals --------------------------------------------------------------
+
+    def _prune(self, stream: str, batch: Batch, routing: Set[str]) -> Batch:
+        """Drop the source columns nothing downstream reads (lineage
+        pruning), so slicing, splitting, ingest queues and the transport
+        to workers never carry them.  Row batches pass through whole."""
+        reads = self._source_reads.get(stream)
+        if reads is None or not isinstance(batch, ColumnBatch):
+            return batch
+        kept = [name for name in batch.columns if name in reads or name in routing]
+        dropped = [name for name in batch.columns if name not in kept]
+        self._recorder.record_source_columns(stream, kept, dropped)
+        return ColumnBatch({name: batch.columns[name] for name in kept}, len(batch))
 
     def _create_executor(
         self,

@@ -380,8 +380,6 @@ def slice_by_epoch(batch, column: str = "time"):
 
 
 def _slice_columns(batch, column: str):
-    from ..engine.columnar import ColumnBatch
-
     if len(batch) == 0:
         return []
     values = np.asarray(batch.column(column))
@@ -389,25 +387,15 @@ def _slice_columns(batch, column: str):
         order = np.argsort(values, kind="stable")
         batch = batch.select(order)
         values = values[order]
-    edges = np.flatnonzero(np.diff(values)) + 1
+    # A boolean temporary, not np.diff's full-width one: a trace-sized
+    # int64 scratch array per run showed up as peak-RSS jitter.
+    edges = np.flatnonzero(values[1:] != values[:-1]) + 1
     starts = np.concatenate(([0], edges))
     stops = np.concatenate((edges, [len(values)]))
-    slices = []
-    for start, stop in zip(starts, stops):
-        columns = {
-            name: _slice_column(col, start, stop)
-            for name, col in batch.columns.items()
-        }
-        slices.append(
-            (values[start].item(), ColumnBatch(columns, int(stop - start)))
-        )
-    return slices
-
-
-def _slice_column(column, start: int, stop: int):
-    if isinstance(column, tuple):  # composite aggregate-state column
-        return tuple(part[start:stop] for part in column)
-    return column[start:stop]
+    return [
+        (values[start].item(), batch.slice(int(start), int(stop)))
+        for start, stop in zip(starts, stops)
+    ]
 
 
 def merge_taps(traces: List[Trace]) -> Trace:

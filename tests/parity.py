@@ -8,6 +8,9 @@ per-link network counters.  This module holds the reusable pieces:
 * :func:`assert_same_simulation` — the observational-equivalence check
   (used by the hand-picked cases in ``test_streaming.py`` and the
   randomized sweep in ``test_parity_random.py``);
+* :func:`assert_identical_simulation` — the exact (``==``) form, for
+  runs whose accounting is replayed rather than re-derived: forked vs
+  in-process execution, a pruned vs an unpruned source;
 * :func:`random_packets` — a seeded adversarial trace generator that
   produces shapes the realistic generator never emits: empty epochs,
   bursts, tiny key domains, ports colliding across hosts;
@@ -158,6 +161,33 @@ def assert_same_simulation(oneshot, stream):
     for host, total in oneshot.network.bytes_received.items():
         # float summation order differs between one big and many small adds
         assert stream.network.bytes_received[host] == pytest.approx(total)
+
+
+def assert_identical_simulation(reference, parallel):
+    """Exact equality — not approx: accounting is replayed, not re-derived."""
+    assert set(reference.outputs) == set(parallel.outputs)
+    for name in reference.outputs:
+        assert batches_equal(reference.outputs[name], parallel.outputs[name]), name
+    assert reference.node_output_counts == parallel.node_output_counts
+    for ref, got in zip(reference.hosts, parallel.hosts):
+        assert ref.cpu_units == got.cpu_units
+        assert ref.by_category == got.by_category
+        assert ref.epoch_cpu == got.epoch_cpu
+    assert reference.network.link_tuples == parallel.network.link_tuples
+    assert reference.network.bytes_received == parallel.network.bytes_received
+    assert reference.peak_batch_rows == parallel.peak_batch_rows
+    assert reference.fallback_nodes == parallel.fallback_nodes
+    assert reference.timeline.epochs == parallel.timeline.epochs
+    assert reference.timeline.host_cpu == parallel.timeline.host_cpu
+    assert reference.timeline.link_tuples == parallel.timeline.link_tuples
+    assert reference.timeline.link_bytes == parallel.timeline.link_bytes
+    assert set(reference.flow_stats) == set(parallel.flow_stats)
+    for host, ref_stats in reference.flow_stats.items():
+        got_stats = parallel.flow_stats[host]
+        assert ref_stats.rows_in == got_stats.rows_in
+        assert ref_stats.rows_delivered == got_stats.rows_delivered
+        assert ref_stats.rows_dropped == got_stats.rows_dropped
+        assert ref_stats.rows_queued == got_stats.rows_queued
 
 
 def assert_streaming_matches_oneshot(

@@ -119,6 +119,8 @@ class TestTimeline:
         assert "peak resident batch" in out
         assert "agg recv" in out
         assert "cpu[h1]" in out
+        # Lineage pruning explains itself next to the host table.
+        assert "source TCP: reads" in out and "pruned protocol" in out
 
     def test_timeline_shows_variants(self, capsys):
         code = main(

@@ -14,11 +14,13 @@ from hypothesis import strategies as st
 from repro.cluster import ClusterSimulator, HashSplitter, RoundRobinSplitter
 from repro.distopt import DistributedOptimizer, Placement
 from repro.engine import batches_equal, run_centralized
+from repro.engine.operators import build_operator
 from repro.gsql.catalog import Catalog
 from repro.gsql.schema import tcp_schema
 from repro.partitioning import PartitioningSet
 from repro.plan import QueryDag
-from repro.workloads import complex_catalog
+from repro.traces import TraceConfig, generate_trace
+from repro.workloads import complex_catalog, sliding_flows_catalog
 
 
 def run_distributed(dag, trace_packets, hosts, ps, merge_local=True, deliver=None):
@@ -109,6 +111,36 @@ class TestOuterJoinEquivalence:
         result = run_distributed(outer_dag, tiny_trace.packets, hosts, ps)
         reference = run_centralized(outer_dag, {"TCP": tiny_trace.packets})
         assert batches_equal(result.outputs["persistence"], reference["persistence"])
+
+
+class TestSlidingWindowOracle:
+    """The oracle answers ``RANGE/SLIDE`` over its sliding windows — it
+    used to compile every aggregation as tumbling, so a sliding query was
+    only ever compared with itself."""
+
+    @pytest.mark.parametrize("streaming", (False, True), ids=("oneshot", "streaming"))
+    @pytest.mark.parametrize("engine", ("row", "columnar"))
+    @pytest.mark.parametrize(
+        "ps", [None, PartitioningSet.of("srcIP")], ids=["round-robin", "srcIP"]
+    )
+    def test_runtime_equals_centralized_and_not_tumbling(self, ps, engine, streaming):
+        _, dag = sliding_flows_catalog()
+        packets = generate_trace(TraceConfig(duration=8, rate=300)).packets
+        reference = run_centralized(dag, {"TCP": packets})["sliding_flows"]
+        tumbling = build_operator(dag.node("sliding_flows")).process(packets)
+        assert len(reference) > len(tumbling) > 0
+        placement = Placement(2, 2)
+        plan = DistributedOptimizer(dag, placement, ps).optimize()
+        sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
+        splitter = (
+            RoundRobinSplitter(placement.num_partitions)
+            if ps is None
+            else HashSplitter(placement.num_partitions, ps)
+        )
+        run = sim.run_streaming if streaming else sim.run
+        delivered = run({"TCP": packets}, splitter, 8.0).outputs["sliding_flows"]
+        assert batches_equal(delivered, reference)
+        assert not batches_equal(delivered, tumbling)
 
 
 class TestMixedShapeDag:

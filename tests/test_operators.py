@@ -282,8 +282,6 @@ class TestJoin:
         """Regression: the padding schema must include each side's own
         equality columns and anything the residual references, so every
         key a padded merged row can be asked for exists (as NULL)."""
-        from repro.engine.operators import _input_columns
-
         node = self._join(
             catalog,
             "SELECT S1.tb "
@@ -292,8 +290,8 @@ class TestJoin:
             "and S2.cnt > S1.cnt",
         )
         # right key columns appear only in the equalities / residual
-        assert _input_columns(node, 0) == ["cnt", "srcIP", "tb"]
-        assert _input_columns(node, 1) == ["cnt", "srcIP", "tb"]
+        assert node.input_attrs(0) == {"cnt", "srcIP", "tb"}
+        assert node.input_attrs(1) == {"cnt", "srcIP", "tb"}
         # an unmatched right row pads the full left schema
         out = JoinOp(node).process([], [{"tb": 5, "srcIP": 9, "cnt": 1}])
         assert out == [{"tb": None}]

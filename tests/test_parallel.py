@@ -15,7 +15,12 @@ import warnings
 
 import pytest
 
-from tests.parity import PS_CHOICES, WORKLOADS, random_packets
+from tests.parity import (
+    PS_CHOICES,
+    WORKLOADS,
+    assert_identical_simulation,
+    random_packets,
+)
 
 from repro.cluster import (
     ClusterSimulator,
@@ -71,33 +76,6 @@ def _run(dag, plan, splitter, packets, execution, workers=None,
         execution=execution, workers=workers,
     )
     return sim, result
-
-
-def assert_identical_simulation(reference, parallel):
-    """Exact equality — not approx: accounting is replayed, not re-derived."""
-    assert set(reference.outputs) == set(parallel.outputs)
-    for name in reference.outputs:
-        assert batches_equal(reference.outputs[name], parallel.outputs[name]), name
-    assert reference.node_output_counts == parallel.node_output_counts
-    for ref, got in zip(reference.hosts, parallel.hosts):
-        assert ref.cpu_units == got.cpu_units
-        assert ref.by_category == got.by_category
-        assert ref.epoch_cpu == got.epoch_cpu
-    assert reference.network.link_tuples == parallel.network.link_tuples
-    assert reference.network.bytes_received == parallel.network.bytes_received
-    assert reference.peak_batch_rows == parallel.peak_batch_rows
-    assert reference.fallback_nodes == parallel.fallback_nodes
-    assert reference.timeline.epochs == parallel.timeline.epochs
-    assert reference.timeline.host_cpu == parallel.timeline.host_cpu
-    assert reference.timeline.link_tuples == parallel.timeline.link_tuples
-    assert reference.timeline.link_bytes == parallel.timeline.link_bytes
-    assert set(reference.flow_stats) == set(parallel.flow_stats)
-    for host, ref_stats in reference.flow_stats.items():
-        got_stats = parallel.flow_stats[host]
-        assert ref_stats.rows_in == got_stats.rows_in
-        assert ref_stats.rows_delivered == got_stats.rows_delivered
-        assert ref_stats.rows_dropped == got_stats.rows_dropped
-        assert ref_stats.rows_queued == got_stats.rows_queued
 
 
 def _fault_plan(seed, hosts):

@@ -1,12 +1,25 @@
 """Partitioning sets and the bucketed hash partitioner (§3.3)."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.expr import mask, parse_scalar
+from repro.expr.vectorizer import UnsupportedExpression
 from repro.partitioning import PartitioningSet, fnv1a_hash, subset_sets
-from repro.partitioning.partition_set import HASH_RANGE, dedupe_exprs
+from repro.partitioning.partition_set import (
+    HASH_RANGE,
+    dedupe_exprs,
+    fnv1a_hash_arrays,
+)
+
+INTEGER_DTYPES = (
+    np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+)
+# Byte-count boundaries of the folded hash, plus the sign edges.
+EDGE_VALUES = (0, 255, 256, 65535, 2**32 - 1, 2**63 - 1, -1, -(2**63))
 
 
 class TestConstruction:
@@ -49,6 +62,77 @@ class TestHash:
 
     def test_handles_strings_and_negatives(self):
         assert 0 <= fnv1a_hash(("abc", -5)) < HASH_RANGE
+
+
+def _row_hashes(*columns):
+    return [fnv1a_hash(key) for key in zip(*columns)]
+
+
+class TestVectorizedHash:
+    """``fnv1a_hash_arrays`` folds only the significant bytes of each key
+    array and must stay bit-identical to the per-byte row hash."""
+
+    @pytest.mark.parametrize("dtype", INTEGER_DTYPES, ids=lambda d: d.__name__)
+    def test_edge_values_match_row_hash(self, dtype):
+        info = np.iinfo(dtype)
+        values = [v for v in EDGE_VALUES if info.min <= v <= info.max]
+        values += [info.min, info.max]
+        for value in values:  # alone: the array's min/max pick the byte count
+            hashed = fnv1a_hash_arrays([np.array([value], dtype=dtype)])
+            assert hashed.tolist() == [fnv1a_hash((value,))], value
+        batch = np.array(values, dtype=dtype)
+        assert fnv1a_hash_arrays([batch]).tolist() == _row_hashes(values)
+
+    def test_uint64_at_and_above_two_to_the_63(self):
+        """Unsigned keys have no sign bytes: the old kernel wrapped them
+        to negative int64 and folded ``0xFF`` where the row hash folds 0."""
+        values = [2**63, 2**64 - 1]
+        hashed = fnv1a_hash_arrays([np.array(values, dtype=np.uint64)])
+        assert hashed.tolist() == [3245419018, 291793387] == _row_hashes(values)
+
+    def test_mixed_sign_batch_and_several_keys(self):
+        first = [-(2**40), -300, -1, 0, 1, 70000, 2**62]
+        second = [5, 5, 5, 5, 5, 5, 5]  # one significant byte
+        third = [0] * 7  # none: all sixteen steps fold into one multiply
+        hashed = fnv1a_hash_arrays(
+            [np.array(column, dtype=np.int64) for column in (first, second, third)]
+        )
+        assert hashed.tolist() == _row_hashes(first, second, third)
+
+    def test_empty_arrays(self):
+        hashed = fnv1a_hash_arrays([np.array([], dtype=np.int64)])
+        assert hashed.dtype == np.uint64 and len(hashed) == 0
+
+    def test_rejects_non_integer_keys(self):
+        with pytest.raises(UnsupportedExpression):
+            fnv1a_hash_arrays([np.array([1.5])])
+        with pytest.raises(ValueError):
+            fnv1a_hash_arrays([])
+
+    def test_vector_partitioner_matches_rows_on_unsigned_keys(self):
+        values = [0, 7, 2**63 - 1, 2**63, 2**63 + 12345, 2**64 - 1]
+        ps = PartitioningSet.of("x")
+        assign = ps.partitioner(8)
+        indices = ps.vector_partitioner(8)(
+            {"x": np.array(values, dtype=np.uint64)}, len(values)
+        )
+        assert indices.tolist() == [assign({"x": value}) for value in values]
+
+
+@given(
+    st.sampled_from(INTEGER_DTYPES).flatmap(
+        lambda dtype: st.lists(
+            st.integers(int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)),
+            min_size=1,
+            max_size=30,
+        ).map(lambda values: np.array(values, dtype=dtype))
+    ),
+    st.integers(min_value=0, max_value=2**16),
+)
+def test_vectorized_hash_equals_row_hash(key, salt):
+    salts = np.full(len(key), salt, dtype=np.int64)
+    hashed = fnv1a_hash_arrays([key, salts])
+    assert hashed.tolist() == _row_hashes(key.tolist(), salts.tolist())
 
 
 class TestPartitioner:

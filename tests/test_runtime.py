@@ -8,9 +8,16 @@ MetricsRecorder while staying identical to the facade-era numbers.
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.cluster import ClusterSimulator, HashSplitter, RoundRobinSplitter
+from repro.cluster import (
+    ClusterSimulator,
+    HashSplitter,
+    QueuePolicy,
+    RoundRobinSplitter,
+    SheddingPolicy,
+)
 from repro.cluster.costs import DEFAULT_COSTS
 from repro.cluster.host import Host
 from repro.cluster.network import NetworkMeter
@@ -18,6 +25,7 @@ from repro.distopt import DistributedOptimizer, Placement
 from repro.distopt.plan_ir import DistKind
 from repro.partitioning import PartitioningSet
 from repro.engine.aggregates import AggregateFunction, register_aggregate
+from repro.engine.columnar import ColumnBatch
 from repro.gsql.catalog import Catalog
 from repro.gsql.schema import tcp_schema
 from repro.plan import QueryDag
@@ -25,7 +33,11 @@ from repro.runtime import backend as backend_module
 from repro.runtime.backend import ColumnarBackend, RowBackend, create_backend
 from repro.runtime.metrics import MetricsRecorder
 
-from tests.parity import assert_same_simulation
+from tests.parity import (
+    WORKLOADS,
+    assert_identical_simulation,
+    assert_same_simulation,
+)
 
 
 class _LastValue(AggregateFunction):
@@ -341,3 +353,150 @@ class TestFallbackObservability:
     ):
         _, result = self._run(complex_dag, tiny_trace, "columnar")
         assert result.fallback_nodes == {}
+
+
+def _with_junk(trace):
+    """The trace's columns plus one no query can read (and no kernel
+    could: it is not even numeric)."""
+    batch = trace.column_batch()
+    junk = np.array([f"junk-{i}" for i in range(len(batch))], dtype=object)
+    return ColumnBatch({**batch.columns, "junk": junk}, len(batch))
+
+
+class TestLineagePruning:
+    """Source columns no plan node, splitter or epoch slicer reads are
+    dropped before the stream is sliced and split — and say so."""
+
+    def test_complex_catalog_reads_three_columns(self, complex_dag, tiny_trace):
+        plan, splitter = _complex_plan(complex_dag)
+        sim = ClusterSimulator(
+            complex_dag, plan, stream_rate=1000, engine="columnar"
+        )
+        result = sim.run_streaming(
+            {"TCP": tiny_trace.column_batch()}, splitter, 10.0
+        )
+        kept, dropped = result.source_columns["TCP"]
+        assert set(kept) == {"time", "srcIP", "destIP"}
+        assert sorted(kept + dropped) == sorted(tiny_trace.columns)
+
+    def test_suspicious_catalog_reads_seven_of_nine(
+        self, suspicious_dag, tiny_trace
+    ):
+        plan = DistributedOptimizer(suspicious_dag, Placement(2, 2), None).optimize()
+        sim = ClusterSimulator(
+            suspicious_dag, plan, stream_rate=1000, engine="columnar"
+        )
+        result = sim.run(
+            {"TCP": tiny_trace.column_batch()}, RoundRobinSplitter(4), 10.0
+        )
+        kept, dropped = result.source_columns["TCP"]
+        assert len(kept) == 7
+        assert sorted(dropped) == ["protocol", "timestamp"]
+
+    def test_splitter_and_epoch_columns_ride_along(self, catalog, tiny_trace):
+        """Neither ``time`` nor ``destPort`` is read by the query; slicing
+        and hashing still need them."""
+        catalog.define_query("big", "SELECT srcIP, len FROM TCP WHERE len > 100")
+        dag = QueryDag.from_catalog(catalog)
+        ps = PartitioningSet.of("destPort")
+        plan = DistributedOptimizer(dag, Placement(2, 2), ps).optimize()
+        sim = ClusterSimulator(dag, plan, stream_rate=1000, engine="columnar")
+        result = sim.run_streaming(
+            {"TCP": tiny_trace.column_batch()}, HashSplitter(4, ps), 10.0
+        )
+        kept, _ = result.source_columns["TCP"]
+        assert set(kept) == {"srcIP", "len", "time", "destPort"}
+        assert len(result.outputs["big"]) == sum(
+            1 for packet in tiny_trace.packets if packet["len"] > 100
+        )
+
+    def test_join_over_the_raw_stream(self, catalog, tiny_trace):
+        """A join reading the source directly keeps its equality columns
+        and the ``alias.column`` references of SELECT and residual."""
+        catalog.define_query(
+            "echo",
+            "SELECT A.time, A.srcIP, B.len as reply_len FROM TCP A, TCP B "
+            "WHERE A.time = B.time and A.srcIP = B.destIP and A.flags < B.flags",
+        )
+        dag = QueryDag.from_catalog(catalog)
+        plan = DistributedOptimizer(dag, Placement(2, 2), None).optimize()
+        results = {}
+        for engine in ("row", "columnar"):
+            sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
+            results[engine] = sim.run(
+                {"TCP": tiny_trace.column_batch()}, RoundRobinSplitter(4), 10.0
+            )
+        kept, _ = results["columnar"].source_columns["TCP"]
+        assert set(kept) == {"time", "srcIP", "destIP", "len", "flags"}
+        assert results["row"].source_columns == {}  # row batches stay whole
+        assert_same_simulation(results["row"], results["columnar"])
+
+    def test_row_batches_are_pruned_once_columnar(self, complex_dag, tiny_trace):
+        plan, splitter = _complex_plan(complex_dag)
+        sim = ClusterSimulator(
+            complex_dag, plan, stream_rate=1000, engine="columnar"
+        )
+        result = sim.run({"TCP": tiny_trace.packets}, splitter, 10.0)
+        assert set(result.source_columns["TCP"][0]) == {"time", "srcIP", "destIP"}
+
+    @pytest.mark.parametrize("execution", ("inprocess", "parallel"))
+    @pytest.mark.parametrize(
+        "control",
+        (
+            {},
+            {"queue_policy": QueuePolicy(30, "block")},
+            {"queue_policy": QueuePolicy(30, "drop-oldest")},
+            {"shedding": SheddingPolicy(30)},
+        ),
+        ids=("unbounded", "block", "drop-oldest", "shedding"),
+    )
+    @pytest.mark.parametrize("workload", ("suspicious", "jitter", "complex"))
+    def test_junk_column_changes_nothing(
+        self, workload, control, execution, tiny_trace
+    ):
+        """Queued source rows are re-read by the shedding value model's
+        lineage expressions: pruning must keep everything those need."""
+        catalog_fn, deliver = WORKLOADS[workload]
+        _, dag = catalog_fn()
+        ps = PartitioningSet.of("srcIP")
+        plan = DistributedOptimizer(
+            dag, Placement(2, 2), ps, deliver=deliver
+        ).optimize()
+        sim = ClusterSimulator(dag, plan, stream_rate=1000, engine="columnar")
+        runs = [
+            sim.run_streaming(
+                {"TCP": source}, HashSplitter(4, ps), 10.0,
+                execution=execution, workers=2, **control,
+            )
+            for source in (tiny_trace.column_batch(), _with_junk(tiny_trace))
+        ]
+        plain, junk = runs
+        assert junk.execution == execution
+        assert_identical_simulation(plain, junk)
+        assert junk.outputs == plain.outputs  # row for row, not as multisets
+        assert junk.shed_counts == plain.shed_counts
+        assert "junk" in junk.source_columns["TCP"][1]
+        assert "junk" not in plain.source_columns["TCP"][1]
+        if "shedding" in control:
+            assert sum(plain.rows_dropped(host) for host in range(2)) > 0
+
+    def test_pruning_is_traced_and_summarized(self, complex_dag, tiny_trace):
+        plan, splitter = _complex_plan(complex_dag)
+        sim = ClusterSimulator(
+            complex_dag, plan, stream_rate=1000, engine="columnar",
+            record_events=True,
+        )
+        result = sim.run_streaming({"TCP": _with_junk(tiny_trace)}, splitter, 10.0)
+        (event,) = [
+            e for e in sim.metrics.events
+            if e["event"] == "compile" and e["label"] == "source"
+        ]
+        assert event["node"] == "TCP" and event["fallback"] is False
+        assert (event["kept"], event["dropped"]) == result.source_columns["TCP"]
+        assert "junk" in event["dropped"]
+        (line,) = [
+            line for line in result.summary().splitlines()
+            if line.startswith("source TCP:")
+        ]
+        assert "reads srcIP, destIP, time" in line
+        assert "junk" in line.split("pruned")[1]

@@ -1,12 +1,18 @@
 """Splitter hardware models."""
 
+import itertools
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cluster.splitter import (
     HashSplitter,
     RoundRobinSplitter,
     partition_histogram,
 )
+from repro.engine.columnar import ColumnBatch
 from repro.partitioning import PartitioningSet
 
 
@@ -117,3 +123,79 @@ class TestHashSplitter:
         total = sum(histogram.values())
         expected = total / 8
         assert max(histogram.values()) < 2.5 * expected
+
+
+def _mixed_batch(keys):
+    """A batch with a plain, a composite (tuple-of-arrays) and an
+    object-dtype column; ``pos`` makes every row distinct, so comparing
+    partitions as row lists also compares within-partition order."""
+    count = len(keys)
+    return ColumnBatch(
+        {
+            "srcIP": np.array([src for src, _ in keys], dtype=np.int64),
+            "destIP": np.array([dst for _, dst in keys], dtype=np.int64),
+            "pos": np.arange(count, dtype=np.int64),
+            "state": (np.arange(count) * 2.5, np.arange(count, dtype=np.int64) % 3),
+            "note": np.array([None if i % 4 == 0 else f"n{i}" for i in range(count)],
+                             dtype=object),
+        },
+        count,
+    )
+
+
+def _splitter(kind, num_partitions):
+    if kind == "round-robin":
+        return RoundRobinSplitter(num_partitions)
+    return HashSplitter(num_partitions, PartitioningSet.of(*kind))
+
+
+SPLITTER_KINDS = ("round-robin", ("srcIP",), ("srcIP & 0xFFF0", "destIP"))
+KEYS = st.lists(
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 40)), max_size=60
+)
+
+
+class TestSplitColumns:
+    """The one-pass columnar split is the row split, partition by
+    partition and row by row."""
+
+    @given(
+        keys=KEYS,
+        kind=st.sampled_from(SPLITTER_KINDS),
+        num_partitions=st.sampled_from((1, 2, 8, 300)),
+        offset=st.integers(0, 1000),
+    )
+    def test_equals_row_split_in_order(self, keys, kind, num_partitions, offset):
+        splitter = _splitter(kind, num_partitions)
+        batch = _mixed_batch(keys)
+        by_columns = splitter.split_columns(batch, offset=offset)
+        by_rows = splitter.split(batch.to_rows(), offset=offset)
+        assert len(by_columns) == num_partitions
+        assert [len(part) for part in by_columns] == [len(part) for part in by_rows]
+        assert [part.to_rows() for part in by_columns] == by_rows
+        for part in by_columns:  # empty partitions keep their schema
+            assert part.names() == batch.names()
+
+    @pytest.mark.parametrize("kind", SPLITTER_KINDS, ids=str)
+    def test_partitions_do_not_share_memory(self, kind):
+        keys = [(0x0A000000 + i % 17, i % 5) for i in range(200)]
+        parts = _splitter(kind, 8).split_columns(_mixed_batch(keys))
+        assert sum(len(part) for part in parts) == 200
+        for left, right in itertools.combinations(parts, 2):
+            assert not np.shares_memory(left.column("pos"), right.column("pos"))
+            assert not np.shares_memory(
+                left.column("state")[0], right.column("state")[0]
+            )
+
+    def test_chunked_round_robin_matches_whole_split(self):
+        splitter = RoundRobinSplitter(3)
+        batch = _mixed_batch([(i, i) for i in range(20)])
+        whole = [part.to_rows() for part in splitter.split_columns(batch)]
+        chunked = [[] for _ in range(3)]
+        offset = 0
+        for size in (7, 0, 5, 8):
+            chunk = batch.slice(offset, offset + size)
+            for index, part in enumerate(splitter.split_columns(chunk, offset)):
+                chunked[index].extend(part.to_rows())
+            offset += size
+        assert chunked == whole
