@@ -1,4 +1,4 @@
-"""Shared benchmark fixtures and the end-of-run summaries.
+"""Shared benchmark fixtures and the end-of-run figure summary.
 
 Each ``bench_figXX`` module regenerates one figure of the paper's
 evaluation: it sweeps the experiment's configurations over 1-4 hosts on
@@ -6,75 +6,14 @@ the experiment's trace preset, records the series as a formatted table
 (written to ``benchmarks/results/`` and echoed in the terminal summary),
 and benchmarks a representative run so ``pytest-benchmark`` reports real
 timings for the regeneration work.
-
-The terminal summary additionally exports every micro-benchmark's
-throughput (both execution backends) to
-``benchmarks/results/BENCH_engine.json`` — the machine-readable record
-that ``scripts/check_bench_regression.py`` diffs against the committed
-baseline in ``benchmarks/baseline/``.
 """
-
-import json
-import os
 
 import pytest
 
-from _figures import FIGURES, RESULTS_DIR, experiment_sweep
-
-BENCH_JSON = os.path.join(RESULTS_DIR, "BENCH_engine.json")
-
-
-def _benchmark_records(config):
-    """[(name, group, mean_sec)] from the pytest-benchmark session.
-
-    Reaches into ``config._benchmarksession`` (the plugin's documented
-    hook surface is file-based); every attribute access is defensive so a
-    plugin API change degrades to an empty export, never a crash.
-    """
-    session = getattr(config, "_benchmarksession", None)
-    if session is None:
-        return []
-    records = []
-    for bench in getattr(session, "benchmarks", []) or []:
-        stats = getattr(bench, "stats", None)
-        inner = getattr(stats, "stats", stats)
-        mean = getattr(inner, "mean", None)
-        if mean is None and isinstance(stats, dict):
-            mean = stats.get("mean")
-        name = getattr(bench, "name", None)
-        if not name or not mean or mean <= 0:
-            continue
-        records.append((name, getattr(bench, "group", None), float(mean)))
-    return records
-
-
-def _write_bench_json(records):
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    payload = {
-        "schema": 1,
-        "unit": "ops_per_sec",
-        "benchmarks": {
-            name: {
-                "group": group,
-                "mean_sec": mean,
-                "ops_per_sec": 1.0 / mean,
-            }
-            for name, group, mean in sorted(records)
-        },
-    }
-    with open(BENCH_JSON, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+from _figures import FIGURES, experiment_sweep
 
 
 def pytest_terminal_summary(terminalreporter):
-    records = _benchmark_records(terminalreporter.config)
-    if records:
-        _write_bench_json(records)
-        terminalreporter.write_line("")
-        terminalreporter.write_line(
-            f"machine-readable benchmark results: {BENCH_JSON}"
-        )
     if not FIGURES:
         return
     terminalreporter.write_line("")

@@ -68,9 +68,11 @@ class ClusterSimulator:
         expressed relative to the monitored link, as in the paper.
 
         ``engine`` selects the execution backend: ``"row"`` (dict tuples,
-        the reference semantics) or ``"columnar"`` (NumPy batch kernels;
-        nodes without a vectorized kernel — joins, NULLPAD — are resolved
-        to the row operator at plan-compile time).  Both backends produce
+        the reference semantics) or ``"columnar"`` (NumPy batch kernels
+        for every plan-node kind; a node with an unregistered UDAF or an
+        un-lowerable expression is resolved to the row operator at
+        plan-compile time and reported in
+        ``SimulationResult.fallback_nodes``).  Both backends produce
         identical outputs and identical CPU/network accounting; the cost
         model charges simulated per-tuple work, not wall-clock time.
 

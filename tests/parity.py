@@ -60,6 +60,9 @@ WORKLOADS = {
     "complex": (complex_catalog, ("flows", "heavy_flows", "flow_pairs")),
 }
 
+#: Pool cap for every forked-worker run in the sweeps.
+WORKERS = 2
+
 PS_CHOICES = [
     None,
     PartitioningSet.of("srcIP"),
@@ -191,8 +194,7 @@ def assert_identical_simulation(reference, parallel):
 
 
 def assert_streaming_matches_oneshot(
-    workload, seed, engine, queue_capacity=None, execution="inprocess",
-    workers=None,
+    workload, seed, engine, queue_capacity=None, execution="inprocess"
 ):
     """One randomized parity trial.
 
@@ -224,7 +226,7 @@ def assert_streaming_matches_oneshot(
     oneshot = sim.run({"TCP": packets}, splitter, 10.0)
     stream = sim.run_streaming(
         {"TCP": packets}, splitter, 10.0, queue_policy=policy,
-        execution=execution, workers=workers,
+        execution=execution, workers=WORKERS,
     )
     assert_same_simulation(oneshot, stream)
     if engine == "columnar":
@@ -245,9 +247,7 @@ def assert_streaming_matches_oneshot(
 SLIDING_SHAPES = [(2, 1), (3, 1), (4, 2), (3, 3), (6, 2)]
 
 
-def assert_sliding_matches_oneshot(
-    seed, engine, execution="inprocess", workers=None
-):
+def assert_sliding_matches_oneshot(seed, engine, execution="inprocess"):
     """One randomized sliding/approximate parity trial.
 
     Rotates window shapes and partitionings with ``seed``; even seeds run
@@ -291,7 +291,7 @@ def assert_sliding_matches_oneshot(
     sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
     oneshot = sim.run({"TCP": packets}, splitter, 10.0)
     stream = sim.run_streaming(
-        {"TCP": packets}, splitter, 10.0, execution=execution, workers=workers
+        {"TCP": packets}, splitter, 10.0, execution=execution, workers=WORKERS
     )
     assert_same_simulation(oneshot, stream)
     assert oneshot.fallback_nodes == {}
@@ -313,7 +313,7 @@ def assert_sliding_matches_oneshot(
 
 
 def assert_rebalanced_matches_oneshot(
-    workload, seed, engine, execution="inprocess", workers=None,
+    workload, seed, engine, execution="inprocess"
 ):
     """One randomized rebalancing parity trial.
 
@@ -353,7 +353,7 @@ def assert_rebalanced_matches_oneshot(
         dag, plan, stream_rate=1000, engine=engine
     ).run_streaming(
         {"TCP": packets}, splitter, 10.0, rebalance=policy, faults=faults,
-        execution=execution, workers=workers,
+        execution=execution, workers=WORKERS,
     )
     assert set(oneshot.outputs) == set(stream.outputs)
     for name in oneshot.outputs:
@@ -372,87 +372,103 @@ def assert_rebalanced_matches_oneshot(
 SHEDDING_FRACTIONS = (0.25, 0.1)
 
 
-def assert_shedding_dominates(
-    workload, seed, engine, execution="inprocess", workers=None,
-):
+# The shedding modes :func:`shed_trial` compares: per-host capacity ->
+# ``run_streaming`` keywords.
+
+
+def semantic_shedding(capacity):
+    return {"shedding": SheddingPolicy(capacity)}
+
+
+def blind_shedding(capacity):
+    return {"queue_policy": QueuePolicy(capacity, "drop-newest")}
+
+
+def forked_semantic_shedding(capacity):
+    return {
+        "execution": "parallel", "workers": WORKERS,
+        **semantic_shedding(capacity),
+    }
+
+
+def shed_trial(workload, seed, engine, hosts, fraction, modes):
+    """One hot-key trace, unbounded and then once per entry of ``modes``.
+
+    Each mode maps the per-host capacity (``fraction`` of the offered
+    per-host rate, identical for all of them) to ``run_streaming``
+    keywords.  Asserts per-host conservation (in == delivered + dropped +
+    queued, per epoch) and that every bounded run really dropped rows —
+    capacity is far below the offered rate, and a no-op trial proves
+    nothing.  Returns ``[(result, mean per-query recall against the
+    unbounded run)]`` in ``modes`` order.
+    """
+    catalog_fn, deliver = WORKLOADS[workload]
+    _, dag = catalog_fn()
+    packets = skewed_packets(seed)
+    ps = PartitioningSet.of("srcIP")
+    placement = Placement(hosts, 2)
+    plan = DistributedOptimizer(dag, placement, ps, deliver=deliver).optimize()
+    splitter = HashSplitter(placement.num_partitions, ps)
+    epochs = len({p["time"] for p in packets})
+    # Floor of 4: at 1-2 rows/epoch there is nothing left to *rank* and
+    # which row survives is pure tie-breaking luck for either policy.
+    capacity = max(4, int(len(packets) / epochs / hosts * fraction))
+    sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
+    reference = sim.run_streaming({"TCP": packets}, splitter, 10.0)
+    trials = []
+    for mode in modes:
+        bounded = sim.run_streaming(
+            {"TCP": packets}, splitter, 10.0, **mode(capacity)
+        )
+        for stats in bounded.flow_stats.values():
+            assert stats.conserves()
+        assert sum(s.total_dropped for s in bounded.flow_stats.values()) > 0
+        recall = per_query_recall(reference.outputs, bounded.outputs)
+        scores = [v for v in recall.values() if not math.isnan(v)]
+        assert scores, "reference run produced no output to recall"
+        trials.append((bounded, sum(scores) / len(scores)))
+    return trials
+
+
+def assert_shedding_dominates(workload, seed, engine, execution="inprocess"):
     """One randomized shedding-quality trial.
 
     A hot-key trace (the same shape the rebalance sweep uses — skew is
     what makes group-level doom accounting pay off) runs three times at
-    identical per-host capacity: unbounded (the recall reference),
-    semantic shedding, and a blind ``drop-newest`` queue.  The oracle
-    asserts conservation (in == delivered + dropped + queued, per epoch),
-    that the semantic run's mean per-query recall is at least the blind
-    run's, and — when ``execution="parallel"`` — that the forked-worker
-    semantic run is byte-identical to the in-process one: outputs,
-    per-node counts, per-query shed attribution, and the per-epoch flow
-    series (value hints ride the worker protocol, so the shed decisions
-    themselves must match row for row).
+    identical per-host capacity (see :func:`shed_trial`): unbounded (the
+    recall reference), semantic shedding, and a blind ``drop-newest``
+    queue.  The oracle asserts that the semantic run's mean per-query
+    recall is at least the blind run's, and — when
+    ``execution="parallel"`` — that the forked-worker semantic run is
+    byte-identical to the in-process one: outputs, per-node counts,
+    per-query shed attribution, and the per-epoch flow series (value
+    hints ride the worker protocol, so the shed decisions themselves must
+    match row for row).
 
     Returns ``(semantic_mean, blind_mean)`` so sweep callers can
     additionally assert *strict* dominance in aggregate — per seed only
     weak dominance holds (a lucky blind drop can tie).
     """
-    catalog_fn, deliver = WORKLOADS[workload]
-    _, dag = catalog_fn()
     rng = random.Random(seed ^ 0x5EDD)
-    packets = skewed_packets(seed)
     hosts = rng.choice((2, 3))
-    ps = PartitioningSet.of("srcIP")
-    placement = Placement(hosts, 2)
-    plan = DistributedOptimizer(dag, placement, ps, deliver=deliver).optimize()
-    splitter = HashSplitter(placement.num_partitions, ps)
-    epochs = sorted({p["time"] for p in packets})
     fraction = SHEDDING_FRACTIONS[seed % len(SHEDDING_FRACTIONS)]
-    # Floor of 4: at 1-2 rows/epoch there is nothing left to *rank* and
-    # which row survives is pure tie-breaking luck for either policy.
-    capacity = max(4, int(len(packets) / len(epochs) / hosts * fraction))
-    sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-    reference = sim.run_streaming({"TCP": packets}, splitter, 10.0)
-    semantic = sim.run_streaming(
-        {"TCP": packets}, splitter, 10.0,
-        shedding=SheddingPolicy(capacity),
+    modes = [semantic_shedding, blind_shedding]
+    if execution == "parallel":
+        modes.append(forked_semantic_shedding)
+    (semantic, semantic_mean), (_, blind_mean), *forked = shed_trial(
+        workload, seed, engine, hosts, fraction, modes
     )
-    blind = sim.run_streaming(
-        {"TCP": packets}, splitter, 10.0,
-        queue_policy=QueuePolicy(capacity, "drop-newest"),
-    )
-    for stats in semantic.flow_stats.values():
-        assert stats.conserves()
-    for stats in blind.flow_stats.values():
-        assert stats.conserves()
-    # Capacity is far below the offered rate, so the shedder must have
-    # actually been exercised — a no-op trial proves nothing.
-    assert sum(s.total_dropped for s in semantic.flow_stats.values()) > 0
     assert sum(semantic.shed_counts.values()) > 0
-    semantic_recall = per_query_recall(reference.outputs, semantic.outputs)
-    blind_recall = per_query_recall(reference.outputs, blind.outputs)
-    semantic_scores = [
-        v for v in semantic_recall.values() if not math.isnan(v)
-    ]
-    blind_scores = [v for v in blind_recall.values() if not math.isnan(v)]
-    assert semantic_scores, "reference run produced no output to recall"
-    semantic_mean = sum(semantic_scores) / len(semantic_scores)
-    blind_mean = sum(blind_scores) / len(blind_scores)
     assert semantic_mean >= blind_mean - 1e-9, (
         f"semantic recall {semantic_mean:.4f} < blind {blind_mean:.4f} "
-        f"(workload={workload} seed={seed} capacity={capacity})"
+        f"(workload={workload} seed={seed} fraction={fraction})"
     )
-    if execution == "parallel":
-        forked = ClusterSimulator(
-            dag, plan, stream_rate=1000, engine=engine
-        ).run_streaming(
-            {"TCP": packets}, splitter, 10.0,
-            shedding=SheddingPolicy(capacity),
-            execution=execution, workers=workers,
-        )
-        assert forked.execution == "parallel"
-        assert set(forked.outputs) == set(semantic.outputs)
+    for run, _ in forked:
+        assert run.execution == "parallel"
+        assert set(run.outputs) == set(semantic.outputs)
         for name in semantic.outputs:
-            assert batches_equal(
-                semantic.outputs[name], forked.outputs[name]
-            ), name
-        assert forked.node_output_counts == semantic.node_output_counts
-        assert forked.shed_counts == semantic.shed_counts
-        assert forked.flow_stats == semantic.flow_stats
+            assert batches_equal(semantic.outputs[name], run.outputs[name]), name
+        assert run.node_output_counts == semantic.node_output_counts
+        assert run.shed_counts == semantic.shed_counts
+        assert run.flow_stats == semantic.flow_stats
     return semantic_mean, blind_mean

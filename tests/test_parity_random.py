@@ -1,159 +1,193 @@
-"""Randomized streaming/one-shot parity sweep.
+"""Randomized parity sweeps: fifty seeds, every oracle, always on.
 
-Fifty seeds, each deriving a fresh adversarial trace, cluster size, and
-partitioning (see :mod:`parity`), each run on both engines.  Every fifth
-seed also routes the streaming run through a tight bounded ``block``
-ingest queue: the lossless policy defers rows across epochs under
-backpressure, and the result must still be byte-identical to one-shot.
+Each seed derives a fresh adversarial trace, cluster size and
+partitioning (see :mod:`parity`) and runs on both engines.  All four
+sweeps are part of the plain test run:
 
-Setting ``REPRO_PARITY_EXECUTION=parallel`` reruns the whole sweep with
-the streaming side executing on forked worker processes
-(``REPRO_PARITY_WORKERS`` caps the pool); CI runs this leg at 2 workers.
+* **streaming == one-shot** (``test_randomized_parity``) — the three
+  paper workloads in rotation, the streaming side in-process and on
+  forked workers.  Every fifth seed also routes the streaming run
+  through a tight bounded ``block`` ingest queue: the lossless policy
+  defers rows across epochs under backpressure, and the result must
+  still be byte-identical to one-shot.
+* **sliding windows and sketches** (``test_randomized_sliding_parity``)
+  — even seeds the exact ``RANGE/SLIDE`` workload, odd seeds the
+  approximate one, window shapes rotating with the seed; again
+  in-process and forked.
+* **rebalancing** (``test_randomized_rebalance_parity``) — hot-key
+  traces with an aggressive ``RebalancePolicy`` migrating partitions
+  mid-run (every third seed races the migrations against a ``delay``
+  fault, every fifth runs the streaming side on forked workers);
+  outputs stay byte-identical to the static one-shot run.
+* **shedding** (``test_randomized_shedding_dominance``) — the same
+  hot-key seeds run unbounded, with semantic shedding, and with a blind
+  ``drop-newest`` queue at identical capacity; per seed the semantic
+  run's mean per-query recall is at least the blind run's, and every
+  other seed proves the forked-worker semantic run byte-identical to
+  in-process.
 
-Setting ``REPRO_PARITY_REBALANCE=1`` enables the rebalancing sweep: the
-same fifty seeds over hot-key traces with an aggressive
-``RebalancePolicy`` migrating partitions mid-run (every third seed races
-the migrations against a ``delay`` fault, every fifth runs the streaming
-side on forked workers), asserting outputs stay byte-identical to the
-static one-shot run and that migrations actually happened across the
-sweep — a sweep where the trigger never fired would test nothing.
+A sweep that never exercised its mechanism would test nothing, so two
+sweep-level checks follow: some seed migrated, and semantic recall is
+strictly above blind in aggregate (per seed only weak dominance holds).
+Both take their numbers from the module-scoped, memoized trial the
+per-seed tests call, so any selection of tests — one node id, ``-k``,
+``--lf``, a sharded run — computes what it asserts.
 
-Setting ``REPRO_PARITY_SHEDDING=1`` enables the shedding-quality sweep:
-the same fifty hot-key seeds run unbounded, with semantic shedding, and
-with a blind ``drop-newest`` queue at identical capacity; per seed the
-semantic run's mean per-query recall must be at least the blind run's
-(every other seed also proving the forked-worker semantic run
-byte-identical to in-process), and across the sweep the dominance must
-be strict per engine.
+Last, the recall floors of the headline shedding claim: semantic recall
+at least 1.2x blind on the suspicious workload at a quarter and a tenth
+of the offered rate, and never below blind on any workload.
 """
 
-import os
+import functools
 
 import pytest
 
 from tests.parity import (
+    WORKLOADS,
     assert_rebalanced_matches_oneshot,
     assert_shedding_dominates,
     assert_sliding_matches_oneshot,
     assert_streaming_matches_oneshot,
+    blind_shedding,
     random_packets,
+    semantic_shedding,
+    shed_trial,
     skewed_packets,
 )
 
 SEEDS = range(50)
-
-EXECUTION = os.environ.get("REPRO_PARITY_EXECUTION", "inprocess")
-WORKERS = (
-    int(os.environ["REPRO_PARITY_WORKERS"])
-    if "REPRO_PARITY_WORKERS" in os.environ
-    else None
-)
+ENGINES = ("row", "columnar")
+EXECUTIONS = ("inprocess", "parallel")
+#: the three paper workloads, rotated by seed
+ROTATION = tuple(WORKLOADS)
 
 
-@pytest.mark.parametrize("engine", ("row", "columnar"))
+@pytest.mark.parametrize("execution", EXECUTIONS)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_randomized_parity(seed, engine):
-    # rotate the three workloads; tight block queue on every fifth seed
-    workload = ("suspicious", "jitter", "complex")[seed % 3]
+def test_randomized_parity(seed, engine, execution):
+    # tight block queue on every fifth seed
     capacity = 25 if seed % 5 == 0 else None
     assert_streaming_matches_oneshot(
-        workload, seed, engine, capacity, execution=EXECUTION, workers=WORKERS
+        ROTATION[seed % 3], seed, engine, capacity, execution=execution
     )
 
 
-SLIDING = os.environ.get("REPRO_PARITY_SLIDING") == "1"
-
-
-@pytest.mark.skipif(
-    not SLIDING, reason="set REPRO_PARITY_SLIDING=1 to run"
-)
-@pytest.mark.parametrize("engine", ("row", "columnar"))
+@pytest.mark.parametrize("execution", EXECUTIONS)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_randomized_sliding_parity(seed, engine):
+def test_randomized_sliding_parity(seed, engine, execution):
     """Sliding-window and sketch-variant parity: even seeds run the exact
     RANGE/SLIDE workload, odd seeds the approximate one; window shapes
-    and partitionings rotate with the seed (see parity.SLIDING_SHAPES).
-    ``REPRO_PARITY_EXECUTION=parallel`` reruns the sweep on forked
-    workers like the main sweep."""
-    assert_sliding_matches_oneshot(
-        seed, engine, execution=EXECUTION, workers=WORKERS
-    )
+    and partitionings rotate with the seed (see parity.SLIDING_SHAPES)."""
+    assert_sliding_matches_oneshot(seed, engine, execution=execution)
 
 
-REBALANCE = os.environ.get("REPRO_PARITY_REBALANCE") == "1"
+@pytest.fixture(scope="module")
+def rebalance_trial():
+    """``trial(seed, engine)`` -> migrations that seed performed.
 
-#: Migrations observed across the rebalance sweep, keyed by engine.
-#: ``test_rebalance_sweep_migrated`` runs after the parametrized sweep
-#: (pytest preserves definition order) and fails if no seed migrated.
-_SWEEP_MIGRATIONS = {"row": 0, "columnar": 0}
+    Memoized for the module: the per-seed tests and the sweep-level
+    check share one run per (seed, engine), whichever of them is
+    selected.  A failing trial raises and is not cached.
+    """
+
+    @functools.lru_cache(maxsize=None)
+    def trial(seed, engine):
+        # parallel execution on every fifth seed (the delay-fault seeds,
+        # seed % 3 == 0, are chosen inside the trial)
+        execution = "parallel" if seed % 5 == 0 else "inprocess"
+        _, stream = assert_rebalanced_matches_oneshot(
+            ROTATION[seed % 3], seed, engine, execution=execution
+        )
+        return len(stream.rebalance.migrations)
+
+    return trial
 
 
-@pytest.mark.skipif(
-    not REBALANCE, reason="set REPRO_PARITY_REBALANCE=1 to run"
-)
-@pytest.mark.parametrize("engine", ("row", "columnar"))
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_randomized_rebalance_parity(seed, engine):
-    # rotate workloads; parallel execution on every fifth seed (the
-    # delay-fault seeds, seed % 3 == 0, are chosen inside the trial)
-    workload = ("suspicious", "jitter", "complex")[seed % 3]
-    execution = "parallel" if seed % 5 == 0 else "inprocess"
-    _, stream = assert_rebalanced_matches_oneshot(
-        workload, seed, engine, execution=execution,
-        workers=2 if execution == "parallel" else None,
-    )
-    _SWEEP_MIGRATIONS[engine] += len(stream.rebalance.migrations)
+def test_randomized_rebalance_parity(seed, engine, rebalance_trial):
+    rebalance_trial(seed, engine)
 
 
-@pytest.mark.skipif(
-    not REBALANCE, reason="set REPRO_PARITY_REBALANCE=1 to run"
-)
-@pytest.mark.parametrize("engine", ("row", "columnar"))
-def test_rebalance_sweep_migrated(engine):
-    assert _SWEEP_MIGRATIONS[engine] > 0, (
+@pytest.mark.parametrize("engine", ENGINES)
+def test_rebalance_sweep_migrated(engine, rebalance_trial):
+    assert sum(rebalance_trial(seed, engine) for seed in SEEDS) > 0, (
         "no seed in the rebalance sweep triggered a migration — the "
         "parity leg exercised nothing"
     )
 
 
-SHEDDING = os.environ.get("REPRO_PARITY_SHEDDING") == "1"
+@pytest.fixture(scope="module")
+def shedding_trial():
+    """``trial(seed, engine)`` -> (semantic, blind) mean recall of that
+    seed; memoized like :func:`rebalance_trial`."""
 
-#: (semantic, blind) mean-recall totals across the shedding sweep, keyed
-#: by engine.  ``test_shedding_sweep_strictly_dominates`` runs after the
-#: parametrized sweep (pytest preserves definition order) and asserts
-#: the aggregate gap is strict — per seed only weak dominance holds.
-_SWEEP_RECALL = {"row": [0.0, 0.0], "columnar": [0.0, 0.0]}
+    @functools.lru_cache(maxsize=None)
+    def trial(seed, engine):
+        # every other seed re-runs the semantic shed on forked workers
+        # and asserts it byte-identical to in-process
+        execution = "parallel" if seed % 2 == 0 else "inprocess"
+        return assert_shedding_dominates(
+            ROTATION[seed % 3], seed, engine, execution=execution
+        )
+
+    return trial
 
 
-@pytest.mark.skipif(
-    not SHEDDING, reason="set REPRO_PARITY_SHEDDING=1 to run"
-)
-@pytest.mark.parametrize("engine", ("row", "columnar"))
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_randomized_shedding_dominance(seed, engine):
-    # rotate workloads; every other seed re-runs the semantic shed on
-    # forked workers and asserts it byte-identical to in-process
-    workload = ("suspicious", "jitter", "complex")[seed % 3]
-    execution = "parallel" if seed % 2 == 0 else "inprocess"
-    semantic, blind = assert_shedding_dominates(
-        workload, seed, engine, execution=execution,
-        workers=2 if execution == "parallel" else None,
+def test_randomized_shedding_dominance(seed, engine, shedding_trial):
+    shedding_trial(seed, engine)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_shedding_sweep_strictly_dominates(engine, shedding_trial):
+    semantic, blind = map(
+        sum, zip(*(shedding_trial(seed, engine) for seed in SEEDS))
     )
-    _SWEEP_RECALL[engine][0] += semantic
-    _SWEEP_RECALL[engine][1] += blind
-
-
-@pytest.mark.skipif(
-    not SHEDDING, reason="set REPRO_PARITY_SHEDDING=1 to run"
-)
-@pytest.mark.parametrize("engine", ("row", "columnar"))
-def test_shedding_sweep_strictly_dominates(engine):
-    semantic, blind = _SWEEP_RECALL[engine]
     assert semantic > blind, (
         f"semantic shedding recalled no more than drop-newest across the "
         f"sweep ({semantic:.3f} vs {blind:.3f}) — the value model "
         f"bought nothing"
     )
+
+
+def recall_ratio(workload, fraction, policy, baseline):
+    """Mean per-query recall under ``policy`` over that under
+    ``baseline`` at equal per-host capacity, five hot-key seeds on two
+    columnar hosts."""
+    totals = [0.0, 0.0]
+    for seed in range(5):
+        trials = shed_trial(
+            workload, seed, "columnar", 2, fraction, (policy, baseline)
+        )
+        for index, (_, recall) in enumerate(trials):
+            totals[index] += recall
+    return totals[0] / totals[1]
+
+
+def assert_recall_floors(policy, baseline):
+    for workload in WORKLOADS:
+        for fraction in (0.5, 0.25, 0.1):
+            # the bit-fold HAVING of the suspicious workload is the
+            # clearest case for feasibility pruning: the headline claim
+            floor = 1.2 if workload == "suspicious" and fraction < 0.5 else 1.0
+            ratio = recall_ratio(workload, fraction, policy, baseline)
+            assert ratio >= floor, (
+                f"{workload}@{fraction}: {ratio:.2f}x the baseline's "
+                f"recall, floor {floor}x"
+            )
+
+
+def test_semantic_shedding_recall_floors():
+    assert_recall_floors(semantic_shedding, blind_shedding)
+
+
+def test_recall_floors_reject_blind_against_itself():
+    with pytest.raises(AssertionError, match=r"suspicious@0\.25: 1\.00x"):
+        assert_recall_floors(blind_shedding, blind_shedding)
 
 
 def test_generator_is_deterministic():

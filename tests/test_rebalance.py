@@ -1,6 +1,6 @@
 """Adaptive repartitioning under skew: the mid-stream rebalancer.
 
-Four invariant families:
+Five invariant families:
 
 * **equivalence** — migration relabels *where* operators execute, never
   *what* they compute: streaming with rebalancing stays byte-identical
@@ -15,7 +15,10 @@ Four invariant families:
   keep a host's partitions off it until it arrives;
 * **accounting** — state handoffs surface as ``state_rows`` on the
   migration record, and every protocol step lands in
-  ``MetricsRecorder.rebalance_counts`` and the event trace.
+  ``MetricsRecorder.rebalance_counts`` and the event trace;
+* **payoff** — on a Zipf-skewed trace the rebalancer cuts the
+  steady-state peak host load by at least 30 %, whether the hot spot
+  stays put or drifts.
 """
 
 import io
@@ -38,6 +41,7 @@ from repro.runtime.rebalance import (
     PartitionDirectory,
     RebalanceController,
 )
+from repro.traces import skewed_trace
 from repro.workloads import (
     Configuration,
     complex_catalog,
@@ -281,6 +285,78 @@ class TestRebalancedRun:
         assert {"partitions", "src", "dst", "reason", "state_rows"} <= set(
             migrations[0]
         )
+
+
+# -- the steady-state payoff ----------------------------------------------------
+
+#: Zipf-flavored partition weights: half the stream lands on host 0's
+#: two partitions, the rest spreads thin.  Static host loads are then
+#: (0.50, 0.18, 0.16, 0.16) — max/mean 2.0 — while a rebalancer that
+#: splits the two hot partitions across hosts can approach ~1.2.
+SKEW_WEIGHTS = [0.30, 0.20, 0.10, 0.08, 0.08, 0.08, 0.08, 0.08]
+
+
+def _steady_max_over_mean(result):
+    """Host-CPU max/mean over the run's second half (post-convergence)."""
+    start = result.timeline.num_epochs // 2
+    loads = [sum(series[start:]) for series in result.timeline.host_cpu]
+    return max(loads) / (sum(loads) / len(loads))
+
+
+def _peak_load_cut(policy, drift_period):
+    """The fraction of the static run's steady-state host max/mean that
+    ``policy`` removes, on §6.1's suspicious-flows query over a 40k-row
+    ``skewed_trace`` (4 columnar hosts x 2 partitions; with
+    ``drift_period`` the hot spot rotates every that-many epochs).
+
+    Migration relabels execution, never the dataflow, so both runs must
+    agree on outputs and per-node counts.  The trace carries no attack
+    pattern, so the delivered output is empty and the counts — every row
+    reached its partition's operator — are what that comparison pins
+    here; equality of non-empty outputs is the rebalance sweep's job.
+    """
+    trace = skewed_trace(
+        PS, len(SKEW_WEIGHTS), SKEW_WEIGHTS, drift_period=drift_period
+    )
+    runs = []
+    for rebalance in (None, policy):
+        _, _, splitter, sim = _cluster(hosts=4, engine="columnar")
+        runs.append(
+            sim.run_streaming(
+                {"TCP": trace.column_batch()}, splitter, trace.duration_sec,
+                rebalance=rebalance,
+            )
+        )
+    static, rebalanced = runs
+    for name in static.outputs:
+        assert batches_equal(static.outputs[name], rebalanced.outputs[name])
+    assert static.node_output_counts == rebalanced.node_output_counts
+    before = _steady_max_over_mean(static)
+    return (before - _steady_max_over_mean(rebalanced)) / before
+
+
+def _assert_cuts_peak_load(policy, drift_period):
+    cut = _peak_load_cut(policy, drift_period)
+    assert cut >= 0.30, (
+        f"rebalancing cut steady-state host max/mean by {100 * cut:.1f} %, "
+        f"floor 30 %"
+    )
+
+
+class TestPayoff:
+    @pytest.mark.parametrize("drift_period", (None, 5), ids=("steady", "drift"))
+    def test_cuts_steady_state_peak_load(self, drift_period):
+        # One-epoch trigger window and cooldown: the drift scenario moves
+        # the hot spot every 5 epochs, so a laggier policy spends half of
+        # each period converging instead of balanced.
+        _assert_cuts_peak_load(
+            RebalancePolicy(threshold=1.15, window=1, cooldown=1), drift_period
+        )
+
+    def test_floor_rejects_a_trigger_that_never_fires(self):
+        # max/mean cannot exceed the host count, so this policy is inert
+        with pytest.raises(AssertionError, match=r"by 0\.0 %"):
+            _assert_cuts_peak_load(RebalancePolicy(threshold=100.0), None)
 
 
 # -- elastic membership ---------------------------------------------------------

@@ -10,10 +10,13 @@ Covers the refactored aggregation path end to end:
 * full simulations surface the chosen variant per node and keep the
   streaming/one-shot and row/columnar equivalences intact;
 * sketch results respect the declared accuracy against a brute-force
-  oracle, and every epsilon-heavy key is reported.
+  oracle, and every epsilon-heavy key is reported;
+* the reason the sketch variant exists: aggregator ingress that stays
+  constant while the exact split's grows with group cardinality.
 """
 
 import collections
+import random
 
 import pytest
 
@@ -31,6 +34,7 @@ from repro.engine.variants import (
 )
 from repro.partitioning import PartitioningSet
 from repro.partitioning.cost_model import CostModel
+from repro.plan import QueryDag
 from repro.workloads import approx_heavy_catalog, sliding_flows_catalog
 from tests.parity import assert_same_simulation, random_packets
 
@@ -299,6 +303,95 @@ def test_sketch_accuracy_against_oracle(approx_dag):
         window_count, _ = totals[key[0]]
         if true_count >= epsilon * window_count:
             assert key in reported, f"missing heavy key {key}"
+
+
+# -- network payoff ----------------------------------------------------------
+
+
+@pytest.fixture
+def exact_heavy_dag(catalog):
+    """``approx_heavy`` without the APPROX_ calls and the accuracy clause."""
+    catalog.define_query(
+        "heavy",
+        "SELECT tb, srcIP, destIP, COUNT(*) as cnt, SUM(len) as bytes "
+        "FROM TCP GROUP BY time as tb, srcIP, destIP "
+        f"RANGE {WINDOW_PANES} SLIDE 1",
+    )
+    return QueryDag.from_catalog(catalog)
+
+
+def _heavy_hitter_packets(cardinality, epochs=4):
+    """``cardinality`` (srcIP, destIP) groups at two rows per group per
+    epoch: every tenth row belongs to one group — comfortably
+    epsilon-heavy at 0.05, so the approximate query has something to
+    report — and the rest spread uniformly, which keeps the exact run's
+    partial-row count near the cardinality."""
+    rng = random.Random(7)
+    packets = []
+    for epoch in range(epochs):
+        for index in range(max(2_000, 2 * cardinality)):
+            key = 0 if index % 10 == 0 else rng.randrange(cardinality)
+            packets.append(
+                {
+                    "time": epoch,
+                    "timestamp": epoch * 1_000_000 + index,
+                    "srcIP": 0x0A000000 + key // 64,
+                    "destIP": 0xC0A80000 + key % 64,
+                    "srcPort": 1024,
+                    "destPort": 80,
+                    "protocol": 6,
+                    "flags": 16,
+                    "len": 40 + key % 1400,
+                }
+            )
+    return packets
+
+
+def _aggregator_ingress(dag, packets):
+    """(bytes the aggregator received, rows delivered) for ``dag``'s one
+    query streamed round-robin over four columnar hosts."""
+    placement = Placement(4, 2)
+    plan = DistributedOptimizer(dag, placement, None).optimize()
+    result = ClusterSimulator(
+        dag, plan, stream_rate=1000, engine="columnar"
+    ).run_streaming(
+        {"TCP": packets}, RoundRobinSplitter(placement.num_partitions), 10.0
+    )
+    assert result.fallback_nodes == {}
+    (delivered,) = result.outputs.values()
+    return result.network.bytes_received[result.aggregator], len(delivered)
+
+
+def _assert_sketch_ships_5x_less(exact_dag, sketch_dag, packets):
+    exact_bytes, _ = _aggregator_ingress(exact_dag, packets)
+    sketch_bytes, delivered = _aggregator_ingress(sketch_dag, packets)
+    assert delivered >= 1, "the approximate query reported nothing"
+    ratio = exact_bytes / sketch_bytes
+    assert ratio >= 5.0, (
+        f"exact split ships {ratio:.1f}x the sketch's aggregator bytes, "
+        f"floor 5x"
+    )
+    return sketch_bytes
+
+
+def test_sketch_ingress_constant_and_5x_below_exact_at_10k_groups(
+    exact_heavy_dag, approx_dag
+):
+    at_10k = _assert_sketch_ships_5x_less(
+        exact_heavy_dag, approx_dag, _heavy_hitter_packets(10_000)
+    )
+    at_1k, delivered = _aggregator_ingress(
+        approx_dag, _heavy_hitter_packets(1_000)
+    )
+    assert delivered >= 1
+    assert at_1k == at_10k
+
+
+def test_sketch_floor_rejects_exact_against_itself(exact_heavy_dag):
+    with pytest.raises(AssertionError, match=r"ships 1\.0x"):
+        _assert_sketch_ships_5x_less(
+            exact_heavy_dag, exact_heavy_dag, _heavy_hitter_packets(1_000)
+        )
 
 
 def test_metrics_surface_sketch_categories(approx_dag):
