@@ -26,9 +26,16 @@ from typing import List, Optional
 
 from .distopt import DistributedOptimizer, Placement, render_plan
 from .gsql.catalog import Catalog
-from .runtime.flowcontrol import BLOCK, QUEUE_MODES, Fault, FaultPlan, QueuePolicy
-from .runtime.rebalance import RebalancePolicy
-from .runtime.shedding import SHED_STRATEGIES, SheddingPolicy
+from .runtime import (
+    BLOCK,
+    QUEUE_MODES,
+    SEMANTIC,
+    Fault,
+    FaultPlan,
+    QueuePolicy,
+    RebalancePolicy,
+    RunOptions,
+)
 from .gsql.schema import tcp_schema
 from .partitioning import FieldsConstraint, PartitioningSet, choose_partitioning
 from .plan import QueryDag
@@ -134,8 +141,22 @@ def _simulation_flags() -> argparse.ArgumentParser:
     return common
 
 
+def _usage_error(message) -> int:
+    """An invalid run description: one line on stderr, exit status 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_figures(args) -> int:
     catalog_fn, configs_fn, trace_fn = _EXPERIMENTS[args.experiment]
+    try:
+        options = RunOptions(
+            streaming=args.streaming,
+            execution=args.execution,
+            workers=args.workers,
+        )
+    except ValueError as error:
+        return _usage_error(error)
     trace = four_tap_trace(trace_fn(seed=args.seed))
     _, dag = catalog_fn()
     capacity = experiment_capacity(args.experiment, trace)
@@ -147,9 +168,7 @@ def cmd_figures(args) -> int:
         host_counts=host_counts,
         host_capacity=capacity,
         engine=args.engine,
-        streaming=args.streaming,
-        execution=args.execution,
-        workers=args.workers,
+        **vars(options),
     )
     print(
         format_figure(
@@ -176,70 +195,57 @@ def cmd_timeline(args) -> int:
     matches = [c for c in configurations if wanted in c.name.lower()]
     if len(matches) != 1:
         names = ", ".join(repr(c.name) for c in configurations)
-        print(
-            f"--config {args.config!r} matches {len(matches)} of: {names}",
-            file=sys.stderr,
+        return _usage_error(
+            f"--config {args.config!r} matches {len(matches)} of: {names}"
         )
-        return 2
     if len(args.hosts) != 1:
-        print(
+        return _usage_error(
             f"timeline runs one cluster size; --hosts got {len(args.hosts)} "
-            f"values: {','.join(str(h) for h in args.hosts)}",
-            file=sys.stderr,
+            f"values: {','.join(str(h) for h in args.hosts)}"
         )
-        return 2
     (num_hosts,) = args.hosts
     configuration = matches[0]
     if (args.epsilon is not None or args.delta is not None) and (
         not args.approximate
     ):
-        print(
-            "error: --epsilon/--delta require --approximate",
-            file=sys.stderr,
-        )
-        return 2
+        return _usage_error("--epsilon/--delta require --approximate")
     epsilon = args.epsilon if args.epsilon is not None else 0.05
     delta = args.delta if args.delta is not None else 0.05
     if args.approximate and not (0.0 < epsilon < 1.0 and 0.0 < delta < 1.0):
-        print(
-            f"error: --epsilon and --delta must lie in (0, 1), got "
-            f"epsilon={epsilon} delta={delta}",
-            file=sys.stderr,
+        return _usage_error(
+            f"--epsilon and --delta must lie in (0, 1), got "
+            f"epsilon={epsilon} delta={delta}"
         )
-        return 2
-    shedding = None
-    if args.shedding is not None:
-        if args.queue_limit is None:
-            print(
-                "error: --shedding requires --queue-limit (the per-host "
-                "capacity the shedder enforces)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.queue_policy != BLOCK:
-            print(
-                "error: --shedding replaces --queue-policy; pass one or "
-                "the other",
-                file=sys.stderr,
-            )
-            return 2
-        shedding = SheddingPolicy(args.queue_limit, args.shedding)
-    queue_policy = (
-        QueuePolicy(args.queue_limit, args.queue_policy)
-        if args.queue_limit is not None and shedding is None
-        else None
-    )
-    faults = FaultPlan(tuple(args.fault)) if args.fault else None
-    rebalance = None
-    if args.rebalance or args.rebalance_threshold is not None:
-        try:
-            if args.rebalance_threshold is not None:
-                rebalance = RebalancePolicy(threshold=args.rebalance_threshold)
-            else:
-                rebalance = RebalancePolicy()
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
+    if args.queue_policy != BLOCK and args.queue_limit is None:
+        return _usage_error(
+            f"--queue-policy {args.queue_policy} requires --queue-limit "
+            f"(the per-host capacity it enforces)"
+        )
+    # The whole run description is built — and so validated — before the
+    # trace is generated: a bad flag costs one line, not a traceback.
+    try:
+        queue_policy = (
+            QueuePolicy(args.queue_limit, args.queue_policy)
+            if args.queue_limit is not None
+            else None
+        )
+        rebalance = None
+        if args.rebalance_threshold is not None:
+            rebalance = RebalancePolicy(threshold=args.rebalance_threshold)
+        elif args.rebalance:
+            rebalance = RebalancePolicy()
+        options = RunOptions(
+            streaming=True,
+            queue_policy=queue_policy,
+            faults=FaultPlan(tuple(args.fault)) if args.fault else None,
+            execution=args.execution,
+            workers=args.workers,
+            rebalance=rebalance,
+        )
+        if options.faults:
+            options.faults.validate(num_hosts)
+    except ValueError as error:
+        return _usage_error(error)
     trace = four_tap_trace(trace_fn(seed=args.seed))
     if args.approximate:
         # Replace the experiment's queries with the sketch-backed
@@ -252,28 +258,16 @@ def cmd_timeline(args) -> int:
         configuration = dataclasses.replace(configuration, deliver=None)
     else:
         _, dag = catalog_fn()
-    try:
-        outcome = run_configuration(
-            dag,
-            trace,
-            configuration,
-            num_hosts,
-            host_capacity=experiment_capacity(args.experiment, trace),
-            engine=args.engine,
-            streaming=True,
-            record_events=True,
-            queue_policy=queue_policy,
-            faults=faults,
-            execution=args.execution,
-            workers=args.workers,
-            rebalance=rebalance,
-            shedding=shedding,
-        )
-    except ValueError as error:
-        # e.g. a --fault targeting a host outside the cluster, or
-        # leave/join membership faults without --rebalance.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    outcome = run_configuration(
+        dag,
+        trace,
+        configuration,
+        num_hosts,
+        host_capacity=experiment_capacity(args.experiment, trace),
+        engine=args.engine,
+        record_events=True,
+        **vars(options),
+    )
     result = outcome.result
     print(
         f"experiment {args.experiment}, {configuration.name!r}, "
@@ -322,8 +316,7 @@ def cmd_timeline(args) -> int:
         )
     if queue_policy is not None:
         print(f"ingest queue: {queue_policy.describe()}")
-    if shedding is not None:
-        print(f"load shedding: {shedding.describe()}")
+    if queue_policy is not None and queue_policy.mode == SEMANTIC:
         if result.shed_counts:
             charged = ", ".join(
                 f"{query}={rows}"
@@ -471,15 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-policy",
         choices=QUEUE_MODES,
         default=BLOCK,
-        help="overflow handling for --queue-limit (default: block, lossless)",
-    )
-    timeline.add_argument(
-        "--shedding",
-        choices=SHED_STRATEGIES,
-        default=None,
-        help="rank overflow rows by plan-derived value and shed the "
-        "least valuable first (requires --queue-limit; replaces "
-        "--queue-policy)",
+        help="overflow handling for --queue-limit (default: block, "
+        "lossless); 'semantic' ranks overflow rows by plan-derived value "
+        "and sheds the least valuable first",
     )
     timeline.add_argument(
         "--fault",

@@ -10,7 +10,7 @@ from .simulator import (
     QueuePolicy,
     RebalanceLog,
     RebalancePolicy,
-    SheddingPolicy,
+    RunOptions,
     SimulationResult,
     Timeline,
 )
@@ -32,7 +32,7 @@ __all__ = [
     "RebalanceLog",
     "RebalancePolicy",
     "RoundRobinSplitter",
-    "SheddingPolicy",
+    "RunOptions",
     "SimulationResult",
     "Splitter",
     "Timeline",

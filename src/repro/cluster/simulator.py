@@ -17,7 +17,8 @@ The actual machinery lives in :mod:`repro.runtime`:
 
 This module keeps the stable public surface: ``ClusterSimulator`` with
 ``run``/``run_streaming``, plus re-exported ``SimulationResult``,
-``Timeline``, and ``ENGINES``.
+``Timeline``, ``ENGINES`` and the description of a run (``RunOptions``
+and the policies it holds).
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from ..runtime.backend import ENGINES, create_backend
 from ..runtime.flowcontrol import FaultPlan, QueuePolicy
 from ..runtime.metrics import MetricsRecorder, Timeline
 from ..runtime.rebalance import RebalanceLog, RebalancePolicy
-from ..runtime.session import ExecutionSession, SimulationResult
-from ..runtime.shedding import SheddingPolicy
+from ..runtime.session import ExecutionSession, RunOptions, SimulationResult
 from .costs import DEFAULT_COSTS, CostTable, default_capacity
 from .host import Host
 from .network import NetworkMeter
@@ -44,7 +44,7 @@ __all__ = [
     "QueuePolicy",
     "RebalanceLog",
     "RebalancePolicy",
-    "SheddingPolicy",
+    "RunOptions",
     "SimulationResult",
     "Timeline",
 ]
@@ -114,17 +114,15 @@ class ClusterSimulator:
         source_rows: Mapping[str, Sequence[dict]],
         splitter: Splitter,
         duration_sec: float,
-        execution: str = "inprocess",
-        workers: Optional[int] = None,
+        **options,
     ) -> SimulationResult:
         """Split the trace, execute the plan, and collect metrics.
 
-        ``execution``/``workers`` select where operators run — see
-        :meth:`run_streaming`; results are identical either way.
+        ``options`` are :class:`~repro.runtime.session.RunOptions`
+        fields, forwarded untouched.
         """
         return self._session.execute(
-            source_rows, splitter, duration_sec,
-            execution=execution, workers=workers,
+            source_rows, splitter, duration_sec, **options
         )
 
     def run_streaming(
@@ -132,70 +130,14 @@ class ClusterSimulator:
         source_rows: Mapping[str, Sequence[dict]],
         splitter: Splitter,
         duration_sec: float,
-        epoch_column: str = "time",
-        queue_policy: Optional[QueuePolicy] = None,
-        faults: Optional[FaultPlan] = None,
-        execution: str = "inprocess",
-        workers: Optional[int] = None,
-        rebalance: Optional[RebalancePolicy] = None,
-        shedding: Optional[SheddingPolicy] = None,
+        **options,
     ) -> SimulationResult:
-        """Execute the plan one epoch at a time with bounded memory.
-
-        Each source is sliced by ``epoch_column``; every step pushes one
-        epoch's partitions through the whole plan, keeping per-node
-        operator state (see :mod:`repro.engine.streaming`) alive across
-        steps.  Outputs, CPU charges, and network counts accumulate to
-        exactly the one-shot :meth:`run` totals — per host, per category,
-        and per link — while :attr:`SimulationResult.timeline` gains the
-        per-epoch series and :attr:`SimulationResult.peak_batch_rows`
-        records the largest batch resident at any node boundary.
-
-        ``queue_policy`` bounds every host's per-epoch ingest
-        (:class:`~repro.runtime.flowcontrol.QueuePolicy`: ``block`` defers
-        losslessly under backpressure, the drop modes shed load into
-        :attr:`SimulationResult.flow_stats` drop counters) and ``faults``
-        injects host misbehaviour
-        (:class:`~repro.runtime.flowcontrol.FaultPlan`: skipped epochs,
-        delayed delivery, duplicate delivery).  With neither set the
-        delivery path is the historical unbounded, reliable one.
-
-        Sources must arrive sorted by the epoch column for round-robin
-        splitting to reproduce the one-shot assignment (generated traces
-        are); hash splitting is order-independent.
-
-        ``execution="parallel"`` runs each simulated host's pipeline in
-        its own OS process (one forked worker per host, capped at
-        ``workers``; see :mod:`repro.runtime.parallel`) with the splitter
-        routing in this process.  Outputs, accounting, and flow stats are
-        identical to in-process execution; when parallelism is impossible
-        the run falls back in-process and records the reason as an
-        ``execution`` event.
-
-        ``rebalance`` activates adaptive repartitioning
-        (:class:`~repro.runtime.rebalance.RebalancePolicy`): hot
-        partitions migrate to cooler hosts at epoch boundaries, changing
-        only which host executes (and is charged for) the affected
-        operators — query outputs stay byte-identical to the static run.
-        The decision trail lands in :attr:`SimulationResult.rebalance`.
-
-        ``shedding`` activates query-aware load shedding
-        (:class:`~repro.runtime.shedding.SheddingPolicy`): on overflow
-        each host sheds the lowest plan-derived-value rows instead of
-        the newest, with per-query loss attribution in
-        :attr:`SimulationResult.shed_counts`.  Mutually exclusive with
-        ``queue_policy``.
+        """:meth:`run` with ``streaming=True``: one epoch at a time with
+        bounded memory.  Outputs, CPU charges, and network counts
+        accumulate to exactly the one-shot totals, while
+        :attr:`SimulationResult.timeline` gains the per-epoch series —
+        see :class:`~repro.runtime.session.RunOptions` for every option.
         """
         return self._session.execute(
-            source_rows,
-            splitter,
-            duration_sec,
-            streaming=True,
-            epoch_column=epoch_column,
-            queue_policy=queue_policy,
-            faults=faults,
-            execution=execution,
-            workers=workers,
-            rebalance=rebalance,
-            shedding=shedding,
+            source_rows, splitter, duration_sec, streaming=True, **options
         )

@@ -19,7 +19,8 @@ Three layers, each with one responsibility:
   event trace for offline inspection.
 * :mod:`repro.runtime.flowcontrol` — backpressure and fault injection.
   A :class:`~repro.runtime.flowcontrol.QueuePolicy` bounds each host's
-  per-epoch ingest (block / drop-newest / drop-oldest) and a
+  per-epoch ingest (block / drop-newest / drop-oldest / semantic, the
+  last ranking overflow by :mod:`repro.runtime.shedding`) and a
   :class:`~repro.runtime.flowcontrol.FaultPlan` injects host skips,
   delayed delivery, and duplicate delivery; drops and faults are charged
   to the recorder as per-epoch, per-host counters and ``drop``/``fault``
@@ -31,6 +32,9 @@ Three layers, each with one responsibility:
   travel by shared memory and the driver replays all accounting, so
   results are identical to in-process execution.
 
+A run is described once, by :class:`~repro.runtime.session.RunOptions`
+and the policies it holds (``QueuePolicy``, ``FaultPlan``,
+``RebalancePolicy``), all exported here.
 :class:`~repro.cluster.simulator.ClusterSimulator` remains the
 backwards-compatible facade over these layers.
 """
@@ -48,6 +52,7 @@ from .flowcontrol import (
     DROP_OLDEST,
     FAULT_KINDS,
     QUEUE_MODES,
+    SEMANTIC,
     Fault,
     FaultPlan,
     IngestController,
@@ -57,10 +62,12 @@ from .flowcontrol import (
 )
 from .metrics import HostFlowStats, MetricsRecorder, NodeStats, Timeline
 from .parallel import ParallelExecutor, ParallelUnavailable
+from .rebalance import RebalanceLog, RebalancePolicy
 from .session import (
     EXECUTION_MODES,
     ExecutionSession,
     InProcessExecutor,
+    RunOptions,
     SimulationResult,
     StepExecutor,
     StepOutcome,
@@ -88,7 +95,11 @@ __all__ = [
     "QUEUE_MODES",
     "QueuePolicy",
     "QueuedIngestController",
+    "RebalanceLog",
+    "RebalancePolicy",
     "RowBackend",
+    "RunOptions",
+    "SEMANTIC",
     "SimulationResult",
     "StepExecutor",
     "StepOutcome",

@@ -13,8 +13,10 @@ queues:
   stalls on the oldest queued epoch so downstream buffering stays
   correct, and streaming output remains exactly the one-shot output),
   ``drop-newest`` refuses rows at admission once the step's budget is
-  spent, and ``drop-oldest`` evicts the longest-queued rows to make room
-  for new arrivals.  Every drop is charged to the
+  spent, ``drop-oldest`` evicts the longest-queued rows to make room
+  for new arrivals, and ``semantic`` sheds the backlog above capacity in
+  ascending plan-derived value (:mod:`repro.runtime.shedding`) instead
+  of by arrival position.  Every drop is charged to the
   :class:`~repro.runtime.metrics.MetricsRecorder` as a per-epoch,
   per-host counter (and a ``drop`` event).
 * :class:`FaultPlan` injects host misbehaviour by epoch index: ``skip``
@@ -45,6 +47,7 @@ from typing import (
     Callable,
     Deque,
     Dict,
+    FrozenSet,
     List,
     Optional,
     Sequence,
@@ -54,16 +57,18 @@ from typing import (
 
 from ..distopt.plan_ir import DistKind, DistributedPlan
 from ..engine.streaming import take_prefix
-from .shedding import SheddingPolicy, ValueModel, shed_lowest_value
+from .shedding import ValueModel, shed_lowest_value
 
 if TYPE_CHECKING:
+    from ..plan.dag import QueryDag
     from .backend import EngineBackend
     from .metrics import MetricsRecorder
 
 BLOCK = "block"
 DROP_OLDEST = "drop-oldest"
 DROP_NEWEST = "drop-newest"
-QUEUE_MODES = (BLOCK, DROP_NEWEST, DROP_OLDEST)
+SEMANTIC = "semantic"
+QUEUE_MODES = (BLOCK, DROP_NEWEST, DROP_OLDEST, SEMANTIC)
 
 SKIP = "skip"
 DELAY = "delay"
@@ -87,10 +92,16 @@ SourceKey = Tuple[str, int]
 class QueuePolicy:
     """A per-host ingest queue: capacity in rows per epoch step + mode.
 
-    ``block`` is lossless (overflow waits, watermarks stall); the two
-    drop modes shed load — ``drop-newest`` refuses the newest arrivals
-    once the step's budget is spent, ``drop-oldest`` evicts the oldest
-    queued rows so the freshest data survives.
+    ``block`` is lossless (overflow waits, watermarks stall); the other
+    modes shed load — ``drop-newest`` refuses the newest arrivals once
+    the step's budget is spent, ``drop-oldest`` evicts the oldest queued
+    rows so the freshest data survives, and ``semantic`` admits every
+    arrival, then sheds the backlog above capacity in ascending
+    plan-derived value order (ties newest first, which degrades to
+    exactly ``drop-newest`` when the plan gives the value model nothing
+    to rank) with per-query loss attribution in
+    ``SimulationResult.shed_counts``.  Delivery is FIFO up to
+    ``capacity`` in every mode, so all lossy modes share one drop budget.
     """
 
     capacity: int
@@ -240,8 +251,17 @@ class IngestController:
     the epoch's freshly split partitions and returns the accepted row
     count per stream (the splitter-cursor advance); :meth:`batch` hands
     each SOURCE node its delivered rows and :meth:`watermark_bound` the
-    temporal bound its watermark may claim.
+    temporal bound its watermark may claim.  A controller whose overflow
+    rule reads operator state names the plan nodes to ask in
+    :attr:`hint_nodes` and receives their post-step reports through
+    :meth:`update_hints` (nothing and a no-op here).
     """
+
+    #: Plan node ids whose ``value_hints()`` the executor must report.
+    hint_nodes: FrozenSet[str] = frozenset()
+
+    def update_hints(self, hints: Dict[str, object]) -> None:
+        """Take the executor's post-step reports for :attr:`hint_nodes`."""
 
     def begin_step(
         self,
@@ -298,14 +318,15 @@ class QueuedIngestController(IngestController):
         policy: Optional[QueuePolicy],
         faults: Optional[FaultPlan],
         host_of_partition: Optional[Callable[[int], int]] = None,
-        shedding: Optional[SheddingPolicy] = None,
         value_model: Optional[ValueModel] = None,
     ):
         self._backend = backend
         self._recorder = recorder
         self._policy = policy
-        self._shedding = shedding
+        # Present exactly when the policy's mode is ``semantic``.
         self._value_model = value_model
+        if value_model is not None:
+            self.hint_nodes = frozenset(value_model.hint_nodes)
         self._faults = faults if faults is not None else FaultPlan()
         self._sources: List[Tuple[str, int, int]] = [
             (node.stream, next(iter(node.partitions)), node.host)
@@ -330,6 +351,13 @@ class QueuedIngestController(IngestController):
         self._floors: Dict[SourceKey, float] = {}
 
     # -- the session-facing protocol ------------------------------------------
+
+    def update_hints(self, hints):
+        # The nodes' post-step buffered-key reports feed the *next*
+        # step's shed decisions — one step of lag, identical under both
+        # executors by construction.
+        if self._value_model is not None:
+            self._value_model.update_hints(hints)
 
     def begin_step(self, index, epoch, raw, flush):
         recorder = self._recorder
@@ -478,9 +506,8 @@ class QueuedIngestController(IngestController):
         # ascending plan-derived value order.  Like drop-oldest, every
         # arrival counts as accepted — the splitter cursor advanced on
         # admission, shedding only charges drops.
-        shedding = self._shedding
-        if not flush and shedding is not None:
-            excess = sum(len(e.batch) for e in queue) - shedding.capacity
+        if not flush and policy is not None and policy.mode == SEMANTIC:
+            excess = sum(len(e.batch) for e in queue) - policy.capacity
             if excess > 0:
                 shed, charged = shed_lowest_value(
                     queue, excess, self._value_model
@@ -493,11 +520,8 @@ class QueuedIngestController(IngestController):
                 self._recorder.record_shed(host, shed, charged)
         # Delivery: up to the step budget, FIFO; the flush drains fully.
         budget = math.inf
-        if not flush:
-            if policy is not None:
-                budget = policy.capacity
-            elif shedding is not None:
-                budget = shedding.capacity
+        if not flush and policy is not None:
+            budget = policy.capacity
         delivered = 0
         while queue and budget > 0:
             entry = queue[0]
@@ -536,21 +560,22 @@ class QueuedIngestController(IngestController):
 
 
 def create_ingest_controller(
+    dag: "QueryDag",
     plan: DistributedPlan,
     backend: "EngineBackend",
     recorder: "MetricsRecorder",
     policy: Optional[QueuePolicy],
     faults: Optional[FaultPlan],
     host_of_partition: Optional[Callable[[int], int]] = None,
-    shedding: Optional[SheddingPolicy] = None,
-    value_model: Optional[ValueModel] = None,
 ) -> IngestController:
     """The pass-through controller unless flow control is requested.
 
     Membership (``leave``/``join``) faults are stripped here — they are
     the rebalance controller's input, not the ingest layer's — so a plan
     holding only membership faults keeps the pass-through path (and its
-    absence of per-host flow accounting).
+    absence of per-host flow accounting).  A ``semantic`` policy gets
+    its :class:`~repro.runtime.shedding.ValueModel` built here: the
+    ingest queues are its only reader.
     """
     ingest_faults: Optional[FaultPlan] = None
     if faults:
@@ -560,9 +585,10 @@ def create_ingest_controller(
         )
         if kept:
             ingest_faults = FaultPlan(kept)
-    if policy is None and shedding is None and ingest_faults is None:
+    if policy is None and ingest_faults is None:
         return IngestController()
+    semantic = policy is not None and policy.mode == SEMANTIC
     return QueuedIngestController(
         plan, backend, recorder, policy, ingest_faults, host_of_partition,
-        shedding=shedding, value_model=value_model,
+        value_model=ValueModel(dag, plan) if semantic else None,
     )

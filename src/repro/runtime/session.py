@@ -10,7 +10,8 @@ flush is a no-op.  Splitting, ingest, watermark plumbing, and cost
 charging therefore exist in exactly one place; backpressure and fault
 injection instrument that one loop through the
 :class:`~repro.runtime.flowcontrol.IngestController` seam between the
-splitter and the hosts.
+splitter and the hosts.  The switches of a run are declared, documented
+and validated once, by :class:`RunOptions`.
 
 Operators come pre-compiled from the :class:`~repro.runtime.backend.EngineBackend`
 (row/columnar resolution happens at session construction, never per
@@ -56,7 +57,6 @@ from ..traces.generator import slice_by_epoch
 from .backend import EngineBackend
 from .flowcontrol import FaultPlan, QueuePolicy, create_ingest_controller
 from .metrics import HostFlowStats, MetricsRecorder, Timeline
-from .shedding import SheddingPolicy, ValueModel
 from .rebalance import RebalanceController, RebalanceLog, RebalancePolicy
 
 if TYPE_CHECKING:
@@ -67,12 +67,93 @@ if TYPE_CHECKING:
 #: Epoch key of the single slice a one-shot run pushes through the loop.
 _WHOLE_TRACE = object()
 
-#: Valid values for ``ExecutionSession.execute(execution=...)``.
+#: Valid values for ``RunOptions.execution``.
 EXECUTION_MODES = ("inprocess", "parallel")
 
 #: Per SOURCE node: the batch the ingest layer delivered this step and
 #: the watermark bound the controller derived for it.
 SourceFeed = Dict[str, Tuple[Batch, object]]
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How one run executes — declared here and nowhere else.
+
+    :meth:`ExecutionSession.execute` builds this from its keywords, and
+    every layer above it (``ClusterSimulator.run``/``run_streaming``,
+    ``run_configuration``, ``sweep_hosts``, ``overload_sweep``, the CLI)
+    forwards ``**options`` untouched, so an unknown keyword is one
+    ``TypeError`` and a bad combination one ``ValueError`` — both raised
+    below, whichever layer was called.
+
+    ``streaming`` slices each source by ``epoch_column`` and steps once
+    per epoch, keeping per-node operator state alive across steps;
+    per-epoch accounting buckets feed ``SimulationResult.timeline`` and
+    ``peak_batch_rows``.  Without it the whole trace is a single slice
+    and no buckets open, so the result carries totals only.  Totals —
+    outputs, CPU per host and category, network per link — are the same
+    either way.  Sources must arrive sorted by the epoch column for
+    round-robin splitting to reproduce the one-shot assignment
+    (generated traces are); hash splitting is order-independent.
+
+    ``queue_policy`` bounds each host's per-epoch ingest
+    (:class:`~repro.runtime.flowcontrol.QueuePolicy`: ``block`` defers
+    losslessly, the drop modes and ``semantic`` shed into
+    ``SimulationResult.flow_stats``) and ``faults`` injects host
+    misbehaviour (:class:`~repro.runtime.flowcontrol.FaultPlan`).  With
+    neither set delivery is unbounded and reliable.
+
+    ``execution`` selects where operators run: ``"inprocess"`` steps
+    every node in this process, ``"parallel"`` forks one worker per
+    simulated host (capped at ``workers``) and routes per-epoch
+    partitions to them (:mod:`repro.runtime.parallel`).  Outputs and
+    accounting are identical either way; when parallel execution is
+    impossible (single host, one worker, no start method) the run falls
+    back in-process and records the reason as an ``execution`` event.
+
+    ``rebalance`` activates adaptive repartitioning
+    (:class:`~repro.runtime.rebalance.RebalancePolicy`): hot partitions
+    migrate to cooler hosts at epoch boundaries.  Migration changes only
+    which host executes (and is charged for) the affected nodes — query
+    outputs stay byte-identical to the static run; the decision trail
+    lands in ``SimulationResult.rebalance``.
+
+    Flow control, faults and rebalancing meter against epochs, so all
+    three require ``streaming``; ``leave``/``join`` membership faults
+    additionally require ``rebalance``.
+    """
+
+    streaming: bool = False
+    epoch_column: str = "time"
+    queue_policy: Optional[QueuePolicy] = None
+    faults: Optional[FaultPlan] = None
+    execution: str = "inprocess"
+    workers: Optional[int] = None
+    rebalance: Optional[RebalancePolicy] = None
+
+    def __post_init__(self):
+        if self.execution not in EXECUTION_MODES:
+            raise ValueError(
+                f"execution must be one of {EXECUTION_MODES}, "
+                f"got {self.execution!r}"
+            )
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not self.streaming and (
+            self.queue_policy is not None
+            or self.faults
+            or self.rebalance is not None
+        ):
+            raise ValueError(
+                "flow control, fault injection and adaptive rebalancing "
+                "require streaming execution"
+            )
+        if self.faults and self.faults.membership and self.rebalance is None:
+            raise ValueError(
+                "host leave/join faults require a rebalance policy "
+                "(rebalance=RebalancePolicy(...)) to migrate the "
+                "affected partitions"
+            )
 
 
 @dataclass
@@ -266,8 +347,8 @@ class SimulationResult:
     # run had flow control or fault injection active.
     flow_stats: Dict[int, HostFlowStats] = field(default_factory=dict)
     # Semantic-shedding attribution: delivered query name -> rows shed
-    # that still carried value for it.  Empty unless the run passed
-    # ``shedding=SheddingPolicy(...)`` and actually shed.
+    # that still carried value for it.  Empty unless the run's queue
+    # policy had mode ``semantic`` and actually shed.
     shed_counts: Dict[str, int] = field(default_factory=dict)
     # How operators actually executed: "inprocess" or "parallel".  A run
     # requested as parallel that fell back reports "inprocess" here (the
@@ -393,81 +474,21 @@ class ExecutionSession:
         source_rows: Mapping[str, Sequence[dict]],
         splitter: "Splitter",
         duration_sec: float,
-        streaming: bool = False,
-        epoch_column: str = "time",
-        queue_policy: Optional[QueuePolicy] = None,
-        faults: Optional[FaultPlan] = None,
-        execution: str = "inprocess",
-        workers: Optional[int] = None,
-        rebalance: Optional[RebalancePolicy] = None,
-        shedding: Optional[SheddingPolicy] = None,
+        **options,
     ) -> SimulationResult:
         """Split, execute, and meter the plan; one epoch per step.
 
-        With ``streaming`` each source is sliced by ``epoch_column`` and
-        per-epoch accounting buckets feed a :class:`Timeline`; without it
-        the whole trace forms a single slice and no buckets open, so the
-        result carries totals only (``timeline``/``peak_batch_rows`` stay
-        None).  Either way a final flush step drains every buffer.
-
-        ``queue_policy`` bounds each host's per-epoch ingest
-        (:mod:`repro.runtime.flowcontrol`); ``faults`` injects host
-        misbehaviour.  Both require ``streaming`` — an unsliced run has
-        no epochs to meter flow against.
-
-        ``execution`` selects where operators run: ``"inprocess"`` steps
-        every node in this process, ``"parallel"`` forks one worker per
-        simulated host (capped at ``workers``) and routes per-epoch
-        partitions to them (:mod:`repro.runtime.parallel`).  Outputs and
-        accounting are identical either way; when parallel execution is
-        impossible (single host, one worker, no start method) the run
-        falls back in-process and records the reason in the event trace.
-
-        ``rebalance`` activates adaptive repartitioning
-        (:mod:`repro.runtime.rebalance`): hot partitions migrate to
-        cooler hosts at epoch boundaries.  Migration changes only which
-        host executes (and is charged for) the affected nodes — query
-        outputs stay byte-identical to the static run.  Requires
-        ``streaming``; ``leave``/``join`` membership faults require it.
-
-        ``shedding`` activates query-aware load shedding
-        (:mod:`repro.runtime.shedding`): each host admits every arrival
-        but sheds the backlog above capacity in ascending plan-derived
-        value order instead of by arrival position.  Requires
-        ``streaming`` and is mutually exclusive with ``queue_policy``
-        (it *is* the queue policy of the run).
+        ``options`` are the fields of :class:`RunOptions`, which
+        documents and validates them.  A streaming run steps once per
+        epoch slice, a one-shot run once over the whole trace; either
+        way a final flush step drains every buffer.
         """
+        options = RunOptions(**options)
         self._check_splitter(splitter)
-        if execution not in EXECUTION_MODES:
-            raise ValueError(
-                f"execution must be one of {EXECUTION_MODES}, got {execution!r}"
-            )
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if (queue_policy is not None or faults) and not streaming:
-            raise ValueError(
-                "flow control and fault injection require streaming execution"
-            )
-        if shedding is not None:
-            if not streaming:
-                raise ValueError(
-                    "semantic shedding requires streaming execution"
-                )
-            if queue_policy is not None:
-                raise ValueError(
-                    "shedding and queue_policy are mutually exclusive — "
-                    "a shedding policy is the run's queue policy"
-                )
-        if rebalance is not None and not streaming:
-            raise ValueError("adaptive rebalancing requires streaming execution")
+        streaming, epoch_column = options.streaming, options.epoch_column
+        faults = options.faults
         if faults:
             faults.validate(self._plan.num_hosts)
-            if faults.membership and rebalance is None:
-                raise ValueError(
-                    "host leave/join faults require a rebalance policy "
-                    "(rebalance=RebalancePolicy(...)) to migrate the "
-                    "affected partitions"
-                )
         recorder = self._recorder
         backend = self._backend
         recorder.reset()
@@ -500,23 +521,16 @@ class ExecutionSession:
             }
             epochs = [_WHOLE_TRACE]
         order = self._plan.topological()
-        value_model = (
-            ValueModel(self._dag, self._plan) if shedding is not None else None
-        )
-        hint_ids = set(value_model.hint_nodes) if value_model is not None else None
-        executor = self._create_executor(
-            execution, workers, order, epoch_column, hint_ids
-        )
         delivered: Dict[str, Batch] = {name: [] for name in self._plan.delivery}
         counts: Dict[str, int] = {node.node_id: 0 for node in order}
         offsets: Dict[str, int] = {stream: 0 for stream in slices}
         num_partitions = self._plan.num_partitions
         rebalancer: Optional[RebalanceController] = None
         host_of = None
-        if rebalance is not None:
+        if options.rebalance is not None:
             rebalancer = RebalanceController(
                 self._plan,
-                rebalance,
+                options.rebalance,
                 recorder,
                 faults=faults,
                 dag=self._dag,
@@ -527,13 +541,14 @@ class ExecutionSession:
         # pass-through (historical behaviour) unless flow control or
         # fault injection was requested.
         controller = create_ingest_controller(
-            self._plan, backend, recorder, queue_policy, faults,
+            self._dag, self._plan, backend, recorder,
+            options.queue_policy, faults,
             host_of_partition=(
                 rebalancer.directory.host_of if rebalancer is not None else None
             ),
-            shedding=shedding,
-            value_model=value_model,
         )
+        # Last, so nothing above can raise with a worker pool open.
+        executor = self._create_executor(options, order, controller.hint_nodes)
         peak = 0
         try:
             # One step per epoch, plus a final flush draining every buffer
@@ -594,11 +609,7 @@ class ExecutionSession:
                         ),
                     )
                 outcome = executor.run_step(flush, sources)
-                if value_model is not None:
-                    # The nodes' post-step buffered-key reports feed the
-                    # *next* step's shed decisions — one step of lag,
-                    # identical under both executors by construction.
-                    value_model.update_hints(outcome.value_hints)
+                controller.update_hints(outcome.value_hints)
                 peak = max(
                     peak,
                     self._replay_step(outcome, sources, order, counts, host_of),
@@ -659,23 +670,22 @@ class ExecutionSession:
 
     def _create_executor(
         self,
-        execution: str,
-        workers: Optional[int],
+        options: RunOptions,
         order: Sequence[DistNode],
-        epoch_column: str,
-        hint_ids: Optional[Set[str]] = None,
+        hint_ids: FrozenSet[str],
     ) -> StepExecutor:
         """Build this run's executor, recording the mode (and any
         parallel-to-inprocess fallback reason) in the event trace."""
         recorder = self._recorder
+        epoch_column = options.epoch_column
         return_ids = set(self._plan.delivery.values())
-        if execution == "parallel":
+        if options.execution == "parallel":
             from .parallel import ParallelExecutor, ParallelUnavailable
 
             try:
                 executor = ParallelExecutor(
                     self._plan, self._backend, order, epoch_column,
-                    return_ids, workers, hint_ids=hint_ids,
+                    return_ids, options.workers, hint_ids=hint_ids,
                 )
             except ParallelUnavailable as unavailable:
                 recorder.record_execution_mode("inprocess", reason=str(unavailable))

@@ -3,14 +3,13 @@
 The blind :class:`~repro.runtime.flowcontrol.QueuePolicy` drop modes shed
 by arrival order, so a dropped tuple that would have completed an open
 join bucket costs a full output row while a tuple headed for a group that
-can never pass its HAVING clause costs nothing.  This module puts a
-*value model* between the queue and the drop decision:
+can never pass its HAVING clause costs nothing.  This module is the
+overflow rule of the queue's fourth mode, ``QueuePolicy(capacity,
+"semantic")``: a *value model* between the queue and the drop decision.
 
-* :class:`SheddingPolicy` is the ``QueuePolicy`` sibling the session
-  accepts as ``run_streaming(shedding=...)``: admit every arrival, then —
-  whenever the backlog exceeds the per-epoch capacity — shed the
-  lowest-value rows instead of the newest, and deliver the capacity
-  budget FIFO as usual.
+* :func:`shed_lowest_value` is what the ingest queue calls whenever its
+  backlog exceeds the per-epoch capacity: shed the lowest-value rows
+  instead of the newest (the capacity budget is delivered FIFO as usual).
 * :class:`ValueModel` derives each queued row's value from the analyzed
   plan, per delivered query:
 
@@ -48,7 +47,6 @@ by construction.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -60,9 +58,6 @@ from ..expr import expressions as xp
 from ..expr.evaluator import compile_expr, compile_key
 from ..gsql.analyzer import AnalyzedNode, NodeKind, _substitute_lineage
 from ..plan.dag import QueryDag
-
-SEMANTIC = "semantic"
-SHED_STRATEGIES = (SEMANTIC,)
 
 #: Component score of a join-side row that does *not* complete an open
 #: bucket (it may still open one that a later row completes).  Must stay
@@ -81,38 +76,6 @@ PARTIAL_FOLD = 0.6
 SKETCH_EPSILON = 0.005
 SKETCH_DELTA = 0.01
 SKETCH_SEED = 7
-
-
-@dataclass(frozen=True)
-class SheddingPolicy:
-    """Per-host value-ranked shedding: capacity in rows per epoch step.
-
-    The ``QueuePolicy`` sibling for lossy overload handling: every
-    arrival is admitted, the backlog above ``capacity`` is shed in
-    ascending value order (ties shed newest first, which degrades to
-    exactly ``drop-newest`` when the plan gives the model nothing to
-    rank), and delivery stays FIFO up to ``capacity`` — the same drop
-    budget as the blind modes at equal capacity.
-    """
-
-    capacity: int
-    strategy: str = SEMANTIC
-
-    def __post_init__(self):
-        if self.capacity <= 0:
-            raise ValueError("shedding capacity must be positive")
-        if self.strategy not in SHED_STRATEGIES:
-            raise ValueError(
-                f"shedding strategy must be one of {SHED_STRATEGIES}, "
-                f"got {self.strategy!r}"
-            )
-
-    @property
-    def lossless(self) -> bool:
-        return False
-
-    def describe(self) -> str:
-        return f"{self.strategy} shedding, {self.capacity} rows/epoch per host"
 
 
 # -- plan introspection ----------------------------------------------------------

@@ -9,20 +9,14 @@ plan with the partition-aware optimizer and executes it on the simulator.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..cluster.costs import DEFAULT_COSTS, CostTable
-from ..cluster.simulator import (
-    ClusterSimulator,
-    FaultPlan,
-    QueuePolicy,
-    RebalancePolicy,
-    SheddingPolicy,
-    SimulationResult,
-)
+from ..cluster.simulator import ClusterSimulator, QueuePolicy, SimulationResult
 from ..cluster.splitter import HashSplitter, RoundRobinSplitter, Splitter
 from ..distopt.placement import Placement
 from ..distopt.plan_ir import DistributedPlan
@@ -208,33 +202,19 @@ def run_configuration(
     costs: CostTable = DEFAULT_COSTS,
     host_capacity: Optional[float] = None,
     engine: str = "row",
-    streaming: bool = False,
     record_events: bool = False,
-    queue_policy: Optional[QueuePolicy] = None,
-    faults: Optional[FaultPlan] = None,
-    execution: str = "inprocess",
-    workers: Optional[int] = None,
-    rebalance: Optional[RebalancePolicy] = None,
-    shedding: Optional[SheddingPolicy] = None,
+    **options,
 ) -> RunOutcome:
     """Build the distributed plan for one configuration and simulate it.
 
     ``engine`` selects the simulator backend; with ``"columnar"`` the
     trace's column arrays are handed to the simulator zero-copy.
-    With ``streaming`` the simulator executes epoch by epoch
-    (:meth:`~repro.cluster.simulator.ClusterSimulator.run_streaming`),
-    producing identical totals plus a per-epoch
-    :class:`~repro.cluster.simulator.Timeline`.  ``record_events`` keeps
-    the :class:`~repro.runtime.metrics.MetricsRecorder` event trace for
+    ``record_events`` keeps the
+    :class:`~repro.runtime.metrics.MetricsRecorder` event trace for
     offline inspection (``outcome.simulator.metrics.dump_events``).
-    ``queue_policy`` and ``faults`` (streaming only) bound each host's
-    ingest and inject host misbehaviour — see
-    :meth:`~repro.cluster.simulator.ClusterSimulator.run_streaming`.
-    ``execution="parallel"`` runs each simulated host's pipeline in its
-    own worker process (``workers`` caps the pool), with identical
-    results.  ``rebalance`` (streaming only) activates adaptive
-    repartitioning under skew — see
-    :class:`~repro.runtime.rebalance.RebalancePolicy`.
+    ``options`` are :class:`~repro.runtime.session.RunOptions` fields
+    (``streaming=True`` for an epoch-by-epoch run with a
+    :class:`~repro.cluster.simulator.Timeline`), forwarded untouched.
     """
     placement = Placement(
         num_hosts=num_hosts,
@@ -260,33 +240,7 @@ def run_configuration(
     else:
         sources = {source.name: trace.packets for source in dag.sources()}
     splitter = configuration.splitter(placement.num_partitions)
-    if streaming:
-        result = simulator.run_streaming(
-            sources,
-            splitter,
-            trace.duration_sec,
-            queue_policy=queue_policy,
-            faults=faults,
-            execution=execution,
-            workers=workers,
-            rebalance=rebalance,
-            shedding=shedding,
-        )
-    else:
-        if (
-            queue_policy is not None
-            or faults
-            or rebalance is not None
-            or shedding is not None
-        ):
-            raise ValueError(
-                "flow control, fault injection, rebalancing, and shedding "
-                "require streaming execution"
-            )
-        result = simulator.run(
-            sources, splitter, trace.duration_sec,
-            execution=execution, workers=workers,
-        )
+    result = simulator.run(sources, splitter, trace.duration_sec, **options)
     return RunOutcome(configuration, num_hosts, result, plan, simulator)
 
 
@@ -295,33 +249,17 @@ def sweep_hosts(
     trace: Trace,
     configurations: Sequence[Configuration],
     host_counts: Sequence[int] = (1, 2, 3, 4),
-    costs: CostTable = DEFAULT_COSTS,
-    host_capacity: Optional[float] = None,
-    engine: str = "row",
-    streaming: bool = False,
-    execution: str = "inprocess",
-    workers: Optional[int] = None,
+    **run,
 ) -> Dict[str, List[RunOutcome]]:
-    """The paper's sweep: every configuration at every cluster size."""
-    outcomes: Dict[str, List[RunOutcome]] = {}
-    for configuration in configurations:
-        series = [
-            run_configuration(
-                dag,
-                trace,
-                configuration,
-                num_hosts,
-                costs=costs,
-                host_capacity=host_capacity,
-                engine=engine,
-                streaming=streaming,
-                execution=execution,
-                workers=workers,
-            )
+    """The paper's sweep: every configuration at every cluster size.
+    ``run`` goes to :func:`run_configuration` untouched."""
+    return {
+        configuration.name: [
+            run_configuration(dag, trace, configuration, num_hosts, **run)
             for num_hosts in host_counts
         ]
-        outcomes[configuration.name] = series
-    return outcomes
+        for configuration in configurations
+    }
 
 
 @dataclass(frozen=True)
@@ -393,11 +331,6 @@ def per_query_recall(
     return recall
 
 
-#: ``overload_sweep`` modes: the blind ``QueuePolicy`` queue modes plus
-#: query-aware ``"semantic"`` shedding.
-SEMANTIC_MODE = "semantic"
-
-
 def overload_sweep(
     dag: QueryDag,
     trace: Trace,
@@ -405,9 +338,7 @@ def overload_sweep(
     num_hosts: int,
     fractions: Sequence[float] = (1.0, 0.5, 0.25, 0.1),
     mode: str = "drop-newest",
-    costs: CostTable = DEFAULT_COSTS,
-    host_capacity: Optional[float] = None,
-    engine: str = "row",
+    **run,
 ) -> List[OverloadPoint]:
     """The overload variant of an experiment: shrink the ingest budget.
 
@@ -419,53 +350,32 @@ def overload_sweep(
     epoch still completes and per-host accounting stays conserved.
 
     ``mode`` is one of the :class:`QueuePolicy` modes (``block``,
-    ``drop-newest``, ``drop-oldest``) or ``"semantic"`` for query-aware
-    shedding (:class:`~repro.runtime.shedding.SheddingPolicy`).  Every
-    point carries per-query ``recall`` against an unbounded reference run
-    of the same configuration, so the sweep reads as answer-quality
-    (not just delivery-volume) degradation curves.
+    ``drop-newest``, ``drop-oldest``, or ``semantic`` for query-aware
+    shedding); the policies are built before anything runs, so a bad
+    mode costs no reference run.  Every point carries per-query
+    ``recall`` against an unbounded reference run of the same
+    configuration, so the sweep reads as answer-quality (not just
+    delivery-volume) degradation curves.  ``run`` goes to every
+    :func:`run_configuration` call untouched.
     """
-    from ..runtime.flowcontrol import QUEUE_MODES
-
-    valid_modes = QUEUE_MODES + (SEMANTIC_MODE,)
-    if mode not in valid_modes:
-        raise ValueError(
-            f"overload mode must be one of {valid_modes}, got {mode!r}"
-        )
-    reference = run_configuration(
-        dag,
-        trace,
-        configuration,
-        num_hosts,
-        costs=costs,
-        host_capacity=host_capacity,
-        engine=engine,
-        streaming=True,
-    )
-    points: List[OverloadPoint] = []
     fair_share = trace.rate / num_hosts
-    for fraction in fractions:
-        capacity = max(1, int(fair_share * fraction))
-        if mode == SEMANTIC_MODE:
-            bounds = {"shedding": SheddingPolicy(capacity)}
-        else:
-            bounds = {"queue_policy": QueuePolicy(capacity, mode)}
-        outcome = run_configuration(
-            dag,
-            trace,
-            configuration,
-            num_hosts,
-            costs=costs,
-            host_capacity=host_capacity,
-            engine=engine,
-            streaming=True,
-            **bounds,
-        )
+    policies = [
+        QueuePolicy(max(1, int(fair_share * fraction)), mode)
+        for fraction in fractions
+    ]
+    stream = functools.partial(
+        run_configuration, dag, trace, configuration, num_hosts,
+        streaming=True, **run,
+    )
+    reference = stream()
+    points: List[OverloadPoint] = []
+    for fraction, policy in zip(fractions, policies):
+        outcome = stream(queue_policy=policy)
         stats = outcome.result.flow_stats.values()
         points.append(
             OverloadPoint(
                 fraction=fraction,
-                capacity=capacity,
+                capacity=policy.capacity,
                 rows_in=sum(s.total_in for s in stats),
                 rows_delivered=sum(s.total_delivered for s in stats),
                 rows_dropped=sum(s.total_dropped for s in stats),

@@ -18,6 +18,9 @@ per-link network counters.  This module holds the reusable pieces:
   derive trace, cluster size, and partitioning from a seed, run both
   modes, and compare.  Lossless flow control (a bounded ``block`` queue)
   may be layered on — backpressure must never change the answer.
+* :func:`assert_matches_centralized` — the paper's §3.4 oracle: every
+  delivered query's distributed output equals ``run_centralized``'s.
+  Called by the streaming sweep and, for exact queries, the sliding one.
 * :func:`skewed_packets` / :func:`assert_rebalanced_matches_oneshot` —
   the adaptive-rebalancing leg: a hot-key trace drives mid-stream
   migrations, and the streaming outputs must stay byte-identical to the
@@ -39,10 +42,9 @@ from repro.cluster import (
     QueuePolicy,
     RebalancePolicy,
     RoundRobinSplitter,
-    SheddingPolicy,
 )
 from repro.distopt import DistributedOptimizer, Placement
-from repro.engine import batches_equal
+from repro.engine import batches_equal, run_centralized
 from repro.partitioning import PartitioningSet
 from repro.runtime.flowcontrol import Fault
 from repro.workloads import (
@@ -166,6 +168,16 @@ def assert_same_simulation(oneshot, stream):
         assert stream.network.bytes_received[host] == pytest.approx(total)
 
 
+def assert_matches_centralized(dag, packets, result):
+    """Partition compatibility as the paper defines it (§3.4): each
+    delivered query's distributed output equals the centralized run's."""
+    central = run_centralized(dag, {"TCP": packets})
+    for name, rows in result.outputs.items():
+        assert batches_equal(central[name], rows), (
+            f"{name}: distributed output differs from the centralized run"
+        )
+
+
 def assert_identical_simulation(reference, parallel):
     """Exact equality — not approx: accounting is replayed, not re-derived."""
     assert set(reference.outputs) == set(parallel.outputs)
@@ -205,7 +217,8 @@ def assert_streaming_matches_oneshot(
     epochs but loses nothing, so the equivalence must still be exact.
     With ``execution="parallel"`` the streaming run executes each host's
     pipeline in a forked worker process — outputs and accounting must
-    still match the (in-process) one-shot run exactly.
+    still match the (in-process) one-shot run exactly.  The one-shot run
+    in turn must match the centralized oracle.
     """
     catalog_fn, deliver = WORKLOADS[workload]
     _, dag = catalog_fn()
@@ -229,6 +242,7 @@ def assert_streaming_matches_oneshot(
         execution=execution, workers=WORKERS,
     )
     assert_same_simulation(oneshot, stream)
+    assert_matches_centralized(dag, packets, oneshot)
     if engine == "columnar":
         # Every node kind has a vectorized kernel now: the columnar
         # backend must never silently downgrade a node to the row path.
@@ -247,7 +261,9 @@ def assert_streaming_matches_oneshot(
 SLIDING_SHAPES = [(2, 1), (3, 1), (4, 2), (3, 3), (6, 2)]
 
 
-def assert_sliding_matches_oneshot(seed, engine, execution="inprocess"):
+def assert_sliding_matches_oneshot(
+    seed, engine, execution="inprocess", oracle=None
+):
     """One randomized sliding/approximate parity trial.
 
     Rotates window shapes and partitionings with ``seed``; even seeds run
@@ -257,6 +273,10 @@ def assert_sliding_matches_oneshot(seed, engine, execution="inprocess"):
     node fell back off the columnar engine, and — both paths being
     deterministic by construction — that the run's outputs are
     byte-identical to the row engine's one-shot run of the same plan.
+    Exact (even) seeds must also equal the centralized run of ``oracle``
+    — the trial's own DAG unless a test substitutes a wrong one to prove
+    the assertion bites; approximate seeds are bounded against the exact
+    oracle in ``test_sketch_accuracy_against_oracle`` instead.
     """
     rng = random.Random(seed ^ 0x511D)
     window, slide = SLIDING_SHAPES[seed % len(SLIDING_SHAPES)]
@@ -309,6 +329,8 @@ def assert_sliding_matches_oneshot(seed, engine, execution="inprocess"):
         dag, plan, stream_rate=1000, engine="row"
     ).run({"TCP": packets}, splitter, 10.0)
     assert batches_equal(reference.outputs[output], oneshot.outputs[output])
+    if seed % 2 == 0:
+        assert_matches_centralized(oracle or dag, packets, oneshot)
     return oneshot, stream
 
 
@@ -377,7 +399,7 @@ SHEDDING_FRACTIONS = (0.25, 0.1)
 
 
 def semantic_shedding(capacity):
-    return {"shedding": SheddingPolicy(capacity)}
+    return {"queue_policy": QueuePolicy(capacity, "semantic")}
 
 
 def blind_shedding(capacity):

@@ -296,6 +296,65 @@ class TestTimeline:
         assert code == 2
         assert "rebalance" in capsys.readouterr().err
 
+    def test_timeline_semantic_queue_policy(self, capsys):
+        code = main(
+            [
+                "timeline",
+                "--experiment",
+                "1",
+                "--config",
+                "partitioned",
+                "--hosts",
+                "2",
+                "--seed",
+                "3",
+                "--queue-limit",
+                "600",
+                "--queue-policy",
+                "semantic",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "ingest queue: semantic queue, 600 rows/epoch per host" in out
+        assert "shed rows charged per query:" in out
+        assert "ingest per host (rows):" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (
+                ["timeline", "--experiment", "1", "--config", "naive",
+                 "--queue-limit", "0"],
+                "queue capacity must be positive",
+            ),
+            (
+                ["timeline", "--experiment", "1", "--config", "naive",
+                 "--queue-policy", "semantic"],
+                "--queue-policy semantic requires --queue-limit",
+            ),
+            (
+                ["timeline", "--experiment", "1", "--config", "naive",
+                 "--workers", "0"],
+                "workers must be >= 1",
+            ),
+            (
+                ["figures", "--experiment", "1", "--workers", "0"],
+                "workers must be >= 1",
+            ),
+        ),
+        ids=("queue-limit-0", "semantic-without-limit", "timeline-workers-0",
+             "figures-workers-0"),
+    )
+    def test_invalid_run_description_exits_2_with_one_line(
+        self, argv, message, capsys
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+
     def test_figures_streaming_matches_oneshot(self, capsys):
         args = ["figures", "--experiment", "1", "--hosts", "2", "--seed", "3"]
         assert main(args) == 0

@@ -26,6 +26,11 @@ sweeps are part of the plain test run:
   other seed proves the forked-worker semantic run byte-identical to
   in-process.
 
+The first two sweeps also meet the paper's §3.4 oracle: every delivered
+exact query's distributed output equals ``run_centralized``'s (a
+tumbling oracle on a sliding seed must fail —
+``test_sliding_parity_rejects_a_tumbling_oracle``).
+
 A sweep that never exercised its mechanism would test nothing, so two
 sweep-level checks follow: some seed migrated, and semantic recall is
 strictly above blind in aggregate (per seed only weak dominance holds).
@@ -42,7 +47,10 @@ import functools
 
 import pytest
 
+from repro.workloads import sliding_flows_catalog
+
 from tests.parity import (
+    SLIDING_SHAPES,
     WORKLOADS,
     assert_rebalanced_matches_oneshot,
     assert_shedding_dominates,
@@ -81,6 +89,18 @@ def test_randomized_sliding_parity(seed, engine, execution):
     RANGE/SLIDE workload, odd seeds the approximate one; window shapes
     and partitionings rotate with the seed (see parity.SLIDING_SHAPES)."""
     assert_sliding_matches_oneshot(seed, engine, execution=execution)
+
+
+def test_sliding_parity_rejects_a_tumbling_oracle():
+    """The §3.4 check inside the sliding sweep bites: a centralized run
+    that ignores the window (``RANGE 1 SLIDE 1``) must fail a
+    ``RANGE 3 SLIDE 1`` seed — the bug the oracle carried for three PRs."""
+    assert SLIDING_SHAPES[6 % len(SLIDING_SHAPES)] == (3, 1)
+    _, tumbling = sliding_flows_catalog(1, 1)
+    with pytest.raises(
+        AssertionError, match="sliding_flows: distributed output differs"
+    ):
+        assert_sliding_matches_oneshot(6, "columnar", oracle=tumbling)
 
 
 @pytest.fixture(scope="module")

@@ -14,9 +14,7 @@ import pytest
 from repro.cluster import (
     ClusterSimulator,
     HashSplitter,
-    QueuePolicy,
     RoundRobinSplitter,
-    SheddingPolicy,
 )
 from repro.cluster.costs import DEFAULT_COSTS
 from repro.cluster.host import Host
@@ -29,9 +27,17 @@ from repro.engine.columnar import ColumnBatch
 from repro.gsql.catalog import Catalog
 from repro.gsql.schema import tcp_schema
 from repro.plan import QueryDag
+from repro.runtime import (
+    Fault,
+    FaultPlan,
+    QueuePolicy,
+    RebalancePolicy,
+    RunOptions,
+)
 from repro.runtime import backend as backend_module
 from repro.runtime.backend import ColumnarBackend, RowBackend, create_backend
 from repro.runtime.metrics import MetricsRecorder
+from repro.workloads import Configuration, overload_sweep, run_configuration
 
 from tests.parity import (
     WORKLOADS,
@@ -446,7 +452,7 @@ class TestLineagePruning:
             {},
             {"queue_policy": QueuePolicy(30, "block")},
             {"queue_policy": QueuePolicy(30, "drop-oldest")},
-            {"shedding": SheddingPolicy(30)},
+            {"queue_policy": QueuePolicy(30, "semantic")},
         ),
         ids=("unbounded", "block", "drop-oldest", "shedding"),
     )
@@ -477,7 +483,7 @@ class TestLineagePruning:
         assert junk.shed_counts == plain.shed_counts
         assert "junk" in junk.source_columns["TCP"][1]
         assert "junk" not in plain.source_columns["TCP"][1]
-        if "shedding" in control:
+        if control.get("queue_policy") == QueuePolicy(30, "semantic"):
             assert sum(plain.rows_dropped(host) for host in range(2)) > 0
 
     def test_pruning_is_traced_and_summarized(self, complex_dag, tiny_trace):
@@ -500,3 +506,93 @@ class TestLineagePruning:
         ]
         assert "reads srcIP, destIP, time" in line
         assert "junk" in line.split("pruned")[1]
+
+
+# -- RunOptions: the one declaration (and validation) of a run ------------------
+
+_LEAVE = FaultPlan.of(Fault("leave", 1, 2, 3))
+
+#: Every rejected combination, with the exception and the message
+#: fragment that names it.
+REJECTED_OPTIONS = {
+    "flow-control-oneshot": (
+        {"queue_policy": QueuePolicy(10)}, ValueError, "require streaming",
+    ),
+    "semantic-oneshot": (
+        {"queue_policy": QueuePolicy(10, "semantic")},
+        ValueError, "require streaming",
+    ),
+    "faults-oneshot": (
+        {"faults": FaultPlan.of(Fault("skip", 0, 0, 0))},
+        ValueError, "require streaming",
+    ),
+    "rebalance-oneshot": (
+        {"rebalance": RebalancePolicy()}, ValueError, "require streaming",
+    ),
+    "membership-without-rebalance": (
+        {"streaming": True, "faults": _LEAVE}, ValueError, "rebalance policy",
+    ),
+    "no-workers": ({"workers": 0}, ValueError, "workers must be >= 1"),
+    "unknown-execution": (
+        {"execution": "threads"}, ValueError, "execution must be one of",
+    ),
+    # the keyword this declaration retired is rejected like any other
+    "unknown-keyword": ({"shedding": None}, TypeError, "'shedding'"),
+}
+
+
+class TestRunOptions:
+    def test_whole_description_is_exported_where_it_is_defined(self):
+        import repro.runtime
+        from repro.cluster import simulator
+
+        description = {
+            "RunOptions", "QueuePolicy", "FaultPlan", "RebalancePolicy",
+            "RebalanceLog",
+        }
+        assert description <= set(repro.runtime.__all__)
+        facade = {"ENGINES", "ClusterSimulator", "SimulationResult", "Timeline"}
+        assert set(simulator.__all__) - facade == description
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_OPTIONS))
+    def test_rejected_combinations(self, case):
+        options, error, fragment = REJECTED_OPTIONS[case]
+        with pytest.raises(error, match=fragment):
+            RunOptions(**options)
+
+    @pytest.mark.parametrize(
+        "case",
+        ("membership-without-rebalance", "no-workers", "unknown-execution",
+         "unknown-keyword"),
+    )
+    def test_every_layer_rejects_with_the_same_message(
+        self, case, suspicious_dag, tiny_trace
+    ):
+        """The layers forward ``**options`` untouched, so the error is
+        ``RunOptions``' own whichever of them was called."""
+        bad, error, _ = REJECTED_OPTIONS[case]
+        bad = {k: v for k, v in bad.items() if k != "streaming"}
+        with pytest.raises(error) as expected:
+            RunOptions(streaming=True, **bad)
+        configuration = Configuration("partitioned", PartitioningSet.of("srcIP"))
+        plan = DistributedOptimizer(
+            suspicious_dag, Placement(2, 2), configuration.partitioning
+        ).optimize()
+        sim = ClusterSimulator(suspicious_dag, plan, stream_rate=1000)
+        layers = (
+            lambda: sim.run_streaming(
+                {"TCP": tiny_trace.packets}, configuration.splitter(4), 10.0,
+                **bad,
+            ),
+            lambda: run_configuration(
+                suspicious_dag, tiny_trace, configuration, 2,
+                streaming=True, **bad,
+            ),
+            lambda: overload_sweep(
+                suspicious_dag, tiny_trace, configuration, 2, **bad
+            ),
+        )
+        for layer in layers:
+            with pytest.raises(error) as raised:
+                layer()
+            assert str(raised.value) == str(expected.value)

@@ -1,6 +1,6 @@
 """Query-aware load shedding: the value model's contract, property-tested.
 
-Three invariant families over :class:`~repro.runtime.shedding.SheddingPolicy`:
+Three invariant families over ``QueuePolicy(capacity, "semantic")``:
 
 * **conservation** — shedding is accounting-neutral: per host, per epoch,
   ``prior backlog + rows_in == rows_delivered + rows_dropped + backlog``
@@ -29,7 +29,6 @@ from repro.cluster import (
     ClusterSimulator,
     HashSplitter,
     QueuePolicy,
-    SheddingPolicy,
 )
 from repro.distopt import DistributedOptimizer, Placement
 from repro.engine import batches_equal
@@ -66,40 +65,38 @@ def _stream(sim, packets, splitter, **bounds):
     return sim.run_streaming({"TCP": packets}, splitter, 10.0, **bounds)
 
 
-class TestSheddingPolicy:
+def semantic(capacity):
+    return QueuePolicy(capacity, "semantic")
+
+
+class TestSemanticQueuePolicy:
     def test_defaults_and_describe(self):
-        policy = SheddingPolicy(25)
-        assert policy.strategy == "semantic"
+        policy = semantic(25)
+        assert "semantic" in QUEUE_MODES
         assert not policy.lossless
         assert "semantic" in policy.describe()
         assert "25" in policy.describe()
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
-            SheddingPolicy(0)
+            semantic(0)
         with pytest.raises(ValueError, match="capacity"):
-            SheddingPolicy(-3)
-
-    def test_rejects_bad_strategy(self):
-        with pytest.raises(ValueError, match="strategy"):
-            SheddingPolicy(10, "drop-newest")
+            semantic(-3)
 
 
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     workload=st.sampled_from(sorted(WORKLOADS)),
-    mode=st.sampled_from(QUEUE_MODES + ("semantic",)),
+    mode=st.sampled_from(QUEUE_MODES),
 )
 def test_conservation_under_every_policy(seed, workload, mode):
     """in == delivered + dropped (+ queued per epoch) whichever way
     overflow is handled — semantic shedding included."""
     sim, packets, splitter = _simulation(workload, seed)
-    if mode == "semantic":
-        bounds = {"shedding": SheddingPolicy(CAPACITY)}
-    else:
-        bounds = {"queue_policy": QueuePolicy(CAPACITY, mode)}
-    stream = _stream(sim, packets, splitter, **bounds)
+    stream = _stream(
+        sim, packets, splitter, queue_policy=QueuePolicy(CAPACITY, mode)
+    )
     assert stream.flow_stats
     for stats in stream.flow_stats.values():
         assert stats.conserves()
@@ -122,11 +119,11 @@ def test_value_ranking_is_deterministic(seed, workload):
     shed decisions: outputs, flow series, and attribution all match."""
     first_sim, packets, splitter = _simulation(workload, seed)
     first = _stream(
-        first_sim, packets, splitter, shedding=SheddingPolicy(CAPACITY)
+        first_sim, packets, splitter, queue_policy=semantic(CAPACITY)
     )
     second_sim, _, _ = _simulation(workload, seed)
     second = _stream(
-        second_sim, packets, splitter, shedding=SheddingPolicy(CAPACITY)
+        second_sim, packets, splitter, queue_policy=semantic(CAPACITY)
     )
     assert set(first.outputs) == set(second.outputs)
     for name in first.outputs:
@@ -147,7 +144,7 @@ def test_lossless_capacity_never_sheds(seed, workload):
     sim, packets, splitter = _simulation(workload, seed)
     unbounded = _stream(sim, packets, splitter)
     bounded = _stream(
-        sim, packets, splitter, shedding=SheddingPolicy(len(packets))
+        sim, packets, splitter, queue_policy=semantic(len(packets))
     )
     assert set(unbounded.outputs) == set(bounded.outputs)
     for name in unbounded.outputs:
