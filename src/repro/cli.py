@@ -118,12 +118,6 @@ def _simulation_flags() -> argparse.ArgumentParser:
     )
     common.add_argument("--seed", type=int, default=7)
     common.add_argument(
-        "--engine",
-        choices=("row", "columnar"),
-        default="columnar",
-        help="execution backend (identical results; columnar is faster)",
-    )
-    common.add_argument(
         "--execution",
         choices=("inprocess", "parallel"),
         default="inprocess",
@@ -167,7 +161,6 @@ def cmd_figures(args) -> int:
         configs_fn(),
         host_counts=host_counts,
         host_capacity=capacity,
-        engine=args.engine,
         **vars(options),
     )
     print(
@@ -264,15 +257,13 @@ def cmd_timeline(args) -> int:
         configuration,
         num_hosts,
         host_capacity=experiment_capacity(args.experiment, trace),
-        engine=args.engine,
         record_events=True,
         **vars(options),
     )
     result = outcome.result
     print(
         f"experiment {args.experiment}, {configuration.name!r}, "
-        f"{num_hosts} host(s), engine {args.engine}, "
-        f"execution {result.execution}"
+        f"{num_hosts} host(s), execution {result.execution}"
     )
     host_pids = outcome.simulator.metrics.host_pids()
     by_host = ", ".join(

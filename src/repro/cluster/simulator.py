@@ -9,7 +9,9 @@ boundaries — the two quantities the paper's evaluation figures report.
 The actual machinery lives in :mod:`repro.runtime`:
 
 * an :class:`~repro.runtime.backend.EngineBackend` compiles plan nodes
-  into operators (row vs. columnar resolved once, at compile time);
+  into operators over :class:`~repro.engine.columnar.ColumnBatch`es (a
+  vectorized kernel, or an adapted row operator — resolved once, at
+  compile time);
 * an :class:`~repro.runtime.session.ExecutionSession` drives the unified
   epoch loop (one-shot execution is the single-epoch degenerate case);
 * a :class:`~repro.runtime.metrics.MetricsRecorder` owns every counter
@@ -17,8 +19,8 @@ The actual machinery lives in :mod:`repro.runtime`:
 
 This module keeps the stable public surface: ``ClusterSimulator`` with
 ``run``/``run_streaming``, plus re-exported ``SimulationResult``,
-``Timeline``, ``ENGINES`` and the description of a run (``RunOptions``
-and the policies it holds).
+``Timeline`` and the description of a run (``RunOptions`` and the
+policies it holds).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import List, Mapping, Optional, Sequence
 
 from ..distopt.plan_ir import DistributedPlan
 from ..plan.dag import QueryDag
-from ..runtime.backend import ENGINES, create_backend
+from ..runtime.backend import EngineBackend
 from ..runtime.flowcontrol import FaultPlan, QueuePolicy
 from ..runtime.metrics import MetricsRecorder, Timeline
 from ..runtime.rebalance import RebalanceLog, RebalancePolicy
@@ -38,7 +40,6 @@ from .network import NetworkMeter
 from .splitter import Splitter
 
 __all__ = [
-    "ENGINES",
     "ClusterSimulator",
     "FaultPlan",
     "QueuePolicy",
@@ -60,28 +61,22 @@ class ClusterSimulator:
         stream_rate: float,
         costs: CostTable = DEFAULT_COSTS,
         host_capacity: Optional[float] = None,
-        engine: str = "row",
         record_events: bool = False,
     ):
         """``stream_rate`` is the total input rate in tuples/second; the
         default host capacity derives from it (see costs.py) so loads are
         expressed relative to the monitored link, as in the paper.
 
-        ``engine`` selects the execution backend: ``"row"`` (dict tuples,
-        the reference semantics) or ``"columnar"`` (NumPy batch kernels
-        for every plan-node kind; a node with an unregistered UDAF or an
-        un-lowerable expression is resolved to the row operator at
+        Every plan-node kind runs a NumPy batch kernel; a node with an
+        unregistered UDAF is resolved to the reference row operator at
         plan-compile time and reported in
-        ``SimulationResult.fallback_nodes``).  Both backends produce
-        identical outputs and identical CPU/network accounting; the cost
-        model charges simulated per-tuple work, not wall-clock time.
+        ``SimulationResult.fallback_nodes``.  Sources may be row lists or
+        ``ColumnBatch``es (rows are converted once, on entry), and the
+        cost model charges simulated per-tuple work, not wall-clock time.
 
         With ``record_events`` the metrics recorder keeps a structured
         event trace (see :meth:`MetricsRecorder.dump_events`).
         """
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        self._engine = engine
         capacity = host_capacity if host_capacity is not None else default_capacity(
             stream_rate
         )
@@ -90,12 +85,8 @@ class ClusterSimulator:
             self._hosts, NetworkMeter(), costs, record_events=record_events
         )
         self._session = ExecutionSession(
-            dag, plan, create_backend(engine, dag), self._recorder
+            dag, plan, EngineBackend(dag), self._recorder
         )
-
-    @property
-    def engine(self) -> str:
-        return self._engine
 
     @property
     def hosts(self) -> List[Host]:

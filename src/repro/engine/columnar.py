@@ -1,8 +1,9 @@
-"""Columnar execution backend: batches as NumPy arrays, operators as kernels.
+"""The runtime's kernels: batches as NumPy arrays, operators as array programs.
 
-The row engine (:mod:`repro.engine.operators`) processes one dict per
-tuple; this module processes a whole batch per operator call over a
-:class:`ColumnBatch` — a mapping of column name to NumPy array.  Selection
+The reference operators (:mod:`repro.engine.operators`) process one dict
+per tuple; this module processes a whole batch per operator call over a
+:class:`ColumnBatch` — a mapping of column name to NumPy array, and the
+one batch type that crosses a plan-node boundary.  Selection
 becomes a boolean-mask filter, tumbling-window aggregation becomes a
 lexsort-based factorization with per-aggregate ``ufunc.reduceat``
 reductions, and merge becomes array concatenation.  Scalar expressions are
@@ -17,21 +18,21 @@ over the merged, qualified (``alias.column``) columns;
 NULL-propagating arithmetic at compile time
 (:func:`repro.expr.vectorizer.vectorize_padded_output`).
 
-The two engines are interchangeable per node: anything without a
-vectorized kernel (exotic UDAFs, un-lowerable expressions) makes
-:func:`build_columnar_operator` return ``None`` and the cluster simulator
-falls back to the row operator for that node, converting representations
-at the boundary.  Parity is exact — for every workload catalog the
-columnar engine produces the same output multisets and the same per-node
-tuple counts (hence identical CPU/network accounting) as the row engine;
-``tests/test_engine_parity.py`` enforces this.
+Anything without a vectorized kernel (a UDAF registered without one)
+makes :func:`build_columnar_operator` return ``None``, and the backend
+adapts the row operator for that node instead, converting
+representations at its two edges.  Parity with the reference is exact —
+for every workload catalog the kernels produce the output multisets of
+the centralized row run (``tests/test_engine_parity.py``) and the
+per-node tuple counts, hence the CPU/network accounting, the committed
+figure tables were produced with.
 
-Aggregate states follow the same sub/super protocol as the row engine: a
+Aggregate states follow the same sub/super protocol as the row operators: a
 scalar-state aggregate (COUNT, SUM, MIN, MAX, OR_AGGR, AND_AGGR) ships its
 state as a plain array column, while a composite state (AVG's
 ``(sum, count)``, VARIANCE's ``(count, sum, sumsq)``) is a *tuple of
 arrays* stored unzipped — :meth:`ColumnBatch.to_rows` zips it back into
-the per-row Python tuples the row engine's SUPER operator expects.
+the per-row Python tuples a row SUPER operator expects.
 """
 
 from __future__ import annotations
@@ -960,8 +961,8 @@ def build_columnar_operator(
     Every plan-node kind has a columnar kernel (selection, aggregation
     variants, union, join); None is returned only when a node's
     expressions or aggregates cannot be lowered (unregistered UDAFs,
-    unknown scalar functions).  The cluster simulator treats None as "run
-    this node on the row engine".
+    unknown scalar functions).  The backend treats None as "adapt the
+    row operator for this node".
     """
     try:
         if node.kind is NodeKind.SELECTION:

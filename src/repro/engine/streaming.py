@@ -2,14 +2,15 @@
 
 The paper's semantics are tumbling-window: every query result is the
 union of per-epoch results, with the temporal attribute in every group
-and join key (§3.1).  The batch engines exploit this by processing a
+and join key (§3.1).  A one-shot run exploits this by processing a
 whole trace at once; this module provides the inverse exploitation —
 processing one epoch's tuples per step while keeping per-node state
 alive across steps, so memory stays bounded by an epoch but the emitted
 union (and every tuple count the simulator charges for) is identical.
 
 The mechanism is watermark-driven buffering built on *the same pure
-operators* the one-shot engines use:
+operators* a one-shot run uses, over the same one batch type
+(:class:`~repro.engine.columnar.ColumnBatch` in, ``ColumnBatch`` out):
 
 * A **watermark** is a dict ``{column: B}`` asserting that every row a
   node emits in any *later* step satisfies ``row[column] >= B``.
@@ -39,8 +40,8 @@ from ..expr.evaluator import compile_expr, compile_key
 from ..expr.expressions import Attr, Binary, Const, ScalarExpr
 from ..expr.vectorizer import materialize, vectorize_expr
 from ..gsql.analyzer import AnalyzedNode
-from .columnar import ColumnBatch, ensure_rows
-from .operators import Batch, Row
+from .columnar import ColumnBatch
+from .operators import Row
 
 Number = Union[int, float]
 #: Maps column name -> inclusive lower bound on that column in all rows
@@ -129,70 +130,23 @@ def _bound_outputs(
 # -- buffers -------------------------------------------------------------------
 
 
-def take_prefix(batch, count: int) -> Tuple[object, object]:
+def take_prefix(
+    batch: ColumnBatch, count: int
+) -> Tuple[ColumnBatch, ColumnBatch]:
     """Split a batch into its first ``count`` rows and the remainder.
 
-    Order and representation are preserved (row lists and columnar
-    batches both slice), so a flow-control queue can deliver a
-    prefix of an entry and keep the tail queued without perturbing the
-    within-partition row order that round-robin parity relies on.
+    Order is preserved (both halves are zero-copy slices), so a
+    flow-control queue can deliver a prefix of an entry and keep the
+    tail queued without perturbing the within-partition row order that
+    round-robin parity relies on.
     """
     length = len(batch)
-    if count <= 0:
-        return _empty_like(batch), batch
-    if count >= length:
-        return batch, _empty_like(batch)
-    if isinstance(batch, ColumnBatch):
-        return batch.slice(0, count), batch.slice(count, length)
-    return batch[:count], batch[count:]
-
-
-def _empty_like(batch):
-    if isinstance(batch, ColumnBatch):
-        return batch.slice(0, 0)
-    return []
-
-
-class RowBuffer:
-    """Retained rows plus a compiled temporal-key extractor."""
-
-    def __init__(self, key_fn: Optional[Callable[[Row], Number]]):
-        self._key_fn = key_fn
-        self._rows: Batch = []
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def add(self, rows: Batch) -> None:
-        self._rows.extend(rows)
-
-    def take_below(self, bound: Number) -> Batch:
-        """Remove and return the rows whose temporal key is < ``bound``."""
-        if bound == math.inf:
-            return self.drain()
-        key_fn = self._key_fn
-        taken: Batch = []
-        kept: Batch = []
-        for row in self._rows:
-            (taken if key_fn(row) < bound else kept).append(row)
-        self._rows = kept
-        return taken
-
-    def drain(self) -> Batch:
-        rows, self._rows = self._rows, []
-        return rows
-
-    def export_rows(self) -> Batch:
-        """Copy of the retained rows, in buffer order (migration handoff)."""
-        return list(self._rows)
-
-    def import_rows(self, rows: Optional[Batch]) -> None:
-        if rows:
-            self._rows.extend(rows)
+    count = max(0, min(count, length))
+    return batch.slice(0, count), batch.slice(count, length)
 
 
 class ColumnBuffer:
-    """Columnar retained rows; the key extractor is a vectorized expr."""
+    """Retained rows plus a vectorized temporal-key extractor."""
 
     def __init__(self, key_fn: Optional[Callable]):
         self._key_fn = key_fn
@@ -213,6 +167,7 @@ class ColumnBuffer:
         return self._pending[0]
 
     def take_below(self, bound: Number) -> ColumnBatch:
+        """Remove and return the rows whose temporal key is < ``bound``."""
         if bound == math.inf:
             return self.drain()
         batch = self._merged()
@@ -248,16 +203,16 @@ class StreamingNode:
 
     Wrappers take a *compiled* operator — any object exposing the
     :class:`~repro.runtime.backend.CompiledOperator` surface (``process``,
-    ``coerce``, ``empty``, ``columnar``) — so the row-vs-columnar choice
-    is fixed before the node ever sees a batch.
+    ``process_window``, ``empty``) — and both consume and emit
+    :class:`ColumnBatch`es, whatever the operator is inside.
     """
 
     def step(
         self,
-        inputs: Sequence,
+        inputs: Sequence[ColumnBatch],
         watermarks: Sequence[Watermark],
         flush: bool,
-    ) -> Tuple[object, Watermark]:
+    ) -> Tuple[ColumnBatch, Watermark]:
         """Consume this step's input batches; return (output, watermark).
 
         ``watermarks[i]`` bounds all *future* rows of input ``i``.  With
@@ -320,7 +275,7 @@ class StreamingAggregate(StreamingNode):
     def __init__(
         self,
         operator,
-        buffer: Union[RowBuffer, ColumnBuffer],
+        buffer: ColumnBuffer,
         temporal_name: Optional[str],
         temporal_expr: Optional[ScalarExpr],
         outputs: Sequence[Tuple[str, ScalarExpr]],
@@ -342,7 +297,7 @@ class StreamingAggregate(StreamingNode):
 
     def step(self, inputs, watermarks, flush):
         (batch,) = inputs
-        self._buffer.add(self._operator.coerce(batch))
+        self._buffer.add(batch)
         if flush:
             return self._operator.process(self._buffer.drain()), {}
         if self._temporal_expr is None:
@@ -368,9 +323,10 @@ class StreamingAggregate(StreamingNode):
 class StreamingWindowedAggregate(StreamingNode):
     """Buffer-and-release wrapper for window-labelled aggregation variants.
 
-    Wraps a compiled operator whose underlying operator exposes
-    ``process_window(rows, ends)`` (the sliding FULL/SUPER and
-    SKETCH_SUPER variants).  A window labelled by end pane ``e`` is
+    Wraps a compiled operator exposing ``process_window(rows, ends)``
+    (the sliding FULL/SUPER and SKETCH_SUPER variants — row operators by
+    design, so the retained state is the operator's own rows and only
+    the emitted windows become batches).  A window labelled by end pane ``e`` is
     complete once the input watermark proves every future row's pane
     index is ``> e``; each step hands the newly complete window labels —
     in ascending order, strictly after the last emitted label — to the
@@ -394,7 +350,7 @@ class StreamingWindowedAggregate(StreamingNode):
         self._pane_fn = compile_expr(pane_expr)
         self._temporal_name = temporal_name
         self._outputs = list(outputs)
-        self._rows: Batch = []
+        self._rows: List[Row] = []
         self._panes: set = set()
         self._last_end: Optional[int] = None
 
@@ -420,7 +376,7 @@ class StreamingWindowedAggregate(StreamingNode):
     def step(self, inputs, watermarks, flush):
         (batch,) = inputs
         pane_fn = self._pane_fn
-        for row in self._operator.coerce(batch):
+        for row in batch.to_rows():
             self._rows.append(row)
             self._panes.add(pane_fn(row))
         if flush:
@@ -428,14 +384,14 @@ class StreamingWindowedAggregate(StreamingNode):
             retained, self._rows, self._panes = self._rows, [], set()
             if not ends:
                 return self._operator.empty(), {}
-            return self._operator.operator.process_window(retained, ends), {}
+            return self._operator.process_window(retained, ends), {}
         (bounds,) = watermarks
         low = lower_bound(self._pane_expr, bounds)
         if low is None:
             return self._operator.empty(), {}
         ends = self._complete_ends(low)
         if ends:
-            output = self._operator.operator.process_window(self._rows, ends)
+            output = self._operator.process_window(self._rows, ends)
             self._last_end = ends[-1]
             # The next window starts at last_end + slide - window + 1;
             # older panes can never be read again.
@@ -483,10 +439,9 @@ class StreamingJoin(StreamingNode):
     Joins emit no watermark — in the workload catalogs they are plan
     roots, and anything downstream drains at the flush.
 
-    Buffers follow the compiled operator's representation: a columnar
-    join keeps both sides as :class:`ColumnBuffer` (the temporal keys can
-    always be vectorized — the join kernel itself lowered them), a row
-    join as :class:`RowBuffer`.
+    Both sides buffer columnar whatever the operator is inside; the
+    temporal keys always vectorize (anything the evaluator compiles, the
+    vectorizer lowers).
     """
 
     def __init__(self, operator, node: AnalyzedNode):
@@ -496,28 +451,10 @@ class StreamingJoin(StreamingNode):
         self._hint_keys = None
         self._left_expr = equality.left if equality is not None else None
         self._right_expr = equality.right if equality is not None else None
-        if operator.columnar:
-            self._left = ColumnBuffer(
-                vectorize_expr(self._left_expr)
-                if self._left_expr is not None
-                else None
-            )
-            self._right = ColumnBuffer(
-                vectorize_expr(self._right_expr)
-                if self._right_expr is not None
-                else None
-            )
-        else:
-            self._left = RowBuffer(
-                compile_expr(self._left_expr)
-                if self._left_expr is not None
-                else None
-            )
-            self._right = RowBuffer(
-                compile_expr(self._right_expr)
-                if self._right_expr is not None
-                else None
-            )
+        self._left, self._right = (
+            ColumnBuffer(vectorize_expr(expr) if expr is not None else None)
+            for expr in (self._left_expr, self._right_expr)
+        )
 
     def buffered_rows(self) -> int:
         return len(self._left) + len(self._right)
@@ -545,28 +482,31 @@ class StreamingJoin(StreamingNode):
         left_key, right_key = self._hint_keys
         sides = []
         for buffer, key_fn in ((self._left, left_key), (self._right, right_key)):
-            exported = buffer.export_rows()
-            rows = ensure_rows(exported) if exported is not None else []
-            sides.append(frozenset(key_fn(row) for row in rows))
+            rows = buffer.export_rows()
+            sides.append(
+                frozenset(map(key_fn, rows.to_rows()))
+                if rows is not None
+                else frozenset()
+            )
         return (sides[0], sides[1])
 
     def step(self, inputs, watermarks, flush):
-        left_in, right_in = (self._operator.coerce(batch) for batch in inputs)
+        left_in, right_in = inputs
         self._left.add(left_in)
         self._right.add(right_in)
         if flush:
             left, right = self._left.drain(), self._right.drain()
         else:
             if self._left_expr is None:
-                return [], {}
+                return self._operator.empty(), {}
             bounds_left, bounds_right = watermarks
             low_left = lower_bound(self._left_expr, bounds_left)
             low_right = lower_bound(self._right_expr, bounds_right)
             if low_left is None or low_right is None:
-                return [], {}
+                return self._operator.empty(), {}
             bound = min(low_left, low_right)
             left = self._left.take_below(bound)
             right = self._right.take_below(bound)
-        if not left and not right:
-            return [], {}
+        if len(left) == 0 and len(right) == 0:
+            return self._operator.empty(), {}
         return self._operator.process(left, right), {}

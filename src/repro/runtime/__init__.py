@@ -2,11 +2,12 @@
 
 Three layers, each with one responsibility:
 
-* :mod:`repro.runtime.backend` — engine backends.  An
+* :mod:`repro.runtime.backend` — the engine backend.  The
   :class:`~repro.runtime.backend.EngineBackend` compiles plan nodes into
-  :class:`~repro.runtime.backend.CompiledOperator` objects, deciding
-  *once per node* (at plan-compile time) whether the node runs on the
-  vectorized columnar kernel or the reference row operator.
+  :class:`~repro.runtime.backend.CompiledOperator` objects over
+  ``ColumnBatch``es, deciding *once per node* (at plan-compile time)
+  whether the node runs a vectorized kernel or an adapted reference row
+  operator.
 * :mod:`repro.runtime.session` — the unified epoch driver.
   :class:`~repro.runtime.session.ExecutionSession` executes a distributed
   plan one epoch at a time; a one-shot run is the degenerate single-epoch
@@ -28,7 +29,7 @@ Three layers, each with one responsibility:
 * :mod:`repro.runtime.parallel` — multiprocess host execution.  A
   :class:`~repro.runtime.parallel.ParallelExecutor` forks one worker
   process per simulated host and plugs into the session's
-  :class:`~repro.runtime.session.StepExecutor` seam; columnar batches
+  :class:`~repro.runtime.session.StepExecutor` seam; batches
   travel by shared memory and the driver replays all accounting, so
   results are identical to in-process execution.
 
@@ -39,13 +40,7 @@ and the policies it holds (``QueuePolicy``, ``FaultPlan``,
 backwards-compatible facade over these layers.
 """
 
-from .backend import (
-    ColumnarBackend,
-    CompiledOperator,
-    EngineBackend,
-    RowBackend,
-    create_backend,
-)
+from .backend import CompiledOperator, EngineBackend, create_backend
 from .flowcontrol import (
     BLOCK,
     DROP_NEWEST,
@@ -76,7 +71,6 @@ from .session import (
 __all__ = [
     "BLOCK",
     "EXECUTION_MODES",
-    "ColumnarBackend",
     "CompiledOperator",
     "DROP_NEWEST",
     "DROP_OLDEST",
@@ -97,7 +91,6 @@ __all__ = [
     "QueuedIngestController",
     "RebalanceLog",
     "RebalancePolicy",
-    "RowBackend",
     "RunOptions",
     "SEMANTIC",
     "SimulationResult",

@@ -1,25 +1,26 @@
-"""Engine backends: plan nodes compiled to operators, once, up front.
+"""The engine backend: plan nodes compiled to operators, once, up front.
 
-An :class:`EngineBackend` turns every :class:`~repro.distopt.plan_ir.DistNode`
-into a :class:`CompiledOperator` — the operator object bound to the input
-representation it expects.  The decision which representation a node runs
-on (vectorized columnar kernel vs. reference row operator) is made *here,
-at plan-compile time*: :meth:`ColumnarBackend.compile_node` resolves nodes
-without a vectorized kernel (unregistered UDAFs, un-lowerable
-expressions) to the row operator once, so the execution loop never
-re-checks capability per batch.  Every plan-node kind — selection,
-aggregation, merge, join, NULLPAD — now has a columnar kernel, so a
-fallback only occurs for exotic expressions.
+The :class:`EngineBackend` turns every :class:`~repro.distopt.plan_ir.DistNode`
+into a :class:`CompiledOperator` whose inputs and output are
+:class:`~repro.engine.columnar.ColumnBatch`es — the one batch type that
+crosses a node boundary.  Most nodes compile to a vectorized kernel; a
+node whose operator is a reference row operator — by design (the sketch
+pair, the window-reassembly sides of a sliding aggregate) or by fallback
+(a UDAF without a registered kernel) — is *adapted* here, at
+plan-compile time: rows in, a batch out.  Nothing downstream of the
+backend ever asks which representation it is holding.
 
-Backends also own the operator cache (a plan instantiates one copy per
-host of the same logical operator) and the construction of the stateful
-:class:`~repro.engine.streaming.StreamingNode` wrappers, which need the
-same capability decisions for their buffers.
+The backend also owns the operator cache (a plan instantiates one copy
+per host of the same logical operator) and the construction of the
+stateful :class:`~repro.engine.streaming.StreamingNode` wrappers.  The
+row operators themselves (:mod:`repro.engine.operators`,
+:mod:`repro.engine.variants`) double as the paper's §3.4 oracle through
+:func:`~repro.engine.executor.run_centralized`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, List, Optional, TYPE_CHECKING
 
 from ..distopt.plan_ir import DistKind, DistNode, Variant
 from ..engine.columnar import (
@@ -28,13 +29,11 @@ from ..engine.columnar import (
     build_columnar_nullpad,
     build_columnar_operator,
     ensure_columns,
-    ensure_rows,
 )
-from ..engine.operators import Batch, MergeOp, NullPadOp
+from ..engine.operators import NullPadOp, Row
 from ..engine.panes import WindowSpec
 from ..engine.streaming import (
     ColumnBuffer,
-    RowBuffer,
     StatelessStreamingNode,
     StreamingAggregate,
     StreamingJoin,
@@ -45,8 +44,7 @@ from ..engine.streaming import (
     unknown_watermark,
 )
 from ..engine.variants import build_variant_operator
-from ..expr.evaluator import compile_expr
-from ..expr.expressions import Attr, ScalarExpr
+from ..expr.expressions import Attr
 from ..expr.vectorizer import UnsupportedExpression, vectorize_expr
 from ..gsql.analyzer import NodeKind
 from ..plan.dag import QueryDag
@@ -54,29 +52,29 @@ from ..plan.dag import QueryDag
 if TYPE_CHECKING:
     from ..cluster.splitter import Splitter
 
-ENGINES = ("row", "columnar")
-
 
 class CompiledOperator:
-    """One plan node's operator, bound to its input representation.
+    """One plan node's operator: ``ColumnBatch``es in, a ``ColumnBatch`` out.
 
-    ``columnar`` records the backend's compile-time choice; ``process``
-    only coerces inputs to that fixed representation — there is no
-    per-batch capability check or fallback left to make.  ``row_native``
-    marks a node whose *designed* representation is the row operator
-    even under the columnar backend (the windowed and sketch aggregation
-    variants) — by construction, not a missing-kernel fallback.
+    ``columnar`` records the compile-time choice between a vectorized
+    kernel and an adapted row operator; ``process`` converts at the
+    adapter's two edges and nowhere else — there is no per-batch
+    capability check.  ``row_native`` marks an adapted node whose
+    *designed* form is the row operator (the windowed and sketch
+    aggregation variants), as opposed to a missing-kernel fallback: only
+    the latter is reported in ``SimulationResult.fallback_nodes``.
+    ``arity`` is the number of inputs the operator takes (two for a
+    join), which is all :meth:`empty` needs to know.
 
     Instances are picklable by *recipe*: operators hold vectorized
     closures that cannot cross process boundaries, so pickling ships the
-    ``(engine, dag, node)`` triple that produced the operator and
-    unpickling recompiles it — the parallel runtime hands compiled
-    operators to its forked workers at pool start this way.  The dag is
-    shared (pickle memoizes it) when a whole compile cache travels in one
-    payload.
+    ``(dag, node)`` pair that produced the operator and unpickling
+    recompiles it — the parallel runtime hands compiled operators to its
+    forked workers at pool start this way.  The dag is shared (pickle
+    memoizes it) when a whole compile cache travels in one payload.
     """
 
-    __slots__ = ("operator", "columnar", "recipe", "row_native")
+    __slots__ = ("operator", "columnar", "recipe", "row_native", "arity")
 
     def __init__(
         self,
@@ -84,11 +82,13 @@ class CompiledOperator:
         columnar: bool,
         recipe: Optional[tuple] = None,
         row_native: bool = False,
+        arity: int = 1,
     ):
         self.operator = operator
         self.columnar = columnar
         self.recipe = recipe
         self.row_native = row_native
+        self.arity = arity
 
     def __reduce__(self):
         if self.recipe is None:
@@ -99,51 +99,51 @@ class CompiledOperator:
             )
         return (_rebuild_compiled, self.recipe)
 
-    def coerce(self, batch) -> Batch:
-        """Convert a batch to this operator's input representation."""
-        return ensure_columns(batch) if self.columnar else ensure_rows(batch)
-
-    def process(self, *inputs) -> Batch:
-        return self.operator.process(*(self.coerce(batch) for batch in inputs))
-
-    def empty(self) -> Batch:
-        """An empty output batch (columnar kernels emit typed columns)."""
+    def process(self, *inputs: ColumnBatch) -> ColumnBatch:
         if self.columnar:
-            return self.operator.process(ColumnBatch({}, 0))
-        return []
+            return self.operator.process(*inputs)
+        return ColumnBatch.from_rows(
+            self.operator.process(*(batch.to_rows() for batch in inputs))
+        )
+
+    def process_window(self, rows: List[Row], ends: List[int]) -> ColumnBatch:
+        """Window-labelled emission of an adapted windowed operator over
+        the rows its streaming wrapper retained."""
+        return ColumnBatch.from_rows(self.operator.process_window(rows, ends))
+
+    def empty(self) -> ColumnBatch:
+        """An empty output batch (kernels emit typed columns)."""
+        return self.process(*[ColumnBatch({}, 0)] * self.arity)
 
 
 def _operator_key(node: DistNode) -> tuple:
     return (node.kind, node.query, node.variant, node.pad_side)
 
 
-def _rebuild_compiled(engine: str, dag: QueryDag, node: DistNode) -> "CompiledOperator":
+def _rebuild_compiled(dag: QueryDag, node: DistNode) -> "CompiledOperator":
     """Unpickle hook: recompile a :class:`CompiledOperator` from its recipe.
 
     Recompilation replays the exact compile-time decision (including a
-    columnar node resolving to the row fallback), so the rebuilt operator
+    node resolving to an adapted row operator), so the rebuilt operator
     is behaviourally identical to the original.
     """
-    return create_backend(engine, dag).compile_node(node)
+    return EngineBackend(dag).compile_node(node)
 
 
 class EngineBackend:
-    """Compiles plan nodes for one execution engine.
+    """Compiles plan nodes for the (one) runtime.
 
-    The protocol an :class:`~repro.runtime.session.ExecutionSession`
-    drives:
+    What an :class:`~repro.runtime.session.ExecutionSession` drives:
 
     * :meth:`compile_node` — the node's :class:`CompiledOperator`, cached
       per ``(kind, query, variant, pad_side)``;
-    * :meth:`supports` — whether the node runs on this backend's *native*
-      representation (False means it was resolved to a row fallback);
+    * :meth:`supports` — whether the node runs in its *designed* form
+      (False means a missing kernel resolved it to a row fallback);
     * :meth:`streaming_node` — a fresh stateful wrapper for epoch-driven
       execution (one per run, state lives across epochs);
-    * :meth:`prepare` / :meth:`split` / :meth:`empty_partitions` — source
-      batches in the backend's canonical representation.
+    * :meth:`prepare` / :meth:`split` — source data converted to batches,
+      once, at the door, and partitioned.
     """
-
-    name: str
 
     def __init__(self, dag: QueryDag):
         self._dag = dag
@@ -171,29 +171,63 @@ class EngineBackend:
         return self._dag
 
     def supports(self, node: DistNode) -> bool:
-        raise NotImplementedError
+        compiled = self.compile_node(node)
+        return compiled.columnar or compiled.row_native
 
     def _compile(self, node: DistNode) -> CompiledOperator:
-        raise NotImplementedError
+        recipe = (self._dag, node)
+        if node.kind is DistKind.MERGE:
+            return CompiledOperator(ColumnarMergeOp(), columnar=True, recipe=recipe)
+        analyzed = self._dag.node(node.query)
+        padding = node.kind is DistKind.NULLPAD
+        arity = 2 if not padding and analyzed.kind is NodeKind.JOIN else 1
+        # Window reassembly and sketch digests are designed as row
+        # operators (their state is per-group, not per-batch) — that is
+        # the node's native form, not a fallback.
+        row_native = _row_native_variant(analyzed, node.variant)
+        if padding:
+            kernel = build_columnar_nullpad(analyzed, node.pad_side)
+        elif row_native:
+            kernel = None
+        else:
+            kernel = build_columnar_operator(analyzed, node.variant.value)
+        if kernel is not None:
+            return CompiledOperator(
+                kernel, columnar=True, recipe=recipe, arity=arity
+            )
+        # The reference row operator, adapted.  Unless row-native this is
+        # a missing-kernel fallback (an unregistered UDAF), reported in
+        # ``SimulationResult.fallback_nodes``.
+        if padding:
+            reference = NullPadOp(analyzed, node.pad_side)
+        else:
+            reference = build_variant_operator(analyzed, node.variant.value)
+        return CompiledOperator(
+            reference,
+            columnar=False,
+            recipe=recipe,
+            row_native=row_native,
+            arity=arity,
+        )
 
-    # -- batch representation -------------------------------------------------
+    # -- sources ----------------------------------------------------------------
 
-    def prepare(self, rows) -> Batch:
-        """Coerce source data to the backend's canonical batch form."""
-        raise NotImplementedError
+    def prepare(self, rows) -> ColumnBatch:
+        """Source data as a batch: row lists are converted here, once."""
+        return ensure_columns(rows)
 
-    def split(self, batch, splitter: "Splitter", offset: int) -> List[Batch]:
+    def split(
+        self, batch: ColumnBatch, splitter: "Splitter", offset: int
+    ) -> List[ColumnBatch]:
         """Partition one batch, continuing a stateful cursor at ``offset``."""
-        raise NotImplementedError
-
-    def empty_partitions(self, count: int) -> List[Batch]:
-        raise NotImplementedError
-
-    def concat(self, batches: Sequence[Batch]) -> Batch:
-        """Concatenate batches in the backend's canonical representation,
-        preserving order — the ingest queues use this to reassemble
-        deliveries that were split or deferred by flow control."""
-        raise NotImplementedError
+        try:
+            return splitter.split_columns(batch, offset=offset)
+        except UnsupportedExpression:
+            # A splitter with only a per-row assigner.
+            return [
+                ColumnBatch.from_rows(part)
+                for part in splitter.split(batch.to_rows(), offset=offset)
+            ]
 
     # -- streaming-node construction ------------------------------------------
 
@@ -252,10 +286,12 @@ class EngineBackend:
             outputs = list(
                 zip((c.name for c in analyzed.columns), analyzed.select_exprs)
             )
-        compiled, buffer = self._aggregate_parts(node, filter_expr)
+        # The temporal key is an attribute or a group-by expression the
+        # evaluator compiles, and the vectorizer lowers all of those.
+        key_fn = vectorize_expr(filter_expr) if filter_expr is not None else None
         return StreamingAggregate(
-            compiled,
-            buffer,
+            self.compile_node(node),
+            ColumnBuffer(key_fn),
             temporal.name if temporal is not None else None,
             filter_expr,
             outputs,
@@ -280,137 +316,12 @@ class EngineBackend:
             compiled, spec, pane_expr, temporal.name, outputs
         )
 
-    def _aggregate_parts(self, node: DistNode, filter_expr: Optional[ScalarExpr]):
-        """The (compiled operator, buffer) pair for a streaming aggregate."""
-        raise NotImplementedError
-
-
-class RowBackend(EngineBackend):
-    """The reference engine: one Python dict per tuple."""
-
-    name = "row"
-
-    def supports(self, node: DistNode) -> bool:
-        return True
-
-    def _compile(self, node: DistNode) -> CompiledOperator:
-        if node.kind is DistKind.MERGE:
-            operator = MergeOp()
-        elif node.kind is DistKind.NULLPAD:
-            operator = NullPadOp(self._dag.node(node.query), node.pad_side)
-        else:
-            operator = build_variant_operator(
-                self._dag.node(node.query), node.variant.value
-            )
-        return CompiledOperator(
-            operator, columnar=False, recipe=(self.name, self._dag, node)
-        )
-
-    def prepare(self, rows) -> Batch:
-        return ensure_rows(rows)
-
-    def split(self, batch, splitter: "Splitter", offset: int) -> List[Batch]:
-        return splitter.split(ensure_rows(batch), offset=offset)
-
-    def empty_partitions(self, count: int) -> List[Batch]:
-        return [[] for _ in range(count)]
-
-    def concat(self, batches: Sequence[Batch]) -> Batch:
-        merged: Batch = []
-        for batch in batches:
-            merged.extend(ensure_rows(batch))
-        return merged
-
-    def _aggregate_parts(self, node: DistNode, filter_expr: Optional[ScalarExpr]):
-        key_fn = compile_expr(filter_expr) if filter_expr is not None else None
-        return self.compile_node(node), RowBuffer(key_fn)
-
-
-class ColumnarBackend(EngineBackend):
-    """NumPy batch kernels, with row fallback resolved at compile time.
-
-    Coverage is per node, not per plan: nodes without a vectorized kernel
-    compile to the shared :class:`RowBackend`'s operator, so the two
-    engines execute the same plan topology with the same per-node tuple
-    counts and representation conversion happens only at the edges of
-    fallback nodes.
-    """
-
-    name = "columnar"
-
-    def __init__(self, dag: QueryDag):
-        super().__init__(dag)
-        self._row = RowBackend(dag)
-
-    def supports(self, node: DistNode) -> bool:
-        compiled = self.compile_node(node)
-        return compiled.columnar or compiled.row_native
-
-    def _compile(self, node: DistNode) -> CompiledOperator:
-        recipe = (self.name, self._dag, node)
-        if node.kind is DistKind.MERGE:
-            return CompiledOperator(ColumnarMergeOp(), columnar=True, recipe=recipe)
-        if node.kind is DistKind.NULLPAD:
-            operator = build_columnar_nullpad(
-                self._dag.node(node.query), node.pad_side
-            )
-        else:
-            analyzed = self._dag.node(node.query)
-            if _row_native_variant(analyzed, node.variant):
-                # Window reassembly and sketch digests are designed as
-                # row operators (their state is per-group, not per-batch)
-                # — this is the node's native form, not a fallback.
-                return CompiledOperator(
-                    build_variant_operator(analyzed, node.variant.value),
-                    columnar=False,
-                    recipe=recipe,
-                    row_native=True,
-                )
-            operator = build_columnar_operator(analyzed, node.variant.value)
-        if operator is None:
-            return self._row.compile_node(node)
-        return CompiledOperator(operator, columnar=True, recipe=recipe)
-
-    def prepare(self, rows) -> Batch:
-        return ensure_columns(rows)
-
-    def split(self, batch, splitter: "Splitter", offset: int) -> List[Batch]:
-        columns = ensure_columns(batch)
-        try:
-            return splitter.split_columns(columns, offset=offset)
-        except UnsupportedExpression:
-            return [
-                ColumnBatch.from_rows(part)
-                for part in splitter.split(ensure_rows(batch), offset=offset)
-            ]
-
-    def empty_partitions(self, count: int) -> List[Batch]:
-        return [ColumnBatch({}, 0) for _ in range(count)]
-
-    def concat(self, batches: Sequence[Batch]) -> Batch:
-        return ColumnBatch.concat([ensure_columns(batch) for batch in batches])
-
-    def _aggregate_parts(self, node: DistNode, filter_expr: Optional[ScalarExpr]):
-        compiled = self.compile_node(node)
-        key_fn: Optional[Callable] = None
-        if compiled.columnar and filter_expr is not None:
-            try:
-                key_fn = vectorize_expr(filter_expr)
-            except UnsupportedExpression:
-                # The temporal key cannot be extracted vectorized: the
-                # whole node downgrades to the row operator + row buffer.
-                compiled = self._row.compile_node(node)
-        if compiled.columnar:
-            return compiled, ColumnBuffer(key_fn)
-        return self._row._aggregate_parts(node, filter_expr)
-
 
 def _row_native_variant(analyzed, variant: Variant) -> bool:
-    """Aggregation variants whose native representation is the row operator
-    even on the columnar backend: the sketch pair always, and the
-    window-reassembly sides (FULL/SUPER) of a windowed node.  The SUB side
-    of a windowed node computes ordinary tumbling panes, so the vectorized
-    kernel still applies."""
+    """Aggregation variants whose designed form is the row operator: the
+    sketch pair always, and the window-reassembly sides (FULL/SUPER) of a
+    windowed node.  The SUB side of a windowed node computes ordinary
+    tumbling panes, so the vectorized kernel still applies."""
     if analyzed.kind is not NodeKind.AGGREGATION:
         return False
     if variant in (Variant.SKETCH_SUB, Variant.SKETCH_SUPER):
@@ -422,9 +333,13 @@ def _row_native_variant(analyzed, variant: Variant) -> bool:
 
 
 def create_backend(engine: str, dag: QueryDag) -> EngineBackend:
-    """Backend for an engine name (``"row"`` or ``"columnar"``)."""
-    if engine == "row":
-        return RowBackend(dag)
-    if engine == "columnar":
-        return ColumnarBackend(dag)
-    raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    """The backend for ``dag``.  The ``engine`` argument survives only
+    because the frozen benchmark adapter passes ``"columnar"``; there is
+    one runtime, and any other name is an error."""
+    if engine != "columnar":
+        raise ValueError(
+            f"unknown engine {engine!r}: the columnar runtime is the only "
+            "one — the row engine is now the §3.4 oracle "
+            "(repro.engine.run_centralized), not a runtime"
+        )
+    return EngineBackend(dag)

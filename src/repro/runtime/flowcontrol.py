@@ -56,12 +56,12 @@ from typing import (
 )
 
 from ..distopt.plan_ir import DistKind, DistributedPlan
+from ..engine.columnar import ColumnBatch
 from ..engine.streaming import take_prefix
 from .shedding import ValueModel, shed_lowest_value
 
 if TYPE_CHECKING:
     from ..plan.dag import QueryDag
-    from .backend import EngineBackend
     from .metrics import MetricsRecorder
 
 BLOCK = "block"
@@ -267,7 +267,7 @@ class IngestController:
         self,
         index: int,
         epoch: object,
-        raw: Dict[str, List[object]],
+        raw: Dict[str, List[ColumnBatch]],
         flush: bool,
     ) -> Dict[str, int]:
         self._raw = raw
@@ -276,7 +276,7 @@ class IngestController:
             for stream, partitions in raw.items()
         }
 
-    def batch(self, stream: str, partition: int):
+    def batch(self, stream: str, partition: int) -> ColumnBatch:
         return self._raw[stream][partition]
 
     def watermark_bound(self, stream: str, partition: int, next_bound):
@@ -313,14 +313,12 @@ class QueuedIngestController(IngestController):
     def __init__(
         self,
         plan: DistributedPlan,
-        backend: "EngineBackend",
         recorder: "MetricsRecorder",
         policy: Optional[QueuePolicy],
         faults: Optional[FaultPlan],
         host_of_partition: Optional[Callable[[int], int]] = None,
         value_model: Optional[ValueModel] = None,
     ):
-        self._backend = backend
         self._recorder = recorder
         self._policy = policy
         # Present exactly when the policy's mode is ``semantic``.
@@ -347,7 +345,7 @@ class QueuedIngestController(IngestController):
         }
         # (release step index, destination host, entry) for delay faults.
         self._deferred: List[Tuple[int, int, _Entry]] = []
-        self._delivered: Dict[SourceKey, List[object]] = {}
+        self._delivered: Dict[SourceKey, List[ColumnBatch]] = {}
         self._floors: Dict[SourceKey, float] = {}
 
     # -- the session-facing protocol ------------------------------------------
@@ -399,7 +397,7 @@ class QueuedIngestController(IngestController):
                     continue
                 if self._faults.active(DUPLICATE, host, index) is not None:
                     recorder.record_fault(host, DUPLICATE, count)
-                    batch = self._backend.concat([batch, batch])
+                    batch = ColumnBatch.concat([batch, batch])
                 delay_fault = self._faults.active(DELAY, host, index)
                 if delay_fault is not None:
                     recorder.record_fault(host, DELAY, len(batch))
@@ -432,13 +430,14 @@ class QueuedIngestController(IngestController):
                     self._value_model.observe_delivered(stream, piece)
         return accepted
 
-    def batch(self, stream: str, partition: int):
+    def batch(self, stream: str, partition: int) -> ColumnBatch:
+        # Reassembles, in order, deliveries flow control split or deferred.
         pieces = self._delivered.get((stream, partition))
         if not pieces:
-            return self._backend.empty_partitions(1)[0]
+            return ColumnBatch({}, 0)
         if len(pieces) == 1:
             return pieces[0]
-        return self._backend.concat(pieces)
+        return ColumnBatch.concat(pieces)
 
     def watermark_bound(self, stream, partition, next_bound):
         floor = self._floors.get((stream, partition))
@@ -541,7 +540,7 @@ class QueuedIngestController(IngestController):
             host, rows_in[host], delivered, dropped[host], backlog
         )
 
-    def _deliver(self, stream: str, partition: int, batch) -> None:
+    def _deliver(self, stream: str, partition: int, batch: ColumnBatch) -> None:
         self._delivered.setdefault((stream, partition), []).append(batch)
 
     def _refresh_floors(self) -> None:
@@ -562,7 +561,6 @@ class QueuedIngestController(IngestController):
 def create_ingest_controller(
     dag: "QueryDag",
     plan: DistributedPlan,
-    backend: "EngineBackend",
     recorder: "MetricsRecorder",
     policy: Optional[QueuePolicy],
     faults: Optional[FaultPlan],
@@ -589,6 +587,6 @@ def create_ingest_controller(
         return IngestController()
     semantic = policy is not None and policy.mode == SEMANTIC
     return QueuedIngestController(
-        plan, backend, recorder, policy, ingest_faults, host_of_partition,
+        plan, recorder, policy, ingest_faults, host_of_partition,
         value_model=ValueModel(dag, plan) if semantic else None,
     )

@@ -13,17 +13,17 @@ the :class:`~repro.runtime.session.StepExecutor` seam:
   and fault injection), watermark bounds for sources, and every cost
   charge — the session replays charges from worker-reported counters in
   plan order, so CPU/network accounting and flow stats are identical to
-  the in-process engines *by construction*, not by reconciliation.
+  the in-process run *by construction*, not by reconciliation.
 * Each **worker** owns the stateful streaming nodes of its assigned
   hosts (buffers live in the worker across epochs).  Workers receive
   their :class:`~repro.runtime.backend.CompiledOperator` cache at pool
   start through the pickle-by-recipe protocol (operators recompile on
   arrival — vectorized closures never cross the process boundary).
-* **Transport** is shared memory where it counts: columnar batches above
+* **Transport** is shared memory where it counts: batches above
   :data:`SHARED_MIN_BYTES` travel driver→worker as
   :class:`~repro.engine.columnar.SharedColumnBatch` descriptors (the hot
   numeric payload is never pickled), with a plain-pickle fallback for
-  small or row-engine batches.  The driver disposes every segment as
+  small ones.  The driver disposes every segment as
   soon as the receiving stage has replied (workers copy out), so no
   segment outlives its step.
 
@@ -35,7 +35,7 @@ typical plan (leaf sub-aggregates feeding one aggregator) runs in two
 stages — every leaf worker in parallel, then the aggregator's worker.
 
 Determinism contract: workers execute the same compiled operators on the
-same batches in the same per-node order as the in-process engines, and
+same batches in the same per-node order as the in-process executor, and
 the driver merges results in plan-topological order — outputs, CPU and
 network accounting, flow stats, peak-batch accounting, and the timeline
 are exactly equal to ``execution="inprocess"`` (the randomized parity
@@ -56,10 +56,10 @@ import numpy as np
 from ..distopt.plan_ir import DistKind, DistNode, DistributedPlan
 from ..engine.columnar import ColumnBatch
 from ..engine.streaming import StreamingNode, Watermark
-from .backend import EngineBackend, _operator_key, create_backend
+from .backend import EngineBackend, _operator_key
 from .session import SourceFeed, StepExecutor, StepOutcome
 
-#: Columnar batches whose numeric payload reaches this many bytes travel
+#: Batches whose numeric payload reaches this many bytes travel
 #: driver→worker via shared memory; smaller ones are cheaper to pickle.
 SHARED_MIN_BYTES = 1024
 
@@ -94,20 +94,20 @@ def _payload_bytes(batch: ColumnBatch) -> int:
     return total
 
 
-def _encode(batch, handles: List) -> tuple:
+def _encode(batch: ColumnBatch, handles: List) -> tuple:
     """Driver-side batch encoding for one pipe message.
 
     Shared-memory segments created here are appended to ``handles``; the
     caller disposes them once the receiving stage has replied.
     """
-    if isinstance(batch, ColumnBatch) and _payload_bytes(batch) >= SHARED_MIN_BYTES:
+    if _payload_bytes(batch) >= SHARED_MIN_BYTES:
         handle = batch.to_shared()
         handles.append(handle)
         return ("shm", handle)
     return ("raw", batch)
 
 
-def _decode(payload: tuple):
+def _decode(payload: tuple) -> ColumnBatch:
     kind, value = payload
     if kind == "shm":
         return ColumnBatch.from_shared(value)
@@ -120,11 +120,10 @@ def _decode(payload: tuple):
 def _worker_main(conn) -> None:  # pragma: no cover — runs in forked children
     """One worker's lifetime: init, then one message per (step, stage).
 
-    The init message carries the engine name, the (pickle-shared) query
-    dag, this worker's plan nodes with their stage numbers, the compiled
-    operators for those nodes (recompiled on unpickling via their
-    recipes), the node ids whose outputs must be returned to the driver,
-    and the epoch column.  Streaming-node buffers persist in this
+    The init message carries the (pickle-shared) query dag, this worker's
+    plan nodes with their stage numbers, the compiled operators for those
+    nodes (recompiled on unpickling via their recipes), the node ids whose
+    outputs must be returned to the driver, and the epoch column.  Streaming-node buffers persist in this
     process across steps; step-local outputs/watermarks reset whenever a
     new step index arrives.
 
@@ -137,11 +136,11 @@ def _worker_main(conn) -> None:  # pragma: no cover — runs in forked children
     """
     try:
         message = conn.recv()
-        (_, engine, dag, assigned, operators, export_ids, epoch_column,
+        (_, dag, assigned, operators, export_ids, epoch_column,
          hint_ids) = message
-        backend = create_backend(engine, dag)
+        backend = EngineBackend(dag)
         for compiled in operators:
-            backend.cached_operators[_operator_key(compiled.recipe[2])] = compiled
+            backend.cached_operators[_operator_key(compiled.recipe[1])] = compiled
         by_stage: Dict[int, List[DistNode]] = {}
         for node, stage in assigned:
             by_stage.setdefault(stage, []).append(node)
@@ -152,7 +151,7 @@ def _worker_main(conn) -> None:  # pragma: no cover — runs in forked children
         }
         pid = os.getpid()
         conn.send(("ready", pid))
-        outputs: Dict[str, object] = {}
+        outputs: Dict[str, ColumnBatch] = {}
         watermarks: Dict[str, Watermark] = {}
         current_step = -1
         while True:
@@ -195,7 +194,7 @@ def _worker_main(conn) -> None:  # pragma: no cover — runs in forked children
                 _, assigned, operators, new_exports, adopted = message
                 for compiled in operators:
                     backend.cached_operators[
-                        _operator_key(compiled.recipe[2])
+                        _operator_key(compiled.recipe[1])
                     ] = compiled
                 by_stage = {}
                 keep = set()
@@ -493,8 +492,8 @@ class ParallelExecutor(StepExecutor):
                 if node.node_id in self._export_ids
             }
             connection.send(
-                ("init", backend.name, dag, assigned, operators, exports,
-                 epoch_column, self._hint_ids)
+                ("init", dag, assigned, operators, exports, epoch_column,
+                 self._hint_ids)
             )
         for worker, connection in enumerate(self._connections):
             reply = self._receive(worker)
@@ -505,7 +504,7 @@ class ParallelExecutor(StepExecutor):
         out_lens: Dict[str, int] = {}
         walls: Dict[str, float] = {}
         pids: Dict[str, int] = {}
-        produced: Dict[str, object] = {}
+        produced: Dict[str, ColumnBatch] = {}
         watermarks: Dict[str, Watermark] = {}
         buffered_by_worker: Dict[int, int] = {}
         value_hints: Dict[str, object] = {}

@@ -14,9 +14,10 @@ splitter and the hosts.  The switches of a run are declared, documented
 and validated once, by :class:`RunOptions`.
 
 Operators come pre-compiled from the :class:`~repro.runtime.backend.EngineBackend`
-(row/columnar resolution happens at session construction, never per
-batch); all accounting flows through the
-:class:`~repro.runtime.metrics.MetricsRecorder`.
+(kernel or adapted row operator is decided at session construction,
+never per batch), and every batch between the source door and delivery
+is a :class:`~repro.engine.columnar.ColumnBatch`; all accounting flows
+through the :class:`~repro.runtime.metrics.MetricsRecorder`.
 
 *Where* operators run is a second seam: a :class:`StepExecutor` receives
 each step's source deliveries and steps every non-source node, while the
@@ -48,9 +49,9 @@ from typing import (
 
 from ..distopt.plan_ir import DistKind, DistNode, DistributedPlan, Variant
 from ..engine.aggregates import states_width
-from ..engine.columnar import ColumnBatch, ensure_rows
+from ..engine.columnar import ColumnBatch
 from ..engine.sketches import summary_wire_bytes
-from ..engine.operators import Batch
+from ..engine.operators import Row
 from ..engine.streaming import StreamingNode, Watermark
 from ..plan.dag import QueryDag
 from ..traces.generator import slice_by_epoch
@@ -72,7 +73,7 @@ EXECUTION_MODES = ("inprocess", "parallel")
 
 #: Per SOURCE node: the batch the ingest layer delivered this step and
 #: the watermark bound the controller derived for it.
-SourceFeed = Dict[str, Tuple[Batch, object]]
+SourceFeed = Dict[str, Tuple[ColumnBatch, object]]
 
 
 @dataclass(frozen=True)
@@ -174,7 +175,7 @@ class StepOutcome:
     pids: Dict[str, int]
     #: Output batches for the nodes the session asked to be returned
     #: (the plan's delivery nodes).
-    returns: Dict[str, Batch]
+    returns: Dict[str, ColumnBatch]
     #: Largest buffer resident inside any streaming node after the step.
     buffered_rows: int
     #: Post-step buffered-state summaries for the nodes the session
@@ -250,7 +251,7 @@ class InProcessExecutor(StepExecutor):
         }
 
     def run_step(self, flush: bool, sources: SourceFeed) -> StepOutcome:
-        outputs: Dict[str, Batch] = {}
+        outputs: Dict[str, ColumnBatch] = {}
         out_lens: Dict[str, int] = {}
         walls: Dict[str, float] = {}
         watermarks = self._watermarks
@@ -325,7 +326,7 @@ class SimulationResult:
 
     hosts: List["Host"]
     network: "NetworkMeter"
-    outputs: Dict[str, Batch]
+    outputs: Dict[str, List[Row]]
     duration_sec: float
     aggregator: int
     splitter_description: str = ""
@@ -338,7 +339,7 @@ class SimulationResult:
     node_stats: Dict[str, object] = field(default_factory=dict)
     # Plan nodes the backend resolved to a row fallback at compile time
     # (node id -> human-readable operator label).  Empty means every node
-    # ran on the engine's native representation.
+    # ran in its designed form (a kernel, or a row-native variant).
     fallback_nodes: Dict[str, str] = field(default_factory=dict)
     # The optimizer-chosen aggregation variant per OP plan node
     # (node id -> "full"/"sub"/"super"/"sketch_sub"/"sketch_super").
@@ -357,7 +358,7 @@ class SimulationResult:
     # What the adaptive rebalancer observed and did; None unless the run
     # passed ``rebalance=RebalancePolicy(...)``.
     rebalance: Optional[RebalanceLog] = None
-    # Lineage pruning per columnar source stream: (kept, dropped) column
+    # Lineage pruning per source stream: (kept, dropped) column
     # names.  Dropped columns are read by no plan node, the splitter or
     # the epoch slicer, and never entered the run.
     source_columns: Dict[str, Tuple[List[str], List[str]]] = field(
@@ -437,8 +438,8 @@ class ExecutionSession:
         self._backend = backend
         self._recorder = recorder
         self._width_cache: Dict[str, float] = {}
-        # Compile every live plan node up front: row-vs-columnar fallback
-        # is decided here, once, never in the execution loop.  The
+        # Compile every live plan node up front: kernel vs adapted row
+        # operator is decided here, once, never in the execution loop.  The
         # resolution of each node is remembered so every run can replay
         # it into the (reset) MetricsRecorder.
         self._compiled_info: List[tuple] = []
@@ -507,7 +508,7 @@ class ExecutionSession:
             for stream, rows in source_rows.items()
         }
         if streaming:
-            slices: Dict[str, Dict[object, Batch]] = {
+            slices: Dict[str, Dict[object, ColumnBatch]] = {
                 stream: dict(slice_by_epoch(batch, epoch_column))
                 for stream, batch in prepared.items()
             }
@@ -521,10 +522,11 @@ class ExecutionSession:
             }
             epochs = [_WHOLE_TRACE]
         order = self._plan.topological()
-        delivered: Dict[str, Batch] = {name: [] for name in self._plan.delivery}
+        delivered: Dict[str, List[Row]] = {name: [] for name in self._plan.delivery}
         counts: Dict[str, int] = {node.node_id: 0 for node in order}
         offsets: Dict[str, int] = {stream: 0 for stream in slices}
         num_partitions = self._plan.num_partitions
+        no_rows = [ColumnBatch({}, 0)] * num_partitions
         rebalancer: Optional[RebalanceController] = None
         host_of = None
         if options.rebalance is not None:
@@ -541,7 +543,7 @@ class ExecutionSession:
         # pass-through (historical behaviour) unless flow control or
         # fault injection was requested.
         controller = create_ingest_controller(
-            self._dag, self._plan, backend, recorder,
+            self._dag, self._plan, recorder,
             options.queue_policy, faults,
             host_of_partition=(
                 rebalancer.directory.host_of if rebalancer is not None else None
@@ -559,10 +561,7 @@ class ExecutionSession:
                     recorder.begin_flush()
                     epoch: object = None
                     next_bound: object = math.inf
-                    partitions = {
-                        stream: backend.empty_partitions(num_partitions)
-                        for stream in slices
-                    }
+                    partitions = {stream: no_rows for stream in slices}
                 else:
                     epoch = epochs[index]
                     next_bound = (
@@ -579,9 +578,7 @@ class ExecutionSession:
                     for stream, per_epoch in slices.items():
                         piece = per_epoch.get(epoch)
                         if piece is None or len(piece) == 0:
-                            partitions[stream] = backend.empty_partitions(
-                                num_partitions
-                            )
+                            partitions[stream] = no_rows
                             continue
                         peak = max(peak, len(piece))
                         partitions[stream] = backend.split(
@@ -616,8 +613,9 @@ class ExecutionSession:
                     outcome.buffered_rows,
                     controller.resident_rows(),
                 )
+                # Delivery: the one place the run loop leaves ColumnBatch.
                 for name, node_id in self._plan.delivery.items():
-                    delivered[name].extend(ensure_rows(outcome.returns[node_id]))
+                    delivered[name].extend(outcome.returns[node_id].to_rows())
                 if rebalancer is not None and not flush:
                     partition_rows = [0] * num_partitions
                     for node in order:
@@ -656,12 +654,14 @@ class ExecutionSession:
 
     # -- internals --------------------------------------------------------------
 
-    def _prune(self, stream: str, batch: Batch, routing: Set[str]) -> Batch:
+    def _prune(
+        self, stream: str, batch: ColumnBatch, routing: Set[str]
+    ) -> ColumnBatch:
         """Drop the source columns nothing downstream reads (lineage
         pruning), so slicing, splitting, ingest queues and the transport
-        to workers never carry them.  Row batches pass through whole."""
+        to workers never carry them."""
         reads = self._source_reads.get(stream)
-        if reads is None or not isinstance(batch, ColumnBatch):
+        if reads is None:
             return batch
         kept = [name for name in batch.columns if name in reads or name in routing]
         dropped = [name for name in batch.columns if name not in kept]

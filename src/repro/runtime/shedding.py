@@ -40,8 +40,8 @@ overflow rule of the queue's fourth mode, ``QueuePolicy(capacity,
 
 Everything the model consults lives driver-side (delivered rows, shed
 decisions) or arrives as canonical per-step hints, so the ranking — and
-therefore the output — is byte-identical across engines' execution modes
-by construction.
+therefore the output — is byte-identical across execution modes by
+construction.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..distopt.plan_ir import DistKind, DistributedPlan
-from ..engine.columnar import ColumnBatch, ensure_rows
 from ..engine.sketches import CountMinSketch
 from ..expr import expressions as xp
 from ..expr.evaluator import compile_expr, compile_key
@@ -486,14 +485,14 @@ class ValueModel:
         interests = [i for i in self._interests if i.stream == stream]
         if not any(isinstance(i, _AggInterest) and i.checker for i in interests):
             return
-        for row in ensure_rows(batch):
+        for row in batch.to_rows():
             for interest in interests:
                 interest.observe(row)
 
     def mark_lost(self, stream: str, batch) -> None:
         """Rows lost outside the shed path (``skip`` faults) corrupt
         their groups exactly like shed rows: doom them."""
-        for row in ensure_rows(batch):
+        for row in batch.to_rows():
             self.profile(stream, row).doom()
         self._version += 1
 
@@ -526,13 +525,6 @@ class ValueModel:
 # -- the shed selector -------------------------------------------------------------
 
 
-def _select_batch(batch, keep: List[int]):
-    """The order-preserving subset of ``batch`` at ``keep`` indices."""
-    if isinstance(batch, ColumnBatch):
-        return batch.select(np.asarray(keep, dtype=np.int64))
-    return [batch[index] for index in keep]
-
-
 def shed_lowest_value(
     queue, excess: int, model: ValueModel
 ) -> Tuple[int, Dict[str, int]]:
@@ -553,7 +545,7 @@ def shed_lowest_value(
     candidates: List[Tuple[object, int, _RowProfile]] = []
     rows_of = []
     for entry in queue:
-        rows = ensure_rows(entry.batch)
+        rows = entry.batch.to_rows()
         rows_of.append((entry, len(rows)))
         for index, row in enumerate(rows):
             candidates.append((entry, index, model.profile(entry.stream, row)))
@@ -595,6 +587,6 @@ def shed_lowest_value(
             if (position + index) not in shed_positions
         ]
         if len(keep) != count:
-            entry.batch = _select_batch(entry.batch, keep)
+            entry.batch = entry.batch.select(np.asarray(keep, dtype=np.int64))
         position += count
     return excess, charged

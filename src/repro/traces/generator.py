@@ -88,10 +88,10 @@ class Trace:
     """A generated trace plus the metadata experiments need.
 
     The trace is held natively as NumPy column arrays (``columns``) and/or
-    as the row engine's list of dicts (``packets``); whichever
-    representation is absent is derived lazily and cached, so the columnar
-    engine consumes the generator's arrays zero-copy while row-based code
-    keeps working unchanged.
+    as a list of dict rows (``packets``); whichever representation is
+    absent is derived lazily and cached, so the runtime consumes the
+    generator's arrays zero-copy while row-based code (the oracle, the
+    tests) keeps working unchanged.
     """
 
     def __init__(
@@ -202,7 +202,7 @@ def generate_trace(config: TraceConfig = TraceConfig()) -> Trace:
     )
 
     # Per-flow packet attributes, gathered as arrays and assembled into
-    # columns at the end — the columnar engine consumes them zero-copy.
+    # columns at the end — the runtime consumes them zero-copy.
     time_parts: List[np.ndarray] = []
     timestamp_parts: List[np.ndarray] = []
     length_parts: List[np.ndarray] = []
@@ -360,26 +360,13 @@ def _sorted_by_time(columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 
 
 def slice_by_epoch(batch, column: str = "time"):
-    """Split a batch into ``[(epoch value, sub-batch), ...]``, ascending.
+    """Split a :class:`~repro.engine.columnar.ColumnBatch` into
+    ``[(epoch value, sub-batch), ...]``, ascending.
 
-    ``batch`` is either a row list or a
-    :class:`~repro.engine.columnar.ColumnBatch`; the slices use the same
-    representation.  Generated traces arrive sorted by the epoch column,
-    in which case the columnar slices are zero-copy array views; unsorted
-    input is stably sorted by the epoch value first, so within-epoch
-    order is preserved either way.
+    Generated traces arrive sorted by the epoch column, in which case the
+    slices are zero-copy array views; unsorted input is stably sorted by
+    the epoch value first, so within-epoch order is preserved either way.
     """
-    from ..engine.columnar import ColumnBatch
-
-    if isinstance(batch, ColumnBatch):
-        return _slice_columns(batch, column)
-    groups: Dict[object, list] = {}
-    for row in batch:
-        groups.setdefault(row[column], []).append(row)
-    return sorted(groups.items())
-
-
-def _slice_columns(batch, column: str):
     if len(batch) == 0:
         return []
     values = np.asarray(batch.column(column))

@@ -201,14 +201,12 @@ def run_configuration(
     partitions_per_host: int = 2,
     costs: CostTable = DEFAULT_COSTS,
     host_capacity: Optional[float] = None,
-    engine: str = "row",
     record_events: bool = False,
     **options,
 ) -> RunOutcome:
     """Build the distributed plan for one configuration and simulate it.
 
-    ``engine`` selects the simulator backend; with ``"columnar"`` the
-    trace's column arrays are handed to the simulator zero-copy.
+    The trace's column arrays are handed to the simulator zero-copy.
     ``record_events`` keeps the
     :class:`~repro.runtime.metrics.MetricsRecorder` event trace for
     offline inspection (``outcome.simulator.metrics.dump_events``).
@@ -232,13 +230,9 @@ def run_configuration(
         stream_rate=trace.rate,
         costs=costs,
         host_capacity=host_capacity,
-        engine=engine,
         record_events=record_events,
     )
-    if engine == "columnar":
-        sources = {source.name: trace.column_batch() for source in dag.sources()}
-    else:
-        sources = {source.name: trace.packets for source in dag.sources()}
+    sources = {source.name: trace.column_batch() for source in dag.sources()}
     splitter = configuration.splitter(placement.num_partitions)
     result = simulator.run(sources, splitter, trace.duration_sec, **options)
     return RunOutcome(configuration, num_hosts, result, plan, simulator)
@@ -294,9 +288,9 @@ class OverloadPoint:
 
 
 def _canonical_rows(batch) -> Counter:
-    """A batch as a multiset of hashable rows, engine-agnostic: NumPy
-    scalars unwrap to Python values so row and columnar outputs compare
-    equal, and column order never matters."""
+    """A batch as a multiset of hashable rows: NumPy scalars unwrap to
+    Python values so delivered rows compare equal to hand-built ones,
+    and column order never matters."""
     return Counter(
         tuple(
             sorted(

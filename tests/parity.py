@@ -10,7 +10,8 @@ per-link network counters.  This module holds the reusable pieces:
   randomized sweep in ``test_parity_random.py``);
 * :func:`assert_identical_simulation` — the exact (``==``) form, for
   runs whose accounting is replayed rather than re-derived: forked vs
-  in-process execution, a pruned vs an unpruned source;
+  in-process execution, a pruned vs an unpruned source, a row-list vs a
+  ``ColumnBatch`` source;
 * :func:`random_packets` — a seeded adversarial trace generator that
   produces shapes the realistic generator never emits: empty epochs,
   bursts, tiny key domains, ports colliding across hosts;
@@ -20,7 +21,11 @@ per-link network counters.  This module holds the reusable pieces:
   may be layered on — backpressure must never change the answer.
 * :func:`assert_matches_centralized` — the paper's §3.4 oracle: every
   delivered query's distributed output equals ``run_centralized``'s.
-  Called by the streaming sweep and, for exact queries, the sliding one.
+  Called by the streaming sweep and, for exact queries, the sliding one;
+  approximate queries meet :func:`assert_within_sketch_bounds` instead.
+* :func:`tcp_source` — the one axis the trials still rotate that is not
+  derived from the seed: whether the trace enters the run as dict rows
+  (converted once, at the door) or as a ``ColumnBatch``.
 * :func:`skewed_packets` / :func:`assert_rebalanced_matches_oneshot` —
   the adaptive-rebalancing leg: a hot-key trace drives mid-stream
   migrations, and the streaming outputs must stay byte-identical to the
@@ -30,6 +35,7 @@ per-link network counters.  This module holds the reusable pieces:
   compared there.
 """
 
+import collections
 import math
 import random
 
@@ -44,8 +50,10 @@ from repro.cluster import (
     RoundRobinSplitter,
 )
 from repro.distopt import DistributedOptimizer, Placement
-from repro.engine import batches_equal, run_centralized
+from repro.distopt.plan_ir import DistributedPlan
+from repro.engine import ColumnBatch, batches_equal, run_centralized
 from repro.partitioning import PartitioningSet
+from repro.plan import QueryDag
 from repro.runtime.flowcontrol import Fault
 from repro.workloads import (
     approx_heavy_catalog,
@@ -65,12 +73,80 @@ WORKLOADS = {
 #: Pool cap for every forked-worker run in the sweeps.
 WORKERS = 2
 
+#: How a trace enters a run.  There is one runtime; the names are the
+#: test ids the two retired engines left behind.
+SOURCES = ("row", "columnar")
+
+
+def tcp_source(packets, form):
+    """``packets`` as the run's ``TCP`` stream, in one of :data:`SOURCES`."""
+    assert form in SOURCES, form
+    return {"TCP": packets if form == "row" else ColumnBatch.from_rows(packets)}
+
 PS_CHOICES = [
     None,
     PartitioningSet.of("srcIP"),
     PartitioningSet.of("srcIP & 0xFFF0", "destIP"),
     PartitioningSet.of("srcIP", "destIP", "srcPort", "destPort"),
 ]
+
+
+def splitter_for(num_partitions, ps):
+    """Hash on ``ps``, or round-robin when there is none."""
+    if ps is None:
+        return RoundRobinSplitter(num_partitions)
+    return HashSplitter(num_partitions, ps)
+
+
+def deploy(dag, hosts, ps, deliver=None, merge_local=True, **simulator):
+    """``(simulator, splitter)`` for ``dag`` optimized onto ``hosts`` x 2
+    partitions under ``ps``; ``simulator`` goes to ``ClusterSimulator``."""
+    placement = Placement(hosts, 2, merge_local_partitions=merge_local)
+    plan = DistributedOptimizer(dag, placement, ps, deliver=deliver).optimize()
+    sim = ClusterSimulator(dag, plan, stream_rate=1000, **simulator)
+    return sim, splitter_for(placement.num_partitions, ps)
+
+
+OUTER_JOIN = (
+    "SELECT S1.tb as tb, S1.srcIP as ip, S1.cnt + S2.cnt as total "
+    "FROM flows S1 FULL OUTER JOIN flows S2 "
+    "ON S1.srcIP = S2.srcIP and S2.tb = S1.tb + 1"
+)
+
+
+def outer_join_plan(catalog):
+    """A hand-built partitioned outer-join plan exercising NULLPAD, over
+    a fresh ``catalog`` holding only the TCP stream.
+
+    Three partitions on three hosts: partition 0 computes the pair-wise
+    join locally, partition 1 has only the left side (NULLPAD left) and
+    partition 2 only the right side (NULLPAD right); a merge at the
+    aggregator unions the three result streams.  The ``S1.cnt + S2.cnt``
+    output exercises NULL arithmetic on every padded row.
+    """
+    catalog.define_query(
+        "flows",
+        "SELECT tb, srcIP, COUNT(*) as cnt FROM TCP GROUP BY time as tb, srcIP",
+    )
+    catalog.define_query("pairs", OUTER_JOIN)
+    dag = QueryDag.from_catalog(catalog)
+    plan = DistributedPlan(num_hosts=3, partitions_per_host=1)
+    sources = [plan.add_source("TCP", p) for p in range(3)]
+    flows = [
+        plan.add_op("flows", [src.node_id], host=p)
+        for p, src in enumerate(sources)
+    ]
+    join = plan.add_op(
+        "pairs", [flows[0].node_id, flows[0].node_id], host=0
+    )
+    pad_left = plan.add_nullpad(flows[1].node_id, "left", host=1, query="pairs")
+    pad_right = plan.add_nullpad(flows[2].node_id, "right", host=2, query="pairs")
+    merge = plan.add_merge(
+        [join.node_id, pad_left.node_id, pad_right.node_id], host=0
+    )
+    plan.producers["pairs"] = [merge.node_id]
+    plan.delivery["pairs"] = merge.node_id
+    return dag, plan
 
 
 def random_packets(seed, max_epochs=7, max_burst=70):
@@ -148,12 +224,18 @@ def skewed_packets(seed, max_epochs=9, rate=60):
     return packets
 
 
+def assert_same_outputs(reference, got):
+    """The same delivered multisets, query by query, and the same
+    per-node tuple counts — what every lossless mechanism must keep."""
+    assert set(reference.outputs) == set(got.outputs)
+    for name in reference.outputs:
+        assert batches_equal(reference.outputs[name], got.outputs[name]), name
+    assert reference.node_output_counts == got.node_output_counts
+
+
 def assert_same_simulation(oneshot, stream):
     """Streaming must be observationally identical to the one-shot run."""
-    assert set(oneshot.outputs) == set(stream.outputs)
-    for name in oneshot.outputs:
-        assert batches_equal(oneshot.outputs[name], stream.outputs[name]), name
-    assert oneshot.node_output_counts == stream.node_output_counts
+    assert_same_outputs(oneshot, stream)
     for ref, got in zip(oneshot.hosts, stream.hosts):
         assert got.cpu_units == pytest.approx(ref.cpu_units, abs=1e-9)
         assert set(ref.by_category) == set(got.by_category)
@@ -178,12 +260,39 @@ def assert_matches_centralized(dag, packets, result):
         )
 
 
+def assert_within_sketch_bounds(dag, packets, answer, query="approx_heavy"):
+    """The §3.4 clause of an approximate query (Papapetrou et al.):
+    against the exact centralized answer an estimate never undercounts,
+    overshoots ε·‖window‖ on at most the δ budget of all estimates, and
+    every ε-heavy key of every window is reported."""
+    accuracy = dag.node(query).accuracy
+    truth, totals = {}, collections.Counter()
+    for row in run_centralized(dag, {"TCP": packets})[query]:
+        truth[row["tb"], row["srcIP"], row["destIP"]] = row["cnt"], row["bytes"]
+        totals[row["tb"], "cnt"] += row["cnt"]
+        totals[row["tb"], "bytes"] += row["bytes"]
+    reported = set()
+    violations = estimates = 0
+    for row in answer:
+        key = (row["tb"], row["srcIP"], row["destIP"])
+        reported.add(key)
+        for column, exact in zip(("cnt", "bytes"), truth.get(key, (0, 0))):
+            assert row[column] >= exact, f"{key} underestimates {column}"
+            estimates += 1
+            violations += (
+                row[column] - exact > accuracy.epsilon * totals[key[0], column]
+            )
+    assert violations <= max(1, accuracy.delta * estimates), (
+        f"{violations} of {estimates} estimates overshoot eps*|window|"
+    )
+    for key, (count, _) in truth.items():
+        if count >= accuracy.epsilon * totals[key[0], "cnt"]:
+            assert key in reported, f"missing heavy key {key}"
+
+
 def assert_identical_simulation(reference, parallel):
     """Exact equality — not approx: accounting is replayed, not re-derived."""
-    assert set(reference.outputs) == set(parallel.outputs)
-    for name in reference.outputs:
-        assert batches_equal(reference.outputs[name], parallel.outputs[name]), name
-    assert reference.node_output_counts == parallel.node_output_counts
+    assert_same_outputs(reference, parallel)
     for ref, got in zip(reference.hosts, parallel.hosts):
         assert ref.cpu_units == got.cpu_units
         assert ref.by_category == got.by_category
@@ -192,21 +301,22 @@ def assert_identical_simulation(reference, parallel):
     assert reference.network.bytes_received == parallel.network.bytes_received
     assert reference.peak_batch_rows == parallel.peak_batch_rows
     assert reference.fallback_nodes == parallel.fallback_nodes
-    assert reference.timeline.epochs == parallel.timeline.epochs
-    assert reference.timeline.host_cpu == parallel.timeline.host_cpu
-    assert reference.timeline.link_tuples == parallel.timeline.link_tuples
-    assert reference.timeline.link_bytes == parallel.timeline.link_bytes
-    assert set(reference.flow_stats) == set(parallel.flow_stats)
-    for host, ref_stats in reference.flow_stats.items():
-        got_stats = parallel.flow_stats[host]
-        assert ref_stats.rows_in == got_stats.rows_in
-        assert ref_stats.rows_delivered == got_stats.rows_delivered
-        assert ref_stats.rows_dropped == got_stats.rows_dropped
-        assert ref_stats.rows_queued == got_stats.rows_queued
+    assert reference.timeline == parallel.timeline  # None for one-shot runs
+    assert reference.flow_stats == parallel.flow_stats
+
+
+def random_case(workload, seed):
+    """What a seed stands for in the streaming sweep and the forked one:
+    ``(dag, deliver, packets, hosts, partitioning)``."""
+    catalog_fn, deliver = WORKLOADS[workload]
+    _, dag = catalog_fn()
+    rng = random.Random(seed ^ 0x5EED)
+    packets = random_packets(seed)
+    return dag, deliver, packets, rng.choice((1, 2, 3)), rng.choice(PS_CHOICES)
 
 
 def assert_streaming_matches_oneshot(
-    workload, seed, engine, queue_capacity=None, execution="inprocess"
+    workload, seed, source, queue_capacity=None, execution="inprocess"
 ):
     """One randomized parity trial.
 
@@ -217,37 +327,28 @@ def assert_streaming_matches_oneshot(
     epochs but loses nothing, so the equivalence must still be exact.
     With ``execution="parallel"`` the streaming run executes each host's
     pipeline in a forked worker process — outputs and accounting must
-    still match the (in-process) one-shot run exactly.  The one-shot run
-    in turn must match the centralized oracle.
+    still match the (in-process) one-shot run exactly.  No node may have
+    fallen back off its kernel, and the one-shot run in turn must match
+    the centralized oracle.
     """
-    catalog_fn, deliver = WORKLOADS[workload]
-    _, dag = catalog_fn()
-    rng = random.Random(seed ^ 0x5EED)
-    packets = random_packets(seed)
-    hosts = rng.choice((1, 2, 3))
-    ps = rng.choice(PS_CHOICES)
-    placement = Placement(hosts, 2)
-    plan = DistributedOptimizer(dag, placement, ps, deliver=deliver).optimize()
-    if ps is None:
-        splitter = RoundRobinSplitter(placement.num_partitions)
-    else:
-        splitter = HashSplitter(placement.num_partitions, ps)
+    dag, deliver, packets, hosts, ps = random_case(workload, seed)
+    sim, splitter = deploy(dag, hosts, ps, deliver)
     policy = None
     if queue_capacity is not None:
         policy = QueuePolicy(queue_capacity, "block")
-    sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-    oneshot = sim.run({"TCP": packets}, splitter, 10.0)
+    oneshot = sim.run(tcp_source(packets, source), splitter, 10.0)
     stream = sim.run_streaming(
-        {"TCP": packets}, splitter, 10.0, queue_policy=policy,
+        tcp_source(packets, source), splitter, 10.0, queue_policy=policy,
         execution=execution, workers=WORKERS,
     )
+    # Every node kind has a vectorized kernel: the backend must never
+    # silently downgrade a node to the adapted row operator.
+    for run in (oneshot, stream):
+        assert run.fallback_nodes == {}, (
+            f"nodes fell back to row operators: {run.fallback_nodes}"
+        )
     assert_same_simulation(oneshot, stream)
     assert_matches_centralized(dag, packets, oneshot)
-    if engine == "columnar":
-        # Every node kind has a vectorized kernel now: the columnar
-        # backend must never silently downgrade a node to the row path.
-        assert oneshot.fallback_nodes == {}
-        assert stream.fallback_nodes == {}
     if policy is not None:
         for stats in stream.flow_stats.values():
             assert stats.conserves()
@@ -262,30 +363,29 @@ SLIDING_SHAPES = [(2, 1), (3, 1), (4, 2), (3, 3), (6, 2)]
 
 
 def assert_sliding_matches_oneshot(
-    seed, engine, execution="inprocess", oracle=None
+    seed, source, execution="inprocess", oracle=None, answer=None
 ):
     """One randomized sliding/approximate parity trial.
 
     Rotates window shapes and partitionings with ``seed``; even seeds run
     the exact sliding workload, odd seeds the sketch-backed approximate
     one.  Asserts the full observational equivalence between streaming
-    and one-shot (outputs, CPU by category, network by link), that no
-    node fell back off the columnar engine, and — both paths being
-    deterministic by construction — that the run's outputs are
-    byte-identical to the row engine's one-shot run of the same plan.
-    Exact (even) seeds must also equal the centralized run of ``oracle``
-    — the trial's own DAG unless a test substitutes a wrong one to prove
-    the assertion bites; approximate seeds are bounded against the exact
-    oracle in ``test_sketch_accuracy_against_oracle`` instead.
+    and one-shot (outputs, CPU by category, network by link) and that no
+    node fell back to a row operator it was not designed as.  Exact
+    (even) seeds must also equal the centralized run of ``oracle`` — the
+    trial's own DAG unless a test substitutes a wrong one; approximate
+    (odd) seeds must stay within :func:`assert_within_sketch_bounds` of
+    it.  ``answer`` substitutes the checked output (rows in, rows out),
+    again so a test can prove the assertion bites.
     """
     rng = random.Random(seed ^ 0x511D)
     window, slide = SLIDING_SHAPES[seed % len(SLIDING_SHAPES)]
     if seed % 2 == 0:
-        catalog_fn = lambda: sliding_flows_catalog(window, slide)
+        _, dag = sliding_flows_catalog(window, slide)
         output, expected_variants = "sliding_flows", {"sub", "super"}
         ps_pool = PS_CHOICES
     else:
-        catalog_fn = lambda: approx_heavy_catalog(
+        _, dag = approx_heavy_catalog(
             epsilon=rng.choice((0.02, 0.05, 0.1)),
             confidence=0.95,
             window_panes=window,
@@ -298,20 +398,14 @@ def assert_sliding_matches_oneshot(
         # optimizer actually takes the sketch split (a compatible PS
         # correctly prefers the exact FULL push — tested elsewhere).
         ps_pool = [None, PartitioningSet.of("srcPort")]
-    _, dag = catalog_fn()
     packets = random_packets(seed)
     hosts = rng.choice((1, 2, 3))
     ps = rng.choice(ps_pool)
-    placement = Placement(hosts, 2)
-    plan = DistributedOptimizer(dag, placement, ps).optimize()
-    if ps is None:
-        splitter = RoundRobinSplitter(placement.num_partitions)
-    else:
-        splitter = HashSplitter(placement.num_partitions, ps)
-    sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-    oneshot = sim.run({"TCP": packets}, splitter, 10.0)
+    sim, splitter = deploy(dag, hosts, ps)
+    oneshot = sim.run(tcp_source(packets, source), splitter, 10.0)
     stream = sim.run_streaming(
-        {"TCP": packets}, splitter, 10.0, execution=execution, workers=WORKERS
+        tcp_source(packets, source), splitter, 10.0,
+        execution=execution, workers=WORKERS,
     )
     assert_same_simulation(oneshot, stream)
     assert oneshot.fallback_nodes == {}
@@ -323,19 +417,18 @@ def assert_sliding_matches_oneshot(
         assert chosen == expected_variants, chosen
     else:
         assert chosen <= expected_variants | {"full"}, chosen
-    # Cross-engine determinism: the same plan on the row engine must
-    # produce byte-identical outputs (sketches are deterministic too).
-    reference = ClusterSimulator(
-        dag, plan, stream_rate=1000, engine="row"
-    ).run({"TCP": packets}, splitter, 10.0)
-    assert batches_equal(reference.outputs[output], oneshot.outputs[output])
     if seed % 2 == 0:
         assert_matches_centralized(oracle or dag, packets, oneshot)
+    else:
+        rows = oneshot.outputs[output]
+        assert_within_sketch_bounds(
+            dag, packets, rows if answer is None else answer(rows)
+        )
     return oneshot, stream
 
 
 def assert_rebalanced_matches_oneshot(
-    workload, seed, engine, execution="inprocess"
+    workload, seed, source, execution="inprocess"
 ):
     """One randomized rebalancing parity trial.
 
@@ -356,31 +449,23 @@ def assert_rebalanced_matches_oneshot(
     rng = random.Random(seed ^ 0x2EBA)
     packets = skewed_packets(seed)
     hosts = rng.choice((2, 3))
-    ps = PartitioningSet.of("srcIP")
-    # merge_local_partitions=False keeps one subplan per partition, the
-    # granularity the directory migrates at.
-    placement = Placement(hosts, 2, merge_local_partitions=False)
-    plan = DistributedOptimizer(dag, placement, ps, deliver=deliver).optimize()
-    splitter = HashSplitter(placement.num_partitions, ps)
+    # merge_local=False keeps one subplan per partition, the granularity
+    # the directory migrates at.
+    sim, splitter = deploy(
+        dag, hosts, PartitioningSet.of("srcIP"), deliver, merge_local=False
+    )
     policy = RebalancePolicy(threshold=1.1, window=1, cooldown=1)
     faults = None
     if seed % 3 == 0:
         faults = FaultPlan.of(
             Fault("delay", rng.randrange(hosts), 1, 2, delay=2)
         )
-    oneshot = ClusterSimulator(
-        dag, plan, stream_rate=1000, engine=engine
-    ).run({"TCP": packets}, splitter, 10.0)
-    stream = ClusterSimulator(
-        dag, plan, stream_rate=1000, engine=engine
-    ).run_streaming(
-        {"TCP": packets}, splitter, 10.0, rebalance=policy, faults=faults,
-        execution=execution, workers=WORKERS,
+    oneshot = sim.run(tcp_source(packets, source), splitter, 10.0)
+    stream = sim.run_streaming(
+        tcp_source(packets, source), splitter, 10.0, rebalance=policy,
+        faults=faults, execution=execution, workers=WORKERS,
     )
-    assert set(oneshot.outputs) == set(stream.outputs)
-    for name in oneshot.outputs:
-        assert batches_equal(oneshot.outputs[name], stream.outputs[name]), name
-    assert oneshot.node_output_counts == stream.node_output_counts
+    assert_same_outputs(oneshot, stream)
     assert stream.rebalance is not None
     if faults is not None:
         for stats in stream.flow_stats.values():
@@ -413,7 +498,7 @@ def forked_semantic_shedding(capacity):
     }
 
 
-def shed_trial(workload, seed, engine, hosts, fraction, modes):
+def shed_trial(workload, seed, source, hosts, fraction, modes):
     """One hot-key trace, unbounded and then once per entry of ``modes``.
 
     Each mode maps the per-host capacity (``fraction`` of the offered
@@ -427,20 +512,16 @@ def shed_trial(workload, seed, engine, hosts, fraction, modes):
     catalog_fn, deliver = WORKLOADS[workload]
     _, dag = catalog_fn()
     packets = skewed_packets(seed)
-    ps = PartitioningSet.of("srcIP")
-    placement = Placement(hosts, 2)
-    plan = DistributedOptimizer(dag, placement, ps, deliver=deliver).optimize()
-    splitter = HashSplitter(placement.num_partitions, ps)
+    sim, splitter = deploy(dag, hosts, PartitioningSet.of("srcIP"), deliver)
     epochs = len({p["time"] for p in packets})
     # Floor of 4: at 1-2 rows/epoch there is nothing left to *rank* and
     # which row survives is pure tie-breaking luck for either policy.
     capacity = max(4, int(len(packets) / epochs / hosts * fraction))
-    sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-    reference = sim.run_streaming({"TCP": packets}, splitter, 10.0)
+    reference = sim.run_streaming(tcp_source(packets, source), splitter, 10.0)
     trials = []
     for mode in modes:
         bounded = sim.run_streaming(
-            {"TCP": packets}, splitter, 10.0, **mode(capacity)
+            tcp_source(packets, source), splitter, 10.0, **mode(capacity)
         )
         for stats in bounded.flow_stats.values():
             assert stats.conserves()
@@ -452,7 +533,7 @@ def shed_trial(workload, seed, engine, hosts, fraction, modes):
     return trials
 
 
-def assert_shedding_dominates(workload, seed, engine, execution="inprocess"):
+def assert_shedding_dominates(workload, seed, source, execution="inprocess"):
     """One randomized shedding-quality trial.
 
     A hot-key trace (the same shape the rebalance sweep uses — skew is
@@ -478,7 +559,7 @@ def assert_shedding_dominates(workload, seed, engine, execution="inprocess"):
     if execution == "parallel":
         modes.append(forked_semantic_shedding)
     (semantic, semantic_mean), (_, blind_mean), *forked = shed_trial(
-        workload, seed, engine, hosts, fraction, modes
+        workload, seed, source, hosts, fraction, modes
     )
     assert sum(semantic.shed_counts.values()) > 0
     assert semantic_mean >= blind_mean - 1e-9, (
@@ -487,10 +568,7 @@ def assert_shedding_dominates(workload, seed, engine, execution="inprocess"):
     )
     for run, _ in forked:
         assert run.execution == "parallel"
-        assert set(run.outputs) == set(semantic.outputs)
-        for name in semantic.outputs:
-            assert batches_equal(semantic.outputs[name], run.outputs[name]), name
-        assert run.node_output_counts == semantic.node_output_counts
+        assert_same_outputs(semantic, run)
         assert run.shed_counts == semantic.shed_counts
         assert run.flow_stats == semantic.flow_stats
     return semantic_mean, blind_mean

@@ -332,16 +332,15 @@ class TestOperatorCaching:
         placement = Placement(3, 2)
         plan = DistributedOptimizer(dag, placement, ps).optimize()
         splitter = HashSplitter(placement.num_partitions, ps)
-        for engine in ("row", "columnar"):
-            sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-            # Compilation is eager: the session resolves every plan node
-            # to a CompiledOperator at construction time.
-            cache = dict(sim.session.backend.cached_operators)
-            assert cache, engine
-            # distinct (kind, query, variant) keys, far fewer than plan nodes
-            assert len(cache) < len(list(plan.topological()))
-            sim.run({"TCP": tiny_trace.packets}, splitter, duration_sec=10.0)
-            sim.run({"TCP": tiny_trace.packets}, splitter, duration_sec=10.0)
-            after = sim.session.backend.cached_operators
-            for key, compiled in cache.items():
-                assert after[key] is compiled, key
+        sim = ClusterSimulator(dag, plan, stream_rate=1000)
+        # Compilation is eager: the session resolves every plan node
+        # to a CompiledOperator at construction time.
+        cache = dict(sim.session.backend.cached_operators)
+        assert cache
+        # distinct (kind, query, variant) keys, far fewer than plan nodes
+        assert len(cache) < len(list(plan.topological()))
+        sim.run({"TCP": tiny_trace.packets}, splitter, duration_sec=10.0)
+        sim.run({"TCP": tiny_trace.packets}, splitter, duration_sec=10.0)
+        after = sim.session.backend.cached_operators
+        for key, compiled in cache.items():
+            assert after[key] is compiled, key

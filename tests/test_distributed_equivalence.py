@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterSimulator, HashSplitter, RoundRobinSplitter
 from repro.distopt import DistributedOptimizer, Placement
 from repro.engine import batches_equal, run_centralized
 from repro.engine.operators import build_operator
@@ -22,15 +21,11 @@ from repro.plan import QueryDag
 from repro.traces import TraceConfig, generate_trace
 from repro.workloads import complex_catalog, sliding_flows_catalog
 
+from tests.parity import deploy
+
 
 def run_distributed(dag, trace_packets, hosts, ps, merge_local=True, deliver=None):
-    placement = Placement(hosts, 2, merge_local_partitions=merge_local)
-    plan = DistributedOptimizer(dag, placement, ps, deliver=deliver).optimize()
-    sim = ClusterSimulator(dag, plan, stream_rate=1000)
-    if ps is None:
-        splitter = RoundRobinSplitter(placement.num_partitions)
-    else:
-        splitter = HashSplitter(placement.num_partitions, ps)
+    sim, splitter = deploy(dag, hosts, ps, deliver, merge_local)
     return sim.run({"TCP": trace_packets}, splitter, duration_sec=10.0)
 
 
@@ -119,26 +114,19 @@ class TestSlidingWindowOracle:
     only ever compared with itself."""
 
     @pytest.mark.parametrize("streaming", (False, True), ids=("oneshot", "streaming"))
-    @pytest.mark.parametrize("engine", ("row", "columnar"))
     @pytest.mark.parametrize(
         "ps", [None, PartitioningSet.of("srcIP")], ids=["round-robin", "srcIP"]
     )
-    def test_runtime_equals_centralized_and_not_tumbling(self, ps, engine, streaming):
+    def test_runtime_equals_centralized_and_not_tumbling(self, ps, streaming):
         _, dag = sliding_flows_catalog()
         packets = generate_trace(TraceConfig(duration=8, rate=300)).packets
         reference = run_centralized(dag, {"TCP": packets})["sliding_flows"]
         tumbling = build_operator(dag.node("sliding_flows")).process(packets)
         assert len(reference) > len(tumbling) > 0
-        placement = Placement(2, 2)
-        plan = DistributedOptimizer(dag, placement, ps).optimize()
-        sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-        splitter = (
-            RoundRobinSplitter(placement.num_partitions)
-            if ps is None
-            else HashSplitter(placement.num_partitions, ps)
-        )
-        run = sim.run_streaming if streaming else sim.run
-        delivered = run({"TCP": packets}, splitter, 8.0).outputs["sliding_flows"]
+        sim, splitter = deploy(dag, 2, ps)
+        delivered = sim.run(
+            {"TCP": packets}, splitter, 8.0, streaming=streaming
+        ).outputs["sliding_flows"]
         assert batches_equal(delivered, reference)
         assert not batches_equal(delivered, tumbling)
 

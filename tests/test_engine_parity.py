@@ -1,76 +1,40 @@
-"""Engine parity: the columnar backend is observationally identical to row.
+"""Runtime vs oracle: the one runtime is observationally the reference.
 
-For every workload catalog, partitioning set, and cluster size, the two
-backends must agree on *everything the simulator reports*:
+For every workload catalog, partitioning set, and cluster size the run
+must deliver what the centralized row operators deliver (§3.4), and
+everything the simulator reports — outputs, per-node tuple counts,
+per-host per-category CPU charges, every NetworkMeter counter — must be
+the same whether the trace entered as dict rows or as a ``ColumnBatch``.
 
-- delivered query outputs (up to row order),
-- per-node output tuple counts,
-- per-host CPU charge totals and their per-category breakdown,
-- every NetworkMeter counter (per-host received, per-link tuples).
-
-The accounting equality is parity-by-construction — both engines execute
-the same plan topology with the same per-node tuple counts — and this test
-pins that construction down.
+The accounting itself is pinned against committed numbers: the figure
+tables under ``benchmarks/results/`` were produced by the retired row
+runtime and must regenerate byte-identically.
 """
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSimulator, HashSplitter, RoundRobinSplitter
-from repro.cluster.simulator import ENGINES
+from repro.cli import build_parser
+from repro.cluster import ClusterSimulator, HashSplitter
 from repro.distopt import DistributedOptimizer, Placement
-from repro.engine import batches_equal
 from repro.engine.columnar import ColumnBatch
 from repro.partitioning import PartitioningSet
-from repro.workloads import (
-    complex_catalog,
-    subnet_jitter_catalog,
-    suspicious_flows_catalog,
+from repro.runtime import create_backend
+from repro.workloads import suspicious_flows_catalog
+
+from tests.parity import (
+    PS_CHOICES,
+    WORKLOADS,
+    assert_identical_simulation,
+    assert_matches_centralized,
+    deploy,
+    splitter_for,
 )
 
-WORKLOADS = {
-    "suspicious": (suspicious_flows_catalog, None),
-    "jitter": (subnet_jitter_catalog, ("subnet_stats", "tcp_flows", "jitter")),
-    "complex": (complex_catalog, ("flows", "heavy_flows", "flow_pairs")),
-}
 
-PS_CHOICES = [
-    None,
-    PartitioningSet.of("srcIP"),
-    PartitioningSet.of("srcIP & 0xFFF0", "destIP"),
-    PartitioningSet.of("srcIP", "destIP", "srcPort", "destPort"),
-]
-
-
-def run_engine(engine, dag, packets, hosts, ps, deliver):
-    placement = Placement(hosts, 2)
-    plan = DistributedOptimizer(dag, placement, ps, deliver=deliver).optimize()
-    sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-    if ps is None:
-        splitter = RoundRobinSplitter(placement.num_partitions)
-    else:
-        splitter = HashSplitter(placement.num_partitions, ps)
-    return sim.run({"TCP": packets}, splitter, duration_sec=10.0)
-
-
-def assert_results_match(row, col):
-    # Delivered outputs: identical multisets of rows per query.
-    assert set(row.outputs) == set(col.outputs)
-    for name in row.outputs:
-        assert batches_equal(row.outputs[name], col.outputs[name]), name
-    # Same plan, same per-node tuple counts.
-    assert row.node_output_counts == col.node_output_counts
-    # Identical CPU accounting, host by host and category by category.
-    for row_host, col_host in zip(row.hosts, col.hosts):
-        assert col_host.cpu_units == pytest.approx(row_host.cpu_units, abs=1e-9)
-        assert set(row_host.by_category) == set(col_host.by_category)
-        for category, units in row_host.by_category.items():
-            assert col_host.by_category[category] == pytest.approx(
-                units, abs=1e-9
-            ), category
-    # Identical network accounting, down to each link.
-    assert row.network.tuples_received == col.network.tuples_received
-    assert row.network.link_tuples == col.network.link_tuples
+def run_plan(dag, source, hosts, ps, deliver, streaming=False):
+    sim, splitter = deploy(dag, hosts, ps, deliver)
+    return sim.run({"TCP": source}, splitter, 10.0, streaming=streaming)
 
 
 @pytest.mark.parametrize("hosts", [1, 3])
@@ -79,9 +43,11 @@ def assert_results_match(row, col):
 def test_engine_parity(workload, ps, hosts, tiny_trace):
     catalog_fn, deliver = WORKLOADS[workload]
     _, dag = catalog_fn()
-    row = run_engine("row", dag, tiny_trace.packets, hosts, ps, deliver)
-    col = run_engine("columnar", dag, tiny_trace.packets, hosts, ps, deliver)
-    assert_results_match(row, col)
+    from_rows = run_plan(dag, tiny_trace.packets, hosts, ps, deliver)
+    from_columns = run_plan(dag, tiny_trace.column_batch(), hosts, ps, deliver)
+    assert_matches_centralized(dag, tiny_trace.packets, from_columns)
+    assert_identical_simulation(from_rows, from_columns)
+    assert from_rows.source_columns == from_columns.source_columns
 
 
 @pytest.mark.parametrize("partitions", [2, 6])
@@ -89,10 +55,7 @@ def test_engine_parity(workload, ps, hosts, tiny_trace):
 def test_columnar_split_is_the_row_split(ps, partitions, tiny_trace):
     """Every splitter the parity matrix uses sends each row to the same
     partition, in the same within-partition order, on both paths."""
-    if ps is None:
-        splitter = RoundRobinSplitter(partitions)
-    else:
-        splitter = HashSplitter(partitions, ps)
+    splitter = splitter_for(partitions, ps)
     by_rows = splitter.split(tiny_trace.packets, offset=5)
     by_columns = splitter.split_columns(tiny_trace.column_batch(), offset=5)
     assert [part.to_rows() for part in by_columns] == by_rows
@@ -114,42 +77,39 @@ def test_columnar_split_is_the_row_split_on_unsigned_keys():
 def test_join_workloads_compile_fully_columnar(workload, streaming, tiny_trace):
     """The complex-query catalogs behind figures 13/14 (§6.3 flows ->
     heavy_flows -> flow_pairs, §6.2 jitter self-join) run end-to-end
-    vectorized: zero row-fallback nodes under the columnar engine, with
-    outputs and CPU/network accounting identical to the row engine —
+    vectorized: zero row-fallback nodes, with the oracle's outputs —
     one-shot and streaming."""
     catalog_fn, deliver = WORKLOADS[workload]
     _, dag = catalog_fn()
-    placement = Placement(3, 2)
-    ps = PS_CHOICES[1]
-    plan = DistributedOptimizer(dag, placement, ps, deliver=deliver).optimize()
-    splitter = HashSplitter(placement.num_partitions, ps)
-    results = {}
-    for engine in ENGINES:
-        sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-        run = sim.run_streaming if streaming else sim.run
-        results[engine] = run({"TCP": tiny_trace.packets}, splitter, 10.0)
-        assert results[engine].fallback_nodes == {}, engine
-    assert_results_match(results["row"], results["columnar"])
+    result = run_plan(
+        dag, tiny_trace.packets, 3, PS_CHOICES[1], deliver, streaming
+    )
+    assert result.fallback_nodes == {}
+    assert_matches_centralized(dag, tiny_trace.packets, result)
 
 
 def test_engine_names_are_closed():
-    assert ENGINES == ("row", "columnar")
+    """There is one runtime and no way left to ask for another."""
     _, dag = suspicious_flows_catalog()
     plan = DistributedOptimizer(dag, Placement(1, 2), None).optimize()
-    with pytest.raises(ValueError):
-        ClusterSimulator(dag, plan, stream_rate=1000, engine="simd")
+    with pytest.raises(TypeError, match="engine"):
+        ClusterSimulator(dag, plan, stream_rate=1000, engine="row")
+    with pytest.raises(ValueError, match="row engine is now the §3.4 oracle"):
+        create_backend("row", dag)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(
+            ["figures", "--experiment", "1", "--engine", "columnar"]
+        )
 
 
 def test_columnar_sources_accept_column_batches(tiny_trace):
-    """Feeding the zero-copy trace columns gives the same answer as rows."""
+    """A run that reads one column more than it needs to (the raw stream
+    is itself delivered) still answers the same from either form."""
     _, dag = suspicious_flows_catalog()
-    placement = Placement(2, 2)
-    ps = PartitioningSet.of("srcIP")
-    plan = DistributedOptimizer(dag, placement, ps).optimize()
-    splitter = HashSplitter(placement.num_partitions, ps)
-    sim = ClusterSimulator(dag, plan, stream_rate=1000, engine="columnar")
-    from_columns = sim.run(
-        {"TCP": tiny_trace.column_batch()}, splitter, duration_sec=10.0
+    deliver = ("TCP", "suspicious_flows")
+    from_rows = run_plan(dag, tiny_trace.packets, 2, PS_CHOICES[1], deliver)
+    from_columns = run_plan(
+        dag, tiny_trace.column_batch(), 2, PS_CHOICES[1], deliver
     )
-    from_rows = sim.run({"TCP": tiny_trace.packets}, splitter, duration_sec=10.0)
-    assert_results_match(from_rows, from_columns)
+    assert_identical_simulation(from_rows, from_columns)
+    assert len(from_columns.outputs["TCP"]) == len(tiny_trace.packets)

@@ -17,14 +17,8 @@ import json
 
 import pytest
 
-from repro.cluster import (
-    ClusterSimulator,
-    HashSplitter,
-    QueuePolicy,
-    RoundRobinSplitter,
-)
+from repro.cluster import ClusterSimulator, QueuePolicy, RoundRobinSplitter
 from repro.distopt import DistributedOptimizer, Placement
-from repro.engine import batches_equal
 from repro.partitioning import PartitioningSet
 from repro.plan import QueryDag
 from repro.runtime import BLOCK, DROP_NEWEST, DROP_OLDEST, Fault, FaultPlan
@@ -35,26 +29,19 @@ from repro.workloads import (
     suspicious_flows_catalog,
 )
 
-from tests.parity import assert_same_simulation
+from tests.parity import (
+    SOURCES,
+    assert_same_outputs,
+    assert_same_simulation,
+    deploy,
+    tcp_source,
+)
 
 
 @pytest.fixture(scope="module")
 def suspicious():
     _, dag = suspicious_flows_catalog()
     return dag
-
-
-def _simulator(dag, hosts=2, engine="row", ps=None, record_events=False):
-    placement = Placement(hosts, 2)
-    plan = DistributedOptimizer(dag, placement, ps).optimize()
-    sim = ClusterSimulator(
-        dag, plan, stream_rate=1000, engine=engine, record_events=record_events
-    )
-    if ps is None:
-        splitter = RoundRobinSplitter(placement.num_partitions)
-    else:
-        splitter = HashSplitter(placement.num_partitions, ps)
-    return sim, splitter
 
 
 PS = PartitioningSet.of("srcIP")
@@ -132,7 +119,7 @@ class TestFault:
         assert "valid indices 0..1" in message
 
     def test_simulator_validates_fault_plan(self, tiny_trace, suspicious):
-        sim, splitter = _simulator(suspicious, hosts=2, ps=PS)
+        sim, splitter = deploy(suspicious, 2, PS)
         with pytest.raises(ValueError, match=r"valid indices 0\.\.1"):
             sim.run_streaming(
                 {"TCP": tiny_trace.packets},
@@ -145,11 +132,11 @@ class TestFault:
 # -- flow-control semantics -----------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ("row", "columnar"))
-def test_block_policy_is_lossless_and_exact(engine, tiny_trace, suspicious):
+@pytest.mark.parametrize("source", SOURCES)
+def test_block_policy_is_lossless_and_exact(source, tiny_trace, suspicious):
     """A tight block queue defers rows across epochs yet changes nothing."""
-    sim, splitter = _simulator(suspicious, hosts=3, engine=engine, ps=PS)
-    sources = {"TCP": tiny_trace.packets}
+    sim, splitter = deploy(suspicious, 3, PS)
+    sources = tcp_source(tiny_trace.packets, source)
     oneshot = sim.run(sources, splitter, 10.0)
     stream = sim.run_streaming(
         sources, splitter, 10.0, queue_policy=QueuePolicy(40, BLOCK)
@@ -164,11 +151,11 @@ def test_block_policy_is_lossless_and_exact(engine, tiny_trace, suspicious):
 
 
 @pytest.mark.parametrize("mode", (DROP_NEWEST, DROP_OLDEST))
-@pytest.mark.parametrize("engine", ("row", "columnar"))
-def test_drop_modes_shed_load_and_conserve(engine, mode, tiny_trace, suspicious):
-    sim, splitter = _simulator(suspicious, hosts=2, engine=engine, ps=PS)
+@pytest.mark.parametrize("source", SOURCES)
+def test_drop_modes_shed_load_and_conserve(source, mode, tiny_trace, suspicious):
+    sim, splitter = deploy(suspicious, 2, PS)
     stream = sim.run_streaming(
-        {"TCP": tiny_trace.packets},
+        tcp_source(tiny_trace.packets, source),
         splitter,
         10.0,
         queue_policy=QueuePolicy(40, mode),
@@ -182,14 +169,14 @@ def test_drop_modes_shed_load_and_conserve(engine, mode, tiny_trace, suspicious)
 
 
 def test_default_streaming_has_no_flow_stats(tiny_trace, suspicious):
-    sim, splitter = _simulator(suspicious)
+    sim, splitter = deploy(suspicious, 2, None)
     stream = sim.run_streaming({"TCP": tiny_trace.packets}, splitter, 10.0)
     assert stream.flow_stats == {}
     assert stream.rows_dropped(0) == 0
 
 
 def test_flow_control_requires_streaming(tiny_trace, suspicious):
-    sim, splitter = _simulator(suspicious)
+    sim, splitter = deploy(suspicious, 2, None)
     with pytest.raises(ValueError, match="streaming"):
         sim.session.execute(
             {"TCP": tiny_trace.packets},
@@ -202,13 +189,13 @@ def test_flow_control_requires_streaming(tiny_trace, suspicious):
 # -- fault regressions ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ("row", "columnar"))
-def test_skip_fault_never_stalls_watermarks(engine, tiny_trace, suspicious):
+@pytest.mark.parametrize("source", SOURCES)
+def test_skip_fault_never_stalls_watermarks(source, tiny_trace, suspicious):
     """A host that misses epochs loses rows but must not wedge the run."""
     epochs = sorted({p["time"] for p in tiny_trace.packets})
-    sim, splitter = _simulator(suspicious, hosts=2, engine=engine, ps=PS)
+    sim, splitter = deploy(suspicious, 2, PS)
     stream = sim.run_streaming(
-        {"TCP": tiny_trace.packets},
+        tcp_source(tiny_trace.packets, source),
         splitter,
         10.0,
         faults=FaultPlan.of(Fault("skip", 1, 1, 2)),
@@ -222,11 +209,11 @@ def test_skip_fault_never_stalls_watermarks(engine, tiny_trace, suspicious):
     assert sum(len(batch) for batch in stream.outputs.values()) > 0
 
 
-@pytest.mark.parametrize("engine", ("row", "columnar"))
-def test_duplicate_fault_reconciles(engine, tiny_trace, suspicious):
+@pytest.mark.parametrize("source", SOURCES)
+def test_duplicate_fault_reconciles(source, tiny_trace, suspicious):
     """Doubled deliveries inflate rows_in and still reconcile exactly."""
-    sim, splitter = _simulator(suspicious, hosts=2, engine=engine, ps=PS)
-    sources = {"TCP": tiny_trace.packets}
+    sim, splitter = deploy(suspicious, 2, PS)
+    sources = tcp_source(tiny_trace.packets, source)
     clean = sim.run_streaming(sources, splitter, 10.0)
     dup = sim.run_streaming(
         sources, splitter, 10.0, faults=FaultPlan.of(Fault("duplicate", 0, 0, 99))
@@ -243,26 +230,23 @@ def test_duplicate_fault_reconciles(engine, tiny_trace, suspicious):
     ) >= sum(len(batch) for batch in clean.outputs.values())
 
 
-@pytest.mark.parametrize("engine", ("row", "columnar"))
-def test_delay_fault_is_lossless(engine, tiny_trace, suspicious):
+@pytest.mark.parametrize("source", SOURCES)
+def test_delay_fault_is_lossless(source, tiny_trace, suspicious):
     """Late delivery reorders rows; output multisets must not change."""
-    sim, splitter = _simulator(suspicious, hosts=2, engine=engine, ps=PS)
-    sources = {"TCP": tiny_trace.packets}
+    sim, splitter = deploy(suspicious, 2, PS)
+    sources = tcp_source(tiny_trace.packets, source)
     oneshot = sim.run(sources, splitter, 10.0)
     late = sim.run_streaming(
         sources, splitter, 10.0, faults=FaultPlan.of(Fault("delay", 0, 1, 2, delay=2))
     )
-    assert set(oneshot.outputs) == set(late.outputs)
-    for name in oneshot.outputs:
-        assert batches_equal(oneshot.outputs[name], late.outputs[name]), name
-    assert oneshot.node_output_counts == late.node_output_counts
+    assert_same_outputs(oneshot, late)
     for stats in late.flow_stats.values():
         assert stats.conserves()
         assert stats.total_dropped == 0
 
 
 def test_drop_and_fault_events_in_trace(tiny_trace, suspicious):
-    sim, splitter = _simulator(suspicious, hosts=2, record_events=True, ps=PS)
+    sim, splitter = deploy(suspicious, 2, PS, record_events=True)
     sim.run_streaming(
         {"TCP": tiny_trace.packets},
         splitter,
@@ -308,22 +292,22 @@ def _cursor_packet(time, port):
     }
 
 
-@pytest.mark.parametrize("engine", ("row", "columnar"))
-def test_round_robin_cursor_advances_on_accept(engine, catalog_factory):
+@pytest.mark.parametrize("source", SOURCES)
+def test_round_robin_cursor_advances_on_accept(source, catalog_factory):
     """A partially refused epoch must roll the cursor back to the accept
     point: the next epoch's round-robin assignment continues from the
     rows that actually entered the system, not from the rows sent."""
     dag = _cursor_dag(catalog_factory)
     placement = Placement(2, 1)
     plan = DistributedOptimizer(dag, placement, None).optimize()
-    sim = ClusterSimulator(dag, plan, stream_rate=100, engine=engine)
+    sim = ClusterSimulator(dag, plan, stream_rate=100)
     splitter = RoundRobinSplitter(placement.num_partitions)
     # epoch 0: 5 rows -> round robin gives host0 3, host1 2; capacity 2
     # refuses host0's third row, so only 4 rows were accepted.
     packets = [_cursor_packet(0, p) for p in range(5)]
     packets += [_cursor_packet(1, p) for p in range(3)]
     stream = sim.run_streaming(
-        {"TCP": packets},
+        tcp_source(packets, source),
         splitter,
         2.0,
         queue_policy=QueuePolicy(2, DROP_NEWEST),

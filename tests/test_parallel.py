@@ -1,7 +1,7 @@
 """Multiprocess execution: parity, shared-memory transport, fallback.
 
 The contract under test: ``execution="parallel"`` is *observationally
-identical* to the in-process engines — outputs, CPU and network
+identical* to in-process execution — outputs, CPU and network
 accounting, flow stats, peak-batch accounting, and the timeline are
 exactly equal (``==``, not approximately), because the driver replays
 every charge from worker-reported counters in plan order.  Only pids in
@@ -16,25 +16,24 @@ import warnings
 import pytest
 
 from tests.parity import (
-    PS_CHOICES,
-    WORKLOADS,
+    SOURCES,
     assert_identical_simulation,
+    assert_same_outputs,
+    random_case,
     random_packets,
+    splitter_for,
+    tcp_source,
 )
 
-from repro.cluster import (
-    ClusterSimulator,
-    HashSplitter,
-    QueuePolicy,
-    RoundRobinSplitter,
-)
+from repro.cluster import ClusterSimulator, QueuePolicy
 from repro.distopt import DistributedOptimizer, Placement
-from repro.engine import batches_equal, ensure_rows
+from repro.engine import batches_equal
 from repro.engine.columnar import ColumnBatch
 from repro.runtime import parallel as parallel_mod
-from repro.runtime.backend import CompiledOperator, create_backend
+from repro.runtime.backend import CompiledOperator, EngineBackend
 from repro.runtime.flowcontrol import Fault, FaultPlan
 from repro.runtime.parallel import ParallelExecutor, ParallelUnavailable
+from repro.workloads import approx_heavy_catalog
 
 import numpy as np
 
@@ -49,31 +48,20 @@ def _shm_entries():
 
 def _case(seed, workload):
     """Derive one randomized case: trace, plan, splitter, cluster size."""
-    catalog_fn, deliver = WORKLOADS[workload]
-    _, dag = catalog_fn()
-    rng = random.Random(seed ^ 0x5EED)
-    packets = random_packets(seed)
-    hosts = rng.choice((1, 2, 3))
-    ps = rng.choice(PS_CHOICES)
+    dag, deliver, packets, hosts, ps = random_case(workload, seed)
     placement = Placement(hosts, 2)
     plan = DistributedOptimizer(dag, placement, ps, deliver=deliver).optimize()
-    if ps is None:
-        splitter = RoundRobinSplitter(placement.num_partitions)
-    else:
-        splitter = HashSplitter(placement.num_partitions, ps)
+    splitter = splitter_for(placement.num_partitions, ps)
     return dag, plan, splitter, packets, hosts
 
 
-def _run(dag, plan, splitter, packets, execution, workers=None,
-         queue_policy=None, faults=None, record_events=False,
-         engine="columnar"):
+def _run(dag, plan, splitter, packets, execution, record_events=False,
+         **options):
     sim = ClusterSimulator(
-        dag, plan, stream_rate=1000, engine=engine, record_events=record_events
+        dag, plan, stream_rate=1000, record_events=record_events
     )
     result = sim.run_streaming(
-        {"TCP": packets}, splitter, 10.0,
-        queue_policy=queue_policy, faults=faults,
-        execution=execution, workers=workers,
+        {"TCP": packets}, splitter, 10.0, execution=execution, **options
     )
     return sim, result
 
@@ -116,19 +104,17 @@ class TestRandomizedParallelParity:
         assert result.execution == ("parallel" if hosts > 1 else "inprocess")
         assert _shm_entries() == before
 
-    @pytest.mark.parametrize("engine", ("row", "columnar"))
-    def test_row_engine_and_oneshot(self, engine):
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_row_engine_and_oneshot(self, source):
+        """One-shot runs fork too, whichever form the trace arrives in."""
         dag, plan, splitter, packets, hosts = _case(9, "complex")
         assert hosts > 1
-        sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-        reference = sim.run({"TCP": packets}, splitter, 10.0)
-        result = sim.run(
-            {"TCP": packets}, splitter, 10.0, execution="parallel"
-        )
+        sim = ClusterSimulator(dag, plan, stream_rate=1000)
+        trace = tcp_source(packets, source)
+        reference = sim.run(trace, splitter, 10.0)
+        result = sim.run(trace, splitter, 10.0, execution="parallel")
         assert result.execution == "parallel"
-        for name in reference.outputs:
-            assert batches_equal(reference.outputs[name], result.outputs[name])
-        assert reference.node_output_counts == result.node_output_counts
+        assert_same_outputs(reference, result)
         for ref, got in zip(reference.hosts, result.hosts):
             assert ref.cpu_units == got.cpu_units
 
@@ -232,7 +218,7 @@ class TestGracefulFallback:
 
     def test_invalid_execution_rejected(self):
         dag, plan, splitter, packets, _ = _case(9, "complex")
-        sim = ClusterSimulator(dag, plan, stream_rate=1000, engine="columnar")
+        sim = ClusterSimulator(dag, plan, stream_rate=1000)
         with pytest.raises(ValueError, match="execution"):
             sim.run({"TCP": packets}, splitter, 10.0, execution="threads")
         with pytest.raises(ValueError, match="workers"):
@@ -240,7 +226,7 @@ class TestGracefulFallback:
 
     def test_unavailable_error_is_typed(self):
         dag, plan, splitter, packets, _ = _case(9, "complex")
-        backend = create_backend("columnar", dag)
+        backend = EngineBackend(dag)
         with pytest.raises(ParallelUnavailable, match="at least 2 workers"):
             ParallelExecutor(
                 plan, backend, plan.topological(), "time",
@@ -375,19 +361,30 @@ def _attach_and_sum(queue, handle):
 class TestCompiledOperatorPickle:
     """Satellite: operators cross process boundaries by recipe."""
 
-    @pytest.mark.parametrize("engine", ("row", "columnar"))
-    def test_round_trip_matches_original(self, engine):
-        dag, plan, splitter, packets, _ = _case(9, "complex")
-        backend = create_backend(engine, dag)
+    @pytest.mark.parametrize("operators", ("row", "columnar"))
+    def test_round_trip_matches_original(self, operators):
+        """Kernels (the complex plan) and adapted row operators (the
+        sketch plan) both recompile to what they were."""
+        packets = random_packets(9)
+        if operators == "columnar":
+            dag, plan, _, _, _ = _case(9, "complex")
+        else:
+            _, dag = approx_heavy_catalog()
+            plan = DistributedOptimizer(dag, Placement(2, 2), None).optimize()
+        backend = EngineBackend(dag)
         nodes = [
             node for node in plan.topological() if node.kind.name != "SOURCE"
         ]
         assert nodes
         prepared = backend.prepare(packets)
+        flags = set()
         for node in nodes:
             compiled = backend.compile_node(node)
             rebuilt = pickle.loads(pickle.dumps(compiled))
             assert rebuilt.columnar == compiled.columnar
+            assert rebuilt.row_native == compiled.row_native
+            assert rebuilt.arity == compiled.arity
+            flags.add(compiled.columnar)
             if not node.inputs or len(node.inputs) != 1:
                 continue
             # Single-input operators can be exercised directly on raw rows.
@@ -396,21 +393,20 @@ class TestCompiledOperatorPickle:
                 result = rebuilt.process(prepared)
             except (KeyError, TypeError):
                 continue  # operator needs upstream columns; topology tested
-            assert batches_equal(
-                ensure_rows(backend.concat([reference])),
-                ensure_rows(backend.concat([result])),
-            )
+            assert type(result) is ColumnBatch
+            assert batches_equal(reference.to_rows(), result.to_rows())
+        assert (operators == "columnar") in flags
 
     def test_cache_payload_shares_the_dag(self):
         dag, plan, _, _, _ = _case(9, "complex")
-        backend = create_backend("columnar", dag)
+        backend = EngineBackend(dag)
         for node in plan.topological():
             if node.kind.name != "SOURCE":
                 backend.compile_node(node)
         operators = list(backend.cached_operators.values())
         assert len(operators) > 1
         rebuilt = pickle.loads(pickle.dumps(operators))
-        dags = {id(op.recipe[1]) for op in rebuilt}
+        dags = {id(op.recipe[0]) for op in rebuilt}
         assert len(dags) == 1  # pickle memoized one shared dag
 
     def test_recipe_free_operator_is_rejected(self):

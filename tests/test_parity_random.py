@@ -1,8 +1,9 @@
 """Randomized parity sweeps: fifty seeds, every oracle, always on.
 
 Each seed derives a fresh adversarial trace, cluster size and
-partitioning (see :mod:`parity`) and runs on both engines.  All four
-sweeps are part of the plain test run:
+partitioning (see :mod:`parity`) and feeds it to the run both as dict
+rows and as a ``ColumnBatch`` (``parity.SOURCES``).  All four sweeps are
+part of the plain test run:
 
 * **streaming == one-shot** (``test_randomized_parity``) — the three
   paper workloads in rotation, the streaming side in-process and on
@@ -29,7 +30,9 @@ sweeps are part of the plain test run:
 The first two sweeps also meet the paper's §3.4 oracle: every delivered
 exact query's distributed output equals ``run_centralized``'s (a
 tumbling oracle on a sliding seed must fail —
-``test_sliding_parity_rejects_a_tumbling_oracle``).
+``test_sliding_parity_rejects_a_tumbling_oracle``), and every
+approximate one stays within its declared bounds of it (an emptied
+answer must fail — ``test_sliding_parity_rejects_an_emptied_answer``).
 
 A sweep that never exercised its mechanism would test nothing, so two
 sweep-level checks follow: some seed migrated, and semantic recall is
@@ -51,6 +54,7 @@ from repro.workloads import sliding_flows_catalog
 
 from tests.parity import (
     SLIDING_SHAPES,
+    SOURCES,
     WORKLOADS,
     assert_rebalanced_matches_oneshot,
     assert_shedding_dominates,
@@ -64,31 +68,30 @@ from tests.parity import (
 )
 
 SEEDS = range(50)
-ENGINES = ("row", "columnar")
 EXECUTIONS = ("inprocess", "parallel")
 #: the three paper workloads, rotated by seed
 ROTATION = tuple(WORKLOADS)
 
 
 @pytest.mark.parametrize("execution", EXECUTIONS)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_randomized_parity(seed, engine, execution):
+def test_randomized_parity(seed, source, execution):
     # tight block queue on every fifth seed
     capacity = 25 if seed % 5 == 0 else None
     assert_streaming_matches_oneshot(
-        ROTATION[seed % 3], seed, engine, capacity, execution=execution
+        ROTATION[seed % 3], seed, source, capacity, execution=execution
     )
 
 
 @pytest.mark.parametrize("execution", EXECUTIONS)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_randomized_sliding_parity(seed, engine, execution):
+def test_randomized_sliding_parity(seed, source, execution):
     """Sliding-window and sketch-variant parity: even seeds run the exact
     RANGE/SLIDE workload, odd seeds the approximate one; window shapes
     and partitionings rotate with the seed (see parity.SLIDING_SHAPES)."""
-    assert_sliding_matches_oneshot(seed, engine, execution=execution)
+    assert_sliding_matches_oneshot(seed, source, execution=execution)
 
 
 def test_sliding_parity_rejects_a_tumbling_oracle():
@@ -103,37 +106,45 @@ def test_sliding_parity_rejects_a_tumbling_oracle():
         assert_sliding_matches_oneshot(6, "columnar", oracle=tumbling)
 
 
+def test_sliding_parity_rejects_an_emptied_answer():
+    """The approximate seeds' bound check bites: an answer that reports
+    nothing underestimates nothing, yet must fail for the heavy keys it
+    omits."""
+    with pytest.raises(AssertionError, match="missing heavy key"):
+        assert_sliding_matches_oneshot(7, "columnar", answer=lambda rows: [])
+
+
 @pytest.fixture(scope="module")
 def rebalance_trial():
-    """``trial(seed, engine)`` -> migrations that seed performed.
+    """``trial(seed, source)`` -> migrations that seed performed.
 
     Memoized for the module: the per-seed tests and the sweep-level
-    check share one run per (seed, engine), whichever of them is
+    check share one run per (seed, source), whichever of them is
     selected.  A failing trial raises and is not cached.
     """
 
     @functools.lru_cache(maxsize=None)
-    def trial(seed, engine):
+    def trial(seed, source):
         # parallel execution on every fifth seed (the delay-fault seeds,
         # seed % 3 == 0, are chosen inside the trial)
         execution = "parallel" if seed % 5 == 0 else "inprocess"
         _, stream = assert_rebalanced_matches_oneshot(
-            ROTATION[seed % 3], seed, engine, execution=execution
+            ROTATION[seed % 3], seed, source, execution=execution
         )
         return len(stream.rebalance.migrations)
 
     return trial
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_randomized_rebalance_parity(seed, engine, rebalance_trial):
-    rebalance_trial(seed, engine)
+def test_randomized_rebalance_parity(seed, source, rebalance_trial):
+    rebalance_trial(seed, source)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_rebalance_sweep_migrated(engine, rebalance_trial):
-    assert sum(rebalance_trial(seed, engine) for seed in SEEDS) > 0, (
+@pytest.mark.parametrize("source", SOURCES)
+def test_rebalance_sweep_migrated(source, rebalance_trial):
+    assert sum(rebalance_trial(seed, source) for seed in SEEDS) > 0, (
         "no seed in the rebalance sweep triggered a migration — the "
         "parity leg exercised nothing"
     )
@@ -141,31 +152,31 @@ def test_rebalance_sweep_migrated(engine, rebalance_trial):
 
 @pytest.fixture(scope="module")
 def shedding_trial():
-    """``trial(seed, engine)`` -> (semantic, blind) mean recall of that
+    """``trial(seed, source)`` -> (semantic, blind) mean recall of that
     seed; memoized like :func:`rebalance_trial`."""
 
     @functools.lru_cache(maxsize=None)
-    def trial(seed, engine):
+    def trial(seed, source):
         # every other seed re-runs the semantic shed on forked workers
         # and asserts it byte-identical to in-process
         execution = "parallel" if seed % 2 == 0 else "inprocess"
         return assert_shedding_dominates(
-            ROTATION[seed % 3], seed, engine, execution=execution
+            ROTATION[seed % 3], seed, source, execution=execution
         )
 
     return trial
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_randomized_shedding_dominance(seed, engine, shedding_trial):
-    shedding_trial(seed, engine)
+def test_randomized_shedding_dominance(seed, source, shedding_trial):
+    shedding_trial(seed, source)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_shedding_sweep_strictly_dominates(engine, shedding_trial):
+@pytest.mark.parametrize("source", SOURCES)
+def test_shedding_sweep_strictly_dominates(source, shedding_trial):
     semantic, blind = map(
-        sum, zip(*(shedding_trial(seed, engine) for seed in SEEDS))
+        sum, zip(*(shedding_trial(seed, source) for seed in SEEDS))
     )
     assert semantic > blind, (
         f"semantic shedding recalled no more than drop-newest across the "
@@ -177,7 +188,7 @@ def test_shedding_sweep_strictly_dominates(engine, shedding_trial):
 def recall_ratio(workload, fraction, policy, baseline):
     """Mean per-query recall under ``policy`` over that under
     ``baseline`` at equal per-host capacity, five hot-key seeds on two
-    columnar hosts."""
+    hosts."""
     totals = [0.0, 0.0]
     for seed in range(5):
         trials = shed_trial(

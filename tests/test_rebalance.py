@@ -33,7 +33,6 @@ from repro.cluster import (
     RebalancePolicy,
 )
 from repro.distopt import DistributedOptimizer, Placement
-from repro.engine import batches_equal
 from repro.partitioning import PartitioningSet
 from repro.runtime import Fault
 from repro.runtime.rebalance import (
@@ -50,9 +49,12 @@ from repro.workloads import (
 )
 
 from tests.parity import (
+    SOURCES,
     assert_rebalanced_matches_oneshot,
+    assert_same_outputs,
     assert_same_simulation,
     skewed_packets,
+    tcp_source,
 )
 
 PS = PartitioningSet.of("srcIP")
@@ -60,15 +62,14 @@ PS = PartitioningSet.of("srcIP")
 AGGRESSIVE = RebalancePolicy(threshold=1.1, window=1, cooldown=1)
 
 
-def _cluster(hosts=3, per_host=2, merge=False, engine="row", catalog=None,
+def _cluster(hosts=3, per_host=2, merge=False, catalog=None,
              deliver=None, record_events=False):
     _, dag = (catalog or suspicious_flows_catalog)()
     placement = Placement(hosts, per_host, merge_local_partitions=merge)
     plan = DistributedOptimizer(dag, placement, PS, deliver=deliver).optimize()
     splitter = HashSplitter(placement.num_partitions, PS)
     sim = ClusterSimulator(
-        dag, plan, stream_rate=1000, engine=engine,
-        record_events=record_events,
+        dag, plan, stream_rate=1000, record_events=record_events
     )
     return dag, plan, splitter, sim
 
@@ -214,16 +215,16 @@ class TestRebalancedRun:
         described = log.describe()
         assert "migration" in described and "h" in described
 
-    @pytest.mark.parametrize("engine", ("row", "columnar"))
-    def test_parallel_matches_inprocess_exactly(self, engine):
+    @pytest.mark.parametrize("source", SOURCES)
+    def test_parallel_matches_inprocess_exactly(self, source):
         """Both executions make the same migration decisions from the
         same accounting, so even CPU and network are identical."""
         runs = []
         for execution in ("inprocess", "parallel"):
-            _, _, splitter, sim = _cluster(engine=engine)
+            _, _, splitter, sim = _cluster()
             runs.append(
                 sim.run_streaming(
-                    {"TCP": skewed_packets(1)}, splitter, 10.0,
+                    tcp_source(skewed_packets(1), source), splitter, 10.0,
                     rebalance=AGGRESSIVE, execution=execution, workers=2,
                 )
             )
@@ -320,7 +321,7 @@ def _peak_load_cut(policy, drift_period):
     )
     runs = []
     for rebalance in (None, policy):
-        _, _, splitter, sim = _cluster(hosts=4, engine="columnar")
+        _, _, splitter, sim = _cluster(hosts=4)
         runs.append(
             sim.run_streaming(
                 {"TCP": trace.column_batch()}, splitter, trace.duration_sec,
@@ -328,9 +329,7 @@ def _peak_load_cut(policy, drift_period):
             )
         )
     static, rebalanced = runs
-    for name in static.outputs:
-        assert batches_equal(static.outputs[name], rebalanced.outputs[name])
-    assert static.node_output_counts == rebalanced.node_output_counts
+    assert_same_outputs(static, rebalanced)
     before = _steady_max_over_mean(static)
     return (before - _steady_max_over_mean(rebalanced)) / before
 
@@ -378,9 +377,7 @@ class TestMembership:
         assert evacuations
         assert all(m.src == 1 and m.dst != 1 for m in evacuations)
         assert all(m.step == 2 for m in evacuations)
-        for name in oneshot.outputs:
-            assert batches_equal(oneshot.outputs[name], stream.outputs[name])
-        assert oneshot.node_output_counts == stream.node_output_counts
+        assert_same_outputs(oneshot, stream)
 
     def test_join_keeps_host_empty_until_arrival(self):
         packets = skewed_packets(1)
@@ -403,9 +400,7 @@ class TestMembership:
             for m in stream.rebalance.migrations
             if m.dst == 2
         )
-        for name in oneshot.outputs:
-            assert batches_equal(oneshot.outputs[name], stream.outputs[name])
-        assert oneshot.node_output_counts == stream.node_output_counts
+        assert_same_outputs(oneshot, stream)
 
     def test_aggregator_cannot_leave(self):
         _, plan, splitter, sim = _cluster()

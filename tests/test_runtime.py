@@ -1,9 +1,11 @@
-"""The layered runtime: backends, the unified session, and the recorder.
+"""The layered runtime: the backend, the unified session, the recorder.
 
-The load-bearing contract: row-vs-columnar resolution happens once, at
-plan-compile time — the execution loop never consults operator-builder
-capability per batch — and every counter flows through the
-MetricsRecorder while staying identical to the facade-era numbers.
+The load-bearing contract: kernel-vs-row-operator resolution happens
+once, at plan-compile time — the execution loop never consults
+operator-builder capability per batch, and never sees anything but a
+``ColumnBatch`` between the source door and delivery — and every counter
+flows through the MetricsRecorder while staying identical to the
+facade-era numbers.
 """
 
 import json
@@ -11,11 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cluster import (
-    ClusterSimulator,
-    HashSplitter,
-    RoundRobinSplitter,
-)
+from repro.cluster import ClusterSimulator, RoundRobinSplitter
 from repro.cluster.costs import DEFAULT_COSTS
 from repro.cluster.host import Host
 from repro.cluster.network import NetworkMeter
@@ -24,6 +22,7 @@ from repro.distopt.plan_ir import DistKind
 from repro.partitioning import PartitioningSet
 from repro.engine.aggregates import AggregateFunction, register_aggregate
 from repro.engine.columnar import ColumnBatch
+from repro.engine.operators import Operator
 from repro.gsql.catalog import Catalog
 from repro.gsql.schema import tcp_schema
 from repro.plan import QueryDag
@@ -35,19 +34,32 @@ from repro.runtime import (
     RunOptions,
 )
 from repro.runtime import backend as backend_module
-from repro.runtime.backend import ColumnarBackend, RowBackend, create_backend
+from repro.runtime.backend import EngineBackend, create_backend
 from repro.runtime.metrics import MetricsRecorder
-from repro.workloads import Configuration, overload_sweep, run_configuration
+from repro.runtime.session import ExecutionSession
+from repro.workloads import (
+    Configuration,
+    approx_heavy_catalog,
+    overload_sweep,
+    run_configuration,
+    sliding_flows_catalog,
+)
 
 from tests.parity import (
+    SOURCES,
     WORKLOADS,
     assert_identical_simulation,
+    assert_matches_centralized,
     assert_same_simulation,
+    assert_streaming_matches_oneshot,
+    deploy,
+    outer_join_plan,
+    tcp_source,
 )
 
 
 class _LastValue(AggregateFunction):
-    """A UDAF with no vectorized kernel — forces a columnar row fallback."""
+    """A UDAF with no vectorized kernel — forces a row fallback."""
 
     name = "LAST_VALUE"
     splittable = True
@@ -70,7 +82,7 @@ register_aggregate(_LastValue())
 
 @pytest.fixture
 def udaf_dag():
-    """A DAG whose aggregate only the row engine can run."""
+    """A DAG whose aggregate only a row operator can run."""
     catalog = Catalog()
     catalog.add_stream(tcp_schema())
     catalog.define_query(
@@ -81,11 +93,20 @@ def udaf_dag():
     return QueryDag.from_catalog(catalog)
 
 
-def _complex_plan(dag, hosts=3, ps=PartitioningSet.of("srcIP")):
-    placement = Placement(hosts, 2)
-    deliver = ["flows", "heavy_flows", "flow_pairs"]
-    plan = DistributedOptimizer(dag, placement, ps, deliver=deliver).optimize()
-    return plan, HashSplitter(placement.num_partitions, ps)
+COMPLEX_DELIVER = ["flows", "heavy_flows", "flow_pairs"]
+
+
+def _complex_plan(dag):
+    return DistributedOptimizer(
+        dag, Placement(3, 2), PartitioningSet.of("srcIP"), deliver=COMPLEX_DELIVER
+    ).optimize()
+
+
+def _complex(dag, **simulator):
+    """``(simulator, splitter)`` of the plan :func:`_complex_plan` builds."""
+    return deploy(
+        dag, 3, PartitioningSet.of("srcIP"), COMPLEX_DELIVER, **simulator
+    )
 
 
 def _nodes_by_kind(dag, plan):
@@ -105,52 +126,52 @@ class TestCompileTimeResolution:
     def test_columnar_backend_compiles_every_kind_natively(self, complex_dag):
         """Joins (and with them the fig13/fig14 complex plans) no longer
         row-fall-back: every node kind has a vectorized kernel."""
-        plan, _ = _complex_plan(complex_dag)
-        columnar = ColumnarBackend(complex_dag)
+        plan = _complex_plan(complex_dag)
+        backend = EngineBackend(complex_dag)
         kinds = _nodes_by_kind(complex_dag, plan)
         assert "join" in kinds
         for label, node in kinds.items():
-            assert columnar.supports(node) is True, label
-            assert columnar.compile_node(node).columnar is True, label
+            assert backend.supports(node) is True, label
+            assert backend.compile_node(node).columnar is True, label
 
-    def test_unvectorizable_udaf_resolves_to_row_at_compile(self, udaf_dag):
+    def test_unvectorizable_udaf_resolves_to_row_at_compile(
+        self, udaf_dag, tiny_trace
+    ):
         """The only remaining fallback reason: an aggregate with no
-        vectorized kernel.  The fallback shares the row backend's
-        compiled operator."""
+        vectorized kernel.  The fallback is the reference row operator,
+        adapted once: batches in, a batch out."""
         plan = DistributedOptimizer(udaf_dag, Placement(2, 2), None).optimize()
-        columnar = ColumnarBackend(udaf_dag)
+        backend = EngineBackend(udaf_dag)
         fallbacks = [
             node
             for node in plan.topological()
-            if node.kind is not DistKind.SOURCE and not columnar.supports(node)
+            if node.kind is not DistKind.SOURCE and not backend.supports(node)
         ]
         assert fallbacks
         for node in fallbacks:
-            compiled = columnar.compile_node(node)
-            assert compiled.columnar is False
-            assert compiled is columnar._row.compile_node(node)
-
-    def test_row_backend_supports_everything(self, complex_dag):
-        plan, _ = _complex_plan(complex_dag)
-        row = RowBackend(complex_dag)
-        for node in plan.topological():
-            if node.kind is not DistKind.SOURCE:
-                assert row.supports(node)
+            compiled = backend.compile_node(node)
+            assert compiled.columnar is False and compiled.row_native is False
+            assert isinstance(compiled.operator, Operator)
+            assert type(compiled.empty()) is ColumnBatch
+        central = DistributedOptimizer(udaf_dag, Placement(1, 1), None).optimize()
+        (full,) = [n for n in central.topological() if n.kind is DistKind.OP]
+        output = backend.compile_node(full).process(tiny_trace.column_batch())
+        assert type(output) is ColumnBatch and len(output) > 0
 
     def test_create_backend_rejects_unknown_engine(self, complex_dag):
         with pytest.raises(ValueError):
             create_backend("simd", complex_dag)
+        assert type(create_backend("columnar", complex_dag)) is EngineBackend
 
-    @pytest.mark.parametrize("engine", ("row", "columnar"))
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("streaming", (False, True))
     def test_no_per_batch_fallback_path_executes(
-        self, engine, streaming, complex_dag, tiny_trace, monkeypatch
+        self, source, streaming, complex_dag, tiny_trace, monkeypatch
     ):
         """After session construction, execution never consults the
-        operator builders again: the row-vs-columnar decision is frozen
-        into CompiledOperators at plan-compile time."""
-        plan, splitter = _complex_plan(complex_dag)
-        sim = ClusterSimulator(complex_dag, plan, stream_rate=1000, engine=engine)
+        operator builders again: the kernel-vs-row-operator decision is
+        frozen into CompiledOperators at plan-compile time."""
+        sim, splitter = _complex(complex_dag)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("operator compilation during execution")
@@ -161,15 +182,14 @@ class TestCompileTimeResolution:
             type(sim.session.backend), "supports", forbidden, raising=True
         )
         run = sim.run_streaming if streaming else sim.run
-        result = run({"TCP": tiny_trace.packets}, splitter, 10.0)
+        result = run(tcp_source(tiny_trace.packets, source), splitter, 10.0)
         assert set(result.outputs) == {"flows", "heavy_flows", "flow_pairs"}
         assert sum(result.node_output_counts.values()) > 0
 
     def test_session_wrappers_share_one_driver(self, complex_dag, tiny_trace):
         """run()/run_streaming() are wrappers over ExecutionSession.execute;
         driving the session directly reproduces them exactly."""
-        plan, splitter = _complex_plan(complex_dag)
-        sim = ClusterSimulator(complex_dag, plan, stream_rate=1000)
+        sim, splitter = _complex(complex_dag)
         facade = sim.run({"TCP": tiny_trace.packets}, splitter, 10.0)
         direct = sim.session.execute({"TCP": tiny_trace.packets}, splitter, 10.0)
         assert_same_simulation(facade, direct)
@@ -181,11 +201,9 @@ class TestNodeStats:
         from repro.workloads import suspicious_flows_catalog
 
         _, dag = suspicious_flows_catalog()
-        placement = Placement(3, 2)
         ps = PartitioningSet.of("srcIP")
-        plan = DistributedOptimizer(dag, placement, ps).optimize()
-        sim = ClusterSimulator(dag, plan, stream_rate=1000, engine="columnar")
-        splitter = HashSplitter(placement.num_partitions, ps)
+        plan = DistributedOptimizer(dag, Placement(3, 2), ps).optimize()
+        sim, splitter = deploy(dag, 3, ps)
         result = sim.run_streaming({"TCP": tiny_trace.packets}, splitter, 10.0)
         return plan, result
 
@@ -249,7 +267,7 @@ class TestMetricsRecorder:
         assert timeline.host_cpu[0] == [3.0]
 
     def test_unexpected_kind_rejected(self, complex_dag):
-        plan, _ = _complex_plan(complex_dag)
+        plan = _complex_plan(complex_dag)
         recorder = self._recorder(hosts=3)
         op_node = next(
             n for n in plan.topological() if n.kind is DistKind.OP
@@ -258,16 +276,8 @@ class TestMetricsRecorder:
             recorder.charge_processing(op_node, None, 1, 1)
 
     def test_event_trace_is_json_lines(self, suspicious_dag, tiny_trace, tmp_path):
-        placement = Placement(2, 2)
-        plan = DistributedOptimizer(suspicious_dag, placement, None).optimize()
-        sim = ClusterSimulator(
-            suspicious_dag, plan, stream_rate=1000, record_events=True
-        )
-        sim.run_streaming(
-            {"TCP": tiny_trace.packets},
-            RoundRobinSplitter(placement.num_partitions),
-            10.0,
-        )
+        sim, splitter = deploy(suspicious_dag, 2, None, record_events=True)
+        sim.run_streaming({"TCP": tiny_trace.packets}, splitter, 10.0)
         path = tmp_path / "events.jsonl"
         with open(path, "w") as handle:
             count = sim.metrics.dump_events(handle)
@@ -280,7 +290,7 @@ class TestMetricsRecorder:
         assert all("host" in e and e["pid"] is not None for e in events)
         (mode_event,) = [e for e in events if e["event"] == "execution"]
         assert mode_event["mode"] == "inprocess"
-        # Compile events record each node's engine resolution; on a fully
+        # Compile events record each node's operator resolution; on a fully
         # vectorizable plan none is a fallback.
         compile_events = [e for e in events if e["event"] == "compile"]
         assert compile_events
@@ -291,14 +301,8 @@ class TestMetricsRecorder:
         assert any(e.get("epoch") == "flush" for e in events)
 
     def test_events_off_by_default(self, suspicious_dag, tiny_trace):
-        placement = Placement(2, 2)
-        plan = DistributedOptimizer(suspicious_dag, placement, None).optimize()
-        sim = ClusterSimulator(suspicious_dag, plan, stream_rate=1000)
-        sim.run_streaming(
-            {"TCP": tiny_trace.packets},
-            RoundRobinSplitter(placement.num_partitions),
-            10.0,
-        )
+        sim, splitter = deploy(suspicious_dag, 2, None)
+        sim.run_streaming({"TCP": tiny_trace.packets}, splitter, 10.0)
         assert sim.metrics.events == []
 
 
@@ -306,35 +310,26 @@ class TestFallbackObservability:
     """Compile-time row fallbacks are counted, labelled, and traced —
     never silent."""
 
-    def _run(self, dag, tiny_trace, engine, record_events=False):
-        placement = Placement(2, 2)
-        plan = DistributedOptimizer(dag, placement, None).optimize()
-        sim = ClusterSimulator(
-            dag, plan, stream_rate=1000, engine=engine,
-            record_events=record_events,
-        )
-        result = sim.run(
-            {"TCP": tiny_trace.packets},
-            RoundRobinSplitter(placement.num_partitions),
-            10.0,
-        )
-        return sim, result
+    def _run(self, dag, tiny_trace, record_events=False):
+        sim, splitter = deploy(dag, 2, None, record_events=record_events)
+        return sim, sim.run({"TCP": tiny_trace.packets}, splitter, 10.0)
 
     def test_udaf_fallback_is_recorded(self, udaf_dag, tiny_trace):
-        sim, result = self._run(udaf_dag, tiny_trace, "columnar")
+        sim, result = self._run(udaf_dag, tiny_trace)
         assert result.fallback_nodes
         assert sim.metrics.fallback_count == len(result.fallback_nodes)
         for label in result.fallback_nodes.values():
             assert label.startswith("latest/")
 
-    def test_row_engine_reports_no_fallbacks(self, udaf_dag, tiny_trace):
-        _, result = self._run(udaf_dag, tiny_trace, "row")
-        assert result.fallback_nodes == {}
+    def test_sweep_helper_rejects_a_fallback(self, udaf_dag, monkeypatch):
+        """The must-not-fallback line of the streaming sweep bites: the
+        kernel-less UDAF pushed through it fails there, by name."""
+        monkeypatch.setitem(WORKLOADS, "udaf", (lambda: (None, udaf_dag), None))
+        with pytest.raises(AssertionError, match="fell back.*latest/"):
+            assert_streaming_matches_oneshot("udaf", 3, "columnar")
 
     def test_fallback_appears_in_event_trace(self, udaf_dag, tiny_trace):
-        sim, result = self._run(
-            udaf_dag, tiny_trace, "columnar", record_events=True
-        )
+        sim, result = self._run(udaf_dag, tiny_trace, record_events=True)
         compile_events = [
             e for e in sim.metrics.events if e["event"] == "compile"
         ]
@@ -346,7 +341,7 @@ class TestFallbackObservability:
     ):
         """Each run replays the compile decisions into the freshly reset
         recorder, so the second run reports the same fallbacks."""
-        sim, first = self._run(udaf_dag, tiny_trace, "columnar")
+        sim, first = self._run(udaf_dag, tiny_trace)
         second = sim.run(
             {"TCP": tiny_trace.packets},
             RoundRobinSplitter(4),
@@ -357,8 +352,95 @@ class TestFallbackObservability:
     def test_fully_vectorized_plan_has_no_fallbacks(
         self, complex_dag, tiny_trace
     ):
-        _, result = self._run(complex_dag, tiny_trace, "columnar")
+        _, result = self._run(complex_dag, tiny_trace)
         assert result.fallback_nodes == {}
+
+
+class TestOneBatchType:
+    """Between the source door and delivery every batch is a
+    ``ColumnBatch`` — whatever operator a node compiled to."""
+
+    @pytest.fixture
+    def watched(self, monkeypatch):
+        """Type-check every streaming node's inputs and output and every
+        ``StepOutcome.returns`` value of the runs that follow.  Forked
+        workers inherit the patch; a failure inside one surfaces as the
+        driver's RuntimeError.  Yields the in-process tallies."""
+        build = EngineBackend.streaming_node
+        replay = ExecutionSession._replay_step
+        seen = {"steps": 0, "returns": 0}
+
+        class Watched:
+            def __init__(self, inner):
+                self._inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def step(self, inputs, watermarks, flush):
+                output, watermark = self._inner.step(inputs, watermarks, flush)
+                for batch in (*inputs, output):
+                    assert type(batch) is ColumnBatch, type(batch)
+                seen["steps"] += 1
+                return output, watermark
+
+        def checked_replay(session, outcome, *args):
+            for batch in outcome.returns.values():
+                assert type(batch) is ColumnBatch, type(batch)
+            seen["returns"] += len(outcome.returns)
+            return replay(session, outcome, *args)
+
+        monkeypatch.setattr(
+            EngineBackend, "streaming_node",
+            lambda backend, node: Watched(build(backend, node)),
+        )
+        monkeypatch.setattr(ExecutionSession, "_replay_step", checked_replay)
+        return seen
+
+    @pytest.mark.parametrize("shape", ("udaf", "sketch", "sliding", "outer-join"))
+    def test_every_node_boundary_carries_column_batches(
+        self, shape, watched, udaf_dag, catalog_factory, tiny_trace
+    ):
+        if shape == "outer-join":
+            dag, plan = outer_join_plan(catalog_factory())
+        else:
+            dag = {
+                "udaf": lambda: udaf_dag,
+                "sketch": lambda: approx_heavy_catalog()[1],
+                "sliding": lambda: sliding_flows_catalog(3, 1)[1],
+            }[shape]()
+            plan = DistributedOptimizer(dag, Placement(2, 2), None).optimize()
+        sim = ClusterSimulator(dag, plan, stream_rate=1000)
+        splitter = RoundRobinSplitter(plan.num_partitions)
+        compiled = {
+            node.node_id: sim.session.backend.compile_node(node)
+            for node in plan.topological()
+            if node.kind is not DistKind.SOURCE
+        }
+        # Only the missing-kernel nodes are fallbacks; the row-native
+        # variants are adapted just the same.
+        fallbacks = {
+            node_id for node_id, operator in compiled.items()
+            if not operator.columnar and not operator.row_native
+        }
+        assert bool(fallbacks) == (shape == "udaf")
+        assert any(operator.row_native for operator in compiled.values()) == (
+            shape in ("sketch", "sliding")
+        )
+        for streaming in (False, True):
+            for execution in ("inprocess", "parallel"):
+                result = sim.run(
+                    {"TCP": tiny_trace.packets}, splitter, 10.0,
+                    streaming=streaming, execution=execution, workers=2,
+                )
+                assert result.execution == execution
+                assert set(result.fallback_nodes) == fallbacks
+                (rows,) = result.outputs.values()
+                assert rows
+                for row in rows:
+                    for cell in row.values():
+                        assert not isinstance(cell, np.generic), type(cell)
+        assert watched["steps"] > 0 and watched["returns"] > 0
 
 
 def _with_junk(trace):
@@ -374,10 +456,7 @@ class TestLineagePruning:
     dropped before the stream is sliced and split — and say so."""
 
     def test_complex_catalog_reads_three_columns(self, complex_dag, tiny_trace):
-        plan, splitter = _complex_plan(complex_dag)
-        sim = ClusterSimulator(
-            complex_dag, plan, stream_rate=1000, engine="columnar"
-        )
+        sim, splitter = _complex(complex_dag)
         result = sim.run_streaming(
             {"TCP": tiny_trace.column_batch()}, splitter, 10.0
         )
@@ -388,13 +467,8 @@ class TestLineagePruning:
     def test_suspicious_catalog_reads_seven_of_nine(
         self, suspicious_dag, tiny_trace
     ):
-        plan = DistributedOptimizer(suspicious_dag, Placement(2, 2), None).optimize()
-        sim = ClusterSimulator(
-            suspicious_dag, plan, stream_rate=1000, engine="columnar"
-        )
-        result = sim.run(
-            {"TCP": tiny_trace.column_batch()}, RoundRobinSplitter(4), 10.0
-        )
+        sim, splitter = deploy(suspicious_dag, 2, None)
+        result = sim.run({"TCP": tiny_trace.column_batch()}, splitter, 10.0)
         kept, dropped = result.source_columns["TCP"]
         assert len(kept) == 7
         assert sorted(dropped) == ["protocol", "timestamp"]
@@ -404,11 +478,9 @@ class TestLineagePruning:
         and hashing still need them."""
         catalog.define_query("big", "SELECT srcIP, len FROM TCP WHERE len > 100")
         dag = QueryDag.from_catalog(catalog)
-        ps = PartitioningSet.of("destPort")
-        plan = DistributedOptimizer(dag, Placement(2, 2), ps).optimize()
-        sim = ClusterSimulator(dag, plan, stream_rate=1000, engine="columnar")
+        sim, splitter = deploy(dag, 2, PartitioningSet.of("destPort"))
         result = sim.run_streaming(
-            {"TCP": tiny_trace.column_batch()}, HashSplitter(4, ps), 10.0
+            {"TCP": tiny_trace.column_batch()}, splitter, 10.0
         )
         kept, _ = result.source_columns["TCP"]
         assert set(kept) == {"srcIP", "len", "time", "destPort"}
@@ -425,23 +497,14 @@ class TestLineagePruning:
             "WHERE A.time = B.time and A.srcIP = B.destIP and A.flags < B.flags",
         )
         dag = QueryDag.from_catalog(catalog)
-        plan = DistributedOptimizer(dag, Placement(2, 2), None).optimize()
-        results = {}
-        for engine in ("row", "columnar"):
-            sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-            results[engine] = sim.run(
-                {"TCP": tiny_trace.column_batch()}, RoundRobinSplitter(4), 10.0
-            )
-        kept, _ = results["columnar"].source_columns["TCP"]
+        sim, splitter = deploy(dag, 2, None)
+        result = sim.run({"TCP": tiny_trace.column_batch()}, splitter, 10.0)
+        kept, _ = result.source_columns["TCP"]
         assert set(kept) == {"time", "srcIP", "destIP", "len", "flags"}
-        assert results["row"].source_columns == {}  # row batches stay whole
-        assert_same_simulation(results["row"], results["columnar"])
+        assert_matches_centralized(dag, tiny_trace.packets, result)
 
     def test_row_batches_are_pruned_once_columnar(self, complex_dag, tiny_trace):
-        plan, splitter = _complex_plan(complex_dag)
-        sim = ClusterSimulator(
-            complex_dag, plan, stream_rate=1000, engine="columnar"
-        )
+        sim, splitter = _complex(complex_dag)
         result = sim.run({"TCP": tiny_trace.packets}, splitter, 10.0)
         assert set(result.source_columns["TCP"][0]) == {"time", "srcIP", "destIP"}
 
@@ -464,14 +527,10 @@ class TestLineagePruning:
         lineage expressions: pruning must keep everything those need."""
         catalog_fn, deliver = WORKLOADS[workload]
         _, dag = catalog_fn()
-        ps = PartitioningSet.of("srcIP")
-        plan = DistributedOptimizer(
-            dag, Placement(2, 2), ps, deliver=deliver
-        ).optimize()
-        sim = ClusterSimulator(dag, plan, stream_rate=1000, engine="columnar")
+        sim, splitter = deploy(dag, 2, PartitioningSet.of("srcIP"), deliver)
         runs = [
             sim.run_streaming(
-                {"TCP": source}, HashSplitter(4, ps), 10.0,
+                {"TCP": source}, splitter, 10.0,
                 execution=execution, workers=2, **control,
             )
             for source in (tiny_trace.column_batch(), _with_junk(tiny_trace))
@@ -487,11 +546,7 @@ class TestLineagePruning:
             assert sum(plain.rows_dropped(host) for host in range(2)) > 0
 
     def test_pruning_is_traced_and_summarized(self, complex_dag, tiny_trace):
-        plan, splitter = _complex_plan(complex_dag)
-        sim = ClusterSimulator(
-            complex_dag, plan, stream_rate=1000, engine="columnar",
-            record_events=True,
-        )
+        sim, splitter = _complex(complex_dag, record_events=True)
         result = sim.run_streaming({"TCP": _with_junk(tiny_trace)}, splitter, 10.0)
         (event,) = [
             e for e in sim.metrics.events
@@ -551,7 +606,7 @@ class TestRunOptions:
             "RebalanceLog",
         }
         assert description <= set(repro.runtime.__all__)
-        facade = {"ENGINES", "ClusterSimulator", "SimulationResult", "Timeline"}
+        facade = {"ClusterSimulator", "SimulationResult", "Timeline"}
         assert set(simulator.__all__) - facade == description
 
     @pytest.mark.parametrize("case", sorted(REJECTED_OPTIONS))
@@ -575,14 +630,10 @@ class TestRunOptions:
         with pytest.raises(error) as expected:
             RunOptions(streaming=True, **bad)
         configuration = Configuration("partitioned", PartitioningSet.of("srcIP"))
-        plan = DistributedOptimizer(
-            suspicious_dag, Placement(2, 2), configuration.partitioning
-        ).optimize()
-        sim = ClusterSimulator(suspicious_dag, plan, stream_rate=1000)
+        sim, splitter = deploy(suspicious_dag, 2, configuration.partitioning)
         layers = (
             lambda: sim.run_streaming(
-                {"TCP": tiny_trace.packets}, configuration.splitter(4), 10.0,
-                **bad,
+                {"TCP": tiny_trace.packets}, splitter, 10.0, **bad
             ),
             lambda: run_configuration(
                 suspicious_dag, tiny_trace, configuration, 2,

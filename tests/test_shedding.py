@@ -25,13 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import (
-    ClusterSimulator,
-    HashSplitter,
-    QueuePolicy,
-)
-from repro.distopt import DistributedOptimizer, Placement
-from repro.engine import batches_equal
+from repro.cluster import QueuePolicy
 from repro.partitioning import PartitioningSet
 from repro.runtime.flowcontrol import QUEUE_MODES
 from repro.traces import Trace
@@ -44,21 +38,16 @@ from repro.workloads import (
     suspicious_flows_catalog,
 )
 
-from tests.parity import WORKLOADS, skewed_packets
+from tests.parity import WORKLOADS, assert_same_outputs, deploy, skewed_packets
 
 CAPACITY = 8  # rows/epoch per host — far below skewed_packets' offered rate
 
 
-def _simulation(workload, seed, hosts=2, engine="columnar"):
+def _simulation(workload, seed, hosts=2):
     catalog_fn, deliver = WORKLOADS[workload]
     _, dag = catalog_fn()
-    packets = skewed_packets(seed)
-    ps = PartitioningSet.of("srcIP")
-    placement = Placement(hosts, 2)
-    plan = DistributedOptimizer(dag, placement, ps, deliver=deliver).optimize()
-    splitter = HashSplitter(placement.num_partitions, ps)
-    sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-    return sim, packets, splitter
+    sim, splitter = deploy(dag, hosts, PartitioningSet.of("srcIP"), deliver)
+    return sim, skewed_packets(seed), splitter
 
 
 def _stream(sim, packets, splitter, **bounds):
@@ -125,10 +114,7 @@ def test_value_ranking_is_deterministic(seed, workload):
     second = _stream(
         second_sim, packets, splitter, queue_policy=semantic(CAPACITY)
     )
-    assert set(first.outputs) == set(second.outputs)
-    for name in first.outputs:
-        assert batches_equal(first.outputs[name], second.outputs[name]), name
-    assert first.node_output_counts == second.node_output_counts
+    assert_same_outputs(first, second)
     assert first.shed_counts == second.shed_counts
     assert first.flow_stats == second.flow_stats
 
@@ -146,12 +132,7 @@ def test_lossless_capacity_never_sheds(seed, workload):
     bounded = _stream(
         sim, packets, splitter, queue_policy=semantic(len(packets))
     )
-    assert set(unbounded.outputs) == set(bounded.outputs)
-    for name in unbounded.outputs:
-        assert batches_equal(
-            unbounded.outputs[name], bounded.outputs[name]
-        ), name
-    assert unbounded.node_output_counts == bounded.node_output_counts
+    assert_same_outputs(unbounded, bounded)
     assert bounded.shed_counts == {}
     for stats in bounded.flow_stats.values():
         assert stats.conserves()

@@ -12,15 +12,25 @@ from collections import Counter
 
 import pytest
 
-from repro.cluster import ClusterSimulator, HashSplitter, RoundRobinSplitter
+from repro.cluster import ClusterSimulator, RoundRobinSplitter
 from repro.distopt import DistributedOptimizer, Placement
-from repro.distopt.plan_ir import DistributedPlan
+from repro.engine import ColumnBatch, batches_equal
+from repro.engine.operators import NullPadOp, build_operator
 from repro.engine.streaming import lower_bound, mapped_watermark, merge_watermarks
 from repro.expr.expressions import Attr, Binary, Const, Func
 
-from repro.workloads import suspicious_flows_catalog
+from repro.runtime import EngineBackend
+from repro.workloads import subnet_jitter_catalog, suspicious_flows_catalog
 
-from tests.parity import PS_CHOICES, WORKLOADS, assert_same_simulation
+from tests.parity import (
+    PS_CHOICES,
+    SOURCES,
+    WORKLOADS,
+    assert_same_simulation,
+    deploy,
+    outer_join_plan,
+    tcp_source,
+)
 
 
 class TestLowerBound:
@@ -69,50 +79,45 @@ class TestLowerBound:
         assert fn([{"time": 8}]) == {"tb": 4}
 
 
-def _run(engine, dag, packets, hosts, ps, deliver, streaming):
-    placement = Placement(hosts, 2)
-    plan = DistributedOptimizer(dag, placement, ps, deliver=deliver).optimize()
-    sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-    if ps is None:
-        splitter = RoundRobinSplitter(placement.num_partitions)
-    else:
-        splitter = HashSplitter(placement.num_partitions, ps)
-    run = sim.run_streaming if streaming else sim.run
-    return run({"TCP": packets}, splitter, 10.0)
+def _run(source, dag, packets, hosts, ps, deliver, streaming):
+    sim, splitter = deploy(dag, hosts, ps, deliver)
+    return sim.run(
+        tcp_source(packets, source), splitter, 10.0, streaming=streaming
+    )
 
 
-@pytest.mark.parametrize("engine", ("row", "columnar"))
+@pytest.mark.parametrize("source", SOURCES)
 @pytest.mark.parametrize("hosts", [1, 3])
 @pytest.mark.parametrize("ps", PS_CHOICES, ids=str)
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_streaming_matches_oneshot(workload, ps, hosts, engine, tiny_trace):
+def test_streaming_matches_oneshot(workload, ps, hosts, source, tiny_trace):
     catalog_fn, deliver = WORKLOADS[workload]
     _, dag = catalog_fn()
-    oneshot = _run(engine, dag, tiny_trace.packets, hosts, ps, deliver, False)
-    stream = _run(engine, dag, tiny_trace.packets, hosts, ps, deliver, True)
+    oneshot = _run(source, dag, tiny_trace.packets, hosts, ps, deliver, False)
+    stream = _run(source, dag, tiny_trace.packets, hosts, ps, deliver, True)
     assert_same_simulation(oneshot, stream)
 
 
-@pytest.mark.parametrize("engine", ("row", "columnar"))
-def test_streaming_memory_bounded_by_epoch(engine, tiny_trace):
+@pytest.mark.parametrize("source", SOURCES)
+def test_streaming_memory_bounded_by_epoch(source, tiny_trace):
     """No resident batch ever exceeds the largest single epoch."""
     epoch_sizes = Counter(p["time"] for p in tiny_trace.packets)
     largest_epoch = max(epoch_sizes.values())
     _, dag = suspicious_flows_catalog()
-    stream = _run(engine, dag, tiny_trace.packets, 3, PS_CHOICES[1], None, True)
+    stream = _run(source, dag, tiny_trace.packets, 3, PS_CHOICES[1], None, True)
     assert stream.peak_batch_rows <= largest_epoch
     assert stream.peak_batch_rows < len(tiny_trace.packets)
 
 
-@pytest.mark.parametrize("engine", ("row", "columnar"))
-def test_streaming_memory_complex_workload(engine, tiny_trace):
+@pytest.mark.parametrize("source", SOURCES)
+def test_streaming_memory_complex_workload(source, tiny_trace):
     """The complex workload buckets time/2, so state may span two epochs
     — but never more, and never the whole trace."""
     epoch_sizes = Counter(p["time"] for p in tiny_trace.packets)
     largest_epoch = max(epoch_sizes.values())
     catalog_fn, deliver = WORKLOADS["complex"]
     _, dag = catalog_fn()
-    stream = _run(engine, dag, tiny_trace.packets, 3, PS_CHOICES[1], deliver, True)
+    stream = _run(source, dag, tiny_trace.packets, 3, PS_CHOICES[1], deliver, True)
     assert stream.peak_batch_rows <= 2 * largest_epoch
     assert stream.peak_batch_rows < len(tiny_trace.packets)
 
@@ -159,60 +164,46 @@ class TestTimeline:
         assert oneshot.peak_batch_rows is None
 
 
+def test_streaming_join_answers_empty_steps_with_typed_batches():
+    """The §6.2 jitter self-join, stepped by hand: before the watermark
+    releases anything the join still answers with its kernel's typed,
+    empty ``ColumnBatch`` — never a bare ``[]`` leaking into
+    ``StepOutcome.returns`` and delivery."""
+    _, dag = subnet_jitter_catalog()
+    plan = DistributedOptimizer(
+        dag, Placement(1, 1), None, deliver=["jitter"]
+    ).optimize()
+    (node,) = [n for n in plan.topological() if n.query == "jitter"]
+    join = EngineBackend(dag).streaming_node(node)
+    names = [column.name for column in dag.node("jitter").columns]
+    key = {"srcIP": 1, "destIP": 2, "srcPort": 80, "destPort": 443}
+    flows = ColumnBatch.from_rows([
+        {"tb": 3, **key, "first_ts": 3100, "last_ts": 3900, "cnt": 5},
+        {"tb": 4, **key, "first_ts": 4200, "last_ts": 4800, "cnt": 5},
+    ])
+    nothing = ColumnBatch({}, 0)
+    # No bound yet (everything buffers), then a bound below every
+    # buffered row (nothing releases).
+    for batch, bounds in ((flows, {}), (nothing, {"tb": 3})):
+        output, _ = join.step([batch, batch], [bounds, bounds], flush=False)
+        assert type(output) is ColumnBatch and len(output) == 0
+        assert output.names() == names
+    assert join.buffered_rows() == 4
+    output, _ = join.step([nothing, nothing], [{}, {}], flush=True)
+    assert output.to_rows() == [{"tb": 3, **key, "gap": 300}]
+
+
 # -- outer-join + NULLPAD plans ------------------------------------------------
 
 
-OUTER_JOIN = (
-    "SELECT S1.tb as tb, S1.srcIP as ip, S1.cnt + S2.cnt as total "
-    "FROM flows S1 FULL OUTER JOIN flows S2 "
-    "ON S1.srcIP = S2.srcIP and S2.tb = S1.tb + 1"
-)
-
-
-def _outer_join_plan(catalog_factory):
-    """A hand-built partitioned outer-join plan exercising NULLPAD.
-
-    Three partitions on three hosts: partition 0 computes the pair-wise
-    join locally, partition 1 has only the left side (NULLPAD left) and
-    partition 2 only the right side (NULLPAD right); a merge at the
-    aggregator unions the three result streams.  The ``S1.cnt + S2.cnt``
-    output exercises NULL arithmetic on every padded row.
-    """
-    catalog = catalog_factory()
-    catalog.define_query(
-        "flows",
-        "SELECT tb, srcIP, COUNT(*) as cnt FROM TCP GROUP BY time as tb, srcIP",
-    )
-    catalog.define_query("pairs", OUTER_JOIN)
-    from repro.plan import QueryDag
-
-    dag = QueryDag.from_catalog(catalog)
-    plan = DistributedPlan(num_hosts=3, partitions_per_host=1)
-    sources = [plan.add_source("TCP", p) for p in range(3)]
-    flows = [
-        plan.add_op("flows", [src.node_id], host=p)
-        for p, src in enumerate(sources)
-    ]
-    join = plan.add_op(
-        "pairs", [flows[0].node_id, flows[0].node_id], host=0
-    )
-    pad_left = plan.add_nullpad(flows[1].node_id, "left", host=1, query="pairs")
-    pad_right = plan.add_nullpad(flows[2].node_id, "right", host=2, query="pairs")
-    merge = plan.add_merge(
-        [join.node_id, pad_left.node_id, pad_right.node_id], host=0
-    )
-    plan.producers["pairs"] = [merge.node_id]
-    plan.delivery["pairs"] = merge.node_id
-    return dag, plan
-
-
-@pytest.mark.parametrize("engine", ("row", "columnar"))
-def test_outer_join_nullpad_streaming_parity(engine, catalog_factory, tiny_trace):
-    dag, plan = _outer_join_plan(catalog_factory)
+@pytest.mark.parametrize("source", SOURCES)
+def test_outer_join_nullpad_streaming_parity(source, catalog_factory, tiny_trace):
+    dag, plan = outer_join_plan(catalog_factory())
     splitter = RoundRobinSplitter(plan.num_partitions)
-    sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-    oneshot = sim.run({"TCP": tiny_trace.packets}, splitter, 10.0)
-    stream = sim.run_streaming({"TCP": tiny_trace.packets}, splitter, 10.0)
+    sim = ClusterSimulator(dag, plan, stream_rate=1000)
+    trace = tcp_source(tiny_trace.packets, source)
+    oneshot = sim.run(trace, splitter, 10.0)
+    stream = sim.run_streaming(trace, splitter, 10.0)
     assert_same_simulation(oneshot, stream)
     rows = stream.outputs["pairs"]
     padded = [r for r in rows if r["total"] is None]
@@ -221,10 +212,22 @@ def test_outer_join_nullpad_streaming_parity(engine, catalog_factory, tiny_trace
 
 
 def test_outer_join_engine_parity(catalog_factory, tiny_trace):
-    dag, plan = _outer_join_plan(catalog_factory)
+    """The hand-built plan is not the centralized query (partition 0
+    joins alone), so its reference is the oracle's own operators applied
+    to the same three partitions by hand."""
+    dag, plan = outer_join_plan(catalog_factory())
     splitter = RoundRobinSplitter(plan.num_partitions)
-    results = {}
-    for engine in ("row", "columnar"):
-        sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-        results[engine] = sim.run({"TCP": tiny_trace.packets}, splitter, 10.0)
-    assert_same_simulation(results["row"], results["columnar"])
+    sim = ClusterSimulator(dag, plan, stream_rate=1000)
+    result = sim.run({"TCP": tiny_trace.packets}, splitter, 10.0)
+    flows = [
+        build_operator(dag.node("flows")).process(part)
+        for part in splitter.split(tiny_trace.packets)
+    ]
+    pairs = dag.node("pairs")
+    expected = (
+        build_operator(pairs).process(flows[0], flows[0])
+        + NullPadOp(pairs, "left").process(flows[1])
+        + NullPadOp(pairs, "right").process(flows[2])
+    )
+    assert batches_equal(result.outputs["pairs"], expected)
+    assert result.fallback_nodes == {}

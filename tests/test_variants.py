@@ -7,9 +7,9 @@ Covers the refactored aggregation path end to end:
 * the optimizer splits accuracy-clause queries into
   SKETCH_SUB/SKETCH_SUPER, never chooses sketches without a clause, and
   defers to the cost model's sketch-transfer term when one is supplied;
-* full simulations surface the chosen variant per node and keep the
-  streaming/one-shot and row/columnar equivalences intact;
-* sketch results respect the declared accuracy against a brute-force
+* full simulations surface the chosen variant per node, keep the
+  streaming/one-shot equivalence intact and meet the centralized oracle;
+* sketch results respect the declared accuracy against the exact
   oracle, and every epsilon-heavy key is reported;
 * the reason the sketch variant exists: aggregator ingress that stays
   constant while the exact split's grows with group cardinality.
@@ -20,7 +20,6 @@ import random
 
 import pytest
 
-from repro.cluster import ClusterSimulator, HashSplitter, RoundRobinSplitter
 from repro.distopt import DistributedOptimizer, Placement
 from repro.distopt.plan_ir import DistKind, Variant
 from repro.engine import batches_equal
@@ -36,7 +35,15 @@ from repro.partitioning import PartitioningSet
 from repro.partitioning.cost_model import CostModel
 from repro.plan import QueryDag
 from repro.workloads import approx_heavy_catalog, sliding_flows_catalog
-from tests.parity import assert_same_simulation, random_packets
+from tests.parity import (
+    SOURCES,
+    assert_matches_centralized,
+    assert_same_simulation,
+    assert_within_sketch_bounds,
+    deploy,
+    random_packets,
+    tcp_source,
+)
 
 WINDOW_PANES = 3
 
@@ -184,47 +191,47 @@ def test_compatible_partitioning_still_pushes_full(approx_dag):
 # -- execution ---------------------------------------------------------------
 
 
-def _run(dag, deliver_name, engine, packets, hosts=3, ps=None, **stream_kwargs):
-    placement = Placement(hosts, 2)
-    plan = DistributedOptimizer(dag, placement, ps).optimize()
-    if ps is None:
-        splitter = RoundRobinSplitter(placement.num_partitions)
-    else:
-        splitter = HashSplitter(placement.num_partitions, ps)
-    sim = ClusterSimulator(dag, plan, stream_rate=1000, engine=engine)
-    oneshot = sim.run({"TCP": packets}, splitter, 10.0)
-    stream = sim.run_streaming({"TCP": packets}, splitter, 10.0, **stream_kwargs)
+def _run(dag, packets, source="row", hosts=3, ps=None, **stream_kwargs):
+    sim, splitter = deploy(dag, hosts, ps)
+    trace = tcp_source(packets, source)
+    oneshot = sim.run(trace, splitter, 10.0)
+    stream = sim.run_streaming(trace, splitter, 10.0, **stream_kwargs)
     return oneshot, stream
 
 
-@pytest.mark.parametrize("engine", ["row", "columnar"])
-def test_sliding_execution_parity(sliding_dag, engine):
+@pytest.mark.parametrize("source", SOURCES)
+def test_sliding_execution_parity(sliding_dag, source):
     packets = random_packets(23)
-    oneshot, stream = _run(sliding_dag, "sliding_flows", engine, packets)
+    oneshot, stream = _run(sliding_dag, packets, source)
     assert_same_simulation(oneshot, stream)
+    assert_matches_centralized(sliding_dag, packets, oneshot)
     assert oneshot.fallback_nodes == {}
     assert stream.fallback_nodes == {}
     assert set(oneshot.node_variants.values()) == {"sub", "super"}
 
 
-@pytest.mark.parametrize("engine", ["row", "columnar"])
-def test_sketch_execution_parity(approx_dag, engine):
+@pytest.mark.parametrize("source", SOURCES)
+def test_sketch_execution_parity(approx_dag, source):
     packets = random_packets(23)
-    oneshot, stream = _run(approx_dag, "approx_heavy", engine, packets)
+    oneshot, stream = _run(approx_dag, packets, source)
     assert_same_simulation(oneshot, stream)
+    assert_within_sketch_bounds(
+        approx_dag, packets, oneshot.outputs["approx_heavy"]
+    )
     assert oneshot.fallback_nodes == {}
     assert stream.fallback_nodes == {}
     assert set(oneshot.node_variants.values()) == {"sketch_sub", "sketch_super"}
 
 
 def test_sketch_identical_across_engines(approx_dag):
-    """The sketch path is deterministic: both engines produce the same
-    estimates, not merely estimates within the same error bound."""
+    """The sketch path is deterministic, not merely bounded: a second
+    deployment of the same plan reproduces every estimate, whichever
+    form the trace arrives in."""
     packets = random_packets(29)
-    row, _ = _run(approx_dag, "approx_heavy", "row", packets)
-    columnar, _ = _run(approx_dag, "approx_heavy", "columnar", packets)
+    rows, _ = _run(approx_dag, packets, "row")
+    columns, _ = _run(approx_dag, packets, "columnar")
     assert batches_equal(
-        row.outputs["approx_heavy"], columnar.outputs["approx_heavy"]
+        rows.outputs["approx_heavy"], columns.outputs["approx_heavy"]
     )
 
 
@@ -232,9 +239,7 @@ def test_sketch_parallel_execution_matches(approx_dag):
     """Summaries crossing real process boundaries (pickled through the
     shared-memory transport) must not change the simulation."""
     packets = random_packets(31)
-    oneshot, stream = _run(
-        approx_dag, "approx_heavy", "columnar", packets, execution="parallel"
-    )
+    oneshot, stream = _run(approx_dag, packets, execution="parallel")
     assert_same_simulation(oneshot, stream)
 
 
@@ -243,66 +248,22 @@ def test_sliding_full_push_matches_central(sliding_dag):
     union must equal the single-host central answer exactly."""
     packets = random_packets(37)
     ps = PartitioningSet.of("srcIP")
-    pushed, _ = _run(sliding_dag, "sliding_flows", "columnar", packets, ps=ps)
+    pushed, _ = _run(sliding_dag, packets, ps=ps)
     assert set(pushed.node_variants.values()) == {"full"}
-
-    central_placement = Placement(1, 1)
-    central_plan = DistributedOptimizer(
-        sliding_dag, central_placement, None
-    ).optimize()
-    central = ClusterSimulator(
-        sliding_dag, central_plan, stream_rate=1000, engine="row"
-    ).run({"TCP": packets}, RoundRobinSplitter(1), 10.0)
-    assert batches_equal(
-        pushed.outputs["sliding_flows"], central.outputs["sliding_flows"]
-    )
+    assert_matches_centralized(sliding_dag, packets, pushed)
 
 
 def test_sketch_accuracy_against_oracle(approx_dag):
     """Estimates never undercount, overshoot eps*N only within the delta
-    budget, and every epsilon-heavy key of every window is reported."""
-    epsilon = 0.05
+    budget, and every epsilon-heavy key of every window is reported —
+    and the check cannot pass on an answer that reports nothing."""
     packets = random_packets(11)
-    oneshot, _ = _run(approx_dag, "approx_heavy", "columnar", packets)
-
-    by_pane = collections.defaultdict(list)
-    for packet in packets:
-        by_pane[packet["time"]].append(packet)
-    truth, totals = {}, {}
-    for end in range(min(by_pane), max(by_pane) + WINDOW_PANES):
-        rows = [
-            row
-            for pane in range(end - WINDOW_PANES + 1, end + 1)
-            for row in by_pane.get(pane, [])
-        ]
-        if not rows:
-            continue
-        for row in rows:
-            key = (end, row["srcIP"], row["destIP"])
-            count, size = truth.get(key, (0, 0))
-            truth[key] = (count + 1, size + row["len"])
-        totals[end] = (len(rows), sum(row["len"] for row in rows))
-
-    reported = set()
-    violations = estimates = 0
-    for row in oneshot.outputs["approx_heavy"]:
-        key = (row["tb"], row["srcIP"], row["destIP"])
-        reported.add(key)
-        true_count, true_bytes = truth.get(key, (0, 0))
-        window_count, window_bytes = totals[row["tb"]]
-        assert row["cnt"] >= true_count, key
-        assert row["bytes"] >= true_bytes, key
-        estimates += 2
-        violations += row["cnt"] - true_count > epsilon * window_count
-        violations += row["bytes"] - true_bytes > epsilon * window_bytes
-    assert estimates > 0
-    # delta = 0.05 allows a 5% failure rate; take 2x slack for variance.
-    assert violations <= max(1, 0.1 * estimates)
-
-    for key, (true_count, _) in truth.items():
-        window_count, _ = totals[key[0]]
-        if true_count >= epsilon * window_count:
-            assert key in reported, f"missing heavy key {key}"
+    oneshot, _ = _run(approx_dag, packets)
+    assert_within_sketch_bounds(
+        approx_dag, packets, oneshot.outputs["approx_heavy"]
+    )
+    with pytest.raises(AssertionError, match="missing heavy key"):
+        assert_within_sketch_bounds(approx_dag, packets, [])
 
 
 # -- network payoff ----------------------------------------------------------
@@ -349,14 +310,9 @@ def _heavy_hitter_packets(cardinality, epochs=4):
 
 def _aggregator_ingress(dag, packets):
     """(bytes the aggregator received, rows delivered) for ``dag``'s one
-    query streamed round-robin over four columnar hosts."""
-    placement = Placement(4, 2)
-    plan = DistributedOptimizer(dag, placement, None).optimize()
-    result = ClusterSimulator(
-        dag, plan, stream_rate=1000, engine="columnar"
-    ).run_streaming(
-        {"TCP": packets}, RoundRobinSplitter(placement.num_partitions), 10.0
-    )
+    query streamed round-robin over four hosts."""
+    sim, splitter = deploy(dag, 4, None)
+    result = sim.run_streaming({"TCP": packets}, splitter, 10.0)
     assert result.fallback_nodes == {}
     (delivered,) = result.outputs.values()
     return result.network.bytes_received[result.aggregator], len(delivered)
@@ -396,13 +352,7 @@ def test_sketch_floor_rejects_exact_against_itself(exact_heavy_dag):
 
 def test_metrics_surface_sketch_categories(approx_dag):
     packets = random_packets(13)
-    placement = Placement(3, 2)
-    plan = DistributedOptimizer(approx_dag, placement, None).optimize()
-    splitter = RoundRobinSplitter(placement.num_partitions)
-    sim = ClusterSimulator(
-        approx_dag, plan, stream_rate=1000, engine="columnar",
-        record_events=True,
-    )
+    sim, splitter = deploy(approx_dag, 3, None, record_events=True)
     oneshot = sim.run({"TCP": packets}, splitter, 10.0)
     categories = set()
     for host in oneshot.hosts:
