@@ -5,12 +5,13 @@ per tuple; this module processes a whole batch per operator call over a
 :class:`ColumnBatch` — a mapping of column name to NumPy array, and the
 one batch type that crosses a plan-node boundary.  Selection
 becomes a boolean-mask filter, tumbling-window aggregation becomes a
-lexsort-based factorization with per-aggregate ``ufunc.reduceat``
+group factorization (one sort of the group keys packed into ``uint64``
+codes, :func:`_group`) with per-aggregate ``ufunc.reduceat``
 reductions, and merge becomes array concatenation.  Scalar expressions are
 lowered by :mod:`repro.expr.vectorizer`.
 
 Joins and NULL-padding are vectorized too: :class:`ColumnarJoinOp`
-factorizes both sides' key columns jointly (the same lexsort machinery
+factorizes both sides' key columns jointly (the same :func:`_group`
 aggregation grouping uses), probes the build side with gather indices to
 produce aligned left/right row selectors, and projects the SELECT list
 over the merged, qualified (``alias.column``) columns;
@@ -338,29 +339,77 @@ def ensure_rows(batch) -> List[dict]:
 # -- group-by factorization ----------------------------------------------------
 
 
-def _group(keys: List[np.ndarray], length: int):
-    """Factorize rows by key tuple via a stable lexsort.
+def _pack_keys(keys: List[np.ndarray], length: int) -> Optional[np.ndarray]:
+    """One ``uint64`` code per row: the keys bit-concatenated, row index last.
 
-    Returns ``(order, starts, counts, group_keys)``: the sort permutation,
-    the start offset of each group in sorted order, per-group row counts,
-    and each key's representative value per group.  With no keys all rows
-    form one group (a global aggregate).  ``length`` must be positive.
+    Each integer or bool key takes ``(max - min).bit_length()`` bits,
+    stored offset from its minimum, the first key in the most significant
+    bits; constant keys take none.  The low ``(length - 1).bit_length()``
+    bits hold the row index, so every code is unique and sorting the codes
+    orders rows exactly as a stable lexsort of the keys does.  Returns
+    None when a key is not integer or bool, or the fields exceed 64 bits.
+    """
+    fields = []
+    bits = (length - 1).bit_length()
+    for key in keys:
+        if key.dtype.kind not in "iub":
+            return None
+        lowest = int(key.min())
+        width = (int(key.max()) - lowest).bit_length()
+        bits += width
+        if bits > 64:
+            return None
+        if width:
+            fields.append((key, lowest, width))
+    code = np.arange(length, dtype=np.uint64)
+    shift = bits
+    for key, lowest, width in fields:
+        shift -= width
+        # Modulo 2**64 the offset is exact for every integer dtype.
+        part = np.subtract(
+            key, np.uint64(lowest % (1 << 64)), dtype=np.uint64, casting="unsafe"
+        )
+        part <<= np.uint64(shift)
+        code |= part
+    return code
+
+
+def _group(keys: List[np.ndarray], length: int):
+    """Factorize rows by key tuple with one sort of packed ``uint64`` codes.
+
+    Returns ``(order, starts, counts, group_keys)``: the sort permutation
+    (the one a stable lexsort of the keys returns), the start offset of
+    each group in sorted order, per-group row counts, and each key's
+    representative value per group.  With no keys all rows form one group
+    (a global aggregate).  Keys :func:`_pack_keys` cannot pack (float,
+    object, or too wide) fall back to ``np.lexsort``.  ``length`` must be
+    positive.
     """
     if not keys:
         order = np.arange(length)
         starts = np.zeros(1, dtype=np.intp)
         counts = np.asarray([length], dtype=np.int64)
         return order, starts, counts, []
-    order = np.lexsort(tuple(reversed(keys)))
-    sorted_keys = [key[order] for key in keys]
-    change = np.zeros(length, dtype=bool)
+    code = _pack_keys(keys, length)
+    change = np.empty(length, dtype=bool)
     change[0] = True
-    for key in sorted_keys:
-        change[1:] |= key[1:] != key[:-1]
+    if code is not None:
+        code.sort()
+        index_bits = np.uint64((length - 1).bit_length())
+        group_code = code >> index_bits
+        np.not_equal(group_code[1:], group_code[:-1], out=change[1:])
+        code &= (np.uint64(1) << index_bits) - np.uint64(1)
+        order = code.view(np.intp)
+    else:
+        order = np.lexsort(tuple(reversed(keys)))
+        change[1:] = False
+        for key in keys:
+            ordered = key[order]
+            change[1:] |= ordered[1:] != ordered[:-1]
     starts = np.flatnonzero(change)
     counts = np.diff(np.append(starts, length))
-    group_keys = [key[starts] for key in sorted_keys]
-    return order, starts, counts, group_keys
+    firsts = order[starts]
+    return order, starts, counts, [key[firsts] for key in keys]
 
 
 # -- vectorized aggregate kernels ----------------------------------------------
@@ -533,6 +582,23 @@ def _empty_output(names: Sequence[str]) -> ColumnBatch:
     return ColumnBatch({name: np.empty(0, dtype=np.int64) for name in names}, 0)
 
 
+def _filter_then_project(
+    columns: Dict[str, Column], length: int, predicate, outputs, output_names
+) -> ColumnBatch:
+    """Keep the rows ``predicate`` (WHERE or HAVING; may be None) passes,
+    then evaluate the SELECT list ``outputs`` over them."""
+    if predicate is not None:
+        mask = predicate(columns, length)
+        kept = int(np.count_nonzero(mask))
+        if kept != length:
+            columns = _filter(columns, mask)
+            length = kept
+        if length == 0:
+            return _empty_output(output_names)
+    out = {name: materialize(fn(columns, length), length) for name, fn in outputs}
+    return ColumnBatch(out, length)
+
+
 class ColumnarSelectionOp(ColumnarOperator):
     """Selection/projection: boolean-mask filter + computed columns."""
 
@@ -553,20 +619,10 @@ class ColumnarSelectionOp(ColumnarOperator):
         length = len(batch)
         if length == 0:
             return _empty_output(self._output_names)
-        columns = batch.columns
-        if self._predicate is not None:
-            mask = self._predicate(columns, length)
-            kept = int(np.count_nonzero(mask))
-            if kept != length:
-                columns = _filter(columns, mask)
-                length = kept
-            if length == 0:
-                return _empty_output(self._output_names)
-        out = {
-            name: materialize(fn(columns, length), length)
-            for name, fn in self._outputs
-        }
-        return ColumnBatch(out, length)
+        return _filter_then_project(
+            batch.columns, length, self._predicate, self._outputs,
+            self._output_names,
+        )
 
 
 class ColumnarAggregateOp(ColumnarOperator):
@@ -637,19 +693,10 @@ class ColumnarAggregateOp(ColumnarOperator):
             group_columns[slot] = kernel.final(state)
 
     def _finish(self, group_columns: Dict[str, Column], num_groups: int):
-        if self._having is not None:
-            mask = self._having(group_columns, num_groups)
-            kept = int(np.count_nonzero(mask))
-            if kept != num_groups:
-                group_columns = _filter(group_columns, mask)
-                num_groups = kept
-            if num_groups == 0:
-                return self._empty()
-        out = {
-            name: materialize(fn(group_columns, num_groups), num_groups)
-            for name, fn in self._outputs
-        }
-        return ColumnBatch(out, num_groups)
+        return _filter_then_project(
+            group_columns, num_groups, self._having, self._outputs,
+            self._output_names,
+        )
 
     def _empty(self) -> ColumnBatch:
         return _empty_output(self._output_names)
@@ -708,19 +755,10 @@ class ColumnarSuperAggregateOp(ColumnarOperator):
             sorted_components = tuple(part[order] for part in components)
             merged = kernel.merge(sorted_components, starts)
             group_columns[slot] = kernel.final(merged)
-        if self._having is not None:
-            mask = self._having(group_columns, num_groups)
-            kept = int(np.count_nonzero(mask))
-            if kept != num_groups:
-                group_columns = _filter(group_columns, mask)
-                num_groups = kept
-            if num_groups == 0:
-                return _empty_output(self._output_names)
-        out = {
-            name: materialize(fn(group_columns, num_groups), num_groups)
-            for name, fn in self._outputs
-        }
-        return ColumnBatch(out, num_groups)
+        return _filter_then_project(
+            group_columns, num_groups, self._having, self._outputs,
+            self._output_names,
+        )
 
 
 # -- join ----------------------------------------------------------------------
@@ -728,15 +766,17 @@ class ColumnarSuperAggregateOp(ColumnarOperator):
 
 def _join_codes(
     left_keys: List[np.ndarray], right_keys: List[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, int]:
+) -> Tuple[np.ndarray, np.ndarray, int, np.ndarray]:
     """Factorize both sides' key tuples into one shared code space.
 
     Concatenating each key column across the two sides and running the
-    group-by lexsort assigns every distinct key tuple one integer code;
-    splitting the code array back gives per-row codes that are equal
-    across sides exactly when the row keys are (with NumPy's usual dtype
-    promotion, so an int build key matches a float probe key the way
-    Python's ``5 == 5.0`` dict lookup does).
+    group-by factorization assigns every distinct key tuple one integer
+    code; splitting the code array back gives per-row codes that are
+    equal across sides exactly when the row keys are (with NumPy's usual
+    dtype promotion, so an int build key matches a float probe key the
+    way Python's ``5 == 5.0`` dict lookup does).  The fourth value is the
+    build (right) side's rows in code order, input order within a code —
+    the stable argsort of the right codes, read off the factorization.
     """
     n_left = len(left_keys[0])
     combined = [
@@ -747,7 +787,8 @@ def _join_codes(
     order, starts, counts, _ = _group(combined, length)
     codes = np.empty(length, dtype=np.intp)
     codes[order] = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
-    return codes[:n_left], codes[n_left:], len(counts)
+    right_order = order[order >= n_left] - n_left
+    return codes[:n_left], codes[n_left:], len(counts), right_order
 
 
 class _PaddedProjection:
@@ -869,7 +910,7 @@ class ColumnarJoinOp(ColumnarOperator):
         n_left, n_right = len(left), len(right)
         matched_left = np.zeros(n_left, dtype=bool)
         matched_right = np.zeros(n_right, dtype=bool)
-        left_codes, right_codes, num_groups = _join_codes(
+        left_codes, right_codes, num_groups, right_order = _join_codes(
             self._left_key(left.columns, n_left),
             self._right_key(right.columns, n_right),
         )
@@ -877,7 +918,6 @@ class ColumnarJoinOp(ColumnarOperator):
         bucket_starts = np.concatenate(
             ([0], np.cumsum(bucket_sizes)[:-1])
         )
-        right_order = np.argsort(right_codes, kind="stable")
         per_left = bucket_sizes[left_codes]
         total = int(per_left.sum())
         if total == 0:

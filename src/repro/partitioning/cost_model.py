@@ -34,7 +34,7 @@ from ..engine.aggregates import states_width
 from ..engine.sketches import summary_wire_bytes
 from ..gsql.analyzer import AnalyzedNode, NodeKind
 from ..plan.dag import QueryDag
-from .compatibility import is_compatible
+from .compatibility import CompatibilityBasis, node_basis
 from .partition_set import PartitioningSet
 
 # Fallback selectivity factors by node kind, used when neither the workload
@@ -105,6 +105,9 @@ class CostModel:
         self._input_rate = input_rate
         self._selectivity = dict(selectivity or {})
         self._tuples: Dict[str, float] = {}
+        # A node's compatibility basis depends on the node, not on the
+        # candidate being costed: derived once per ``exclude_temporal``.
+        self._bases: Dict[bool, Dict[str, CompatibilityBasis]] = {}
         self._compute_rates()
 
     # -- rates -----------------------------------------------------------------
@@ -177,15 +180,19 @@ class CostModel:
     ) -> Dict[str, bool]:
         """A node runs on the leaf hosts iff it is compatible with PS and
         every child does too; sources always do (the splitter feeds them)."""
+        if exclude_temporal not in self._bases:
+            self._bases[exclude_temporal] = {
+                node.name: node_basis(node, self._dag, exclude_temporal)
+                for node in self._dag.query_nodes()
+            }
+        bases = self._bases[exclude_temporal]
         residency: Dict[str, bool] = {}
         for node in self._dag.nodes():
             if node.kind is NodeKind.SOURCE:
                 residency[node.name] = True
                 continue
             children_resident = all(residency[child] for child in node.inputs)
-            residency[node.name] = children_resident and is_compatible(
-                ps, node, self._dag, exclude_temporal
-            )
+            residency[node.name] = children_resident and bases[node.name].admits(ps)
         return residency
 
     def _network_bytes(

@@ -1,7 +1,11 @@
 """Columnar backend unit tests: batches, kernels, splitting, caching."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.engine.columnar as columnar
 from repro.cluster import ClusterSimulator, HashSplitter, RoundRobinSplitter
 from repro.distopt import DistributedOptimizer, Placement
 from repro.engine import (
@@ -344,3 +348,225 @@ class TestOperatorCaching:
         after = sim.session.backend.cached_operators
         for key, compiled in cache.items():
             assert after[key] is compiled, key
+
+
+# -- group-by factorization ----------------------------------------------------
+
+
+def _lexsort_group(keys, length):
+    """The reference factorization: a stable lexsort plus neighbour compares."""
+    order = np.lexsort(tuple(reversed(keys)))
+    sorted_keys = [key[order] for key in keys]
+    change = np.zeros(length, dtype=bool)
+    change[0] = True
+    for key in sorted_keys:
+        change[1:] |= key[1:] != key[:-1]
+    starts = np.flatnonzero(change)
+    counts = np.diff(np.append(starts, length))
+    return order, starts, counts, [key[starts] for key in sorted_keys]
+
+
+def _assert_groups_like_lexsort(keys, length):
+    got = columnar._group(keys, length)
+    want = _lexsort_group(keys, length)
+    for name, g, w in zip(("order", "starts", "counts"), got[:3], want[:3]):
+        assert g.dtype == w.dtype, name
+        assert np.array_equal(g, w), name
+    assert len(got[3]) == len(want[3])
+    for g, w in zip(got[3], want[3]):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+_PACKABLE_DTYPES = (
+    np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64, np.bool_,
+)
+
+
+@st.composite
+def _key_columns(draw):
+    """1-4 integer/bool key columns; lengths hit the index-bit edges 2**k
+    and 2**k + 1, values repeat (few distinct per column) and include the
+    dtype's extremes, so widths range from 0 (constant) to 64."""
+    length = draw(
+        st.one_of(
+            st.integers(1, 64),
+            st.builds(
+                lambda k, extra: 2**k + extra, st.integers(0, 10), st.integers(0, 1)
+            ),
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = []
+    for _ in range(draw(st.integers(1, 4))):
+        dtype = draw(st.sampled_from(_PACKABLE_DTYPES))
+        if dtype is np.bool_:
+            lowest, highest = 0, 1
+        else:
+            lowest, highest = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+        value = st.one_of(
+            st.sampled_from([lowest, highest, 0]), st.integers(lowest, highest)
+        )
+        pool = np.asarray(draw(st.lists(value, min_size=1, max_size=5)), dtype=dtype)
+        keys.append(pool[rng.integers(0, len(pool), length)])
+    return keys, length
+
+
+class TestGroupFactorization:
+    """``_group`` is the stable lexsort factorization, dtypes included."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_key_columns())
+    def test_matches_lexsort(self, case):
+        keys, length = case
+        _assert_groups_like_lexsort(keys, length)
+
+    @pytest.mark.parametrize("length", [1, 2, 1024, 1025])
+    def test_narrow_negative_and_constant_keys(self, length):
+        rng = np.random.default_rng(length)
+        keys = [
+            np.full(length, -7, dtype=np.int64),  # constant: no bits
+            rng.integers(-3, 2, length).astype(np.int8),
+            rng.integers(0, 2, length).astype(bool),
+            rng.integers(2**63, 2**63 + 4, length, dtype=np.uint64),
+        ]
+        assert columnar._pack_keys(keys, length) is not None
+        _assert_groups_like_lexsort(keys, length)
+
+    @pytest.mark.parametrize("extra_bits, packed", [(0, True), (1, False)])
+    def test_64_bits_pack_and_65_fall_back(self, extra_bits, packed):
+        # 1024 rows take 10 index bits; the keys 30 and 24 (or 25) more.
+        length = 1024
+        rng = np.random.default_rng(3)
+        wide = rng.integers(-(2**29), 2**29, length) // 2**26 * 2**26
+        wide[:2] = -(2**29), 2**29 - 1
+        top = 2 ** (24 + extra_bits) - 1
+        narrow = (rng.integers(0, 4, length) * (top // 3)).astype(np.uint32)
+        narrow[:2] = 0, top
+        keys = [wide, narrow]
+        assert (columnar._pack_keys(keys, length) is not None) is packed
+        _assert_groups_like_lexsort(keys, length)
+
+    @pytest.mark.parametrize(
+        "key, packed",
+        [
+            (np.asarray([2**63 - 1, -(2**63)], dtype=np.int64), False),
+            (np.asarray([2**62 - 1, -(2**62)], dtype=np.int64), True),
+            (np.asarray([2**64 - 1, 0], dtype=np.uint64), False),
+            (np.asarray([2**64 - 1, 2**63], dtype=np.uint64), True),
+        ],
+        ids=["int64-full", "int64-63-bits", "uint64-full", "uint64-high-half"],
+    )
+    def test_two_rows_of_extreme_keys(self, key, packed):
+        # Two rows take 1 index bit: a 63-bit range packs, 64 bits do not.
+        assert (columnar._pack_keys([key], 2) is not None) is packed
+        _assert_groups_like_lexsort([key], 2)
+        _assert_groups_like_lexsort([key[::-1]], 2)
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            np.asarray([0.5, -1.0, 0.5, 2.0, -1.0]),
+            np.asarray(["b", "a", "b", "c", "a"], dtype=object),
+        ],
+        ids=["float", "object"],
+    )
+    def test_float_and_object_keys_fall_back(self, second):
+        keys = [np.asarray([1, 1, 1, 0, 1]), second]
+        assert columnar._pack_keys(keys, 5) is None
+        _assert_groups_like_lexsort(keys, 5)
+
+    def test_join_codes_match_int_keys_to_float_keys(self):
+        left = [np.asarray([5, 3, 7, 5], dtype=np.int64)]
+        right = [np.asarray([5.0, 2.5, 7.0, 5.0, 3.5])]
+        left_codes, right_codes, num_groups, right_order = columnar._join_codes(
+            left, right
+        )
+        assert left_codes[0] == left_codes[3] == right_codes[0] == right_codes[3]
+        assert left_codes[2] == right_codes[2]
+        assert left_codes[1] not in right_codes
+        assert num_groups == 5  # 2.5, 3, 3.5, 5, 7
+        assert right_order.tolist() == np.argsort(right_codes, kind="stable").tolist()
+
+    _KEY_ROWS = st.lists(
+        st.tuples(st.integers(0, 3), st.integers(-2, 2)), min_size=1, max_size=40
+    )
+
+    @settings(deadline=None, max_examples=60)
+    @given(_KEY_ROWS, _KEY_ROWS)
+    def test_join_codes_equal_iff_keys_equal(self, left_rows, right_rows):
+        left = [np.asarray(column) for column in zip(*left_rows)]
+        right = [np.asarray(column) for column in zip(*right_rows)]
+        left_codes, right_codes, num_groups, right_order = columnar._join_codes(
+            left, right
+        )
+        rows = left_rows + right_rows
+        codes = np.concatenate([left_codes, right_codes]).tolist()
+        assert num_groups == len(set(rows))
+        assert len({(row, code) for row, code in zip(rows, codes)}) == num_groups
+        assert right_order.tolist() == np.argsort(right_codes, kind="stable").tolist()
+
+
+def _reversed_within_groups(group):
+    """A ``_group`` that keeps every group but reverses each one's rows."""
+
+    def reversed_group(keys, length):
+        order, starts, counts, group_keys = group(keys, length)
+        order = np.concatenate(
+            [order[start:start + count][::-1] for start, count in zip(starts, counts)]
+        )
+        return order, starts, counts, group_keys
+
+    return reversed_group
+
+
+# One group whose float SUM depends on the addition order (reversed, it
+# sums to 3.0, not 4.0), interleaved row by row with a second group.
+_ORDER_SENSITIVE = [1e16, -1e16, 1.0, 3.0]
+_ORDER_ROWS = [
+    row
+    for a, b in zip(_ORDER_SENSITIVE, [1.0, 2.0, 3.0, 4.0])
+    for row in ({"srcIP": 1, "len": a}, {"srcIP": 2, "len": b})
+]
+
+
+def _assert_sum_folds_in_input_order(catalog, path):
+    node = catalog.define_query(
+        "q", "SELECT srcIP, SUM(len) as s FROM TCP GROUP BY srcIP"
+    )
+    if path == "full":
+        want = AggregateOp(node).process(_ORDER_ROWS)
+        got = build_columnar_operator(node).process(
+            ColumnBatch.from_rows(_ORDER_ROWS)
+        )
+    else:
+        # One row of each group per partition: SUPER merges four partials.
+        partitions = [_ORDER_ROWS[i:i + 2] for i in range(0, len(_ORDER_ROWS), 2)]
+        want = SuperAggregateOp(node).process(
+            [row for part in partitions for row in SubAggregateOp(node).process(part)]
+        )
+        sub = build_columnar_operator(node, "sub")
+        got = build_columnar_operator(node, "super").process(
+            ColumnBatch.concat(
+                [sub.process(ColumnBatch.from_rows(part)) for part in partitions]
+            )
+        )
+    assert {row["srcIP"]: row["s"] for row in want} == {1: 4.0, 2: 10.0}
+    assert batches_equal(got.to_rows(), want)
+
+
+class TestGroupOrderPin:
+    """Within a group, rows reach the reductions in input order."""
+
+    @pytest.mark.parametrize("path", ["full", "sub_super"])
+    def test_float_sum_equals_the_row_fold(self, catalog, path):
+        _assert_sum_folds_in_input_order(catalog, path)
+
+    @pytest.mark.parametrize("path", ["full", "sub_super"])
+    def test_reversed_group_order_is_caught(self, catalog, monkeypatch, path):
+        monkeypatch.setattr(
+            columnar, "_group", _reversed_within_groups(columnar._group)
+        )
+        with pytest.raises(AssertionError):
+            _assert_sum_folds_in_input_order(catalog, path)
