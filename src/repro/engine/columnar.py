@@ -218,9 +218,9 @@ class ColumnBatch:
         """Rebuild a batch from a :meth:`to_shared` descriptor.
 
         Columns are *copied* out of the segment (the batch may outlive the
-        segment — streaming buffers hold data across epochs while the
-        router unlinks each step's segments), and the attachment is
-        closed before returning.
+        segment — streaming buffers hold data across epochs and delivered
+        batches outlive the run, while the router unlinks each step's
+        segments), and the attachment is closed before returning.
         """
         segment = (
             _attach_segment(handle.segment_name)

@@ -60,6 +60,7 @@ from .parallel import ParallelExecutor, ParallelUnavailable
 from .rebalance import RebalanceLog, RebalancePolicy
 from .session import (
     EXECUTION_MODES,
+    DeliveredRows,
     ExecutionSession,
     InProcessExecutor,
     RunOptions,
@@ -72,6 +73,7 @@ __all__ = [
     "BLOCK",
     "EXECUTION_MODES",
     "CompiledOperator",
+    "DeliveredRows",
     "DROP_NEWEST",
     "DROP_OLDEST",
     "EngineBackend",

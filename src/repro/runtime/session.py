@@ -15,8 +15,9 @@ and validated once, by :class:`RunOptions`.
 
 Operators come pre-compiled from the :class:`~repro.runtime.backend.EngineBackend`
 (kernel or adapted row operator is decided at session construction,
-never per batch), and every batch between the source door and delivery
-is a :class:`~repro.engine.columnar.ColumnBatch`; all accounting flows
+never per batch), and every batch from the source door to the first read
+of a query's rows (:class:`DeliveredRows`) is a
+:class:`~repro.engine.columnar.ColumnBatch`; all accounting flows
 through the :class:`~repro.runtime.metrics.MetricsRecorder`.
 
 *Where* operators run is a second seam: a :class:`StepExecutor` receives
@@ -311,6 +312,39 @@ def _source_reads(
     return reads
 
 
+class DeliveredRows(Mapping[str, List[Row]]):
+    """Query name -> delivered rows, built from the step batches on read.
+
+    The run loop keeps each step's delivered ``ColumnBatch``, never
+    concatenated (steps may differ in dtype).  A query's rows are those
+    batches' ``to_rows()`` in step order, built on first read and cached.
+    """
+
+    def __init__(self, batches: Dict[str, List[ColumnBatch]]):
+        #: Per query, the non-empty batches its delivery node returned.
+        self.batches = batches
+        self._rows: Dict[str, List[Row]] = {}
+
+    def __getitem__(self, name: str) -> List[Row]:
+        rows = self._rows.get(name)
+        if rows is None:
+            rows = self._rows[name] = [
+                row for batch in self.batches[name] for row in batch.to_rows()
+            ]
+        return rows
+
+    def __iter__(self):
+        return iter(self.batches)
+
+    def __len__(self) -> int:
+        return len(self.batches)
+
+    def row_count(self, name: Optional[str] = None) -> int:
+        """Rows of ``name`` (all queries if None), from batch lengths alone."""
+        names = self.batches if name is None else (name,)
+        return sum(len(batch) for n in names for batch in self.batches[n])
+
+
 def _node_label(node: DistNode) -> str:
     """A human-readable operator label for compile-event reporting."""
     if node.kind is DistKind.MERGE:
@@ -326,7 +360,7 @@ class SimulationResult:
 
     hosts: List["Host"]
     network: "NetworkMeter"
-    outputs: Dict[str, List[Row]]
+    outputs: DeliveredRows
     duration_sec: float
     aggregator: int
     splitter_description: str = ""
@@ -420,6 +454,8 @@ class SimulationResult:
                 f"source {stream}: reads {', '.join(kept)}; "
                 f"pruned {', '.join(dropped) or 'nothing'}"
             )
+        for name in sorted(self.outputs):
+            lines.append(f"delivered {name}: {self.outputs.row_count(name)} rows")
         return "\n".join(lines)
 
 
@@ -522,7 +558,7 @@ class ExecutionSession:
             }
             epochs = [_WHOLE_TRACE]
         order = self._plan.topological()
-        delivered: Dict[str, List[Row]] = {name: [] for name in self._plan.delivery}
+        delivered = DeliveredRows({name: [] for name in self._plan.delivery})
         counts: Dict[str, int] = {node.node_id: 0 for node in order}
         offsets: Dict[str, int] = {stream: 0 for stream in slices}
         num_partitions = self._plan.num_partitions
@@ -613,9 +649,12 @@ class ExecutionSession:
                     outcome.buffered_rows,
                     controller.resident_rows(),
                 )
-                # Delivery: the one place the run loop leaves ColumnBatch.
+                # Delivery: the run loop keeps the step's batch; rows are
+                # built when ``result.outputs[name]`` is first read.
                 for name, node_id in self._plan.delivery.items():
-                    delivered[name].extend(outcome.returns[node_id].to_rows())
+                    batch = outcome.returns[node_id]
+                    if len(batch):
+                        delivered.batches[name].append(batch)
                 if rebalancer is not None and not flush:
                     partition_rows = [0] * num_partitions
                     for node in order:

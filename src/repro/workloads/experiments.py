@@ -13,7 +13,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..cluster.costs import DEFAULT_COSTS, CostTable
 from ..cluster.simulator import ClusterSimulator, QueuePolicy, SimulationResult
@@ -303,8 +303,8 @@ def _canonical_rows(batch) -> Counter:
 
 
 def per_query_recall(
-    reference_outputs: Dict[str, Sequence],
-    outputs: Dict[str, Sequence],
+    reference_outputs: Mapping[str, Sequence],
+    outputs: Mapping[str, Sequence],
 ) -> Dict[str, float]:
     """Answer recall of ``outputs`` against an unbounded reference run.
 
@@ -373,9 +373,7 @@ def overload_sweep(
                 rows_in=sum(s.total_in for s in stats),
                 rows_delivered=sum(s.total_delivered for s in stats),
                 rows_dropped=sum(s.total_dropped for s in stats),
-                output_rows=sum(
-                    len(batch) for batch in outcome.result.outputs.values()
-                ),
+                output_rows=outcome.result.outputs.row_count(),
                 recall=per_query_recall(
                     reference.result.outputs, outcome.result.outputs
                 ),

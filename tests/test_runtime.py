@@ -443,6 +443,177 @@ class TestOneBatchType:
         assert watched["steps"] > 0 and watched["returns"] > 0
 
 
+@pytest.fixture
+def to_rows_calls(monkeypatch):
+    """Record every ``ColumnBatch.to_rows`` call made in the driver
+    process from here on: the list of batches it was called on."""
+    calls = []
+    to_rows = ColumnBatch.to_rows
+
+    def counted(batch):
+        calls.append(batch)
+        return to_rows(batch)
+
+    monkeypatch.setattr(ColumnBatch, "to_rows", counted)
+    return calls
+
+
+class _OddAsFloat(_LastValue):
+    """LAST_VALUE that answers odd values as floats.  Over ``time`` and
+    grouped by epoch, its column is int64 in even epochs and float64 in
+    odd ones: one concatenated batch would print ``2.0`` for ``2``."""
+
+    name = "ODD_AS_FLOAT"
+
+    def final(self, state):
+        return float(state) if state % 2 else state
+
+
+register_aggregate(_OddAsFloat())
+
+
+def _delivery_case(case, catalog_factory):
+    """``(simulator, splitter, run options)`` of one deferral case."""
+    if case == "outer-join":
+        dag, plan = outer_join_plan(catalog_factory())
+        sim = ClusterSimulator(dag, plan, stream_rate=1000)
+        return sim, RoundRobinSplitter(plan.num_partitions), {}
+    if case == "mixed-dtype":
+        catalog = catalog_factory()
+        catalog.define_query(
+            "last",
+            "SELECT tb, srcIP, ODD_AS_FLOAT(time) as t FROM TCP "
+            "GROUP BY time as tb, srcIP",
+        )
+        sim, splitter = deploy(QueryDag.from_catalog(catalog), 2, None)
+        return sim, splitter, {}
+    catalog_fn, deliver = WORKLOADS["jitter"]
+    sim, splitter = deploy(
+        catalog_fn()[1], 2, PartitioningSet.of("srcIP"), deliver
+    )
+    if case == "jitter-parallel":
+        return sim, splitter, {"execution": "parallel", "workers": 2}
+    return sim, splitter, {}
+
+
+def _eager_rows(monkeypatch):
+    """Per query, the rows an eager delivery would have built: each
+    step's returned batch converted the moment the step returns it."""
+    eager = {}
+    replay = ExecutionSession._replay_step
+
+    def converting_replay(session, outcome, *args):
+        for name, node_id in session._plan.delivery.items():
+            rows = ColumnBatch.to_rows(outcome.returns[node_id])
+            eager.setdefault(name, []).extend(rows)
+        return replay(session, outcome, *args)
+
+    monkeypatch.setattr(ExecutionSession, "_replay_step", converting_replay)
+    return eager
+
+
+def _assert_deferred_equals_eager(result, eager):
+    assert set(result.outputs) == set(eager)
+    for name, rows in eager.items():
+        deferred = result.outputs[name]
+        assert type(deferred) is list
+        # repr: 2 vs 2.0 and None vs nan differ, list for list, in order
+        assert repr(deferred) == repr(rows), name
+        assert result.outputs.row_count(name) == len(rows)
+
+
+class TestDeferredDelivery:
+    """The run loop keeps each step's delivered ``ColumnBatch``; rows are
+    built when ``result.outputs[query]`` is first read, and equal what a
+    conversion at every step would have built."""
+
+    def test_execute_builds_no_rows(self, jitter_dag, tiny_trace, to_rows_calls):
+        sim, splitter = deploy(
+            jitter_dag, 2, PartitioningSet.of("srcIP"), WORKLOADS["jitter"][1]
+        )
+        result = sim.run_streaming({"TCP": tiny_trace.column_batch()}, splitter, 10.0)
+        assert result.fallback_nodes == {}
+        # no adapted row operator either: it would have called to_rows
+        assert to_rows_calls == []
+        for name, batches in result.outputs.batches.items():
+            assert len(batches) > 1 and all(len(batch) for batch in batches)
+            rows = result.outputs[name]
+            assert to_rows_calls == batches  # one call per step batch, in order
+            assert result.outputs[name] is rows  # cached
+            assert to_rows_calls == batches
+            assert len(rows) == result.outputs.row_count(name)
+            to_rows_calls.clear()
+        assert result.outputs.row_count() == sum(
+            len(result.outputs[name]) for name in result.outputs
+        )
+
+    @pytest.mark.parametrize(
+        "case", ("outer-join", "mixed-dtype", "jitter", "jitter-parallel")
+    )
+    def test_deferred_rows_equal_eager_rows(
+        self, case, catalog_factory, tiny_trace, monkeypatch
+    ):
+        sim, splitter, options = _delivery_case(case, catalog_factory)
+        eager = _eager_rows(monkeypatch)
+        result = sim.run_streaming(
+            {"TCP": tiny_trace.column_batch()}, splitter, 10.0, **options
+        )
+        assert result.execution == options.get("execution", "inprocess")
+        (batches, *_) = result.outputs.batches.values()
+        dtypes = {
+            str(column.dtype)
+            for batch in batches
+            for column in batch.columns.values()
+        }
+        if case == "outer-join":
+            assert "object" in dtypes
+        if case == "mixed-dtype":
+            assert {"int64", "float64"} <= dtypes
+        # read only now: after the run, its executor (and any shared
+        # memory the workers shipped batches in) closed
+        _assert_deferred_equals_eager(result, eager)
+
+    def test_an_operator_reusing_its_output_buffer_is_caught(
+        self, catalog_factory, tiny_trace, monkeypatch
+    ):
+        """Known-bad companion: a delivery operator that hands out a
+        buffer and overwrites it on its next step.  Eager conversion
+        never saw the overwrite; deferred rows do, and the check fails."""
+        sim, splitter, _ = _delivery_case("jitter", catalog_factory)
+        delivery = set(sim.session._plan.delivery.values())
+        build = EngineBackend.streaming_node
+
+        class Reusing:
+            def __init__(self, inner):
+                self._inner = inner
+                self._last = None
+
+            def __getattr__(self, name):
+                return getattr(self._inner, name)
+
+            def step(self, inputs, watermarks, flush):
+                if self._last is not None:
+                    for column in self._last.columns.values():
+                        column += 1
+                output, watermark = self._inner.step(inputs, watermarks, flush)
+                output = ColumnBatch(
+                    {name: np.array(column) for name, column in output.columns.items()},
+                    len(output),
+                )
+                self._last = output
+                return output, watermark
+
+        def building(backend, node):
+            inner = build(backend, node)
+            return Reusing(inner) if node.node_id in delivery else inner
+
+        monkeypatch.setattr(EngineBackend, "streaming_node", building)
+        eager = _eager_rows(monkeypatch)
+        result = sim.run_streaming({"TCP": tiny_trace.column_batch()}, splitter, 10.0)
+        with pytest.raises(AssertionError):
+            _assert_deferred_equals_eager(result, eager)
+
+
 def _with_junk(trace):
     """The trace's columns plus one no query can read (and no kernel
     could: it is not even numeric)."""
@@ -561,6 +732,20 @@ class TestLineagePruning:
         ]
         assert "reads srcIP, destIP, time" in line
         assert "junk" in line.split("pruned")[1]
+
+    def test_summary_counts_deliveries_without_building_rows(
+        self, complex_dag, tiny_trace, to_rows_calls
+    ):
+        sim, splitter = _complex(complex_dag)
+        result = sim.run_streaming({"TCP": tiny_trace.column_batch()}, splitter, 10.0)
+        summary = result.summary().splitlines()
+        assert to_rows_calls == []
+        delivered = [line for line in summary if line.startswith("delivered ")]
+        assert delivered == [
+            f"delivered {name}: {len(result.outputs[name])} rows"
+            for name in sorted(COMPLEX_DELIVER)
+        ]
+        assert all(not line.endswith(" 0 rows") for line in delivered)
 
 
 # -- RunOptions: the one declaration (and validation) of a run ------------------
