@@ -1,21 +1,32 @@
 """Columnar/row kernel ratios, measured inside one process.
 
-Two hard assertions: the vectorized aggregation kernel is at least 5x
-the row operator and the vectorized join at least 10x, both on the same
-input in the same process, so the ratio transfers between machines where
-an absolute throughput would not.  Whole-run throughput and per-kernel
-wall time are ``benchmarks/e2e``'s job (``rows_per_s``,
-``engine.<kind>_ms``), which also fails any run that falls back off the
-columnar engine.
+Three hard assertions: the vectorized aggregation kernel is at least 5x
+the row operator, the vectorized join at least 10x, and the vectorized
+sliding-window FULL kernel at least 5x the row ``SlidingAggregateOp``,
+each on the same input in the same process, so the ratio transfers
+between machines where an absolute throughput would not.  Whole-run
+throughput and per-kernel wall time are ``benchmarks/e2e``'s job
+(``rows_per_s``, ``engine.<kind>_ms``), which also fails any run that
+falls back off the columnar engine.
 """
 
 import time
 
 import pytest
 
-from repro.engine import ColumnBatch, build_columnar_operator, build_operator
+from repro.engine import (
+    ColumnBatch,
+    build_columnar_operator,
+    build_operator,
+    build_variant_kernel,
+    build_variant_operator,
+)
 from repro.traces import TraceConfig, generate_trace
-from repro.workloads import complex_catalog, suspicious_flows_catalog
+from repro.workloads import (
+    complex_catalog,
+    sliding_flows_catalog,
+    suspicious_flows_catalog,
+)
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +86,17 @@ def test_columnar_join_speedup(join_inputs):
     col_time = _best_of(col_op.process, col_in, col_in)
     speedup = row_time / col_time
     assert speedup >= 10.0, f"columnar join only {speedup:.1f}x faster than row"
+
+
+def test_columnar_sliding_speedup(trace):
+    """The acceptance bar: the vectorized sliding FULL kernel (panes,
+    relabelled by window end, merged by the tumbling SUPER) ≥5x the row
+    ``SlidingAggregateOp``."""
+    _, dag = sliding_flows_catalog(window_panes=3, slide_panes=1)
+    node = dag.node("sliding_flows")
+    row_op = build_variant_operator(node)
+    col_op = build_variant_kernel(node)
+    row_time = _best_of(row_op.process, trace.packets)
+    col_time = _best_of(col_op.process, trace.column_batch())
+    speedup = row_time / col_time
+    assert speedup >= 5.0, f"sliding kernel only {speedup:.1f}x faster than row"

@@ -125,35 +125,25 @@ class SlidingWindowAggregate:
     def pane_column(self) -> str:
         return self._pane_column
 
-    def process(
-        self, rows: Batch, ends: Optional[List[int]] = None
-    ) -> Batch:
+    def process(self, rows: Batch) -> Batch:
         """Full evaluation: tumbling panes, then window reassembly."""
-        return self.combine_partials(self._sub.process(rows), ends)
+        return self.combine_partials(self._sub.process(rows))
 
-    def combine_partials(
-        self, sub_rows: Batch, ends: Optional[List[int]] = None
-    ) -> Batch:
+    def combine_partials(self, sub_rows: Batch) -> Batch:
         """Window reassembly over (possibly shipped) pane states.
 
         ``sub_rows`` are SUB-operator outputs: group-by columns plus raw
         aggregate states.  Rows for the same (pane, group) — e.g. from
-        different hosts — merge first; each window then merges its panes.
-        ``ends`` restricts emission to those window-end labels (a
-        streaming caller emits only the windows its watermark closed);
-        by default every window intersecting the input panes emits.
+        different hosts — merge first; each window intersecting the input
+        panes then merges its panes.
         """
         panes = self._merge_by_pane(sub_rows)
-        if not panes and ends is None:
-            return []
         spec = self._spec
         results: Batch = []
-        pane_indices = sorted({pane for pane, _ in panes})
         by_pane: Dict[int, Dict[tuple, GroupAccumulator]] = {}
         for (pane, key), accumulator in panes.items():
             by_pane.setdefault(pane, {})[key] = accumulator
-        if ends is None:
-            ends = spec.window_ends_covering(pane_indices)
+        ends = spec.window_ends_covering(by_pane)
         for end in ends:
             start = end - spec.window_panes + 1
             window_groups: Dict[tuple, GroupAccumulator] = {}

@@ -1,4 +1,4 @@
-"""Sketch-backed approximate aggregation: Count-Min + exponential histograms.
+"""Sketch-backed approximate aggregation: Count-Min summaries per pane.
 
 The exact aggregation path ships one partial-state row per (pane, group)
 from every host — linear in group cardinality.  This module implements the
@@ -18,26 +18,24 @@ Sliding-Window Data Streams" (PAPERS.md):
   merge exactly (the distributed path relies on this); the optional
   conservative-update mode tightens single-site error but sacrifices
   mergeability, so shipped summaries never use it.
-* :class:`ExponentialHistogram` — a per-counter bucket cascade over pane
-  indices (Datar et al.) answering "how much arrived in panes >= s" with
-  bounded relative error; dropping buckets older than the window start is
-  the *sliding expiry* that keeps aggregator state independent of stream
-  length.
-* :class:`EcmSketch` — the composition: a Count-Min grid whose cells are
-  exponential histograms.  Absorbing a pane's plain sketch adds each
-  non-zero cell as one timestamped EH insertion; a window estimate is the
-  per-row minimum of EH range sums, exactly the ECM-sketch construction.
+* The ECM-sketch's pane ring — a Count-Min grid per pane, a window
+  answered from the grids of its panes — is kept at per-pane resolution:
+  the aggregator sums the window's pane grids cell-wise
+  (:class:`~repro.engine.variants.ColumnarSketchSuperOp`), which is exact
+  over the window, and the streaming wrapper drops panes no later window
+  reads, so aggregator state stays independent of stream length.
 
 Key hashing is seeded FNV-1a over the key tuple's repr — deterministic
 across processes (independent of ``PYTHONHASHSEED``), so worker-shipped
-summaries merge bit-identically with driver-side ones.
+summaries merge bit-identically with driver-side ones.  :func:`hash_keys`
+is the same hash, vectorized.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +54,56 @@ def _hash_key(key: tuple, seed: int) -> int:
         value ^= 0x2D  # separator so (1, 23) != (12, 3)
         value = (value * _FNV_PRIME) & _MASK64
     return value
+
+
+def hash_keys(parts: Sequence[np.ndarray], seeds: Sequence[int]) -> np.ndarray:
+    """:func:`_hash_key` of many keys under many seeds at once.
+
+    ``parts[i]`` holds every key's ``i``-th element (no parts: one empty
+    key).  Returns a ``(len(seeds), keys)`` ``uint64`` array equal bit for
+    bit to ``_hash_key`` of each key as the tuple of Python scalars
+    ``tolist`` yields.  Each distinct element is ``repr``-encoded once;
+    the FNV-1a fold then runs over a zero-padded byte grid, one byte
+    column per step, for every seed and key together.
+    """
+    prime = np.uint64(_FNV_PRIME)
+    count = len(parts[0]) if parts else 1
+    start = [(_FNV_OFFSET ^ (seed * _FNV_PRIME)) & _MASK64 for seed in seeds]
+    value = np.repeat(np.asarray(start, dtype=np.uint64)[:, None], count, axis=1)
+    for part in parts:
+        if count == 0:
+            break
+        grid, lengths = _byte_grid(np.asarray(part))
+        shortest = int(lengths.min())
+        for column in range(grid.shape[1]):
+            folded = (value ^ grid[:, column]) * prime
+            value = (
+                folded
+                if column < shortest
+                else np.where(column < lengths, folded, value)
+            )
+        value = (value ^ np.uint64(0x2D)) * prime
+    return value
+
+
+def _byte_grid(part: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every element's ``repr`` bytes, zero-padded into one ``uint8`` row
+    each, plus the byte counts.  Integer, bool and string columns encode
+    once per distinct value; any other (floats, where ``0.0 == -0.0``;
+    object columns, possibly of mixed types) element by element."""
+    if part.dtype.kind in "iubUS":
+        distinct, inverse = np.unique(part, return_inverse=True)
+    else:
+        distinct, inverse = part, None
+    encoded = [repr(value).encode() for value in distinct.tolist()]
+    width = max(map(len, encoded))
+    grid = np.frombuffer(
+        b"".join(code.ljust(width, b"\0") for code in encoded), dtype=np.uint8
+    ).reshape(len(encoded), width)
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    if inverse is None:
+        return grid, lengths
+    return grid[inverse], lengths[inverse]
 
 
 def sketch_dimensions(epsilon: float, delta: float) -> Tuple[int, int]:
@@ -165,9 +213,6 @@ class CountMinSketch:
         clone.total = self.total
         return clone
 
-    def nbytes(self) -> int:
-        return int(self.counts.nbytes)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountMinSketch):
             return NotImplemented
@@ -197,153 +242,6 @@ def _rebuild_sketch(width, depth, seed, conservative, counts, total):
     return sketch
 
 
-class ExponentialHistogram:
-    """Bucketed count over pane indices with bounded relative error.
-
-    ``add(pane, amount)`` appends arrivals in non-decreasing pane order;
-    ``query(start)`` estimates the total with pane >= ``start``; buckets
-    entirely older than an expiry bound are dropped, keeping the state
-    logarithmic in the window sum (Datar et al.).  At most ``k`` buckets
-    of each power-of-two size are kept — the straddling bucket at the
-    query boundary contributes half its count, bounding relative error by
-    roughly ``1/k``.
-    """
-
-    __slots__ = ("k", "buckets")
-
-    def __init__(self, k: int):
-        if k <= 0:
-            raise ValueError("k must be positive")
-        self.k = k
-        # [newest_pane, oldest_pane, size] triples, oldest bucket first.
-        # Keeping both endpoints makes boundary handling exact whenever no
-        # merged bucket actually straddles the query start.
-        self.buckets: List[List[int]] = []
-
-    def add(self, pane: int, amount: int) -> None:
-        if amount <= 0:
-            return
-        self.buckets.append([pane, pane, amount])
-        self._compress()
-
-    def _compress(self) -> None:
-        # Merge the two oldest buckets of any size class (floor log2)
-        # holding more than k buckets; the merged bucket spans both.
-        while True:
-            by_class: Dict[int, List[int]] = {}
-            for index, bucket in enumerate(self.buckets):
-                by_class.setdefault(bucket[2].bit_length(), []).append(index)
-            merged = False
-            for indices in by_class.values():
-                if len(indices) > self.k:
-                    first, second = indices[0], indices[1]
-                    newest = max(self.buckets[first][0], self.buckets[second][0])
-                    oldest = min(self.buckets[first][1], self.buckets[second][1])
-                    size = self.buckets[first][2] + self.buckets[second][2]
-                    self.buckets[second] = [newest, oldest, size]
-                    del self.buckets[first]
-                    merged = True
-                    break
-            if not merged:
-                return
-
-    def expire(self, oldest_pane: int) -> None:
-        """Drop buckets whose newest arrival predates ``oldest_pane``."""
-        self.buckets = [
-            bucket for bucket in self.buckets if bucket[0] >= oldest_pane
-        ]
-
-    def query(self, start: int) -> int:
-        """Estimated total of arrivals with pane >= ``start``.
-
-        Buckets entirely inside the range count in full; a bucket that
-        straddles the boundary (merged across it) contributes half — the
-        standard EH estimator, with error bounded by the straddler's
-        size, hence a relative error of roughly ``1/k``.
-        """
-        total = 0
-        for newest, oldest, size in self.buckets:
-            if newest < start:
-                continue
-            if oldest >= start:
-                total += size
-            else:
-                total += (size + 1) // 2
-        return total
-
-    def total(self) -> int:
-        return sum(bucket[2] for bucket in self.buckets)
-
-
-class EcmSketch:
-    """A Count-Min grid of exponential histograms over pane indices.
-
-    The aggregator-side sliding state: :meth:`absorb` folds one pane's
-    plain Count-Min sketch (each non-zero cell becomes one timestamped EH
-    insertion), :meth:`estimate` answers a window query ``[start, ..]``
-    as the per-row minimum of EH range sums, and :meth:`expire` drops
-    bucket state older than the current window start so memory stays
-    bounded regardless of stream length.
-    """
-
-    __slots__ = ("width", "depth", "seed", "k", "cells", "pane_totals")
-
-    def __init__(self, width: int, depth: int, seed: int, k: int):
-        self.width = width
-        self.depth = depth
-        self.seed = seed
-        self.k = k
-        self.cells: Dict[Tuple[int, int], ExponentialHistogram] = {}
-        self.pane_totals: Dict[int, int] = {}
-
-    def absorb(self, pane: int, sketch: CountMinSketch) -> None:
-        if (
-            sketch.width != self.width
-            or sketch.depth != self.depth
-            or sketch.seed != self.seed
-        ):
-            raise ValueError("sketch shape does not match this ECM grid")
-        rows, columns = np.nonzero(sketch.counts)
-        for row, column in zip(rows.tolist(), columns.tolist()):
-            cell = self.cells.get((row, column))
-            if cell is None:
-                cell = ExponentialHistogram(self.k)
-                self.cells[(row, column)] = cell
-            cell.add(pane, int(sketch.counts[row, column]))
-        self.pane_totals[pane] = (
-            self.pane_totals.get(pane, 0) + sketch.total
-        )
-
-    def estimate(self, key: tuple, start: int) -> int:
-        best: Optional[int] = None
-        for row in range(self.depth):
-            column = _hash_key(key, self.seed * 1001 + row) % self.width
-            cell = self.cells.get((row, column))
-            value = cell.query(start) if cell is not None else 0
-            if best is None or value < best:
-                best = value
-        return int(best or 0)
-
-    def window_total(self, start: int) -> int:
-        return sum(
-            total for pane, total in self.pane_totals.items() if pane >= start
-        )
-
-    def expire(self, oldest_pane: int) -> None:
-        dead = []
-        for position, cell in self.cells.items():
-            cell.expire(oldest_pane)
-            if not cell.buckets:
-                dead.append(position)
-        for position in dead:
-            del self.cells[position]
-        self.pane_totals = {
-            pane: total
-            for pane, total in self.pane_totals.items()
-            if pane >= oldest_pane
-        }
-
-
 @dataclass
 class EpochSummary:
     """One host's shipped digest of one pane — the sketch-variant wire unit.
@@ -362,7 +260,6 @@ class EpochSummary:
     sketches: Tuple[CountMinSketch, ...]
     candidates: Tuple[tuple, ...]
     rows: int = 0
-    extras: dict = field(default_factory=dict)
 
     def merge(self, other: "EpochSummary") -> "EpochSummary":
         if self.pane != other.pane:
@@ -380,12 +277,6 @@ class EpochSummary:
             candidates=tuple(candidates),
             rows=self.rows + other.rows,
         )
-
-    def nbytes(self) -> int:
-        """Approximate wire size: grids + candidate keys + header."""
-        grids = sum(sketch.nbytes() for sketch in self.sketches)
-        keys = sum(8 * len(key) for key in self.candidates)
-        return grids + keys + 16
 
 
 def summary_wire_bytes(

@@ -23,6 +23,10 @@ operators* a one-shot run uses, over the same one batch type
   temporal key is part of the group/join key, the completed prefix
   contains only whole groups / whole join buckets, so the per-step
   outputs are exactly a partition of the one-shot output.
+* A windowed aggregation (``RANGE``/``SLIDE``, and the sketch SUPER)
+  buffers the same way but releases by *window*: each step hands every
+  retained row plus the newly complete window ends to the kernel, and
+  prunes only the panes no later window reads.
 * Stateless nodes (selection, merge, union, NULLPAD) simply run their
   operator on each step's batch.
 
@@ -36,12 +40,13 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..expr.evaluator import compile_expr, compile_key
+import numpy as np
+
+from ..expr.evaluator import compile_key
 from ..expr.expressions import Attr, Binary, Const, ScalarExpr
 from ..expr.vectorizer import materialize, vectorize_expr
 from ..gsql.analyzer import AnalyzedNode
 from .columnar import ColumnBatch
-from .operators import Row
 
 Number = Union[int, float]
 #: Maps column name -> inclusive lower bound on that column in all rows
@@ -159,7 +164,8 @@ class ColumnBuffer:
         if len(batch):
             self._pending.append(batch)
 
-    def _merged(self) -> ColumnBatch:
+    def merged(self) -> ColumnBatch:
+        """The retained rows as one batch, in buffer order (kept)."""
         if not self._pending:
             return ColumnBatch({}, 0)
         if len(self._pending) > 1:
@@ -170,7 +176,7 @@ class ColumnBuffer:
         """Remove and return the rows whose temporal key is < ``bound``."""
         if bound == math.inf:
             return self.drain()
-        batch = self._merged()
+        batch = self.merged()
         if len(batch) == 0:
             return batch
         values = materialize(
@@ -182,13 +188,13 @@ class ColumnBuffer:
         return taken
 
     def drain(self) -> ColumnBatch:
-        batch = self._merged()
+        batch = self.merged()
         self._pending = []
         return batch
 
     def export_rows(self) -> Optional[ColumnBatch]:
         """Retained rows as one batch, in buffer order; None when empty."""
-        return self._merged() if self._pending else None
+        return self.merged() if self._pending else None
 
     def import_rows(self, batch: Optional[ColumnBatch]) -> None:
         if batch is not None and len(batch):
@@ -323,17 +329,17 @@ class StreamingAggregate(StreamingNode):
 class StreamingWindowedAggregate(StreamingNode):
     """Buffer-and-release wrapper for window-labelled aggregation variants.
 
-    Wraps a compiled operator exposing ``process_window(rows, ends)``
-    (the sliding FULL/SUPER and SKETCH_SUPER variants — row operators by
-    design, so the retained state is the operator's own rows and only
-    the emitted windows become batches).  A window labelled by end pane ``e`` is
-    complete once the input watermark proves every future row's pane
-    index is ``> e``; each step hands the newly complete window labels —
-    in ascending order, strictly after the last emitted label — to the
-    pure operator together with *all* retained rows.  Rows are pruned
-    only once the last window that can read their pane has emitted
-    (panes participate in up to ``window/slide`` windows), so per-step
-    outputs are exactly a partition of the one-shot output.
+    Wraps a compiled operator exposing ``process_window(batch, ends)``
+    (the sliding FULL/SUPER and SKETCH_SUPER kernels) and retains its
+    input in a :class:`ColumnBuffer` keyed on the pane expression.  A
+    window labelled by end pane ``e`` is complete once the input
+    watermark proves every future row's pane index is ``> e``; each step
+    hands the newly complete window labels — in ascending order, strictly
+    after the last emitted label — to the pure operator together with
+    *all* retained rows.  Rows are pruned only once the last window that
+    can read their pane has emitted (panes participate in up to
+    ``window/slide`` windows), so per-step outputs are exactly a
+    partition of the one-shot output.
     """
 
     def __init__(
@@ -347,25 +353,23 @@ class StreamingWindowedAggregate(StreamingNode):
         self._operator = operator
         self._spec = spec
         self._pane_expr = pane_expr
-        self._pane_fn = compile_expr(pane_expr)
+        self._pane_fn = vectorize_expr(pane_expr)
         self._temporal_name = temporal_name
         self._outputs = list(outputs)
-        self._rows: List[Row] = []
-        self._panes: set = set()
+        self._buffer = ColumnBuffer(self._pane_fn)
         self._last_end: Optional[int] = None
 
     def buffered_rows(self) -> int:
-        return len(self._rows)
+        return len(self._buffer)
 
     def export_state(self):
-        return (list(self._rows), set(self._panes), self._last_end)
+        return (self._buffer.export_rows(), self._last_end)
 
     def import_state(self, state) -> None:
         if state is None:
             return
-        rows, panes, last_end = state
-        self._rows.extend(rows)
-        self._panes.update(panes)
+        batch, last_end = state
+        self._buffer.import_rows(batch)
         if last_end is not None:
             self._last_end = (
                 last_end
@@ -375,13 +379,10 @@ class StreamingWindowedAggregate(StreamingNode):
 
     def step(self, inputs, watermarks, flush):
         (batch,) = inputs
-        pane_fn = self._pane_fn
-        for row in batch.to_rows():
-            self._rows.append(row)
-            self._panes.add(pane_fn(row))
+        self._buffer.add(batch)
         if flush:
-            ends = self._complete_ends(math.inf)
-            retained, self._rows, self._panes = self._rows, [], set()
+            retained = self._buffer.drain()
+            ends = self._complete_ends(retained, math.inf)
             if not ends:
                 return self._operator.empty(), {}
             return self._operator.process_window(retained, ends), {}
@@ -389,22 +390,19 @@ class StreamingWindowedAggregate(StreamingNode):
         low = lower_bound(self._pane_expr, bounds)
         if low is None:
             return self._operator.empty(), {}
-        ends = self._complete_ends(low)
+        retained = self._buffer.merged()
+        ends = self._complete_ends(retained, low)
         if ends:
-            output = self._operator.process_window(self._rows, ends)
+            output = self._operator.process_window(retained, ends)
             self._last_end = ends[-1]
             # The next window starts at last_end + slide - window + 1;
             # older panes can never be read again.
-            keep_from = (
+            self._buffer.take_below(
                 self._last_end
                 + self._spec.slide_panes
                 - self._spec.window_panes
                 + 1
             )
-            self._rows = [
-                row for row in self._rows if pane_fn(row) >= keep_from
-            ]
-            self._panes = {pane for pane in self._panes if pane >= keep_from}
         else:
             output = self._operator.empty()
         # Future window labels are incomplete now (>= low) and strictly
@@ -419,9 +417,15 @@ class StreamingWindowedAggregate(StreamingNode):
         )
         return output, watermark
 
-    def _complete_ends(self, low: Number) -> List[int]:
+    def _complete_ends(self, retained: ColumnBatch, low: Number) -> List[int]:
+        """Window ends over the retained panes that are complete below
+        ``low`` and not yet emitted, ascending."""
+        length = len(retained)
+        if length == 0:
+            return []
+        panes = materialize(self._pane_fn(retained.columns, length), length)
         ends: List[int] = []
-        for end in self._spec.window_ends_covering(sorted(self._panes)):
+        for end in self._spec.window_ends_covering(np.unique(panes).tolist()):
             if end >= low:
                 break
             if self._last_end is None or end > self._last_end:

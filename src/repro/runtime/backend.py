@@ -3,12 +3,14 @@
 The :class:`EngineBackend` turns every :class:`~repro.distopt.plan_ir.DistNode`
 into a :class:`CompiledOperator` whose inputs and output are
 :class:`~repro.engine.columnar.ColumnBatch`es — the one batch type that
-crosses a node boundary.  Most nodes compile to a vectorized kernel; a
-node whose operator is a reference row operator — by design (the sketch
-pair, the window-reassembly sides of a sliding aggregate) or by fallback
-(a UDAF without a registered kernel) — is *adapted* here, at
-plan-compile time: rows in, a batch out.  Nothing downstream of the
-backend ever asks which representation it is holding.
+crosses a node boundary.  Every node compiles to a vectorized kernel
+(:func:`~repro.engine.variants.build_variant_kernel`), the sketch pair
+and sliding-window reassembly included.  The one exception is an
+aggregate registered without a kernel (a UDAF): its reference row
+operator is *adapted* here, at plan-compile time, by a
+:class:`RowAdapter` — rows in, a batch out — and the node is reported in
+``SimulationResult.fallback_nodes``.  Nothing downstream of the backend
+ever asks which representation it is holding.
 
 The backend also owns the operator cache (a plan instantiates one copy
 per host of the same logical operator) and the construction of the
@@ -27,10 +29,9 @@ from ..engine.columnar import (
     ColumnarMergeOp,
     ColumnBatch,
     build_columnar_nullpad,
-    build_columnar_operator,
     ensure_columns,
 )
-from ..engine.operators import NullPadOp, Row
+from ..engine.operators import NullPadOp
 from ..engine.panes import WindowSpec
 from ..engine.streaming import (
     ColumnBuffer,
@@ -43,7 +44,12 @@ from ..engine.streaming import (
     merge_watermarks,
     unknown_watermark,
 )
-from ..engine.variants import build_variant_operator
+from ..engine.variants import (
+    ColumnarSlidingOp,
+    build_variant_kernel,
+    build_variant_operator,
+    is_sliding,
+)
 from ..expr.expressions import Attr
 from ..expr.vectorizer import UnsupportedExpression, vectorize_expr
 from ..gsql.analyzer import NodeKind
@@ -53,18 +59,29 @@ if TYPE_CHECKING:
     from ..cluster.splitter import Splitter
 
 
+class RowAdapter:
+    """The kernel-less UDAF fallback: a reference row operator behind the
+    kernel interface, converting at its two edges and nowhere else."""
+
+    __slots__ = ("operator",)
+
+    def __init__(self, operator):
+        self.operator = operator
+
+    def process(self, *inputs: ColumnBatch) -> ColumnBatch:
+        return ColumnBatch.from_rows(
+            self.operator.process(*(batch.to_rows() for batch in inputs))
+        )
+
+
 class CompiledOperator:
     """One plan node's operator: ``ColumnBatch``es in, a ``ColumnBatch`` out.
 
-    ``columnar`` records the compile-time choice between a vectorized
-    kernel and an adapted row operator; ``process`` converts at the
-    adapter's two edges and nowhere else — there is no per-batch
-    capability check.  ``row_native`` marks an adapted node whose
-    *designed* form is the row operator (the windowed and sketch
-    aggregation variants), as opposed to a missing-kernel fallback: only
-    the latter is reported in ``SimulationResult.fallback_nodes``.
-    ``arity`` is the number of inputs the operator takes (two for a
-    join), which is all :meth:`empty` needs to know.
+    ``columnar`` records the compile-time resolution: False means a
+    :class:`RowAdapter` runs inside (the node is a fallback, reported in
+    ``SimulationResult.fallback_nodes``) — there is no per-batch
+    capability check.  ``arity`` is the number of inputs the operator
+    takes (two for a join), which is all :meth:`empty` needs to know.
 
     Instances are picklable by *recipe*: operators hold vectorized
     closures that cannot cross process boundaries, so pickling ships the
@@ -74,20 +91,18 @@ class CompiledOperator:
     memoizes it) when a whole compile cache travels in one payload.
     """
 
-    __slots__ = ("operator", "columnar", "recipe", "row_native", "arity")
+    __slots__ = ("operator", "columnar", "recipe", "arity")
 
     def __init__(
         self,
         operator,
         columnar: bool,
         recipe: Optional[tuple] = None,
-        row_native: bool = False,
         arity: int = 1,
     ):
         self.operator = operator
         self.columnar = columnar
         self.recipe = recipe
-        self.row_native = row_native
         self.arity = arity
 
     def __reduce__(self):
@@ -100,16 +115,12 @@ class CompiledOperator:
         return (_rebuild_compiled, self.recipe)
 
     def process(self, *inputs: ColumnBatch) -> ColumnBatch:
-        if self.columnar:
-            return self.operator.process(*inputs)
-        return ColumnBatch.from_rows(
-            self.operator.process(*(batch.to_rows() for batch in inputs))
-        )
+        return self.operator.process(*inputs)
 
-    def process_window(self, rows: List[Row], ends: List[int]) -> ColumnBatch:
-        """Window-labelled emission of an adapted windowed operator over
-        the rows its streaming wrapper retained."""
-        return ColumnBatch.from_rows(self.operator.process_window(rows, ends))
+    def process_window(self, batch: ColumnBatch, ends: List[int]) -> ColumnBatch:
+        """Window-labelled emission of a windowed kernel over the rows its
+        streaming wrapper retained."""
+        return self.operator.process_window(batch, ends)
 
     def empty(self) -> ColumnBatch:
         """An empty output batch (kernels emit typed columns)."""
@@ -137,8 +148,8 @@ class EngineBackend:
 
     * :meth:`compile_node` — the node's :class:`CompiledOperator`, cached
       per ``(kind, query, variant, pad_side)``;
-    * :meth:`supports` — whether the node runs in its *designed* form
-      (False means a missing kernel resolved it to a row fallback);
+    * :meth:`supports` — whether the node runs on kernels alone (False
+      means a missing kernel resolved it to a row fallback);
     * :meth:`streaming_node` — a fresh stateful wrapper for epoch-driven
       execution (one per run, state lives across epochs);
     * :meth:`prepare` / :meth:`split` — source data converted to batches,
@@ -171,8 +182,7 @@ class EngineBackend:
         return self._dag
 
     def supports(self, node: DistNode) -> bool:
-        compiled = self.compile_node(node)
-        return compiled.columnar or compiled.row_native
+        return self.compile_node(node).columnar
 
     def _compile(self, node: DistNode) -> CompiledOperator:
         recipe = (self._dag, node)
@@ -181,33 +191,32 @@ class EngineBackend:
         analyzed = self._dag.node(node.query)
         padding = node.kind is DistKind.NULLPAD
         arity = 2 if not padding and analyzed.kind is NodeKind.JOIN else 1
-        # Window reassembly and sketch digests are designed as row
-        # operators (their state is per-group, not per-batch) — that is
-        # the node's native form, not a fallback.
-        row_native = _row_native_variant(analyzed, node.variant)
+        variant = node.variant.value
         if padding:
             kernel = build_columnar_nullpad(analyzed, node.pad_side)
-        elif row_native:
-            kernel = None
         else:
-            kernel = build_columnar_operator(analyzed, node.variant.value)
+            kernel = build_variant_kernel(analyzed, variant)
         if kernel is not None:
             return CompiledOperator(
                 kernel, columnar=True, recipe=recipe, arity=arity
             )
-        # The reference row operator, adapted.  Unless row-native this is
-        # a missing-kernel fallback (an unregistered UDAF), reported in
-        # ``SimulationResult.fallback_nodes``.
+        # A missing kernel (an unregistered UDAF): the reference row
+        # operator, adapted.  Window reassembly has no row form, so a
+        # windowed node adapts the tumbling SUB/SUPER it is built from.
         if padding:
-            reference = NullPadOp(analyzed, node.pad_side)
+            operator = RowAdapter(NullPadOp(analyzed, node.pad_side))
+        elif is_sliding(analyzed, variant):
+            operator = ColumnarSlidingOp(
+                analyzed,
+                RowAdapter(build_variant_operator(analyzed, "super")),
+                RowAdapter(build_variant_operator(analyzed, "sub"))
+                if variant == "full"
+                else None,
+            )
         else:
-            reference = build_variant_operator(analyzed, node.variant.value)
+            operator = RowAdapter(build_variant_operator(analyzed, variant))
         return CompiledOperator(
-            reference,
-            columnar=False,
-            recipe=recipe,
-            row_native=row_native,
-            arity=arity,
+            operator, columnar=False, recipe=recipe, arity=arity
         )
 
     # -- sources ----------------------------------------------------------------
@@ -261,9 +270,8 @@ class EngineBackend:
         # partial rows that already carry the column by name; FULL/SUB
         # evaluate the group-by expression over raw input.
         temporal = next((g for g in analyzed.group_by if g.is_temporal), None)
-        if node.variant is Variant.SKETCH_SUPER or (
-            analyzed.window is not None
-            and node.variant in (Variant.FULL, Variant.SUPER)
+        if node.variant is Variant.SKETCH_SUPER or is_sliding(
+            analyzed, node.variant.value
         ):
             # Window-labelled emission: results are keyed by window end,
             # not by pane, so release is governed by complete *windows*.
@@ -315,21 +323,6 @@ class EngineBackend:
         return StreamingWindowedAggregate(
             compiled, spec, pane_expr, temporal.name, outputs
         )
-
-
-def _row_native_variant(analyzed, variant: Variant) -> bool:
-    """Aggregation variants whose designed form is the row operator: the
-    sketch pair always, and the window-reassembly sides (FULL/SUPER) of a
-    windowed node.  The SUB side of a windowed node computes ordinary
-    tumbling panes, so the vectorized kernel still applies."""
-    if analyzed.kind is not NodeKind.AGGREGATION:
-        return False
-    if variant in (Variant.SKETCH_SUB, Variant.SKETCH_SUPER):
-        return True
-    return analyzed.window is not None and variant in (
-        Variant.FULL,
-        Variant.SUPER,
-    )
 
 
 def create_backend(engine: str, dag: QueryDag) -> EngineBackend:

@@ -373,7 +373,7 @@ class SimulationResult:
     node_stats: Dict[str, object] = field(default_factory=dict)
     # Plan nodes the backend resolved to a row fallback at compile time
     # (node id -> human-readable operator label).  Empty means every node
-    # ran in its designed form (a kernel, or a row-native variant).
+    # ran on a kernel.
     fallback_nodes: Dict[str, str] = field(default_factory=dict)
     # The optimizer-chosen aggregation variant per OP plan node
     # (node id -> "full"/"sub"/"super"/"sketch_sub"/"sketch_super").

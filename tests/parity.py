@@ -52,6 +52,9 @@ from repro.cluster import (
 from repro.distopt import DistributedOptimizer, Placement
 from repro.distopt.plan_ir import DistributedPlan
 from repro.engine import ColumnBatch, batches_equal, run_centralized
+from repro.engine.aggregates import AggregateFunction, register_aggregate
+from repro.gsql.catalog import Catalog
+from repro.gsql.schema import tcp_schema
 from repro.partitioning import PartitioningSet
 from repro.plan import QueryDag
 from repro.runtime.flowcontrol import Fault
@@ -82,6 +85,41 @@ def tcp_source(packets, form):
     """``packets`` as the run's ``TCP`` stream, in one of :data:`SOURCES`."""
     assert form in SOURCES, form
     return {"TCP": packets if form == "row" else ColumnBatch.from_rows(packets)}
+
+
+class LastValue(AggregateFunction):
+    """A UDAF with no vectorized kernel — forces a row fallback."""
+
+    name = "LAST_VALUE"
+    splittable = True
+
+    def initial(self):
+        return None
+
+    def update(self, state, value):
+        return value
+
+    def merge(self, state, other):
+        return other if other is not None else state
+
+    def final(self, state):
+        return state
+
+
+register_aggregate(LastValue())
+
+
+def last_value_dag():
+    """A DAG whose aggregate only a row operator can run."""
+    catalog = Catalog()
+    catalog.add_stream(tcp_schema())
+    catalog.define_query(
+        "latest",
+        "SELECT tb, srcIP, LAST_VALUE(len) as last_len FROM TCP "
+        "GROUP BY time as tb, srcIP",
+    )
+    return QueryDag.from_catalog(catalog)
+
 
 PS_CHOICES = [
     None,
@@ -371,8 +409,8 @@ def assert_sliding_matches_oneshot(
     the exact sliding workload, odd seeds the sketch-backed approximate
     one.  Asserts the full observational equivalence between streaming
     and one-shot (outputs, CPU by category, network by link) and that no
-    node fell back to a row operator it was not designed as.  Exact
-    (even) seeds must also equal the centralized run of ``oracle`` — the
+    node fell back to a row operator.  Exact (even) seeds must also
+    equal the centralized run of ``oracle`` — the
     trial's own DAG unless a test substitutes a wrong one; approximate
     (odd) seeds must stay within :func:`assert_within_sketch_bounds` of
     it.  ``answer`` substitutes the checked output (rows in, rows out),

@@ -19,6 +19,7 @@ from tests.parity import (
     SOURCES,
     assert_identical_simulation,
     assert_same_outputs,
+    last_value_dag,
     random_case,
     random_packets,
     splitter_for,
@@ -33,7 +34,6 @@ from repro.runtime import parallel as parallel_mod
 from repro.runtime.backend import CompiledOperator, EngineBackend
 from repro.runtime.flowcontrol import Fault, FaultPlan
 from repro.runtime.parallel import ParallelExecutor, ParallelUnavailable
-from repro.workloads import approx_heavy_catalog
 
 import numpy as np
 
@@ -364,12 +364,12 @@ class TestCompiledOperatorPickle:
     @pytest.mark.parametrize("operators", ("row", "columnar"))
     def test_round_trip_matches_original(self, operators):
         """Kernels (the complex plan) and adapted row operators (the
-        sketch plan) both recompile to what they were."""
+        kernel-less UDAF) both recompile to what they were."""
         packets = random_packets(9)
         if operators == "columnar":
             dag, plan, _, _, _ = _case(9, "complex")
         else:
-            _, dag = approx_heavy_catalog()
+            dag = last_value_dag()
             plan = DistributedOptimizer(dag, Placement(2, 2), None).optimize()
         backend = EngineBackend(dag)
         nodes = [
@@ -382,7 +382,6 @@ class TestCompiledOperatorPickle:
             compiled = backend.compile_node(node)
             rebuilt = pickle.loads(pickle.dumps(compiled))
             assert rebuilt.columnar == compiled.columnar
-            assert rebuilt.row_native == compiled.row_native
             assert rebuilt.arity == compiled.arity
             flags.add(compiled.columnar)
             if not node.inputs or len(node.inputs) != 1:

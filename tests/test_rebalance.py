@@ -23,6 +23,7 @@ Five invariant families:
 
 import io
 import json
+import pickle
 
 import pytest
 
@@ -33,8 +34,10 @@ from repro.cluster import (
     RebalancePolicy,
 )
 from repro.distopt import DistributedOptimizer, Placement
+from repro.engine.streaming import StreamingWindowedAggregate
 from repro.partitioning import PartitioningSet
 from repro.runtime import Fault
+from repro.runtime.backend import EngineBackend
 from repro.runtime.rebalance import (
     Migration,
     PartitionDirectory,
@@ -43,8 +46,10 @@ from repro.runtime.rebalance import (
 from repro.traces import skewed_trace
 from repro.workloads import (
     Configuration,
+    approx_heavy_catalog,
     complex_catalog,
     run_configuration,
+    sliding_flows_catalog,
     suspicious_flows_catalog,
 )
 
@@ -53,6 +58,7 @@ from tests.parity import (
     assert_rebalanced_matches_oneshot,
     assert_same_outputs,
     assert_same_simulation,
+    deploy,
     skewed_packets,
     tcp_source,
 )
@@ -286,6 +292,110 @@ class TestRebalancedRun:
         assert {"partitions", "src", "dst", "reason", "state_rows"} <= set(
             migrations[0]
         )
+
+
+# -- windowed state handoff -------------------------------------------------------
+
+
+def _deliveries(result):
+    """Delivered rows, in order and by ``repr`` (``2`` is not ``2.0``),
+    plus per-node output counts."""
+    return repr(dict(result.outputs)), result.node_output_counts
+
+
+class _HandOff:
+    """A windowed node that, at step ``at``, exports its state, pickles it
+    as the worker pool ships it, and continues as a fresh twin that
+    imported it."""
+
+    def __init__(self, build, at):
+        self._build = build
+        self._at = at
+        self._inner = build()
+        self._steps = 0
+        self._emitted = 0
+        self.handed = None  # (rows emitted, rows buffered) at the handoff
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def step(self, inputs, watermarks, flush):
+        if self._steps == self._at:
+            self.handed = (self._emitted, self._inner.buffered_rows())
+            state = pickle.loads(pickle.dumps(self._inner.export_state()))
+            self._inner = self._build()
+            self._inner.import_state(state)
+        self._steps += 1
+        output, watermark = self._inner.step(inputs, watermarks, flush)
+        self._emitted += len(output)
+        return output, watermark
+
+
+#: windowed variant -> (catalog, partitioning that makes the plan take it)
+WINDOWED = {
+    "full": (sliding_flows_catalog, PS),
+    "super": (sliding_flows_catalog, None),
+    "sketch_super": (approx_heavy_catalog, None),
+}
+
+
+class TestWindowedStateHandoff:
+    """Buffer order is the migration contract: a windowed node re-homed
+    mid-run, after it has emitted windows, emits what it would have."""
+
+    @pytest.mark.parametrize("variant", sorted(WINDOWED))
+    def test_handoff_mid_run_is_byte_identical(self, variant, monkeypatch):
+        catalog_fn, ps = WINDOWED[variant]
+        sim, splitter = deploy(catalog_fn()[1], 3, ps)
+        packets = skewed_packets(3)
+        static = sim.run_streaming({"TCP": packets}, splitter, 10.0)
+        build = EngineBackend.streaming_node
+        handoffs = []
+
+        def building(backend, node):
+            snode = build(backend, node)
+            if not isinstance(snode, StreamingWindowedAggregate):
+                return snode
+            handoffs.append((node.variant.value, _HandOff(
+                lambda: build(backend, node), at=3
+            )))
+            return handoffs[-1][1]
+
+        monkeypatch.setattr(EngineBackend, "streaming_node", building)
+        moved = sim.run_streaming({"TCP": packets}, splitter, 10.0)
+        assert {name for name, _ in handoffs} == {variant}
+        assert any(
+            emitted and buffered for emitted, buffered in
+            (handoff.handed for _, handoff in handoffs)
+        )
+        assert _deliveries(moved) == _deliveries(static)
+
+    def test_pool_handoff_is_byte_identical(self, monkeypatch):
+        """On the 2-worker pool a migration between hosts of different
+        workers (hosts alternate between the two) ships the windowed
+        state through the driver, pickled — and only after a window."""
+        export = StreamingWindowedAggregate.export_state
+
+        def after_a_window(snode):
+            assert snode._last_end is not None, "exported before any window"
+            return export(snode)
+
+        _, _, splitter, sim = _cluster(catalog=sliding_flows_catalog)
+        packets = skewed_packets(3)
+        static = sim.run_streaming({"TCP": packets}, splitter, 10.0)
+        monkeypatch.setattr(
+            StreamingWindowedAggregate, "export_state", after_a_window
+        )
+        moved = sim.run_streaming(
+            {"TCP": packets}, splitter, 10.0, rebalance=AGGRESSIVE,
+            execution="parallel", workers=2,
+        )
+        assert moved.execution == "parallel"
+        assert any(
+            move.state_rows and move.src % 2 != move.dst % 2
+            for move in moved.rebalance.migrations
+        )
+        assert _deliveries(moved) == _deliveries(static)
 
 
 # -- the steady-state payoff ----------------------------------------------------

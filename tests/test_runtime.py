@@ -20,11 +20,9 @@ from repro.cluster.network import NetworkMeter
 from repro.distopt import DistributedOptimizer, Placement
 from repro.distopt.plan_ir import DistKind
 from repro.partitioning import PartitioningSet
-from repro.engine.aggregates import AggregateFunction, register_aggregate
+from repro.engine.aggregates import register_aggregate
 from repro.engine.columnar import ColumnBatch
 from repro.engine.operators import Operator
-from repro.gsql.catalog import Catalog
-from repro.gsql.schema import tcp_schema
 from repro.plan import QueryDag
 from repro.runtime import (
     Fault,
@@ -34,7 +32,7 @@ from repro.runtime import (
     RunOptions,
 )
 from repro.runtime import backend as backend_module
-from repro.runtime.backend import EngineBackend, create_backend
+from repro.runtime.backend import EngineBackend, RowAdapter, create_backend
 from repro.runtime.metrics import MetricsRecorder
 from repro.runtime.session import ExecutionSession
 from repro.workloads import (
@@ -48,49 +46,21 @@ from repro.workloads import (
 from tests.parity import (
     SOURCES,
     WORKLOADS,
+    LastValue,
     assert_identical_simulation,
     assert_matches_centralized,
     assert_same_simulation,
     assert_streaming_matches_oneshot,
     deploy,
+    last_value_dag,
     outer_join_plan,
     tcp_source,
 )
 
 
-class _LastValue(AggregateFunction):
-    """A UDAF with no vectorized kernel — forces a row fallback."""
-
-    name = "LAST_VALUE"
-    splittable = True
-
-    def initial(self):
-        return None
-
-    def update(self, state, value):
-        return value
-
-    def merge(self, state, other):
-        return other if other is not None else state
-
-    def final(self, state):
-        return state
-
-
-register_aggregate(_LastValue())
-
-
 @pytest.fixture
 def udaf_dag():
-    """A DAG whose aggregate only a row operator can run."""
-    catalog = Catalog()
-    catalog.add_stream(tcp_schema())
-    catalog.define_query(
-        "latest",
-        "SELECT tb, srcIP, LAST_VALUE(len) as last_len FROM TCP "
-        "GROUP BY time as tb, srcIP",
-    )
-    return QueryDag.from_catalog(catalog)
+    return last_value_dag()
 
 
 COMPLEX_DELIVER = ["flows", "heavy_flows", "flow_pairs"]
@@ -150,8 +120,9 @@ class TestCompileTimeResolution:
         assert fallbacks
         for node in fallbacks:
             compiled = backend.compile_node(node)
-            assert compiled.columnar is False and compiled.row_native is False
-            assert isinstance(compiled.operator, Operator)
+            assert compiled.columnar is False
+            assert isinstance(compiled.operator, RowAdapter)
+            assert isinstance(compiled.operator.operator, Operator)
             assert type(compiled.empty()) is ColumnBatch
         central = DistributedOptimizer(udaf_dag, Placement(1, 1), None).optimize()
         (full,) = [n for n in central.topological() if n.kind is DistKind.OP]
@@ -177,7 +148,7 @@ class TestCompileTimeResolution:
             raise AssertionError("operator compilation during execution")
 
         monkeypatch.setattr(backend_module, "build_variant_operator", forbidden)
-        monkeypatch.setattr(backend_module, "build_columnar_operator", forbidden)
+        monkeypatch.setattr(backend_module, "build_variant_kernel", forbidden)
         monkeypatch.setattr(
             type(sim.session.backend), "supports", forbidden, raising=True
         )
@@ -417,16 +388,13 @@ class TestOneBatchType:
             for node in plan.topological()
             if node.kind is not DistKind.SOURCE
         }
-        # Only the missing-kernel nodes are fallbacks; the row-native
-        # variants are adapted just the same.
+        # The sketch pair and window reassembly are kernels: only the
+        # kernel-less UDAF adapts a row operator.
         fallbacks = {
             node_id for node_id, operator in compiled.items()
-            if not operator.columnar and not operator.row_native
+            if not operator.columnar
         }
         assert bool(fallbacks) == (shape == "udaf")
-        assert any(operator.row_native for operator in compiled.values()) == (
-            shape in ("sketch", "sliding")
-        )
         for streaming in (False, True):
             for execution in ("inprocess", "parallel"):
                 result = sim.run(
@@ -458,7 +426,7 @@ def to_rows_calls(monkeypatch):
     return calls
 
 
-class _OddAsFloat(_LastValue):
+class _OddAsFloat(LastValue):
     """LAST_VALUE that answers odd values as floats.  Over ``time`` and
     grouped by epoch, its column is int64 in even epochs and float64 in
     odd ones: one concatenated batch would print ``2.0`` for ``2``."""

@@ -8,9 +8,14 @@ here directly:
 * plain sketches are *linear*, so splitting a stream across hosts and
   merging the per-host sketches reproduces the single-site sketch
   bit-for-bit — aggregation order and placement never change the answer;
-* exponential histograms answer window range sums exactly while no
-  bucket merge crosses the query boundary (the regime the sketch-SUPER
-  operator pins itself into by sizing ``k >= 2 * window_panes``).
+* the ECM pane ring is exact over a window: the sketch SUPER's window
+  estimate is the merged sketch's, and streaming state stays bounded by
+  the window, however long the stream.
+
+The key hash itself is pinned: ``_hash_key`` against golden values, and
+the vectorized :func:`hash_keys` the SKETCH_SUB kernel folds grids with
+against ``_hash_key``, bit for bit.  Changing either re-blesses every
+approximate answer.
 """
 
 import math
@@ -18,21 +23,105 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.distopt import DistributedOptimizer, Placement
+from repro.distopt.plan_ir import Variant
+from repro.engine.columnar import ColumnBatch
 from repro.engine.sketches import (
     CountMinSketch,
-    EcmSketch,
     EpochSummary,
-    ExponentialHistogram,
+    _hash_key,
+    hash_keys,
     sketch_dimensions,
     summary_wire_bytes,
 )
+from repro.engine.variants import SUMMARY_COLUMN, build_variant_kernel
+from repro.runtime.backend import EngineBackend
+from repro.workloads import approx_heavy_catalog
 
 keys = st.integers(min_value=0, max_value=40)
 weights = st.integers(min_value=0, max_value=50)
 streams = st.lists(st.tuples(keys, weights), max_size=200)
+
+
+# -- the key hash ------------------------------------------------------------
+
+#: ``_hash_key(key, seed)`` for seeds 0, 1 and 1001, recorded before the
+#: vectorized hash existed.
+HASH_GOLDEN = {
+    (0x0A000001, 0xC0A80002): (
+        14511442430783606412, 17336162063160898461, 8635163641630881765,
+    ),
+    ("abc", -5, True): (
+        4861089768251808342, 2845012572670657673, 13096294750800644833,
+    ),
+    (2**64 - 1, -(2**63), 3.5): (
+        5168707219040203037, 6181390345690970678, 16328094211009427614,
+    ),
+}
+
+
+def test_hash_key_golden_values():
+    for key, expected in HASH_GOLDEN.items():
+        assert tuple(_hash_key(key, seed) for seed in (0, 1, 1001)) == expected
+
+
+INT_DTYPES = (
+    np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+)
+
+
+@st.composite
+def key_parts(draw):
+    """Up to three key columns of one length: integers of every width
+    (extremes included), bools, floats, strings, or an object column
+    mixing types."""
+    length = draw(st.integers(1, 25))
+    column = lambda elements: st.lists(  # noqa: E731
+        elements, min_size=length, max_size=length
+    )
+    parts = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("int", "bool", "float", "str", "mixed")))
+        if kind == "int":
+            dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
+            info = np.iinfo(dtype)
+            values = draw(column(st.integers(int(info.min), int(info.max))))
+            parts.append(np.array(values, dtype=dtype))
+        elif kind == "bool":
+            parts.append(np.array(draw(column(st.booleans()))))
+        elif kind == "float":
+            parts.append(np.array(draw(column(st.floats(width=64)))))
+        elif kind == "str":
+            parts.append(np.array(draw(column(st.text(max_size=6)))))
+        else:
+            mixed = st.one_of(
+                st.integers(-(2**64), 2**64), st.text(max_size=4),
+                st.booleans(), st.none(), st.floats(allow_nan=False),
+            )
+            parts.append(np.array(draw(column(mixed)), dtype=object))
+    return parts
+
+
+@settings(deadline=None, max_examples=150)
+@given(parts=key_parts(), seeds=st.lists(st.integers(0, 5000), min_size=1, max_size=6))
+@example(
+    parts=[
+        np.array([2**63, 2**64 - 1, 0], dtype=np.uint64),
+        np.array([-(2**63), 2**63 - 1, -1], dtype=np.int64),
+    ],
+    seeds=[0, 1, 1001],
+)
+@example(parts=[np.array([0.0, -0.0, np.nan, 1.5])], seeds=[7])
+def test_vectorized_hash_matches_hash_key(parts, seeds):
+    """``hash_keys`` is ``_hash_key`` of each key as the tuple of Python
+    scalars ``tolist`` yields, for every seed."""
+    keys = list(zip(*(part.tolist() for part in parts))) if parts else [()]
+    expected = [[_hash_key(key, seed) for key in keys] for seed in seeds]
+    assert hash_keys(parts, seeds).tolist() == expected
 
 
 # -- Count-Min ---------------------------------------------------------------
@@ -139,54 +228,21 @@ def test_sketch_dimensions_match_paper_formulas():
     assert depth == math.ceil(math.log(1 / 0.05))
 
 
-# -- exponential histograms --------------------------------------------------
+# -- the ECM pane ring -------------------------------------------------------
 
 
-@settings(deadline=None, max_examples=60)
-@given(
-    amounts=st.lists(st.integers(0, 30), min_size=1, max_size=24),
-    start=st.integers(0, 24),
-)
-def test_eh_exact_when_k_exceeds_bucket_count(amounts, start):
-    """With k at least the number of insertions no merge ever happens, so
-    every range sum is exact — the regime the sketch-SUPER pins."""
-    histogram = ExponentialHistogram(k=len(amounts) + 1)
-    for pane, amount in enumerate(amounts):
-        histogram.add(pane, amount)
-    expected = sum(amount for pane, amount in enumerate(amounts) if pane >= start)
-    assert histogram.query(start) == expected
+def _approx_node(window_panes):
+    _, dag = approx_heavy_catalog(window_panes=window_panes, slide_panes=1)
+    node = dag.node("approx_heavy")
+    return dag, node, sketch_dimensions(node.accuracy.epsilon, node.accuracy.delta)
 
 
-@settings(deadline=None, max_examples=40)
-@given(
-    amounts=st.lists(st.integers(1, 5), min_size=4, max_size=60),
-    k=st.integers(1, 4),
-)
-def test_eh_estimate_bounded_by_straddler(amounts, k):
-    """With small k (merging active) the estimate errs by at most half the
-    straddling bucket — so never by more than half the total."""
-    histogram = ExponentialHistogram(k=k)
-    for pane, amount in enumerate(amounts):
-        histogram.add(pane, amount)
-    for start in range(len(amounts)):
-        truth = sum(amounts[start:])
-        estimate = histogram.query(start)
-        assert 0 <= estimate <= sum(amounts)
-        # The straddler contributes (size+1)//2; everything newer is
-        # counted exactly, so the absolute error is under total/2 + 1.
-        assert abs(estimate - truth) <= sum(amounts) // 2 + 1
-
-
-def test_eh_expire_drops_old_buckets():
-    histogram = ExponentialHistogram(k=100)
-    for pane in range(10):
-        histogram.add(pane, 1)
-    histogram.expire(6)
-    assert histogram.query(0) == 4  # panes 6..9 survive
-    assert histogram.total() == 4
-
-
-# -- ECM composition ---------------------------------------------------------
+def _shipped(summaries):
+    """Summary rows as the sketch SUPER receives them."""
+    column = np.empty(len(summaries), dtype=object)
+    column[:] = summaries
+    panes = np.array([summary.pane for summary in summaries])
+    return ColumnBatch({"tb": panes, SUMMARY_COLUMN: column})
 
 
 @settings(deadline=None, max_examples=30)
@@ -198,35 +254,59 @@ def test_eh_expire_drops_old_buckets():
     )
 )
 def test_ecm_full_window_matches_merged_cm(panes):
-    """Absorbing per-pane sketches and querying the full window must agree
-    with merging the same sketches directly (k large => EH exact)."""
-    width, depth, seed = 20, 3, 1
-    ecm = EcmSketch(width, depth, seed, k=2 * len(panes) + 4)
-    merged = CountMinSketch(width, depth, seed=seed)
-    seen = set()
+    """The sketch SUPER's estimates for a window over per-pane summaries
+    equal merging the same sketches directly, for every candidate."""
+    _, node, (width, depth) = _approx_node(len(panes))
+    merged = [CountMinSketch(width, depth, seed=seed) for seed in (0, 1)]
+    summaries = []
     for pane, stream in enumerate(panes):
-        pane_sketch = CountMinSketch(width, depth, seed=seed)
+        sketches = [CountMinSketch(width, depth, seed=seed) for seed in (0, 1)]
         for key, weight in stream:
-            pane_sketch.update((key,), weight)
-            merged.update((key,), weight)
-            seen.add(key)
-        ecm.absorb(pane, pane_sketch)
-    for key in seen:
-        assert ecm.estimate((key,), 0) == merged.estimate((key,))
-    assert ecm.window_total(0) == merged.total
+            for sketch in sketches + merged:
+                sketch.update((key, -key), weight)
+        candidates = sorted({(key, -key) for key, _ in stream}, key=repr)
+        summaries.append(
+            EpochSummary(pane, tuple(sketches), tuple(candidates), len(stream))
+        )
+    kernel = build_variant_kernel(node, "sketch_super")
+    window = kernel.process_window(_shipped(summaries), [len(panes) - 1])
+    rows = window.to_rows()
+    assert {(row["srcIP"], row["destIP"]) for row in rows} == {
+        (key, -key) for stream in panes for key, _ in stream
+    }
+    for row in rows:
+        key = (row["srcIP"], row["destIP"])
+        assert row["cnt"] == merged[0].estimate(key)
+        assert row["bytes"] == merged[1].estimate(key)
 
 
 def test_ecm_expire_bounds_state():
-    ecm = EcmSketch(8, 2, seed=0, k=64)
+    """Streamed pane by pane, the windowed sketch SUPER keeps only the
+    panes a later window still reads, and each window counts exactly
+    its own panes."""
+    dag, node, (width, depth) = _approx_node(5)
+    plan = DistributedOptimizer(dag, Placement(2, 2), None).optimize()
+    (dist,) = [
+        n for n in plan.nodes.values() if n.variant is Variant.SKETCH_SUPER
+    ]
+    snode = EngineBackend(dag).streaming_node(dist)
+    history = []
     for pane in range(20):
-        sketch = CountMinSketch(8, 2, seed=0)
-        sketch.update((pane % 3,))
-        ecm.absorb(pane, sketch)
-    ecm.expire(15)
-    assert set(ecm.pane_totals) == {15, 16, 17, 18, 19}
-    assert ecm.window_total(15) == 5
-    for cell in ecm.cells.values():
-        assert all(bucket[0] >= 15 for bucket in cell.buckets)
+        sketches = tuple(CountMinSketch(width, depth, seed=s) for s in (0, 1))
+        for sketch in sketches:
+            sketch.update((pane % 3, 0))
+        history.append(EpochSummary(pane, sketches, ((pane % 3, 0),), 1))
+        out, _ = snode.step([_shipped(history[-1:])], [{"tb": pane + 1}], False)
+        assert snode.buffered_rows() <= 4  # window - slide
+        window = CountMinSketch(width, depth, seed=0)
+        for summary in history[-5:]:
+            window.merge(summary.sketches[0])
+        live = {p % 3 for p in range(max(0, pane - 4), pane + 1)}
+        rows = out.to_rows()
+        assert {row["tb"] for row in rows} == {pane}
+        assert {(row["srcIP"], row["cnt"]) for row in rows} == {
+            (key, window.estimate((key, 0))) for key in live
+        }
 
 
 # -- epoch summaries ---------------------------------------------------------

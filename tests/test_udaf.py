@@ -196,3 +196,25 @@ class TestDistributed:
         )
         reference = run_centralized(dag, {"TCP": tiny_trace.packets})
         assert batches_equal(result.outputs["median_len"], reference["median_len"])
+
+    def test_windowed_udaf_falls_back_piecewise(self, udaf_catalog, tiny_trace):
+        """Window reassembly has no row form: a sliding UDAF query adapts
+        its tumbling SUB and SUPER row operators around the windowing
+        kernel, streams like one-shot, and meets the centralized oracle."""
+        udaf_catalog.define_query(
+            "fanout",
+            "SELECT tb, srcIP, DISTINCT_CNT(destIP) as dsts FROM TCP "
+            "GROUP BY time as tb, srcIP RANGE 3 SLIDE 1",
+        )
+        dag = QueryDag.from_catalog(udaf_catalog)
+        plan = DistributedOptimizer(dag, Placement(3, 2), None).optimize()
+        sim = ClusterSimulator(dag, plan, stream_rate=tiny_trace.rate)
+        runs = [
+            run({"TCP": tiny_trace.packets}, RoundRobinSplitter(6), 10.0)
+            for run in (sim.run, sim.run_streaming)
+        ]
+        reference = run_centralized(dag, {"TCP": tiny_trace.packets})
+        for result in runs:
+            assert set(result.node_variants.values()) == {"sub", "super"}
+            assert len(result.fallback_nodes) == len(result.node_variants)
+            assert batches_equal(result.outputs["fanout"], reference["fanout"])

@@ -2,8 +2,8 @@
 
 Covers the refactored aggregation path end to end:
 
-* ``build_variant_operator`` routes every (node shape, variant) pair to
-  the right operator class — the seam every backend compiles through;
+* ``build_variant_kernel`` routes every (node shape, variant) pair to
+  the right kernel class — the seam the backend compiles through;
 * the optimizer splits accuracy-clause queries into
   SKETCH_SUB/SKETCH_SUPER, never chooses sketches without a clause, and
   defers to the cost model's sketch-transfer term when one is supplied;
@@ -11,25 +11,33 @@ Covers the refactored aggregation path end to end:
   streaming/one-shot equivalence intact and meet the centralized oracle;
 * sketch results respect the declared accuracy against the exact
   oracle, and every epsilon-heavy key is reported;
+* the approximate answer itself is pinned: its digest on two fixed
+  traces, one-shot and streaming, was recorded before the sketch pair
+  became kernels, and candidate keys stay Python scalars;
 * the reason the sketch variant exists: aggregator ingress that stays
   constant while the exact split's grows with group cardinality.
 """
 
 import collections
+import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from repro.distopt import DistributedOptimizer, Placement
 from repro.distopt.plan_ir import DistKind, Variant
-from repro.engine import batches_equal
-from repro.engine.operators import AggregateOp, SubAggregateOp, SuperAggregateOp
+from repro.engine import ColumnBatch, batches_equal, canonical
+from repro.engine import variants
+from repro.engine.columnar import (
+    ColumnarAggregateOp,
+    ColumnarSubAggregateOp,
+    ColumnarSuperAggregateOp,
+)
 from repro.engine.variants import (
-    SketchSubOp,
-    SketchSuperOp,
-    SlidingAggregateOp,
-    SlidingSuperOp,
-    build_variant_operator,
+    ColumnarSketchSubOp,
+    ColumnarSlidingOp,
+    build_variant_kernel,
 )
 from repro.partitioning import PartitioningSet
 from repro.partitioning.cost_model import CostModel
@@ -67,9 +75,9 @@ def approx_dag():
 
 def test_variant_dispatch_for_windowed_aggregation(sliding_dag):
     node = sliding_dag.node("sliding_flows")
-    assert isinstance(build_variant_operator(node, "full"), SlidingAggregateOp)
-    assert isinstance(build_variant_operator(node, "sub"), SubAggregateOp)
-    assert isinstance(build_variant_operator(node, "super"), SlidingSuperOp)
+    assert isinstance(build_variant_kernel(node, "full"), ColumnarSlidingOp)
+    assert isinstance(build_variant_kernel(node, "sub"), ColumnarSubAggregateOp)
+    assert isinstance(build_variant_kernel(node, "super"), ColumnarSlidingOp)
 
 
 def test_variant_dispatch_for_tumbling_aggregation(catalog):
@@ -77,25 +85,26 @@ def test_variant_dispatch_for_tumbling_aggregation(catalog):
         "flows",
         "SELECT tb, srcIP, COUNT(*) as cnt FROM TCP GROUP BY time as tb, srcIP",
     )
-    assert isinstance(build_variant_operator(node, "full"), AggregateOp)
-    assert isinstance(build_variant_operator(node, "sub"), SubAggregateOp)
-    assert isinstance(build_variant_operator(node, "super"), SuperAggregateOp)
+    assert isinstance(build_variant_kernel(node, "full"), ColumnarAggregateOp)
+    assert isinstance(build_variant_kernel(node, "sub"), ColumnarSubAggregateOp)
+    assert isinstance(build_variant_kernel(node, "super"), ColumnarSuperAggregateOp)
 
 
 def test_variant_dispatch_for_sketches(approx_dag):
     node = approx_dag.node("approx_heavy")
-    assert isinstance(build_variant_operator(node, "sketch_sub"), SketchSubOp)
-    assert isinstance(build_variant_operator(node, "sketch_super"), SketchSuperOp)
+    assert isinstance(build_variant_kernel(node, "sketch_sub"), ColumnarSketchSubOp)
+    # windows are reassembled like the exact ones, over summary rows
+    assert isinstance(build_variant_kernel(node, "sketch_super"), ColumnarSlidingOp)
     with pytest.raises(ValueError):
-        build_variant_operator(node, "bogus")
+        build_variant_kernel(node, "bogus")
 
 
 def test_sketch_variant_requires_accuracy_clause(sliding_dag):
     node = sliding_dag.node("sliding_flows")
     with pytest.raises(ValueError):
-        build_variant_operator(node, "sketch_sub")
+        build_variant_kernel(node, "sketch_sub")
     with pytest.raises(ValueError):
-        build_variant_operator(node, "sketch_super")
+        build_variant_kernel(node, "sketch_super")
 
 
 # -- cost model --------------------------------------------------------------
@@ -264,6 +273,87 @@ def test_sketch_accuracy_against_oracle(approx_dag):
     )
     with pytest.raises(AssertionError, match="missing heavy key"):
         assert_within_sketch_bounds(approx_dag, packets, [])
+
+
+# -- the approximate answer, pinned ------------------------------------------
+
+
+def _zipf_packets():
+    """Six epochs of 1 500 rows over 400 (srcIP, destIP) groups, heavily
+    skewed towards the low keys."""
+    rng = random.Random(5)
+    packets = []
+    for epoch in range(6):
+        for index in range(1500):
+            key = int(400 * rng.random() ** 4)
+            packets.append(
+                {
+                    "time": epoch,
+                    "timestamp": epoch * 1_000_000 + index,
+                    "srcIP": 0x0A000000 + key // 16,
+                    "destIP": 0xC0A80000 + key % 16,
+                    "srcPort": 1024,
+                    "destPort": 80,
+                    "protocol": 6,
+                    "flags": 16,
+                    "len": 40 + key % 1400,
+                }
+            )
+    return packets
+
+
+PIN_TRACES = {"random29": lambda: random_packets(29), "zipf": _zipf_packets}
+
+#: sha256 of ``repr(canonical(answer))`` of ``approx_heavy`` on three
+#: round-robin hosts, recorded when the sketch pair was per-row Python.
+APPROX_DIGESTS = {
+    "random29": "830378d8d88e40c64078a54617c36f739522fc8d78ae039a4e3e563682f0dfce",
+    "zipf": "b690f2b3364560c404a2e5ba12f79e25e56a69bfba24918658cc641d8e58fa02",
+}
+
+
+def _approx_digest(dag, trace, streaming):
+    sim, splitter = deploy(dag, 3, None)
+    run = sim.run_streaming if streaming else sim.run
+    result = run({"TCP": PIN_TRACES[trace]()}, splitter, 10.0)
+    assert set(result.node_variants.values()) == {"sketch_sub", "sketch_super"}
+    answer = canonical(result.outputs["approx_heavy"])
+    return hashlib.sha256(repr(answer).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("streaming", (False, True), ids=("oneshot", "streaming"))
+@pytest.mark.parametrize("trace", sorted(PIN_TRACES))
+def test_approx_answer_is_pinned(approx_dag, trace, streaming):
+    assert _approx_digest(approx_dag, trace, streaming) == APPROX_DIGESTS[trace]
+
+
+def test_candidates_are_python_scalars(approx_dag):
+    """``repr(np.int64(5))`` is ``'np.int64(5)'``: a NumPy scalar in a
+    candidate key would change both the candidate order and its hash."""
+    kernel = variants.build_variant_kernel(
+        approx_dag.node("approx_heavy"), "sketch_sub"
+    )
+    out = kernel.process(ColumnBatch.from_rows(_zipf_packets()))
+    summaries = out.columns[variants.SUMMARY_COLUMN]
+    assert len(summaries) == 6
+    for summary in summaries:
+        assert type(summary.pane) is int and summary.candidates
+        for key in summary.candidates:
+            assert all(type(part) is int for part in key), key
+
+
+def test_numpy_candidates_fail_the_pin(approx_dag, monkeypatch):
+    """Known-bad companion: candidates emitted as ``np.int64`` tuples."""
+    native = variants._key_tuples
+    monkeypatch.setattr(
+        variants,
+        "_key_tuples",
+        lambda keys, selector: [
+            tuple(np.int64(part) for part in key)
+            for key in native(keys, selector)
+        ],
+    )
+    assert _approx_digest(approx_dag, "zipf", False) != APPROX_DIGESTS["zipf"]
 
 
 # -- network payoff ----------------------------------------------------------
