@@ -166,155 +166,6 @@ class ColumnBatch:
                 columns[name] = np.concatenate(parts)
         return cls(columns, sum(batch.length for batch in alive))
 
-    # -- shared-memory transport ----------------------------------------------
-
-    def to_shared(self) -> "SharedColumnBatch":
-        """Copy the numeric payload into one shared-memory segment.
-
-        Returns a picklable :class:`SharedColumnBatch` descriptor: numeric
-        columns (including the component arrays of composite aggregate
-        states) live in the segment, object-dtype columns ride along
-        inside the descriptor by pickle.  The caller owns the segment's
-        lifecycle — :meth:`SharedColumnBatch.dispose` must run once every
-        consumer has rebuilt its copy, or the segment leaks.
-        """
-        from multiprocessing import shared_memory
-
-        entries: List[tuple] = []
-        pending: List[Tuple[np.ndarray, int]] = []
-        size = 0
-        for name, column in self.columns.items():
-            composite = isinstance(column, tuple)
-            parts_out: List[tuple] = []
-            for part in column if composite else (column,):
-                array = np.asarray(part)
-                if array.dtype.hasobject:
-                    parts_out.append(("obj", array))
-                    continue
-                array = np.ascontiguousarray(array)
-                size = -(-size // 64) * 64  # 64-byte-align each array
-                parts_out.append(("shm", array.dtype.str, array.shape, size))
-                pending.append((array, size))
-                size += array.nbytes
-            entries.append((name, composite, parts_out))
-        segment = None
-        if size:
-            segment = shared_memory.SharedMemory(create=True, size=size)
-            for array, offset in pending:
-                view = np.ndarray(
-                    array.shape, array.dtype, buffer=segment.buf, offset=offset
-                )
-                view[...] = array
-        return SharedColumnBatch(
-            segment.name if segment is not None else None,
-            self.length,
-            entries,
-            size,
-            segment,
-        )
-
-    @classmethod
-    def from_shared(cls, handle: "SharedColumnBatch") -> "ColumnBatch":
-        """Rebuild a batch from a :meth:`to_shared` descriptor.
-
-        Columns are *copied* out of the segment (the batch may outlive the
-        segment — streaming buffers hold data across epochs and delivered
-        batches outlive the run, while the router unlinks each step's
-        segments), and the attachment is closed before returning.
-        """
-        segment = (
-            _attach_segment(handle.segment_name)
-            if handle.segment_name is not None
-            else None
-        )
-        try:
-            columns: Dict[str, Column] = {}
-            for name, composite, parts in handle.entries:
-                arrays = []
-                for part in parts:
-                    if part[0] == "obj":
-                        arrays.append(part[1])
-                        continue
-                    _, dtype_str, shape, offset = part
-                    dtype = np.dtype(dtype_str)
-                    if segment is None or np.prod(shape, dtype=np.int64) == 0:
-                        arrays.append(np.empty(shape, dtype))
-                    else:
-                        arrays.append(
-                            np.ndarray(
-                                shape, dtype, buffer=segment.buf, offset=offset
-                            ).copy()
-                        )
-                columns[name] = tuple(arrays) if composite else arrays[0]
-            return cls(columns, handle.length)
-        finally:
-            if segment is not None:
-                segment.close()
-
-
-class SharedColumnBatch:
-    """Picklable descriptor of a :class:`ColumnBatch` in shared memory.
-
-    Produced by :meth:`ColumnBatch.to_shared`; consumed by
-    :meth:`ColumnBatch.from_shared`.  ``entries`` records, per column in
-    original order, ``(name, composite, parts)`` where each part is
-    either ``("shm", dtype_str, shape, offset)`` locating a numeric array
-    inside the segment or ``("obj", array)`` carrying an object-dtype
-    column by pickle.  Only the creating process holds the live segment
-    handle (it is dropped on pickling) and must call :meth:`dispose`.
-    """
-
-    __slots__ = ("segment_name", "length", "entries", "nbytes", "_segment")
-
-    def __init__(self, segment_name, length, entries, nbytes, segment=None):
-        self.segment_name = segment_name
-        self.length = length
-        self.entries = entries
-        self.nbytes = nbytes
-        self._segment = segment
-
-    def __getstate__(self):
-        return (self.segment_name, self.length, self.entries, self.nbytes)
-
-    def __setstate__(self, state):
-        self.segment_name, self.length, self.entries, self.nbytes = state
-        self._segment = None
-
-    def __len__(self) -> int:
-        return self.length
-
-    def dispose(self) -> None:
-        """Creator-side cleanup: close and unlink the segment (idempotent)."""
-        if self._segment is not None:
-            self._segment.close()
-            self._segment.unlink()
-            self._segment = None
-
-
-def _attach_segment(name: str):
-    """Attach to an existing shared-memory segment, untracked.
-
-    The creator owns the segment's lifecycle; the attaching process must
-    not register it with a resource tracker — under fork the tracker is
-    *shared* with the creator, so a later unregister would strip the
-    creator's own registration (KeyError at unlink), and under spawn the
-    attacher's private tracker would warn about "leaked" segments at
-    shutdown.  Python 3.13+ supports ``track=False``; older versions
-    register inside ``SharedMemory.__init__``, so the call is suppressed
-    by swapping in a no-op for the duration of the attach.
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        original = resource_tracker.register
-        resource_tracker.register = lambda *args, **kwargs: None
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-
 
 def _take(column: Column, selector: Union[np.ndarray, slice]) -> Column:
     if isinstance(column, tuple):

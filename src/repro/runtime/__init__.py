@@ -29,9 +29,13 @@ Three layers, each with one responsibility:
 * :mod:`repro.runtime.parallel` — multiprocess host execution.  A
   :class:`~repro.runtime.parallel.ParallelExecutor` forks one worker
   process per simulated host and plugs into the session's
-  :class:`~repro.runtime.session.StepExecutor` seam; batches
-  travel by shared memory and the driver replays all accounting, so
-  results are identical to in-process execution.
+  :class:`~repro.runtime.session.StepExecutor` seam; each worker steps
+  its hosts' nodes through the same
+  :class:`~repro.runtime.session.NodeTable` as the in-process executor,
+  batches cross the worker pipe by pickle, and the driver replays all
+  accounting, so results are identical to in-process execution.  A
+  failing worker raises :class:`~repro.runtime.parallel.WorkerFailed`
+  after the pool is torn down.
 
 A run is described once, by :class:`~repro.runtime.session.RunOptions`
 and the policies it holds (``QueuePolicy``, ``FaultPlan``,
@@ -56,13 +60,14 @@ from .flowcontrol import (
     create_ingest_controller,
 )
 from .metrics import HostFlowStats, MetricsRecorder, NodeStats, Timeline
-from .parallel import ParallelExecutor, ParallelUnavailable
+from .parallel import ParallelExecutor, ParallelUnavailable, WorkerFailed
 from .rebalance import RebalanceLog, RebalancePolicy
 from .session import (
     EXECUTION_MODES,
     DeliveredRows,
     ExecutionSession,
     InProcessExecutor,
+    NodeTable,
     RunOptions,
     SimulationResult,
     StepExecutor,
@@ -86,6 +91,7 @@ __all__ = [
     "IngestController",
     "MetricsRecorder",
     "NodeStats",
+    "NodeTable",
     "ParallelExecutor",
     "ParallelUnavailable",
     "QUEUE_MODES",
@@ -99,6 +105,7 @@ __all__ = [
     "StepExecutor",
     "StepOutcome",
     "Timeline",
+    "WorkerFailed",
     "create_backend",
     "create_ingest_controller",
 ]

@@ -15,17 +15,17 @@ the :class:`~repro.runtime.session.StepExecutor` seam:
   plan order, so CPU/network accounting and flow stats are identical to
   the in-process run *by construction*, not by reconciliation.
 * Each **worker** owns the stateful streaming nodes of its assigned
-  hosts (buffers live in the worker across epochs).  Workers receive
-  their :class:`~repro.runtime.backend.CompiledOperator` cache at pool
-  start through the pickle-by-recipe protocol (operators recompile on
+  hosts in a :class:`~repro.runtime.session.NodeTable` — the same table
+  and stepping loop the in-process executor uses — so buffers live in
+  the worker across epochs.  Workers receive their
+  :class:`~repro.runtime.backend.CompiledOperator` cache at pool start
+  through the pickle-by-recipe protocol (operators recompile on
   arrival — vectorized closures never cross the process boundary).
-* **Transport** is shared memory where it counts: batches above
-  :data:`SHARED_MIN_BYTES` travel driver→worker as
-  :class:`~repro.engine.columnar.SharedColumnBatch` descriptors (the hot
-  numeric payload is never pickled), with a plain-pickle fallback for
-  small ones.  The driver disposes every segment as
-  soon as the receiving stage has replied (workers copy out), so no
-  segment outlives its step.
+* **Transport** is the worker's pipe, both ways: every batch is pickled
+  into it and copied out of it, so nothing outlives a message.
+* **Failures are loud.** A worker that raises, dies or closes its pipe
+  surfaces as one :class:`WorkerFailed` naming its simulated hosts and
+  the step, after the whole pool has been torn down.
 
 Cross-host dataflow is scheduled in **stages**: a node's stage is the
 maximum over its children of the child's stage, plus one whenever the
@@ -47,31 +47,34 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import time
 import traceback
-from typing import Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, NoReturn, Optional, Sequence, Set, Tuple
 
 from ..distopt.plan_ir import DistKind, DistNode, DistributedPlan
 from ..engine.columnar import ColumnBatch
-from ..engine.streaming import StreamingNode, Watermark
+from ..engine.streaming import Watermark
 from .backend import EngineBackend, _operator_key
-from .session import SourceFeed, StepExecutor, StepOutcome
-
-#: Batches whose numeric payload reaches this many bytes travel
-#: driver→worker via shared memory; smaller ones are cheaper to pickle.
-SHARED_MIN_BYTES = 1024
+from .session import NodeTable, SourceFeed, StepExecutor, StepOutcome
 
 #: Start methods in preference order: fork is cheapest and inherits the
 #: compiled driver state; spawn/forkserver work because every init
 #: payload is picklable (operators ship by recipe).
 _START_METHODS = ("fork", "forkserver", "spawn")
 
+#: One worker's share of the plan, as its init and reassign messages
+#: carry it: nodes per stage (plan order), their compiled operators, the
+#: node ids whose outputs go back to the driver, and the exported state
+#: of nodes migrating in.
+Assignment = Tuple[Dict[int, List[DistNode]], list, Set[str], Dict[str, object]]
+
 
 class ParallelUnavailable(RuntimeError):
     """Parallel execution cannot run here; the session falls back
     in-process and records the reason in the event trace."""
+
+
+class WorkerFailed(RuntimeError):
+    """A worker raised, died, or broke its pipe; the pool is torn down."""
 
 
 def _start_context():
@@ -82,183 +85,87 @@ def _start_context():
     return None
 
 
-def _payload_bytes(batch: ColumnBatch) -> int:
-    """The numeric bytes :meth:`ColumnBatch.to_shared` would place in a
-    segment (object-dtype columns ride by pickle either way)."""
-    total = 0
-    for column in batch.columns.values():
-        for part in column if isinstance(column, tuple) else (column,):
-            array = np.asarray(part)
-            if not array.dtype.hasobject:
-                total += array.nbytes
-    return total
-
-
-def _encode(batch: ColumnBatch, handles: List) -> tuple:
-    """Driver-side batch encoding for one pipe message.
-
-    Shared-memory segments created here are appended to ``handles``; the
-    caller disposes them once the receiving stage has replied.
-    """
-    if _payload_bytes(batch) >= SHARED_MIN_BYTES:
-        handle = batch.to_shared()
-        handles.append(handle)
-        return ("shm", handle)
-    return ("raw", batch)
-
-
-def _decode(payload: tuple) -> ColumnBatch:
-    kind, value = payload
-    if kind == "shm":
-        return ColumnBatch.from_shared(value)
-    return value
-
-
 # -- the worker process ----------------------------------------------------------
+
+
+def _assign(
+    backend: EngineBackend, table: NodeTable, assignment: Assignment
+) -> Tuple[Dict[int, List[DistNode]], Set[str]]:
+    """Install an assignment; returns its stage map and export set."""
+    stages, operators, export_ids, adopted = assignment
+    for compiled in operators:
+        backend.cached_operators[_operator_key(compiled.recipe[1])] = compiled
+    table.assign([node for nodes in stages.values() for node in nodes], adopted)
+    return stages, export_ids
 
 
 def _worker_main(conn) -> None:  # pragma: no cover — runs in forked children
     """One worker's lifetime: init, then one message per (step, stage).
 
-    The init message carries the (pickle-shared) query dag, this worker's
-    plan nodes with their stage numbers, the compiled operators for those
-    nodes (recompiled on unpickling via their recipes), the node ids whose
-    outputs must be returned to the driver, and the epoch column.  Streaming-node buffers persist in this
-    process across steps; step-local outputs/watermarks reset whenever a
-    new step index arrives.
+    The init message carries the query dag, the epoch column, the node
+    ids whose post-step value hints the driver wants, and this worker's
+    :data:`Assignment` — in one pickle, so the dag ships once even though
+    every compiled operator's recipe references it.  Streaming-node
+    buffers persist in this process across steps; step-local outputs and
+    watermarks reset whenever a new step index arrives.
 
     Between steps the driver may re-pin nodes across workers (adaptive
-    rebalancing): ``export`` hands a departing node's buffered state
-    back, ``buffered`` reports state sizes without moving anything, and
-    ``reassign`` installs a fresh node/stage assignment — dropping
-    surrendered nodes, adopting incoming ones (state imported into a
-    newly built streaming node), and rebinding the export set.
+    rebalancing): ``export`` hands departing nodes' buffered state back,
+    ``buffered`` reports state sizes without moving anything, and
+    ``reassign`` installs a fresh assignment through the same path as
+    init — dropping surrendered nodes and adopting incoming ones.
     """
     try:
-        message = conn.recv()
-        (_, dag, assigned, operators, export_ids, epoch_column,
-         hint_ids) = message
+        _, dag, epoch_column, hint_ids, assignment = conn.recv()
         backend = EngineBackend(dag)
-        for compiled in operators:
-            backend.cached_operators[_operator_key(compiled.recipe[1])] = compiled
-        by_stage: Dict[int, List[DistNode]] = {}
-        for node, stage in assigned:
-            by_stage.setdefault(stage, []).append(node)
-        snodes: Dict[str, StreamingNode] = {
-            node.node_id: backend.streaming_node(node)
-            for node, _ in assigned
-            if node.kind is not DistKind.SOURCE
-        }
+        table = NodeTable(backend, epoch_column)
+        stages, export_ids = _assign(backend, table, assignment)
+        conn.send(("ready",))
         pid = os.getpid()
-        conn.send(("ready", pid))
-        outputs: Dict[str, ColumnBatch] = {}
-        watermarks: Dict[str, Watermark] = {}
         current_step = -1
         while True:
             message = conn.recv()
-            if message[0] == "stop":
+            kind = message[0]
+            if kind == "stop":
                 break
-            if message[0] == "export":
-                # Surrender the named nodes: pop each streaming node and
-                # return its window/join state plus its buffered-row
-                # count (sources have no state — (None, 0)).
-                payload = {}
-                for node_id in message[1]:
-                    snode = snodes.pop(node_id, None)
-                    if snode is None:
-                        payload[node_id] = (None, 0)
-                    else:
-                        payload[node_id] = (
-                            snode.export_state(), snode.buffered_rows()
-                        )
-                conn.send(("exported", payload))
+            if kind == "export":
+                conn.send(("exported", table.export(message[1])))
                 continue
-            if message[0] == "buffered":
-                # Report state sizes for nodes re-homed within this
-                # worker (the simulated hosts differ, the process not).
-                conn.send(
-                    (
-                        "counts",
-                        {
-                            node_id: (
-                                snodes[node_id].buffered_rows()
-                                if node_id in snodes
-                                else 0
-                            )
-                            for node_id in message[1]
-                        },
-                    )
-                )
+            if kind == "buffered":
+                conn.send(("counts", table.buffered(message[1])))
                 continue
-            if message[0] == "reassign":
-                _, assigned, operators, new_exports, adopted = message
-                for compiled in operators:
-                    backend.cached_operators[
-                        _operator_key(compiled.recipe[1])
-                    ] = compiled
-                by_stage = {}
-                keep = set()
-                for node, stage in assigned:
-                    by_stage.setdefault(stage, []).append(node)
-                    keep.add(node.node_id)
-                for node_id in list(snodes):
-                    if node_id not in keep:
-                        del snodes[node_id]
-                for node, _ in assigned:
-                    node_id = node.node_id
-                    if node.kind is DistKind.SOURCE or node_id in snodes:
-                        continue
-                    snode = backend.streaming_node(node)
-                    state = adopted.get(node_id)
-                    if state is not None:
-                        snode.import_state(state)
-                    snodes[node_id] = snode
-                export_ids = new_exports
-                conn.send(("ready", pid))
+            if kind == "reassign":
+                stages, export_ids = _assign(backend, table, message[1])
+                conn.send(("ready",))
                 continue
             _, step, stage, flush, sources, inbound = message
             if step != current_step:
                 current_step = step
-                outputs.clear()
-                watermarks.clear()
-            for node_id, (payload, watermark) in inbound.items():
-                outputs[node_id] = _decode(payload)
-                watermarks[node_id] = watermark
-            stats: Dict[str, Tuple[int, float]] = {}
-            returns: Dict[str, object] = {}
-            out_watermarks: Dict[str, Watermark] = {}
-            hints: Dict[str, object] = {}
-            for node in by_stage.get(stage, ()):
-                node_id = node.node_id
-                if node.kind is DistKind.SOURCE:
-                    payload, bound = sources[node_id]
-                    outputs[node_id] = _decode(payload)
-                    watermarks[node_id] = {epoch_column: bound}
-                else:
-                    snode = snodes[node_id]
-                    inputs = [outputs[child_id] for child_id in node.inputs]
-                    input_watermarks = [
-                        watermarks[child_id] for child_id in node.inputs
-                    ]
-                    started = time.perf_counter()
-                    result, watermark = snode.step(inputs, input_watermarks, flush)
-                    wall = time.perf_counter() - started
-                    outputs[node_id] = result
-                    watermarks[node_id] = watermark
-                    stats[node_id] = (len(result), wall)
-                    if node_id in hint_ids:
-                        # A node steps exactly once per step, so this
-                        # post-step snapshot equals what the in-process
-                        # executor reads after its own loop.
-                        hints[node_id] = snode.value_hints()
-                if node_id in export_ids:
-                    returns[node_id] = outputs[node_id]
-                    out_watermarks[node_id] = watermarks[node_id]
-            buffered = max(
-                (snode.buffered_rows() for snode in snodes.values()), default=0
+                table.clear()
+            for node_id, (batch, watermark) in inbound.items():
+                table.outputs[node_id] = batch
+                table.watermarks[node_id] = watermark
+            nodes = stages.get(stage, ())
+            out_lens: Dict[str, int] = {}
+            walls: Dict[str, float] = {}
+            table.step(nodes, flush, sources, out_lens, walls)
+            returns = {
+                node.node_id: (
+                    table.outputs[node.node_id],
+                    table.watermarks[node.node_id],
+                )
+                for node in nodes
+                if node.node_id in export_ids
+            }
+            # A node steps exactly once per step, so this post-step
+            # snapshot equals what the in-process executor reads after
+            # its own loop.
+            hints = table.value_hints(
+                [node_id for node_id in out_lens if node_id in hint_ids]
             )
             conn.send(
-                ("done", stats, returns, out_watermarks, buffered, pid, hints)
+                ("done", out_lens, walls, returns, table.buffered_rows(), pid,
+                 hints)
             )
     except (EOFError, KeyboardInterrupt):
         pass
@@ -289,6 +196,8 @@ class ParallelExecutor(StepExecutor):
         workers: Optional[int] = None,
         hint_ids: Optional[Set[str]] = None,
     ):
+        # ``plan`` stays in the signature its callers pass positionally;
+        # ``order`` already holds every node the pool needs.
         self._order = list(order)
         self._return_ids = set(return_ids)
         self._hint_ids = set(hint_ids) if hint_ids else set()
@@ -313,22 +222,25 @@ class ParallelExecutor(StepExecutor):
         self._worker_of = {
             node.node_id: self._worker_of_host[node.host] for node in self._order
         }
-        stage_of = self._rebuild_topology()
+        self._rebuild_topology()
         self._connections: List = []
         self._processes: List = []
-        self._pids: List[int] = []
         self._step = -1
+        self._activity = "at pool start"
         try:
-            self._fork_pool(context, plan, backend, epoch_column, stage_of)
+            self._fork_pool(context, epoch_column)
         except OSError as error:
             self.close()
             raise ParallelUnavailable(
                 f"could not start the worker pool: {error}"
             ) from error
+        except BaseException:
+            self.close()
+            raise
 
-    def _rebuild_topology(self) -> Dict[str, int]:
+    def _rebuild_topology(self) -> None:
         """Derive stages, exports, and per-(worker, stage) node lists
-        from the current node→worker map; returns the stage map.
+        from the current node→worker map.
 
         Called at pool start and again after every :meth:`repin` — the
         stage schedule and export set depend on which edges cross
@@ -359,16 +271,58 @@ class ParallelExecutor(StepExecutor):
             key = (self._worker_of[node.node_id], stage_of[node.node_id])
             self._stage_nodes.setdefault(key, []).append(node)
         self._stage_workers: List[List[int]] = [
-            sorted(
-                {
-                    worker
-                    for (worker, stage) in self._stage_nodes
-                    if stage == stage_no
-                }
-            )
+            sorted({worker for worker, stage in self._stage_nodes if stage == stage_no})
             for stage_no in range(self._num_stages)
         ]
-        return stage_of
+
+    def _assignment(
+        self, worker: int, adopted: Optional[Dict[str, object]] = None
+    ) -> Assignment:
+        """``worker``'s share of the current topology (see
+        :data:`Assignment`); ``adopted`` is state for nodes moving in."""
+        stages = {
+            stage: nodes
+            for (owner, stage), nodes in self._stage_nodes.items()
+            if owner == worker
+        }
+        nodes = [node for per_stage in stages.values() for node in per_stage]
+        operators = list(
+            {
+                _operator_key(node): self._backend.compile_node(node)
+                for node in nodes
+                if node.kind is not DistKind.SOURCE
+            }.values()
+        )
+        exports = {
+            node.node_id for node in nodes if node.node_id in self._export_ids
+        }
+        return stages, operators, exports, adopted or {}
+
+    def _fork_pool(self, context, epoch_column: str) -> None:
+        """Fork one process per worker and ship each its init payload.
+
+        The payload goes through the pipe (never fork-inherited), so the
+        compiled-operator pickle protocol is exercised on every start
+        method.
+        """
+        for _ in range(self.worker_count):
+            parent_conn, child_conn = context.Pipe()
+            process = context.Process(
+                target=_worker_main, args=(child_conn,), daemon=True
+            )
+            process.start()
+            child_conn.close()
+            self._connections.append(parent_conn)
+            self._processes.append(process)
+        dag = self._backend.dag
+        for worker in range(self.worker_count):
+            self._send(
+                worker,
+                ("init", dag, epoch_column, self._hint_ids,
+                 self._assignment(worker)),
+            )
+        for worker in range(self.worker_count):
+            self._receive(worker)
 
     def repin(self, changed: Dict[str, int]) -> Dict[str, int]:
         """Move re-homed nodes between workers; return their state sizes.
@@ -382,7 +336,7 @@ class ParallelExecutor(StepExecutor):
         """
         if not changed:
             return {}
-        node_of = {node.node_id: node for node in self._order}
+        self._activity = f"re-pinning nodes before step {self._step + 1}"
         new_worker: Dict[str, int] = {}
         for node_id, host in changed.items():
             worker = self._worker_of_host.get(host)
@@ -403,10 +357,10 @@ class ParallelExecutor(StepExecutor):
         for node_id in sorted(moves):
             by_loser.setdefault(self._worker_of[node_id], []).append(node_id)
         for worker, ids in sorted(by_loser.items()):
-            self._connections[worker].send(("export", ids))
-        for worker, ids in sorted(by_loser.items()):
-            (payload,) = self._receive(worker)
-            for node_id, (state, rows) in payload.items():
+            self._send(worker, ("export", ids))
+        for worker in sorted(by_loser):
+            (exported,) = self._receive(worker)
+            for node_id, (state, rows) in exported.items():
                 states[node_id] = state
                 buffered[node_id] = rows
         by_stayer: Dict[int, List[str]] = {}
@@ -414,168 +368,115 @@ class ParallelExecutor(StepExecutor):
             if node_id not in moves:
                 by_stayer.setdefault(self._worker_of[node_id], []).append(node_id)
         for worker, ids in sorted(by_stayer.items()):
-            self._connections[worker].send(("buffered", ids))
-        for worker, ids in sorted(by_stayer.items()):
-            (payload,) = self._receive(worker)
-            buffered.update(payload)
+            self._send(worker, ("buffered", ids))
+        for worker in sorted(by_stayer):
+            (counts,) = self._receive(worker)
+            buffered.update(counts)
         self._worker_of.update(moves)
-        stage_of = self._rebuild_topology()
+        self._rebuild_topology()
         # Every worker gets the fresh assignment: stages and exports can
         # shift even for workers that neither lost nor gained a node.
-        for worker, connection in enumerate(self._connections):
-            assigned = [
-                (node, stage_of[node.node_id])
-                for node in self._order
-                if self._worker_of[node.node_id] == worker
-            ]
-            operators = list(
-                {
-                    _operator_key(node): self._backend.compile_node(node)
-                    for node, _ in assigned
-                    if node.kind is not DistKind.SOURCE
-                }.values()
-            )
-            exports = {
-                node.node_id for node, _ in assigned
-                if node.node_id in self._export_ids
-            }
+        for worker in range(self.worker_count):
             adopted = {
-                node_id: states.get(node_id)
+                node_id: states[node_id]
                 for node_id, target in moves.items()
                 if target == worker
-                and node_of[node_id].kind is not DistKind.SOURCE
             }
-            connection.send(("reassign", assigned, operators, exports, adopted))
+            self._send(worker, ("reassign", self._assignment(worker, adopted)))
         for worker in range(self.worker_count):
             self._receive(worker)
         return {node_id: buffered.get(node_id, 0) for node_id in changed}
 
-    def _fork_pool(
-        self,
-        context,
-        plan: DistributedPlan,
-        backend: EngineBackend,
-        epoch_column: str,
-        stage_of: Dict[str, int],
-    ) -> None:
-        """Fork one process per worker and ship each its init payload.
-
-        The payload goes through the pipe (never fork-inherited), so the
-        compiled-operator pickle protocol is exercised on every start
-        method; pickle memoization ships the dag once per worker.
-        """
-        for worker in range(self.worker_count):
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_worker_main, args=(child_conn,), daemon=True
-            )
-            process.start()
-            child_conn.close()
-            self._connections.append(parent_conn)
-            self._processes.append(process)
-        dag = backend.dag
-        for worker, connection in enumerate(self._connections):
-            assigned = [
-                (node, stage_of[node.node_id])
-                for node in self._order
-                if self._worker_of[node.node_id] == worker
-            ]
-            operators = list(
-                {
-                    _operator_key(node): backend.compile_node(node)
-                    for node, _ in assigned
-                    if node.kind is not DistKind.SOURCE
-                }.values()
-            )
-            exports = {
-                node.node_id for node, _ in assigned
-                if node.node_id in self._export_ids
-            }
-            connection.send(
-                ("init", dag, assigned, operators, exports, epoch_column,
-                 self._hint_ids)
-            )
-        for worker, connection in enumerate(self._connections):
-            reply = self._receive(worker)
-            self._pids.append(reply[0])
-
     def run_step(self, flush: bool, sources: SourceFeed) -> StepOutcome:
         self._step += 1
+        step = self._step
+        self._activity = f"at step {step}"
         out_lens: Dict[str, int] = {}
         walls: Dict[str, float] = {}
         pids: Dict[str, int] = {}
-        produced: Dict[str, ColumnBatch] = {}
-        watermarks: Dict[str, Watermark] = {}
+        produced: Dict[str, Tuple[ColumnBatch, Watermark]] = {}
         buffered_by_worker: Dict[int, int] = {}
         value_hints: Dict[str, object] = {}
         for stage_no in range(self._num_stages):
-            handles: List = []
             participants = self._stage_workers[stage_no]
             for worker in participants:
-                message_sources: Dict[str, tuple] = {}
-                inbound: Dict[str, tuple] = {}
+                message_sources: SourceFeed = {}
+                inbound: Dict[str, Tuple[ColumnBatch, Watermark]] = {}
                 for node in self._stage_nodes[(worker, stage_no)]:
                     if node.kind is DistKind.SOURCE:
-                        batch, bound = sources[node.node_id]
-                        message_sources[node.node_id] = (
-                            _encode(batch, handles), bound,
-                        )
+                        message_sources[node.node_id] = sources[node.node_id]
                         continue
                     for child_id in node.inputs:
-                        if self._worker_of[child_id] == worker:
-                            continue
-                        inbound[child_id] = (
-                            _encode(produced[child_id], handles),
-                            watermarks[child_id],
-                        )
-                self._connections[worker].send(
-                    ("step", self._step, stage_no, flush, message_sources, inbound)
+                        if self._worker_of[child_id] != worker:
+                            inbound[child_id] = produced[child_id]
+                self._send(
+                    worker,
+                    ("step", step, stage_no, flush, message_sources, inbound),
                 )
             for worker in participants:
-                (stats, returns, reply_watermarks, buffered, pid,
+                (lens, node_walls, returns, buffered, pid,
                  hints) = self._receive(worker)
-                for node_id, (rows_out, wall) in stats.items():
-                    out_lens[node_id] = rows_out
-                    walls[node_id] = wall
-                    pids[node_id] = pid
+                out_lens.update(lens)
+                walls.update(node_walls)
+                pids.update(dict.fromkeys(lens, pid))
                 produced.update(returns)
-                watermarks.update(reply_watermarks)
                 buffered_by_worker[worker] = buffered
                 value_hints.update(hints)
-            # Workers copied the payload out before replying: every one of
-            # this stage's segments can be unlinked now.
-            for handle in handles:
-                handle.dispose()
         return StepOutcome(
             out_lens=out_lens,
             walls=walls,
             pids=pids,
-            returns={node_id: produced[node_id] for node_id in self._return_ids},
+            returns={
+                node_id: produced[node_id][0] for node_id in self._return_ids
+            },
             buffered_rows=max(buffered_by_worker.values(), default=0),
             value_hints=value_hints,
         )
 
+    # -- the pipe, and what happens when it breaks --------------------------------
+
+    def _send(self, worker: int, message: tuple) -> None:
+        try:
+            self._connections[worker].send(message)
+        except OSError as error:
+            self._fail(worker, f"its pipe broke on send ({error!r})")
+
     def _receive(self, worker: int) -> tuple:
         try:
             reply = self._connections[worker].recv()
-        except EOFError:
-            raise RuntimeError(
-                f"parallel worker {worker} exited unexpectedly"
-            ) from None
+        except (EOFError, OSError):
+            self._fail(worker, None)
         if reply[0] == "error":
-            raise RuntimeError(
-                f"parallel worker {worker} failed:\n{reply[1]}"
-            )
+            self._fail(worker, f"it raised:\n{reply[1]}")
         return reply[1:]
 
-    def close(self) -> None:
+    def _fail(self, worker: int, detail: Optional[str]) -> NoReturn:
+        """Tear the pool down and raise :class:`WorkerFailed` for
+        ``worker``; a ``detail`` of None means its pipe closed."""
+        hosts = ", ".join(
+            str(host)
+            for host, owner in sorted(self._worker_of_host.items())
+            if owner == worker
+        )
+        process = self._processes[worker]
+        self.close(grace=0.0)
+        if detail is None:
+            detail = f"its pipe closed (exit code {process.exitcode})"
+        raise WorkerFailed(
+            f"parallel worker {worker} (simulated hosts {hosts}) failed "
+            f"{self._activity}: {detail}"
+        )
+
+    def close(self, grace: float = 10.0) -> None:
+        """Stop every worker: a stop message, ``grace`` seconds to exit,
+        then SIGTERM.  Idempotent."""
         for connection in self._connections:
             try:
                 connection.send(("stop",))
-            except (BrokenPipeError, OSError):
+            except OSError:
                 pass
         for process in self._processes:
-            process.join(timeout=10)
+            process.join(timeout=grace)
         for process in self._processes:
             if process.is_alive():
                 process.terminate()

@@ -26,7 +26,9 @@ session keeps splitting, flow control, and **all** cost charging —
 charges are replayed from the executor's per-node counters in plan
 order, so the in-process executor and the multiprocess
 :class:`~repro.runtime.parallel.ParallelExecutor` produce identical
-accounting by construction.
+accounting by construction.  Both step their nodes through one
+:class:`NodeTable`: the in-process executor owns the whole plan's, each
+forked worker its hosts' share.
 """
 
 from __future__ import annotations
@@ -208,14 +210,121 @@ class StepExecutor:
         execution needs no physical movement; the parallel executor
         moves node state between workers.
         """
-        return {node_id: 0 for node_id in changed}
+        raise NotImplementedError
 
     def close(self) -> None:
-        """Release resources (worker processes, shared memory)."""
+        """Release resources (worker processes)."""
+
+
+class NodeTable:
+    """The stateful streaming nodes one process owns, and the loop that
+    steps them.
+
+    The in-process executor owns every node of the plan in one table; a
+    parallel worker owns its hosts' share in its own.  ``outputs`` and
+    ``watermarks`` hold the current step's per-node results, including
+    those a worker received from other workers.
+    """
+
+    def __init__(self, backend: EngineBackend, epoch_column: str):
+        self._backend = backend
+        self._epoch_column = epoch_column
+        self.nodes: Dict[str, StreamingNode] = {}
+        self.outputs: Dict[str, ColumnBatch] = {}
+        self.watermarks: Dict[str, Watermark] = {}
+
+    def assign(
+        self,
+        nodes: Sequence[DistNode],
+        adopted: Optional[Mapping[str, object]] = None,
+    ) -> None:
+        """Own exactly ``nodes``: drop the others, keep the buffers of
+        nodes already owned, and build the rest fresh — importing the
+        exported state ``adopted`` carries for a migrated node."""
+        keep = {node.node_id for node in nodes}
+        self.nodes = {
+            node_id: snode for node_id, snode in self.nodes.items() if node_id in keep
+        }
+        for node in nodes:
+            if node.kind is DistKind.SOURCE or node.node_id in self.nodes:
+                continue
+            snode = self._backend.streaming_node(node)
+            state = adopted.get(node.node_id) if adopted else None
+            if state is not None:
+                snode.import_state(state)
+            self.nodes[node.node_id] = snode
+
+    def step(
+        self,
+        nodes: Sequence[DistNode],
+        flush: bool,
+        sources: SourceFeed,
+        out_lens: Dict[str, int],
+        walls: Dict[str, float],
+    ) -> None:
+        """Step ``nodes`` in plan order, recording each non-source node's
+        output rows and operator wall seconds into ``out_lens``/``walls``.
+        A node's inputs must already be in ``outputs``."""
+        outputs = self.outputs
+        watermarks = self.watermarks
+        for node in nodes:
+            node_id = node.node_id
+            if node.kind is DistKind.SOURCE:
+                batch, bound = sources[node_id]
+                outputs[node_id] = batch
+                watermarks[node_id] = {self._epoch_column: bound}
+                continue
+            snode = self.nodes[node_id]
+            inputs = [outputs[child_id] for child_id in node.inputs]
+            input_watermarks = [watermarks[child_id] for child_id in node.inputs]
+            started = time.perf_counter()
+            result, watermark = snode.step(inputs, input_watermarks, flush)
+            walls[node_id] = time.perf_counter() - started
+            watermarks[node_id] = watermark
+            outputs[node_id] = result
+            out_lens[node_id] = len(result)
+
+    def clear(self) -> None:
+        """Forget the step's outputs; buffers live on."""
+        self.outputs.clear()
+        self.watermarks.clear()
+
+    def buffered_rows(self) -> int:
+        """The largest buffer resident in any owned node."""
+        return max(
+            (snode.buffered_rows() for snode in self.nodes.values()), default=0
+        )
+
+    def buffered(self, node_ids) -> Dict[str, int]:
+        """Buffered rows per named node (0 for sources)."""
+        return {
+            node_id: (
+                self.nodes[node_id].buffered_rows()
+                if node_id in self.nodes
+                else 0
+            )
+            for node_id in node_ids
+        }
+
+    def value_hints(self, node_ids) -> Dict[str, object]:
+        """Each named node's post-step ``value_hints()``."""
+        return {node_id: self.nodes[node_id].value_hints() for node_id in node_ids}
+
+    def export(self, node_ids) -> Dict[str, tuple]:
+        """Surrender the named nodes: ``(state, buffered rows)`` each,
+        ``(None, 0)`` for sources, which hold no state."""
+        exported = {}
+        for node_id in node_ids:
+            snode = self.nodes.pop(node_id, None)
+            if snode is None:
+                exported[node_id] = (None, 0)
+            else:
+                exported[node_id] = (snode.export_state(), snode.buffered_rows())
+        return exported
 
 
 class InProcessExecutor(StepExecutor):
-    """Runs every node in the driver process — the historical path."""
+    """Runs every node in the driver process."""
 
     mode = "inprocess"
 
@@ -228,63 +337,31 @@ class InProcessExecutor(StepExecutor):
         hint_ids: Optional[Set[str]] = None,
     ):
         self._order = list(order)
-        self._epoch_column = epoch_column
         self._return_ids = set(return_ids)
         self._hint_ids = set(hint_ids) if hint_ids else set()
         # Streaming wrappers hold buffers across steps: fresh per run.
-        self._nodes: Dict[str, StreamingNode] = {
-            node.node_id: backend.streaming_node(node)
-            for node in self._order
-            if node.kind is not DistKind.SOURCE
-        }
-        self._watermarks: Dict[str, Watermark] = {}
+        self._table = NodeTable(backend, epoch_column)
+        self._table.assign(self._order)
 
     def repin(self, changed: Dict[str, int]) -> Dict[str, int]:
         # Every node already lives in this process: nothing moves, but
         # the buffered-row counts still price the simulated handoff.
-        return {
-            node_id: (
-                self._nodes[node_id].buffered_rows()
-                if node_id in self._nodes
-                else 0
-            )
-            for node_id in changed
-        }
+        return self._table.buffered(changed)
 
     def run_step(self, flush: bool, sources: SourceFeed) -> StepOutcome:
-        outputs: Dict[str, ColumnBatch] = {}
+        table = self._table
         out_lens: Dict[str, int] = {}
         walls: Dict[str, float] = {}
-        watermarks = self._watermarks
-        for node in self._order:
-            node_id = node.node_id
-            if node.kind is DistKind.SOURCE:
-                batch, bound = sources[node_id]
-                outputs[node_id] = batch
-                watermarks[node_id] = {self._epoch_column: bound}
-                continue
-            snode = self._nodes[node_id]
-            inputs = [outputs[child_id] for child_id in node.inputs]
-            input_watermarks = [watermarks[child_id] for child_id in node.inputs]
-            started = time.perf_counter()
-            result, watermark = snode.step(inputs, input_watermarks, flush)
-            walls[node_id] = time.perf_counter() - started
-            watermarks[node_id] = watermark
-            outputs[node_id] = result
-            out_lens[node_id] = len(result)
-        buffered = 0
-        for snode in self._nodes.values():
-            buffered = max(buffered, snode.buffered_rows())
+        table.step(self._order, flush, sources, out_lens, walls)
+        returns = {node_id: table.outputs[node_id] for node_id in self._return_ids}
+        table.clear()
         return StepOutcome(
             out_lens=out_lens,
             walls=walls,
             pids={},
-            returns={node_id: outputs[node_id] for node_id in self._return_ids},
-            buffered_rows=buffered,
-            value_hints={
-                node_id: self._nodes[node_id].value_hints()
-                for node_id in self._hint_ids
-            },
+            returns=returns,
+            buffered_rows=table.buffered_rows(),
+            value_hints=table.value_hints(self._hint_ids),
         )
 
 

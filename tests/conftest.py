@@ -1,5 +1,7 @@
 """Shared fixtures: catalogs, DAGs, and small deterministic traces."""
 
+import multiprocessing
+
 import pytest
 
 from repro.gsql.catalog import Catalog
@@ -10,6 +12,15 @@ from repro.workloads import (
     subnet_jitter_catalog,
     suspicious_flows_catalog,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process running — a worker pool
+    that was not torn down, on success or on failure."""
+    yield
+    leftover = multiprocessing.active_children()
+    assert not leftover, f"child processes left running: {leftover}"
 
 
 @pytest.fixture

@@ -1,17 +1,20 @@
-"""Multiprocess execution: parity, shared-memory transport, fallback.
+"""Multiprocess execution: parity, pipe transport, failures, fallback.
 
 The contract under test: ``execution="parallel"`` is *observationally
 identical* to in-process execution — outputs, CPU and network
 accounting, flow stats, peak-batch accounting, and the timeline are
 exactly equal (``==``, not approximately), because the driver replays
 every charge from worker-reported counters in plan order.  Only pids in
-the event trace may differ.
+the event trace may differ.  A worker that fails takes the pool down
+with it and names its simulated hosts and step.
 """
 
+import multiprocessing
 import os
 import pickle
 import random
-import warnings
+import re
+import signal
 
 import pytest
 
@@ -27,13 +30,17 @@ from tests.parity import (
 )
 
 from repro.cluster import ClusterSimulator, QueuePolicy
-from repro.distopt import DistributedOptimizer, Placement
+from repro.distopt import DistKind, DistributedOptimizer, Placement
 from repro.engine import batches_equal
 from repro.engine.columnar import ColumnBatch
 from repro.runtime import parallel as parallel_mod
 from repro.runtime.backend import CompiledOperator, EngineBackend
 from repro.runtime.flowcontrol import Fault, FaultPlan
-from repro.runtime.parallel import ParallelExecutor, ParallelUnavailable
+from repro.runtime.parallel import (
+    ParallelExecutor,
+    ParallelUnavailable,
+    WorkerFailed,
+)
 
 import numpy as np
 
@@ -118,13 +125,20 @@ class TestRandomizedParallelParity:
         for ref, got in zip(reference.hosts, result.hosts):
             assert ref.cpu_units == got.cpu_units
 
-    def test_forced_shared_memory_transport(self, monkeypatch):
-        # Every columnar batch — however small — travels by shared memory.
-        monkeypatch.setattr(parallel_mod, "SHARED_MIN_BYTES", 0)
+    def test_forced_shared_memory_transport(self, small_trace):
+        """Whatever the batch size — per-epoch slices, or a one-shot
+        run's whole partitions of a 4k-row trace — batches cross the
+        worker pipe, and no shared-memory segment is ever created."""
         dag, plan, splitter, packets, hosts = _case(9, "complex")
         before = _shm_entries()
         _, reference = _run(dag, plan, splitter, packets, "inprocess")
         _, result = _run(dag, plan, splitter, packets, "parallel")
+        assert result.execution == "parallel"
+        assert_identical_simulation(reference, result)
+        sim = ClusterSimulator(dag, plan, stream_rate=1000)
+        trace = {"TCP": small_trace.packets}
+        reference = sim.run(trace, splitter, 10.0)
+        result = sim.run(trace, splitter, 10.0, execution="parallel")
         assert result.execution == "parallel"
         assert_identical_simulation(reference, result)
         assert _shm_entries() == before
@@ -235,19 +249,21 @@ class TestGracefulFallback:
 
 
 class TestSharedColumnBatch:
-    """Satellite: to_shared/from_shared round-trips and segment hygiene."""
+    """Batches shared with a worker: round trips through a real
+    ``multiprocessing.Pipe``, the only transport, which leaves no
+    shared-memory segment behind."""
 
     def _roundtrip(self, batch):
         before = _shm_entries()
-        handle = batch.to_shared()
+        sender, receiver = multiprocessing.Pipe()
         try:
-            # The descriptor is what crosses the pipe: pickle it.
-            rebuilt = ColumnBatch.from_shared(
-                pickle.loads(pickle.dumps(handle))
-            )
+            sender.send(batch)
+            rebuilt = receiver.recv()
         finally:
-            handle.dispose()
+            sender.close()
+            receiver.close()
         assert _shm_entries() == before
+        assert type(rebuilt) is ColumnBatch
         return rebuilt
 
     def test_numeric_round_trip(self):
@@ -265,7 +281,7 @@ class TestSharedColumnBatch:
 
     def test_composite_aggregate_state_columns(self):
         # Composite columns (tuples of arrays — partial aggregate states)
-        # keep their component structure through the segment.
+        # keep their component structure through the pipe.
         batch = ColumnBatch(
             {
                 "g": np.array([1, 2, 3]),
@@ -282,23 +298,18 @@ class TestSharedColumnBatch:
             assert np.array_equal(got, ref)
 
     def test_empty_batch(self):
-        batch = ColumnBatch({}, 0)
-        handle = batch.to_shared()
-        assert handle.segment_name is None
-        rebuilt = ColumnBatch.from_shared(pickle.loads(pickle.dumps(handle)))
-        handle.dispose()
+        rebuilt = self._roundtrip(ColumnBatch({}, 0))
         assert rebuilt.length == 0 and rebuilt.columns == {}
 
     def test_empty_columns_need_no_segment(self):
+        # Typed empty columns keep their dtypes (kernels emit them).
         batch = ColumnBatch(
             {"a": np.array([], dtype=np.int64), "b": np.array([], dtype=float)},
             0,
         )
-        handle = batch.to_shared()
-        assert handle.segment_name is None  # zero bytes: no segment at all
-        rebuilt = ColumnBatch.from_shared(handle)
-        handle.dispose()
+        rebuilt = self._roundtrip(batch)
         assert rebuilt.columns["a"].dtype == np.int64
+        assert rebuilt.columns["b"].dtype == np.float64
         assert len(rebuilt.columns["a"]) == 0
 
     def test_object_dtype_rides_by_pickle(self):
@@ -313,49 +324,87 @@ class TestSharedColumnBatch:
         assert rebuilt.columns["tag"].tolist() == ["alpha", None, ("t", 1)]
         assert np.array_equal(rebuilt.columns["n"], batch.columns["n"])
 
-    def test_rebuilt_batch_outlives_segment(self):
-        # from_shared copies: the batch must stay valid after dispose.
-        batch = ColumnBatch({"x": np.arange(1000)}, 1000)
-        handle = batch.to_shared()
-        rebuilt = ColumnBatch.from_shared(pickle.loads(pickle.dumps(handle)))
-        handle.dispose()
-        assert int(rebuilt.columns["x"].sum()) == int(batch.columns["x"].sum())
 
-    def test_dispose_is_idempotent(self):
-        handle = ColumnBatch({"x": np.arange(10)}, 10).to_shared()
-        handle.dispose()
-        handle.dispose()
+class _Sabotaged:
+    """A streaming node that runs ``action`` before its ``at``-th step."""
 
-    def test_no_resource_tracker_warnings(self):
-        # Cross-process attach/detach must not register segments with the
-        # consumer's resource tracker (that would spray KeyError/leak
-        # warnings at interpreter shutdown).
-        import multiprocessing
+    def __init__(self, inner, action, at):
+        self._inner = inner
+        self._action = action
+        self._left = at
 
-        batch = ColumnBatch({"x": np.arange(4096, dtype=np.int64)}, 4096)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            handle = batch.to_shared()
-            context = multiprocessing.get_context(
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else None
-            )
-            queue = context.SimpleQueue()
-            process = context.Process(
-                target=_attach_and_sum, args=(queue, handle)
-            )
-            process.start()
-            total = queue.get()
-            process.join(timeout=10)
-            handle.dispose()
-        assert total == int(batch.columns["x"].sum())
-        assert process.exitcode == 0
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def step(self, inputs, watermarks, flush):
+        self._left -= 1
+        if self._left == 0:
+            self._action()
+        return self._inner.step(inputs, watermarks, flush)
 
 
-def _attach_and_sum(queue, handle):
-    rebuilt = ColumnBatch.from_shared(handle)
-    queue.put(int(rebuilt.columns["x"].sum()))
+def _sabotage_workers(monkeypatch, action, host=None, at=None):
+    """Streaming nodes built in a forked worker (on ``host``, or on any
+    host) run ``action`` before their ``at``-th step — or while being
+    built, when ``at`` is None.  The driver's own nodes are untouched."""
+    build = EngineBackend.streaming_node
+    driver = os.getpid()
+
+    def streaming_node(backend, node):
+        if os.getpid() == driver or host not in (None, node.host):
+            return build(backend, node)
+        if at is None:
+            action()
+        return _Sabotaged(build(backend, node), action, at)
+
+    monkeypatch.setattr(EngineBackend, "streaming_node", streaming_node)
+
+
+def _raise_injected():
+    raise RuntimeError("injected operator failure")
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class TestWorkerFailures:
+    """A failing worker is loud and attributable, and the pool goes down
+    with it: no child process and no shared-memory segment survives."""
+
+    def test_failed_pool_start_leaves_no_worker(self, monkeypatch):
+        _sabotage_workers(monkeypatch, _raise_injected)
+        dag, plan, splitter, packets, _ = _case(9, "complex")
+        with pytest.raises(WorkerFailed, match="at pool start") as caught:
+            _run(dag, plan, splitter, packets, "parallel")
+        assert "injected operator failure" in str(caught.value)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("action", (_raise_injected, _kill_self),
+                             ids=("raise", "sigkill"))
+    def test_failure_names_host_and_step(self, monkeypatch, action):
+        dag, plan, splitter, packets, _ = _case(9, "complex")
+        host = max(
+            node.host for node in plan.topological()
+            if node.kind is not DistKind.SOURCE
+        )
+        _sabotage_workers(monkeypatch, action, host=host, at=4)
+        before = _shm_entries()
+        with pytest.raises(WorkerFailed) as caught:
+            _run(dag, plan, splitter, packets, "parallel")
+        message = str(caught.value)
+        named = re.search(
+            r"simulated hosts ([\d, ]+)\) failed at step (\d+)", message
+        )
+        assert named, message
+        assert str(host) in named.group(1).split(", ")
+        assert named.group(2) == "3"  # the 4th step, counted from 0
+        if action is _kill_self:
+            assert f"exit code {-signal.SIGKILL}" in message
+        else:
+            assert "injected operator failure" in message
+        assert multiprocessing.active_children() == []
+        assert _shm_entries() == before
 
 
 class TestCompiledOperatorPickle:

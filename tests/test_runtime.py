@@ -537,8 +537,8 @@ class TestDeferredDelivery:
             assert "object" in dtypes
         if case == "mixed-dtype":
             assert {"int64", "float64"} <= dtypes
-        # read only now: after the run, its executor (and any shared
-        # memory the workers shipped batches in) closed
+        # read only now: after the run, its executor (and any worker
+        # the batches were pickled from) closed
         _assert_deferred_equals_eager(result, eager)
 
     def test_an_operator_reusing_its_output_buffer_is_caught(

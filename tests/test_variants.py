@@ -246,7 +246,7 @@ def test_sketch_identical_across_engines(approx_dag):
 
 def test_sketch_parallel_execution_matches(approx_dag):
     """Summaries crossing real process boundaries (pickled through the
-    shared-memory transport) must not change the simulation."""
+    worker pipes) must not change the simulation."""
     packets = random_packets(31)
     oneshot, stream = _run(approx_dag, packets, execution="parallel")
     assert_same_simulation(oneshot, stream)
