@@ -41,7 +41,3 @@ class Placement:
         if not 0 <= partition < self.num_partitions:
             raise ValueError(f"partition {partition} out of range")
         return partition // self.partitions_per_host
-
-    def leaf_hosts(self):
-        """Hosts other than the aggregator."""
-        return [h for h in range(self.num_hosts) if h != self.aggregator]

@@ -192,14 +192,6 @@ class ColumnBuffer:
         self._pending = []
         return batch
 
-    def export_rows(self) -> Optional[ColumnBatch]:
-        """Retained rows as one batch, in buffer order; None when empty."""
-        return self.merged() if self._pending else None
-
-    def import_rows(self, batch: Optional[ColumnBatch]) -> None:
-        if batch is not None and len(batch):
-            self._pending.append(batch)
-
 
 # -- streaming node wrappers ---------------------------------------------------
 
@@ -231,25 +223,11 @@ class StreamingNode:
         """Rows currently held back — for memory-bound assertions."""
         return 0
 
-    def export_state(self):
-        """Portable snapshot of the buffered state, for migrating this
-        node to another executor (partition rebalancing).  Buffer order
-        is preserved so a re-homed node emits byte-identical output.
-        None means the node is stateless."""
-        return None
-
     def value_hints(self):
         """Canonical summary of buffered state for semantic shedding
         (:mod:`repro.runtime.shedding`), taken *after* this step's
         :meth:`step`.  None means the node offers no hints."""
         return None
-
-    def import_state(self, state) -> None:
-        """Adopt a peer's exported state into this (fresh) node."""
-        if state is not None:
-            raise ValueError(
-                f"{type(self).__name__} holds no migratable state"
-            )
 
 
 class StatelessStreamingNode(StreamingNode):
@@ -294,12 +272,6 @@ class StreamingAggregate(StreamingNode):
 
     def buffered_rows(self) -> int:
         return len(self._buffer)
-
-    def export_state(self):
-        return self._buffer.export_rows()
-
-    def import_state(self, state) -> None:
-        self._buffer.import_rows(state)
 
     def step(self, inputs, watermarks, flush):
         (batch,) = inputs
@@ -361,21 +333,6 @@ class StreamingWindowedAggregate(StreamingNode):
 
     def buffered_rows(self) -> int:
         return len(self._buffer)
-
-    def export_state(self):
-        return (self._buffer.export_rows(), self._last_end)
-
-    def import_state(self, state) -> None:
-        if state is None:
-            return
-        batch, last_end = state
-        self._buffer.import_rows(batch)
-        if last_end is not None:
-            self._last_end = (
-                last_end
-                if self._last_end is None
-                else max(self._last_end, last_end)
-            )
 
     def step(self, inputs, watermarks, flush):
         (batch,) = inputs
@@ -463,16 +420,6 @@ class StreamingJoin(StreamingNode):
     def buffered_rows(self) -> int:
         return len(self._left) + len(self._right)
 
-    def export_state(self):
-        return (self._left.export_rows(), self._right.export_rows())
-
-    def import_state(self, state) -> None:
-        if state is None:
-            return
-        left, right = state
-        self._left.import_rows(left)
-        self._right.import_rows(right)
-
     def value_hints(self):
         """The join keys currently buffered on each side — the "open
         buckets" a future arrival could still complete.  Frozensets are
@@ -484,15 +431,10 @@ class StreamingJoin(StreamingNode):
                 compile_key([eq.right for eq in self._equalities]),
             )
         left_key, right_key = self._hint_keys
-        sides = []
-        for buffer, key_fn in ((self._left, left_key), (self._right, right_key)):
-            rows = buffer.export_rows()
-            sides.append(
-                frozenset(map(key_fn, rows.to_rows()))
-                if rows is not None
-                else frozenset()
-            )
-        return (sides[0], sides[1])
+        return (
+            frozenset(map(left_key, self._left.merged().to_rows())),
+            frozenset(map(right_key, self._right.merged().to_rows())),
+        )
 
     def step(self, inputs, watermarks, flush):
         left_in, right_in = inputs

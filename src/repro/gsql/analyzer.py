@@ -178,15 +178,6 @@ class AnalyzedNode:
     selectivity_hint: Optional[float] = None
 
     @property
-    def is_aggregation(self) -> bool:
-        return self.kind is NodeKind.AGGREGATION
-
-    @property
-    def is_sliding(self) -> bool:
-        """True for aggregations whose window genuinely overlaps panes."""
-        return self.window is not None and not self.window.is_tumbling
-
-    @property
     def is_approximate(self) -> bool:
         """True when the query carries an accuracy budget (sketch-eligible)."""
         return self.accuracy is not None
@@ -194,9 +185,6 @@ class AnalyzedNode:
     @property
     def is_join(self) -> bool:
         return self.kind is NodeKind.JOIN
-
-    def non_temporal_group_by(self) -> List[GroupByColumn]:
-        return [g for g in self.group_by if not g.is_temporal]
 
     def input_attrs(self, position: int) -> Optional[frozenset]:
         """Columns of input ``position`` this node's expressions read;
@@ -767,8 +755,6 @@ class Analyzer:
             return None
         if xanalysis.is_function_of_any(lineage, synchronized):
             return lineage
-        if not synchronized:
-            return None
         return None
 
     def _convert_join_scalar(

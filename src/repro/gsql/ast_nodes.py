@@ -140,10 +140,6 @@ class JoinType(enum.Enum):
     RIGHT_OUTER = "right outer"
     FULL_OUTER = "full outer"
 
-    @property
-    def is_outer(self) -> bool:
-        return self is not JoinType.INNER
-
 
 @dataclass(frozen=True)
 class SelectItem:

@@ -19,10 +19,10 @@ predicate over partitioning sets.  Concrete constraints:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, Tuple
+from typing import FrozenSet, Tuple
 
 from ..expr import analysis as xanalysis
-from ..expr.expressions import Attr, ScalarExpr, parse_scalar
+from ..expr.expressions import ScalarExpr, parse_scalar
 from .partition_set import PartitioningSet
 
 
@@ -128,19 +128,3 @@ def tcp_header_splitter() -> FieldsConstraint:
         "srcIP", "destIP", "srcPort", "destPort", "protocol", "flags"
     )
 
-
-def _coerce(spec) -> ScalarExpr:
-    if isinstance(spec, ScalarExpr):
-        return spec
-    if isinstance(spec, str):
-        return parse_scalar(spec)
-    raise TypeError(f"cannot interpret {spec!r} as a partitioning expression")
-
-
-def whitelist_from(specs: Iterable) -> ExpressionWhitelist:
-    """Build an :class:`ExpressionWhitelist` from mixed specs."""
-    return ExpressionWhitelist(tuple(_coerce(spec) for spec in specs))
-
-
-def _is_plain_attr(expr: ScalarExpr) -> bool:
-    return isinstance(expr, Attr)

@@ -24,6 +24,10 @@ queues:
   (delivery deferred by N epochs; lossless, the watermark holds until
   the late rows land), and ``duplicate`` (rows delivered twice).  Each
   firing is recorded as a ``fault`` event.
+* :class:`PartitionDirectory` says which host each partition, and each
+  plan node, is on now.  The queues route arrivals by it and the
+  session charges costs by it; only the rebalance controller
+  (:mod:`repro.runtime.rebalance`) changes it.
 
 The :class:`IngestController` is the seam the
 :class:`~repro.runtime.session.ExecutionSession` drives: the default
@@ -44,7 +48,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from typing import (
-    Callable,
     Deque,
     Dict,
     FrozenSet,
@@ -55,7 +58,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from ..distopt.plan_ir import DistKind, DistributedPlan
+from ..distopt.plan_ir import DistKind, DistNode, DistributedPlan
 from ..engine.columnar import ColumnBatch
 from ..engine.streaming import take_prefix
 from .shedding import ValueModel, shed_lowest_value
@@ -170,9 +173,11 @@ class Fault:
                 f"fault spec {spec!r} is not KIND:HOST:FIRST[-LAST][:DELAY]"
             )
         kind = parts[0]
+        first, dash, last = parts[2].partition("-")
+        if dash and not last:
+            raise ValueError(f"fault spec {spec!r}: the epoch range has no end")
         try:
             host = int(parts[1])
-            first, _, last = parts[2].partition("-")
             first_epoch = int(first)
             last_epoch = int(last) if last else first_epoch
             delay = int(parts[3]) if len(parts) == 4 else 0
@@ -239,6 +244,79 @@ class FaultPlan:
         membership faults are lossless — partitions migrate, rows don't
         drop — provided a rebalance policy is active)."""
         return all(fault.kind != SKIP for fault in self.faults)
+
+
+# -- the partition directory -----------------------------------------------------
+
+
+class PartitionDirectory:
+    """Partition -> current host, and plan node -> the host it runs on.
+
+    Seeded from the plan's static layout (``plan.host_of_partition``),
+    which never changes.  A plan node whose non-empty coverage lies
+    entirely on its static home host (a source, a pushed per-partition
+    operator, a host-local merge) is *movable*: it is charged to
+    whichever host its partitions currently live on.  Every other node
+    (central merges, SUPER aggregates, delivery) stays on its plan host.  The ingest queues route arrivals by :meth:`host_of`, the
+    session charges each node to :attr:`node_host`, and the rebalance
+    controller is the only caller of :meth:`assign`.
+    """
+
+    def __init__(self, plan: DistributedPlan):
+        self.num_hosts = plan.num_hosts
+        self._static: Dict[int, int] = {
+            partition: plan.host_of_partition(partition)
+            for partition in range(plan.num_partitions)
+        }
+        self._current: Dict[int, int] = dict(self._static)
+        order = plan.topological()
+        #: Node id -> the simulated host the node is charged to now.
+        self.node_host: Dict[str, int] = {node.node_id: node.host for node in order}
+        #: The movable nodes, in plan order.
+        self.movable: Dict[str, DistNode] = {
+            node.node_id: node
+            for node in order
+            if node.partitions
+            and all(self._static[p] == node.host for p in node.partitions)
+        }
+
+    def host_of(self, partition: int) -> int:
+        return self._current[partition]
+
+    def static_host(self, partition: int) -> int:
+        return self._static[partition]
+
+    def assign(self, partition: int, host: int) -> None:
+        """Re-home ``partition``; a movable node follows once all of its
+        partitions share one host (co-movement keeps them together)."""
+        if not 0 <= host < self.num_hosts:
+            raise ValueError(f"host {host} is not in the cluster")
+        self._current[partition] = host
+        for node_id, node in self.movable.items():
+            if partition in node.partitions:
+                hosts = {self._current[p] for p in node.partitions}
+                self.node_host[node_id] = (
+                    hosts.pop() if len(hosts) == 1 else node.host
+                )
+
+    def partitions_on(self, host: int) -> List[int]:
+        return sorted(
+            partition
+            for partition, owner in self._current.items()
+            if owner == host
+        )
+
+    def assignment(self) -> Dict[int, int]:
+        return dict(self._current)
+
+    @property
+    def moved(self) -> Dict[int, int]:
+        """Partitions currently away from their static home."""
+        return {
+            partition: host
+            for partition, host in self._current.items()
+            if host != self._static[partition]
+        }
 
 
 # -- controllers ---------------------------------------------------------------
@@ -316,7 +394,7 @@ class QueuedIngestController(IngestController):
         recorder: "MetricsRecorder",
         policy: Optional[QueuePolicy],
         faults: Optional[FaultPlan],
-        host_of_partition: Optional[Callable[[int], int]] = None,
+        directory: PartitionDirectory,
         value_model: Optional[ValueModel] = None,
     ):
         self._recorder = recorder
@@ -326,20 +404,15 @@ class QueuedIngestController(IngestController):
         if value_model is not None:
             self.hint_nodes = frozenset(value_model.hint_nodes)
         self._faults = faults if faults is not None else FaultPlan()
-        self._sources: List[Tuple[str, int, int]] = [
-            (node.stream, next(iter(node.partitions)), node.host)
+        self._sources: List[Tuple[str, int]] = [
+            (node.stream, next(iter(node.partitions)))
             for node in plan.topological()
             if node.kind is DistKind.SOURCE
         ]
-        # With a partition directory (mid-stream rebalancing) arrivals
-        # route to a partition's *current* host, so every cluster host
-        # needs a queue; the static path keeps the historical host set
-        # for byte-identical accounting.
-        self._host_fn = host_of_partition
-        if host_of_partition is None:
-            self._hosts = sorted({host for _, _, host in self._sources})
-        else:
-            self._hosts = list(range(plan.num_hosts))
+        # Arrivals route to a partition's *current* host, which a
+        # migration may change, so every cluster host has a queue.
+        self._directory = directory
+        self._hosts = list(range(plan.num_hosts))
         self._queues: Dict[int, Deque[_Entry]] = {
             host: deque() for host in self._hosts
         }
@@ -375,12 +448,8 @@ class QueuedIngestController(IngestController):
                 remaining.append((release, host, entry))
         self._deferred = remaining
         if not flush:
-            for stream, partition, static_host in self._sources:
-                host = (
-                    static_host
-                    if self._host_fn is None
-                    else self._host_fn(partition)
-                )
+            for stream, partition in self._sources:
+                host = self._directory.host_of(partition)
                 batch = raw[stream][partition]
                 count = len(batch)
                 if count == 0:
@@ -564,9 +633,10 @@ def create_ingest_controller(
     recorder: "MetricsRecorder",
     policy: Optional[QueuePolicy],
     faults: Optional[FaultPlan],
-    host_of_partition: Optional[Callable[[int], int]] = None,
+    directory: PartitionDirectory,
 ) -> IngestController:
-    """The pass-through controller unless flow control is requested.
+    """The pass-through controller unless flow control is requested;
+    the queued one routes each arrival to ``directory``'s host.
 
     Membership (``leave``/``join``) faults are stripped here — they are
     the rebalance controller's input, not the ingest layer's — so a plan
@@ -587,6 +657,6 @@ def create_ingest_controller(
         return IngestController()
     semantic = policy is not None and policy.mode == SEMANTIC
     return QueuedIngestController(
-        plan, recorder, policy, ingest_faults, host_of_partition,
+        plan, recorder, policy, ingest_faults, directory,
         value_model=ValueModel(dag, plan) if semantic else None,
     )

@@ -530,7 +530,8 @@ class MetricsRecorder:
         The None key collects cluster-wide events (epoch boundaries,
         execution-mode records) — always the driver pid.  In-process runs
         show one pid everywhere; parallel runs show one worker pid per
-        host plus the driver.
+        host plus the driver, and two worker pids for a host that a
+        migrated node moved to (the node keeps stepping in its worker).
         """
         by_host: Dict[Optional[int], set] = {}
         for event in self.events:

@@ -21,6 +21,11 @@ the :class:`~repro.runtime.session.StepExecutor` seam:
   :class:`~repro.runtime.backend.CompiledOperator` cache at pool start
   through the pickle-by-recipe protocol (operators recompile on
   arrival — vectorized closures never cross the process boundary).
+* **Nodes never change worker.**  The node -> worker map is fixed at
+  pool start: a partition migration only changes which simulated host
+  the driver charges, so a migrated node keeps stepping in the worker
+  it started in, and the driver asks that worker for its ``buffered``
+  row count to price the handoff.
 * **Transport** is the worker's pipe, both ways: every batch is pickled
   into it and copied out of it, so nothing outlives a message.
 * **Failures are loud.** A worker that raises, dies or closes its pipe
@@ -39,8 +44,10 @@ same batches in the same per-node order as the in-process executor, and
 the driver merges results in plan-topological order — outputs, CPU and
 network accounting, flow stats, peak-batch accounting, and the timeline
 are exactly equal to ``execution="inprocess"`` (the randomized parity
-harness asserts this, bounded queues and fault plans included).  Only
-wall-clock durations and the ``pid`` tags in the event trace differ.
+harness asserts this, bounded queues, fault plans and rebalancing
+included).  Only wall-clock durations and the ``pid`` tags in the event
+trace differ; after a migration one simulated host's nodes can carry
+two workers' pids.
 """
 
 from __future__ import annotations
@@ -61,11 +68,10 @@ from .session import NodeTable, SourceFeed, StepExecutor, StepOutcome
 #: payload is picklable (operators ship by recipe).
 _START_METHODS = ("fork", "forkserver", "spawn")
 
-#: One worker's share of the plan, as its init and reassign messages
-#: carry it: nodes per stage (plan order), their compiled operators, the
-#: node ids whose outputs go back to the driver, and the exported state
-#: of nodes migrating in.
-Assignment = Tuple[Dict[int, List[DistNode]], list, Set[str], Dict[str, object]]
+#: One worker's share of the plan, as its init message carries it: nodes
+#: per stage (plan order), their compiled operators, and the node ids
+#: whose outputs go back to the driver.
+Assignment = Tuple[Dict[int, List[DistNode]], list, Set[str]]
 
 
 class ParallelUnavailable(RuntimeError):
@@ -88,17 +94,6 @@ def _start_context():
 # -- the worker process ----------------------------------------------------------
 
 
-def _assign(
-    backend: EngineBackend, table: NodeTable, assignment: Assignment
-) -> Tuple[Dict[int, List[DistNode]], Set[str]]:
-    """Install an assignment; returns its stage map and export set."""
-    stages, operators, export_ids, adopted = assignment
-    for compiled in operators:
-        backend.cached_operators[_operator_key(compiled.recipe[1])] = compiled
-    table.assign([node for nodes in stages.values() for node in nodes], adopted)
-    return stages, export_ids
-
-
 def _worker_main(conn) -> None:  # pragma: no cover — runs in forked children
     """One worker's lifetime: init, then one message per (step, stage).
 
@@ -107,19 +102,21 @@ def _worker_main(conn) -> None:  # pragma: no cover — runs in forked children
     :data:`Assignment` — in one pickle, so the dag ships once even though
     every compiled operator's recipe references it.  Streaming-node
     buffers persist in this process across steps; step-local outputs and
-    watermarks reset whenever a new step index arrives.
-
-    Between steps the driver may re-pin nodes across workers (adaptive
-    rebalancing): ``export`` hands departing nodes' buffered state back,
-    ``buffered`` reports state sizes without moving anything, and
-    ``reassign`` installs a fresh assignment through the same path as
-    init — dropping surrendered nodes and adopting incoming ones.
+    watermarks reset whenever a new step index arrives.  Between steps the
+    driver may ask for ``buffered`` row counts, which price a partition
+    migration's state handoff.
     """
     try:
         _, dag, epoch_column, hint_ids, assignment = conn.recv()
+        stages, operators, export_ids = assignment
         backend = EngineBackend(dag)
-        table = NodeTable(backend, epoch_column)
-        stages, export_ids = _assign(backend, table, assignment)
+        for compiled in operators:
+            backend.cached_operators[_operator_key(compiled.recipe[1])] = compiled
+        table = NodeTable(
+            backend,
+            epoch_column,
+            [node for nodes in stages.values() for node in nodes],
+        )
         conn.send(("ready",))
         pid = os.getpid()
         current_step = -1
@@ -128,15 +125,8 @@ def _worker_main(conn) -> None:  # pragma: no cover — runs in forked children
             kind = message[0]
             if kind == "stop":
                 break
-            if kind == "export":
-                conn.send(("exported", table.export(message[1])))
-                continue
             if kind == "buffered":
                 conn.send(("counts", table.buffered(message[1])))
-                continue
-            if kind == "reassign":
-                stages, export_ids = _assign(backend, table, message[1])
-                conn.send(("ready",))
                 continue
             _, step, stage, flush, sources, inbound = message
             if step != current_step:
@@ -222,30 +212,6 @@ class ParallelExecutor(StepExecutor):
         self._worker_of = {
             node.node_id: self._worker_of_host[node.host] for node in self._order
         }
-        self._rebuild_topology()
-        self._connections: List = []
-        self._processes: List = []
-        self._step = -1
-        self._activity = "at pool start"
-        try:
-            self._fork_pool(context, epoch_column)
-        except OSError as error:
-            self.close()
-            raise ParallelUnavailable(
-                f"could not start the worker pool: {error}"
-            ) from error
-        except BaseException:
-            self.close()
-            raise
-
-    def _rebuild_topology(self) -> None:
-        """Derive stages, exports, and per-(worker, stage) node lists
-        from the current node→worker map.
-
-        Called at pool start and again after every :meth:`repin` — the
-        stage schedule and export set depend on which edges cross
-        workers, and re-pinning changes exactly that.
-        """
         # Stage scheduling: a node waits one messaging round for every
         # worker boundary on its critical path.  Same-worker edges are
         # free (the producer's output is already in the worker).
@@ -274,12 +240,23 @@ class ParallelExecutor(StepExecutor):
             sorted({worker for worker, stage in self._stage_nodes if stage == stage_no})
             for stage_no in range(self._num_stages)
         ]
+        self._connections: List = []
+        self._processes: List = []
+        self._step = -1
+        self._activity = "at pool start"
+        try:
+            self._fork_pool(context, epoch_column)
+        except OSError as error:
+            self.close()
+            raise ParallelUnavailable(
+                f"could not start the worker pool: {error}"
+            ) from error
+        except BaseException:
+            self.close()
+            raise
 
-    def _assignment(
-        self, worker: int, adopted: Optional[Dict[str, object]] = None
-    ) -> Assignment:
-        """``worker``'s share of the current topology (see
-        :data:`Assignment`); ``adopted`` is state for nodes moving in."""
+    def _assignment(self, worker: int) -> Assignment:
+        """``worker``'s share of the plan (see :data:`Assignment`)."""
         stages = {
             stage: nodes
             for (owner, stage), nodes in self._stage_nodes.items()
@@ -296,7 +273,7 @@ class ParallelExecutor(StepExecutor):
         exports = {
             node.node_id for node in nodes if node.node_id in self._export_ids
         }
-        return stages, operators, exports, adopted or {}
+        return stages, operators, exports
 
     def _fork_pool(self, context, epoch_column: str) -> None:
         """Fork one process per worker and ship each its init payload.
@@ -324,68 +301,19 @@ class ParallelExecutor(StepExecutor):
         for worker in range(self.worker_count):
             self._receive(worker)
 
-    def repin(self, changed: Dict[str, int]) -> Dict[str, int]:
-        """Move re-homed nodes between workers; return their state sizes.
-
-        ``changed`` maps node ids to their new *simulated* host.  The
-        host→worker map is fixed at pool start, so a migration between
-        hosts sharing a worker is pure bookkeeping; across workers the
-        losing process exports the node's buffered state through the
-        driver to the adopting process.  Either way the returned counts
-        let the session charge the handoff as host→host network traffic.
-        """
-        if not changed:
-            return {}
-        self._activity = f"re-pinning nodes before step {self._step + 1}"
-        new_worker: Dict[str, int] = {}
-        for node_id, host in changed.items():
-            worker = self._worker_of_host.get(host)
-            if worker is None:
-                # A host that owned no static nodes: give it a stable
-                # worker assignment consistent with the modular layout.
-                worker = host % self.worker_count
-                self._worker_of_host[host] = worker
-            new_worker[node_id] = worker
-        moves = {
-            node_id: worker
-            for node_id, worker in new_worker.items()
-            if worker != self._worker_of[node_id]
-        }
-        buffered: Dict[str, int] = {}
-        states: Dict[str, object] = {}
-        by_loser: Dict[int, List[str]] = {}
-        for node_id in sorted(moves):
-            by_loser.setdefault(self._worker_of[node_id], []).append(node_id)
-        for worker, ids in sorted(by_loser.items()):
-            self._send(worker, ("export", ids))
-        for worker in sorted(by_loser):
-            (exported,) = self._receive(worker)
-            for node_id, (state, rows) in exported.items():
-                states[node_id] = state
-                buffered[node_id] = rows
-        by_stayer: Dict[int, List[str]] = {}
-        for node_id in sorted(changed):
-            if node_id not in moves:
-                by_stayer.setdefault(self._worker_of[node_id], []).append(node_id)
-        for worker, ids in sorted(by_stayer.items()):
+    def buffered(self, node_ids: Sequence[str]) -> Dict[str, int]:
+        """Ask each named node's worker for its buffered rows."""
+        self._activity = f"counting buffered rows before step {self._step + 1}"
+        by_worker: Dict[int, List[str]] = {}
+        for node_id in node_ids:
+            by_worker.setdefault(self._worker_of[node_id], []).append(node_id)
+        for worker, ids in sorted(by_worker.items()):
             self._send(worker, ("buffered", ids))
-        for worker in sorted(by_stayer):
-            (counts,) = self._receive(worker)
-            buffered.update(counts)
-        self._worker_of.update(moves)
-        self._rebuild_topology()
-        # Every worker gets the fresh assignment: stages and exports can
-        # shift even for workers that neither lost nor gained a node.
-        for worker in range(self.worker_count):
-            adopted = {
-                node_id: states[node_id]
-                for node_id, target in moves.items()
-                if target == worker
-            }
-            self._send(worker, ("reassign", self._assignment(worker, adopted)))
-        for worker in range(self.worker_count):
-            self._receive(worker)
-        return {node_id: buffered.get(node_id, 0) for node_id in changed}
+        counts: Dict[str, int] = {}
+        for worker in sorted(by_worker):
+            (reply,) = self._receive(worker)
+            counts.update(reply)
+        return counts
 
     def run_step(self, flush: bool, sources: SourceFeed) -> StepOutcome:
         self._step += 1

@@ -9,16 +9,17 @@ boundaries, migrates hot partitions to cooler hosts.
 
 The crucial invariant is that a migration changes only *where* work
 runs, never *what* runs: the dataflow DAG, the splitting function, and
-every per-node input order are untouched.  A :class:`PartitionDirectory`
-maps each partition to its current host; a plan node whose coverage
-lives entirely on its static home host (a source, a pushed per-partition
-operator, a host-local merge) is *movable* and executes — and is
-charged — on whichever host the directory says its partitions live on.
-Central merges and SUPER aggregates stay pinned.  Because the routed
-batches and their order are identical, streaming output with rebalancing
-active is byte-identical to a one-shot run (the randomized parity
-harness asserts this), and in-process vs. parallel execution make the
-same migration decisions from the same accounting.
+every per-node input order are untouched.  The run's
+:class:`~repro.runtime.flowcontrol.PartitionDirectory` maps each
+partition to its current host; a plan node whose coverage lives
+entirely on its static home host (a source, a pushed per-partition
+operator, a host-local merge) is *movable* and is charged on whichever
+host the directory says its partitions live on.  Central merges and
+SUPER aggregates stay pinned.  Because the routed batches and their
+order are identical, streaming output with rebalancing active is
+byte-identical to a one-shot run (the randomized parity harness asserts
+this), and in-process vs. parallel execution make the same migration
+decisions from the same accounting.
 
 Partitions that share a movable multi-partition node (e.g. a host-local
 merge under ``merge_local_partitions=True``) must stay co-resident, so
@@ -35,29 +36,34 @@ host set by epoch step; a departing host's groups are forcibly
 evacuated (trigger and cooldown do not apply), a joining host receives
 load through an immediate spread pass.
 
-Open window/join state travels with its partitions: the session asks
-the executor to re-pin the affected streaming nodes
-(:meth:`~repro.runtime.session.StepExecutor.repin` — an in-process
-no-op, a state export/import handshake between workers under parallel
-execution) and meters the handoff as an ordinary network transfer.
+Migration is bookkeeping: nothing moves between processes.  Open
+window and join state stays in the node that holds it, and the
+controller prices the simulated handoff from the executor's
+buffered-row counts (:meth:`~repro.runtime.session.StepExecutor.buffered`)
+as an ordinary network transfer from the old host to the new one.
+The controller is built for every run and drives the loop through two
+calls, :meth:`RebalanceController.before_step` and
+:meth:`RebalanceController.after_step`; without a policy both return at
+once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from ..cluster.balance import BalanceReport
-from ..distopt.plan_ir import DistNode, DistributedPlan
+from ..distopt.plan_ir import DistKind, DistNode, DistributedPlan
 from ..partitioning.compatibility import compatible_set
 from ..partitioning.partition_set import PartitioningSet
 from ..partitioning.reconcile import reconcile_all
-from .flowcontrol import JOIN, LEAVE, MEMBERSHIP_KINDS, FaultPlan
+from .flowcontrol import JOIN, LEAVE, MEMBERSHIP_KINDS, FaultPlan, PartitionDirectory
 
 if TYPE_CHECKING:
     from ..plan.dag import QueryDag
     from .metrics import MetricsRecorder
+    from .session import SourceFeed, StepExecutor
 
 
 @dataclass(frozen=True)
@@ -101,53 +107,6 @@ class RebalancePolicy:
             f"{self.window} epoch(s), cooldown {self.cooldown}, "
             f"<= {self.max_moves} move(s) per pass"
         )
-
-
-class PartitionDirectory:
-    """Partition -> current host, seeded from the plan's static layout.
-
-    The static mapping (``plan.host_of_partition``) never changes — it
-    defines which nodes are movable; the *current* mapping is what
-    migrations rewrite and what ingest routing and cost charging follow.
-    """
-
-    def __init__(self, plan: DistributedPlan):
-        self.num_hosts = plan.num_hosts
-        self._static: Dict[int, int] = {
-            partition: plan.host_of_partition(partition)
-            for partition in range(plan.num_partitions)
-        }
-        self._current: Dict[int, int] = dict(self._static)
-
-    def host_of(self, partition: int) -> int:
-        return self._current[partition]
-
-    def static_host(self, partition: int) -> int:
-        return self._static[partition]
-
-    def assign(self, partition: int, host: int) -> None:
-        if not 0 <= host < self.num_hosts:
-            raise ValueError(f"host {host} is not in the cluster")
-        self._current[partition] = host
-
-    def partitions_on(self, host: int) -> List[int]:
-        return sorted(
-            partition
-            for partition, owner in self._current.items()
-            if owner == host
-        )
-
-    def assignment(self) -> Dict[int, int]:
-        return dict(self._current)
-
-    @property
-    def moved(self) -> Dict[int, int]:
-        """Partitions currently away from their static home."""
-        return {
-            partition: host
-            for partition, host in self._current.items()
-            if host != self._static[partition]
-        }
 
 
 @dataclass
@@ -196,45 +155,48 @@ class RebalanceLog:
 class RebalanceController:
     """Observes per-host load and plans epoch-boundary migrations.
 
-    Driven by the session once per epoch step: :meth:`plan_step` before
-    splitting (returns this boundary's migrations), :meth:`observe`
-    after the step's charges are replayed.  All inputs — delivered rows
-    per partition, per-epoch host CPU, queue backlog — are identical
-    across engines and execution modes, so migration decisions are too.
+    Built for every run, it is the only writer of the run's
+    :class:`~repro.runtime.flowcontrol.PartitionDirectory`.  The session
+    calls :meth:`before_step` before each epoch's rows are split and
+    :meth:`after_step` once the step's charges are replayed; without a
+    policy both return at once and :attr:`log` is None.  All inputs —
+    delivered rows per partition, per-epoch host CPU, queue backlog —
+    are identical across execution modes, so migration decisions are too.
     """
 
     def __init__(
         self,
         plan: DistributedPlan,
-        policy: RebalancePolicy,
+        policy: Optional[RebalancePolicy],
         recorder: "MetricsRecorder",
+        width: Callable[[DistNode], float],
         faults: Optional[FaultPlan] = None,
         dag: Optional["QueryDag"] = None,
         partitioning: Optional[PartitioningSet] = None,
     ):
+        self.directory = PartitionDirectory(plan)
+        #: What the controller observed and did; None without a policy.
+        self.log: Optional[RebalanceLog] = None
+        if policy is None:
+            return
         self._plan = plan
         self._policy = policy
         self._recorder = recorder
+        self._width = width
         self._dag = dag
         self._partitioning = partitioning
-        self.directory = PartitionDirectory(plan)
         self.log = RebalanceLog(assignment=self.directory.assignment())
         self._membership = tuple(
             fault
             for fault in (faults.faults if faults is not None else ())
             if fault.kind in MEMBERSHIP_KINDS
         )
-        # Movable nodes: non-empty coverage entirely on the static home.
-        # Everything else (central merges, SUPER aggregates, delivery)
-        # stays pinned to its plan host.
-        self._movable: Dict[str, DistNode] = {}
-        for node in plan.topological():
-            if node.partitions and all(
-                self.directory.static_host(p) == node.host
-                for p in node.partitions
-            ):
-                self._movable[node.node_id] = node
         self._check_membership()
+        self._sources = [
+            (node.node_id, min(node.partitions))
+            for node in self.directory.movable.values()
+            if node.kind is DistKind.SOURCE
+        ]
         # Co-movement groups: partitions sharing a movable multi-partition
         # node (a host-local merge binds its host's partitions together)
         # migrate as one unit, so no movable node's coverage ever spans
@@ -247,7 +209,7 @@ class RebalanceController:
                 p = parent[p]
             return p
 
-        for node in self._movable.values():
+        for node in self.directory.movable.values():
             anchor = find(min(node.partitions))
             for partition in node.partitions:
                 parent[find(partition)] = anchor
@@ -258,11 +220,6 @@ class RebalanceController:
             tuple(sorted(members))
             for _, members in sorted(roots.items())
         ]
-        self._group_of: Dict[int, int] = {
-            partition: index
-            for index, group in enumerate(self._groups)
-            for partition in group
-        }
         # EWMA of delivered rows per partition; the planning weight.
         self._weights: List[float] = [0.0] * plan.num_partitions
         self._backlog: Dict[int, int] = {}
@@ -270,16 +227,106 @@ class RebalanceController:
         self._cooldown_until = 0
         self._last_ratio = float("nan")
         self._prev_present: Optional[Set[int]] = None
-        self._effective: Dict[str, int] = {}
-        self._refresh_effective()
 
     # -- the session-facing surface -------------------------------------------
 
-    def effective_host(self, node: DistNode) -> int:
-        """The host a node currently executes (and is charged) on."""
-        return self._effective.get(node.node_id, node.host)
+    def before_step(self, index: int, executor: "StepExecutor") -> None:
+        """Plan and commit the migrations of the boundary before epoch
+        step ``index``.
 
-    def plan_step(self, index: int) -> List[Migration]:
+        The directory changes after the previous epoch's bucket closed and
+        before this epoch's rows are split, so fresh arrivals route
+        straight to the new homes.  Each re-homed node's buffered rows are
+        charged as a network transfer from its old host to its new one;
+        the node itself keeps running where it always has.
+        """
+        if self.log is None:
+            return
+        moves = self._plan_step(index)
+        if not moves:
+            return
+        directory = self.directory
+        before = dict(directory.node_host)
+        for move in moves:
+            for partition in move.partitions:
+                directory.assign(partition, move.dst)
+        changed = sorted(
+            node_id
+            for node_id, host in directory.node_host.items()
+            if host != before[node_id]
+        )
+        move_of_partition = {
+            partition: move for move in moves for partition in move.partitions
+        }
+        buffered = executor.buffered(changed)
+        for node_id in changed:
+            rows = buffered[node_id]
+            if not rows:
+                continue
+            node = directory.movable[node_id]
+            widths = [
+                self._width(self._plan.node(child_id)) for child_id in node.inputs
+            ]
+            self._recorder.record_transfer(
+                before[node_id],
+                directory.node_host[node_id],
+                rows,
+                max(widths) if widths else self._width(node),
+            )
+            move_of_partition[min(node.partitions)].state_rows += rows
+        for move in moves:
+            move.step = index
+            self.log.migrations.append(move)
+            self._recorder.record_rebalance(
+                "migration",
+                step=index,
+                partitions=list(move.partitions),
+                src=move.src,
+                dst=move.dst,
+                reason=move.reason,
+                state_rows=move.state_rows,
+            )
+        self.log.assignment = directory.assignment()
+        self._recorder.record_rebalance(
+            "complete", step=index, moves=len(moves), moved=directory.moved,
+        )
+
+    def after_step(self, index: int, sources: "SourceFeed") -> None:
+        """Fold step ``index``'s delivered rows per partition into the
+        load estimate and arm the trigger when the present hosts stay
+        imbalanced."""
+        if self.log is None:
+            return
+        alpha = self._policy.smoothing
+        partition_rows = [0] * len(self._weights)
+        for node_id, partition in self._sources:
+            partition_rows[partition] += len(sources[node_id][0])
+        for partition, rows in enumerate(partition_rows):
+            self._weights[partition] = (
+                alpha * rows + (1.0 - alpha) * self._weights[partition]
+            )
+        self._backlog = {
+            host: stats.rows_queued[-1]
+            for host, stats in self._recorder.flow_stats.items()
+            if stats.rows_queued
+        }
+        present = self._present(index)
+        loads = self._host_loads(present)
+        report = BalanceReport(
+            [round(weight, 6) for weight in self._weights],
+            [loads[host] for host in sorted(present)],
+        )
+        ratios = [report.host_max_over_mean, self._cpu_ratio(present)]
+        finite = [ratio for ratio in ratios if not math.isnan(ratio)]
+        self._last_ratio = max(finite) if finite else float("nan")
+        if finite and max(finite) >= self._policy.threshold:
+            self._hot_streak += 1
+        else:
+            self._hot_streak = 0
+
+    # -- internals -------------------------------------------------------------
+
+    def _plan_step(self, index: int) -> List[Migration]:
         """Migrations to apply at the boundary before epoch step ``index``."""
         present = self._present(index)
         loads = self._host_loads(present)
@@ -328,88 +375,6 @@ class RebalanceController:
             )
         return moves
 
-    def apply(self, moves: Sequence[Migration]) -> Dict[str, Tuple[int, int]]:
-        """Rewrite the directory; return each re-homed node's (old, new)."""
-        before = {
-            node_id: self.effective_host(node)
-            for node_id, node in self._movable.items()
-        }
-        for move in moves:
-            for partition in move.partitions:
-                self.directory.assign(partition, move.dst)
-        self._refresh_effective()
-        changed: Dict[str, Tuple[int, int]] = {}
-        for node_id, node in self._movable.items():
-            new = self.effective_host(node)
-            if new != before[node_id]:
-                changed[node_id] = (before[node_id], new)
-        return changed
-
-    def commit(
-        self,
-        index: int,
-        moves: Sequence[Migration],
-        changed: Dict[str, Tuple[int, int]],
-        buffered: Dict[str, int],
-    ) -> None:
-        """Record the applied migrations (with their state handoffs)."""
-        move_of_partition = {
-            partition: move for move in moves for partition in move.partitions
-        }
-        for node_id, rows in buffered.items():
-            if not rows or node_id not in changed:
-                continue
-            node = self._movable[node_id]
-            move = move_of_partition.get(min(node.partitions))
-            if move is not None:
-                move.state_rows += rows
-        for move in moves:
-            move.step = index
-            self.log.migrations.append(move)
-            self._recorder.record_rebalance(
-                "migration",
-                step=index,
-                partitions=list(move.partitions),
-                src=move.src,
-                dst=move.dst,
-                reason=move.reason,
-                state_rows=move.state_rows,
-            )
-        self.log.assignment = self.directory.assignment()
-        self._recorder.record_rebalance(
-            "complete", step=index, moves=len(moves),
-            moved=self.directory.moved,
-        )
-
-    def observe(self, index: int, partition_rows: Sequence[int]) -> None:
-        """Fold one epoch's delivered rows into the load estimate and
-        arm the trigger when the present hosts stay imbalanced."""
-        alpha = self._policy.smoothing
-        for partition, rows in enumerate(partition_rows):
-            self._weights[partition] = (
-                alpha * rows + (1.0 - alpha) * self._weights[partition]
-            )
-        self._backlog = {
-            host: stats.rows_queued[-1]
-            for host, stats in self._recorder.flow_stats.items()
-            if stats.rows_queued
-        }
-        present = self._present(index)
-        loads = self._host_loads(present)
-        report = BalanceReport(
-            [round(weight, 6) for weight in self._weights],
-            [loads[host] for host in sorted(present)],
-        )
-        ratios = [report.host_max_over_mean, self._cpu_ratio(present)]
-        finite = [ratio for ratio in ratios if not math.isnan(ratio)]
-        self._last_ratio = max(finite) if finite else float("nan")
-        if finite and max(finite) >= self._policy.threshold:
-            self._hot_streak += 1
-        else:
-            self._hot_streak = 0
-
-    # -- internals -------------------------------------------------------------
-
     def _check_membership(self) -> None:
         for fault in self._membership:
             if fault.host == self._plan.aggregator:
@@ -422,7 +387,7 @@ class RebalanceController:
                     node.node_id
                     for node in self._plan.topological()
                     if node.host == fault.host
-                    and node.node_id not in self._movable
+                    and node.node_id not in self.directory.movable
                 ]
                 if stuck:
                     raise ValueError(
@@ -575,11 +540,3 @@ class RebalanceController:
             return  # the situation has not changed; don't repeat ourselves
         self.log.advisories.append(message)
         self._recorder.record_rebalance("advice", message=message)
-
-    def _refresh_effective(self) -> None:
-        effective: Dict[str, int] = {}
-        for node_id, node in self._movable.items():
-            hosts = {self.directory.host_of(p) for p in node.partitions}
-            if len(hosts) == 1:
-                effective[node_id] = hosts.pop()
-        self._effective = effective

@@ -10,7 +10,9 @@ flush is a no-op.  Splitting, ingest, watermark plumbing, and cost
 charging therefore exist in exactly one place; backpressure and fault
 injection instrument that one loop through the
 :class:`~repro.runtime.flowcontrol.IngestController` seam between the
-splitter and the hosts.  The switches of a run are declared, documented
+splitter and the hosts, and adaptive rebalancing through the
+:class:`~repro.runtime.rebalance.RebalanceController`'s ``before_step``
+and ``after_step`` calls.  The switches of a run are declared, documented
 and validated once, by :class:`RunOptions`.
 
 Operators come pre-compiled from the :class:`~repro.runtime.backend.EngineBackend`
@@ -38,7 +40,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     List,
@@ -193,7 +194,9 @@ class StepExecutor:
     The session owns splitting, ingest/flow control, watermark bounds for
     sources, and *all* metric charging; an executor owns the stateful
     streaming nodes and steps them.  One executor instance lives for one
-    run (buffers persist across its steps)."""
+    run (buffers persist across its steps), and every node steps in the
+    process it started in for the whole run, whatever host a migration
+    charges it to."""
 
     #: Mode label recorded in the event trace ("inprocess"/"parallel").
     mode: str
@@ -201,14 +204,11 @@ class StepExecutor:
     def run_step(self, flush: bool, sources: SourceFeed) -> StepOutcome:
         raise NotImplementedError
 
-    def repin(self, changed: Dict[str, int]) -> Dict[str, int]:
-        """Re-home nodes onto new effective hosts (partition migration).
+    def buffered(self, node_ids: Sequence[str]) -> Dict[str, int]:
+        """Rows buffered in each named node now (0 for sources).
 
-        ``changed`` maps node id -> new host.  Returns the buffered rows
-        each re-homed streaming node carried across — the state-handoff
-        volume the session meters as a network transfer.  In-process
-        execution needs no physical movement; the parallel executor
-        moves node state between workers.
+        A partition migration prices its state handoff from these counts;
+        the nodes themselves never move.
         """
         raise NotImplementedError
 
@@ -221,38 +221,26 @@ class NodeTable:
     steps them.
 
     The in-process executor owns every node of the plan in one table; a
-    parallel worker owns its hosts' share in its own.  ``outputs`` and
-    ``watermarks`` hold the current step's per-node results, including
-    those a worker received from other workers.
+    parallel worker owns its hosts' share in its own.  The table is built
+    once per run.  ``outputs`` and ``watermarks`` hold the current step's
+    per-node results, including those a worker received from other
+    workers.
     """
 
-    def __init__(self, backend: EngineBackend, epoch_column: str):
-        self._backend = backend
+    def __init__(
+        self,
+        backend: EngineBackend,
+        epoch_column: str,
+        nodes: Sequence[DistNode],
+    ):
         self._epoch_column = epoch_column
-        self.nodes: Dict[str, StreamingNode] = {}
+        self.nodes: Dict[str, StreamingNode] = {
+            node.node_id: backend.streaming_node(node)
+            for node in nodes
+            if node.kind is not DistKind.SOURCE
+        }
         self.outputs: Dict[str, ColumnBatch] = {}
         self.watermarks: Dict[str, Watermark] = {}
-
-    def assign(
-        self,
-        nodes: Sequence[DistNode],
-        adopted: Optional[Mapping[str, object]] = None,
-    ) -> None:
-        """Own exactly ``nodes``: drop the others, keep the buffers of
-        nodes already owned, and build the rest fresh — importing the
-        exported state ``adopted`` carries for a migrated node."""
-        keep = {node.node_id for node in nodes}
-        self.nodes = {
-            node_id: snode for node_id, snode in self.nodes.items() if node_id in keep
-        }
-        for node in nodes:
-            if node.kind is DistKind.SOURCE or node.node_id in self.nodes:
-                continue
-            snode = self._backend.streaming_node(node)
-            state = adopted.get(node.node_id) if adopted else None
-            if state is not None:
-                snode.import_state(state)
-            self.nodes[node.node_id] = snode
 
     def step(
         self,
@@ -310,18 +298,6 @@ class NodeTable:
         """Each named node's post-step ``value_hints()``."""
         return {node_id: self.nodes[node_id].value_hints() for node_id in node_ids}
 
-    def export(self, node_ids) -> Dict[str, tuple]:
-        """Surrender the named nodes: ``(state, buffered rows)`` each,
-        ``(None, 0)`` for sources, which hold no state."""
-        exported = {}
-        for node_id in node_ids:
-            snode = self.nodes.pop(node_id, None)
-            if snode is None:
-                exported[node_id] = (None, 0)
-            else:
-                exported[node_id] = (snode.export_state(), snode.buffered_rows())
-        return exported
-
 
 class InProcessExecutor(StepExecutor):
     """Runs every node in the driver process."""
@@ -340,13 +316,10 @@ class InProcessExecutor(StepExecutor):
         self._return_ids = set(return_ids)
         self._hint_ids = set(hint_ids) if hint_ids else set()
         # Streaming wrappers hold buffers across steps: fresh per run.
-        self._table = NodeTable(backend, epoch_column)
-        self._table.assign(self._order)
+        self._table = NodeTable(backend, epoch_column, self._order)
 
-    def repin(self, changed: Dict[str, int]) -> Dict[str, int]:
-        # Every node already lives in this process: nothing moves, but
-        # the buffered-row counts still price the simulated handoff.
-        return self._table.buffered(changed)
+    def buffered(self, node_ids: Sequence[str]) -> Dict[str, int]:
+        return self._table.buffered(node_ids)
 
     def run_step(self, flush: bool, sources: SourceFeed) -> StepOutcome:
         table = self._table
@@ -638,29 +611,26 @@ class ExecutionSession:
         delivered = DeliveredRows({name: [] for name in self._plan.delivery})
         counts: Dict[str, int] = {node.node_id: 0 for node in order}
         offsets: Dict[str, int] = {stream: 0 for stream in slices}
-        num_partitions = self._plan.num_partitions
-        no_rows = [ColumnBatch({}, 0)] * num_partitions
-        rebalancer: Optional[RebalanceController] = None
-        host_of = None
-        if options.rebalance is not None:
-            rebalancer = RebalanceController(
-                self._plan,
-                options.rebalance,
-                recorder,
-                faults=faults,
-                dag=self._dag,
-                partitioning=partitioning,
-            )
-            host_of = rebalancer.effective_host
+        no_rows = [ColumnBatch({}, 0)] * self._plan.num_partitions
+        # The rebalancer is the only writer of the run's partition
+        # directory, which the ingest queues route by and charge replay
+        # reads each node's host from.
+        rebalancer = RebalanceController(
+            self._plan,
+            options.rebalance,
+            recorder,
+            self._output_width,
+            faults=faults,
+            dag=self._dag,
+            partitioning=partitioning,
+        )
+        directory = rebalancer.directory
         # The ingest controller sits between the splitter and the hosts:
         # pass-through (historical behaviour) unless flow control or
         # fault injection was requested.
         controller = create_ingest_controller(
             self._dag, self._plan, recorder,
-            options.queue_policy, faults,
-            host_of_partition=(
-                rebalancer.directory.host_of if rebalancer is not None else None
-            ),
+            options.queue_policy, faults, directory,
         )
         # Last, so nothing above can raise with a worker pool open.
         executor = self._create_executor(options, order, controller.hint_nodes)
@@ -682,11 +652,7 @@ class ExecutionSession:
                     )
                     if streaming:
                         recorder.begin_epoch(epoch)
-                    if rebalancer is not None:
-                        # Migrations land at the epoch boundary: after the
-                        # previous epoch's bucket closed, before this
-                        # epoch's rows are split and routed.
-                        self._apply_rebalance(rebalancer, executor, index)
+                    rebalancer.before_step(index, executor)
                     partitions = {}
                     for stream, per_epoch in slices.items():
                         piece = per_epoch.get(epoch)
@@ -722,7 +688,9 @@ class ExecutionSession:
                 controller.update_hints(outcome.value_hints)
                 peak = max(
                     peak,
-                    self._replay_step(outcome, sources, order, counts, host_of),
+                    self._replay_step(
+                        outcome, sources, order, counts, directory.node_host
+                    ),
                     outcome.buffered_rows,
                     controller.resident_rows(),
                 )
@@ -732,15 +700,7 @@ class ExecutionSession:
                     batch = outcome.returns[node_id]
                     if len(batch):
                         delivered.batches[name].append(batch)
-                if rebalancer is not None and not flush:
-                    partition_rows = [0] * num_partitions
-                    for node in order:
-                        if node.kind is DistKind.SOURCE:
-                            (partition,) = node.partitions
-                            partition_rows[partition] += len(
-                                sources[node.node_id][0]
-                            )
-                    rebalancer.observe(index, partition_rows)
+                rebalancer.after_step(index, sources)
         finally:
             executor.close()
         # Snapshot the mutable accounting state: the recorder resets its
@@ -764,7 +724,7 @@ class ExecutionSession:
             flow_stats=dict(recorder.flow_stats),
             shed_counts=dict(recorder.shed_counts),
             execution=executor.mode,
-            rebalance=rebalancer.log if rebalancer is not None else None,
+            rebalance=rebalancer.log,
             source_columns=dict(recorder.source_columns),
         )
 
@@ -816,48 +776,13 @@ class ExecutionSession:
             self._backend, order, epoch_column, return_ids, hint_ids=hint_ids
         )
 
-    def _apply_rebalance(
-        self,
-        rebalancer: RebalanceController,
-        executor: StepExecutor,
-        index: int,
-    ) -> None:
-        """Plan and commit epoch-boundary migrations for this step.
-
-        The directory swap happens before the epoch's rows are split, so
-        fresh arrivals route straight to the new homes; buffered window
-        and join state follows via the executor's ``repin`` and is
-        charged as a network transfer between the old and new host.
-        """
-        moves = rebalancer.plan_step(index)
-        if not moves:
-            return
-        recorder = self._recorder
-        changed = rebalancer.apply(moves)
-        buffered = executor.repin(
-            {node_id: new for node_id, (_, new) in changed.items()}
-        )
-        for node_id in sorted(changed):
-            rows = buffered.get(node_id, 0)
-            if not rows:
-                continue
-            node = self._plan.node(node_id)
-            widths = [
-                self._output_width(self._plan.node(child_id))
-                for child_id in node.inputs
-            ]
-            width = max(widths) if widths else self._output_width(node)
-            old, new = changed[node_id]
-            recorder.record_transfer(old, new, rows, width)
-        rebalancer.commit(index, moves, changed, buffered)
-
     def _replay_step(
         self,
         outcome: StepOutcome,
         sources: SourceFeed,
         order: Sequence[DistNode],
         counts: Dict[str, int],
-        host_of: Optional[Callable[[DistNode], int]] = None,
+        hosts: Mapping[str, int],
     ) -> int:
         """Charge one step's costs from the executor's counters.
 
@@ -867,9 +792,9 @@ class ExecutionSession:
         accumulation is float-for-float identical whether operators ran
         here or in worker processes.  Returns the step's largest batch.
 
-        ``host_of`` remaps nodes to their *effective* host under
-        adaptive rebalancing; the dataflow itself is untouched, only
-        which host gets charged (and metered for transfers) changes.
+        ``hosts`` is the partition directory's node -> host table: a
+        migration changes which host is charged (and metered for
+        transfers), never the dataflow.
         """
         recorder = self._recorder
         lens = dict(outcome.out_lens)
@@ -879,20 +804,22 @@ class ExecutionSession:
         for node in order:
             node_id = node.node_id
             rows_out = lens[node_id]
-            nhost = node.host if host_of is None else host_of(node)
+            nhost = hosts[node_id]
             if node.kind is DistKind.SOURCE:
                 # NIC delivery of the partition to its host.
                 recorder.charge_local_ingest(nhost, rows_out)
             else:
                 rows_in = 0
                 for child_id in node.inputs:
-                    child = self._plan.node(child_id)
                     count = lens[child_id]
                     rows_in += count
-                    chost = child.host if host_of is None else host_of(child)
+                    chost = hosts[child_id]
                     if chost != nhost:
                         recorder.record_transfer(
-                            chost, nhost, count, self._output_width(child)
+                            chost,
+                            nhost,
+                            count,
+                            self._output_width(self._plan.node(child_id)),
                         )
                     else:
                         recorder.charge_local_ingest(nhost, count)

@@ -79,7 +79,12 @@ class TestFault:
 
     @pytest.mark.parametrize(
         "spec",
-        ["bogus:1:2", "skip:x:2", "skip:1", "skip:1:4-2", "delay:0:1-3", "a:b:c:d:e"],
+        [
+            "bogus:1:2", "skip:x:2", "skip:1", "skip:1:4-2", "delay:0:1-3",
+            "a:b:c:d:e",
+            # a dangling range must not read as its first epoch alone
+            "skip:1:2-",
+        ],
     )
     def test_parse_rejects(self, spec):
         with pytest.raises(ValueError):

@@ -23,7 +23,6 @@ Five invariant families:
 
 import io
 import json
-import pickle
 
 import pytest
 
@@ -34,15 +33,10 @@ from repro.cluster import (
     RebalancePolicy,
 )
 from repro.distopt import DistributedOptimizer, Placement
-from repro.engine.streaming import StreamingWindowedAggregate
 from repro.partitioning import PartitioningSet
 from repro.runtime import Fault
-from repro.runtime.backend import EngineBackend
-from repro.runtime.rebalance import (
-    Migration,
-    PartitionDirectory,
-    RebalanceController,
-)
+from repro.runtime.flowcontrol import PartitionDirectory
+from repro.runtime.rebalance import Migration, RebalanceController
 from repro.traces import skewed_trace
 from repro.workloads import (
     Configuration,
@@ -147,7 +141,7 @@ def _controller(policy=AGGRESSIVE, hosts=2, per_host=2, merge=False):
     dag, plan, splitter, sim = _cluster(hosts=hosts, per_host=per_host,
                                         merge=merge)
     return plan, RebalanceController(
-        plan, policy, sim.metrics, dag=dag,
+        plan, policy, sim.metrics, lambda node: 0.0, dag=dag,
         partitioning=splitter.partitioning_set,
     )
 
@@ -303,89 +297,41 @@ def _deliveries(result):
     return repr(dict(result.outputs)), result.node_output_counts
 
 
-class _HandOff:
-    """A windowed node that, at step ``at``, exports its state, pickles it
-    as the worker pool ships it, and continues as a fresh twin that
-    imported it."""
-
-    def __init__(self, build, at):
-        self._build = build
-        self._at = at
-        self._inner = build()
-        self._steps = 0
-        self._emitted = 0
-        self.handed = None  # (rows emitted, rows buffered) at the handoff
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def step(self, inputs, watermarks, flush):
-        if self._steps == self._at:
-            self.handed = (self._emitted, self._inner.buffered_rows())
-            state = pickle.loads(pickle.dumps(self._inner.export_state()))
-            self._inner = self._build()
-            self._inner.import_state(state)
-        self._steps += 1
-        output, watermark = self._inner.step(inputs, watermarks, flush)
-        self._emitted += len(output)
-        return output, watermark
-
-
-#: windowed variant -> (catalog, partitioning that makes the plan take it)
+#: windowed variant -> (catalog, partitioning that makes the plan take
+#: it and the aggressive policy migrate it)
 WINDOWED = {
     "full": (sliding_flows_catalog, PS),
-    "super": (sliding_flows_catalog, None),
-    "sketch_super": (approx_heavy_catalog, None),
+    "super": (sliding_flows_catalog, PartitioningSet.of("destIP")),
+    "sketch_super": (approx_heavy_catalog, PartitioningSet.of("destPort")),
 }
 
 
 class TestWindowedStateHandoff:
-    """Buffer order is the migration contract: a windowed node re-homed
-    mid-run, after it has emitted windows, emits what it would have."""
+    """Migration is bookkeeping: a run whose partitions migrate mid-run,
+    while windowed nodes hold state, delivers what the static run does."""
 
     @pytest.mark.parametrize("variant", sorted(WINDOWED))
-    def test_handoff_mid_run_is_byte_identical(self, variant, monkeypatch):
+    def test_handoff_mid_run_is_byte_identical(self, variant):
         catalog_fn, ps = WINDOWED[variant]
-        sim, splitter = deploy(catalog_fn()[1], 3, ps)
+        # One subplan per partition: the granularity the directory
+        # migrates at.
+        sim, splitter = deploy(catalog_fn()[1], 3, ps, merge_local=False)
         packets = skewed_packets(3)
         static = sim.run_streaming({"TCP": packets}, splitter, 10.0)
-        build = EngineBackend.streaming_node
-        handoffs = []
-
-        def building(backend, node):
-            snode = build(backend, node)
-            if not isinstance(snode, StreamingWindowedAggregate):
-                return snode
-            handoffs.append((node.variant.value, _HandOff(
-                lambda: build(backend, node), at=3
-            )))
-            return handoffs[-1][1]
-
-        monkeypatch.setattr(EngineBackend, "streaming_node", building)
-        moved = sim.run_streaming({"TCP": packets}, splitter, 10.0)
-        assert {name for name, _ in handoffs} == {variant}
-        assert any(
-            emitted and buffered for emitted, buffered in
-            (handoff.handed for _, handoff in handoffs)
+        moved = sim.run_streaming(
+            {"TCP": packets}, splitter, 10.0, rebalance=AGGRESSIVE
         )
+        assert variant in set(moved.node_variants.values())
+        assert moved.rebalance.migrations
         assert _deliveries(moved) == _deliveries(static)
 
-    def test_pool_handoff_is_byte_identical(self, monkeypatch):
+    def test_pool_handoff_is_byte_identical(self):
         """On the 2-worker pool a migration between hosts of different
-        workers (hosts alternate between the two) ships the windowed
-        state through the driver, pickled — and only after a window."""
-        export = StreamingWindowedAggregate.export_state
-
-        def after_a_window(snode):
-            assert snode._last_end is not None, "exported before any window"
-            return export(snode)
-
+        workers (hosts alternate between the two) prices the windowed
+        state it hands off and changes no delivered row."""
         _, _, splitter, sim = _cluster(catalog=sliding_flows_catalog)
         packets = skewed_packets(3)
         static = sim.run_streaming({"TCP": packets}, splitter, 10.0)
-        monkeypatch.setattr(
-            StreamingWindowedAggregate, "export_state", after_a_window
-        )
         moved = sim.run_streaming(
             {"TCP": packets}, splitter, 10.0, rebalance=AGGRESSIVE,
             execution="parallel", workers=2,
@@ -396,6 +342,27 @@ class TestWindowedStateHandoff:
             for move in moved.rebalance.migrations
         )
         assert _deliveries(moved) == _deliveries(static)
+
+    def test_migrated_node_keeps_its_worker(self):
+        """Nothing moves between processes: across migrations between
+        hosts of different workers, each node's ``node`` events carry
+        one pid for the whole run."""
+        _, _, splitter, sim = _cluster(
+            catalog=sliding_flows_catalog, record_events=True
+        )
+        moved = sim.run_streaming(
+            {"TCP": skewed_packets(3)}, splitter, 10.0, rebalance=AGGRESSIVE,
+            execution="parallel", workers=2,
+        )
+        assert any(
+            move.src % 2 != move.dst % 2 for move in moved.rebalance.migrations
+        )
+        pids = {}
+        for event in sim.metrics.events:
+            if event["event"] == "node":
+                pids.setdefault(event["node"], set()).add(event["pid"])
+        assert pids
+        assert all(len(seen) == 1 for seen in pids.values()), pids
 
 
 # -- the steady-state payoff ----------------------------------------------------
