@@ -341,6 +341,8 @@ def cmd_timeline(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.rate <= 0:
+        return _usage_error(f"--rate must be positive, got {args.rate:g}")
     catalog = _load_script_catalog(args.script)
     dag = QueryDag.from_catalog(catalog)
     print("query DAG:")
@@ -357,12 +359,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    try:
+        placement = Placement(num_hosts=args.hosts, partitions_per_host=args.partitions)
+    except ValueError as error:
+        return _usage_error(error)
     catalog = _load_script_catalog(args.script)
     dag = QueryDag.from_catalog(catalog)
     ps: Optional[PartitioningSet] = None
     if args.partitioning:
         ps = PartitioningSet.of(*args.partitioning.split(","))
-    placement = Placement(num_hosts=args.hosts, partitions_per_host=args.partitions)
     optimizer = DistributedOptimizer(dag, placement, ps)
     plan = optimizer.optimize()
     print(f"partitioning: {ps if ps is not None else 'round-robin (none)'}")
@@ -378,7 +383,10 @@ def cmd_trace(args) -> int:
     if args.preset:
         config = _PRESETS[args.preset](seed=args.seed)
     else:
-        config = TraceConfig(duration=args.duration, rate=args.rate, seed=args.seed)
+        try:
+            config = TraceConfig(duration=args.duration, rate=args.rate, seed=args.seed)
+        except ValueError as error:
+            return _usage_error(error)
     trace = four_tap_trace(config)
     print(trace_statistics(trace).describe())
     if args.out:

@@ -42,11 +42,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..expr.evaluator import compile_key
 from ..expr.expressions import Attr, Binary, Const, ScalarExpr
-from ..expr.vectorizer import materialize, vectorize_expr
+from ..expr.vectorizer import materialize, vectorize_expr, vectorize_key
 from ..gsql.analyzer import AnalyzedNode
-from .columnar import ColumnBatch
+from .columnar import ColumnBatch, distinct_keys
 
 Number = Union[int, float]
 #: Maps column name -> inclusive lower bound on that column in all rows
@@ -223,12 +222,6 @@ class StreamingNode:
         """Rows currently held back — for memory-bound assertions."""
         return 0
 
-    def value_hints(self):
-        """Canonical summary of buffered state for semantic shedding
-        (:mod:`repro.runtime.shedding`), taken *after* this step's
-        :meth:`step`.  None means the node offers no hints."""
-        return None
-
 
 class StatelessStreamingNode(StreamingNode):
     """Row-wise node: run the pure operator on each step's batch as-is."""
@@ -401,15 +394,17 @@ class StreamingJoin(StreamingNode):
     roots, and anything downstream drains at the flush.
 
     Both sides buffer columnar whatever the operator is inside; the
-    temporal keys always vectorize (anything the evaluator compiles, the
-    vectorizer lowers).
+    temporal and join keys always vectorize (anything the evaluator
+    compiles, the vectorizer lowers).
     """
 
     def __init__(self, operator, node: AnalyzedNode):
         equality = next((eq for eq in node.equalities if eq.temporal), None)
         self._operator = operator
-        self._equalities = list(node.equalities)
-        self._hint_keys = None
+        self._hint_keys = (
+            vectorize_key([eq.left for eq in node.equalities]),
+            vectorize_key([eq.right for eq in node.equalities]),
+        )
         self._left_expr = equality.left if equality is not None else None
         self._right_expr = equality.right if equality is not None else None
         self._left, self._right = (
@@ -422,18 +417,20 @@ class StreamingJoin(StreamingNode):
 
     def value_hints(self):
         """The join keys currently buffered on each side — the "open
-        buckets" a future arrival could still complete.  Frozensets are
-        only ever used for membership, so worker-reported hints merge
-        with in-process ones without any ordering concerns."""
-        if self._hint_keys is None:
-            self._hint_keys = (
-                compile_key([eq.left for eq in self._equalities]),
-                compile_key([eq.right for eq in self._equalities]),
+        buckets" a future arrival could still complete, one tuple per
+        distinct key — which semantic shedding
+        (:mod:`repro.runtime.shedding`) asks for between steps.
+        Frozensets are only ever used for membership, so worker-reported
+        hints merge with in-process ones without any ordering concerns."""
+        return tuple(
+            frozenset(
+                distinct_keys(key_fn(batch.columns, len(batch)), len(batch))[3]
+                if len(batch)
+                else ()
             )
-        left_key, right_key = self._hint_keys
-        return (
-            frozenset(map(left_key, self._left.merged().to_rows())),
-            frozenset(map(right_key, self._right.merged().to_rows())),
+            for key_fn, batch in zip(
+                self._hint_keys, (self._left.merged(), self._right.merged())
+            )
         )
 
     def step(self, inputs, watermarks, flush):

@@ -56,11 +56,12 @@ class SearchResult:
 
     @property
     def partitioning(self) -> PartitioningSet:
-        """The recommended partitioning (feasible if hardware-constrained)."""
-        chosen = self.best_feasible or self.best
-        if chosen is None:
+        """The recommended partitioning: the cheapest one the hardware can
+        compute (without a constraint, the optimum), else the empty set —
+        round-robin splitting."""
+        if self.best_feasible is None:
             return PartitioningSet.empty()
-        return chosen.ps
+        return self.best_feasible.ps
 
     def summary(self) -> str:
         lines = [f"explored {len(self.explored)} candidate partitionings"]
@@ -69,8 +70,13 @@ class SearchResult:
         )
         if self.best is not None:
             lines.append(f"optimal: {self.best}")
-        if self.best_feasible is not None and self.best_feasible is not self.best:
-            lines.append(f"best hardware-feasible: {self.best_feasible}")
+            if self.best_feasible is None:
+                lines.append(
+                    "no hardware-feasible partitioning exists: "
+                    "round-robin splitting"
+                )
+            elif self.best_feasible is not self.best:
+                lines.append(f"best hardware-feasible: {self.best_feasible}")
         return "\n".join(lines)
 
 

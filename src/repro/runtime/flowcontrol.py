@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from typing import (
     Deque,
     Dict,
-    FrozenSet,
     List,
     Optional,
     Sequence,
@@ -61,11 +60,12 @@ from typing import (
 from ..distopt.plan_ir import DistKind, DistNode, DistributedPlan
 from ..engine.columnar import ColumnBatch
 from ..engine.streaming import take_prefix
-from .shedding import ValueModel, shed_lowest_value
+from .shedding import ValueModel
 
 if TYPE_CHECKING:
     from ..plan.dag import QueryDag
     from .metrics import MetricsRecorder
+    from .session import StepExecutor
 
 BLOCK = "block"
 DROP_OLDEST = "drop-oldest"
@@ -329,17 +329,11 @@ class IngestController:
     the epoch's freshly split partitions and returns the accepted row
     count per stream (the splitter-cursor advance); :meth:`batch` hands
     each SOURCE node its delivered rows and :meth:`watermark_bound` the
-    temporal bound its watermark may claim.  A controller whose overflow
-    rule reads operator state names the plan nodes to ask in
-    :attr:`hint_nodes` and receives their post-step reports through
-    :meth:`update_hints` (nothing and a no-op here).
+    temporal bound its watermark may claim.  ``executor`` is there for
+    an overflow rule that reads operator state: no node steps during
+    :meth:`begin_step`, so what it asks is the state the previous step
+    left.
     """
-
-    #: Plan node ids whose ``value_hints()`` the executor must report.
-    hint_nodes: FrozenSet[str] = frozenset()
-
-    def update_hints(self, hints: Dict[str, object]) -> None:
-        """Take the executor's post-step reports for :attr:`hint_nodes`."""
 
     def begin_step(
         self,
@@ -347,6 +341,7 @@ class IngestController:
         epoch: object,
         raw: Dict[str, List[ColumnBatch]],
         flush: bool,
+        executor: "StepExecutor",
     ) -> Dict[str, int]:
         self._raw = raw
         return {
@@ -401,8 +396,6 @@ class QueuedIngestController(IngestController):
         self._policy = policy
         # Present exactly when the policy's mode is ``semantic``.
         self._value_model = value_model
-        if value_model is not None:
-            self.hint_nodes = frozenset(value_model.hint_nodes)
         self._faults = faults if faults is not None else FaultPlan()
         self._sources: List[Tuple[str, int]] = [
             (node.stream, next(iter(node.partitions)))
@@ -423,15 +416,11 @@ class QueuedIngestController(IngestController):
 
     # -- the session-facing protocol ------------------------------------------
 
-    def update_hints(self, hints):
-        # The nodes' post-step buffered-key reports feed the *next*
-        # step's shed decisions — one step of lag, identical under both
-        # executors by construction.
-        if self._value_model is not None:
-            self._value_model.update_hints(hints)
-
-    def begin_step(self, index, epoch, raw, flush):
+    def begin_step(self, index, epoch, raw, flush, executor):
         recorder = self._recorder
+        # Semantic shedding asks the executor for the open join buckets
+        # when the first host overflows, at most once per step.
+        self._executor, self._buckets = executor, None
         accepted = {stream: 0 for stream in raw}
         rows_in = {host: 0 for host in self._hosts}
         dropped = {host: 0 for host in self._hosts}
@@ -577,9 +566,10 @@ class QueuedIngestController(IngestController):
         if not flush and policy is not None and policy.mode == SEMANTIC:
             excess = sum(len(e.batch) for e in queue) - policy.capacity
             if excess > 0:
-                shed, charged = shed_lowest_value(
-                    queue, excess, self._value_model
-                )
+                model = self._value_model
+                if self._buckets is None:
+                    self._buckets = model.join_buckets(self._executor)
+                shed, charged = model.shed(queue, excess, self._buckets)
                 dropped[host] += shed
                 for _ in range(len(queue)):
                     entry = queue.popleft()

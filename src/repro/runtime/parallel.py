@@ -97,17 +97,18 @@ def _start_context():
 def _worker_main(conn) -> None:  # pragma: no cover — runs in forked children
     """One worker's lifetime: init, then one message per (step, stage).
 
-    The init message carries the query dag, the epoch column, the node
-    ids whose post-step value hints the driver wants, and this worker's
-    :data:`Assignment` — in one pickle, so the dag ships once even though
-    every compiled operator's recipe references it.  Streaming-node
-    buffers persist in this process across steps; step-local outputs and
-    watermarks reset whenever a new step index arrives.  Between steps the
-    driver may ask for ``buffered`` row counts, which price a partition
-    migration's state handoff.
+    The init message carries the query dag, the epoch column and this
+    worker's :data:`Assignment` — in one pickle, so the dag ships once
+    even though every compiled operator's recipe references it.
+    Streaming-node buffers persist in this process across steps;
+    step-local outputs and watermarks reset whenever a new step index
+    arrives.  Between steps the driver may ``ask`` one
+    :class:`~repro.runtime.session.NodeTable` question of named nodes:
+    ``buffered`` row counts (a partition migration's handoff price) or
+    ``value_hints`` (semantic shedding's open join buckets).
     """
     try:
-        _, dag, epoch_column, hint_ids, assignment = conn.recv()
+        _, dag, epoch_column, assignment = conn.recv()
         stages, operators, export_ids = assignment
         backend = EngineBackend(dag)
         for compiled in operators:
@@ -125,8 +126,9 @@ def _worker_main(conn) -> None:  # pragma: no cover — runs in forked children
             kind = message[0]
             if kind == "stop":
                 break
-            if kind == "buffered":
-                conn.send(("counts", table.buffered(message[1])))
+            if kind == "ask":
+                _, what, node_ids = message
+                conn.send(("answer", getattr(table, what)(node_ids)))
                 continue
             _, step, stage, flush, sources, inbound = message
             if step != current_step:
@@ -147,15 +149,8 @@ def _worker_main(conn) -> None:  # pragma: no cover — runs in forked children
                 for node in nodes
                 if node.node_id in export_ids
             }
-            # A node steps exactly once per step, so this post-step
-            # snapshot equals what the in-process executor reads after
-            # its own loop.
-            hints = table.value_hints(
-                [node_id for node_id in out_lens if node_id in hint_ids]
-            )
             conn.send(
-                ("done", out_lens, walls, returns, table.buffered_rows(), pid,
-                 hints)
+                ("done", out_lens, walls, returns, table.buffered_rows(), pid)
             )
     except (EOFError, KeyboardInterrupt):
         pass
@@ -184,13 +179,11 @@ class ParallelExecutor(StepExecutor):
         epoch_column: str,
         return_ids: Set[str],
         workers: Optional[int] = None,
-        hint_ids: Optional[Set[str]] = None,
     ):
         # ``plan`` stays in the signature its callers pass positionally;
         # ``order`` already holds every node the pool needs.
         self._order = list(order)
         self._return_ids = set(return_ids)
-        self._hint_ids = set(hint_ids) if hint_ids else set()
         hosts_used = sorted({node.host for node in self._order})
         requested = workers if workers is not None else len(hosts_used)
         if len(hosts_used) < 2:
@@ -294,26 +287,30 @@ class ParallelExecutor(StepExecutor):
         dag = self._backend.dag
         for worker in range(self.worker_count):
             self._send(
-                worker,
-                ("init", dag, epoch_column, self._hint_ids,
-                 self._assignment(worker)),
+                worker, ("init", dag, epoch_column, self._assignment(worker))
             )
         for worker in range(self.worker_count):
             self._receive(worker)
 
     def buffered(self, node_ids: Sequence[str]) -> Dict[str, int]:
-        """Ask each named node's worker for its buffered rows."""
-        self._activity = f"counting buffered rows before step {self._step + 1}"
+        return self._ask("buffered", node_ids)
+
+    def value_hints(self, node_ids: Sequence[str]) -> Dict[str, object]:
+        return self._ask("value_hints", node_ids)
+
+    def _ask(self, what: str, node_ids: Sequence[str]) -> Dict[str, object]:
+        """Ask each named node's worker its ``NodeTable.<what>`` answer."""
+        self._activity = f"answering {what} before step {self._step + 1}"
         by_worker: Dict[int, List[str]] = {}
         for node_id in node_ids:
             by_worker.setdefault(self._worker_of[node_id], []).append(node_id)
         for worker, ids in sorted(by_worker.items()):
-            self._send(worker, ("buffered", ids))
-        counts: Dict[str, int] = {}
+            self._send(worker, ("ask", what, ids))
+        answers: Dict[str, object] = {}
         for worker in sorted(by_worker):
             (reply,) = self._receive(worker)
-            counts.update(reply)
-        return counts
+            answers.update(reply)
+        return answers
 
     def run_step(self, flush: bool, sources: SourceFeed) -> StepOutcome:
         self._step += 1
@@ -324,7 +321,6 @@ class ParallelExecutor(StepExecutor):
         pids: Dict[str, int] = {}
         produced: Dict[str, Tuple[ColumnBatch, Watermark]] = {}
         buffered_by_worker: Dict[int, int] = {}
-        value_hints: Dict[str, object] = {}
         for stage_no in range(self._num_stages):
             participants = self._stage_workers[stage_no]
             for worker in participants:
@@ -342,14 +338,12 @@ class ParallelExecutor(StepExecutor):
                     ("step", step, stage_no, flush, message_sources, inbound),
                 )
             for worker in participants:
-                (lens, node_walls, returns, buffered, pid,
-                 hints) = self._receive(worker)
+                lens, node_walls, returns, buffered, pid = self._receive(worker)
                 out_lens.update(lens)
                 walls.update(node_walls)
                 pids.update(dict.fromkeys(lens, pid))
                 produced.update(returns)
                 buffered_by_worker[worker] = buffered
-                value_hints.update(hints)
         return StepOutcome(
             out_lens=out_lens,
             walls=walls,
@@ -358,7 +352,6 @@ class ParallelExecutor(StepExecutor):
                 node_id: produced[node_id][0] for node_id in self._return_ids
             },
             buffered_rows=max(buffered_by_worker.values(), default=0),
-            value_hints=value_hints,
         )
 
     # -- the pipe, and what happens when it breaks --------------------------------

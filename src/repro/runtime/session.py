@@ -182,10 +182,6 @@ class StepOutcome:
     returns: Dict[str, ColumnBatch]
     #: Largest buffer resident inside any streaming node after the step.
     buffered_rows: int
-    #: Post-step buffered-state summaries for the nodes the session
-    #: asked to report (semantic shedding's open-join-bucket hints);
-    #: node id -> whatever the node's ``value_hints()`` returned.
-    value_hints: Dict[str, object] = field(default_factory=dict)
 
 
 class StepExecutor:
@@ -210,6 +206,11 @@ class StepExecutor:
         A partition migration prices its state handoff from these counts;
         the nodes themselves never move.
         """
+        raise NotImplementedError
+
+    def value_hints(self, node_ids: Sequence[str]) -> Dict[str, object]:
+        """Each named join node's buffered keys now (semantic shedding's
+        open buckets, asked for between steps)."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -295,7 +296,7 @@ class NodeTable:
         }
 
     def value_hints(self, node_ids) -> Dict[str, object]:
-        """Each named node's post-step ``value_hints()``."""
+        """Each named node's ``value_hints()``."""
         return {node_id: self.nodes[node_id].value_hints() for node_id in node_ids}
 
 
@@ -310,16 +311,17 @@ class InProcessExecutor(StepExecutor):
         order: Sequence[DistNode],
         epoch_column: str,
         return_ids: Set[str],
-        hint_ids: Optional[Set[str]] = None,
     ):
         self._order = list(order)
         self._return_ids = set(return_ids)
-        self._hint_ids = set(hint_ids) if hint_ids else set()
         # Streaming wrappers hold buffers across steps: fresh per run.
         self._table = NodeTable(backend, epoch_column, self._order)
 
     def buffered(self, node_ids: Sequence[str]) -> Dict[str, int]:
         return self._table.buffered(node_ids)
+
+    def value_hints(self, node_ids: Sequence[str]) -> Dict[str, object]:
+        return self._table.value_hints(node_ids)
 
     def run_step(self, flush: bool, sources: SourceFeed) -> StepOutcome:
         table = self._table
@@ -334,7 +336,6 @@ class InProcessExecutor(StepExecutor):
             pids={},
             returns=returns,
             buffered_rows=table.buffered_rows(),
-            value_hints=table.value_hints(self._hint_ids),
         )
 
 
@@ -633,7 +634,7 @@ class ExecutionSession:
             options.queue_policy, faults, directory,
         )
         # Last, so nothing above can raise with a worker pool open.
-        executor = self._create_executor(options, order, controller.hint_nodes)
+        executor = self._create_executor(options, order)
         peak = 0
         try:
             # One step per epoch, plus a final flush draining every buffer
@@ -663,7 +664,9 @@ class ExecutionSession:
                         partitions[stream] = backend.split(
                             piece, splitter, offsets[stream]
                         )
-                accepted = controller.begin_step(index, epoch, partitions, flush)
+                accepted = controller.begin_step(
+                    index, epoch, partitions, flush, executor
+                )
                 if not flush:
                     # The round-robin cursor advances by what the ingest layer
                     # *accepted*, not by what the splitter sent — rows refused
@@ -685,7 +688,6 @@ class ExecutionSession:
                         ),
                     )
                 outcome = executor.run_step(flush, sources)
-                controller.update_hints(outcome.value_hints)
                 peak = max(
                     peak,
                     self._replay_step(
@@ -745,10 +747,7 @@ class ExecutionSession:
         return ColumnBatch({name: batch.columns[name] for name in kept}, len(batch))
 
     def _create_executor(
-        self,
-        options: RunOptions,
-        order: Sequence[DistNode],
-        hint_ids: FrozenSet[str],
+        self, options: RunOptions, order: Sequence[DistNode]
     ) -> StepExecutor:
         """Build this run's executor, recording the mode (and any
         parallel-to-inprocess fallback reason) in the event trace."""
@@ -761,7 +760,7 @@ class ExecutionSession:
             try:
                 executor = ParallelExecutor(
                     self._plan, self._backend, order, epoch_column,
-                    return_ids, options.workers, hint_ids=hint_ids,
+                    return_ids, options.workers,
                 )
             except ParallelUnavailable as unavailable:
                 recorder.record_execution_mode("inprocess", reason=str(unavailable))
@@ -772,9 +771,7 @@ class ExecutionSession:
                 return executor
         else:
             recorder.record_execution_mode("inprocess")
-        return InProcessExecutor(
-            self._backend, order, epoch_column, return_ids, hint_ids=hint_ids
-        )
+        return InProcessExecutor(self._backend, order, epoch_column, return_ids)
 
     def _replay_step(
         self,

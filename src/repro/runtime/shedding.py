@@ -3,58 +3,57 @@
 The blind :class:`~repro.runtime.flowcontrol.QueuePolicy` drop modes shed
 by arrival order, so a dropped tuple that would have completed an open
 join bucket costs a full output row while a tuple headed for a group that
-can never pass its HAVING clause costs nothing.  This module is the
-overflow rule of the queue's fourth mode, ``QueuePolicy(capacity,
-"semantic")``: a *value model* between the queue and the drop decision.
+can never pass its HAVING clause costs nothing.  The queue's fourth mode,
+``QueuePolicy(capacity, "semantic")``, calls :meth:`ValueModel.shed`
+whenever a host's backlog exceeds its capacity: it sheds the lowest-value
+rows instead of the newest.  A row's value is derived from the analyzed
+plan, per delivered query, for a whole queued batch at once with the
+kernels' vectorizer (:mod:`repro.expr.vectorizer`):
 
-* :func:`shed_lowest_value` is what the ingest queue calls whenever its
-  backlog exceeds the per-epoch capacity: shed the lowest-value rows
-  instead of the newest (the capacity budget is delivered FIFO as usual).
-* :class:`ValueModel` derives each queued row's value from the analyzed
-  plan, per delivered query:
+- **selection gates** — a row a lineage-expressible WHERE between the
+  source and the query rejects is provably worthless to that query;
+- **HAVING feasibility** — for ``OR_AGGR(x) = c`` / ``AND_AGGR(x) = c``
+  the model keeps each group's exact running fold over *delivered* rows;
+  OR only sets bits and AND only clears them, so a group whose
+  prospective fold already disagrees with ``c`` can never pass.
+  ``COUNT(*) >= k`` is graded by a small
+  :class:`~repro.engine.sketches.CountMinSketch` of delivered support;
+- **open join buckets** — a row whose join key is buffered on the
+  *opposite* side of a streaming join would complete a half-filled
+  bucket.  The queue asks the executor for those key sets
+  (:meth:`~repro.engine.streaming.StreamingJoin.value_hints`) when a host
+  overflows, at most once per step;
+- **doomed groups** — once a row of a group is lost, the group's output
+  is already wrong, so its other rows are worth nothing: shedding
+  concentrates there, sacrificing whole groups to keep the others
+  byte-exact ("most groups exactly right", not "every group slightly
+  wrong").
 
-  - **selection gates** — lineage-expressible WHERE predicates between
-    the source and the query; a row a gate rejects is provably worthless
-    to that query (and the rare survivors of a highly selective
-    predicate automatically rank high relative to the rejected mass);
-  - **HAVING feasibility** — for bit-fold HAVING clauses
-    (``OR_AGGR(x) = c`` / ``AND_AGGR(x) = c``) the model keeps the exact
-    per-group running fold over *delivered* rows: OR only accumulates
-    and AND only clears bits, so a group whose prospective fold already
-    disagrees with ``c`` can provably never pass.  Count-threshold
-    clauses (``COUNT(*) >= k``) are scored by a small
-    :class:`~repro.engine.sketches.CountMinSketch` of delivered group
-    support;
-  - **open join buckets** — rows whose (lineage-derived) join key
-    matches a key currently buffered on the *opposite* side of a
-    streaming join would complete a half-filled bucket; the buffered key
-    sets ride back from the executors as per-step value hints
-    (:meth:`~repro.engine.streaming.StreamingJoin.value_hints`), so the
-    decision is identical under in-process and forked execution;
-  - **doomed groups** — once any row of a group has been shed, the
-    group's output row is already corrupted relative to the unbounded
-    run, so its remaining rows are worth nothing: shedding concentrates
-    further drops there, sacrificing whole groups to keep the others
-    byte-exact.  This is what turns per-query recall from "every group
-    slightly wrong" into "most groups exactly right".
-
-Everything the model consults lives driver-side (delivered rows, shed
-decisions) or arrives as canonical per-step hints, so the ranking — and
-therefore the output — is byte-identical across execution modes by
-construction.
+Groups are identified by the distinct keys of a batch only
+(:func:`~repro.engine.columnar.distinct_keys`); the one per-row loop left
+is the greedy selection, one heap pop per shed row.  The model reads only
+driver-side state and what it asks of the executor between steps, so the
+ranking is byte-identical across execution modes by construction.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..distopt.plan_ir import DistKind, DistributedPlan
+from ..engine.columnar import ColumnBatch, distinct_keys
 from ..engine.sketches import CountMinSketch
 from ..expr import expressions as xp
-from ..expr.evaluator import compile_expr, compile_key
+from ..expr.vectorizer import (
+    materialize,
+    vectorize_expr,
+    vectorize_key,
+    vectorize_predicate,
+)
 from ..gsql.analyzer import AnalyzedNode, NodeKind, _substitute_lineage
 from ..plan.dag import QueryDag
 
@@ -76,6 +75,13 @@ SKETCH_EPSILON = 0.005
 SKETCH_DELTA = 0.01
 SKETCH_SEED = 7
 
+#: :func:`~repro.engine.columnar.distinct_keys` of one batch:
+#: ``(order, starts, inverse, distinct)``.
+Groups = Tuple[np.ndarray, np.ndarray, np.ndarray, List[tuple]]
+
+#: Per delivered join: the join keys buffered on its (left, right) side.
+Buckets = Dict[str, Tuple[Set[tuple], Set[tuple]]]
+
 
 # -- plan introspection ----------------------------------------------------------
 
@@ -87,26 +93,14 @@ def _column_lineage(node: AnalyzedNode) -> Dict[str, Optional[xp.ScalarExpr]]:
 
 def _base_gate(
     where: Optional[xp.ScalarExpr], child: AnalyzedNode
-) -> Optional[Callable]:
-    """Compile a node's WHERE into a base-row predicate when expressible."""
-    if where is None:
-        return None
-    lineage = _substitute_lineage(where, _column_lineage(child))
-    if lineage is None:
-        return None
-    return compile_expr(lineage)
-
-
-class _GroupTracker:
-    """Shared per-aggregation doom registry: group keys (over base
-    attrs) with at least one shed row — their outputs are already
-    corrupted, so further rows of the same group are worthless."""
-
-    __slots__ = ("key_fn", "doomed")
-
-    def __init__(self, key_fn: Callable[[dict], tuple]):
-        self.key_fn = key_fn
-        self.doomed: Set[tuple] = set()
+) -> List[Callable]:
+    """A node's WHERE as base-row mask programs: none when absent or
+    not expressible over base attrs."""
+    if where is not None:
+        lineage = _substitute_lineage(where, _column_lineage(child))
+        if lineage is not None:
+            return [vectorize_predicate(lineage)]
+    return []
 
 
 class _BitFoldChecker:
@@ -117,36 +111,34 @@ class _BitFoldChecker:
     disagrees with ``c`` on a decided bit, the group can never pass.
     """
 
-    __slots__ = ("func", "arg_fn", "pattern", "state")
+    __slots__ = ("fold", "identity", "arg", "pattern", "state")
 
-    def __init__(self, func: str, arg_fn: Callable, pattern: int):
-        self.func = func
-        self.arg_fn = arg_fn
+    def __init__(self, func: str, arg: Callable, pattern: int):
+        self.fold = np.bitwise_or if func == "OR_AGGR" else np.bitwise_and
+        # The fold of no rows: no bits for OR, every bit for AND.
+        self.identity = 0 if func == "OR_AGGR" else -1
+        self.arg = arg
         self.pattern = pattern
         self.state: Dict[tuple, int] = {}
 
-    def observe(self, key: tuple, row: dict) -> None:
-        value = int(self.arg_fn(row))
-        if self.func == "OR_AGGR":
-            self.state[key] = self.state.get(key, 0) | value
-        else:
-            current = self.state.get(key)
-            self.state[key] = value if current is None else current & value
+    def _values(self, columns, length: int) -> np.ndarray:
+        return materialize(self.arg(columns, length), length).astype(np.int64)
 
-    def score(self, key: tuple, row: dict) -> float:
-        value = int(self.arg_fn(row))
-        if self.func == "OR_AGGR":
-            fold = self.state.get(key, 0) | value
-            if fold & ~self.pattern:
-                # Bits outside the pattern can never be cleared again.
-                return 0.0
-            return 1.0 if fold == self.pattern else PARTIAL_FOLD
-        current = self.state.get(key)
-        fold = value if current is None else current & value
-        if self.pattern & ~fold:
-            # Pattern bits already cleared can never be set again.
-            return 0.0
-        return 1.0 if fold == self.pattern else PARTIAL_FOLD
+    def observe(self, columns, length: int, groups: Groups) -> None:
+        order, starts, _, distinct = groups
+        folded = self.fold.reduceat(self._values(columns, length)[order], starts)
+        for key, value in zip(distinct, folded.tolist()):
+            self.state[key] = int(self.fold(self.state.get(key, self.identity), value))
+
+    def score(self, columns, length: int, groups: Groups) -> np.ndarray:
+        _, _, inverse, distinct = groups
+        state = [self.state.get(key, self.identity) for key in distinct]
+        fold = self.fold(
+            np.asarray(state, dtype=np.int64)[inverse], self._values(columns, length)
+        )
+        # A bit the fold has moved off its identity can never move back.
+        dead = ((fold ^ self.identity) & (fold ^ self.pattern)) != 0
+        return np.where(dead, 0.0, np.where(fold == self.pattern, 1.0, PARTIAL_FOLD))
 
 
 class _CountChecker:
@@ -164,11 +156,17 @@ class _CountChecker:
             SKETCH_EPSILON, SKETCH_DELTA, seed=SKETCH_SEED
         )
 
-    def observe(self, key: tuple, row: dict) -> None:
-        self.sketch.update(key)
+    def observe(self, columns, length: int, groups: Groups) -> None:
+        _, starts, _, distinct = groups
+        for key, count in zip(distinct, np.diff(starts, append=length).tolist()):
+            self.sketch.update(key, count)
 
-    def score(self, key: tuple, row: dict) -> float:
-        return min(1.0, (self.sketch.estimate(key) + 1) / self.needed)
+    def score(self, columns, length: int, groups: Groups) -> np.ndarray:
+        _, _, inverse, distinct = groups
+        return np.asarray([
+            min(1.0, (self.sketch.estimate(key) + 1) / self.needed)
+            for key in distinct
+        ])[inverse]
 
 
 def _having_checker(dag: QueryDag, node: AnalyzedNode):
@@ -201,7 +199,7 @@ def _having_checker(dag: QueryDag, node: AnalyzedNode):
         arg = _substitute_lineage(call.arg, _column_lineage(child))
         if arg is None:
             return None
-        return _BitFoldChecker(call.func, compile_expr(arg), int(const.value))
+        return _BitFoldChecker(call.func, vectorize_expr(arg), int(const.value))
     if call.func == "COUNT" and op in ("GE", "GT"):
         needed = int(const.value) + (1 if op == "GT" else 0)
         if needed > 1:
@@ -209,130 +207,46 @@ def _having_checker(dag: QueryDag, node: AnalyzedNode):
     return None
 
 
+@dataclass
 class _Interest:
-    """One delivered root query's stake in one source stream's rows."""
+    """One delivered root query's stake in one source stream's rows.
 
-    __slots__ = ("root", "stream", "gates")
-
-    def __init__(self, root: str, stream: str, gates: Sequence[Callable]):
-        self.root = root
-        self.stream = stream
-        self.gates = list(gates)
-
-    def passes(self, row: dict) -> bool:
-        return all(gate(row) for gate in self.gates)
-
-    def component(self, row: dict, model: "ValueModel"):
-        """(score, tracker-key pairs) — or None when gated out."""
-        raise NotImplementedError
-
-    def observe(self, row: dict) -> None:
-        """Fold one *delivered* row into the interest's running state."""
-
-
-class _NeutralInterest(_Interest):
-    """Delivered output the model cannot reason about (opaque lineage,
-    raw source delivery): every gate-passing row is fully valuable."""
-
-    def component(self, row, model):
-        if not self.passes(row):
-            return None
-        return 1.0, ()
-
-
-class _AggInterest(_Interest):
-    """A delivered aggregation: doom tracking + HAVING feasibility."""
-
-    __slots__ = ("tracker", "checker")
-
-    def __init__(self, root, stream, gates, tracker, checker):
-        super().__init__(root, stream, gates)
-        self.tracker = tracker
-        self.checker = checker
-
-    def component(self, row, model):
-        if not self.passes(row):
-            return None
-        key = self.tracker.key_fn(row)
-        score = 1.0
-        if self.checker is not None:
-            score = self.checker.score(key, row)
-        return score, ((self.tracker, key),)
-
-    def observe(self, row):
-        if self.checker is not None and self.passes(row):
-            self.checker.observe(self.tracker.key_fn(row), row)
-
-
-class _JoinInterest(_Interest):
-    """A delivered join: open-bucket matching plus doom coupling with
-    the per-side child aggregations (a shed row corrupts the group row
-    the child would have fed into the join)."""
-
-    __slots__ = ("query", "left_key", "right_key", "left_tracker",
-                 "right_tracker")
-
-    def __init__(self, root, stream, gates, query, left_key, right_key,
-                 left_tracker, right_tracker):
-        super().__init__(root, stream, gates)
-        self.query = query
-        self.left_key = left_key
-        self.right_key = right_key
-        self.left_tracker = left_tracker
-        self.right_tracker = right_tracker
-
-    def component(self, row, model):
-        if not self.passes(row):
-            return None
-        open_left, open_right = model.open_buckets(self.query)
-        score = 0.0
-        keys: List[tuple] = []
-        for key_fn, tracker, opposite in (
-            (self.left_key, self.left_tracker, open_right),
-            (self.right_key, self.right_tracker, open_left),
-        ):
-            side = OPEN_BUCKET_MISS
-            if key_fn is not None and key_fn(row) in opposite:
-                side = 1.0
-            score = max(score, side)
-            if tracker is not None:
-                keys.append((tracker, tracker.key_fn(row)))
-        return score, tuple(keys)
-
-
-class _RowProfile:
-    """One queued row's precomputed value components.
-
-    Doom-set membership is the only thing that changes while a step's
-    shed decisions are being made (delivered-state folds and open-bucket
-    hints are frozen per step), so revaluation after a doom is pure set
-    lookups — no expression re-evaluation.
+    A row the ``gates`` reject is worthless to ``root``.  A row that
+    passes feeds one group of each aggregation named in ``groups`` and
+    shares that group's doom.  ``checker`` grades an aggregation's
+    HAVING; ``join`` is ``(query, left key, right key)`` for a delivered
+    join, each key a vectorized program over base attrs or None.  With
+    neither, every passing row is fully valuable.
     """
 
-    __slots__ = ("components",)
+    root: str
+    stream: str
+    gates: List[Callable]
+    groups: Sequence[str] = ()
+    checker: object = None
+    join: Optional[tuple] = None
 
-    def __init__(self, components):
-        # [(root, score, ((tracker, key), ...)), ...]
-        self.components = components
+    def passes(self, columns, length: int) -> np.ndarray:
+        mask = np.ones(length, dtype=bool)
+        for gate in self.gates:
+            mask &= gate(columns, length)
+        return mask
 
-    def value(self) -> float:
-        total = 0.0
-        for _, score, keys in self.components:
-            if score and not any(key in t.doomed for t, key in keys):
-                total += score
-        return total
-
-    def doom(self) -> List[str]:
-        """Shed this row: doom its groups; return the root queries that
-        still valued it (the per-query shed attribution)."""
-        charged = []
-        for root, score, keys in self.components:
-            if score and not any(key in t.doomed for t, key in keys):
-                charged.append(root)
-        for _, _, keys in self.components:
-            for tracker, key in keys:
-                tracker.doomed.add(key)
-        return charged
+    def score(self, columns, length, groups: List[Groups], buckets: Buckets):
+        """This interest's score per row, gates and doom aside."""
+        if self.checker is not None:
+            return self.checker.score(columns, length, groups[0])
+        if self.join is None:
+            return np.ones(length)
+        query, left_key, right_key = self.join
+        open_left, open_right = buckets.get(query, ((), ()))
+        score = np.full(length, OPEN_BUCKET_MISS)
+        for key_fn, opposite in ((left_key, open_right), (right_key, open_left)):
+            if key_fn is not None and opposite:
+                _, _, inverse, distinct = distinct_keys(key_fn(columns, length), length)
+                hit = np.asarray([key in opposite for key in distinct])
+                score[hit[inverse]] = 1.0
+        return score
 
 
 class ValueModel:
@@ -341,35 +255,34 @@ class ValueModel:
     def __init__(self, dag: QueryDag, plan: DistributedPlan):
         self._dag = dag
         self._interests: List[_Interest] = []
-        self._trackers: Dict[str, _GroupTracker] = {}
-        self._open: Dict[str, Tuple[frozenset, frozenset]] = {}
-        self._version = 0
+        #: Aggregation name -> its group key over base attrs.
+        self._group_keys: Dict[str, Callable] = {}
+        #: Aggregation name -> keys of groups with a lost row: their outputs
+        #: are already corrupted, so their other rows are worthless.
+        self._doomed: Dict[str, Set[tuple]] = {}
         for name in sorted(plan.delivery):
             self._descend(name, dag.node(name), [])
-        join_queries = {
-            interest.query
-            for interest in self._interests
-            if isinstance(interest, _JoinInterest)
-        }
-        #: Plan nodes whose buffered join keys the executors must report
-        #: back each step (node id -> query name).
-        self.hint_nodes: Dict[str, str] = {
+        joins = {i.join[0] for i in self._interests if i.join is not None}
+        #: Plan nodes whose buffered join keys are the open buckets
+        #: (node id -> query).
+        self._join_nodes: Dict[str, str] = {
             node.node_id: node.query
             for node in plan.topological()
-            if node.kind is DistKind.OP and node.query in join_queries
+            if node.kind is DistKind.OP and node.query in joins
         }
 
     # -- construction ---------------------------------------------------------
 
-    def _tracker_for(self, node: AnalyzedNode) -> Optional[_GroupTracker]:
+    def _group_of(self, node: AnalyzedNode) -> Optional[str]:
+        """Register an aggregation's group key over base attrs; None for
+        an opaque key or a node that does not group."""
         lineages = [group.lineage for group in node.group_by]
         if not lineages or any(lineage is None for lineage in lineages):
             return None
-        tracker = self._trackers.get(node.name)
-        if tracker is None:
-            tracker = _GroupTracker(compile_key(lineages))
-            self._trackers[node.name] = tracker
-        return tracker
+        if node.name not in self._group_keys:
+            self._group_keys[node.name] = vectorize_key(lineages)
+            self._doomed[node.name] = set()
+        return node.name
 
     def _base_stream(self, node: AnalyzedNode) -> Optional[str]:
         """The single source stream feeding ``node`` (None if several)."""
@@ -383,50 +296,29 @@ class ValueModel:
             stack.extend(self._dag.node(name) for name in current.inputs)
         return streams.pop() if len(streams) == 1 else None
 
-    def _neutral(self, root: str, node: AnalyzedNode, gates) -> None:
-        stream = self._base_stream(node)
-        if stream is not None:
-            self._interests.append(_NeutralInterest(root, stream, gates))
-
     def _descend(self, root: str, node: AnalyzedNode, gates: List) -> None:
         """Walk from a delivered root toward its sources, anchoring one
         interest per reachable source stream."""
-        if node.kind is NodeKind.SOURCE:
-            self._interests.append(_NeutralInterest(root, node.name, gates))
-            return
         if node.kind is NodeKind.UNION:
             for name in node.inputs:
                 self._descend(root, self._dag.node(name), list(gates))
             return
         if node.kind is NodeKind.SELECTION:
             child = self._dag.node(node.inputs[0])
-            gate = _base_gate(node.where, child)
-            self._descend(
-                root, child, gates + ([gate] if gate is not None else [])
-            )
+            self._descend(root, child, gates + _base_gate(node.where, child))
             return
-        if node.kind is NodeKind.AGGREGATION:
-            stream = self._base_stream(node)
-            tracker = self._tracker_for(node)
-            if stream is None or tracker is None:
-                self._neutral(root, node, gates)
-                return
-            child = self._dag.node(node.inputs[0])
-            gate = _base_gate(node.where, child)
-            if gate is not None:
-                gates = gates + [gate]
+        stream = self._base_stream(node)
+        group = self._group_of(node)
+        if stream is None:
+            return
+        if group is not None:
+            gates = gates + _base_gate(node.where, self._dag.node(node.inputs[0]))
+            checker = _having_checker(self._dag, node)
             self._interests.append(
-                _AggInterest(
-                    root, stream, gates, tracker, _having_checker(self._dag, node)
-                )
+                _Interest(root, stream, gates, (group,), checker=checker)
             )
-            return
-        if node.kind is NodeKind.JOIN:
-            stream = self._base_stream(node)
-            if stream is None:
-                self._neutral(root, node, gates)
-                return
-            sides = []
+        elif node.kind is NodeKind.JOIN:
+            keys, groups = [], []
             for name, exprs in (
                 (node.inputs[0], [eq.left for eq in node.equalities]),
                 (node.inputs[1], [eq.right for eq in node.equalities]),
@@ -434,159 +326,194 @@ class ValueModel:
                 child = self._dag.node(name)
                 mapping = _column_lineage(child)
                 lineages = [_substitute_lineage(expr, mapping) for expr in exprs]
-                key_fn = (
-                    compile_key(lineages)
+                keys.append(
+                    vectorize_key(lineages)
                     if lineages and all(line is not None for line in lineages)
                     else None
                 )
-                tracker = (
-                    self._tracker_for(child)
-                    if child.kind is NodeKind.AGGREGATION
-                    else None
-                )
-                sides.append((key_fn, tracker))
+                group = self._group_of(child)
+                if group is not None:
+                    groups.append(group)
             self._interests.append(
-                _JoinInterest(
-                    root, stream, gates, node.name,
-                    sides[0][0], sides[1][0], sides[0][1], sides[1][1],
-                )
+                _Interest(root, stream, gates, groups, join=(node.name, *keys))
             )
-            return
-        self._neutral(root, node, gates)
+        else:
+            # A source, or a node the model cannot reason about: every
+            # gate-passing row is fully valuable.
+            self._interests.append(_Interest(root, stream, gates))
 
-    # -- per-step state -------------------------------------------------------
+    # -- state outside the queue ----------------------------------------------
 
-    def open_buckets(self, query: str) -> Tuple[frozenset, frozenset]:
-        return self._open.get(query, (frozenset(), frozenset()))
+    def join_buckets(self, executor) -> Buckets:
+        """Ask ``executor`` for the open join buckets: per delivered join,
+        the join keys its plan nodes buffer on each side now.
 
-    def update_hints(self, hints: Dict[str, tuple]) -> None:
-        """Install the executors' buffered-join-key reports for the step.
-
-        ``hints`` maps plan node id -> (left keys, right keys); several
-        plan nodes of one partitioned join merge by union (membership is
-        all that is ever asked of the sets, so order never matters).
+        Several plan nodes of one partitioned join merge by union
+        (membership is all that is ever asked of the sets, so order never
+        matters).  A plan without a delivered join asks nothing.
         """
-        merged: Dict[str, Tuple[set, set]] = {}
-        for node_id, payload in hints.items():
-            query = self.hint_nodes.get(node_id)
-            if query is None or payload is None:
-                continue
-            left, right = merged.setdefault(query, (set(), set()))
-            left.update(payload[0])
-            right.update(payload[1])
-        self._open = {
-            query: (frozenset(left), frozenset(right))
-            for query, (left, right) in merged.items()
-        }
-        self._version += 1
+        buckets: Buckets = {}
+        if self._join_nodes:
+            hints = executor.value_hints(sorted(self._join_nodes))
+            for node_id, (left, right) in hints.items():
+                query = self._join_nodes[node_id]
+                open_left, open_right = buckets.setdefault(query, (set(), set()))
+                open_left.update(left)
+                open_right.update(right)
+        return buckets
 
-    def observe_delivered(self, stream: str, batch) -> None:
+    def _groups(self, name: str, columns, length: int, cache) -> Groups:
+        """The distinct keys of aggregation ``name`` over one batch."""
+        if name not in cache:
+            keys = self._group_keys[name](columns, length)
+            cache[name] = distinct_keys(keys, length)
+        return cache[name]
+
+    def observe_delivered(self, stream: str, batch: ColumnBatch) -> None:
         """Fold delivered rows into the running HAVING-feasibility state."""
-        interests = [i for i in self._interests if i.stream == stream]
-        if not any(isinstance(i, _AggInterest) and i.checker for i in interests):
-            return
-        for row in batch.to_rows():
-            for interest in interests:
-                interest.observe(row)
+        for interest in self._interests:
+            if interest.stream != stream or interest.checker is None:
+                continue
+            mask = interest.passes(batch.columns, len(batch))
+            rows = batch if mask.all() else batch.select(mask)
+            if len(rows):
+                (name,) = interest.groups
+                groups = self._groups(name, rows.columns, len(rows), {})
+                interest.checker.observe(rows.columns, len(rows), groups)
 
-    def mark_lost(self, stream: str, batch) -> None:
+    def mark_lost(self, stream: str, batch: ColumnBatch) -> None:
         """Rows lost outside the shed path (``skip`` faults) corrupt
         their groups exactly like shed rows: doom them."""
-        for row in batch.to_rows():
-            self.profile(stream, row).doom()
-        self._version += 1
-
-    # -- valuation ------------------------------------------------------------
-
-    def profile(self, stream: str, row: dict) -> _RowProfile:
-        components = []
+        length = len(batch)
+        cache: Dict[str, Groups] = {}
         for interest in self._interests:
             if interest.stream != stream:
                 continue
-            part = interest.component(row, self)
-            if part is None:
-                components.append((interest.root, 0.0, ()))
-            else:
-                components.append((interest.root, part[0], part[1]))
-        return _RowProfile(components)
+            mask = interest.passes(batch.columns, length)
+            for name in interest.groups:
+                _, _, inverse, distinct = self._groups(
+                    name, batch.columns, length, cache
+                )
+                lost = np.unique(inverse[mask]).tolist()
+                self._doomed[name].update(distinct[index] for index in lost)
 
-    def value(self, stream: str, row: dict) -> float:
-        return self.profile(stream, row).value()
+    # -- the shed selector ----------------------------------------------------
 
-    @property
-    def version(self) -> int:
-        """Bumped whenever doom state changes (revaluation marker)."""
-        return self._version
+    def shed(self, queue, excess: int, buckets: Buckets) -> Tuple[int, Dict[str, int]]:
+        """Shed ``excess`` rows from a host's queued ``_Entry`` objects,
+        lowest value first (ties newest first), mutating their batches in
+        place; ``buckets`` is :meth:`join_buckets`'s answer for the step.
 
-    def bump(self) -> None:
-        self._version += 1
-
-
-# -- the shed selector -------------------------------------------------------------
-
-
-def shed_lowest_value(
-    queue, excess: int, model: ValueModel
-) -> Tuple[int, Dict[str, int]]:
-    """Shed ``excess`` rows from a host's queued entries, lowest value
-    first (ties newest first), mutating the entries' batches in place.
-
-    Works on the flow-control queue's ``_Entry`` objects (``stream`` /
-    ``batch`` attributes).  Returns the shed count and the per-query
-    attribution: for each delivered root, how many shed rows still had
-    value for it at the moment they were shed (rows already worthless to
-    a query are never charged to it).
-
-    Selection is greedy with doom feedback: shedding a row dooms its
-    groups, which can only *lower* other rows' values, so a lazy
-    reevaluation heap is exact — a popped row whose profile is stale is
-    re-scored and pushed back; a fresh pop is a true minimum.
-    """
-    candidates: List[Tuple[object, int, _RowProfile]] = []
-    rows_of = []
-    for entry in queue:
-        rows = entry.batch.to_rows()
-        rows_of.append((entry, len(rows)))
-        for index, row in enumerate(rows):
-            candidates.append((entry, index, model.profile(entry.stream, row)))
-    excess = min(excess, len(candidates))
-    if excess <= 0:
-        return 0, {}
-    # Heap of (value, -position, position): position breaks ties newest
-    # first and makes the ordering total, so heap order is deterministic.
-    heap = []
-    stamps = {}
-    version = model.version
-    for position, (_, _, profile) in enumerate(candidates):
-        heap.append((profile.value(), -position, position))
-        stamps[position] = version
-    heapq.heapify(heap)
-    shed_positions: Set[int] = set()
-    charged: Dict[str, int] = {}
-    while len(shed_positions) < excess:
-        value, _, position = heapq.heappop(heap)
-        profile = candidates[position][2]
-        if stamps[position] != model.version:
-            stamps[position] = model.version
-            current = profile.value()
-            if current < value:
-                heapq.heappush(heap, (current, -position, position))
-                continue
-        shed_positions.add(position)
-        roots = profile.doom()
-        if roots:
-            model.bump()
-            for root in roots:
-                charged[root] = charged.get(root, 0) + 1
-    # Rebuild each entry's batch with its surviving rows, in order.
-    position = 0
-    for entry, count in rows_of:
-        keep = [
-            index
-            for index in range(count)
-            if (position + index) not in shed_positions
+        Returns the shed count and, per delivered root, how many shed rows
+        still had value for it when they were shed.  Each stream's backlog
+        is scored as arrays: per interest a score and, per aggregation it
+        feeds, a group id (0 for none).  Selection is greedy with doom
+        feedback: a shed row dooms its groups, which can only *lower*
+        other rows' values, so a lazy reevaluation heap is exact — a
+        popped row whose value is stale is re-scored and pushed back.
+        """
+        entries = list(queue)
+        sizes = [len(entry.batch) for entry in entries]
+        total = sum(sizes)
+        excess = min(excess, total)
+        if excess <= 0:
+            return 0, {}
+        streams: Dict[str, List[Tuple[ColumnBatch, np.ndarray]]] = {}
+        for entry, start in zip(entries, np.cumsum([0] + sizes).tolist()):
+            rows = np.arange(start, start + len(entry.batch))
+            streams.setdefault(entry.stream, []).append((entry.batch, rows))
+        scores = [np.zeros(total) for _ in self._interests]
+        slots = [
+            [np.zeros(total, dtype=np.intp) for _ in interest.groups]
+            for interest in self._interests
         ]
-        if len(keep) != count:
-            entry.batch = entry.batch.select(np.asarray(keep, dtype=np.int64))
-        position += count
-    return excess, charged
+        owners: List[Optional[Tuple[str, tuple]]] = [None]
+        doomed = [False]
+        bases: Dict[str, int] = {}
+        for stream, pieces in streams.items():
+            batch = ColumnBatch.concat([piece for piece, _ in pieces])
+            where = np.concatenate([rows for _, rows in pieces])
+            columns, length = batch.columns, len(batch)
+            cache: Dict[str, Groups] = {}
+            for index, interest in enumerate(self._interests):
+                if interest.stream != stream:
+                    continue
+                mask = interest.passes(columns, length)
+                groups = [
+                    self._groups(name, columns, length, cache)
+                    for name in interest.groups
+                ]
+                score = interest.score(columns, length, groups, buckets)
+                scores[index][where] = np.where(mask, score, 0.0)
+                for slot, name, (_, _, inverse, distinct) in zip(
+                    slots[index], interest.groups, groups
+                ):
+                    if name not in bases:  # one stream feeds each group
+                        bases[name] = len(owners)
+                        owners.extend((name, key) for key in distinct)
+                        doomed.extend(key in self._doomed[name] for key in distinct)
+                    slot[where] = np.where(mask, bases[name] + inverse, 0)
+        # Values as a row-at-a-time sum would add them: components in
+        # interest order, each adding its score unless zero or doomed.
+        flags = np.asarray(doomed)
+        values = np.zeros(total)
+        components = []
+        for interest, score, ids in zip(self._interests, scores, slots):
+            live = score != 0
+            for slot in ids:
+                live &= ~flags[slot]
+            values = values + np.where(live, score, 0.0)
+            components.append(
+                (interest.root, score.tolist(), [slot.tolist() for slot in ids])
+            )
+
+        def live(position: int) -> List[Tuple[str, float]]:
+            """(root, score) of each component still valuing the row."""
+            return [
+                (root, score[position])
+                for root, score, ids in components
+                if score[position]
+                and not any(doomed[slot[position]] for slot in ids)
+            ]
+
+        # Heap of (value, -position, position): position breaks ties newest
+        # first and makes the ordering total, so heap order is deterministic.
+        heap = list(zip(values.tolist(), range(0, -total, -1), range(total)))
+        heapq.heapify(heap)
+        stamps = [0] * total
+        version = 0
+        kept = np.ones(total, dtype=bool)
+        charged: Dict[str, int] = {}
+        for _ in range(excess):
+            while True:
+                value, _, position = heapq.heappop(heap)
+                if stamps[position] == version:
+                    break
+                stamps[position] = version
+                current = 0.0
+                for _, score in live(position):
+                    current += score
+                if current >= value:
+                    break
+                heapq.heappush(heap, (current, -position, position))
+            kept[position] = False
+            roots = [root for root, _ in live(position)]
+            for _, _, ids in components:
+                for slot in ids:
+                    if slot[position]:
+                        doomed[slot[position]] = True
+            if roots:
+                version += 1
+                for root in roots:
+                    charged[root] = charged.get(root, 0) + 1
+        for owner, lost in zip(owners[1:], doomed[1:]):
+            if lost:
+                self._doomed[owner[0]].add(owner[1])
+        # Rebuild each entry's batch with its surviving rows, in order.
+        start = 0
+        for entry, size in zip(entries, sizes):
+            keep = kept[start:start + size]
+            if not keep.all():
+                entry.batch = entry.batch.select(keep)
+            start += size
+        return excess, charged

@@ -77,6 +77,13 @@ class TraceConfig:
     session_spread: float = 1.0  # stagger (s) of a session's flow starts
     seed: int = 7
 
+    def __post_init__(self):
+        if self.duration <= 0 or self.rate <= 0:
+            raise ValueError(
+                f"trace duration and rate must be positive, got "
+                f"duration={self.duration} rate={self.rate}"
+            )
+
     def total_packets(self) -> int:
         return self.duration * self.rate
 

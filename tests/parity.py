@@ -582,9 +582,9 @@ def assert_shedding_dominates(workload, seed, source, execution="inprocess"):
     recall is at least the blind run's, and — when
     ``execution="parallel"`` — that the forked-worker semantic run is
     byte-identical to the in-process one: outputs, per-node counts,
-    per-query shed attribution, and the per-epoch flow series (value
-    hints ride the worker protocol, so the shed decisions themselves must
-    match row for row).
+    per-query shed attribution, and the per-epoch flow series (the open
+    join buckets are asked of the workers, so the shed decisions
+    themselves must match row for row).
 
     Returns ``(semantic_mean, blind_mean)`` so sweep callers can
     additionally assert *strict* dominance in aggregate — per seed only

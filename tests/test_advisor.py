@@ -42,6 +42,24 @@ class TestAdvise:
         assert str(report.partitioning) == "{destIP}"
         assert report.outputs_verified
 
+    def test_nothing_feasible_deploys_round_robin(self, catalog, small_trace):
+        """No partitioning compatible with GROUP BY time, srcIP is
+        computable from destIP alone: deploy round-robin, not a hash
+        splitter on the infeasible {srcIP}."""
+        from repro.plan import QueryDag
+
+        catalog.define_query(
+            "flows",
+            "SELECT time, srcIP, COUNT(*) as cnt FROM TCP GROUP BY time, srcIP",
+        )
+        advisor = DeploymentAdvisor(
+            QueryDag.from_catalog(catalog), hardware=FieldsConstraint.of("destIP")
+        )
+        report = advisor.advise(small_trace, 2)
+        assert report.partitioning.is_empty
+        assert "round-robin" in report.simulation.splitter_description
+        assert report.outputs_verified
+
     def test_overload_detection(self, complex_dag, small_trace):
         # absurdly small capacity: every host overloads
         report = DeploymentAdvisor(complex_dag).advise(

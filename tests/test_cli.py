@@ -36,6 +36,22 @@ class TestAnalyze:
         out = capsys.readouterr().out
         assert "destIP" in out
 
+    def test_analyze_never_recommends_an_infeasible_partitioning(
+        self, tmp_path, capsys
+    ):
+        """A splitter that sees only destIP can realize no partitioning
+        compatible with GROUP BY time, srcIP: round-robin, said so."""
+        path = tmp_path / "flows.gsql"
+        path.write_text(
+            "DEFINE QUERY flows AS SELECT time, srcIP, COUNT(*) as cnt "
+            "FROM TCP GROUP BY time, srcIP;"
+        )
+        code = main(["analyze", "--script", str(path), "--hardware", "destIP"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "no hardware-feasible partitioning exists" in out
+        assert "recommended partitioning: {}" in out
+
 
 class TestPlan:
     def test_plan_with_partitioning(self, script_file, capsys):
@@ -364,6 +380,29 @@ class TestTimeline:
 
 
 class TestParserErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (["plan", "--hosts", "0"], "num_hosts must be positive"),
+            (["plan", "--partitions", "0"], "partitions_per_host must be positive"),
+            (["analyze", "--rate", "0"], "--rate must be positive"),
+            (["trace", "--rate", "-5"], "rate must be positive"),
+            (["trace", "--duration", "0"], "duration and rate must be positive"),
+        ),
+        ids=("plan-hosts-0", "plan-partitions-0", "analyze-rate-0",
+             "trace-rate-negative", "trace-duration-0"),
+    )
+    def test_bad_sizes_exit_2_with_one_line(
+        self, argv, message, script_file, capsys
+    ):
+        if argv[0] != "trace":
+            argv = argv + ["--script", script_file]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+
     def test_missing_command(self):
         with pytest.raises(SystemExit):
             main([])

@@ -99,6 +99,27 @@ class TestHardwareConstraints:
         )
         assert str(projected) == "{destIP, srcPort}"
 
+    def test_nothing_feasible_recommends_round_robin(self, catalog):
+        """{srcIP} is the only compatible choice for GROUP BY time, srcIP
+        and a destIP-only splitter cannot compute it: the search must
+        recommend the empty set (round-robin) and say why, never hand
+        back the infeasible optimum."""
+        from repro.plan import QueryDag
+
+        catalog.define_query(
+            "flows",
+            "SELECT time, srcIP, COUNT(*) as cnt FROM TCP GROUP BY time, srcIP",
+        )
+        result = choose_partitioning(
+            QueryDag.from_catalog(catalog),
+            input_rate=100_000,
+            hardware=FieldsConstraint.of("destIP"),
+        )
+        assert str(result.best.ps) == "{srcIP}"
+        assert result.best_feasible is None
+        assert result.partitioning.is_empty
+        assert "no hardware-feasible partitioning exists" in result.summary()
+
     def test_feasible_subset_found(self, complex_dag):
         hardware = FieldsConstraint.of("srcIP")
         result = choose_partitioning(

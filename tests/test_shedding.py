@@ -13,12 +13,21 @@ Three invariant families over ``QueuePolicy(capacity, "semantic")``:
   rate makes the shedder a no-op: zero drops, zero shed charges, and
   outputs byte-identical to the unbounded run.
 
+Pinned decisions: sha256 digests of delivered outputs, shed attribution
+and flow stats for a few seeds of each workload (one with a ``skip``
+fault each), recorded when the value model still scored rows one at a
+time with the row evaluator.  The columnar model must reproduce every
+one; without the open join buckets the jitter and complex pins must
+fail.  The buckets are asked of the executor only when a host
+overflows, at most once per step.
+
 Plus the recall plumbing the shedding-quality harness stands on:
 ``per_query_recall`` multiset math (NaN for empty-reference queries, not
 1.0), ``OverloadPoint.mean_recall`` NaN-skipping, and ``overload_sweep``
 rejecting unknown modes before it runs anything.
 """
 
+import hashlib
 import math
 
 import pytest
@@ -27,7 +36,9 @@ from hypothesis import strategies as st
 
 from repro.cluster import QueuePolicy
 from repro.partitioning import PartitioningSet
-from repro.runtime.flowcontrol import QUEUE_MODES
+from repro.runtime import InProcessExecutor
+from repro.runtime.flowcontrol import QUEUE_MODES, Fault, FaultPlan
+from repro.runtime.shedding import ValueModel
 from repro.traces import Trace
 from repro.workloads import (
     OverloadPoint,
@@ -138,6 +149,89 @@ def test_lossless_capacity_never_sheds(seed, workload):
         assert stats.conserves()
         assert stats.total_dropped == 0
         assert stats.total_delivered == stats.total_in
+
+
+# -- pinned shed decisions ---------------------------------------------------------
+
+#: (workload, seed, skip fault on host 1 for epochs 1-2) -> sha256 of a
+#: semantic run at CAPACITY, recorded with the row-at-a-time value model.
+PINS = {
+    ("suspicious", 1, False):
+        "ca207fb1eef4f6cd7ddb60ff06e4207c4a69e17fd47fe459e5962c2342b78c74",
+    ("suspicious", 4, True):
+        "4b71fd82210a6d6a1846239d98ade7ba7d4e54c04d0f4a55673070c8acb5ab9f",
+    ("jitter", 2, False):
+        "ce06af6de5c4986537d11ec4b882f9ee30262ee0e3dc13b619da47230b9f93bc",
+    ("jitter", 3, True):
+        "96b6d3557116b07195687ccc4e3343e36468e455b6b9ac7b9edb744e84493409",
+    ("complex", 0, False):
+        "5b68c9d44bb724f64dbe0c09542c89f2c443991525e813ecc3887c5d8338629f",
+    ("complex", 6, True):
+        "5a48d0892c2f1e63d2166ee84f94654f7a9e678c63a416f6d5fb5bab1199864a",
+}
+
+
+def _pinned_digest(workload, seed, skip):
+    sim, packets, splitter = _simulation(workload, seed)
+    result = _stream(
+        sim, packets, splitter, queue_policy=semantic(CAPACITY),
+        faults=FaultPlan.of(Fault("skip", 1, 1, 2)) if skip else None,
+    )
+    digest = hashlib.sha256()
+    for name in sorted(result.outputs):
+        digest.update(repr((name, result.outputs[name])).encode())
+    digest.update(repr(sorted(result.shed_counts.items())).encode())
+    digest.update(repr(sorted(result.flow_stats.items())).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "case", sorted(PINS), ids=lambda c: f"{c[0]}-{c[1]}" + "-skip" * c[2]
+)
+def test_shed_decisions_match_pins(case):
+    assert _pinned_digest(*case) == PINS[case]
+
+
+def test_pins_need_the_open_join_buckets(monkeypatch):
+    """Known-bad companion: answered with no open buckets, every join
+    workload's pin must fail — so the pins see the executor's answer."""
+    monkeypatch.setattr(ValueModel, "join_buckets", lambda self, executor: {})
+    for case, pin in PINS.items():
+        if case[0] != "suspicious":
+            assert _pinned_digest(*case) != pin, case
+
+
+def _spy(monkeypatch):
+    """Log every ``run_step`` and ``value_hints`` call, in order."""
+    log = []
+    for name in ("run_step", "value_hints"):
+        original = getattr(InProcessExecutor, name)
+
+        def spy(self, *args, _name=name, _original=original):
+            log.append(_name)
+            return _original(self, *args)
+
+        monkeypatch.setattr(InProcessExecutor, name, spy)
+    return log
+
+
+def test_buckets_are_asked_only_on_overflow(monkeypatch):
+    sim, packets, splitter = _simulation("jitter", 2)
+    log = _spy(monkeypatch)
+    result = _stream(sim, packets, splitter, queue_policy=semantic(len(packets)))
+    assert result.shed_counts == {}
+    assert log.count("run_step") > 0
+    assert log.count("value_hints") == 0
+
+
+def test_buckets_are_asked_at_most_once_per_step(monkeypatch):
+    sim, packets, splitter = _simulation("jitter", 2)
+    log = _spy(monkeypatch)
+    result = _stream(sim, packets, splitter, queue_policy=semantic(CAPACITY))
+    assert sum(result.shed_counts.values()) > 0
+    assert log.count("value_hints") > 0
+    # Both hosts overflow, yet no step asks twice.
+    assert "value_hints value_hints" not in " ".join(log)
 
 
 # -- recall plumbing -------------------------------------------------------------
