@@ -70,8 +70,11 @@ class Splitter:
         gathered = batch.select(np.argsort(ids, kind="stable"))
         counts = np.bincount(ids, minlength=self.num_partitions)
         bounds = [0, *np.cumsum(counts).tolist()]
+        # A skewed partitioning leaves most partitions empty: they share
+        # one empty slice.
+        empty = gathered.slice(0, 0)
         return [
-            gathered.slice(start, stop)
+            gathered.slice(start, stop) if stop > start else empty
             for start, stop in zip(bounds, bounds[1:])
         ]
 

@@ -205,8 +205,8 @@ def _pack_keys(keys: List[np.ndarray], length: int) -> Optional[np.ndarray]:
     for key in keys:
         if key.dtype.kind not in "iub":
             return None
-        lowest = int(key.min())
-        width = (int(key.max()) - lowest).bit_length()
+        lowest = int(np.minimum.reduce(key))
+        width = (int(np.maximum.reduce(key)) - lowest).bit_length()
         bits += width
         if bits > 64:
             return None
@@ -257,8 +257,10 @@ def _group(keys: List[np.ndarray], length: int):
         for key in keys:
             ordered = key[order]
             change[1:] |= ordered[1:] != ordered[:-1]
-    starts = np.flatnonzero(change)
-    counts = np.diff(np.append(starts, length))
+    starts = change.nonzero()[0]
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = length - starts[-1]
     firsts = order[starts]
     return order, starts, counts, [key[firsts] for key in keys]
 

@@ -149,46 +149,107 @@ def take_prefix(
     return batch.slice(0, count), batch.slice(count, length)
 
 
+#: A pending batch's temporal keys with their extremes: ``(keys, low, high)``.
+_Keys = Tuple[np.ndarray, Number, Number]
+
+
+def _extremes(keys: np.ndarray) -> _Keys:
+    return keys, np.minimum.reduce(keys), np.maximum.reduce(keys)
+
+
 class ColumnBuffer:
-    """Retained rows plus a vectorized temporal-key extractor."""
+    """Retained rows, batch by batch, plus a vectorized temporal-key extractor.
+
+    Each pending batch is keyed once — on the first release that needs its
+    keys — and keeps its key array and the array's extremes.  A release
+    hands over whole batches below the bound, keeps whole batches at or
+    above it, and splits only a batch that straddles it, so a row retained
+    for *k* steps is keyed once and copied at most once.  Released rows
+    come out in buffer order, and retained rows stay in it.  The row count
+    is a running counter.
+    """
 
     def __init__(self, key_fn: Optional[Callable]):
         self._key_fn = key_fn
         self._pending: List[ColumnBatch] = []
+        self._keys: List[Optional[_Keys]] = []
+        self._rows = 0
 
     def __len__(self) -> int:
-        return sum(len(batch) for batch in self._pending)
+        return self._rows
 
     def add(self, batch: ColumnBatch) -> None:
-        if len(batch):
+        if batch.length:
             self._pending.append(batch)
+            self._keys.append(None)
+            self._rows += batch.length
 
     def merged(self) -> ColumnBatch:
         """The retained rows as one batch, in buffer order (kept)."""
         if not self._pending:
             return ColumnBatch({}, 0)
         if len(self._pending) > 1:
+            # Each batch keyed once, then the keys merged along with it.
+            self._keys = [
+                None
+                if self._key_fn is None
+                else _extremes(
+                    np.concatenate(
+                        [self._keyed(index)[0] for index in range(len(self._pending))]
+                    )
+                )
+            ]
             self._pending = [ColumnBatch.concat(self._pending)]
         return self._pending[0]
+
+    def keys(self) -> np.ndarray:
+        """The temporal key of every row of :meth:`merged`, in its order."""
+        if not self._pending:
+            return np.empty(0, dtype=np.int64)
+        self.merged()
+        return self._keyed(0)[0]
+
+    def _keyed(self, index: int) -> _Keys:
+        keys = self._keys[index]
+        if keys is None:
+            batch = self._pending[index]
+            length = len(batch)
+            keys = self._keys[index] = _extremes(
+                materialize(self._key_fn(batch.columns, length), length)
+            )
+        return keys
 
     def take_below(self, bound: Number) -> ColumnBatch:
         """Remove and return the rows whose temporal key is < ``bound``."""
         if bound == math.inf:
             return self.drain()
-        batch = self.merged()
-        if len(batch) == 0:
-            return batch
-        values = materialize(
-            self._key_fn(batch.columns, len(batch)), len(batch)
-        )
-        mask = values < bound
-        taken = batch.select(mask)
-        self._pending = [batch.select(~mask)]
+        released: List[ColumnBatch] = []
+        pending: List[ColumnBatch] = []
+        pending_keys: List[Optional[_Keys]] = []
+        for index, batch in enumerate(self._pending):
+            keys, low, high = self._keyed(index)
+            if high < bound:
+                released.append(batch)
+            elif low >= bound:
+                pending.append(batch)
+                pending_keys.append(self._keys[index])
+            else:
+                below = keys < bound
+                above = ~below
+                released.append(batch.select(below))
+                pending.append(batch.select(above))
+                pending_keys.append(_extremes(keys[above]))
+        if not released:
+            return ColumnBatch({}, 0)
+        self._pending, self._keys = pending, pending_keys
+        taken = released[0] if len(released) == 1 else ColumnBatch.concat(released)
+        self._rows -= taken.length
         return taken
 
     def drain(self) -> ColumnBatch:
         batch = self.merged()
-        self._pending = []
+        self._pending, self._keys = [], []
+        self._rows = 0
         return batch
 
 
@@ -238,6 +299,50 @@ class StatelessStreamingNode(StreamingNode):
         return self._operator.process(*inputs), self._watermark_fn(watermarks)
 
 
+class ReleaseGroup:
+    """One buffer and one release decision per step for sibling aggregates.
+
+    Aggregates that read the same input node and release on the same
+    temporal expression would buffer identical rows and compute identical
+    lower bounds.  They share one group instead: the first member stepped
+    in a step adds the input batch, evaluates :func:`lower_bound` once and
+    takes the ready rows; every other member gets the same answer.  The
+    group counts its members' calls, so each member must step exactly once
+    per step — which a node table does.
+    """
+
+    def __init__(self, key_fn: Optional[Callable], expr: Optional[ScalarExpr]):
+        self.buffer = ColumnBuffer(key_fn)
+        self.expr = expr
+        self.members = 1
+        self._asked = 0
+        self._answer: Tuple[Optional[ColumnBatch], Optional[Number]] = (None, None)
+
+    def release(
+        self, batch: ColumnBatch, bounds: Watermark, flush: bool
+    ) -> Tuple[Optional[ColumnBatch], Optional[Number]]:
+        """This step's ``(ready rows, lower bound)``; either may be None
+        (nothing releasable, or no derivable bound)."""
+        if self._asked == 0:
+            self._answer = self._decide(batch, bounds, flush)
+        self._asked += 1
+        if self._asked == self.members:
+            self._asked = 0
+        return self._answer
+
+    def _decide(self, batch, bounds, flush):
+        buffer = self.buffer
+        buffer.add(batch)
+        if flush:
+            return buffer.drain(), None
+        if self.expr is None:
+            return None, None
+        low = lower_bound(self.expr, bounds)
+        if low is None:
+            return None, None
+        return buffer.take_below(low), low
+
+
 class StreamingAggregate(StreamingNode):
     """Buffer-and-release wrapper around a pure aggregation operator.
 
@@ -246,49 +351,74 @@ class StreamingAggregate(StreamingNode):
     temporal key < L form *complete* groups (the temporal key is part of
     the group key, so groups never straddle the boundary) and are handed
     to the ordinary batch operator.  Without a temporal group-by column
-    (a global aggregate) everything waits for the flush.
+    (a global aggregate) everything waits for the flush.  The buffer and
+    the release decision live in a :class:`ReleaseGroup`, which sibling
+    aggregates may share (:func:`share_releases`); a step with nothing to
+    release answers with the operator's cached empty batch and never
+    calls the kernel.
     """
 
     def __init__(
         self,
         operator,
-        buffer: ColumnBuffer,
+        key_fn: Optional[Callable],
         temporal_name: Optional[str],
         temporal_expr: Optional[ScalarExpr],
         outputs: Sequence[Tuple[str, ScalarExpr]],
     ):
         self._operator = operator
-        self._buffer = buffer
+        self._release = ReleaseGroup(key_fn, temporal_expr)
         self._temporal_name = temporal_name
-        self._temporal_expr = temporal_expr
-        self._outputs = list(outputs)
+        # Future groups all have temporal key >= low, so only outputs
+        # computed from the temporal column alone can be bounded.  (Other
+        # group-by columns of retained rows may predate the current input
+        # bounds.)  Any other output's bound is None: filter them once.
+        self._outputs = [
+            (name, expr)
+            for name, expr in outputs
+            if expr.attrs() <= {temporal_name}
+        ]
+
+    @property
+    def release_key(self) -> Optional[ScalarExpr]:
+        """The temporal expression this node releases on (None: flush only)."""
+        return self._release.expr
+
+    def join_release(self, sibling: "StreamingAggregate") -> None:
+        """Share ``sibling``'s buffer and release decision from now on."""
+        self._release = sibling._release
+        self._release.members += 1
 
     def buffered_rows(self) -> int:
-        return len(self._buffer)
+        return len(self._release.buffer)
 
     def step(self, inputs, watermarks, flush):
         (batch,) = inputs
-        self._buffer.add(batch)
-        if flush:
-            return self._operator.process(self._buffer.drain()), {}
-        if self._temporal_expr is None:
-            return self._empty(), {}
         (bounds,) = watermarks
-        low = lower_bound(self._temporal_expr, bounds)
-        if low is None:
-            return self._empty(), {}
-        ready = self._buffer.take_below(low)
-        # Future groups all have temporal key >= low; bound every output
-        # column derivable from it.  (Other group-by columns of retained
-        # rows may predate the current input bounds, so only the
-        # temporal column is safe to propagate.)
-        watermark = _bound_outputs(self._outputs, {self._temporal_name: low})
-        if len(ready) == 0:
-            return self._empty(), watermark
+        ready, low = self._release.release(batch, bounds, flush)
+        watermark = (
+            {}
+            if low is None
+            else _bound_outputs(self._outputs, {self._temporal_name: low})
+        )
+        if ready is None or not ready.length:
+            return self._operator.empty(), watermark
         return self._operator.process(ready), watermark
 
-    def _empty(self):
-        return self._operator.empty()
+
+def share_releases(siblings: Sequence[Tuple[str, StreamingNode]]) -> None:
+    """Group ``(input node id, streaming node)`` pairs by input and release
+    expression; every aggregate after the first in a group joins the
+    first's :class:`ReleaseGroup`.  Nodes without a ``release_key`` (or
+    with a None one) stay alone."""
+    leaders: Dict[Tuple[str, ScalarExpr], StreamingNode] = {}
+    for input_id, snode in siblings:
+        key = getattr(snode, "release_key", None)
+        if key is None:
+            continue
+        leader = leaders.setdefault((input_id, key), snode)
+        if leader is not snode:
+            snode.join_release(leader)
 
 
 class StreamingWindowedAggregate(StreamingNode):
@@ -318,10 +448,9 @@ class StreamingWindowedAggregate(StreamingNode):
         self._operator = operator
         self._spec = spec
         self._pane_expr = pane_expr
-        self._pane_fn = vectorize_expr(pane_expr)
         self._temporal_name = temporal_name
         self._outputs = list(outputs)
-        self._buffer = ColumnBuffer(self._pane_fn)
+        self._buffer = ColumnBuffer(vectorize_expr(pane_expr))
         self._last_end: Optional[int] = None
 
     def buffered_rows(self) -> int:
@@ -331,8 +460,8 @@ class StreamingWindowedAggregate(StreamingNode):
         (batch,) = inputs
         self._buffer.add(batch)
         if flush:
+            ends = self._complete_ends(math.inf)
             retained = self._buffer.drain()
-            ends = self._complete_ends(retained, math.inf)
             if not ends:
                 return self._operator.empty(), {}
             return self._operator.process_window(retained, ends), {}
@@ -340,10 +469,9 @@ class StreamingWindowedAggregate(StreamingNode):
         low = lower_bound(self._pane_expr, bounds)
         if low is None:
             return self._operator.empty(), {}
-        retained = self._buffer.merged()
-        ends = self._complete_ends(retained, low)
+        ends = self._complete_ends(low)
         if ends:
-            output = self._operator.process_window(retained, ends)
+            output = self._operator.process_window(self._buffer.merged(), ends)
             self._last_end = ends[-1]
             # The next window starts at last_end + slide - window + 1;
             # older panes can never be read again.
@@ -367,13 +495,12 @@ class StreamingWindowedAggregate(StreamingNode):
         )
         return output, watermark
 
-    def _complete_ends(self, retained: ColumnBatch, low: Number) -> List[int]:
+    def _complete_ends(self, low: Number) -> List[int]:
         """Window ends over the retained panes that are complete below
         ``low`` and not yet emitted, ascending."""
-        length = len(retained)
-        if length == 0:
+        panes = self._buffer.keys()
+        if len(panes) == 0:
             return []
-        panes = materialize(self._pane_fn(retained.columns, length), length)
         ends: List[int] = []
         for end in self._spec.window_ends_covering(np.unique(panes).tolist()):
             if end >= low:
@@ -437,6 +564,10 @@ class StreamingJoin(StreamingNode):
         left_in, right_in = inputs
         self._left.add(left_in)
         self._right.add(right_in)
+        if not self._left and not self._right:
+            # Idle: nothing arrived and nothing waits (joins emit no
+            # watermark, so there is nothing else to answer).
+            return self._operator.empty(), {}
         if flush:
             left, right = self._left.drain(), self._right.drain()
         else:
@@ -450,6 +581,6 @@ class StreamingJoin(StreamingNode):
             bound = min(low_left, low_right)
             left = self._left.take_below(bound)
             right = self._right.take_below(bound)
-        if len(left) == 0 and len(right) == 0:
+        if not left.length and not right.length:
             return self._operator.empty(), {}
         return self._operator.process(left, right), {}

@@ -28,7 +28,7 @@ the average.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..engine.aggregates import states_width
 from ..engine.sketches import summary_wire_bytes
@@ -108,6 +108,9 @@ class CostModel:
         # A node's compatibility basis depends on the node, not on the
         # candidate being costed: derived once per ``exclude_temporal``.
         self._bases: Dict[bool, Dict[str, CompatibilityBasis]] = {}
+        # The search re-costs candidates it reaches again: each cost is
+        # remembered per (expressions, exclude_temporal).
+        self._costs: Dict[Tuple, PlanCost] = {}
         self._compute_rates()
 
     # -- rates -----------------------------------------------------------------
@@ -122,34 +125,55 @@ class CostModel:
 
     def input_tuples(self, name: str) -> float:
         """Tuples per epoch entering node ``name``."""
-        node = self._dag.node(name)
-        if node.kind is NodeKind.SOURCE:
-            return self._input_rate
-        return sum(self.output_tuples(child) for child in node.inputs)
+        return self._input_tuples[name]
 
     def output_tuples(self, name: str) -> float:
         """Tuples per epoch leaving node ``name``."""
         return self._tuples[name]
 
     def out_tuple_size(self, name: str) -> int:
-        return self._dag.node(name).schema.tuple_width()
+        return self._widths[name]
 
     def output_bytes(self, name: str) -> float:
-        return self.output_tuples(name) * self.out_tuple_size(name)
+        return self._output_bytes[name]
 
     def input_bytes(self, name: str) -> float:
-        node = self._dag.node(name)
-        if node.kind is NodeKind.SOURCE:
-            return self._input_rate * node.schema.tuple_width()
-        return sum(self.output_bytes(child) for child in node.inputs)
+        return self._input_bytes[name]
 
     def _compute_rates(self) -> None:
+        """Every per-node figure that does not depend on the candidate:
+        tuples and bytes in and out, and who feeds whom.  A candidate
+        decides only residency and hence network bytes."""
+        rate = self._input_rate
+        self._widths: Dict[str, int] = {}
+        self._input_tuples: Dict[str, float] = {}
+        self._input_bytes: Dict[str, float] = {}
+        self._output_bytes: Dict[str, float] = {}
+        self._order: List[Tuple[str, Optional[Tuple[str, ...]]]] = []
         for node in self._dag.nodes():
+            name = node.name
+            width = self._widths[name] = node.schema.tuple_width()
             if node.kind is NodeKind.SOURCE:
-                self._tuples[node.name] = self._input_rate
+                self._order.append((name, None))
+                self._tuples[name] = self._input_tuples[name] = rate
+                self._input_bytes[name] = rate * width
             else:
+                self._order.append((name, tuple(node.inputs)))
                 incoming = sum(self._tuples[child] for child in node.inputs)
-                self._tuples[node.name] = incoming * self.selectivity_factor(node)
+                self._input_tuples[name] = incoming
+                self._tuples[name] = incoming * self.selectivity_factor(node)
+                self._input_bytes[name] = sum(
+                    self._output_bytes[child] for child in node.inputs
+                )
+            self._output_bytes[name] = self._tuples[name] * width
+        self._query_nodes = [
+            (
+                node.name,
+                tuple(parent.name for parent in self._dag.parents(node.name)),
+                tuple(child.name for child in self._dag.children(node.name)),
+            )
+            for node in self._dag.query_nodes()
+        ]
 
     # -- plan cost ----------------------------------------------------------------
 
@@ -157,23 +181,41 @@ class CostModel:
         self, ps: PartitioningSet, exclude_temporal: bool = True
     ) -> PlanCost:
         """Cost the DAG under partitioning set ``ps`` (§4.2.1)."""
-        leaf_resident = self._leaf_residency(ps, exclude_temporal)
+        key = (ps.exprs, exclude_temporal)
+        known = self._costs.get(key)
+        if known is not None:
+            return known
+        resident = self._leaf_residency(ps, exclude_temporal)
+        out_bytes = self._output_bytes
         per_node: Dict[str, NodeCost] = {}
         worst = 0.0
-        for node in self._dag.query_nodes():
-            network = self._network_bytes(node, leaf_resident)
-            cost = NodeCost(
-                name=node.name,
-                input_tuples=self.input_tuples(node.name),
-                output_tuples=self.output_tuples(node.name),
-                input_bytes=self.input_bytes(node.name),
-                output_bytes=self.output_bytes(node.name),
-                leaf_resident=leaf_resident[node.name],
+        for name, parents, children in self._query_nodes:
+            if resident[name]:
+                # Output crosses the network iff it feeds a central
+                # consumer or is a root delivered to the aggregator host.
+                if not parents or not all(resident[p] for p in parents):
+                    network = out_bytes[name]
+                else:
+                    network = 0.0
+            else:
+                # Central node: pays for every child whose data must be
+                # shipped in (a source ships the full stream).
+                network = 0.0
+                for child in children:
+                    if resident[child]:
+                        network += out_bytes[child]
+            per_node[name] = NodeCost(
+                name=name,
+                input_tuples=self._input_tuples[name],
+                output_tuples=self._tuples[name],
+                input_bytes=self._input_bytes[name],
+                output_bytes=out_bytes[name],
+                leaf_resident=resident[name],
                 network_bytes=network,
             )
-            per_node[node.name] = cost
             worst = max(worst, network)
-        return PlanCost(ps, worst, per_node)
+        cost = self._costs[key] = PlanCost(ps, worst, per_node)
+        return cost
 
     def _leaf_residency(
         self, ps: PartitioningSet, exclude_temporal: bool
@@ -187,33 +229,14 @@ class CostModel:
             }
         bases = self._bases[exclude_temporal]
         residency: Dict[str, bool] = {}
-        for node in self._dag.nodes():
-            if node.kind is NodeKind.SOURCE:
-                residency[node.name] = True
+        for name, inputs in self._order:
+            if inputs is None:
+                residency[name] = True
                 continue
-            children_resident = all(residency[child] for child in node.inputs)
-            residency[node.name] = children_resident and bases[node.name].admits(ps)
+            residency[name] = all(residency[child] for child in inputs) and bases[
+                name
+            ].admits(ps)
         return residency
-
-    def _network_bytes(
-        self, node: AnalyzedNode, leaf_resident: Dict[str, bool]
-    ) -> float:
-        if leaf_resident[node.name]:
-            # Output crosses the network iff it feeds a central consumer or
-            # is a root delivered to the aggregator host.
-            parents = self._dag.parents(node.name)
-            if not parents or any(not leaf_resident[p.name] for p in parents):
-                return self.output_bytes(node.name)
-            return 0.0
-        # Central node: pays for every child whose data must be shipped in.
-        total = 0.0
-        for child in self._dag.children(node.name):
-            if leaf_resident[child.name]:
-                if child.kind is NodeKind.SOURCE:
-                    total += self._input_rate * child.schema.tuple_width()
-                else:
-                    total += self.output_bytes(child.name)
-        return total
 
     # -- sketch transfer ---------------------------------------------------------
 

@@ -34,7 +34,6 @@ from ..engine.columnar import (
 from ..engine.operators import NullPadOp
 from ..engine.panes import WindowSpec
 from ..engine.streaming import (
-    ColumnBuffer,
     StatelessStreamingNode,
     StreamingAggregate,
     StreamingJoin,
@@ -82,6 +81,8 @@ class CompiledOperator:
     ``SimulationResult.fallback_nodes``) — there is no per-batch
     capability check.  ``arity`` is the number of inputs the operator
     takes (two for a join), which is all :meth:`empty` needs to know.
+    :meth:`empty` is built once and then shared by every caller, so no
+    consumer may write into a batch it did not build.
 
     Instances are picklable by *recipe*: operators hold vectorized
     closures that cannot cross process boundaries, so pickling ships the
@@ -91,7 +92,7 @@ class CompiledOperator:
     memoizes it) when a whole compile cache travels in one payload.
     """
 
-    __slots__ = ("operator", "columnar", "recipe", "arity")
+    __slots__ = ("operator", "columnar", "recipe", "arity", "_empty")
 
     def __init__(
         self,
@@ -104,6 +105,7 @@ class CompiledOperator:
         self.columnar = columnar
         self.recipe = recipe
         self.arity = arity
+        self._empty: Optional[ColumnBatch] = None
 
     def __reduce__(self):
         if self.recipe is None:
@@ -123,8 +125,11 @@ class CompiledOperator:
         return self.operator.process_window(batch, ends)
 
     def empty(self) -> ColumnBatch:
-        """An empty output batch (kernels emit typed columns)."""
-        return self.process(*[ColumnBatch({}, 0)] * self.arity)
+        """The empty output batch (kernels emit typed columns), computed
+        on the first call and cached."""
+        if self._empty is None:
+            self._empty = self.process(*[ColumnBatch({}, 0)] * self.arity)
+        return self._empty
 
 
 def _operator_key(node: DistNode) -> tuple:
@@ -299,7 +304,7 @@ class EngineBackend:
         key_fn = vectorize_expr(filter_expr) if filter_expr is not None else None
         return StreamingAggregate(
             self.compile_node(node),
-            ColumnBuffer(key_fn),
+            key_fn,
             temporal.name if temporal is not None else None,
             filter_expr,
             outputs,

@@ -23,9 +23,21 @@ multiprocess runs remain attributable.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import (
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    TYPE_CHECKING,
+)
+
+import numpy as np
 
 from ..distopt.plan_ir import DistKind, DistNode, Variant
 from ..gsql.analyzer import NodeKind
@@ -242,74 +254,48 @@ class MetricsRecorder:
         self.charge(src_host, tuples * self.costs.send_remote, "send")
         self.charge(dst_host, tuples * self.costs.receive_remote, "ingest-remote")
         if self.record_events and tuples:
-            self._event(
-                {
-                    "event": "transfer",
-                    "epoch": self._phase,
-                    "src": src_host,
-                    "dst": dst_host,
-                    "tuples": tuples,
-                    "bytes": tuples * width,
-                },
-                host=dst_host,
-            )
+            self.transfer_event(src_host, dst_host, tuples, width)
 
-    def charge_local_ingest(self, host: int, tuples: int) -> None:
-        self.charge(host, tuples * self.costs.receive_local, "ingest")
+    def transfer_event(
+        self, src_host: int, dst_host: int, tuples: int, width: float
+    ) -> None:
+        """One transfer, traced (attributed to the receiving host)."""
+        self._event(
+            {
+                "event": "transfer",
+                "epoch": self._phase,
+                "src": src_host,
+                "dst": dst_host,
+                "tuples": tuples,
+                "bytes": tuples * width,
+            },
+            host=dst_host,
+        )
 
-    def charge_processing(
+    def node_event(
         self,
-        node: DistNode,
-        analyzed_kind: Optional[NodeKind],
+        node_id: str,
         rows_in: int,
         rows_out: int,
-        host: Optional[int] = None,
+        wall_seconds: float,
+        host: int,
+        pid: Optional[int],
     ) -> None:
-        """Attribute one node step's operator work to its host.
-
-        ``analyzed_kind`` is the analyzed query-node kind for OP nodes and
-        None for the purely physical MERGE/NULLPAD nodes.  ``host``
-        overrides the plan host — the rebalancer charges a migrated
-        node's work to the host its partitions currently live on.
-        """
-        costs = self.costs
-        host = self.hosts[node.host if host is None else host]
-        if node.kind is DistKind.MERGE:
-            host.charge(rows_in * costs.merge, "merge")
-            return
-        if node.kind is DistKind.NULLPAD:
-            host.charge(rows_in * costs.selection + rows_out * costs.emit, "nullpad")
-            return
-        if analyzed_kind is NodeKind.SELECTION:
-            host.charge(
-                rows_in * costs.selection + rows_out * costs.emit, "selection"
-            )
-        elif analyzed_kind is NodeKind.AGGREGATION:
-            if node.variant in (Variant.SUPER, Variant.SKETCH_SUPER):
-                category = (
-                    "sketch-super"
-                    if node.variant is Variant.SKETCH_SUPER
-                    else "super-aggregate"
-                )
-                host.charge(
-                    rows_in * costs.super_merge + rows_out * costs.emit,
-                    category,
-                )
-            else:
-                category = {
-                    Variant.SUB: "sub-aggregate",
-                    Variant.SKETCH_SUB: "sketch-sub",
-                }.get(node.variant, "aggregate")
-                host.charge(
-                    rows_in * costs.aggregate_update + rows_out * costs.emit,
-                    category,
-                )
-        elif analyzed_kind is NodeKind.JOIN:
-            host.charge(rows_in * costs.join_probe + rows_out * costs.emit, "join")
-        elif analyzed_kind is NodeKind.UNION:
-            host.charge(rows_in * costs.merge, "union")
-        else:
-            raise ValueError(f"unexpected node kind {analyzed_kind!r}")
+        """One node step, traced.  ``host`` is the host the node was
+        charged to; ``pid`` the OS process that ran the operator (a
+        worker process under parallel execution, None for the driver)."""
+        self._event(
+            {
+                "event": "node",
+                "epoch": self._phase,
+                "node": node_id,
+                "rows_in": rows_in,
+                "rows_out": rows_out,
+                "wall_us": round(wall_seconds * 1e6, 3),
+            },
+            host=host,
+            pid=pid,
+        )
 
     # -- compile-time decisions ------------------------------------------------
 
@@ -368,43 +354,6 @@ class MetricsRecorder:
                     "kept": kept,
                     "dropped": dropped,
                 }
-            )
-
-    # -- per-node counters -----------------------------------------------------
-
-    def record_node_step(
-        self,
-        node_id: str,
-        rows_in: int,
-        rows_out: int,
-        width: float,
-        wall_seconds: float,
-        host: Optional[int] = None,
-        pid: Optional[int] = None,
-    ) -> None:
-        """One node step's counters.  ``host`` is the plan host executing
-        the node; ``pid`` the OS process that ran the operator (a worker
-        process under parallel execution, the driver otherwise)."""
-        stats = self.node_stats.get(node_id)
-        if stats is None:
-            stats = self.node_stats[node_id] = NodeStats()
-        stats.rows_in += rows_in
-        stats.rows_out += rows_out
-        stats.bytes_out += rows_out * width
-        stats.wall_seconds += wall_seconds
-        stats.steps += 1
-        if self.record_events:
-            self._event(
-                {
-                    "event": "node",
-                    "epoch": self._phase,
-                    "node": node_id,
-                    "rows_in": rows_in,
-                    "rows_out": rows_out,
-                    "wall_us": round(wall_seconds * 1e6, 3),
-                },
-                host=host,
-                pid=pid,
             )
 
     # -- flow control ----------------------------------------------------------
@@ -546,3 +495,351 @@ class MetricsRecorder:
         for event in self.events:
             handle.write(json.dumps(event, default=str) + "\n")
         return len(self.events)
+
+
+# -- the charge plan -------------------------------------------------------------
+
+#: Charge categories every replayed step can use, by code; processing
+#: categories follow from code 3 on, in plan order.
+_INGEST, _INGEST_REMOTE, _SEND = 0, 1, 2
+_EDGE_CATEGORIES = ("ingest", "ingest-remote", "send")
+
+
+def _processing_cost(
+    node: DistNode, analyzed_kind: Optional[NodeKind], costs: "CostTable"
+) -> Tuple[str, float, float]:
+    """One node's processing charge: ``(category, cost per input row,
+    cost per output row)``.  ``analyzed_kind`` is the analyzed query-node
+    kind for OP nodes and None for the purely physical MERGE/NULLPAD
+    nodes.  A zero output cost adds ``+0.0``, which leaves every
+    non-negative float as it is."""
+    if node.kind is DistKind.MERGE:
+        return "merge", costs.merge, 0.0
+    if node.kind is DistKind.NULLPAD:
+        return "nullpad", costs.selection, costs.emit
+    if analyzed_kind is NodeKind.SELECTION:
+        return "selection", costs.selection, costs.emit
+    if analyzed_kind is NodeKind.AGGREGATION:
+        if node.variant is Variant.SUPER:
+            return "super-aggregate", costs.super_merge, costs.emit
+        if node.variant is Variant.SKETCH_SUPER:
+            return "sketch-super", costs.super_merge, costs.emit
+        category = {
+            Variant.SUB: "sub-aggregate",
+            Variant.SKETCH_SUB: "sketch-sub",
+        }.get(node.variant, "aggregate")
+        return category, costs.aggregate_update, costs.emit
+    if analyzed_kind is NodeKind.JOIN:
+        return "join", costs.join_probe, costs.emit
+    if analyzed_kind is NodeKind.UNION:
+        return "union", costs.merge, 0.0
+    raise ValueError(f"unexpected node kind {analyzed_kind!r}")
+
+
+def _entries(keys: Sequence[str]) -> Callable[[Mapping], tuple]:
+    """A callable returning a mapping's entries for ``keys`` as a tuple —
+    one C-level call per step for any number of keys but one or none."""
+    if len(keys) > 1:
+        return operator.itemgetter(*keys)
+    return lambda mapping: tuple(mapping[key] for key in keys)
+
+
+def _left_folds(
+    groups: np.ndarray, values: np.ndarray, start_of: Callable[[int], float]
+) -> List[Tuple[int, float]]:
+    """Per distinct group id: ``start_of(id) + v0 + v1 + ...`` over the
+    group's values, strictly left to right in array order.  Groups come
+    back in order of first appearance, so new dictionary keys are made in
+    the order one-at-a-time charging makes them.
+
+    One ``np.add.accumulate`` down the columns of a padded grid does every
+    fold at once: column *g* is ``[start, values..., 0.0, ...]``, and each
+    column is folded top to bottom.  Padding adds ``+0.0``, which leaves
+    every non-negative float as it is; charges are never negative.
+    """
+    # A stable sort of small non-negative ids (NumPy radix-sorts 8- and
+    # 16-bit keys) keeps each group's values in array order.
+    order = np.argsort(
+        groups.astype(np.min_scalar_type(int(groups.max()))), kind="stable"
+    )
+    ordered = groups[order]
+    heads = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ids = ordered[heads].tolist()
+    lengths = np.empty_like(heads)
+    np.subtract(heads[1:], heads[:-1], out=lengths[:-1])
+    lengths[-1] = len(ordered) - heads[-1]
+    column = np.repeat(np.arange(len(heads)), lengths)
+    grid = np.zeros((int(lengths.max()) + 1, len(heads)))
+    grid[0] = [start_of(group) for group in ids]
+    depth = np.arange(1, len(ordered) + 1) - heads[column]
+    grid.ravel()[depth * len(heads) + column] = values[order]
+    totals = np.add.accumulate(grid, axis=0)[-1].tolist()
+    return [(ids[k], totals[k]) for k in np.argsort(order[heads]).tolist()]
+
+
+class ChargePlan:
+    """One run's charge replay, compiled once from the plan's node order.
+
+    Per node the plan holds its processing category and per-row input and
+    output cost (:func:`_processing_cost`), and per child edge the child's
+    output width.  :meth:`replay` charges one step from the step's row
+    count per node and the partition directory's node -> host table,
+    looked up per step because a migration changes it.  The charges are
+    the ones node-by-node charging makes, in its order: per node in plan
+    order, each child edge (a local ingest, or a transfer metered on its
+    link and charged to both ends), then the node's processing.
+
+    They land as array folds per host, per (host, category), per
+    receiving host and per link.  Every float fold is
+    ``np.add.accumulate`` in that order: a left fold, so each total is
+    bit-equal to charging one call at a time.  ``np.sum`` and
+    ``np.add.reduceat`` sum pairwise and would not be.  Per-node counters
+    accumulate in arrays and reach ``recorder.node_stats`` at
+    :meth:`finish`.
+    """
+
+    def __init__(
+        self,
+        recorder: MetricsRecorder,
+        order: Sequence[DistNode],
+        kinds: Mapping[str, Optional[NodeKind]],
+        widths: Mapping[str, float],
+    ):
+        self._recorder = recorder
+        self.ids = [node.node_id for node in order]
+        position = {node_id: index for index, node_id in enumerate(self.ids)}
+        self._categories = list(_EDGE_CATEGORIES)
+        sources: List[int] = []
+        ops: List[int] = []
+        op_category: List[int] = []
+        cost_in: List[float] = []
+        cost_out: List[float] = []
+        edge_child: List[int] = []
+        edge_parent: List[int] = []
+        edge_starts: List[int] = []
+        # Each step concatenates its charges as [source ingests, edge
+        # sends, edge receives, processing]; ``slots`` records where each
+        # one falls in node-by-node charging order.
+        slots: List[List[int]] = [[], [], [], []]
+        slot = 0
+        for index, node in enumerate(order):
+            if node.kind is DistKind.SOURCE:
+                sources.append(index)
+                slots[0].append(slot)
+                slot += 1
+                continue
+            edge_starts.append(len(edge_child))
+            for child_id in node.inputs:
+                edge_child.append(position[child_id])
+                edge_parent.append(index)
+                slots[1].append(slot)
+                slots[2].append(slot + 1)
+                slot += 2
+            category, per_in, per_out = _processing_cost(
+                node, kinds.get(node.node_id), recorder.costs
+            )
+            if category not in self._categories:
+                self._categories.append(category)
+            ops.append(index)
+            op_category.append(self._categories.index(category))
+            cost_in.append(per_in)
+            cost_out.append(per_out)
+            slots[3].append(slot)
+            slot += 1
+        self._sources = np.asarray(sources, dtype=np.intp)
+        self._ops = np.asarray(ops, dtype=np.intp)
+        self._op_ids = [self.ids[index] for index in ops]
+        self._pick = _entries(self.ids)
+        self._pick_ops = _entries(self._op_ids)
+        self._op_category = np.asarray(op_category, dtype=np.intp)
+        self._cost_in = np.asarray(cost_in, dtype=np.float64)
+        self._cost_out = np.asarray(cost_out, dtype=np.float64)
+        self._edge_child = np.asarray(edge_child, dtype=np.intp)
+        self._edge_parent = np.asarray(edge_parent, dtype=np.intp)
+        self._edge_starts = np.asarray(edge_starts, dtype=np.intp)
+        self._edge_width = np.asarray(
+            [widths[self.ids[child]] for child in edge_child], dtype=np.float64
+        )
+        self._op_width = np.asarray(
+            [widths[node_id] for node_id in self._op_ids], dtype=np.float64
+        )
+        self._sequence = np.argsort(np.concatenate(slots).astype(np.intp))
+        self._source_categories = np.full(len(sources), _INGEST, dtype=np.intp)
+        self._send_categories = np.full(len(edge_child), _SEND, dtype=np.intp)
+        # Source ingests, edge receives and processing always charge.
+        self._source_live = np.ones(len(sources), dtype=bool)
+        self._tail_live = np.ones(len(edge_child) + len(ops), dtype=bool)
+        self._rows_out = np.zeros(len(self.ids), dtype=np.int64)
+        self._rows_in = np.zeros(len(ops), dtype=np.int64)
+        self._bytes_out = np.zeros(len(ops), dtype=np.float64)
+        self._walls = np.zeros(len(ops), dtype=np.float64)
+        self._steps = 0
+
+    def replay(
+        self,
+        lens: Mapping[str, int],
+        hosts: Mapping[str, int],
+        walls: Mapping[str, float],
+        pids: Mapping[str, int],
+    ) -> int:
+        """Charge one step; returns its largest output batch.
+
+        ``lens`` holds every node's output rows this step (sources
+        included), ``hosts`` each node's host, ``walls`` each non-source
+        node's operator seconds and ``pids`` the worker that ran it (empty
+        in-process)."""
+        rows = np.array(self._pick(lens), dtype=np.int64)
+        host_of = np.array(self._pick(hosts), dtype=np.intp)
+        costs = self._recorder.costs
+        child_rows = rows[self._edge_child]
+        child_hosts = host_of[self._edge_child]
+        parent_hosts = host_of[self._edge_parent]
+        remote = child_hosts != parent_hosts
+        op_rows = rows[self._ops]
+        rows_in = (
+            np.add.reduceat(child_rows, self._edge_starts)
+            if len(self._ops)
+            else op_rows
+        )
+        sequence = self._sequence
+        units = np.concatenate((
+            rows[self._sources] * costs.receive_local,
+            child_rows * costs.send_remote,
+            child_rows
+            * np.where(remote, costs.receive_remote, costs.receive_local),
+            rows_in * self._cost_in + op_rows * self._cost_out,
+        ))[sequence]
+        slot_hosts = np.concatenate(
+            (host_of[self._sources], child_hosts, parent_hosts, host_of[self._ops])
+        )[sequence]
+        categories = np.concatenate((
+            self._source_categories,
+            self._send_categories,
+            np.where(remote, _INGEST_REMOTE, _INGEST),
+            self._op_category,
+        ))[sequence]
+        # A local edge charges its receiver only: drop its send slot.
+        live = np.concatenate((self._source_live, remote, self._tail_live))[sequence]
+        moved = remote.nonzero()[0]
+        tuples = child_rows[moved]
+        self._fold(
+            units[live],
+            slot_hosts[live],
+            categories[live],
+            child_hosts[moved],
+            parent_hosts[moved],
+            tuples,
+            tuples * self._edge_width[moved],
+        )
+        wall = np.array(self._pick_ops(walls), dtype=np.float64)
+        if self._recorder.record_events:
+            self._trace(rows, host_of, rows_in, wall, pids)
+        self._rows_out += rows
+        self._rows_in += rows_in
+        self._bytes_out += op_rows * self._op_width
+        self._walls += wall
+        self._steps += 1
+        return int(rows.max(initial=0))
+
+    def _fold(self, units, hosts, categories, src, dst, tuples, sizes) -> None:
+        """Land one step's charges and transfers, in order.
+
+        Each charge adds to its host's total, its host's epoch bucket and
+        its host's category; each transfer adds tuples and bytes to its
+        receiving host and to its link, and to the link's epoch bucket.
+        Every float target is one group of a single :func:`_left_folds`;
+        the tuple counts are integers, summed exactly by ``np.bincount``.
+        """
+        stores = self._recorder.hosts
+        network = self._recorder.network
+        count = len(stores)
+        names = self._categories
+        received_base = (2 + len(names)) * count
+        link_base = received_base + count
+        epoch = bool(network.epoch_link_tuples)
+        links = src * count + dst
+        received = np.bincount(dst, weights=tuples, minlength=count)
+        moved = np.bincount(links, weights=tuples, minlength=count * count)
+
+        def start_of(group: int) -> float:
+            if group < count:
+                return stores[group].cpu_units
+            if group < 2 * count:
+                epochs = stores[group - count].epoch_cpu
+                return epochs[-1] if epochs else 0.0
+            if group < received_base:
+                host, code = divmod(group - 2 * count, len(names))
+                return stores[host].by_category.get(names[code], 0.0)
+            if group < link_base:
+                return network.bytes_received.get(group - received_base, 0.0)
+            link = divmod(group - link_base, count)
+            return network.epoch_link_bytes[-1].get(link, 0.0) if epoch else 0.0
+
+        groups = np.concatenate((
+            hosts,
+            hosts + count,
+            hosts * len(names) + categories + 2 * count,
+            dst + received_base,
+            links + link_base,
+        ))
+        values = np.concatenate((units, units, units, sizes, sizes))
+        for group, total in _left_folds(groups, values, start_of):
+            if group < count:
+                stores[group].cpu_units = total
+            elif group < 2 * count:
+                epochs = stores[group - count].epoch_cpu
+                if epochs:
+                    epochs[-1] = total
+            elif group < received_base:
+                host, code = divmod(group - 2 * count, len(names))
+                stores[host].by_category[names[code]] = total
+            elif group < link_base:
+                host = group - received_base
+                network.tuples_received[host] = network.tuples_received.get(
+                    host, 0
+                ) + int(received[host])
+                network.bytes_received[host] = total
+            else:
+                link = divmod(group - link_base, count)
+                count_moved = int(moved[group - link_base])
+                network.link_tuples[link] = (
+                    network.link_tuples.get(link, 0) + count_moved
+                )
+                if epoch:
+                    bucket = network.epoch_link_tuples[-1]
+                    bucket[link] = bucket.get(link, 0) + count_moved
+                    network.epoch_link_bytes[-1][link] = total
+
+    def _trace(self, rows, host_of, rows_in, wall, pids) -> None:
+        """This step's ``transfer`` and ``node`` events, in charging order."""
+        recorder = self._recorder
+        edge_ends = np.append(self._edge_starts[1:], len(self._edge_child))
+        for k, index in enumerate(self._ops.tolist()):
+            node_id = self.ids[index]
+            host = int(host_of[index])
+            for edge in range(self._edge_starts[k], edge_ends[k]):
+                child = self._edge_child[edge]
+                tuples = int(rows[child])
+                if host_of[child] != host and tuples:
+                    recorder.transfer_event(
+                        int(host_of[child]), host, tuples,
+                        float(self._edge_width[edge]),
+                    )
+            recorder.node_event(
+                node_id, int(rows_in[k]), int(rows[index]), float(wall[k]),
+                host, pids.get(node_id),
+            )
+
+    def finish(self) -> Dict[str, int]:
+        """Hand the run's per-node counters to ``recorder.node_stats``;
+        returns every node's output rows over the run (sources included)."""
+        if self._steps:
+            for k, node_id in enumerate(self._op_ids):
+                self._recorder.node_stats[node_id] = NodeStats(
+                    rows_in=int(self._rows_in[k]),
+                    rows_out=int(self._rows_out[self._ops[k]]),
+                    bytes_out=float(self._bytes_out[k]),
+                    wall_seconds=float(self._walls[k]),
+                    steps=self._steps,
+                )
+        return dict(zip(self.ids, self._rows_out.tolist()))

@@ -56,12 +56,12 @@ from ..engine.aggregates import states_width
 from ..engine.columnar import ColumnBatch
 from ..engine.sketches import summary_wire_bytes
 from ..engine.operators import Row
-from ..engine.streaming import StreamingNode, Watermark
+from ..engine.streaming import StreamingNode, Watermark, share_releases
 from ..plan.dag import QueryDag
 from ..traces.generator import slice_by_epoch
 from .backend import EngineBackend
 from .flowcontrol import FaultPlan, QueuePolicy, create_ingest_controller
-from .metrics import HostFlowStats, MetricsRecorder, Timeline
+from .metrics import ChargePlan, HostFlowStats, MetricsRecorder, Timeline
 from .rebalance import RebalanceController, RebalanceLog, RebalancePolicy
 
 if TYPE_CHECKING:
@@ -225,7 +225,10 @@ class NodeTable:
     parallel worker owns its hosts' share in its own.  The table is built
     once per run.  ``outputs`` and ``watermarks`` hold the current step's
     per-node results, including those a worker received from other
-    workers.
+    workers.  Sibling aggregates the table owns — same input node, same
+    temporal expression — share one buffer and release decision
+    (:func:`~repro.engine.streaming.share_releases`); every node steps
+    exactly once per step, which that sharing relies on.
     """
 
     def __init__(
@@ -240,6 +243,13 @@ class NodeTable:
             for node in nodes
             if node.kind is not DistKind.SOURCE
         }
+        share_releases(
+            [
+                (node.inputs[0], self.nodes[node.node_id])
+                for node in nodes
+                if len(node.inputs) == 1 and node.kind is not DistKind.SOURCE
+            ]
+        )
         self.outputs: Dict[str, ColumnBatch] = {}
         self.watermarks: Dict[str, Watermark] = {}
 
@@ -256,14 +266,15 @@ class NodeTable:
         A node's inputs must already be in ``outputs``."""
         outputs = self.outputs
         watermarks = self.watermarks
+        stepped = self.nodes
         for node in nodes:
             node_id = node.node_id
-            if node.kind is DistKind.SOURCE:
+            snode = stepped.get(node_id)
+            if snode is None:  # a source
                 batch, bound = sources[node_id]
                 outputs[node_id] = batch
                 watermarks[node_id] = {self._epoch_column: bound}
                 continue
-            snode = self.nodes[node_id]
             inputs = [outputs[child_id] for child_id in node.inputs]
             input_watermarks = [watermarks[child_id] for child_id in node.inputs]
             started = time.perf_counter()
@@ -271,7 +282,7 @@ class NodeTable:
             walls[node_id] = time.perf_counter() - started
             watermarks[node_id] = watermark
             outputs[node_id] = result
-            out_lens[node_id] = len(result)
+            out_lens[node_id] = result.length
 
     def clear(self) -> None:
         """Forget the step's outputs; buffers live on."""
@@ -609,8 +620,18 @@ class ExecutionSession:
             }
             epochs = [_WHOLE_TRACE]
         order = self._plan.topological()
+        source_nodes = [node for node in order if node.kind is DistKind.SOURCE]
         delivered = DeliveredRows({name: [] for name in self._plan.delivery})
-        counts: Dict[str, int] = {node.node_id: 0 for node in order}
+        charges = ChargePlan(
+            recorder,
+            order,
+            {
+                node.node_id: self._dag.node(node.query).kind
+                for node in order
+                if node.kind is DistKind.OP
+            },
+            {node.node_id: self._output_width(node) for node in order},
+        )
         offsets: Dict[str, int] = {stream: 0 for stream in slices}
         no_rows = [ColumnBatch({}, 0)] * self._plan.num_partitions
         # The rebalancer is the only writer of the run's partition
@@ -677,9 +698,7 @@ class ExecutionSession:
                 # executor; the controller also pins each source watermark
                 # while it withholds older rows.
                 sources: SourceFeed = {}
-                for node in order:
-                    if node.kind is not DistKind.SOURCE:
-                        continue
+                for node in source_nodes:
                     (partition,) = node.partitions
                     sources[node.node_id] = (
                         controller.batch(node.stream, partition),
@@ -688,10 +707,17 @@ class ExecutionSession:
                         ),
                     )
                 outcome = executor.run_step(flush, sources)
+                # Charge replay: every cost of the step, from the
+                # executor's counters, whichever process ran the nodes.  A
+                # migration changes which host is charged (and metered
+                # for transfers), never the dataflow.
+                lens = dict(outcome.out_lens)
+                for node_id, (batch, _) in sources.items():
+                    lens[node_id] = len(batch)
                 peak = max(
                     peak,
-                    self._replay_step(
-                        outcome, sources, order, counts, directory.node_host
+                    charges.replay(
+                        lens, directory.node_host, outcome.walls, outcome.pids
                     ),
                     outcome.buffered_rows,
                     controller.resident_rows(),
@@ -705,6 +731,7 @@ class ExecutionSession:
                 rebalancer.after_step(index, sources)
         finally:
             executor.close()
+        counts = charges.finish()
         # Snapshot the mutable accounting state: the recorder resets its
         # Host and NetworkMeter objects *in place* at the top of the next
         # run, so handing out the live references would silently retarget
@@ -772,74 +799,6 @@ class ExecutionSession:
         else:
             recorder.record_execution_mode("inprocess")
         return InProcessExecutor(self._backend, order, epoch_column, return_ids)
-
-    def _replay_step(
-        self,
-        outcome: StepOutcome,
-        sources: SourceFeed,
-        order: Sequence[DistNode],
-        counts: Dict[str, int],
-        hosts: Mapping[str, int],
-    ) -> int:
-        """Charge one step's costs from the executor's counters.
-
-        Replays per node in topological order with the same per-node
-        sub-order as the historical inline charging (child edges, then
-        processing, then the node-step record), so host CPU and network
-        accumulation is float-for-float identical whether operators ran
-        here or in worker processes.  Returns the step's largest batch.
-
-        ``hosts`` is the partition directory's node -> host table: a
-        migration changes which host is charged (and metered for
-        transfers), never the dataflow.
-        """
-        recorder = self._recorder
-        lens = dict(outcome.out_lens)
-        for node_id, (batch, _) in sources.items():
-            lens[node_id] = len(batch)
-        peak = 0
-        for node in order:
-            node_id = node.node_id
-            rows_out = lens[node_id]
-            nhost = hosts[node_id]
-            if node.kind is DistKind.SOURCE:
-                # NIC delivery of the partition to its host.
-                recorder.charge_local_ingest(nhost, rows_out)
-            else:
-                rows_in = 0
-                for child_id in node.inputs:
-                    count = lens[child_id]
-                    rows_in += count
-                    chost = hosts[child_id]
-                    if chost != nhost:
-                        recorder.record_transfer(
-                            chost,
-                            nhost,
-                            count,
-                            self._output_width(self._plan.node(child_id)),
-                        )
-                    else:
-                        recorder.charge_local_ingest(nhost, count)
-                analyzed_kind = (
-                    self._dag.node(node.query).kind
-                    if node.kind is DistKind.OP
-                    else None
-                )
-                recorder.charge_processing(
-                    node, analyzed_kind, rows_in, rows_out, host=nhost
-                )
-                recorder.record_node_step(
-                    node_id,
-                    rows_in,
-                    rows_out,
-                    self._output_width(node),
-                    outcome.walls[node_id],
-                    host=nhost,
-                    pid=outcome.pids.get(node_id),
-                )
-            counts[node_id] += rows_out
-            peak = max(peak, rows_out)
-        return peak
 
     def _check_splitter(self, splitter: "Splitter") -> None:
         if splitter.num_partitions != self._plan.num_partitions:

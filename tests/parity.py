@@ -121,6 +121,46 @@ def last_value_dag():
     return QueryDag.from_catalog(catalog)
 
 
+_QSET_MASKS = (0xFFFFFFF0, 0xFFFFFF00, 0xFFFF0000, 0xFFFFFFFF)
+_QSET_PORTS = (80, 443, 22, 25, 53, 8080)
+
+
+def qset_dag(families, seed=0):
+    """A generated query set in the shape of the paper's Figs 10-11
+    experiment: per family a filtered subnet flow aggregate, a MAX over
+    it, and that MAX's consecutive-epoch self-join, rotating the mask,
+    the epoch length (1-3 s) and the predicate.  Families with the same
+    epoch length are sibling aggregates of one input."""
+    rng = random.Random(seed)
+    catalog = Catalog()
+    catalog.add_stream(tcp_schema())
+    for family in range(families):
+        mask = _QSET_MASKS[family % len(_QSET_MASKS)]
+        if (family // len(_QSET_MASKS)) % 2 == 0:
+            where = f"destPort = {rng.choice(_QSET_PORTS)}"
+        else:
+            where = f"len > {rng.randrange(200, 500)}"
+        catalog.define_query(
+            f"flows_{family}",
+            f"SELECT tb, srcNet, destIP, COUNT(*) as cnt, SUM(len) as bytes "
+            f"FROM TCP WHERE {where} "
+            f"GROUP BY time/{1 + family % 3} as tb, srcIP & {mask:#x} as srcNet, "
+            f"destIP",
+        )
+        catalog.define_query(
+            f"peak_{family}",
+            f"SELECT tb, srcNet, MAX(cnt) as max_cnt FROM flows_{family} "
+            f"GROUP BY tb, srcNet",
+        )
+        catalog.define_query(
+            f"pairs_{family}",
+            f"SELECT S1.tb, S1.srcNet, S1.max_cnt as cnt1, S2.max_cnt as cnt2 "
+            f"FROM peak_{family} S1, peak_{family} S2 "
+            f"WHERE S1.srcNet = S2.srcNet and S1.tb = S2.tb + 1",
+        )
+    return QueryDag.from_catalog(catalog)
+
+
 PS_CHOICES = [
     None,
     PartitioningSet.of("srcIP"),

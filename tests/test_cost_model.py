@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.partitioning import CostModel, PartitioningSet
+from repro.gsql.analyzer import NodeKind
+from repro.partitioning import CostModel, PartitioningSet, choose_partitioning
+from repro.partitioning.compatibility import node_basis
+from repro.partitioning.cost_model import NodeCost, PlanCost
+
+from tests.parity import qset_dag
 
 
 @pytest.fixture
@@ -101,3 +106,66 @@ class TestMeasuredSelectivities:
         assert 0 < measured["flows"] < 1
         # heavy_flows collapses (srcIP,destIP) groups to srcIP groups
         assert 0 < measured["heavy_flows"] <= 1
+
+
+def _reference_plan_cost(dag, rate, ps):
+    """§4.2.1 recomputed from the DAG alone, every figure per node and per
+    candidate — the candidate-independent ones included."""
+    selectivity = CostModel(dag, rate).selectivity_factor
+    width = {node.name: node.schema.tuple_width() for node in dag.nodes()}
+    tuples = {}
+    resident = {}
+    for node in dag.nodes():
+        if node.kind is NodeKind.SOURCE:
+            tuples[node.name] = rate
+            resident[node.name] = True
+            continue
+        incoming = sum(tuples[child] for child in node.inputs)
+        tuples[node.name] = incoming * selectivity(node)
+        resident[node.name] = all(
+            resident[child] for child in node.inputs
+        ) and node_basis(node, dag).admits(ps)
+
+    def out_bytes(name):
+        return tuples[name] * width[name]
+
+    per_node = {}
+    worst = 0.0
+    for node in dag.query_nodes():
+        name = node.name
+        if resident[name]:
+            parents = dag.parents(name)
+            crosses = not parents or any(not resident[p.name] for p in parents)
+            network = out_bytes(name) if crosses else 0.0
+        else:
+            network = 0.0
+            for child in dag.children(name):
+                if resident[child.name]:
+                    network += out_bytes(child.name)
+        per_node[name] = NodeCost(
+            name=name,
+            input_tuples=sum(tuples[child] for child in node.inputs),
+            output_tuples=tuples[name],
+            input_bytes=sum(out_bytes(child) for child in node.inputs),
+            output_bytes=out_bytes(name),
+            leaf_resident=resident[name],
+            network_bytes=network,
+        )
+        worst = max(worst, network)
+    return PlanCost(ps, worst, per_node)
+
+
+def test_query_set_candidates_cost_as_recomputed():
+    """The 96-query catalog: the search costs every candidate from rates
+    its model computed once, and remembers what it already costed.  Each
+    candidate's cost — and the centralized baseline — equals, float for
+    float, a recomputation from scratch and a fresh model's first answer."""
+    dag = qset_dag(32)
+    rate = 2000
+    search = choose_partitioning(dag, input_rate=rate)
+    assert len(search.explored) > 1
+    costs = [(c.ps, c.cost) for c in search.explored]
+    costs.append((PartitioningSet.empty(), search.centralized_cost))
+    for ps, cost in costs:
+        assert cost == _reference_plan_cost(dag, rate, ps), ps
+        assert cost == CostModel(dag, rate).plan_cost(ps), ps

@@ -8,6 +8,7 @@ flows through the MetricsRecorder while staying identical to the
 facade-era numbers.
 """
 
+import collections
 import json
 
 import numpy as np
@@ -33,7 +34,8 @@ from repro.runtime import (
 )
 from repro.runtime import backend as backend_module
 from repro.runtime.backend import EngineBackend, RowAdapter, create_backend
-from repro.runtime.metrics import MetricsRecorder
+from repro.runtime import metrics as metrics_module
+from repro.runtime.metrics import ChargePlan, MetricsRecorder, NodeStats
 from repro.runtime.session import ExecutionSession
 from repro.workloads import (
     Configuration,
@@ -54,6 +56,7 @@ from tests.parity import (
     deploy,
     last_value_dag,
     outer_join_plan,
+    qset_dag,
     tcp_source,
 )
 
@@ -221,7 +224,7 @@ class TestMetricsRecorder:
         recorder = self._recorder(record_events=True)
         recorder.begin_epoch(0)
         recorder.record_transfer(0, 1, 5, 2.0)
-        recorder.record_node_step("n", 5, 3, 2.0, 0.001)
+        recorder.node_stats["n"] = NodeStats(rows_in=5, rows_out=3, steps=1)
         recorder.reset()
         assert recorder.network.total_tuples() == 0
         assert all(host.cpu_units == 0.0 for host in recorder.hosts)
@@ -238,13 +241,15 @@ class TestMetricsRecorder:
         assert timeline.host_cpu[0] == [3.0]
 
     def test_unexpected_kind_rejected(self, complex_dag):
+        """The charge plan resolves every node's processing category when
+        it is built: an OP node without an analyzed kind fails there, not
+        mid-run."""
         plan = _complex_plan(complex_dag)
         recorder = self._recorder(hosts=3)
-        op_node = next(
-            n for n in plan.topological() if n.kind is DistKind.OP
-        )
-        with pytest.raises(ValueError):
-            recorder.charge_processing(op_node, None, 1, 1)
+        order = plan.topological()
+        widths = {node.node_id: 1.0 for node in order}
+        with pytest.raises(ValueError, match="unexpected node kind None"):
+            ChargePlan(recorder, order, {}, widths)
 
     def test_event_trace_is_json_lines(self, suspicious_dag, tiny_trace, tmp_path):
         sim, splitter = deploy(suspicious_dag, 2, None, record_events=True)
@@ -338,7 +343,7 @@ class TestOneBatchType:
         workers inherit the patch; a failure inside one surfaces as the
         driver's RuntimeError.  Yields the in-process tallies."""
         build = EngineBackend.streaming_node
-        replay = ExecutionSession._replay_step
+        create = ExecutionSession._create_executor
         seen = {"steps": 0, "returns": 0}
 
         class Watched:
@@ -355,17 +360,25 @@ class TestOneBatchType:
                 seen["steps"] += 1
                 return output, watermark
 
-        def checked_replay(session, outcome, *args):
-            for batch in outcome.returns.values():
-                assert type(batch) is ColumnBatch, type(batch)
-            seen["returns"] += len(outcome.returns)
-            return replay(session, outcome, *args)
+        def checked_create(session, *args):
+            executor = create(session, *args)
+            run_step = executor.run_step
+
+            def checked_step(flush, sources):
+                outcome = run_step(flush, sources)
+                for batch in outcome.returns.values():
+                    assert type(batch) is ColumnBatch, type(batch)
+                seen["returns"] += len(outcome.returns)
+                return outcome
+
+            executor.run_step = checked_step
+            return executor
 
         monkeypatch.setattr(
             EngineBackend, "streaming_node",
             lambda backend, node: Watched(build(backend, node)),
         )
-        monkeypatch.setattr(ExecutionSession, "_replay_step", checked_replay)
+        monkeypatch.setattr(ExecutionSession, "_create_executor", checked_create)
         return seen
 
     @pytest.mark.parametrize("shape", ("udaf", "sketch", "sliding", "outer-join"))
@@ -468,15 +481,23 @@ def _eager_rows(monkeypatch):
     """Per query, the rows an eager delivery would have built: each
     step's returned batch converted the moment the step returns it."""
     eager = {}
-    replay = ExecutionSession._replay_step
+    create = ExecutionSession._create_executor
 
-    def converting_replay(session, outcome, *args):
-        for name, node_id in session._plan.delivery.items():
-            rows = ColumnBatch.to_rows(outcome.returns[node_id])
-            eager.setdefault(name, []).extend(rows)
-        return replay(session, outcome, *args)
+    def converting_create(session, *args):
+        executor = create(session, *args)
+        run_step = executor.run_step
 
-    monkeypatch.setattr(ExecutionSession, "_replay_step", converting_replay)
+        def converting_step(flush, sources):
+            outcome = run_step(flush, sources)
+            for name, node_id in session._plan.delivery.items():
+                rows = ColumnBatch.to_rows(outcome.returns[node_id])
+                eager.setdefault(name, []).extend(rows)
+            return outcome
+
+        executor.run_step = converting_step
+        return executor
+
+    monkeypatch.setattr(ExecutionSession, "_create_executor", converting_create)
     return eager
 
 
@@ -800,3 +821,120 @@ class TestRunOptions:
             with pytest.raises(error) as raised:
                 layer()
             assert str(raised.value) == str(expected.value)
+
+
+def _charge_call_by_call(recorder, order, kinds, widths, lens, hosts, walls):
+    """The reference replay: one recorder call per charge, node by node in
+    plan order — each child edge (a local ingest, or a transfer charged to
+    both ends), then the node's processing; merge and union charge their
+    input rows alone."""
+    costs = recorder.costs
+    for node in order:
+        node_id = node.node_id
+        host = hosts[node_id]
+        if node.kind is DistKind.SOURCE:
+            recorder.charge(host, lens[node_id] * costs.receive_local, "ingest")
+            continue
+        rows_in = 0
+        for child in node.inputs:
+            rows_in += lens[child]
+            if hosts[child] != host:
+                recorder.record_transfer(hosts[child], host, lens[child], widths[child])
+            else:
+                recorder.charge(host, lens[child] * costs.receive_local, "ingest")
+        category, per_in, per_out = metrics_module._processing_cost(
+            node, kinds.get(node_id), costs
+        )
+        if category in ("merge", "union"):
+            units = rows_in * per_in
+        else:
+            units = rows_in * per_in + lens[node_id] * per_out
+        recorder.charge(host, units, category)
+        stats = recorder.node_stats.setdefault(node_id, NodeStats())
+        stats.rows_in += rows_in
+        stats.rows_out += lens[node_id]
+        stats.bytes_out += lens[node_id] * widths[node_id]
+        stats.wall_seconds += walls[node_id]
+        stats.steps += 1
+        if recorder.record_events:
+            recorder.node_event(
+                node_id, rows_in, lens[node_id], walls[node_id], host, None
+            )
+
+
+def _accounting(recorder):
+    """Every accumulator, with dictionary key order, for ``==``."""
+    network = recorder.network
+    return (
+        [
+            (host.cpu_units, list(host.by_category.items()), list(host.epoch_cpu))
+            for host in recorder.hosts
+        ],
+        list(network.tuples_received.items()),
+        list(network.bytes_received.items()),
+        list(network.link_tuples.items()),
+        [list(bucket.items()) for bucket in network.epoch_link_tuples],
+        [list(bucket.items()) for bucket in network.epoch_link_bytes],
+        list(recorder.node_stats.items()),
+        recorder.events,
+    )
+
+
+class TestChargePlan:
+    @pytest.mark.parametrize("shape", ("complex", "qset"))
+    @pytest.mark.parametrize("streaming", (False, True))
+    def test_replay_is_bit_equal_to_charging_call_by_call(
+        self, shape, streaming, complex_dag
+    ):
+        """Random row counts and host tables (a migration re-homes nodes
+        between steps): the plan's batched folds leave every float, every
+        counter, every key order and every event exactly where charging
+        one call at a time does."""
+        if shape == "complex":
+            dag, plan = complex_dag, _complex_plan(complex_dag)
+        else:
+            dag = qset_dag(8)
+            plan = DistributedOptimizer(
+                dag, Placement(3, 2), PartitioningSet.of("srcIP & 0xffff0000")
+            ).optimize()
+        order = plan.topological()
+        kinds = {
+            node.node_id: dag.node(node.query).kind
+            for node in order
+            if node.kind is DistKind.OP
+        }
+        rng = np.random.default_rng(7)
+        widths = {node.node_id: float(rng.integers(4, 60)) + 0.25 for node in order}
+        batched = MetricsRecorder(
+            [Host(i, 1000.0) for i in range(3)], NetworkMeter(), DEFAULT_COSTS,
+            record_events=True,
+        )
+        reference = MetricsRecorder(
+            [Host(i, 1000.0) for i in range(3)], NetworkMeter(), DEFAULT_COSTS,
+            record_events=True,
+        )
+        charges = ChargePlan(batched, order, kinds, widths)
+        hosts = {node.node_id: node.host for node in order}
+        totals = collections.Counter()
+        for step in range(6):
+            if step == 3:
+                hosts = {
+                    node_id: int(rng.integers(0, 3)) for node_id in hosts
+                }
+            lens = {
+                node.node_id: int(rng.integers(0, 3) and rng.integers(0, 5000))
+                for node in order
+            }
+            walls = {node_id: float(rng.random()) for node_id in lens}
+            totals.update(lens)
+            for recorder in (batched, reference):
+                if streaming:
+                    recorder.begin_epoch(step)
+                recorder.charge(0, 0.1, "queue")  # charges around the replay
+            peak = charges.replay(lens, hosts, walls, {})
+            assert peak == max(lens.values())
+            _charge_call_by_call(
+                reference, order, kinds, widths, lens, hosts, walls
+            )
+        assert charges.finish() == dict(totals)
+        assert _accounting(batched) == _accounting(reference)
