@@ -26,6 +26,7 @@ from typing import List, Optional
 
 from .distopt import DistributedOptimizer, Placement, render_plan
 from .gsql.catalog import Catalog
+from .gsql.errors import GsqlError
 from .runtime import (
     BLOCK,
     QUEUE_MODES,
@@ -283,16 +284,6 @@ def cmd_timeline(args) -> int:
         f"peak resident batch: {result.peak_batch_rows} rows over "
         f"{result.timeline.num_epochs} epochs"
     )
-    if result.fallback_nodes:
-        labels = ", ".join(
-            f"{node_id} ({label})"
-            for node_id, label in sorted(result.fallback_nodes.items())
-        )
-        print(
-            f"row-fallback nodes ({len(result.fallback_nodes)}): {labels}"
-        )
-    else:
-        print("row-fallback nodes: none (every node compiled natively)")
     if result.node_variants:
         variants = ", ".join(
             f"{node_id}={variant}"
@@ -343,7 +334,10 @@ def cmd_timeline(args) -> int:
 def cmd_analyze(args) -> int:
     if args.rate <= 0:
         return _usage_error(f"--rate must be positive, got {args.rate:g}")
-    catalog = _load_script_catalog(args.script)
+    try:
+        catalog = _load_script_catalog(args.script)
+    except GsqlError as error:
+        return _usage_error(error)
     dag = QueryDag.from_catalog(catalog)
     print("query DAG:")
     print(dag.render())
@@ -361,9 +355,9 @@ def cmd_analyze(args) -> int:
 def cmd_plan(args) -> int:
     try:
         placement = Placement(num_hosts=args.hosts, partitions_per_host=args.partitions)
-    except ValueError as error:
+        catalog = _load_script_catalog(args.script)
+    except (ValueError, GsqlError) as error:
         return _usage_error(error)
-    catalog = _load_script_catalog(args.script)
     dag = QueryDag.from_catalog(catalog)
     ps: Optional[PartitioningSet] = None
     if args.partitioning:

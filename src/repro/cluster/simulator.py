@@ -9,9 +9,8 @@ boundaries — the two quantities the paper's evaluation figures report.
 The actual machinery lives in :mod:`repro.runtime`:
 
 * an :class:`~repro.runtime.backend.EngineBackend` compiles plan nodes
-  into operators over :class:`~repro.engine.columnar.ColumnBatch`es (a
-  vectorized kernel, or an adapted row operator — resolved once, at
-  compile time);
+  into kernels over :class:`~repro.engine.columnar.ColumnBatch`es, once,
+  at compile time;
 * an :class:`~repro.runtime.session.ExecutionSession` drives the unified
   epoch loop (one-shot execution is the single-epoch degenerate case);
 * a :class:`~repro.runtime.metrics.MetricsRecorder` owns every counter
@@ -67,10 +66,9 @@ class ClusterSimulator:
         default host capacity derives from it (see costs.py) so loads are
         expressed relative to the monitored link, as in the paper.
 
-        Every plan-node kind runs a NumPy batch kernel; a node with an
-        unregistered UDAF is resolved to the reference row operator at
-        plan-compile time and reported in
-        ``SimulationResult.fallback_nodes``.  Sources may be row lists or
+        Every plan node runs a NumPy batch kernel; a UDAF's own
+        state/merge/final protocol is folded per group inside the
+        aggregate kernels.  Sources may be row lists or
         ``ColumnBatch``es (rows are converted once, on entry), and the
         cost model charges simulated per-tuple work, not wall-clock time.
 

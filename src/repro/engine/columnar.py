@@ -19,31 +19,31 @@ over the merged, qualified (``alias.column``) columns;
 NULL-propagating arithmetic at compile time
 (:func:`repro.expr.vectorizer.vectorize_padded_output`).
 
-Anything without a vectorized kernel (a UDAF registered without one)
-makes :func:`build_columnar_operator` return ``None``, and the backend
-adapts the row operator for that node instead, converting
-representations at its two edges.  Parity with the reference is exact —
-for every workload catalog the kernels produce the output multisets of
-the centralized row run (``tests/test_engine_parity.py``) and the
-per-node tuple counts, hence the CPU/network accounting, the committed
-figure tables were produced with.
+Every plan node has a kernel.  An aggregate with no array form (a UDAF)
+runs its own state/merge/final protocol once per group inside the same
+group-by kernels (:class:`_UdafFold`), and every expression the analyzer
+accepts lowers.  Parity with the reference is exact — for every workload
+catalog the kernels produce the output multisets of the centralized row
+run (``tests/test_engine_parity.py``) and the per-node tuple counts,
+hence the CPU/network accounting, the committed figure tables were
+produced with.
 
 Aggregate states follow the same sub/super protocol as the row operators: a
 scalar-state aggregate (COUNT, SUM, MIN, MAX, OR_AGGR, AND_AGGR) ships its
 state as a plain array column, while a composite state (AVG's
 ``(sum, count)``, VARIANCE's ``(count, sum, sumsq)``) is a *tuple of
 arrays* stored unzipped — :meth:`ColumnBatch.to_rows` zips it back into
-the per-row Python tuples a row SUPER operator expects.
+the per-row Python tuples the row reference's SUPER operator expects.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..expr.vectorizer import (
-    UnsupportedExpression,
     materialize,
     vectorize_expr,
     vectorize_key,
@@ -52,11 +52,14 @@ from ..expr.vectorizer import (
 )
 from ..gsql.analyzer import AnalyzedNode, NodeKind
 from ..gsql.ast_nodes import JoinType
-from .aggregates import state_columns
+from .aggregates import AggregateFunction, aggregate_impl, state_columns
 
 # A column is either one array or, for composite aggregate states, a tuple
 # of component arrays of equal length (a tuple-valued column, unzipped).
 Column = Union[np.ndarray, Tuple[np.ndarray, ...]]
+
+#: One row as :meth:`ColumnBatch.to_rows` builds it: column name -> native scalar.
+Row = Dict[str, object]
 
 
 def _column_length(column: Column) -> int:
@@ -109,7 +112,7 @@ class ColumnBatch:
         }
         return ColumnBatch(columns, stop - start)
 
-    def to_rows(self) -> List[dict]:
+    def to_rows(self) -> List[Row]:
         """Materialize as the row engine's list of dicts (native scalars)."""
         if self.length == 0:
             return []
@@ -130,17 +133,7 @@ class ColumnBatch:
         rows = list(rows)
         if not rows:
             return cls({}, 0)
-        columns: Dict[str, Column] = {}
-        for name in rows[0]:
-            values = [row[name] for row in rows]
-            if isinstance(values[0], tuple):
-                width = len(values[0])
-                columns[name] = tuple(
-                    np.asarray([value[index] for value in values])
-                    for index in range(width)
-                )
-            else:
-                columns[name] = np.asarray(values)
+        columns = {name: _column([row[name] for row in rows]) for name in rows[0]}
         return cls(columns, len(rows))
 
     @classmethod
@@ -165,6 +158,17 @@ class ColumnBatch:
             else:
                 columns[name] = np.concatenate(parts)
         return cls(columns, sum(batch.length for batch in alive))
+
+
+def _column(values: list) -> Column:
+    """One column from a non-empty list of native values: tuple-valued
+    cells become a composite column, anything else one array."""
+    if isinstance(values[0], tuple):
+        return tuple(
+            np.asarray([value[index] for value in values])
+            for index in range(len(values[0]))
+        )
+    return np.asarray(values)
 
 
 def _take(column: Column, selector: Union[np.ndarray, slice]) -> Column:
@@ -301,6 +305,10 @@ class VectorAggregate:
     def final(self, state: Tuple[np.ndarray, ...]) -> np.ndarray:
         return state[0]
 
+    def shipped(self, state: Tuple[np.ndarray, ...]) -> Column:
+        """The state as the SUB output column a SUPER merges."""
+        return state[0] if len(state) == 1 else state
+
 
 def _numeric(values: np.ndarray) -> np.ndarray:
     """Sum-style aggregates fold booleans as ints, like Python's ``+``."""
@@ -406,18 +414,56 @@ _VECTOR_AGGREGATES: Dict[str, VectorAggregate] = {
 }
 
 
-def register_vector_aggregate(name: str, impl: VectorAggregate) -> None:
-    """Give a UDAF a columnar kernel (without one it row-falls-back)."""
-    _VECTOR_AGGREGATES[name.upper()] = impl
+class _UdafFold(VectorAggregate):
+    """A UDAF's own state/merge/final protocol, run once per group.
+
+    FULL and SUB fold ``update`` over each group's slice of the sorted
+    argument column, SUPER folds ``merge`` over each group's shipped
+    states, both from ``initial()``; ``final`` runs once per group.
+    :func:`_group` is stable, so a slice holds its group's rows in
+    arrival order, the order the row reference folds them in.  States
+    stay Python objects, held as one list per call; the columns they
+    leave as are built by :meth:`ColumnBatch.from_rows`' rule.
+    """
+
+    def __init__(self, impl: AggregateFunction):
+        self._impl = impl
+
+    def update(self, values, starts, counts):
+        if values is None:
+            values = [None] * int(counts.sum())
+        else:
+            values = values.tolist()
+        return (self._fold(self._impl.update, values, starts, counts),)
+
+    def merge(self, components, starts):
+        if len(components) == 1:
+            states = components[0].tolist()
+        else:
+            states = list(zip(*(part.tolist() for part in components)))
+        counts = np.diff(starts, append=len(states))
+        return (self._fold(self._impl.merge, states, starts, counts),)
+
+    def _fold(self, step, values: list, starts, counts) -> list:
+        initial = self._impl.initial
+        return [
+            reduce(step, values[start:start + count], initial())
+            for start, count in zip(starts.tolist(), counts.tolist())
+        ]
+
+    def final(self, state):
+        (groups,) = state
+        return _column([self._impl.final(group) for group in groups])
+
+    def shipped(self, state):
+        return _column(state[0])
 
 
 def vector_aggregate_impl(name: str) -> VectorAggregate:
-    try:
-        return _VECTOR_AGGREGATES[name]
-    except KeyError:
-        raise UnsupportedExpression(
-            f"no vectorized kernel for aggregate {name!r}"
-        ) from None
+    """The kernel for aggregate ``name``: its array form, or the fold of
+    its own protocol when it has none (a UDAF)."""
+    kernel = _VECTOR_AGGREGATES.get(name)
+    return kernel if kernel is not None else _UdafFold(aggregate_impl(name))
 
 
 # -- operators -----------------------------------------------------------------
@@ -574,8 +620,8 @@ class ColumnarSubAggregateOp(ColumnarAggregateOp):
         self._output_names = self._gb_names + self._state_names
 
     def _store(self, group_columns: Dict[str, Column], states) -> None:
-        for name, state in zip(self._state_names, states):
-            group_columns[name] = state[0] if len(state) == 1 else state
+        for kernel, name, state in zip(self._kernels, self._state_names, states):
+            group_columns[name] = kernel.shipped(state)
 
     def _finish(self, group_columns: Dict[str, Column], num_groups: int):
         return ColumnBatch(group_columns, num_groups)
@@ -858,41 +904,31 @@ class ColumnarNullPadOp(ColumnarOperator):
 
 def build_columnar_operator(
     node: AnalyzedNode, variant: str = "full"
-) -> Optional[ColumnarOperator]:
-    """The vectorized operator for a node, or None when it must row-fall-back.
+) -> ColumnarOperator:
+    """The kernel for a tumbling node: selection, an aggregation variant,
+    join or union.
 
-    Every plan-node kind has a columnar kernel (selection, aggregation
-    variants, union, join); None is returned only when a node's
-    expressions or aggregates cannot be lowered (unregistered UDAFs,
-    unknown scalar functions).  The backend treats None as "adapt the
-    row operator for this node".
+    Every aggregate has a kernel (a UDAF's is :class:`_UdafFold`) and
+    every expression the analyzer accepts lowers, so every node the
+    analyzer produces gets one.
     """
-    try:
-        if node.kind is NodeKind.SELECTION:
-            return ColumnarSelectionOp(node)
-        if node.kind is NodeKind.AGGREGATION:
-            if variant == "full":
-                return ColumnarAggregateOp(node)
-            if variant == "sub":
-                return ColumnarSubAggregateOp(node)
-            if variant == "super":
-                return ColumnarSuperAggregateOp(node)
-            raise ValueError(f"unknown aggregation variant {variant!r}")
-        if node.kind is NodeKind.JOIN:
-            return ColumnarJoinOp(node)
-        if node.kind is NodeKind.UNION:
-            return ColumnarMergeOp()
-    except UnsupportedExpression:
-        return None
-    return None
+    if node.kind is NodeKind.SELECTION:
+        return ColumnarSelectionOp(node)
+    if node.kind is NodeKind.AGGREGATION:
+        if variant == "full":
+            return ColumnarAggregateOp(node)
+        if variant == "sub":
+            return ColumnarSubAggregateOp(node)
+        if variant == "super":
+            return ColumnarSuperAggregateOp(node)
+        raise ValueError(f"unknown aggregation variant {variant!r}")
+    if node.kind is NodeKind.JOIN:
+        return ColumnarJoinOp(node)
+    if node.kind is NodeKind.UNION:
+        return ColumnarMergeOp()
+    raise ValueError(f"no kernel for node kind {node.kind!r}")
 
 
-def build_columnar_nullpad(
-    node: AnalyzedNode, side: str
-) -> Optional[ColumnarNullPadOp]:
-    """The vectorized NULLPAD operator, or None on an un-lowerable
-    projection (row fallback, like :func:`build_columnar_operator`)."""
-    try:
-        return ColumnarNullPadOp(node, side)
-    except UnsupportedExpression:
-        return None
+def build_columnar_nullpad(node: AnalyzedNode, side: str) -> ColumnarNullPadOp:
+    """The NULLPAD kernel of a join node (paper §5.3)."""
+    return ColumnarNullPadOp(node, side)

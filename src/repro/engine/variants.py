@@ -6,9 +6,9 @@ Every aggregation plan node reaches its kernel through
 :class:`~repro.engine.columnar.ColumnBatch`es:
 
 * ``full`` / ``sub`` / ``super`` of a tumbling node — the group-by
-  kernels of :mod:`repro.engine.columnar`.  Pane states *are* SUB states
-  (panes are tumbling sub-aggregates), so ``sub`` of a windowed node is
-  the same SUB kernel.
+  kernels of :mod:`repro.engine.columnar`, a UDAF folded per group
+  inside them.  Pane states *are* SUB states (panes are tumbling
+  sub-aggregates), so ``sub`` of a windowed node is the same SUB kernel.
 * ``full`` / ``super`` of a windowed node (``RANGE``/``SLIDE`` clause) —
   :class:`ColumnarSlidingOp`: pane states (computed by the SUB kernel for
   FULL, shipped for SUPER) are copied once per window end that reads
@@ -21,12 +21,11 @@ Every aggregation plan node reaches its kernel through
   SKETCH_SUPER is :class:`ColumnarSlidingOp` over the shipped summary
   rows, each window's grids summed by :class:`ColumnarSketchSuperOp`.
 
-:func:`build_variant_operator` is the row reference: the §3.4 oracle
+:func:`build_variant_operator` is the row reference, the §3.4 oracle
 (:func:`~repro.engine.executor.run_centralized` compiles FULL through it,
-so a windowed node is answered by :class:`SlidingAggregateOp`), and the
-pieces the backend adapts when an aggregate has no kernel.  The sketch
-pair has no row form — the oracle compares approximate queries against
-the *exact* centralized answer.
+so a windowed node is answered by :class:`SlidingAggregateOp`); the
+runtime never runs it.  The sketch pair has no row form — the oracle
+compares approximate queries against the *exact* centralized answer.
 
 Kernels are *pure* (full recompute per call): one compiled instance is
 shared by every host's plan copy, so incremental state lives exclusively
@@ -112,10 +111,9 @@ class ColumnarSlidingOp(ColumnarOperator):
     and a pane's rows in input order, as the row reassembly does.
 
     ``sub`` turns raw rows into pane states (FULL) or is None (the states
-    arrive shipped).  ``sub`` and ``merge`` take and return batches:
-    kernels, or the backend's adapted row operators for an aggregate
-    without a kernel.  A node without a window clause (a tumbling
-    approximate query) reassembles one-pane windows.
+    arrive shipped); ``sub`` and ``merge`` are kernels.  A node without a
+    window clause (a tumbling approximate query) reassembles one-pane
+    windows.
     """
 
     def __init__(self, node: AnalyzedNode, merge, sub=None):
@@ -384,9 +382,8 @@ def is_sliding(node: AnalyzedNode, variant: str) -> bool:
 def build_variant_kernel(node: AnalyzedNode, variant: str = "full"):
     """Factory: the kernel for an analyzed node under a plan variant.
 
-    The seam the backend compiles every plan node through.  Returns None
-    when an aggregate has no vectorized kernel (a UDAF registered without
-    one); the backend then adapts the row reference instead.
+    The seam the backend compiles every plan node through; every node
+    has a kernel.
     """
     if variant == "sketch_sub":
         return ColumnarSketchSubOp(node)
@@ -394,11 +391,8 @@ def build_variant_kernel(node: AnalyzedNode, variant: str = "full"):
         return ColumnarSlidingOp(node, ColumnarSketchSuperOp(node))
     if not is_sliding(node, variant):
         return build_columnar_operator(node, variant)
-    merge = build_columnar_operator(node, "super")
     sub = build_columnar_operator(node, "sub") if variant == "full" else None
-    if merge is None or (variant == "full" and sub is None):
-        return None
-    return ColumnarSlidingOp(node, merge, sub)
+    return ColumnarSlidingOp(node, build_columnar_operator(node, "super"), sub)
 
 
 def build_variant_operator(node: AnalyzedNode, variant: str = "full") -> Operator:

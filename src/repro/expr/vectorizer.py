@@ -31,9 +31,10 @@ have produced: arithmetic and ordered comparisons on NULL become NULL,
 ``=``/``<>`` against NULL become plain booleans (Python's ``==``), and
 the boolean connectives see NULL as falsy.
 
-Anything the vectorizer cannot lower raises
-:class:`UnsupportedExpression`, which the columnar operator builder turns
-into a per-node fallback onto the row engine.
+Every scalar function the analyzer accepts (the row evaluator's table)
+lowers here.  Anything else raises :class:`UnsupportedExpression` — an
+operator or function no analyzed query contains, or a partitioning
+expression a splitter cannot vectorize.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ VectorEvaluator = Callable[[Columns, int], ArrayLike]
 
 
 class UnsupportedExpression(ValueError):
-    """The expression has no vectorized lowering (row fallback needed)."""
+    """The expression has no vectorized lowering."""
 
 
 def materialize(value: ArrayLike, length: int) -> np.ndarray:

@@ -4,10 +4,8 @@ Three layers, each with one responsibility:
 
 * :mod:`repro.runtime.backend` — the engine backend.  The
   :class:`~repro.runtime.backend.EngineBackend` compiles plan nodes into
-  :class:`~repro.runtime.backend.CompiledOperator` objects over
-  ``ColumnBatch``es, deciding *once per node* (at plan-compile time)
-  whether the node runs a vectorized kernel or an adapted reference row
-  operator.
+  :class:`~repro.runtime.backend.CompiledOperator` kernels over
+  ``ColumnBatch``es, once per node, at plan-compile time.
 * :mod:`repro.runtime.session` — the unified epoch driver.
   :class:`~repro.runtime.session.ExecutionSession` executes a distributed
   plan one epoch at a time; a one-shot run is the degenerate single-epoch

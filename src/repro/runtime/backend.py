@@ -3,21 +3,20 @@
 The :class:`EngineBackend` turns every :class:`~repro.distopt.plan_ir.DistNode`
 into a :class:`CompiledOperator` whose inputs and output are
 :class:`~repro.engine.columnar.ColumnBatch`es — the one batch type that
-crosses a node boundary.  Every node compiles to a vectorized kernel
-(:func:`~repro.engine.variants.build_variant_kernel`), the sketch pair
-and sliding-window reassembly included.  The one exception is an
-aggregate registered without a kernel (a UDAF): its reference row
-operator is *adapted* here, at plan-compile time, by a
-:class:`RowAdapter` — rows in, a batch out — and the node is reported in
-``SimulationResult.fallback_nodes``.  Nothing downstream of the backend
-ever asks which representation it is holding.
+crosses a node boundary.  Every node compiles to a kernel
+(:func:`~repro.engine.variants.build_variant_kernel`,
+:func:`~repro.engine.columnar.build_columnar_nullpad`), the sketch pair,
+sliding-window reassembly and UDAFs included: a UDAF's own
+state/merge/final protocol runs once per group inside the aggregate
+kernels.
 
 The backend also owns the operator cache (a plan instantiates one copy
 per host of the same logical operator) and the construction of the
 stateful :class:`~repro.engine.streaming.StreamingNode` wrappers.  The
-row operators themselves (:mod:`repro.engine.operators`,
-:mod:`repro.engine.variants`) double as the paper's §3.4 oracle through
-:func:`~repro.engine.executor.run_centralized`.
+row operators (:mod:`repro.engine.operators`,
+:func:`~repro.engine.variants.build_variant_operator`) are the paper's
+§3.4 oracle, :func:`~repro.engine.executor.run_centralized`; the runtime
+never imports them.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from ..engine.columnar import (
     build_columnar_nullpad,
     ensure_columns,
 )
-from ..engine.operators import NullPadOp
 from ..engine.panes import WindowSpec
 from ..engine.streaming import (
     StatelessStreamingNode,
@@ -43,12 +41,7 @@ from ..engine.streaming import (
     merge_watermarks,
     unknown_watermark,
 )
-from ..engine.variants import (
-    ColumnarSlidingOp,
-    build_variant_kernel,
-    build_variant_operator,
-    is_sliding,
-)
+from ..engine.variants import build_variant_kernel, is_sliding
 from ..expr.expressions import Attr
 from ..expr.vectorizer import UnsupportedExpression, vectorize_expr
 from ..gsql.analyzer import NodeKind
@@ -58,29 +51,11 @@ if TYPE_CHECKING:
     from ..cluster.splitter import Splitter
 
 
-class RowAdapter:
-    """The kernel-less UDAF fallback: a reference row operator behind the
-    kernel interface, converting at its two edges and nowhere else."""
-
-    __slots__ = ("operator",)
-
-    def __init__(self, operator):
-        self.operator = operator
-
-    def process(self, *inputs: ColumnBatch) -> ColumnBatch:
-        return ColumnBatch.from_rows(
-            self.operator.process(*(batch.to_rows() for batch in inputs))
-        )
-
-
 class CompiledOperator:
     """One plan node's operator: ``ColumnBatch``es in, a ``ColumnBatch`` out.
 
-    ``columnar`` records the compile-time resolution: False means a
-    :class:`RowAdapter` runs inside (the node is a fallback, reported in
-    ``SimulationResult.fallback_nodes``) — there is no per-batch
-    capability check.  ``arity`` is the number of inputs the operator
-    takes (two for a join), which is all :meth:`empty` needs to know.
+    ``arity`` is the number of inputs the operator takes (two for a
+    join), which is all :meth:`empty` needs to know.
     :meth:`empty` is built once and then shared by every caller, so no
     consumer may write into a batch it did not build.
 
@@ -92,17 +67,10 @@ class CompiledOperator:
     memoizes it) when a whole compile cache travels in one payload.
     """
 
-    __slots__ = ("operator", "columnar", "recipe", "arity", "_empty")
+    __slots__ = ("operator", "recipe", "arity", "_empty")
 
-    def __init__(
-        self,
-        operator,
-        columnar: bool,
-        recipe: Optional[tuple] = None,
-        arity: int = 1,
-    ):
+    def __init__(self, operator, recipe: Optional[tuple] = None, arity: int = 1):
         self.operator = operator
-        self.columnar = columnar
         self.recipe = recipe
         self.arity = arity
         self._empty: Optional[ColumnBatch] = None
@@ -139,9 +107,9 @@ def _operator_key(node: DistNode) -> tuple:
 def _rebuild_compiled(dag: QueryDag, node: DistNode) -> "CompiledOperator":
     """Unpickle hook: recompile a :class:`CompiledOperator` from its recipe.
 
-    Recompilation replays the exact compile-time decision (including a
-    node resolving to an adapted row operator), so the rebuilt operator
-    is behaviourally identical to the original.
+    Compilation is deterministic in ``(dag, node)``, so the rebuilt
+    kernel (a UDAF's fold included) is behaviourally identical to the
+    original.
     """
     return EngineBackend(dag).compile_node(node)
 
@@ -153,8 +121,6 @@ class EngineBackend:
 
     * :meth:`compile_node` — the node's :class:`CompiledOperator`, cached
       per ``(kind, query, variant, pad_side)``;
-    * :meth:`supports` — whether the node runs on kernels alone (False
-      means a missing kernel resolved it to a row fallback);
     * :meth:`streaming_node` — a fresh stateful wrapper for epoch-driven
       execution (one per run, state lives across epochs);
     * :meth:`prepare` / :meth:`split` — source data converted to batches,
@@ -186,42 +152,18 @@ class EngineBackend:
         """The analyzed query dag this backend compiles against."""
         return self._dag
 
-    def supports(self, node: DistNode) -> bool:
-        return self.compile_node(node).columnar
-
     def _compile(self, node: DistNode) -> CompiledOperator:
         recipe = (self._dag, node)
         if node.kind is DistKind.MERGE:
-            return CompiledOperator(ColumnarMergeOp(), columnar=True, recipe=recipe)
+            return CompiledOperator(ColumnarMergeOp(), recipe)
         analyzed = self._dag.node(node.query)
-        padding = node.kind is DistKind.NULLPAD
-        arity = 2 if not padding and analyzed.kind is NodeKind.JOIN else 1
-        variant = node.variant.value
-        if padding:
-            kernel = build_columnar_nullpad(analyzed, node.pad_side)
-        else:
-            kernel = build_variant_kernel(analyzed, variant)
-        if kernel is not None:
+        if node.kind is DistKind.NULLPAD:
             return CompiledOperator(
-                kernel, columnar=True, recipe=recipe, arity=arity
+                build_columnar_nullpad(analyzed, node.pad_side), recipe
             )
-        # A missing kernel (an unregistered UDAF): the reference row
-        # operator, adapted.  Window reassembly has no row form, so a
-        # windowed node adapts the tumbling SUB/SUPER it is built from.
-        if padding:
-            operator = RowAdapter(NullPadOp(analyzed, node.pad_side))
-        elif is_sliding(analyzed, variant):
-            operator = ColumnarSlidingOp(
-                analyzed,
-                RowAdapter(build_variant_operator(analyzed, "super")),
-                RowAdapter(build_variant_operator(analyzed, "sub"))
-                if variant == "full"
-                else None,
-            )
-        else:
-            operator = RowAdapter(build_variant_operator(analyzed, variant))
+        arity = 2 if analyzed.kind is NodeKind.JOIN else 1
         return CompiledOperator(
-            operator, columnar=False, recipe=recipe, arity=arity
+            build_variant_kernel(analyzed, node.variant.value), recipe, arity
         )
 
     # -- sources ----------------------------------------------------------------

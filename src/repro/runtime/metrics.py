@@ -174,7 +174,6 @@ class MetricsRecorder:
         self.shed_counts: Dict[str, int] = {}
         self.fault_counts: Dict[Tuple[int, str], int] = {}
         self.rebalance_counts: Dict[str, int] = {}
-        self.fallback_nodes: Dict[str, str] = {}
         self.source_columns: Dict[str, Tuple[List[str], List[str]]] = {}
         self.events: List[dict] = []
         self._phase: object = None
@@ -199,7 +198,6 @@ class MetricsRecorder:
         self.shed_counts.clear()
         self.fault_counts.clear()
         self.rebalance_counts.clear()
-        self.fallback_nodes.clear()
         self.source_columns.clear()
         self.events.clear()
         self._phase = None
@@ -303,37 +301,18 @@ class MetricsRecorder:
         self,
         node_id: str,
         label: str,
-        fallback: bool,
         host: Optional[int] = None,
         variant: Optional[str] = None,
     ) -> None:
-        """One plan node's engine resolution, recorded at compile time.
-
-        ``fallback`` marks a node the engine could not run natively (on
-        the columnar backend: no vectorized kernel) and resolved to the
-        row operator.  Fallbacks are kept per node id in
-        ``fallback_nodes`` and surfaced in the event trace and the
-        ``repro timeline`` summary, so a silent row downgrade is visible
-        the moment it reappears.  ``variant`` is the optimizer-chosen
-        aggregation variant for OP nodes (None for MERGE/NULLPAD), so the
-        exact-vs-sketch decision is visible per node in the trace.
-        """
-        if fallback:
-            self.fallback_nodes[node_id] = label
+        """One plan node compiled to its kernel, traced.  ``variant`` is
+        the optimizer-chosen aggregation variant for OP nodes (None for
+        MERGE/NULLPAD), so the exact-vs-sketch decision is visible per
+        node in the trace."""
         if self.record_events:
-            event = {
-                "event": "compile",
-                "node": node_id,
-                "label": label,
-                "fallback": fallback,
-            }
+            event = {"event": "compile", "node": node_id, "label": label}
             if variant is not None:
                 event["variant"] = variant
             self._event(event, host=host)
-
-    @property
-    def fallback_count(self) -> int:
-        return len(self.fallback_nodes)
 
     def record_source_columns(
         self, stream: str, kept: List[str], dropped: List[str]
@@ -350,7 +329,6 @@ class MetricsRecorder:
                     "event": "compile",
                     "node": stream,
                     "label": "source",
-                    "fallback": False,
                     "kept": kept,
                     "dropped": dropped,
                 }

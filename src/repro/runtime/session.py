@@ -16,8 +16,8 @@ and ``after_step`` calls.  The switches of a run are declared, documented
 and validated once, by :class:`RunOptions`.
 
 Operators come pre-compiled from the :class:`~repro.runtime.backend.EngineBackend`
-(kernel or adapted row operator is decided at session construction,
-never per batch), and every batch from the source door to the first read
+(at session construction, never per batch), and every batch from the
+source door to the first read
 of a query's rows (:class:`DeliveredRows`) is a
 :class:`~repro.engine.columnar.ColumnBatch`; all accounting flows
 through the :class:`~repro.runtime.metrics.MetricsRecorder`.
@@ -53,9 +53,8 @@ from typing import (
 
 from ..distopt.plan_ir import DistKind, DistNode, DistributedPlan, Variant
 from ..engine.aggregates import states_width
-from ..engine.columnar import ColumnBatch
+from ..engine.columnar import ColumnBatch, Row
 from ..engine.sketches import summary_wire_bytes
-from ..engine.operators import Row
 from ..engine.streaming import StreamingNode, Watermark, share_releases
 from ..plan.dag import QueryDag
 from ..traces.generator import slice_by_epoch
@@ -433,9 +432,9 @@ class SimulationResult:
     peak_batch_rows: Optional[int] = None
     # Per-node observability counters from the MetricsRecorder.
     node_stats: Dict[str, object] = field(default_factory=dict)
-    # Plan nodes the backend resolved to a row fallback at compile time
-    # (node id -> human-readable operator label).  Empty means every node
-    # ran on a kernel.
+    # Always empty: every plan node compiles to a kernel.  Kept only
+    # because the frozen end-to-end harness (benchmarks/e2e/harness.py)
+    # still reads it.
     fallback_nodes: Dict[str, str] = field(default_factory=dict)
     # The optimizer-chosen aggregation variant per OP plan node
     # (node id -> "full"/"sub"/"super"/"sketch_sub"/"sketch_super").
@@ -536,9 +535,8 @@ class ExecutionSession:
         self._backend = backend
         self._recorder = recorder
         self._width_cache: Dict[str, float] = {}
-        # Compile every live plan node up front: kernel vs adapted row
-        # operator is decided here, once, never in the execution loop.  The
-        # resolution of each node is remembered so every run can replay
+        # Compile every live plan node up front, never in the execution
+        # loop.  Each node's label is remembered so every run can replay
         # it into the (reset) MetricsRecorder.
         self._compiled_info: List[tuple] = []
         self._node_variants: Dict[str, str] = {}
@@ -548,13 +546,7 @@ class ExecutionSession:
             backend.compile_node(node)
             variant = node.variant.value if node.kind is DistKind.OP else None
             self._compiled_info.append(
-                (
-                    node.node_id,
-                    _node_label(node),
-                    not backend.supports(node),
-                    node.host,
-                    variant,
-                )
+                (node.node_id, _node_label(node), node.host, variant)
             )
             if variant is not None:
                 self._node_variants[node.node_id] = variant
@@ -591,10 +583,8 @@ class ExecutionSession:
         recorder = self._recorder
         backend = self._backend
         recorder.reset()
-        for node_id, label, fallback, host, variant in self._compiled_info:
-            recorder.record_compiled_node(
-                node_id, label, fallback, host=host, variant=variant
-            )
+        for node_id, label, host, variant in self._compiled_info:
+            recorder.record_compiled_node(node_id, label, host=host, variant=variant)
         # The splitter's key columns and the epoch slicer's column ride
         # along with what the plan reads; every other column stops here.
         partitioning = getattr(splitter, "partitioning_set", None)
@@ -748,7 +738,6 @@ class ExecutionSession:
             timeline=recorder.build_timeline(epochs) if streaming else None,
             peak_batch_rows=peak if streaming else None,
             node_stats=dict(recorder.node_stats),
-            fallback_nodes=dict(recorder.fallback_nodes),
             node_variants=dict(self._node_variants),
             flow_stats=dict(recorder.flow_stats),
             shed_counts=dict(recorder.shed_counts),

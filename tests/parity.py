@@ -39,6 +39,7 @@ import collections
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.cluster import (
@@ -51,7 +52,7 @@ from repro.cluster import (
 )
 from repro.distopt import DistributedOptimizer, Placement
 from repro.distopt.plan_ir import DistributedPlan
-from repro.engine import ColumnBatch, batches_equal, run_centralized
+from repro.engine import ColumnBatch, batches_equal, columnar, run_centralized
 from repro.engine.aggregates import AggregateFunction, register_aggregate
 from repro.gsql.catalog import Catalog
 from repro.gsql.schema import tcp_schema
@@ -88,7 +89,9 @@ def tcp_source(packets, form):
 
 
 class LastValue(AggregateFunction):
-    """A UDAF with no vectorized kernel — forces a row fallback."""
+    """A UDAF (no array form: the kernels fold it per group) whose answer
+    depends on the order a group's rows are folded in — it checks that
+    the fold walks each group in arrival order."""
 
     name = "LAST_VALUE"
     splittable = True
@@ -106,11 +109,23 @@ class LastValue(AggregateFunction):
         return state
 
 
+class OddAsFloat(LastValue):
+    """LAST_VALUE that answers odd values as floats.  Over ``time`` and
+    grouped by epoch, its column is int64 in even epochs and float64 in
+    odd ones: one concatenated batch would print ``2.0`` for ``2``."""
+
+    name = "ODD_AS_FLOAT"
+
+    def final(self, state):
+        return float(state) if state % 2 else state
+
+
 register_aggregate(LastValue())
+register_aggregate(OddAsFloat())
 
 
 def last_value_dag():
-    """A DAG whose aggregate only a row operator can run."""
+    """A DAG over the order-sensitive :class:`LastValue` UDAF."""
     catalog = Catalog()
     catalog.add_stream(tcp_schema())
     catalog.define_query(
@@ -119,6 +134,21 @@ def last_value_dag():
         "GROUP BY time as tb, srcIP",
     )
     return QueryDag.from_catalog(catalog)
+
+
+def reverse_the_fold(monkeypatch):
+    """Known-bad: the UDAF fold walks each group's slice last row first,
+    so :class:`LastValue` answers with each group's first value."""
+    update = columnar._UdafFold.update
+
+    def reversed_update(self, values, starts, counts):
+        backwards = np.concatenate(
+            [np.arange(start + count - 1, start - 1, -1)
+             for start, count in zip(starts.tolist(), counts.tolist())]
+        )
+        return update(self, values[backwards], starts, counts)
+
+    monkeypatch.setattr(columnar._UdafFold, "update", reversed_update)
 
 
 _QSET_MASKS = (0xFFFFFFF0, 0xFFFFFF00, 0xFFFF0000, 0xFFFFFFFF)
@@ -378,7 +408,6 @@ def assert_identical_simulation(reference, parallel):
     assert reference.network.link_tuples == parallel.network.link_tuples
     assert reference.network.bytes_received == parallel.network.bytes_received
     assert reference.peak_batch_rows == parallel.peak_batch_rows
-    assert reference.fallback_nodes == parallel.fallback_nodes
     assert reference.timeline == parallel.timeline  # None for one-shot runs
     assert reference.flow_stats == parallel.flow_stats
 
@@ -405,9 +434,8 @@ def assert_streaming_matches_oneshot(
     epochs but loses nothing, so the equivalence must still be exact.
     With ``execution="parallel"`` the streaming run executes each host's
     pipeline in a forked worker process — outputs and accounting must
-    still match the (in-process) one-shot run exactly.  No node may have
-    fallen back off its kernel, and the one-shot run in turn must match
-    the centralized oracle.
+    still match the (in-process) one-shot run exactly.  The one-shot run
+    in turn must match the centralized oracle.
     """
     dag, deliver, packets, hosts, ps = random_case(workload, seed)
     sim, splitter = deploy(dag, hosts, ps, deliver)
@@ -419,12 +447,6 @@ def assert_streaming_matches_oneshot(
         tcp_source(packets, source), splitter, 10.0, queue_policy=policy,
         execution=execution, workers=WORKERS,
     )
-    # Every node kind has a vectorized kernel: the backend must never
-    # silently downgrade a node to the adapted row operator.
-    for run in (oneshot, stream):
-        assert run.fallback_nodes == {}, (
-            f"nodes fell back to row operators: {run.fallback_nodes}"
-        )
     assert_same_simulation(oneshot, stream)
     assert_matches_centralized(dag, packets, oneshot)
     if policy is not None:
@@ -448,9 +470,8 @@ def assert_sliding_matches_oneshot(
     Rotates window shapes and partitionings with ``seed``; even seeds run
     the exact sliding workload, odd seeds the sketch-backed approximate
     one.  Asserts the full observational equivalence between streaming
-    and one-shot (outputs, CPU by category, network by link) and that no
-    node fell back to a row operator.  Exact (even) seeds must also
-    equal the centralized run of ``oracle`` — the
+    and one-shot (outputs, CPU by category, network by link).  Exact
+    (even) seeds must also equal the centralized run of ``oracle`` — the
     trial's own DAG unless a test substitutes a wrong one; approximate
     (odd) seeds must stay within :func:`assert_within_sketch_bounds` of
     it.  ``answer`` substitutes the checked output (rows in, rows out),
@@ -486,8 +507,6 @@ def assert_sliding_matches_oneshot(
         execution=execution, workers=WORKERS,
     )
     assert_same_simulation(oneshot, stream)
-    assert oneshot.fallback_nodes == {}
-    assert stream.fallback_nodes == {}
     chosen = set(oneshot.node_variants.values())
     if ps is None and hosts > 1:
         # Round-robin splitting is incompatible with every group-by, so

@@ -13,6 +13,16 @@ DEFINE QUERY heavy AS
 SELECT tb, srcIP, MAX(cnt) as m FROM flows GROUP BY tb, srcIP;
 """
 
+#: Scripts the analyzer rejects -> the name the error line must carry.
+BAD_SCRIPTS = {
+    "unknown-column": (
+        "DEFINE QUERY flows AS SELECT srcIP, bogus FROM TCP;", "bogus",
+    ),
+    "unknown-function": (
+        "DEFINE QUERY flows AS SELECT srcIP, FOO(len) as f FROM TCP;", "FOO",
+    ),
+}
+
 
 @pytest.fixture
 def script_file(tmp_path):
@@ -182,7 +192,7 @@ class TestTimeline:
         assert "sketch_sub" in out
         assert "sketch_super" in out
         assert "ERROR 0.1 CONFIDENCE 0.9" in out
-        assert "row-fallback nodes: none" in out
+        assert "delivered approx_heavy:" in out
 
     def test_timeline_epsilon_requires_approximate(self, capsys):
         code = main(
@@ -402,6 +412,20 @@ class TestParserErrors:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and message in line
+
+    @pytest.mark.parametrize("command", ("analyze", "plan"))
+    @pytest.mark.parametrize("case", sorted(BAD_SCRIPTS))
+    def test_bad_script_exits_2_with_one_line(
+        self, command, case, tmp_path, capsys
+    ):
+        text, named = BAD_SCRIPTS[case]
+        path = tmp_path / "bad.gsql"
+        path.write_text(text)
+        assert main([command, "--script", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and named in line
 
     def test_missing_command(self):
         with pytest.raises(SystemExit):

@@ -31,7 +31,7 @@ from tests.parity import (
 
 from repro.cluster import ClusterSimulator, QueuePolicy
 from repro.distopt import DistKind, DistributedOptimizer, Placement
-from repro.engine import batches_equal
+from repro.engine import batches_equal, columnar
 from repro.engine.columnar import ColumnBatch
 from repro.runtime import parallel as parallel_mod
 from repro.runtime.backend import CompiledOperator, EngineBackend
@@ -412,8 +412,8 @@ class TestCompiledOperatorPickle:
 
     @pytest.mark.parametrize("operators", ("row", "columnar"))
     def test_round_trip_matches_original(self, operators):
-        """Kernels (the complex plan) and adapted row operators (the
-        kernel-less UDAF) both recompile to what they were."""
+        """Array kernels (the complex plan) and the kernels that fold a
+        UDAF's row protocol per group both recompile to what they were."""
         packets = random_packets(9)
         if operators == "columnar":
             dag, plan, _, _, _ = _case(9, "complex")
@@ -426,13 +426,16 @@ class TestCompiledOperatorPickle:
         ]
         assert nodes
         prepared = backend.prepare(packets)
-        flags = set()
+        folds = 0
         for node in nodes:
             compiled = backend.compile_node(node)
             rebuilt = pickle.loads(pickle.dumps(compiled))
-            assert rebuilt.columnar == compiled.columnar
+            assert type(rebuilt.operator) is type(compiled.operator)
             assert rebuilt.arity == compiled.arity
-            flags.add(compiled.columnar)
+            folds += any(
+                isinstance(kernel, columnar._UdafFold)
+                for kernel in getattr(rebuilt.operator, "_kernels", ())
+            )
             if not node.inputs or len(node.inputs) != 1:
                 continue
             # Single-input operators can be exercised directly on raw rows.
@@ -443,7 +446,7 @@ class TestCompiledOperatorPickle:
                 continue  # operator needs upstream columns; topology tested
             assert type(result) is ColumnBatch
             assert batches_equal(reference.to_rows(), result.to_rows())
-        assert (operators == "columnar") in flags
+        assert bool(folds) == (operators == "row")
 
     def test_cache_payload_shares_the_dag(self):
         dag, plan, _, _, _ = _case(9, "complex")
@@ -458,6 +461,6 @@ class TestCompiledOperatorPickle:
         assert len(dags) == 1  # pickle memoized one shared dag
 
     def test_recipe_free_operator_is_rejected(self):
-        compiled = CompiledOperator(object(), columnar=False)
+        compiled = CompiledOperator(object())
         with pytest.raises(TypeError, match="recipe"):
             pickle.dumps(compiled)

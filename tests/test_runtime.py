@@ -1,11 +1,10 @@
 """The layered runtime: the backend, the unified session, the recorder.
 
-The load-bearing contract: kernel-vs-row-operator resolution happens
-once, at plan-compile time — the execution loop never consults
-operator-builder capability per batch, and never sees anything but a
-``ColumnBatch`` between the source door and delivery — and every counter
-flows through the MetricsRecorder while staying identical to the
-facade-era numbers.
+The load-bearing contract: every plan node compiles to a kernel once, at
+plan-compile time — the execution loop never compiles, and never sees
+anything but a ``ColumnBatch`` between the source door and delivery —
+and every counter flows through the MetricsRecorder while staying
+identical to the facade-era numbers.
 """
 
 import collections
@@ -21,9 +20,9 @@ from repro.cluster.network import NetworkMeter
 from repro.distopt import DistributedOptimizer, Placement
 from repro.distopt.plan_ir import DistKind
 from repro.partitioning import PartitioningSet
-from repro.engine.aggregates import register_aggregate
-from repro.engine.columnar import ColumnBatch
-from repro.engine.operators import Operator
+from repro.engine import batches_equal, columnar
+from repro.engine.columnar import ColumnarOperator, ColumnBatch
+from repro.engine.variants import build_variant_operator
 from repro.plan import QueryDag
 from repro.runtime import (
     Fault,
@@ -33,7 +32,7 @@ from repro.runtime import (
     RunOptions,
 )
 from repro.runtime import backend as backend_module
-from repro.runtime.backend import EngineBackend, RowAdapter, create_backend
+from repro.runtime.backend import EngineBackend, create_backend
 from repro.runtime import metrics as metrics_module
 from repro.runtime.metrics import ChargePlan, MetricsRecorder, NodeStats
 from repro.runtime.session import ExecutionSession
@@ -48,7 +47,6 @@ from repro.workloads import (
 from tests.parity import (
     SOURCES,
     WORKLOADS,
-    LastValue,
     assert_identical_simulation,
     assert_matches_centralized,
     assert_same_simulation,
@@ -57,6 +55,7 @@ from tests.parity import (
     last_value_dag,
     outer_join_plan,
     qset_dag,
+    reverse_the_fold,
     tcp_source,
 )
 
@@ -97,40 +96,38 @@ def _nodes_by_kind(dag, plan):
 
 class TestCompileTimeResolution:
     def test_columnar_backend_compiles_every_kind_natively(self, complex_dag):
-        """Joins (and with them the fig13/fig14 complex plans) no longer
-        row-fall-back: every node kind has a vectorized kernel."""
+        """Every node kind of the fig13/fig14 complex plans, joins
+        included, compiles to a kernel."""
         plan = _complex_plan(complex_dag)
         backend = EngineBackend(complex_dag)
         kinds = _nodes_by_kind(complex_dag, plan)
         assert "join" in kinds
         for label, node in kinds.items():
-            assert backend.supports(node) is True, label
-            assert backend.compile_node(node).columnar is True, label
+            operator = backend.compile_node(node).operator
+            assert isinstance(operator, ColumnarOperator), label
 
     def test_unvectorizable_udaf_resolves_to_row_at_compile(
         self, udaf_dag, tiny_trace
     ):
-        """The only remaining fallback reason: an aggregate with no
-        vectorized kernel.  The fallback is the reference row operator,
-        adapted once: batches in, a batch out."""
+        """A UDAF has no array form and still compiles to the aggregate
+        kernels, which fold its own protocol per group — answering what
+        the row reference answers."""
         plan = DistributedOptimizer(udaf_dag, Placement(2, 2), None).optimize()
         backend = EngineBackend(udaf_dag)
-        fallbacks = [
-            node
-            for node in plan.topological()
-            if node.kind is not DistKind.SOURCE and not backend.supports(node)
-        ]
-        assert fallbacks
-        for node in fallbacks:
+        ops = [node for node in plan.topological() if node.kind is DistKind.OP]
+        assert {node.variant.value for node in ops} == {"sub", "super"}
+        for node in ops:
             compiled = backend.compile_node(node)
-            assert compiled.columnar is False
-            assert isinstance(compiled.operator, RowAdapter)
-            assert isinstance(compiled.operator.operator, Operator)
+            (kernel,) = compiled.operator._kernels
+            assert isinstance(kernel, columnar._UdafFold)
             assert type(compiled.empty()) is ColumnBatch
         central = DistributedOptimizer(udaf_dag, Placement(1, 1), None).optimize()
         (full,) = [n for n in central.topological() if n.kind is DistKind.OP]
-        output = backend.compile_node(full).process(tiny_trace.column_batch())
+        batch = tiny_trace.column_batch()
+        output = backend.compile_node(full).process(batch)
+        reference = build_variant_operator(udaf_dag.node("latest"))
         assert type(output) is ColumnBatch and len(output) > 0
+        assert batches_equal(output.to_rows(), reference.process(batch.to_rows()))
 
     def test_create_backend_rejects_unknown_engine(self, complex_dag):
         with pytest.raises(ValueError):
@@ -143,18 +140,16 @@ class TestCompileTimeResolution:
         self, source, streaming, complex_dag, tiny_trace, monkeypatch
     ):
         """After session construction, execution never consults the
-        operator builders again: the kernel-vs-row-operator decision is
-        frozen into CompiledOperators at plan-compile time."""
+        kernel builders again: every node's kernel is frozen into a
+        CompiledOperator at plan-compile time."""
         sim, splitter = _complex(complex_dag)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("operator compilation during execution")
 
-        monkeypatch.setattr(backend_module, "build_variant_operator", forbidden)
         monkeypatch.setattr(backend_module, "build_variant_kernel", forbidden)
-        monkeypatch.setattr(
-            type(sim.session.backend), "supports", forbidden, raising=True
-        )
+        monkeypatch.setattr(backend_module, "build_columnar_nullpad", forbidden)
+        monkeypatch.setattr(EngineBackend, "_compile", forbidden)
         run = sim.run_streaming if streaming else sim.run
         result = run(tcp_source(tiny_trace.packets, source), splitter, 10.0)
         assert set(result.outputs) == {"flows", "heavy_flows", "flow_pairs"}
@@ -266,11 +261,15 @@ class TestMetricsRecorder:
         assert all("host" in e and e["pid"] is not None for e in events)
         (mode_event,) = [e for e in events if e["event"] == "execution"]
         assert mode_event["mode"] == "inprocess"
-        # Compile events record each node's operator resolution; on a fully
-        # vectorizable plan none is a fallback.
-        compile_events = [e for e in events if e["event"] == "compile"]
-        assert compile_events
-        assert all(e["fallback"] is False for e in compile_events)
+        # One compile event per plan node, plus one per pruned source.
+        compiled = [
+            e["node"] for e in events
+            if e["event"] == "compile" and e["label"] != "source"
+        ]
+        assert sorted(compiled) == sorted(
+            node.node_id for node in sim.session._plan.topological()
+            if node.kind is not DistKind.SOURCE
+        )
         # Every node step is attributed to an epoch (or the flush phase).
         node_events = [e for e in events if e["event"] == "node"]
         assert node_events and all("epoch" in e for e in node_events)
@@ -283,47 +282,63 @@ class TestMetricsRecorder:
 
 
 class TestFallbackObservability:
-    """Compile-time row fallbacks are counted, labelled, and traced —
-    never silent."""
+    """A UDAF plan compiles like any other: nothing falls back, and its
+    compile records are traced and replayed into every run."""
 
     def _run(self, dag, tiny_trace, record_events=False):
         sim, splitter = deploy(dag, 2, None, record_events=record_events)
         return sim, sim.run({"TCP": tiny_trace.packets}, splitter, 10.0)
 
     def test_udaf_fallback_is_recorded(self, udaf_dag, tiny_trace):
-        sim, result = self._run(udaf_dag, tiny_trace)
-        assert result.fallback_nodes
-        assert sim.metrics.fallback_count == len(result.fallback_nodes)
-        for label in result.fallback_nodes.values():
-            assert label.startswith("latest/")
+        """No fallback to record: the UDAF plan runs on its kernels and,
+        partitioned compatibly, meets the centralized oracle (LAST_VALUE
+        depends on arrival order, which a round-robin split does not
+        keep within a group)."""
+        sim, splitter = deploy(udaf_dag, 2, PartitioningSet.of("srcIP"))
+        result = sim.run({"TCP": tiny_trace.packets}, splitter, 10.0)
+        assert result.fallback_nodes == {}
+        assert set(result.node_variants.values()) == {"full"}
+        assert_matches_centralized(udaf_dag, tiny_trace.packets, result)
 
     def test_sweep_helper_rejects_a_fallback(self, udaf_dag, monkeypatch):
-        """The must-not-fallback line of the streaming sweep bites: the
-        kernel-less UDAF pushed through it fails there, by name."""
+        """The UDAF workload passes the streaming sweep (seed 11 hashes
+        on srcIP over three hosts), and a fold that walks each group
+        backwards fails the sweep's oracle line."""
         monkeypatch.setitem(WORKLOADS, "udaf", (lambda: (None, udaf_dag), None))
-        with pytest.raises(AssertionError, match="fell back.*latest/"):
-            assert_streaming_matches_oneshot("udaf", 3, "columnar")
+        assert_streaming_matches_oneshot("udaf", 11, "columnar")
+        reverse_the_fold(monkeypatch)
+        with pytest.raises(AssertionError, match="latest: distributed output"):
+            assert_streaming_matches_oneshot("udaf", 11, "columnar")
 
     def test_fallback_appears_in_event_trace(self, udaf_dag, tiny_trace):
+        """Each UDAF plan node's compile event names its operator and
+        the optimizer's variant; none is flagged as a fallback."""
         sim, result = self._run(udaf_dag, tiny_trace, record_events=True)
         compile_events = [
-            e for e in sim.metrics.events if e["event"] == "compile"
+            e for e in sim.metrics.events
+            if e["event"] == "compile" and e["label"] != "source"
         ]
-        flagged = {e["node"] for e in compile_events if e["fallback"]}
-        assert flagged == set(result.fallback_nodes)
+        assert {
+            e["node"]: e["variant"] for e in compile_events if "variant" in e
+        } == result.node_variants
+        for event in compile_events:
+            assert "fallback" not in event
+            assert event["label"] == "merge" or event["label"].startswith(
+                "latest/"
+            )
 
     def test_fallbacks_survive_recorder_reset_across_runs(
         self, udaf_dag, tiny_trace
     ):
-        """Each run replays the compile decisions into the freshly reset
-        recorder, so the second run reports the same fallbacks."""
-        sim, first = self._run(udaf_dag, tiny_trace)
-        second = sim.run(
-            {"TCP": tiny_trace.packets},
-            RoundRobinSplitter(4),
-            10.0,
-        )
-        assert second.fallback_nodes == first.fallback_nodes
+        """Each run replays the compile records into the freshly reset
+        recorder, so the second run traces the same compile events."""
+        sim, _ = self._run(udaf_dag, tiny_trace, record_events=True)
+        compiled = [e for e in sim.metrics.events if e["event"] == "compile"]
+        assert compiled
+        sim.run({"TCP": tiny_trace.packets}, RoundRobinSplitter(4), 10.0)
+        assert [
+            e for e in sim.metrics.events if e["event"] == "compile"
+        ] == compiled
 
     def test_fully_vectorized_plan_has_no_fallbacks(
         self, complex_dag, tiny_trace
@@ -401,13 +416,10 @@ class TestOneBatchType:
             for node in plan.topological()
             if node.kind is not DistKind.SOURCE
         }
-        # The sketch pair and window reassembly are kernels: only the
-        # kernel-less UDAF adapts a row operator.
-        fallbacks = {
-            node_id for node_id, operator in compiled.items()
-            if not operator.columnar
-        }
-        assert bool(fallbacks) == (shape == "udaf")
+        # The sketch pair, window reassembly and the UDAF's fold are all
+        # kernels: no node adapts a row operator.
+        for node_id, operator in compiled.items():
+            assert isinstance(operator.operator, ColumnarOperator), node_id
         for streaming in (False, True):
             for execution in ("inprocess", "parallel"):
                 result = sim.run(
@@ -415,7 +427,6 @@ class TestOneBatchType:
                     streaming=streaming, execution=execution, workers=2,
                 )
                 assert result.execution == execution
-                assert set(result.fallback_nodes) == fallbacks
                 (rows,) = result.outputs.values()
                 assert rows
                 for row in rows:
@@ -437,20 +448,6 @@ def to_rows_calls(monkeypatch):
 
     monkeypatch.setattr(ColumnBatch, "to_rows", counted)
     return calls
-
-
-class _OddAsFloat(LastValue):
-    """LAST_VALUE that answers odd values as floats.  Over ``time`` and
-    grouped by epoch, its column is int64 in even epochs and float64 in
-    odd ones: one concatenated batch would print ``2.0`` for ``2``."""
-
-    name = "ODD_AS_FLOAT"
-
-    def final(self, state):
-        return float(state) if state % 2 else state
-
-
-register_aggregate(_OddAsFloat())
 
 
 def _delivery_case(case, catalog_factory):
@@ -712,7 +709,7 @@ class TestLineagePruning:
             e for e in sim.metrics.events
             if e["event"] == "compile" and e["label"] == "source"
         ]
-        assert event["node"] == "TCP" and event["fallback"] is False
+        assert event["node"] == "TCP"
         assert (event["kept"], event["dropped"]) == result.source_columns["TCP"]
         assert "junk" in event["dropped"]
         (line,) = [

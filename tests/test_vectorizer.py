@@ -19,6 +19,7 @@ from repro.expr import (
     vectorize_padded_output,
     vectorize_predicate,
 )
+from repro.expr.evaluator import _SCALAR_FUNCS
 from repro.expr.expressions import Attr, Binary, Const, Func, Unary
 
 COLUMNS = {
@@ -129,6 +130,19 @@ def test_vectorize_key_materializes_every_member():
     first, second = keys(COLUMNS, LENGTH)
     assert len(first) == LENGTH and len(second) == LENGTH
     assert second.tolist() == [7] * LENGTH
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_FUNCS))
+def test_every_row_function_lowers(name):
+    """The analyzer accepts exactly the row evaluator's functions, so
+    each one must lower here too, to the row engine's values."""
+    if name in ("ABS", "NOT", "LITERAL"):
+        args = (Attr("len"),)
+    elif name == "IN":
+        args = (Attr("len"), Const(40), Const(1500))
+    else:
+        args = (Attr("len"), Const(732))
+    assert_matches_row_engine(Func(name, args))
 
 
 def test_unknown_function_raises_unsupported():
