@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from collections import Counter
 from typing import List, Optional
 
 from .distopt import DistributedOptimizer, Placement, render_plan
@@ -179,6 +180,17 @@ def cmd_figures(args) -> int:
             "net",
         )
     )
+    results = [outcome.result for runs in outcomes.values() for outcome in runs]
+    fallbacks = Counter(
+        result.execution_fallback
+        for result in results
+        if result.execution_fallback is not None
+    )
+    for reason, count in sorted(fallbacks.items()):
+        print(
+            f"execution inprocess for {count} of {len(results)} runs "
+            f"(parallel fell back: {reason})"
+        )
     return 0
 
 
@@ -264,7 +276,7 @@ def cmd_timeline(args) -> int:
     result = outcome.result
     print(
         f"experiment {args.experiment}, {configuration.name!r}, "
-        f"{num_hosts} host(s), execution {result.execution}"
+        f"{num_hosts} host(s)"
     )
     host_pids = outcome.simulator.metrics.host_pids()
     by_host = ", ".join(

@@ -470,10 +470,26 @@ def vector_aggregate_impl(name: str) -> VectorAggregate:
 
 
 class ColumnarOperator:
-    """Base class: ``process`` consumes ColumnBatches, returns one."""
+    """Base class: ``process`` consumes ColumnBatches, returns one.
+
+    A kernel is its plan node's compiled operator.  ``arity`` is the
+    number of inputs ``process`` takes (two for a join), which is all
+    :meth:`empty` needs to know.
+    """
+
+    arity = 1
+    _empty_batch: Optional[ColumnBatch] = None
 
     def process(self, *batches: ColumnBatch) -> ColumnBatch:
         raise NotImplementedError
+
+    def empty(self) -> ColumnBatch:
+        """The typed empty output, computed on the first call and then
+        shared by every caller: no consumer may write into a batch it
+        did not build."""
+        if self._empty_batch is None:
+            self._empty_batch = self.process(*[ColumnBatch({}, 0)] * self.arity)
+        return self._empty_batch
 
 
 class ColumnarMergeOp(ColumnarOperator):
@@ -748,6 +764,8 @@ class ColumnarJoinOp(ColumnarOperator):
     Within a key bucket, matches appear in build-side input order — the
     same order the row engine's hash-bucket lists produce.
     """
+
+    arity = 2
 
     def __init__(self, node: AnalyzedNode):
         if node.kind is not NodeKind.JOIN:

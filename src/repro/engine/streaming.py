@@ -259,10 +259,10 @@ class ColumnBuffer:
 class StreamingNode:
     """One distributed-plan node kept alive across epoch steps.
 
-    Wrappers take a *compiled* operator — any object exposing the
-    :class:`~repro.runtime.backend.CompiledOperator` surface (``process``,
-    ``process_window``, ``empty``) — and both consume and emit
-    :class:`ColumnBatch`es, whatever the operator is inside.
+    Wrappers take a *compiled* operator — a kernel exposing the
+    :class:`~repro.engine.columnar.ColumnarOperator` surface (``process``,
+    ``empty``, and ``process_window`` on windowed kernels) — and both
+    consume and emit :class:`ColumnBatch`es.
     """
 
     def step(

@@ -1,11 +1,10 @@
 """The layered execution runtime.
 
-Three layers, each with one responsibility:
+Seven modules, each with one responsibility:
 
 * :mod:`repro.runtime.backend` — the engine backend.  The
   :class:`~repro.runtime.backend.EngineBackend` compiles plan nodes into
-  :class:`~repro.runtime.backend.CompiledOperator` kernels over
-  ``ColumnBatch``es, once per node, at plan-compile time.
+  kernels over ``ColumnBatch``es, once per node, at plan-compile time.
 * :mod:`repro.runtime.session` — the unified epoch driver.
   :class:`~repro.runtime.session.ExecutionSession` executes a distributed
   plan one epoch at a time; a one-shot run is the degenerate single-epoch
@@ -18,22 +17,29 @@ Three layers, each with one responsibility:
   event trace for offline inspection.
 * :mod:`repro.runtime.flowcontrol` — backpressure and fault injection.
   A :class:`~repro.runtime.flowcontrol.QueuePolicy` bounds each host's
-  per-epoch ingest (block / drop-newest / drop-oldest / semantic, the
-  last ranking overflow by :mod:`repro.runtime.shedding`) and a
+  per-epoch ingest (block / drop-newest / drop-oldest / semantic) and a
   :class:`~repro.runtime.flowcontrol.FaultPlan` injects host skips,
   delayed delivery, and duplicate delivery; drops and faults are charged
   to the recorder as per-epoch, per-host counters and ``drop``/``fault``
   events.
+* :mod:`repro.runtime.shedding` — the ``semantic`` queue mode's value
+  model: overflow rows are ranked by what the plan says they are worth
+  to each delivered query, and the least valuable are shed.
+* :mod:`repro.runtime.rebalance` — adaptive repartitioning under skew.
+  A :class:`~repro.runtime.rebalance.RebalancePolicy` lets hot
+  partitions migrate to cooler hosts at epoch boundaries; a migration
+  changes which host is charged, never the dataflow.
 * :mod:`repro.runtime.parallel` — multiprocess host execution.  A
   :class:`~repro.runtime.parallel.ParallelExecutor` forks one worker
   process per simulated host and plugs into the session's
-  :class:`~repro.runtime.session.StepExecutor` seam; each worker steps
-  its hosts' nodes through the same
-  :class:`~repro.runtime.session.NodeTable` as the in-process executor,
-  batches cross the worker pipe by pickle, and the driver replays all
-  accounting, so results are identical to in-process execution.  A
-  failing worker raises :class:`~repro.runtime.parallel.WorkerFailed`
-  after the pool is torn down.
+  :class:`~repro.runtime.session.StepExecutor` seam; each worker inherits
+  the compiled backend by fork and steps its hosts' nodes through the
+  same :class:`~repro.runtime.session.NodeTable` as the in-process
+  executor, batches cross the worker pipe by pickle, and the driver
+  replays all accounting, so results are identical to in-process
+  execution.  A failing worker raises
+  :class:`~repro.runtime.parallel.WorkerFailed` after the pool is torn
+  down.
 
 A run is described once, by :class:`~repro.runtime.session.RunOptions`
 and the policies it holds (``QueuePolicy``, ``FaultPlan``,
@@ -42,7 +48,7 @@ and the policies it holds (``QueuePolicy``, ``FaultPlan``,
 backwards-compatible facade over these layers.
 """
 
-from .backend import CompiledOperator, EngineBackend, create_backend
+from .backend import EngineBackend, create_backend
 from .flowcontrol import (
     BLOCK,
     DROP_NEWEST,
@@ -75,7 +81,6 @@ from .session import (
 __all__ = [
     "BLOCK",
     "EXECUTION_MODES",
-    "CompiledOperator",
     "DeliveredRows",
     "DROP_NEWEST",
     "DROP_OLDEST",

@@ -1,14 +1,15 @@
-"""The engine backend: plan nodes compiled to operators, once, up front.
+"""The engine backend: plan nodes compiled to kernels, once, up front.
 
 The :class:`EngineBackend` turns every :class:`~repro.distopt.plan_ir.DistNode`
-into a :class:`CompiledOperator` whose inputs and output are
-:class:`~repro.engine.columnar.ColumnBatch`es — the one batch type that
-crosses a node boundary.  Every node compiles to a kernel
+into a kernel — a :class:`~repro.engine.columnar.ColumnarOperator` whose
+inputs and output are :class:`~repro.engine.columnar.ColumnBatch`es, the
+one batch type that crosses a node boundary.  Every node compiles to one
 (:func:`~repro.engine.variants.build_variant_kernel`,
 :func:`~repro.engine.columnar.build_columnar_nullpad`), the sketch pair,
 sliding-window reassembly and UDAFs included: a UDAF's own
 state/merge/final protocol runs once per group inside the aggregate
-kernels.
+kernels.  Kernels hold vectorized closures and never leave the process
+that compiled them; forked workers inherit them.
 
 The backend also owns the operator cache (a plan instantiates one copy
 per host of the same logical operator) and the construction of the
@@ -21,11 +22,12 @@ never imports them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, TYPE_CHECKING
 
 from ..distopt.plan_ir import DistKind, DistNode, Variant
 from ..engine.columnar import (
     ColumnarMergeOp,
+    ColumnarOperator,
     ColumnBatch,
     build_columnar_nullpad,
     ensure_columns,
@@ -51,76 +53,13 @@ if TYPE_CHECKING:
     from ..cluster.splitter import Splitter
 
 
-class CompiledOperator:
-    """One plan node's operator: ``ColumnBatch``es in, a ``ColumnBatch`` out.
-
-    ``arity`` is the number of inputs the operator takes (two for a
-    join), which is all :meth:`empty` needs to know.
-    :meth:`empty` is built once and then shared by every caller, so no
-    consumer may write into a batch it did not build.
-
-    Instances are picklable by *recipe*: operators hold vectorized
-    closures that cannot cross process boundaries, so pickling ships the
-    ``(dag, node)`` pair that produced the operator and unpickling
-    recompiles it — the parallel runtime hands compiled operators to its
-    forked workers at pool start this way.  The dag is shared (pickle
-    memoizes it) when a whole compile cache travels in one payload.
-    """
-
-    __slots__ = ("operator", "recipe", "arity", "_empty")
-
-    def __init__(self, operator, recipe: Optional[tuple] = None, arity: int = 1):
-        self.operator = operator
-        self.recipe = recipe
-        self.arity = arity
-        self._empty: Optional[ColumnBatch] = None
-
-    def __reduce__(self):
-        if self.recipe is None:
-            raise TypeError(
-                "CompiledOperator without a compile recipe is not picklable "
-                "(operators capture vectorized closures); compile it through "
-                "an EngineBackend"
-            )
-        return (_rebuild_compiled, self.recipe)
-
-    def process(self, *inputs: ColumnBatch) -> ColumnBatch:
-        return self.operator.process(*inputs)
-
-    def process_window(self, batch: ColumnBatch, ends: List[int]) -> ColumnBatch:
-        """Window-labelled emission of a windowed kernel over the rows its
-        streaming wrapper retained."""
-        return self.operator.process_window(batch, ends)
-
-    def empty(self) -> ColumnBatch:
-        """The empty output batch (kernels emit typed columns), computed
-        on the first call and cached."""
-        if self._empty is None:
-            self._empty = self.process(*[ColumnBatch({}, 0)] * self.arity)
-        return self._empty
-
-
-def _operator_key(node: DistNode) -> tuple:
-    return (node.kind, node.query, node.variant, node.pad_side)
-
-
-def _rebuild_compiled(dag: QueryDag, node: DistNode) -> "CompiledOperator":
-    """Unpickle hook: recompile a :class:`CompiledOperator` from its recipe.
-
-    Compilation is deterministic in ``(dag, node)``, so the rebuilt
-    kernel (a UDAF's fold included) is behaviourally identical to the
-    original.
-    """
-    return EngineBackend(dag).compile_node(node)
-
-
 class EngineBackend:
     """Compiles plan nodes for the (one) runtime.
 
     What an :class:`~repro.runtime.session.ExecutionSession` drives:
 
-    * :meth:`compile_node` — the node's :class:`CompiledOperator`, cached
-      per ``(kind, query, variant, pad_side)``;
+    * :meth:`compile_node` — the node's kernel, cached per
+      ``(kind, query, variant, pad_side)``;
     * :meth:`streaming_node` — a fresh stateful wrapper for epoch-driven
       execution (one per run, state lives across epochs);
     * :meth:`prepare` / :meth:`split` — source data converted to batches,
@@ -129,12 +68,12 @@ class EngineBackend:
 
     def __init__(self, dag: QueryDag):
         self._dag = dag
-        self._cache: Dict[tuple, CompiledOperator] = {}
+        self._cache: Dict[tuple, ColumnarOperator] = {}
 
     # -- compilation ----------------------------------------------------------
 
-    def compile_node(self, node: DistNode) -> CompiledOperator:
-        key = _operator_key(node)
+    def compile_node(self, node: DistNode) -> ColumnarOperator:
+        key = (node.kind, node.query, node.variant, node.pad_side)
         compiled = self._cache.get(key)
         if compiled is None:
             compiled = self._compile(node)
@@ -142,29 +81,18 @@ class EngineBackend:
         return compiled
 
     @property
-    def cached_operators(self) -> Dict[tuple, CompiledOperator]:
+    def cached_operators(self) -> Dict[tuple, ColumnarOperator]:
         """The compile cache, keyed by ``(kind, query, variant, pad_side)``
         — one entry per *logical* operator, shared by every host's copy."""
         return self._cache
 
-    @property
-    def dag(self) -> QueryDag:
-        """The analyzed query dag this backend compiles against."""
-        return self._dag
-
-    def _compile(self, node: DistNode) -> CompiledOperator:
-        recipe = (self._dag, node)
+    def _compile(self, node: DistNode) -> ColumnarOperator:
         if node.kind is DistKind.MERGE:
-            return CompiledOperator(ColumnarMergeOp(), recipe)
+            return ColumnarMergeOp()
         analyzed = self._dag.node(node.query)
         if node.kind is DistKind.NULLPAD:
-            return CompiledOperator(
-                build_columnar_nullpad(analyzed, node.pad_side), recipe
-            )
-        arity = 2 if analyzed.kind is NodeKind.JOIN else 1
-        return CompiledOperator(
-            build_variant_kernel(analyzed, node.variant.value), recipe, arity
-        )
+            return build_columnar_nullpad(analyzed, node.pad_side)
+        return build_variant_kernel(analyzed, node.variant.value)
 
     # -- sources ----------------------------------------------------------------
 

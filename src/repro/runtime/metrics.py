@@ -225,10 +225,10 @@ class MetricsRecorder:
 
         ``mode`` is ``"parallel"`` (multiprocess host execution) or
         ``"inprocess"``; ``reason`` explains a fallback (parallel was
-        requested but unavailable — single host, one worker, or no usable
-        multiprocessing start method).  Recorded as a ``compile``-style
-        setup event so a silent downgrade to serial execution is visible
-        in the trace.
+        requested but unavailable — single host, one worker, or no
+        ``fork``).  Recorded as a ``compile``-style setup event so a
+        downgrade to serial execution is visible in the trace; the run's
+        result keeps the reason either way.
         """
         if self.record_events:
             event = {"event": "execution", "mode": mode}

@@ -17,20 +17,25 @@ the :class:`~repro.runtime.session.StepExecutor` seam:
 * Each **worker** owns the stateful streaming nodes of its assigned
   hosts in a :class:`~repro.runtime.session.NodeTable` — the same table
   and stepping loop the in-process executor uses — so buffers live in
-  the worker across epochs.  Workers receive their
-  :class:`~repro.runtime.backend.CompiledOperator` cache at pool start
-  through the pickle-by-recipe protocol (operators recompile on
-  arrival — vectorized closures never cross the process boundary).
+  the worker across epochs.  The pool is fork-only: a worker inherits
+  the session's backend (its compile cache already warm, since the
+  session compiles every node before any run), its stage nodes and its
+  export ids as ``Process`` arguments, which fork never pickles.  No
+  worker compiles anything, and kernels never cross a pipe.
 * **Nodes never change worker.**  The node -> worker map is fixed at
   pool start: a partition migration only changes which simulated host
   the driver charges, so a migrated node keeps stepping in the worker
   it started in, and the driver asks that worker for its ``buffered``
   row count to price the handoff.
-* **Transport** is the worker's pipe, both ways: every batch is pickled
-  into it and copied out of it, so nothing outlives a message.
+* **Transport** is the worker's pipe, both ways.  The driver sends only
+  ``step``, ``ask`` and ``stop`` messages; a worker answers ``ready``
+  once, then ``done`` or ``answer``.  Every batch is pickled into the
+  pipe and copied out of it, so nothing outlives a message.
 * **Failures are loud.** A worker that raises, dies or closes its pipe
   surfaces as one :class:`WorkerFailed` naming its simulated hosts and
-  the step, after the whole pool has been torn down.
+  the step (or "at pool start"), after the whole pool has been torn
+  down.  A platform without ``fork`` raises :class:`ParallelUnavailable`
+  instead, and the run falls back in-process.
 
 Cross-host dataflow is scheduled in **stages**: a node's stage is the
 maximum over its children of the child's stage, plus one whenever the
@@ -60,59 +65,43 @@ from typing import Dict, List, NoReturn, Optional, Sequence, Set, Tuple
 from ..distopt.plan_ir import DistKind, DistNode, DistributedPlan
 from ..engine.columnar import ColumnBatch
 from ..engine.streaming import Watermark
-from .backend import EngineBackend, _operator_key
+from .backend import EngineBackend
 from .session import NodeTable, SourceFeed, StepExecutor, StepOutcome
-
-#: Start methods in preference order: fork is cheapest and inherits the
-#: compiled driver state; spawn/forkserver work because every init
-#: payload is picklable (operators ship by recipe).
-_START_METHODS = ("fork", "forkserver", "spawn")
-
-#: One worker's share of the plan, as its init message carries it: nodes
-#: per stage (plan order), their compiled operators, and the node ids
-#: whose outputs go back to the driver.
-Assignment = Tuple[Dict[int, List[DistNode]], list, Set[str]]
 
 
 class ParallelUnavailable(RuntimeError):
     """Parallel execution cannot run here; the session falls back
-    in-process and records the reason in the event trace."""
+    in-process and keeps the reason on the run's result."""
 
 
 class WorkerFailed(RuntimeError):
     """A worker raised, died, or broke its pipe; the pool is torn down."""
 
 
-def _start_context():
-    available = multiprocessing.get_all_start_methods()
-    for method in _START_METHODS:
-        if method in available:
-            return multiprocessing.get_context(method)
-    return None
-
-
 # -- the worker process ----------------------------------------------------------
 
 
-def _worker_main(conn) -> None:  # pragma: no cover — runs in forked children
-    """One worker's lifetime: init, then one message per (step, stage).
+def _worker_main(
+    conn,
+    backend: EngineBackend,
+    epoch_column: str,
+    stages: Dict[int, List[DistNode]],
+    export_ids: Set[str],
+) -> None:  # pragma: no cover — runs in forked children
+    """One worker's lifetime: build its table, then one message per
+    (step, stage).
 
-    The init message carries the query dag, the epoch column and this
-    worker's :data:`Assignment` — in one pickle, so the dag ships once
-    even though every compiled operator's recipe references it.
-    Streaming-node buffers persist in this process across steps;
-    step-local outputs and watermarks reset whenever a new step index
-    arrives.  Between steps the driver may ``ask`` one
-    :class:`~repro.runtime.session.NodeTable` question of named nodes:
-    ``buffered`` row counts (a partition migration's handoff price) or
-    ``value_hints`` (semantic shedding's open join buckets).
+    ``backend`` is the driver's (or the proxy the session holds),
+    inherited by fork with every kernel compiled; ``stages`` holds this
+    worker's nodes per stage, in plan order.  Streaming-node buffers
+    persist in this process across steps; step-local outputs and
+    watermarks reset whenever a new step index arrives.  Between steps
+    the driver may ``ask`` one :class:`~repro.runtime.session.NodeTable`
+    question of named nodes: ``buffered`` row counts (a partition
+    migration's handoff price) or ``value_hints`` (semantic shedding's
+    open join buckets).
     """
     try:
-        _, dag, epoch_column, assignment = conn.recv()
-        stages, operators, export_ids = assignment
-        backend = EngineBackend(dag)
-        for compiled in operators:
-            backend.cached_operators[_operator_key(compiled.recipe[1])] = compiled
         table = NodeTable(
             backend,
             epoch_column,
@@ -194,11 +183,12 @@ class ParallelExecutor(StepExecutor):
             raise ParallelUnavailable(
                 f"parallel execution needs at least 2 workers, got workers={requested}"
             )
-        context = _start_context()
-        if context is None:
-            raise ParallelUnavailable("no multiprocessing start method is available")
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ParallelUnavailable(
+                "this platform cannot fork, and workers inherit the compiled "
+                "plan by fork"
+            )
         self.worker_count = min(requested, len(hosts_used))
-        self._backend = backend
         self._worker_of_host = {
             host: index % self.worker_count for index, host in enumerate(hosts_used)
         }
@@ -238,7 +228,7 @@ class ParallelExecutor(StepExecutor):
         self._step = -1
         self._activity = "at pool start"
         try:
-            self._fork_pool(context, epoch_column)
+            self._fork_pool(backend, epoch_column)
         except OSError as error:
             self.close()
             raise ParallelUnavailable(
@@ -248,47 +238,29 @@ class ParallelExecutor(StepExecutor):
             self.close()
             raise
 
-    def _assignment(self, worker: int) -> Assignment:
-        """``worker``'s share of the plan (see :data:`Assignment`)."""
-        stages = {
-            stage: nodes
-            for (owner, stage), nodes in self._stage_nodes.items()
-            if owner == worker
-        }
-        nodes = [node for per_stage in stages.values() for node in per_stage]
-        operators = list(
-            {
-                _operator_key(node): self._backend.compile_node(node)
-                for node in nodes
-                if node.kind is not DistKind.SOURCE
-            }.values()
-        )
-        exports = {
-            node.node_id for node in nodes if node.node_id in self._export_ids
-        }
-        return stages, operators, exports
+    def _fork_pool(self, backend: EngineBackend, epoch_column: str) -> None:
+        """Fork one process per worker and wait for each to be ready.
 
-    def _fork_pool(self, context, epoch_column: str) -> None:
-        """Fork one process per worker and ship each its init payload.
-
-        The payload goes through the pipe (never fork-inherited), so the
-        compiled-operator pickle protocol is exercised on every start
-        method.
+        A worker's share of the plan travels as ``Process`` arguments,
+        which fork hands over without pickling.
         """
-        for _ in range(self.worker_count):
+        context = multiprocessing.get_context("fork")
+        for worker in range(self.worker_count):
+            stages = {
+                stage: nodes
+                for (owner, stage), nodes in self._stage_nodes.items()
+                if owner == worker
+            }
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
-                target=_worker_main, args=(child_conn,), daemon=True
+                target=_worker_main,
+                args=(child_conn, backend, epoch_column, stages, self._export_ids),
+                daemon=True,
             )
             process.start()
             child_conn.close()
             self._connections.append(parent_conn)
             self._processes.append(process)
-        dag = self._backend.dag
-        for worker in range(self.worker_count):
-            self._send(
-                worker, ("init", dag, epoch_column, self._assignment(worker))
-            )
         for worker in range(self.worker_count):
             self._receive(worker)
 

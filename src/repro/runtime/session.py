@@ -112,8 +112,9 @@ class RunOptions:
     simulated host (capped at ``workers``) and routes per-epoch
     partitions to them (:mod:`repro.runtime.parallel`).  Outputs and
     accounting are identical either way; when parallel execution is
-    impossible (single host, one worker, no start method) the run falls
-    back in-process and records the reason as an ``execution`` event.
+    impossible (single host, one worker, no ``fork``) the run falls back
+    in-process, keeps the reason as ``SimulationResult.execution_fallback``
+    (``summary()`` prints it) and records it as an ``execution`` event.
 
     ``rebalance`` activates adaptive repartitioning
     (:class:`~repro.runtime.rebalance.RebalancePolicy`): hot partitions
@@ -195,6 +196,9 @@ class StepExecutor:
 
     #: Mode label recorded in the event trace ("inprocess"/"parallel").
     mode: str
+    #: Why a run asked to be parallel steps in-process instead; None when
+    #: it runs where it was asked to.
+    fallback: Optional[str] = None
 
     def run_step(self, flush: bool, sources: SourceFeed) -> StepOutcome:
         raise NotImplementedError
@@ -321,9 +325,11 @@ class InProcessExecutor(StepExecutor):
         order: Sequence[DistNode],
         epoch_column: str,
         return_ids: Set[str],
+        fallback: Optional[str] = None,
     ):
         self._order = list(order)
         self._return_ids = set(return_ids)
+        self.fallback = fallback
         # Streaming wrappers hold buffers across steps: fresh per run.
         self._table = NodeTable(backend, epoch_column, self._order)
 
@@ -447,9 +453,10 @@ class SimulationResult:
     # policy had mode ``semantic`` and actually shed.
     shed_counts: Dict[str, int] = field(default_factory=dict)
     # How operators actually executed: "inprocess" or "parallel".  A run
-    # requested as parallel that fell back reports "inprocess" here (the
-    # fallback reason is in the event trace's "execution" record).
+    # requested as parallel that fell back reports "inprocess" here, and
+    # why in ``execution_fallback`` (None when it ran as asked).
     execution: str = "inprocess"
+    execution_fallback: Optional[str] = None
     # What the adaptive rebalancer observed and did; None unless the run
     # passed ``rebalance=RebalancePolicy(...)``.
     rebalance: Optional[RebalanceLog] = None
@@ -510,6 +517,10 @@ class SimulationResult:
                 f"host {host.index} ({role}): CPU {self.cpu_load(host.index):6.1f}%  "
                 f"net {net:10.1f} tuples/s"
             )
+        execution = f"execution {self.execution}"
+        if self.execution_fallback is not None:
+            execution += f" (parallel fell back: {self.execution_fallback})"
+        lines.append(execution)
         for stream, (kept, dropped) in sorted(self.source_columns.items()):
             lines.append(
                 f"source {stream}: reads {', '.join(kept)}; "
@@ -742,6 +753,7 @@ class ExecutionSession:
             flow_stats=dict(recorder.flow_stats),
             shed_counts=dict(recorder.shed_counts),
             execution=executor.mode,
+            execution_fallback=executor.fallback,
             rebalance=rebalancer.log,
             source_columns=dict(recorder.source_columns),
         )
@@ -766,10 +778,12 @@ class ExecutionSession:
         self, options: RunOptions, order: Sequence[DistNode]
     ) -> StepExecutor:
         """Build this run's executor, recording the mode (and any
-        parallel-to-inprocess fallback reason) in the event trace."""
+        parallel-to-inprocess fallback reason) in the event trace; the
+        executor keeps the reason for the run's result."""
         recorder = self._recorder
         epoch_column = options.epoch_column
         return_ids = set(self._plan.delivery.values())
+        fallback = None
         if options.execution == "parallel":
             from .parallel import ParallelExecutor, ParallelUnavailable
 
@@ -779,15 +793,16 @@ class ExecutionSession:
                     return_ids, options.workers,
                 )
             except ParallelUnavailable as unavailable:
-                recorder.record_execution_mode("inprocess", reason=str(unavailable))
+                fallback = str(unavailable)
             else:
                 recorder.record_execution_mode(
                     "parallel", workers=executor.worker_count
                 )
                 return executor
-        else:
-            recorder.record_execution_mode("inprocess")
-        return InProcessExecutor(self._backend, order, epoch_column, return_ids)
+        recorder.record_execution_mode("inprocess", reason=fallback)
+        return InProcessExecutor(
+            self._backend, order, epoch_column, return_ids, fallback
+        )
 
     def _check_splitter(self, splitter: "Splitter") -> None:
         if splitter.num_partitions != self._plan.num_partitions:

@@ -123,6 +123,24 @@ class TestFigures:
         assert "CPU load on aggregator" in out
         assert "Naive" in out
         assert "Partitioned" in out
+        assert "fell back" not in out
+
+    def test_figures_say_why_runs_fell_back(self, capsys):
+        """A parallel sweep that cannot fork a pool says so, per reason:
+        one host has nothing to spread, one worker is no pool."""
+        code = main(
+            ["figures", "--experiment", "1", "--hosts", "1,2", "--seed", "3",
+             "--execution", "parallel", "--workers", "1"]
+        )
+        assert code == 0
+        notes = [
+            line for line in capsys.readouterr().out.splitlines()
+            if "fell back" in line
+        ]
+        assert len(notes) == 2
+        assert all(line.startswith("execution inprocess for 3 of 6 runs")
+                   for line in notes)
+        assert "single host" in notes[1] and "workers=1" in notes[0]
 
 
 class TestTimeline:
@@ -142,6 +160,7 @@ class TestTimeline:
         )
         assert code == 0
         out = capsys.readouterr().out
+        assert "execution inprocess\n" in out
         assert "peak resident batch" in out
         assert "agg recv" in out
         assert "cpu[h1]" in out

@@ -338,7 +338,7 @@ class TestOperatorCaching:
         splitter = HashSplitter(placement.num_partitions, ps)
         sim = ClusterSimulator(dag, plan, stream_rate=1000)
         # Compilation is eager: the session resolves every plan node
-        # to a CompiledOperator at construction time.
+        # to its kernel at construction time.
         cache = dict(sim.session.backend.cached_operators)
         assert cache
         # distinct (kind, query, variant) keys, far fewer than plan nodes

@@ -10,8 +10,8 @@ with it and names its simulated hosts and step.
 """
 
 import multiprocessing
+import multiprocessing.connection
 import os
-import pickle
 import random
 import re
 import signal
@@ -21,26 +21,34 @@ import pytest
 from tests.parity import (
     SOURCES,
     assert_identical_simulation,
+    assert_matches_centralized,
     assert_same_outputs,
+    deploy,
     last_value_dag,
     random_case,
     random_packets,
+    skewed_packets,
     splitter_for,
     tcp_source,
 )
 
 from repro.cluster import ClusterSimulator, QueuePolicy
+from repro.cluster import simulator as simulator_mod
 from repro.distopt import DistKind, DistributedOptimizer, Placement
-from repro.engine import batches_equal, columnar
+from repro.engine import columnar
 from repro.engine.columnar import ColumnBatch
+from repro.partitioning import PartitioningSet
+from repro.runtime import RebalancePolicy
+from repro.runtime import backend as backend_mod
 from repro.runtime import parallel as parallel_mod
-from repro.runtime.backend import CompiledOperator, EngineBackend
+from repro.runtime.backend import EngineBackend
 from repro.runtime.flowcontrol import Fault, FaultPlan
 from repro.runtime.parallel import (
     ParallelExecutor,
     ParallelUnavailable,
     WorkerFailed,
 )
+from repro.workloads import suspicious_flows_catalog
 
 import numpy as np
 
@@ -188,47 +196,57 @@ class TestEventAttribution:
 class TestGracefulFallback:
     """Satellite: impossible parallelism degrades, recorded, never crashes."""
 
-    def test_workers_one_falls_back(self):
-        dag, plan, splitter, packets, _ = _case(9, "complex")
+    def _fallback(self, dag, plan, splitter, packets, **options):
+        """A run asked to be parallel that steps in-process: the reason is
+        on the result, printed by its summary, and in the event trace."""
         sim, result = _run(
-            dag, plan, splitter, packets, "parallel", workers=1,
-            record_events=True,
+            dag, plan, splitter, packets, "parallel", record_events=True,
+            **options,
         )
         assert result.execution == "inprocess"
         (mode_event,) = [
             e for e in sim.metrics.events if e["event"] == "execution"
         ]
         assert mode_event["mode"] == "inprocess"
-        assert "workers" in mode_event["reason"]
+        assert mode_event["reason"] == result.execution_fallback
+        assert (
+            f"execution inprocess (parallel fell back: {result.execution_fallback})"
+            in result.summary().splitlines()
+        )
+        return result
+
+    def test_workers_one_falls_back(self):
+        dag, plan, splitter, packets, _ = _case(9, "complex")
+        result = self._fallback(dag, plan, splitter, packets, workers=1)
+        assert "workers" in result.execution_fallback
 
     def test_single_host_plan_falls_back(self):
         seed = next(s for s in range(50) if _case(s, "suspicious")[4] == 1)
         dag, plan, splitter, packets, _ = _case(seed, "suspicious")
-        sim, result = _run(
-            dag, plan, splitter, packets, "parallel", record_events=True
-        )
-        assert result.execution == "inprocess"
-        (mode_event,) = [
-            e for e in sim.metrics.events if e["event"] == "execution"
-        ]
-        assert "single host" in mode_event["reason"]
+        result = self._fallback(dag, plan, splitter, packets)
+        assert "single host" in result.execution_fallback
 
     def test_no_start_method_falls_back(self, monkeypatch):
+        """A platform without ``fork`` cannot hand workers the compiled
+        plan, so the run steps in-process, identically."""
         monkeypatch.setattr(
-            parallel_mod.multiprocessing, "get_all_start_methods", lambda: []
+            parallel_mod.multiprocessing, "get_all_start_methods",
+            lambda: ["spawn", "forkserver"],
         )
         dag, plan, splitter, packets, hosts = _case(9, "complex")
         assert hosts > 1
         _, reference = _run(dag, plan, splitter, packets, "inprocess")
-        sim, result = _run(
-            dag, plan, splitter, packets, "parallel", record_events=True
-        )
-        assert result.execution == "inprocess"
-        (mode_event,) = [
-            e for e in sim.metrics.events if e["event"] == "execution"
-        ]
-        assert "start method" in mode_event["reason"]
+        result = self._fallback(dag, plan, splitter, packets)
+        assert "cannot fork" in result.execution_fallback
         assert_identical_simulation(reference, result)
+
+    def test_a_run_as_asked_has_no_fallback(self):
+        dag, plan, splitter, packets, _ = _case(9, "complex")
+        for execution in ("inprocess", "parallel"):
+            _, result = _run(dag, plan, splitter, packets, execution)
+            assert result.execution == execution
+            assert result.execution_fallback is None
+            assert f"execution {execution}" in result.summary().splitlines()
 
     def test_invalid_execution_rejected(self):
         dag, plan, splitter, packets, _ = _case(9, "complex")
@@ -407,60 +425,128 @@ class TestWorkerFailures:
         assert _shm_entries() == before
 
 
+def _forbid_compilation(monkeypatch):
+    """From now on, any kernel build raises."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a kernel was compiled after the session")
+
+    for builder in ("build_variant_kernel", "build_columnar_nullpad",
+                    "ColumnarMergeOp"):
+        monkeypatch.setattr(backend_mod, builder, forbidden)
+
+
+class _ProxyBackend:
+    """A stand-in for a wrapper around the session's backend (the
+    benchmark's tracing proxy is one): it forwards everything, and calls
+    ``on_build`` before it builds each streaming node."""
+
+    def __init__(self, inner, on_build):
+        self._inner = inner
+        self._on_build = on_build
+
+    def __getattr__(self, attribute):
+        return getattr(self._inner, attribute)
+
+    def streaming_node(self, node):
+        self._on_build()
+        return self._inner.streaming_node(node)
+
+
 class TestCompiledOperatorPickle:
-    """Satellite: operators cross process boundaries by recipe."""
+    """The session compiles once, in the driver: forked workers inherit
+    its kernels, no kernel crosses a pipe, and only ``step``/``ask``/
+    ``stop`` messages go out.  (The ids predate the fork-only pool, when
+    operators travelled by a pickled recipe and recompiled on arrival.)"""
 
     @pytest.mark.parametrize("operators", ("row", "columnar"))
-    def test_round_trip_matches_original(self, operators):
-        """Array kernels (the complex plan) and the kernels that fold a
-        UDAF's row protocol per group both recompile to what they were."""
+    def test_round_trip_matches_original(self, operators, monkeypatch):
+        """After the session has compiled, no kernel can be built; a
+        parallel run still forks, steps every node and answers what the
+        centralized §3.4 oracle answers — array kernels (the complex
+        plan) and the kernels that fold a UDAF's row protocol per group
+        alike."""
         packets = random_packets(9)
         if operators == "columnar":
-            dag, plan, _, _, _ = _case(9, "complex")
+            dag, plan, splitter, _, _ = _case(9, "complex")
         else:
+            # LAST_VALUE is order-sensitive: hashing on its group key
+            # keeps each group's rows in one partition, in trace order.
             dag = last_value_dag()
-            plan = DistributedOptimizer(dag, Placement(2, 2), None).optimize()
-        backend = EngineBackend(dag)
-        nodes = [
-            node for node in plan.topological() if node.kind.name != "SOURCE"
-        ]
-        assert nodes
-        prepared = backend.prepare(packets)
-        folds = 0
-        for node in nodes:
-            compiled = backend.compile_node(node)
-            rebuilt = pickle.loads(pickle.dumps(compiled))
-            assert type(rebuilt.operator) is type(compiled.operator)
-            assert rebuilt.arity == compiled.arity
-            folds += any(
-                isinstance(kernel, columnar._UdafFold)
-                for kernel in getattr(rebuilt.operator, "_kernels", ())
-            )
-            if not node.inputs or len(node.inputs) != 1:
-                continue
-            # Single-input operators can be exercised directly on raw rows.
-            try:
-                reference = compiled.process(prepared)
-                result = rebuilt.process(prepared)
-            except (KeyError, TypeError):
-                continue  # operator needs upstream columns; topology tested
-            assert type(result) is ColumnBatch
-            assert batches_equal(reference.to_rows(), result.to_rows())
-        assert bool(folds) == (operators == "row")
+            ps = PartitioningSet.of("srcIP")
+            placement = Placement(2, 2)
+            plan = DistributedOptimizer(dag, placement, ps).optimize()
+            splitter = splitter_for(placement.num_partitions, ps)
+        sim = ClusterSimulator(dag, plan, stream_rate=1000)
+        folds = any(
+            isinstance(kernel, columnar._UdafFold)
+            for operator in sim.session.backend.cached_operators.values()
+            for kernel in getattr(operator, "_kernels", ())
+        )
+        assert folds == (operators == "row")
+        _forbid_compilation(monkeypatch)
+        for run in (sim.run, sim.run_streaming):
+            result = run({"TCP": packets}, splitter, 10.0, execution="parallel")
+            assert result.execution == "parallel"
+            assert result.outputs.row_count() > 0
+            assert_matches_centralized(dag, packets, result)
 
-    def test_cache_payload_shares_the_dag(self):
-        dag, plan, _, _, _ = _case(9, "complex")
-        backend = EngineBackend(dag)
-        for node in plan.topological():
-            if node.kind.name != "SOURCE":
-                backend.compile_node(node)
-        operators = list(backend.cached_operators.values())
-        assert len(operators) > 1
-        rebuilt = pickle.loads(pickle.dumps(operators))
-        dags = {id(op.recipe[0]) for op in rebuilt}
-        assert len(dags) == 1  # pickle memoized one shared dag
+    def test_cache_payload_shares_the_dag(self, monkeypatch):
+        """The driver sends only ``step``, ``ask`` and ``stop``: no init
+        payload, no dag, no kernel.  A rebalancing run asks its workers
+        for buffered rows, so all three kinds go out."""
+        driver = os.getpid()
+        sent = []
+        send = multiprocessing.connection.Connection.send
 
-    def test_recipe_free_operator_is_rejected(self):
-        compiled = CompiledOperator(object())
-        with pytest.raises(TypeError, match="recipe"):
-            pickle.dumps(compiled)
+        def recording_send(connection, message):
+            if os.getpid() == driver:
+                sent.append(message[0])
+            return send(connection, message)
+
+        monkeypatch.setattr(
+            multiprocessing.connection.Connection, "send", recording_send
+        )
+        sim, splitter = deploy(
+            suspicious_flows_catalog()[1], 3, PartitioningSet.of("srcIP"),
+            merge_local=False,
+        )
+        result = sim.run_streaming(
+            {"TCP": skewed_packets(1)}, splitter, 10.0,
+            rebalance=RebalancePolicy(threshold=1.1, window=1, cooldown=1),
+            execution="parallel", workers=2,
+        )
+        assert result.execution == "parallel"
+        assert result.rebalance.migrations
+        assert set(sent) == {"step", "ask", "stop"}
+
+    def test_recipe_free_operator_is_rejected(self, monkeypatch):
+        """Workers step through whatever backend object the session
+        holds, a forwarding proxy included: while the proxy refuses to
+        build nodes outside the driver, the pool fails at start; once it
+        builds them, the run is identical to in-process."""
+        dag, plan, splitter, packets, _ = _case(9, "complex")
+        driver = os.getpid()
+        refuse = [True]
+
+        def refuse_in_worker():
+            if refuse[0] and os.getpid() != driver:
+                raise RuntimeError("the proxy reached the worker")
+
+        monkeypatch.setattr(
+            simulator_mod, "EngineBackend",
+            lambda dag: _ProxyBackend(EngineBackend(dag), refuse_in_worker),
+        )
+        sim = ClusterSimulator(dag, plan, stream_rate=1000)
+        assert type(sim.session.backend) is _ProxyBackend
+        with pytest.raises(WorkerFailed, match="at pool start") as caught:
+            sim.run_streaming({"TCP": packets}, splitter, 10.0,
+                              execution="parallel")
+        assert "the proxy reached the worker" in str(caught.value)
+        assert multiprocessing.active_children() == []
+        refuse[0] = False
+        _, reference = _run(dag, plan, splitter, packets, "inprocess")
+        result = sim.run_streaming({"TCP": packets}, splitter, 10.0,
+                                   execution="parallel")
+        assert result.execution == "parallel"
+        assert_identical_simulation(reference, result)

@@ -103,7 +103,7 @@ class TestCompileTimeResolution:
         kinds = _nodes_by_kind(complex_dag, plan)
         assert "join" in kinds
         for label, node in kinds.items():
-            operator = backend.compile_node(node).operator
+            operator = backend.compile_node(node)
             assert isinstance(operator, ColumnarOperator), label
 
     def test_unvectorizable_udaf_resolves_to_row_at_compile(
@@ -118,7 +118,7 @@ class TestCompileTimeResolution:
         assert {node.variant.value for node in ops} == {"sub", "super"}
         for node in ops:
             compiled = backend.compile_node(node)
-            (kernel,) = compiled.operator._kernels
+            (kernel,) = compiled._kernels
             assert isinstance(kernel, columnar._UdafFold)
             assert type(compiled.empty()) is ColumnBatch
         central = DistributedOptimizer(udaf_dag, Placement(1, 1), None).optimize()
@@ -140,8 +140,8 @@ class TestCompileTimeResolution:
         self, source, streaming, complex_dag, tiny_trace, monkeypatch
     ):
         """After session construction, execution never consults the
-        kernel builders again: every node's kernel is frozen into a
-        CompiledOperator at plan-compile time."""
+        kernel builders again: every node's kernel is built at
+        plan-compile time."""
         sim, splitter = _complex(complex_dag)
 
         def forbidden(*args, **kwargs):
@@ -419,7 +419,7 @@ class TestOneBatchType:
         # The sketch pair, window reassembly and the UDAF's fold are all
         # kernels: no node adapts a row operator.
         for node_id, operator in compiled.items():
-            assert isinstance(operator.operator, ColumnarOperator), node_id
+            assert isinstance(operator, ColumnarOperator), node_id
         for streaming in (False, True):
             for execution in ("inprocess", "parallel"):
                 result = sim.run(
@@ -433,6 +433,34 @@ class TestOneBatchType:
                     for cell in row.values():
                         assert not isinstance(cell, np.generic), type(cell)
         assert watched["steps"] > 0 and watched["returns"] > 0
+
+    def test_per_row_split_meets_the_oracle(
+        self, watched, monkeypatch, tiny_trace
+    ):
+        """A hash key the vectorized hash cannot take (a float product)
+        sends every piece through the splitter's per-row assigner; the
+        partitions go back into batches, and one-shot and streaming runs
+        still answer what the centralized run answers."""
+        catalog_fn, deliver = WORKLOADS["jitter"]
+        dag = catalog_fn()[1]
+        sim, splitter = deploy(dag, 3, PartitioningSet.of("srcIP * 1.5"), deliver)
+        split = type(splitter).split
+        row_splits = []
+
+        def counted(self, rows, offset=0):
+            row_splits.append(offset)
+            return split(self, rows, offset)
+
+        monkeypatch.setattr(type(splitter), "split", counted)
+        for streaming in (False, True):
+            row_splits.clear()
+            result = sim.run(
+                {"TCP": tiny_trace.packets}, splitter, 10.0, streaming=streaming
+            )
+            assert row_splits, "the vectorized split ran"
+            assert result.outputs.row_count() > 0
+            assert_matches_centralized(dag, tiny_trace.packets, result)
+        assert watched["steps"] > 0
 
 
 @pytest.fixture

@@ -386,18 +386,17 @@ def test_siblings_share_one_release_decision(monkeypatch, tiny_trace):
     assert {len(first)} in held.values()  # a coarser class still waits
 
 
-def _spy_on_kernel(compiled):
-    """Route a (fresh backend's) compiled operator's kernel calls through
-    a recorder; returns the list of calls."""
+def _spy_on_kernel(kernel):
+    """Route a (fresh backend's) kernel's ``process`` calls through a
+    recorder; returns the list of calls."""
     calls = []
-    kernel = compiled.operator
+    process = kernel.process
 
-    class Spy:
-        def process(self, *batches):
-            calls.append(batches)
-            return kernel.process(*batches)
+    def spy(*batches):
+        calls.append(batches)
+        return process(*batches)
 
-    compiled.operator = Spy()
+    kernel.process = spy
     return calls
 
 

@@ -232,7 +232,7 @@ class TestDistributed:
         plan = DistributedOptimizer(dag, Placement(3, 2), None).optimize()
         sim = ClusterSimulator(dag, plan, stream_rate=tiny_trace.rate)
         supers = [
-            sim.session.backend.compile_node(node).operator
+            sim.session.backend.compile_node(node)
             for node in plan.topological()
             if node.kind is DistKind.OP and node.variant.value == "super"
         ]
