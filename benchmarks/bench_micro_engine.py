@@ -1,19 +1,23 @@
-"""Columnar/row kernel ratios, measured inside one process.
+"""Kernel ratios, measured inside one process.
 
-Three hard assertions: the vectorized aggregation kernel is at least 5x
-the row operator, the vectorized join at least 10x, and the vectorized
+Four hard assertions: the vectorized aggregation kernel is at least 5x
+the row operator, the vectorized join at least 10x, the vectorized
 sliding-window FULL kernel at least 5x the row ``SlidingAggregateOp``,
-each on the same input in the same process, so the ratio transfers
-between machines where an absolute throughput would not.  Whole-run
-throughput and per-kernel wall time are ``benchmarks/e2e``'s job
-(``rows_per_s``, ``engine.<kind>_ms``), which also fails any run that
-falls back off the columnar engine.
+and the round-robin split into strided views, followed by the pairwise
+host merge, at least 2x the counting-sort split of the same assignment
+followed by the same merge.  Each pair runs on the same input in the
+same process, so the ratio transfers between machines where an absolute
+throughput would not.  Whole-run throughput and per-kernel wall time are
+``benchmarks/e2e``'s job (``rows_per_s``, ``engine.<kind>_ms``), which
+also fails any run that falls back off the columnar engine.
 """
 
 import time
 
+import numpy as np
 import pytest
 
+from repro.cluster.splitter import RoundRobinSplitter, gather_partitions
 from repro.engine import (
     ColumnBatch,
     build_columnar_operator,
@@ -100,3 +104,36 @@ def test_columnar_sliding_speedup(trace):
     col_time = _best_of(col_op.process, trace.column_batch())
     speedup = row_time / col_time
     assert speedup >= 5.0, f"sliding kernel only {speedup:.1f}x faster than row"
+
+
+def test_round_robin_view_split_speedup():
+    """The acceptance bar: a round-robin split is strided views, so split
+    plus each host's merge of its two partitions is ≥2x the counting-sort
+    gather of the same partitions plus the same merge."""
+    rows = 200_000
+    rng = np.random.default_rng(13)
+    batch = ColumnBatch(
+        {
+            "srcIP": rng.integers(0, 2**32, rows, dtype=np.int64),
+            "destPort": rng.integers(0, 2**16, rows, dtype=np.int64),
+            "len": rng.integers(40, 1500, rows, dtype=np.int64),
+        },
+        rows,
+    )
+    splitter = RoundRobinSplitter(8)
+
+    def merged(parts):
+        return [ColumnBatch.concat(parts[i : i + 2]) for i in range(0, len(parts), 2)]
+
+    def views():
+        return merged(splitter.split_columns(batch))
+
+    def counting_sort():
+        ids = splitter.assign_indices(batch)
+        return merged(gather_partitions(batch, ids, splitter.num_partitions))
+
+    for fast, slow in zip(views(), counting_sort()):
+        for name in batch.names():
+            assert np.array_equal(fast.column(name), slow.column(name))
+    speedup = _best_of(counting_sort) / _best_of(views)
+    assert speedup >= 2.0, f"view split only {speedup:.1f}x the counting sort"

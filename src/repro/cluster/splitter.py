@@ -9,6 +9,15 @@ any host's CPU.  Two concrete splitters:
 * :class:`HashSplitter` — hash partitioning on a
   :class:`~repro.partitioning.partition_set.PartitioningSet`, the paper's
   query-aware scheme.
+
+Both split a :class:`~repro.engine.columnar.ColumnBatch` without a row
+loop, into read-only partition batches.  Round-robin needs no assignment
+at all: partition ``p`` is every ``n``-th row from ``(p - offset) mod n``,
+so its partitions are strided views of the input batch, and the host
+``MERGE`` that follows is the only copy.  Hash partitions are located by
+content, so :meth:`HashSplitter.split_columns` assigns every row and
+gathers each column once, in partition order (:func:`gather_partitions`,
+a counting sort).
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional
 import numpy as np
 
 from ..engine.columnar import ColumnBatch
-from ..expr.vectorizer import UnsupportedExpression
 from ..partitioning.partition_set import PartitioningSet
 
 Row = Mapping[str, object]
@@ -50,39 +58,21 @@ class Splitter:
     def split_columns(
         self, batch: ColumnBatch, offset: int = 0
     ) -> List[ColumnBatch]:
-        """Partition a columnar batch with the vectorized assigner.
+        """Partition a columnar batch without leaving the array form.
 
         Produces the same row-to-partition assignment as :meth:`split`
-        (parity-tested), preserving within-partition order.  Every row is
-        touched once: one stable sort of the partition ids (a counting
-        sort — NumPy radix-sorts 8- and 16-bit keys) orders the rows by
-        partition, each column is gathered once with that permutation,
-        and the partitions are handed out as contiguous, non-overlapping
-        slices of the gathered columns.  The returned batches are
-        therefore *read-only views of one buffer per column*: consumers
-        must not write into them.  Raises
-        :class:`~repro.expr.vectorizer.UnsupportedExpression` when no
-        vectorized assigner exists, so callers can fall back to rows.
+        (parity-tested), preserving within-partition order.  The returned
+        batches are *read-only, non-overlapping views*: writing into one
+        raises ``ValueError``.  Raises
+        :class:`~repro.expr.vectorizer.UnsupportedExpression` when the
+        partitioning has no vectorized form, so callers can fall back to
+        rows.
         """
-        ids = self.assign_indices(batch, offset).astype(
-            np.min_scalar_type(self.num_partitions - 1), copy=False
-        )
-        gathered = batch.select(np.argsort(ids, kind="stable"))
-        counts = np.bincount(ids, minlength=self.num_partitions)
-        bounds = [0, *np.cumsum(counts).tolist()]
-        # A skewed partitioning leaves most partitions empty: they share
-        # one empty slice.
-        empty = gathered.slice(0, 0)
-        return [
-            gathered.slice(start, stop) if stop > start else empty
-            for start, stop in zip(bounds, bounds[1:])
-        ]
+        raise NotImplementedError
 
     def assign_indices(self, batch: ColumnBatch, offset: int = 0) -> np.ndarray:
         """Partition index of every row of a columnar batch, at once."""
-        raise UnsupportedExpression(
-            f"{type(self).__name__} has no vectorized assigner"
-        )
+        raise NotImplementedError
 
     def assigner(self, offset: int = 0) -> Callable[[Row], int]:
         raise NotImplementedError
@@ -104,6 +94,19 @@ class RoundRobinSplitter(Splitter):
             return index
 
         return assign
+
+    def split_columns(
+        self, batch: ColumnBatch, offset: int = 0
+    ) -> List[ColumnBatch]:
+        """Partition ``p`` is rows ``(p - offset) mod n``, ``+ n``, ``+ 2n``,
+        ...: a strided view of ``batch``, so nothing is assigned, sorted or
+        copied.  The views alias ``batch``'s arrays."""
+        count = self.num_partitions
+        frozen = batch.read_only()
+        return [
+            frozen.slice((partition - offset) % count, len(batch), count)
+            for partition in range(count)
+        ]
 
     def assign_indices(self, batch: ColumnBatch, offset: int = 0) -> np.ndarray:
         indices = np.arange(offset, offset + len(batch), dtype=np.int64)
@@ -134,8 +137,40 @@ class HashSplitter(Splitter):
             )
         return self._vector_partition(batch.columns, len(batch))
 
+    def split_columns(
+        self, batch: ColumnBatch, offset: int = 0
+    ) -> List[ColumnBatch]:
+        """Assigns every row by content, then :func:`gather_partitions`."""
+        return gather_partitions(
+            batch, self.assign_indices(batch, offset), self.num_partitions
+        )
+
     def describe(self) -> str:
         return f"hash on {self.partitioning_set} over {self.num_partitions} partitions"
+
+
+def gather_partitions(
+    batch: ColumnBatch, ids: np.ndarray, num_partitions: int
+) -> List[ColumnBatch]:
+    """Split ``batch`` by per-row partition ``ids``, touching every row once.
+
+    One stable sort of the ids (a counting sort: they are narrowed to the
+    smallest unsigned dtype, and NumPy radix-sorts 8- and 16-bit keys)
+    orders the rows by partition, keeping input order within one; each
+    column is gathered once with that permutation, and the partitions are
+    handed out as contiguous, read-only slices of the gathered columns.
+    """
+    ids = ids.astype(np.min_scalar_type(num_partitions - 1), copy=False)
+    gathered = batch.select(np.argsort(ids, kind="stable")).read_only()
+    counts = np.bincount(ids, minlength=num_partitions)
+    bounds = [0, *np.cumsum(counts).tolist()]
+    # A skewed partitioning leaves most partitions empty: they share one
+    # empty slice.
+    empty = gathered.slice(0, 0)
+    return [
+        gathered.slice(start, stop) if stop > start else empty
+        for start, stop in zip(bounds, bounds[1:])
+    ]
 
 
 def partition_histogram(splitter: Splitter, rows: Iterable[Row]) -> Dict[int, int]:

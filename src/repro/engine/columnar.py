@@ -104,13 +104,20 @@ class ColumnBatch:
             length = len(selector)
         return ColumnBatch(columns, length)
 
-    def slice(self, start: int, stop: int) -> "ColumnBatch":
-        """The contiguous rows ``[start, stop)`` as zero-copy views."""
-        columns = {
-            name: _take(column, slice(start, stop))
-            for name, column in self.columns.items()
-        }
-        return ColumnBatch(columns, stop - start)
+    def slice(self, start: int, stop: int, step: int = 1) -> "ColumnBatch":
+        """The rows ``start, start + step, ...`` below ``stop`` as zero-copy
+        views (strided when ``step > 1``)."""
+        rows = slice(start, stop, step)
+        columns = {name: _take(column, rows) for name, column in self.columns.items()}
+        return ColumnBatch(columns, len(range(start, stop, step)))
+
+    def read_only(self) -> "ColumnBatch":
+        """The same rows through non-writeable views; the batch's own
+        arrays keep their flags."""
+        return ColumnBatch(
+            {name: _frozen(column) for name, column in self.columns.items()},
+            self.length,
+        )
 
     def to_rows(self) -> List[Row]:
         """Materialize as the row engine's list of dicts (native scalars)."""
@@ -177,6 +184,14 @@ def _take(column: Column, selector: Union[np.ndarray, slice]) -> Column:
     return column[selector]
 
 
+def _frozen(column: Column) -> Column:
+    if isinstance(column, tuple):
+        return tuple(_frozen(part) for part in column)
+    view = column.view()
+    view.flags.writeable = False
+    return view
+
+
 def ensure_columns(batch) -> ColumnBatch:
     """Coerce a row list (or ColumnBatch) to columnar form."""
     if isinstance(batch, ColumnBatch):
@@ -217,15 +232,20 @@ def _pack_keys(keys: List[np.ndarray], length: int) -> Optional[np.ndarray]:
         if width:
             fields.append((key, lowest, width))
     code = np.arange(length, dtype=np.uint64)
+    part = np.empty(length, dtype=np.uint64)
     shift = bits
     for key, lowest, width in fields:
         shift -= width
-        # Modulo 2**64 the offset is exact for every integer dtype.
-        part = np.subtract(
-            key, np.uint64(lowest % (1 << 64)), dtype=np.uint64, casting="unsafe"
-        )
-        part <<= np.uint64(shift)
-        code |= part
+        # Modulo 2**64 the offset is exact for every integer dtype: 8-byte
+        # keys are reinterpreted, narrower and bool keys cast once.
+        if key.dtype.itemsize == 8:
+            key = key.view(np.uint64)
+        else:
+            np.copyto(part, key, casting="unsafe")
+            key = part
+        np.subtract(key, np.uint64(lowest % (1 << 64)), out=part)
+        np.left_shift(part, np.uint64(shift), out=part)
+        np.bitwise_or(code, part, out=code)
     return code
 
 

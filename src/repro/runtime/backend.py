@@ -107,7 +107,7 @@ class EngineBackend:
         try:
             return splitter.split_columns(batch, offset=offset)
         except UnsupportedExpression:
-            # A splitter with only a per-row assigner.
+            # A hash key with no integer lowering: hash it row by row.
             return [
                 ColumnBatch.from_rows(part)
                 for part in splitter.split(batch.to_rows(), offset=offset)

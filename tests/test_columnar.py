@@ -508,6 +508,20 @@ class TestGroupFactorization:
         assert right_order.tolist() == np.argsort(right_codes, kind="stable").tolist()
 
 
+@settings(deadline=None, max_examples=60)
+@given(_key_columns(), st.integers(1, 3))
+def test_group_accepts_read_only_strided_keys(case, step):
+    """Split partitions hand kernels read-only (round-robin: strided)
+    views; packing them writes only into its own scratch."""
+    keys, length = case
+    views = []
+    for key in keys:
+        view = np.repeat(key, step)[::step]
+        view.flags.writeable = False
+        views.append(view)
+    _assert_groups_like_lexsort(views, length)
+
+
 def _reversed_within_groups(group):
     """A ``_group`` that keeps every group but reverses each one's rows."""
 

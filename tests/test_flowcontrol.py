@@ -15,6 +15,7 @@ Three invariant families:
 import io
 import json
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterSimulator, QueuePolicy, RoundRobinSplitter
@@ -171,6 +172,25 @@ def test_drop_modes_shed_load_and_conserve(source, mode, tiny_trace, suspicious)
         assert stats.conserves(), host
         assert stats.total_in == stats.total_delivered + stats.total_dropped
     assert stream.rows_dropped(0) == stream.flow_stats[0].total_dropped
+
+
+@pytest.mark.parametrize("mode", (BLOCK, DROP_NEWEST, DROP_OLDEST))
+def test_round_robin_run_leaves_the_trace_intact(mode, tiny_trace, suspicious):
+    """Round-robin partitions are views of the caller's columns; queueing,
+    dropping and the kernels must read them, never write them."""
+    sim, splitter = deploy(suspicious, 2, None)
+    batch = tiny_trace.column_batch()
+    before = {name: column.copy() for name, column in batch.columns.items()}
+    stream = sim.run_streaming(
+        {"TCP": batch}, splitter, 10.0, queue_policy=QueuePolicy(40, mode)
+    )
+    assert any(
+        max(s.rows_queued) > 0 or s.total_dropped > 0
+        for s in stream.flow_stats.values()
+    )
+    for name, column in before.items():
+        assert batch.column(name).flags.writeable
+        assert np.array_equal(batch.column(name), column), name
 
 
 def test_default_streaming_has_no_flow_stats(tiny_trace, suspicious):

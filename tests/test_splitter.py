@@ -199,3 +199,42 @@ class TestSplitColumns:
                 chunked[index].extend(part.to_rows())
             offset += size
         assert chunked == whole
+
+    @pytest.mark.parametrize("kind", SPLITTER_KINDS, ids=str)
+    def test_partitions_are_read_only(self, kind):
+        batch = _mixed_batch([(i % 7, i % 3) for i in range(40)])
+        for part in _splitter(kind, 4).split_columns(batch):
+            if not len(part):
+                continue
+            with pytest.raises(ValueError):
+                part.column("pos")[0] = -1
+            with pytest.raises(ValueError):
+                part.column("state")[1][0] = -1
+        # The flag is set on views: the caller's own arrays stay writeable.
+        assert batch.column("pos").flags.writeable
+        assert batch.column("state")[0].flags.writeable
+
+    def test_round_robin_partitions_are_views_of_the_input(self):
+        batch = _mixed_batch([(i, i % 5) for i in range(50)])
+        parts = RoundRobinSplitter(8).split_columns(batch, offset=3)
+        assert all(len(part) for part in parts)
+        for part in parts:
+            for name in batch.names():
+                column, source = part.column(name), batch.column(name)
+                if isinstance(column, tuple):
+                    assert all(map(np.shares_memory, column, source))
+                else:
+                    assert np.shares_memory(column, source)
+
+    @pytest.mark.parametrize("kind", SPLITTER_KINDS, ids=str)
+    def test_more_partitions_than_rows(self, kind):
+        splitter = _splitter(kind, 300)
+        batch = _mixed_batch([(i * 977, i % 4) for i in range(17)])
+        parts = splitter.split_columns(batch, offset=290)
+        assert len(parts) == 300
+        assert sum(1 for part in parts if len(part)) <= 17
+        assert [part.to_rows() for part in parts] == splitter.split(
+            batch.to_rows(), offset=290
+        )
+        for part in parts:
+            assert part.names() == batch.names()
