@@ -23,7 +23,7 @@ from __future__ import annotations
 from math import sqrt
 from typing import Dict, Iterable, List, Tuple
 
-from ..gsql.analyzer import AggregateCall
+from ..gsql.analyzer import AggregateCall, AnalyzedNode
 
 
 class AggregateFunction:
@@ -300,3 +300,9 @@ def state_columns(calls: List[AggregateCall]) -> List[str]:
 def states_width(calls: List[AggregateCall]) -> int:
     """Approximate wire size of one row of raw states, in bytes."""
     return sum(aggregate_impl(call.func).state_width for call in calls)
+
+
+def partial_row_width(node: AnalyzedNode) -> int:
+    """Wire size of one SUB partial row of ``node``, in bytes: its
+    group-by key widths plus the splittable partial states."""
+    return sum(g.ctype.width for g in node.group_by) + states_width(node.aggregates)

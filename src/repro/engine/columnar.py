@@ -15,8 +15,9 @@ factorizes both sides' key columns jointly (the same :func:`_group`
 aggregation grouping uses), probes the build side with gather indices to
 produce aligned left/right row selectors, and projects the SELECT list
 over the merged, qualified (``alias.column``) columns;
-:class:`ColumnarNullPadOp` shares the padded-projection path that lowers
-NULL-propagating arithmetic at compile time
+:class:`ColumnarNullPadOp` shares the padded projection, which evaluates
+the SELECT list with the padded side's columns all-None and turns a
+``TypeError`` into NULL, as the row projection does
 (:func:`repro.expr.vectorizer.vectorize_padded_output`).
 
 Every plan node has a kernel.  An aggregate with no array form (a UDAF)
@@ -740,10 +741,10 @@ class _PaddedProjection:
     """The join's SELECT list over rows with one side entirely NULL.
 
     Used for outer-join unmatched rows and for the NULLPAD repair
-    operator.  Output expressions are lowered at compile time under the
-    assumption that every padded-side attribute is None (see
-    :func:`repro.expr.vectorizer.vectorize_padded_output`), so applying
-    the projection touches only the live side's columns.
+    operator.  Applying it reads the live side's columns; each output
+    gives every padded-side attribute it names an all-None column and is
+    NULL where its evaluation raises ``TypeError`` (see
+    :func:`repro.expr.vectorizer.vectorize_padded_output`).
     """
 
     def __init__(self, node: AnalyzedNode, live_index: int):
@@ -923,7 +924,7 @@ class ColumnarNullPadOp(ColumnarOperator):
 
     The columnar counterpart of :class:`~repro.engine.operators.NullPadOp`:
     ``side`` names the input whose rows are present; the opposite side is
-    all-NULL, handled entirely by the compile-time padded projection.
+    all-NULL, and the join's padded projection evaluates over it.
     """
 
     def __init__(self, node: AnalyzedNode, side: str):

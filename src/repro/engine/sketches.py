@@ -39,6 +39,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from ..gsql.analyzer import AnalyzedNode
+
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -295,4 +297,22 @@ def summary_wire_bytes(
         num_aggregates * width * depth * 8
         + candidate_cap * max(key_width, 8)
         + 16
+    )
+
+
+def node_summary_bytes(node: AnalyzedNode) -> int:
+    """:func:`summary_wire_bytes` of one summary of the approximate
+    aggregation ``node``: its accuracy clause, its aggregates, and its
+    non-temporal group-by key width."""
+    if node.accuracy is None:
+        raise ValueError(
+            f"node {node.name!r} has no ERROR/CONFIDENCE clause; "
+            "a sketch summary is undefined"
+        )
+    key_width = sum(g.ctype.width for g in node.group_by if not g.is_temporal)
+    return summary_wire_bytes(
+        node.accuracy.epsilon,
+        node.accuracy.delta,
+        len(node.aggregates),
+        key_width,
     )

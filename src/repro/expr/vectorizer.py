@@ -17,19 +17,19 @@ Semantics mirror the row evaluator exactly:
   become element-wise comparisons and boolean masks;
 * ``IN`` over an all-constant member list lowers to :func:`numpy.isin`
   against a precomputed constant array (the row engine's frozenset
-  optimization); non-constant members fall back to an OR of equalities.
+  optimization); non-constant members fall back to an OR of equalities;
+* a bool is an int, as in Python: a boolean operand of ``+``/``-`` and of
+  unary ``-``/``~`` computes on ``int64`` (``~True`` is -2), while
+  ``&``/``|``/``^`` keep bool with bool a bool.
 
-For outer-join repair the module also lowers *padded* projections
+For outer-join repair the module also compiles *padded* projections
 (:func:`vectorize_padded_output`): the SELECT list of a join evaluated
-over rows where one side is entirely NULL.  The row engine realizes SQL's
-NULL propagation operationally — it evaluates the projection over a
-merged row whose padded side holds ``None`` and converts any
-``TypeError`` into NULL — so the padded lowering partial-evaluates the
-expression tree at compile time under the assumption "every attribute of
-the padded side is None", reproducing exactly the values Python would
-have produced: arithmetic and ordered comparisons on NULL become NULL,
-``=``/``<>`` against NULL become plain booleans (Python's ``==``), and
-the boolean connectives see NULL as falsy.
+over rows where one side is entirely NULL.  It applies the row
+projection's own rule to arrays — the padded side's columns are all-None
+object arrays and a ``TypeError`` makes the output NULL — which gives
+Python's values because NumPy's object loops call the Python operators:
+``None == x`` is False, ``bool(None)`` is False, and ``None + 1`` or
+``None < 1`` raise ``TypeError``.
 
 Every scalar function the analyzer accepts (the row evaluator's table)
 lowers here.  Anything else raises :class:`UnsupportedExpression` — an
@@ -74,9 +74,23 @@ def _gsql_div(left: ArrayLike, right: ArrayLike) -> ArrayLike:
     return np.floor_divide(left, right)
 
 
+def _int_if_bool(value: ArrayLike) -> ArrayLike:
+    """A bool operand as the int Python computes it as (``~True`` is -2,
+    ``True + True`` is 2); NumPy's bool arithmetic is logical instead."""
+    if isinstance(value, np.ndarray):
+        return value.astype(np.int64) if value.dtype == np.bool_ else value
+    if isinstance(value, (bool, np.bool_)):
+        return int(value)  # a Python int, weakly typed against the array
+    return value
+
+
+def _on_ints(op: Callable) -> Callable:
+    return lambda left, right: op(_int_if_bool(left), _int_if_bool(right))
+
+
 _BINARY_OPS: Dict[str, Callable] = {
-    "+": np.add,
-    "-": np.subtract,
+    "+": _on_ints(np.add),
+    "-": _on_ints(np.subtract),
     "*": np.multiply,
     "/": _gsql_div,
     "%": np.mod,  # same sign convention as Python's %
@@ -86,6 +100,8 @@ _BINARY_OPS: Dict[str, Callable] = {
     "<<": np.left_shift,
     ">>": np.right_shift,
 }
+
+_UNARY_OPS: Dict[str, Callable] = {"-": np.negative, "~": np.invert}
 
 
 def _as_bool(value: ArrayLike) -> ArrayLike:
@@ -144,12 +160,16 @@ def vectorize_expr(expr: ScalarExpr) -> VectorEvaluator:
             left(columns, length), right(columns, length)
         )
     if isinstance(expr, Unary):
+        try:
+            unary = _UNARY_OPS[expr.op]
+        except KeyError:
+            raise UnsupportedExpression(
+                f"unknown unary operator {expr.op!r}"
+            ) from None
         operand = vectorize_expr(expr.operand)
-        if expr.op == "-":
-            return lambda columns, length: np.negative(operand(columns, length))
-        if expr.op == "~":
-            return lambda columns, length: np.invert(operand(columns, length))
-        raise UnsupportedExpression(f"unknown unary operator {expr.op!r}")
+        return lambda columns, length: unary(
+            _int_if_bool(operand(columns, length))
+        )
     if isinstance(expr, Func):
         return _vectorize_func(expr)
     raise UnsupportedExpression(f"cannot vectorize {expr!r}")
@@ -228,18 +248,6 @@ def vectorize_predicate(expr: ScalarExpr) -> Callable[[Columns, int], np.ndarray
     return mask
 
 
-# -- padded (outer-join) projection lowering -----------------------------------
-
-#: Compile-time lattice values for padded lowering.  ``_NULL`` marks a
-#: subexpression whose row-engine value is Python ``None`` on every padded
-#: row (a padded attribute, or NULL flowing through LITERAL); ``_ERROR``
-#: marks one whose row-engine evaluation raises TypeError (arithmetic or
-#: an ordered comparison on None) — the row engine's padded projection
-#: catches that and emits NULL for the whole output column.
-_NULL = object()
-_ERROR = object()
-
-
 def null_column(length: int) -> np.ndarray:
     """An all-NULL output column (object dtype, so None survives concat)."""
     return np.full(length, None, dtype=object)
@@ -251,149 +259,19 @@ def vectorize_padded_output(
     """Compile one SELECT output for rows whose padded side is all-NULL.
 
     ``is_padded`` classifies attribute names (qualified ``alias.column``)
-    as belonging to the NULL-padded join side.  The returned evaluator
-    reads only live-side columns; outputs the row engine would have
-    resolved to NULL (either a None value or a caught TypeError) become
-    object-dtype None columns.
+    as belonging to the NULL-padded join side.  The row projection's rule
+    applied to arrays: every padded attribute reads an all-None column,
+    and an evaluation that raises ``TypeError`` makes the output NULL.
     """
-    lowered = _lower_padded(expr, is_padded)
-    if lowered is _NULL or lowered is _ERROR:
-        return lambda columns, length: null_column(length)
-    return lowered
+    evaluate = vectorize_expr(expr)
+    padded = [name for name in expr.attrs() if is_padded(name)]
 
-
-def _lower_padded(expr: ScalarExpr, is_padded: Callable[[str], bool]):
-    """Partial evaluation under "padded attributes are None".
-
-    Returns ``_NULL``, ``_ERROR``, or a :data:`VectorEvaluator` over the
-    live columns.  The distinction between ``_NULL`` and ``_ERROR``
-    matters mid-tree: ``None`` is a legitimate *value* for equality tests
-    and boolean connectives (``None == x`` is False, ``bool(None)`` is
-    False), while TypeError poisons the entire output expression because
-    the row engine's catch sits at the projection's top level.
-    """
-    if isinstance(expr, Const):
-        if expr.value is None:
-            return _NULL
-        return vectorize_expr(expr)
-    if isinstance(expr, Attr):
-        if is_padded(expr.name):
-            return _NULL
-        return vectorize_expr(expr)
-    if isinstance(expr, Binary):
-        left = _lower_padded(expr.left, is_padded)
-        right = _lower_padded(expr.right, is_padded)
-        if left is _ERROR or right is _ERROR:
-            return _ERROR
-        if left is _NULL or right is _NULL:
-            return _ERROR  # every _BINARY_OPS operator TypeErrors on None
+    def project(columns: Columns, length: int) -> ArrayLike:
+        nulls = null_column(length)
+        merged = {**columns, **dict.fromkeys(padded, nulls)}
         try:
-            op = _BINARY_OPS[expr.op]
-        except KeyError:
-            raise UnsupportedExpression(
-                f"no vectorized lowering for operator {expr.op!r}"
-            ) from None
-        return lambda columns, length: op(
-            left(columns, length), right(columns, length)
-        )
-    if isinstance(expr, Unary):
-        operand = _lower_padded(expr.operand, is_padded)
-        if operand is _ERROR or operand is _NULL:
-            return _ERROR  # -None / ~None raise TypeError
-        if expr.op == "-":
-            return lambda columns, length: np.negative(operand(columns, length))
-        if expr.op == "~":
-            return lambda columns, length: np.invert(operand(columns, length))
-        raise UnsupportedExpression(f"unknown unary operator {expr.op!r}")
-    if isinstance(expr, Func):
-        return _lower_padded_func(expr, is_padded)
-    raise UnsupportedExpression(f"cannot vectorize {expr!r}")
+            return evaluate(merged, length)
+        except TypeError:
+            return null_column(length)
 
-
-def _lower_padded_func(expr: Func, is_padded: Callable[[str], bool]):
-    if expr.name == "LITERAL":
-        (arg,) = expr.args
-        return _lower_padded(arg, is_padded)
-    if expr.name == "IN":
-        return _lower_padded_in(expr, is_padded)
-    args = [_lower_padded(arg, is_padded) for arg in expr.args]
-    # The row evaluator computes arguments eagerly, so a TypeError in any
-    # argument poisons the call regardless of the function's semantics.
-    if any(arg is _ERROR for arg in args):
-        return _ERROR
-    name = expr.name
-    if name in ("EQ", "NE"):
-        first, second = args
-        if first is _NULL or second is _NULL:
-            # Python's == / != against None are plain booleans.
-            equal = first is _NULL and second is _NULL
-            value = equal if name == "EQ" else not equal
-            return lambda columns, length: value
-        func = _SIMPLE_FUNCS[name]
-        return lambda columns, length: func(
-            first(columns, length), second(columns, length)
-        )
-    if name == "AND":
-        first, second = args
-        if first is _NULL or second is _NULL:
-            return lambda columns, length: False  # bool(None) is False
-        return lambda columns, length: _and(
-            first(columns, length), second(columns, length)
-        )
-    if name == "OR":
-        first, second = args
-        if first is _NULL and second is _NULL:
-            return lambda columns, length: False
-        if first is _NULL:
-            return lambda columns, length: _as_bool(second(columns, length))
-        if second is _NULL:
-            return lambda columns, length: _as_bool(first(columns, length))
-        return lambda columns, length: _or(
-            first(columns, length), second(columns, length)
-        )
-    if name == "NOT":
-        (operand,) = args
-        if operand is _NULL:
-            return lambda columns, length: True  # not None
-        return lambda columns, length: _not(operand(columns, length))
-    if any(arg is _NULL for arg in args):
-        # ABS/MIN2/MAX2 and ordered comparisons all TypeError on None.
-        return _ERROR
-    try:
-        func = _SIMPLE_FUNCS[name]
-    except KeyError:
-        raise UnsupportedExpression(
-            f"no vectorized lowering for function {name!r}"
-        ) from None
-    return lambda columns, length: func(
-        *(arg(columns, length) for arg in args)
-    )
-
-
-def _lower_padded_in(expr: Func, is_padded: Callable[[str], bool]):
-    if not expr.args:
-        raise UnsupportedExpression("IN needs a needle expression")
-    needle = _lower_padded(expr.args[0], is_padded)
-    members = [_lower_padded(member, is_padded) for member in expr.args[1:]]
-    if needle is _ERROR or any(member is _ERROR for member in members):
-        return _ERROR
-    if needle is _NULL:
-        # ``None in values`` — membership uses ==, so only a None member
-        # can match.
-        value = any(member is _NULL for member in members)
-        return lambda columns, length: value
-    live = [member for member in members if member is not _NULL]
-    if all(isinstance(member, Const) for member in expr.args[1:]):
-        values = np.asarray(
-            [member.value for member in expr.args[1:] if member.value is not None]
-        )
-        return lambda columns, length: np.isin(needle(columns, length), values)
-
-    def evaluate(columns: Columns, length: int) -> ArrayLike:
-        target = needle(columns, length)
-        result: ArrayLike = False
-        for member in live:
-            result = np.logical_or(result, np.equal(target, member(columns, length)))
-        return result
-
-    return evaluate
+    return project

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..engine.aggregates import states_width
-from ..engine.sketches import summary_wire_bytes
+from ..engine.aggregates import partial_row_width
+from ..engine.sketches import node_summary_bytes
 from ..gsql.analyzer import AnalyzedNode, NodeKind
 from ..plan.dag import QueryDag
 from .compatibility import CompatibilityBasis, node_basis
@@ -244,11 +244,7 @@ class CostModel:
         """Bytes/epoch the aggregator receives when ``name`` is split
         SUB/SUPER: one partial row per live group (group-by key widths plus
         the splittable partial states)."""
-        node = self._dag.node(name)
-        gb_width = sum(g.ctype.width for g in node.group_by)
-        return self.output_tuples(name) * (
-            gb_width + states_width(node.aggregates)
-        )
+        return self.output_tuples(name) * partial_row_width(self._dag.node(name))
 
     def sketch_transfer_bytes(self, name: str, num_sites: int = 1) -> float:
         """Bytes/epoch the aggregator receives when ``name`` ships sketch
@@ -261,22 +257,7 @@ class CostModel:
         sketch variant: at high cardinality exact SUB rows grow with the
         number of groups while this term stays flat.
         """
-        node = self._dag.node(name)
-        if node.accuracy is None:
-            raise ValueError(
-                f"node {name!r} has no ERROR/CONFIDENCE clause; "
-                "sketch transfer is undefined"
-            )
-        key_width = sum(
-            g.ctype.width for g in node.group_by if not g.is_temporal
-        )
-        per_site = summary_wire_bytes(
-            node.accuracy.epsilon,
-            node.accuracy.delta,
-            len(node.aggregates),
-            key_width,
-        )
-        return float(num_sites) * per_site
+        return float(num_sites) * node_summary_bytes(self._dag.node(name))
 
     def prefers_sketch(self, name: str, num_sites: int = 1) -> bool:
         """True iff the accuracy clause permits sketches for ``name`` AND

@@ -52,9 +52,9 @@ from typing import (
 )
 
 from ..distopt.plan_ir import DistKind, DistNode, DistributedPlan, Variant
-from ..engine.aggregates import states_width
+from ..engine.aggregates import partial_row_width
 from ..engine.columnar import ColumnBatch, Row
-from ..engine.sketches import summary_wire_bytes
+from ..engine.sketches import node_summary_bytes
 from ..engine.streaming import StreamingNode, Watermark, share_releases
 from ..plan.dag import QueryDag
 from ..traces.generator import slice_by_epoch
@@ -832,21 +832,10 @@ class ExecutionSession:
         if node.kind is DistKind.NULLPAD:
             return float(analyzed.schema.tuple_width())
         if node.variant is Variant.SUB:
-            gb_width = sum(g.ctype.width for g in analyzed.group_by)
-            return float(gb_width + states_width(analyzed.aggregates))
+            return float(partial_row_width(analyzed))
         if node.variant is Variant.SKETCH_SUB:
             # One summary row per pane per host: fixed-size sketch grids
             # plus the worst-case candidate list, independent of group
             # cardinality — the whole point of the sketch variant.
-            key_width = sum(
-                g.ctype.width for g in analyzed.group_by if not g.is_temporal
-            )
-            return float(
-                summary_wire_bytes(
-                    analyzed.accuracy.epsilon,
-                    analyzed.accuracy.delta,
-                    len(analyzed.aggregates),
-                    key_width,
-                )
-            )
+            return float(node_summary_bytes(analyzed))
         return float(analyzed.schema.tuple_width())

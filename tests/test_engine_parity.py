@@ -19,6 +19,7 @@ from repro.cluster import ClusterSimulator, HashSplitter
 from repro.distopt import DistributedOptimizer, Placement
 from repro.engine.columnar import ColumnBatch
 from repro.partitioning import PartitioningSet
+from repro.plan import QueryDag
 from repro.runtime import create_backend
 from repro.workloads import suspicious_flows_catalog
 
@@ -111,3 +112,17 @@ def test_columnar_sources_accept_column_batches(tiny_trace):
     )
     assert_identical_simulation(from_rows, from_columns)
     assert len(from_columns.outputs["TCP"]) == len(tiny_trace.packets)
+
+
+@pytest.mark.parametrize(
+    "select",
+    ["~(len > 100)", "-(len > 100)", "(len > 100) + (len > 50)"],
+    ids=("invert", "negate", "add"),
+)
+def test_boolean_arithmetic_matches_the_oracle(select, catalog, tiny_trace):
+    """Python's bool is an int: ``~True`` is -2, ``-True`` is -1 and
+    ``True + True`` is 2, on the kernels as in the centralized run."""
+    catalog.define_query("flagged", f"SELECT time, {select} AS x FROM TCP")
+    dag = QueryDag.from_catalog(catalog)
+    result = run_plan(dag, tiny_trace.packets, 2, PS_CHOICES[1], None)
+    assert_matches_centralized(dag, tiny_trace.packets, result)

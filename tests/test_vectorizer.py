@@ -7,6 +7,8 @@ columnar backend a drop-in replacement.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.expr import (
     UnsupportedExpression,
@@ -21,6 +23,7 @@ from repro.expr import (
 )
 from repro.expr.evaluator import _SCALAR_FUNCS
 from repro.expr.expressions import Attr, Binary, Const, Func, Unary
+from repro.expr.vectorizer import _BINARY_OPS, _SIMPLE_FUNCS, _UNARY_OPS
 
 COLUMNS = {
     "srcIP": np.asarray([0x0A000001, 0x0A0000F3, 0x0A000010, 0x0A000001]),
@@ -239,3 +242,111 @@ def test_null_column_is_object_dtype_none():
     # concat with a numeric column keeps the Nones intact
     merged = np.concatenate([np.asarray([1, 2]), column])
     assert merged.tolist() == [1, 2, None, None, None]
+
+
+# -- random trees against the row evaluator ------------------------------------
+
+#: Operators whose right operand must be a small non-zero constant: a
+#: zero divisor or a wide shift is outside what both evaluators share.
+_DIVIDING = ("/", "%", "<<", ">>")
+_UNARY_FUNCS = ("ABS", "NOT")
+_TREE_COLUMNS = {
+    "S1.len": np.asarray([0, 3, -4, 9, 7, -9, 1, 5]),
+    "S1.time": np.asarray([2, 3, 0, -1, 7, 8, -6, 5]),
+    "S2.len": np.asarray([1, -3, 4, 0, 7, 2, 9, -8]),
+    "S2.time": np.asarray([5, 5, -2, 6, 0, 1, 3, 4]),
+}
+_TREE_LENGTH = 8
+_LEAVES = st.one_of(
+    st.sampled_from(sorted(_TREE_COLUMNS)).map(Attr),
+    st.integers(-9, 9).map(Const),
+)
+
+
+def _trees(depth):
+    """Expression trees of at most ``depth`` levels over small ints, using
+    every vectorized operator and function."""
+    if depth == 0:
+        return _LEAVES
+    sub = _trees(depth - 1)
+    divisor = st.integers(1, 3).map(Const)
+    members = st.lists(st.one_of(_LEAVES, sub), min_size=1, max_size=3)
+    return st.one_of(
+        _LEAVES,
+        st.builds(
+            Binary,
+            st.sampled_from(sorted(set(_BINARY_OPS) - set(_DIVIDING))),
+            sub,
+            sub,
+        ),
+        st.builds(Binary, st.sampled_from(_DIVIDING), sub, divisor),
+        st.builds(Unary, st.sampled_from(sorted(_UNARY_OPS)), sub),
+        st.builds(
+            lambda name, arg: Func(name, (arg,)),
+            st.sampled_from(_UNARY_FUNCS + ("LITERAL",)),
+            sub,
+        ),
+        st.builds(
+            lambda name, first, second: Func(name, (first, second)),
+            st.sampled_from(sorted(set(_SIMPLE_FUNCS) - set(_UNARY_FUNCS))),
+            sub,
+            sub,
+        ),
+        st.builds(
+            lambda needle, rest: Func("IN", (needle, *rest)), sub, members
+        ),
+    )
+
+
+def _tree_rows(padded):
+    return [
+        {
+            name: None if padded and _is_padded(name) else int(values[i])
+            for name, values in _TREE_COLUMNS.items()
+        }
+        for i in range(_TREE_LENGTH)
+    ]
+
+
+def _row_values(expr, rows):
+    """The row evaluator per row; a ``TypeError`` is recorded as itself."""
+    evaluate = compile_expr(expr)
+    values = []
+    for row in rows:
+        try:
+            values.append(evaluate(row))
+        except TypeError:
+            values.append(TypeError)
+    return values
+
+
+@settings(deadline=None, max_examples=200)
+@given(_trees(4))
+def test_random_trees_match_the_row_evaluator(expr):
+    expected = _row_values(expr, _tree_rows(padded=False))
+    try:
+        got = materialize(
+            vectorize_expr(expr)(_TREE_COLUMNS, _TREE_LENGTH), _TREE_LENGTH
+        ).tolist()
+    except TypeError:
+        got = [TypeError] * _TREE_LENGTH
+    assert got == expected, str(expr)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_trees(4))
+def test_random_trees_match_the_row_padded_projection(expr):
+    expected = [
+        None if value is TypeError else value
+        for value in _row_values(expr, _tree_rows(padded=True))
+    ]
+    live = {
+        name: values
+        for name, values in _TREE_COLUMNS.items()
+        if not _is_padded(name)
+    }
+    got = materialize(
+        vectorize_padded_output(expr, _is_padded)(live, _TREE_LENGTH),
+        _TREE_LENGTH,
+    ).tolist()
+    assert got == expected, str(expr)
