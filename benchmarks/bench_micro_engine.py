@@ -2,7 +2,7 @@
 
 Four hard assertions: the vectorized aggregation kernel is at least 5x
 the row operator, the vectorized join at least 10x, the vectorized
-sliding-window FULL kernel at least 5x the row ``SlidingAggregateOp``,
+sliding-window FULL kernel at least 15x the row ``WindowAggregateOp``,
 and the round-robin split into strided views, followed by the pairwise
 host merge, at least 2x the counting-sort split of the same assignment
 followed by the same merge.  Each pair runs on the same input in the
@@ -94,8 +94,11 @@ def test_columnar_join_speedup(join_inputs):
 
 def test_columnar_sliding_speedup(trace):
     """The acceptance bar: the vectorized sliding FULL kernel (panes,
-    relabelled by window end, merged by the tumbling SUPER) ≥5x the row
-    ``SlidingAggregateOp``."""
+    relabelled by window end, merged by the tumbling SUPER) ≥15x the row
+    ``WindowAggregateOp``.  That operator is the oracle's definition — it
+    folds every row once per window that reads it, about 3x the work of
+    folding panes once and merging them — so the bar is the 5x a pane
+    reassembling row operator had to clear, scaled by that slowdown."""
     _, dag = sliding_flows_catalog(window_panes=3, slide_panes=1)
     node = dag.node("sliding_flows")
     row_op = build_variant_operator(node)
@@ -103,7 +106,7 @@ def test_columnar_sliding_speedup(trace):
     row_time = _best_of(row_op.process, trace.packets)
     col_time = _best_of(col_op.process, trace.column_batch())
     speedup = row_time / col_time
-    assert speedup >= 5.0, f"sliding kernel only {speedup:.1f}x faster than row"
+    assert speedup >= 15.0, f"sliding kernel only {speedup:.1f}x faster than row"
 
 
 def test_round_robin_view_split_speedup():

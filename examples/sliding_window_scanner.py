@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Sliding-window port-scan detection over distributed panes.
+"""Sliding-window port-scan detection on a partitioned cluster.
 
 Extends the paper's tumbling-window machinery with the pane-based
-sliding-window evaluation it references (§3.1): detect sources touching
-many distinct destinations within any 4-second window sliding every
-second.  Each leaf host computes only tumbling 1-second panes (the same
-SUB states the distributed optimizer ships); the aggregator reassembles
-windows from the shipped pane states — which is exactly why §3.5.1 bans
-temporal attributes from partitioning sets.
+sliding-window evaluation it references (§3.1): detect sources sending
+many packets within any 4-second window sliding every second.  The
+query says so in GSQL with ``RANGE 4 SLIDE 1`` over one-second panes.
+The cluster hashes on ``srcIP``, a non-temporal attribute, so every
+pane of a source lands on one host and windows reassemble from that
+host's pane states — which is exactly why §3.5.1 bans temporal
+attributes from partitioning sets.  The distributed answer must equal
+the centralized one (§3.4), whose windows fold each window's raw
+packets by definition.
 
 Run:  python examples/sliding_window_scanner.py
 """
@@ -16,37 +19,36 @@ from collections import defaultdict
 
 from repro import (
     Catalog,
+    ClusterSimulator,
+    DistributedOptimizer,
     HashSplitter,
     PartitioningSet,
+    Placement,
     QueryDag,
-    SlidingWindowAggregate,
     TraceConfig,
-    WindowSpec,
+    batches_equal,
     generate_trace,
+    run_centralized,
     tcp_schema,
 )
-from repro.engine import batches_equal
-from repro.engine.operators import SubAggregateOp
 from repro.traces import format_ip
 
 
 def main():
     catalog = Catalog()
     catalog.add_stream(tcp_schema())
-    fanout = catalog.define_query(
+    catalog.define_query(
         "fanout",
         """
         SELECT tb, srcIP, COUNT(*) as packets, SUM(len) as bytes
         FROM TCP
         GROUP BY time as tb, srcIP
         HAVING COUNT(*) >= 40
+        RANGE 4 SLIDE 1
         """,
     )
-    QueryDag.from_catalog(catalog)  # validates the script as a whole
-
-    # A window of 4 one-second panes, sliding every second.
-    spec = WindowSpec(window_panes=4, slide_panes=1)
-    sliding = SlidingWindowAggregate(fanout, spec)
+    dag = QueryDag.from_catalog(catalog)
+    spec = dag.node("fanout").window
     print(
         f"window: {spec.window_panes}s sliding by {spec.slide_panes}s; "
         f"HAVING applies to whole windows (>= 40 packets per source)"
@@ -55,24 +57,24 @@ def main():
     trace = generate_trace(TraceConfig(duration=12, rate=1500, num_taps=1, seed=99))
     print(f"trace: {len(trace.packets)} packets over {trace.duration_sec:.0f}s")
 
-    # Centralized sliding evaluation.
-    centralized = sliding.process(trace.packets)
-
-    # Distributed: hash on srcIP (compatible, non-temporal); leaves run
-    # tumbling SUB panes; the aggregator reassembles windows.
+    # Distributed: 4 hosts, hashed on srcIP (compatible, non-temporal).
     ps = PartitioningSet.of("srcIP")
-    splitter = HashSplitter(4, ps)
-    sub = SubAggregateOp(fanout)
-    shipped = []
-    for host, partition in enumerate(splitter.split(trace.packets)):
-        pane_states = sub.process(partition)
-        shipped.extend(pane_states)
-        print(f"  host {host}: {len(partition)} packets -> {len(pane_states)} pane states")
-    distributed = sliding.combine_partials(shipped)
+    placement = Placement(num_hosts=4, partitions_per_host=1)
+    plan = DistributedOptimizer(dag, placement, ps).optimize()
+    simulator = ClusterSimulator(dag, plan, stream_rate=trace.rate)
+    result = simulator.run(
+        {"TCP": trace.packets},
+        HashSplitter(placement.num_partitions, ps),
+        trace.duration_sec,
+    )
+    distributed = result.outputs["fanout"]
+    variants = sorted(set(result.node_variants.values()))
+    print(f"plan variants: {', '.join(variants)}")
 
+    centralized = run_centralized(dag, {"TCP": trace.packets})["fanout"]
     assert batches_equal(distributed, centralized)
     print(
-        f"\ndistributed window reassembly == centralized evaluation "
+        f"\ndistributed sliding windows == centralized evaluation "
         f"({len(centralized)} alert rows)"
     )
 

@@ -35,7 +35,7 @@ from .cluster import (
 )
 from .distopt import DistributedOptimizer, DistributedPlan, Placement, render_plan
 from .engine import batches_equal, run_centralized
-from .engine.panes import SlidingWindowAggregate, WindowSpec
+from .engine.panes import WindowSpec
 from .gsql import StreamSchema, packet_schema, parse_query, tcp_schema
 from .gsql.catalog import Catalog
 from .partitioning import (
@@ -66,7 +66,6 @@ __all__ = [
     "Catalog",
     "DeploymentAdvisor",
     "DeploymentReport",
-    "SlidingWindowAggregate",
     "WindowSpec",
     "partition_balance",
     "ClusterSimulator",

@@ -21,7 +21,7 @@ a state in bytes for the cost model and network accounting.
 from __future__ import annotations
 
 from math import sqrt
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 from ..gsql.analyzer import AggregateCall, AnalyzedNode
 
@@ -282,11 +282,6 @@ class GroupAccumulator:
         states = self.states
         for index, impl in enumerate(self._impls):
             states[index] = impl.update(states[index], values[index])
-
-    def merge_states(self, states: Tuple) -> None:
-        mine = self.states
-        for index, impl in enumerate(self._impls):
-            mine[index] = impl.merge(mine[index], states[index])
 
     def finals(self) -> List:
         return [impl.final(state) for impl, state in zip(self._impls, self.states)]

@@ -29,12 +29,12 @@ run (``tests/test_engine_parity.py``) and the per-node tuple counts,
 hence the CPU/network accounting, the committed figure tables were
 produced with.
 
-Aggregate states follow the same sub/super protocol as the row operators: a
-scalar-state aggregate (COUNT, SUM, MIN, MAX, OR_AGGR, AND_AGGR) ships its
-state as a plain array column, while a composite state (AVG's
-``(sum, count)``, VARIANCE's ``(count, sum, sumsq)``) is a *tuple of
-arrays* stored unzipped — :meth:`ColumnBatch.to_rows` zips it back into
-the per-row Python tuples the row reference's SUPER operator expects.
+Aggregate states follow the sub/super protocol of
+:mod:`repro.engine.aggregates`: a scalar-state aggregate (COUNT, SUM,
+MIN, MAX, OR_AGGR, AND_AGGR) ships its state as a plain array column,
+while a composite state (AVG's ``(sum, count)``, VARIANCE's ``(count,
+sum, sumsq)``) is a *tuple of arrays* stored unzipped —
+:meth:`ColumnBatch.to_rows` zips it back into per-row Python tuples.
 """
 
 from __future__ import annotations
@@ -922,9 +922,10 @@ class ColumnarJoinOp(ColumnarOperator):
 class ColumnarNullPadOp(ColumnarOperator):
     """Outer-join padding for an unmatched partition (paper §5.3).
 
-    The columnar counterpart of :class:`~repro.engine.operators.NullPadOp`:
     ``side`` names the input whose rows are present; the opposite side is
-    all-NULL, and the join's padded projection evaluates over it.
+    all-NULL, and the join's padded projection evaluates over it.  Its
+    row reference is the outer :class:`~repro.engine.operators.JoinOp`
+    over an empty opposite input, which pads every row it is given.
     """
 
     def __init__(self, node: AnalyzedNode, side: str):

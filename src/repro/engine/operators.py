@@ -1,29 +1,28 @@
-"""Runtime operators over batches of rows.
+"""The row operators: the §3.4 oracle's FULL operators over batches of rows.
 
 Rows are plain dicts keyed by column name.  Operators are pure: they take
-input batches and return output batches; CPU and network accounting happen
-in the cluster simulator based on tuple counts, so operator logic stays
-testable in isolation.
+input batches and return output batches.  The runtime never runs them —
+it runs the kernels of :mod:`repro.engine.columnar` — they are what
+:func:`~repro.engine.executor.run_centralized` evaluates a query DAG
+with, one FULL operator per node (an outer join pads its own unmatched
+rows; a windowed aggregation is
+:class:`~repro.engine.variants.WindowAggregateOp`).
 
 Tumbling-window note: each operator processes whatever batch it is given
 with temporal keys included in group/join keys.  Handing it a whole trace
 as one batch yields exactly the union of all per-epoch tumbling-window
 results (each epoch's groups are disjoint by the temporal key); rates are
-recovered by dividing totals by the trace duration.  The streaming mode
-(:mod:`repro.engine.streaming`) reuses these same pure operators on
-epoch-bounded sub-batches, so memory stays bounded by one epoch while the
-emitted union is identical.
+recovered by dividing totals by the trace duration.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..expr.evaluator import compile_expr, compile_key
-from ..expr.expressions import Attr
 from ..gsql.analyzer import AnalyzedNode, NodeKind
 from ..gsql.ast_nodes import JoinType
-from .aggregates import GroupAccumulator, aggregate_impl, state_columns
+from .aggregates import GroupAccumulator, aggregate_impl
 
 Row = Dict[str, object]
 Batch = List[Row]
@@ -101,18 +100,20 @@ class AggregateOp(Operator):
 
     def process(self, *batches: Batch) -> Batch:
         (rows,) = batches
-        groups = self._accumulate(rows)
-        return self._emit(groups)
+        return self._emit(self._accumulate(self._keyed(rows)))
 
-    def _accumulate(self, rows: Batch) -> Dict[tuple, GroupAccumulator]:
+    def _keyed(self, rows: Batch) -> List[Tuple[tuple, Row]]:
+        """``(group key, row)`` of every row that passes WHERE."""
         where = self._where
         key_of = self._key
+        return [(key_of(row), row) for row in rows if where is None or where(row)]
+
+    def _accumulate(
+        self, keyed: Iterable[Tuple[tuple, Row]]
+    ) -> Dict[tuple, GroupAccumulator]:
         args = self._args
         groups: Dict[tuple, GroupAccumulator] = {}
-        for row in rows:
-            if where is not None and not where(row):
-                continue
-            key = key_of(row)
+        for key, row in keyed:
             accumulator = groups.get(key)
             if accumulator is None:
                 accumulator = GroupAccumulator(self._impls)
@@ -129,70 +130,6 @@ class AggregateOp(Operator):
         for key, accumulator in groups.items():
             group_row: Row = dict(zip(gb_names, key))
             group_row.update(zip(slots, accumulator.finals()))
-            if having is not None and not having(group_row):
-                continue
-            result.append({name: fn(group_row) for name, fn in outputs})
-        return result
-
-
-class SubAggregateOp(AggregateOp):
-    """SUB variant of partial aggregation (paper §5.2.2, Fig. 5).
-
-    Same grouping and WHERE as the full aggregate, but emits raw aggregate
-    *states* and never evaluates HAVING or the SELECT projection — those
-    need complete aggregate values and belong to the SUPER operator.
-    """
-
-    def __init__(self, node: AnalyzedNode):
-        super().__init__(node)
-        self._state_names = state_columns(node.aggregates)
-
-    def _emit(self, groups: Dict[tuple, GroupAccumulator]) -> Batch:
-        gb_names = self._gb_names
-        state_names = self._state_names
-        result: Batch = []
-        for key, accumulator in groups.items():
-            row: Row = dict(zip(gb_names, key))
-            row.update(zip(state_names, accumulator.states))
-            result.append(row)
-        return result
-
-
-class SuperAggregateOp(Operator):
-    """SUPER variant: merge partial states, finalize, HAVING, project."""
-
-    def __init__(self, node: AnalyzedNode):
-        if node.kind is not NodeKind.AGGREGATION:
-            raise ValueError(f"{node.name} is not an aggregation node")
-        self._gb_names = [g.name for g in node.group_by]
-        self._key = compile_key([Attr(name) for name in self._gb_names])
-        self._impls = [aggregate_impl(call.func) for call in node.aggregates]
-        self._slots = [call.slot for call in node.aggregates]
-        self._state_names = state_columns(node.aggregates)
-        self._having = compile_expr(node.having) if node.having is not None else None
-        self._outputs = [
-            (column.name, compile_expr(expr))
-            for column, expr in zip(node.columns, node.select_exprs)
-        ]
-
-    def process(self, *batches: Batch) -> Batch:
-        (rows,) = batches
-        key_of = self._key
-        state_names = self._state_names
-        groups: Dict[tuple, GroupAccumulator] = {}
-        for row in rows:
-            key = key_of(row)
-            accumulator = groups.get(key)
-            if accumulator is None:
-                accumulator = GroupAccumulator(self._impls)
-                groups[key] = accumulator
-            accumulator.merge_states([row[name] for name in state_names])
-        having = self._having
-        outputs = self._outputs
-        result: Batch = []
-        for key, accumulator in groups.items():
-            group_row: Row = dict(zip(self._gb_names, key))
-            group_row.update(zip(self._slots, accumulator.finals()))
             if having is not None and not having(group_row):
                 continue
             result.append({name: fn(group_row) for name, fn in outputs})
@@ -281,10 +218,10 @@ class JoinOp(Operator):
     def _project(self, merged: Row, padded: bool = False) -> Row:
         """Evaluate the SELECT list over a merged row.
 
-        Only a *padded* row (one side replaced by NULLs — outer-join
-        unmatched rows and NULLPAD output) may legitimately hit NULL
-        arithmetic, which SQL resolves to NULL.  On fully-matched rows a
-        TypeError is a genuine expression bug and must raise.
+        Only a *padded* row (one side replaced by NULLs — an outer join's
+        unmatched rows) may legitimately hit NULL arithmetic, which SQL
+        resolves to NULL.  On fully-matched rows a TypeError is a genuine
+        expression bug and must raise.
         """
         out: Row = {}
         if not padded:
@@ -299,42 +236,12 @@ class JoinOp(Operator):
         return out
 
 
-class NullPadOp(Operator):
-    """Outer-join padding for an unmatched partition (paper §5.3).
-
-    Wraps one side's rows as if joined against an all-NULL opposite side
-    and applies the join's projection, so the padded rows can be merged
-    with the pair-wise join results.
-    """
-
-    def __init__(self, node: AnalyzedNode, side: str):
-        if side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
-        self._join = JoinOp(node)
-        self._side = side
-
-    def process(self, *batches: Batch) -> Batch:
-        (rows,) = batches
-        join = self._join
-        if self._side == "left":
-            return [
-                join._project(join._merge(row, None), padded=True) for row in rows
-            ]
-        return [join._project(join._merge(None, row), padded=True) for row in rows]
-
-
-def build_operator(node: AnalyzedNode, variant: str = "full") -> Operator:
-    """Factory: the right operator for an analyzed node and variant."""
+def build_operator(node: AnalyzedNode) -> Operator:
+    """Factory: the row operator for an analyzed node — tumbling, FULL."""
     if node.kind is NodeKind.SELECTION:
         return SelectionOp(node)
     if node.kind is NodeKind.AGGREGATION:
-        if variant == "full":
-            return AggregateOp(node)
-        if variant == "sub":
-            return SubAggregateOp(node)
-        if variant == "super":
-            return SuperAggregateOp(node)
-        raise ValueError(f"unknown aggregation variant {variant!r}")
+        return AggregateOp(node)
     if node.kind is NodeKind.JOIN:
         return JoinOp(node)
     if node.kind is NodeKind.UNION:

@@ -22,9 +22,11 @@ Every aggregation plan node reaches its kernel through
   rows, each window's grids summed by :class:`ColumnarSketchSuperOp`.
 
 :func:`build_variant_operator` is the row reference, the §3.4 oracle
-(:func:`~repro.engine.executor.run_centralized` compiles FULL through it,
-so a windowed node is answered by :class:`SlidingAggregateOp`); the
-runtime never runs it.  The sketch pair has no row form — the oracle
+(:func:`~repro.engine.executor.run_centralized` compiles every node FULL
+through it); the runtime never runs it.  A windowed node is answered by
+:class:`WindowAggregateOp`, which folds each window's raw rows by
+definition and shares neither the pane decomposition nor any ``merge``
+with the kernels it checks.  The sketch pair has no row form — the oracle
 compares approximate queries against the *exact* centralized answer.
 
 Kernels are *pure* (full recompute per call): one compiled instance is
@@ -37,6 +39,7 @@ window the input panes intersect, which is the one-shot semantics.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -54,7 +57,7 @@ from .columnar import (
     materialize,
 )
 from .operators import AggregateOp, Batch, Operator, build_operator
-from .panes import SlidingWindowAggregate, WindowSpec
+from .panes import WindowSpec
 from .sketches import (
     CountMinSketch,
     EpochSummary,
@@ -77,24 +80,43 @@ def _temporal(node: AnalyzedNode):
     return temporal[0]
 
 
-class SlidingAggregateOp(Operator):
-    """Row reference of a windowed aggregation node (the §3.4 oracle).
+class WindowAggregateOp(AggregateOp):
+    """Row reference of a windowed aggregation node (the §3.4 oracle),
+    by definition.
 
-    Wraps :class:`SlidingWindowAggregate`: raw rows fold into tumbling
-    panes, each window of ``window_panes`` panes (advancing by
-    ``slide_panes``) merges its panes' states, finalizes, applies HAVING
-    and the SELECT projection, labelled by its end pane.
+    The window labelled by end pane ``e`` is the tumbling aggregate of
+    every raw row whose pane (its temporal group-by value) lies in ``[e -
+    window_panes + 1, e]``: those rows fold with ``update`` only, their
+    temporal key relabelled ``e``, then HAVING and the SELECT projection
+    apply.  The ends are :meth:`WindowSpec.window_ends_covering` of the
+    input's panes.  Nothing here decomposes a window into pane states or
+    calls an aggregate's ``merge``, so the kernels' pane algebra is
+    checked against the definition rather than against itself.
     """
 
     def __init__(self, node: AnalyzedNode, spec: Optional[WindowSpec] = None):
-        spec = spec if spec is not None else node.window
-        if spec is None:
+        super().__init__(node)
+        self._spec = spec if spec is not None else node.window
+        if self._spec is None:
             raise ValueError(f"{node.name} has no window clause")
-        self._sliding = SlidingWindowAggregate(node, spec)
+        self._pane = self._gb_names.index(_temporal(node).name)
 
     def process(self, *batches: Batch) -> Batch:
         (rows,) = batches
-        return self._sliding.process(rows)
+        keyed = self._keyed(rows)
+        pane, width = self._pane, self._spec.window_panes
+        ends = self._spec.window_ends_covering({key[pane] for key, _ in keyed})
+        windows: Dict[int, list] = {end: [] for end in ends}
+        for key, row in keyed:
+            # the windows reading this row's pane p end in [p, p + width - 1]
+            first = bisect_left(ends, key[pane])
+            last = bisect_right(ends, key[pane] + width - 1)
+            for end in ends[first:last]:
+                windows[end].append((key[:pane] + (end,) + key[pane + 1:], row))
+        result: Batch = []
+        for window in windows.values():
+            result.extend(self._emit(self._accumulate(window)))
+        return result
 
 
 class ColumnarSlidingOp(ColumnarOperator):
@@ -108,7 +130,7 @@ class ColumnarSlidingOp(ColumnarOperator):
     kernel merges each ``(end, group)``, finalizes, applies HAVING and
     projects; the sketch merge sums each end's summaries.  States are
     ordered by pane first, so each window merges its panes in pane order
-    and a pane's rows in input order, as the row reassembly does.
+    and a pane's rows in input order.
 
     ``sub`` turns raw rows into pane states (FULL) or is None (the states
     arrive shipped); ``sub`` and ``merge`` are kernels.  A node without a
@@ -396,17 +418,17 @@ def build_variant_kernel(node: AnalyzedNode, variant: str = "full"):
 
 
 def build_variant_operator(node: AnalyzedNode, variant: str = "full") -> Operator:
-    """Factory: the row reference for an analyzed node under a plan variant.
+    """Factory: the row reference for an analyzed node — the §3.4 oracle's
+    operator.
 
-    FULL is the §3.4 oracle's operator — a windowed node answers over its
-    sliding windows (:class:`SlidingAggregateOp`).  ``sub`` and ``super``
-    are the tumbling operators, which is what window reassembly merges
-    relabelled pane states with.  Non-aggregation kinds delegate to
-    :func:`~repro.engine.operators.build_operator` unchanged; the sketch
-    pair has no row form.
+    The oracle runs every node FULL, so FULL is its only variant: a
+    windowed aggregation is :class:`WindowAggregateOp`, every other node
+    :func:`~repro.engine.operators.build_operator`'s operator.  SUB,
+    SUPER, NULLPAD and the sketch pair are the runtime's, and have no
+    row form.
     """
-    if node.kind is NodeKind.AGGREGATION and variant == "full":
-        if node.window is not None:
-            return SlidingAggregateOp(node)
-        return AggregateOp(node)
-    return build_operator(node, variant)
+    if variant != "full":
+        raise ValueError(f"the row reference has no {variant!r} variant")
+    if node.kind is NodeKind.AGGREGATION and node.window is not None:
+        return WindowAggregateOp(node)
+    return build_operator(node)

@@ -20,7 +20,9 @@ Semantics mirror the row evaluator exactly:
   optimization); non-constant members fall back to an OR of equalities;
 * a bool is an int, as in Python: a boolean operand of ``+``/``-`` and of
   unary ``-``/``~`` computes on ``int64`` (``~True`` is -2), while
-  ``&``/``|``/``^`` keep bool with bool a bool.
+  ``&``/``|``/``^`` keep bool with bool a bool;
+* ``MIN2``/``MAX2`` return one of their operands, as ``min``/``max`` do:
+  over an int and a float operand each row keeps its winner's type.
 
 For outer-join repair the module also compiles *padded* projections
 (:func:`vectorize_padded_output`): the SELECT list of a join evaluated
@@ -123,10 +125,29 @@ def _not(a: ArrayLike) -> ArrayLike:
     return np.logical_not(_as_bool(a))
 
 
+def _pick(same_dtype: Callable, beats: Callable) -> Callable:
+    """MIN2/MAX2 as Python's ``min``/``max``: ``b`` only where it strictly
+    ``beats`` ``a`` (the first argument wins ties), and each row keeps its
+    winner's type.  NumPy's ``minimum``/``maximum`` would promote an int
+    and a float operand to a float column, so mixed dtypes pick into an
+    ``object`` column instead."""
+
+    def pick(a: ArrayLike, b: ArrayLike) -> ArrayLike:
+        left, right = np.asarray(a), np.asarray(b)
+        if left.dtype == right.dtype:
+            return same_dtype(a, b)
+        picked = np.where(
+            beats(right, left), right.astype(object), left.astype(object)
+        )
+        return picked if picked.ndim else picked[()]
+
+    return pick
+
+
 _SIMPLE_FUNCS: Dict[str, Callable] = {
     "ABS": np.abs,
-    "MIN2": np.minimum,
-    "MAX2": np.maximum,
+    "MIN2": _pick(np.minimum, np.less),
+    "MAX2": _pick(np.maximum, np.greater),
     "EQ": np.equal,
     "NE": np.not_equal,
     "LT": np.less,

@@ -430,7 +430,7 @@ class Analyzer:
         """Validate and convert a RANGE/SLIDE clause to a WindowSpec."""
         if stmt.window is None:
             return None
-        # Lazy import: engine.panes imports this module for AnalyzedNode.
+        # Lazy import: the engine package's kernels import this module.
         from ..engine.panes import WindowSpec
 
         temporal = [g for g in group_by if g.is_temporal]

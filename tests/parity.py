@@ -23,6 +23,10 @@ per-link network counters.  This module holds the reusable pieces:
   delivered query's distributed output equals ``run_centralized``'s.
   Called by the streaming sweep and, for exact queries, the sliding one;
   approximate queries meet :func:`assert_within_sketch_bounds` instead.
+* :func:`kernel_sub_super` — a node's SUB kernel per partition, then its
+  SUPER kernel, checked against the row FULL answer (there is no row
+  SUB or SUPER); :func:`windowed_last_value_run` — a windowed UDAF run
+  through that split, where a wrong ``merge`` must fail the oracle;
 * :func:`tcp_source` — the one axis the trials still rotate that is not
   derived from the seed: whether the trace enters the run as dict rows
   (converted once, at the door) or as a ``ColumnBatch``.
@@ -120,8 +124,20 @@ class OddAsFloat(LastValue):
         return float(state) if state % 2 else state
 
 
+class StaleLastValue(LastValue):
+    """Known-bad :class:`LastValue`: ``merge`` keeps the *older* state,
+    so a window merged from pane states answers with its first pane's
+    last value instead of its last row's."""
+
+    name = "STALE_LAST_VALUE"
+
+    def merge(self, state, other):
+        return state if state is not None else other
+
+
 register_aggregate(LastValue())
 register_aggregate(OddAsFloat())
+register_aggregate(StaleLastValue())
 
 
 def last_value_dag():
@@ -134,6 +150,40 @@ def last_value_dag():
         "GROUP BY time as tb, srcIP",
     )
     return QueryDag.from_catalog(catalog)
+
+
+def kernel_sub_super(node, partitions):
+    """The SUB kernel over each partition's rows, then the SUPER kernel
+    over the concatenated states — the distributed split of ``node``
+    without the runtime — as rows."""
+    sub = columnar.build_columnar_operator(node, "sub")
+    states = ColumnBatch.concat(
+        [sub.process(ColumnBatch.from_rows(part)) for part in partitions]
+    )
+    return columnar.build_columnar_operator(node, "super").process(states).to_rows()
+
+
+def windowed_last_value_run(func, packets):
+    """``(dag, one-shot result)`` of ``func(len)`` per source over
+    ``RANGE 3 SLIDE 1`` windows, planned SUB/SUPER on 2 hosts x 2
+    partitions and split by a hash on ``srcIP``.  The hash is
+    non-temporal, so each group's rows stay on one host in arrival
+    order, and the SUPER merges a window's pane states in pane order."""
+    catalog = Catalog()
+    catalog.add_stream(tcp_schema())
+    catalog.define_query(
+        "latest",
+        f"SELECT tb, srcIP, {func}(len) as last_len FROM TCP "
+        "GROUP BY time as tb, srcIP RANGE 3 SLIDE 1",
+    )
+    dag = QueryDag.from_catalog(catalog)
+    placement = Placement(2, 2)
+    plan = DistributedOptimizer(dag, placement, None).optimize()
+    sim = ClusterSimulator(dag, plan, stream_rate=1000)
+    splitter = HashSplitter(placement.num_partitions, PartitioningSet.of("srcIP"))
+    result = sim.run({"TCP": packets}, splitter, 10.0)
+    assert set(result.node_variants.values()) == {"sub", "super"}
+    return dag, result
 
 
 def reverse_the_fold(monkeypatch):

@@ -148,13 +148,13 @@ class TestGroupAccumulator:
         assert acc.finals() == [2, 30]
 
     def test_merge_states(self):
-        impls = [aggregate_impl("MAX")]
+        """Two groups' states merge with the aggregate's own ``merge``."""
+        (impl,) = impls = [aggregate_impl("MAX")]
         left = GroupAccumulator(impls)
         left.update([5])
         right = GroupAccumulator(impls)
         right.update([9])
-        left.merge_states(tuple(right.states))
-        assert left.finals() == [9]
+        assert impl.final(impl.merge(*left.states, *right.states)) == 9
 
 
 class TestStateMetadata:

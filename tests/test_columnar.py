@@ -14,9 +14,6 @@ from repro.engine import (
     ColumnarNullPadOp,
     ColumnBatch,
     JoinOp,
-    NullPadOp,
-    SubAggregateOp,
-    SuperAggregateOp,
     batches_equal,
     build_columnar_nullpad,
     build_columnar_operator,
@@ -27,6 +24,7 @@ from repro.engine import (
 from repro.partitioning import PartitioningSet
 from repro.partitioning.partition_set import fnv1a_hash, fnv1a_hash_arrays
 from repro.workloads import suspicious_flows_catalog
+from tests.parity import kernel_sub_super
 
 
 class TestColumnBatch:
@@ -67,11 +65,11 @@ class TestColumnBatch:
         assert ensure_rows(batch) == rows
 
 
-def _columnar_matches_row(node, packets, variant="full"):
-    row_out = build_operator(node, variant).process(list(packets))
-    col_op = build_columnar_operator(node, variant)
-    assert col_op is not None, f"no columnar kernel for {node.name}/{variant}"
-    col_out = col_op.process(ColumnBatch.from_rows(packets)).to_rows()
+def _columnar_matches_row(node, packets):
+    row_out = build_operator(node).process(list(packets))
+    col_out = build_columnar_operator(node).process(
+        ColumnBatch.from_rows(packets)
+    ).to_rows()
     assert batches_equal(row_out, col_out)
     return col_out
 
@@ -115,9 +113,20 @@ class TestOperatorParity:
             "SELECT srcIP, COUNT(*) as c, AVG(len) as mean FROM TCP "
             "GROUP BY srcIP HAVING COUNT(*) >= 2",
         )
-        col_sub = _columnar_matches_row(node, tiny_trace.packets, "sub")
-        # and the row SUPER accepts the columnar SUB output unchanged:
-        combined = SuperAggregateOp(node).process(col_sub)
+        sub = build_columnar_operator(node, "sub").process(
+            ColumnBatch.from_rows(tiny_trace.packets)
+        )
+        # SUB rows carry each group's raw states as native Python values:
+        # COUNT's count and AVG's (sum, count) tuple.
+        lens = {}
+        for packet in tiny_trace.packets:
+            lens.setdefault(packet["srcIP"], []).append(packet["len"])
+        assert {
+            row["srcIP"]: (row["__state___agg0"], row["__state___agg1"])
+            for row in sub.to_rows()
+        } == {ip: (len(v), (sum(v), len(v))) for ip, v in lens.items()}
+        # and the SUPER kernel finishes them into the row FULL answer:
+        combined = kernel_sub_super(node, [tiny_trace.packets])
         full = AggregateOp(node).process(tiny_trace.packets)
         assert batches_equal(combined, full)
 
@@ -128,10 +137,8 @@ class TestOperatorParity:
             "MAX(timestamp) as hi FROM TCP GROUP BY time as tb, destIP",
         )
         thirds = [tiny_trace.packets[i::3] for i in range(3)]
-        partials = []
-        for third in thirds:
-            partials.extend(SubAggregateOp(node).process(third))
-        _columnar_matches_row(node, partials, "super")
+        full = AggregateOp(node).process(tiny_trace.packets)
+        assert batches_equal(kernel_sub_super(node, thirds), full)
 
     def test_empty_input(self, catalog):
         node = catalog.define_query(
@@ -280,10 +287,13 @@ class TestColumnarNullPad:
         )
 
     def test_matches_row_nullpad_both_sides(self, catalog):
+        """The row reference of a NULLPAD is the FULL OUTER join over an
+        empty opposite side: every present row pads."""
         node = self._node(catalog)
         rows = [_flow(1, 10, 3), _flow(2, 11, 4)]
         for side in ("left", "right"):
-            expected = NullPadOp(node, side).process(list(rows))
+            inputs = (list(rows), []) if side == "left" else ([], list(rows))
+            expected = JoinOp(node).process(*inputs)
             col_op = build_columnar_nullpad(node, side)
             assert isinstance(col_op, ColumnarNullPadOp)
             got = col_op.process(ColumnBatch.from_rows(rows)).to_rows()
@@ -549,25 +559,17 @@ def _assert_sum_folds_in_input_order(catalog, path):
     node = catalog.define_query(
         "q", "SELECT srcIP, SUM(len) as s FROM TCP GROUP BY srcIP"
     )
+    want = AggregateOp(node).process(_ORDER_ROWS)
     if path == "full":
-        want = AggregateOp(node).process(_ORDER_ROWS)
         got = build_columnar_operator(node).process(
             ColumnBatch.from_rows(_ORDER_ROWS)
-        )
+        ).to_rows()
     else:
         # One row of each group per partition: SUPER merges four partials.
         partitions = [_ORDER_ROWS[i:i + 2] for i in range(0, len(_ORDER_ROWS), 2)]
-        want = SuperAggregateOp(node).process(
-            [row for part in partitions for row in SubAggregateOp(node).process(part)]
-        )
-        sub = build_columnar_operator(node, "sub")
-        got = build_columnar_operator(node, "super").process(
-            ColumnBatch.concat(
-                [sub.process(ColumnBatch.from_rows(part)) for part in partitions]
-            )
-        )
+        got = kernel_sub_super(node, partitions)
     assert {row["srcIP"]: row["s"] for row in want} == {1: 4.0, 2: 10.0}
-    assert batches_equal(got.to_rows(), want)
+    assert batches_equal(got, want)
 
 
 class TestGroupOrderPin:

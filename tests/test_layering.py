@@ -80,7 +80,7 @@ def test_scanner_flags_every_import_form(tmp_path):
         "relative.py": "from ..expr.evaluator import compile_key\n",
         "named.py": "from ..expr import evaluator\n",
         "absolute.py": "import repro.expr.evaluator\n",
-        "operators.py": "from ..engine.operators import NullPadOp\n",
+        "operators.py": "from ..engine.operators import JoinOp\n",
         "operators_named.py": "from ..engine import operators\n",
         "variant_operator.py": (
             "from ..engine.variants import build_variant_operator\n"

@@ -2,16 +2,23 @@
 
 import pytest
 
+from repro.engine import (
+    ColumnarNullPadOp,
+    ColumnBatch,
+    WindowAggregateOp,
+    batches_equal,
+    build_columnar_nullpad,
+    build_columnar_operator,
+    build_variant_operator,
+)
 from repro.engine.operators import (
     AggregateOp,
     JoinOp,
     MergeOp,
-    NullPadOp,
     SelectionOp,
-    SubAggregateOp,
-    SuperAggregateOp,
     build_operator,
 )
+from tests.parity import kernel_sub_super
 
 
 def packets(*rows):
@@ -136,20 +143,21 @@ class TestSubSuper:
 
     def test_sub_emits_states_without_having(self, catalog):
         node = self._node(catalog)
-        out = SubAggregateOp(node).process(packets({"srcIP": 1, "len": 10}))
-        (row,) = out
+        out = build_columnar_operator(node, "sub").process(
+            ColumnBatch.from_rows(packets({"srcIP": 1, "len": 10}))
+        )
+        (row,) = out.to_rows()
         assert row["srcIP"] == 1
         assert row["__state___agg0"] == 1  # COUNT state
         assert row["__state___agg1"] == (10, 1)  # AVG state (sum, count)
 
     def test_super_combines_and_applies_having(self, catalog):
         node = self._node(catalog)
-        part1 = SubAggregateOp(node).process(
-            packets({"srcIP": 1, "len": 10}, {"srcIP": 2, "len": 4})
-        )
-        part2 = SubAggregateOp(node).process(packets({"srcIP": 1, "len": 30}))
-        out = SuperAggregateOp(node).process(part1 + part2)
+        part1 = packets({"srcIP": 1, "len": 10}, {"srcIP": 2, "len": 4})
+        part2 = packets({"srcIP": 1, "len": 30})
+        out = kernel_sub_super(node, [part1, part2])
         assert out == [{"srcIP": 1, "c": 2, "mean": 20.0}]
+        assert out == AggregateOp(node).process(part1 + part2)
 
     def test_sub_super_equals_full(self, catalog, tiny_trace):
         node = catalog.define_query(
@@ -158,16 +166,10 @@ class TestSubSuper:
             "MIN(timestamp) as lo, MAX(timestamp) as hi FROM TCP "
             "GROUP BY time as tb, srcIP, destIP",
         )
-        from repro.engine import batches_equal
-
         full = AggregateOp(node).process(tiny_trace.packets)
         # split the trace arbitrarily into three partitions
         thirds = [tiny_trace.packets[i::3] for i in range(3)]
-        partials = []
-        for third in thirds:
-            partials.extend(SubAggregateOp(node).process(third))
-        combined = SuperAggregateOp(node).process(partials)
-        assert batches_equal(full, combined)
+        assert batches_equal(full, kernel_sub_super(node, thirds))
 
 
 class TestJoin:
@@ -243,19 +245,25 @@ class TestJoin:
         )
 
     def test_null_pad_operator(self, catalog):
+        """A NULLPAD kernel pads like the outer join itself does over an
+        empty opposite side."""
         node = self._join(
             catalog,
             "SELECT S1.tb, S2.cnt as c2 "
             "FROM flows S1 LEFT OUTER JOIN flows S2 "
             "ON S1.srcIP = S2.srcIP and S2.tb = S1.tb + 1",
         )
-        out = NullPadOp(node, "left").process([{"tb": 3, "srcIP": 1, "cnt": 2}])
-        assert out == [{"tb": 3, "c2": None}]
+        rows = [{"tb": 3, "srcIP": 1, "cnt": 2}]
+        expected = JoinOp(node).process(rows, [])
+        assert expected == [{"tb": 3, "c2": None}]
+        pad = build_columnar_nullpad(node, "left")
+        assert isinstance(pad, ColumnarNullPadOp)
+        assert pad.process(ColumnBatch.from_rows(rows)).to_rows() == expected
 
     def test_null_pad_invalid_side(self, catalog):
         node = self._join(catalog, self.INNER)
         with pytest.raises(ValueError):
-            NullPadOp(node, "middle")
+            build_columnar_nullpad(node, "middle")
 
     ARITHMETIC_OUTER = (
         "SELECT S1.tb, S1.cnt + S2.cnt as total "
@@ -299,16 +307,26 @@ class TestJoin:
 
 class TestBuildOperator:
     def test_variants(self, catalog):
+        """The row reference is FULL only: tumbling nodes get the plain
+        operator, a windowed node the definitional window operator."""
         node = catalog.define_query(
             "q", "SELECT srcIP, COUNT(*) as c FROM TCP GROUP BY srcIP"
         )
-        assert isinstance(build_operator(node, "full"), AggregateOp)
-        assert isinstance(build_operator(node, "sub"), SubAggregateOp)
-        assert isinstance(build_operator(node, "super"), SuperAggregateOp)
+        windowed = catalog.define_query(
+            "w",
+            "SELECT tb, srcIP, COUNT(*) as c FROM TCP "
+            "GROUP BY time as tb, srcIP RANGE 3 SLIDE 1",
+        )
+        assert isinstance(build_operator(node), AggregateOp)
+        assert isinstance(build_variant_operator(node, "full"), AggregateOp)
+        assert isinstance(build_variant_operator(windowed), WindowAggregateOp)
+        for variant in ("sub", "super"):
+            with pytest.raises(ValueError):
+                build_variant_operator(node, variant)
 
     def test_unknown_variant(self, catalog):
         node = catalog.define_query(
             "q", "SELECT srcIP, COUNT(*) as c FROM TCP GROUP BY srcIP"
         )
         with pytest.raises(ValueError):
-            build_operator(node, "partial")
+            build_variant_operator(node, "partial")

@@ -1,4 +1,5 @@
-"""Pane-based sliding-window aggregation (engine.panes)."""
+"""Sliding windows: the pane arithmetic (engine.panes) and the oracle's
+definitional window operator (engine.variants.WindowAggregateOp)."""
 
 from collections import defaultdict
 
@@ -6,18 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import batches_equal
-from repro.engine.operators import SubAggregateOp
-from repro.engine.panes import SlidingWindowAggregate, WindowSpec, pane_expression
+from repro.engine import batches_equal, run_centralized
+from repro.engine.panes import WindowSpec
+from repro.engine.variants import WindowAggregateOp
+from repro.partitioning import PartitioningSet
+from repro.plan import QueryDag
+from repro.runtime import Fault, FaultPlan
+from tests.parity import deploy
+
+FLOWS = (
+    "SELECT tb, srcIP, COUNT(*) as cnt, SUM(len) as bytes, MAX(len) as biggest "
+    "FROM TCP GROUP BY time/2 as tb, srcIP"
+)
 
 
 @pytest.fixture
 def flows_node(catalog):
-    return catalog.define_query(
-        "flows",
-        "SELECT tb, srcIP, COUNT(*) as cnt, SUM(len) as bytes, MAX(len) as biggest "
-        "FROM TCP GROUP BY time/2 as tb, srcIP",
-    )
+    return catalog.define_query("flows", FLOWS)
 
 
 def packet(time, src, length):
@@ -34,17 +40,17 @@ def packet(time, src, length):
     }
 
 
-def oracle(rows, node, spec, pane_column="tb"):
-    """Independent recomputation: bucket raw tuples by pane, then fold
-    COUNT/SUM/MAX by hand for every window."""
-    pane_of = pane_expression(node, pane_column)
-    panes = sorted({pane_of(r) for r in rows})
+def oracle(rows, spec):
+    """Independent recomputation of :data:`FLOWS` over ``spec``: bucket
+    raw tuples by pane (``time/2``), then fold COUNT/SUM/MAX by hand for
+    every window."""
+    panes = sorted({r["time"] // 2 for r in rows})
     expected = []
     for end in spec.window_ends_covering(panes):
         start = end - spec.window_panes + 1
         groups = defaultdict(list)
         for row in rows:
-            if start <= pane_of(row) <= end:
+            if start <= row["time"] // 2 <= end:
                 groups[row["srcIP"]].append(row["len"])
         for src, lens in groups.items():
             expected.append(
@@ -167,32 +173,32 @@ class TestSlidingEvaluation:
     def test_matches_oracle_slide_one(self, flows_node):
         rows = [packet(t, src, 10 * (t + 1)) for t in range(8) for src in (1, 2)]
         spec = WindowSpec(window_panes=3, slide_panes=1)
-        sliding = SlidingWindowAggregate(flows_node, spec)
-        assert batches_equal(sliding.process(rows), oracle(rows, flows_node, spec))
+        sliding = WindowAggregateOp(flows_node, spec)
+        assert batches_equal(sliding.process(rows), oracle(rows, spec))
 
     def test_matches_oracle_slide_two(self, flows_node):
         rows = [packet(t, 1, 5) for t in range(10)] + [packet(3, 7, 100)]
         spec = WindowSpec(window_panes=4, slide_panes=2)
-        sliding = SlidingWindowAggregate(flows_node, spec)
-        assert batches_equal(sliding.process(rows), oracle(rows, flows_node, spec))
+        sliding = WindowAggregateOp(flows_node, spec)
+        assert batches_equal(sliding.process(rows), oracle(rows, spec))
 
     def test_tumbling_special_case(self, flows_node):
         """window == slide reproduces plain tumbling aggregation totals."""
         rows = [packet(t, 1, 1) for t in range(6)]
         spec = WindowSpec(window_panes=1, slide_panes=1)
-        out = SlidingWindowAggregate(flows_node, spec).process(rows)
+        out = WindowAggregateOp(flows_node, spec).process(rows)
         assert sum(r["cnt"] for r in out) == len(rows)
 
     def test_empty_input(self, flows_node):
         spec = WindowSpec(2, 1)
-        assert SlidingWindowAggregate(flows_node, spec).process([]) == []
+        assert WindowAggregateOp(flows_node, spec).process([]) == []
 
     def test_sparse_panes(self, flows_node):
         """Gaps between panes yield windows containing only live panes."""
         rows = [packet(0, 1, 10), packet(9, 1, 20)]  # panes 0 and 4
         spec = WindowSpec(window_panes=2, slide_panes=1)
-        out = SlidingWindowAggregate(flows_node, spec).process(rows)
-        assert batches_equal(out, oracle(rows, flows_node, spec))
+        out = WindowAggregateOp(flows_node, spec).process(rows)
+        assert batches_equal(out, oracle(rows, spec))
 
     def test_having_applies_per_window(self, catalog):
         node = catalog.define_query(
@@ -203,72 +209,92 @@ class TestSlidingEvaluation:
         # two packets per pane: no single pane passes HAVING, but a
         # 2-pane window (4 packets) does — HAVING must see window totals
         rows = [packet(t, 1, 5) for t in range(4)]
-        tumbling = SlidingWindowAggregate(node, WindowSpec(1, 1)).process(rows)
-        sliding = SlidingWindowAggregate(node, WindowSpec(2, 1)).process(rows)
+        tumbling = WindowAggregateOp(node, WindowSpec(1, 1)).process(rows)
+        sliding = WindowAggregateOp(node, WindowSpec(2, 1)).process(rows)
         assert tumbling == []
         assert any(r["cnt"] >= 3 for r in sliding)
 
 
+def _windowed_flows(catalog, spec):
+    """:data:`FLOWS` with a ``RANGE``/``SLIDE`` clause, as a one-query DAG."""
+    catalog.define_query(
+        "flows", f"{FLOWS} RANGE {spec.window_panes} SLIDE {spec.slide_panes}"
+    )
+    return QueryDag.from_catalog(catalog)
+
+
 class TestDistributedPanes:
-    def test_combine_shipped_partials(self, flows_node):
-        """Per-host SUB rows combine into exactly the centralized sliding
-        result — the deployment mode §3.5.1's temporal-exclusion rule
-        protects."""
+    def test_combine_shipped_partials(self, catalog):
+        """Per-host SUB pane states, shipped and reassembled by the SUPER,
+        deliver exactly the centralized sliding result — the deployment
+        mode §3.5.1's temporal-exclusion rule protects."""
         rows = [packet(t, src, t + src) for t in range(8) for src in (1, 2, 3)]
         spec = WindowSpec(window_panes=3, slide_panes=1)
-        sliding = SlidingWindowAggregate(flows_node, spec)
-        reference = sliding.process(rows)
-        # split by srcIP (a compatible, non-temporal partitioning)
-        sub = SubAggregateOp(flows_node)
-        shipped = []
-        for host in range(3):
-            local = [r for r in rows if r["srcIP"] % 3 == host]
-            shipped.extend(sub.process(local))
-        assert batches_equal(sliding.combine_partials(shipped), reference)
+        dag = _windowed_flows(catalog, spec)
+        sim, splitter = deploy(dag, 3, None)  # round-robin: groups span hosts
+        result = sim.run({"TCP": rows}, splitter, 8.0)
+        assert set(result.node_variants.values()) == {"sub", "super"}
+        reference = run_centralized(dag, {"TCP": rows})["flows"]
+        assert batches_equal(reference, oracle(rows, spec))
+        assert batches_equal(result.outputs["flows"], reference)
 
-    def test_temporal_partitioning_breaks_windows(self, flows_node):
-        """The §3.5.1 rationale, demonstrated: partitioning by the pane
-        index re-allocates groups mid-window; combining such partials
-        still works *only* because states ship — but splitting a group's
-        panes across hosts inside one window is exactly what a
-        partitioning ON the temporal attribute does, and reassembly then
-        depends on shipping every pane.  Dropping one host's panes (a
-        re-allocation glitch) corrupts the result."""
-        rows = [packet(t, 1, 10) for t in range(4)]
-        spec = WindowSpec(window_panes=2, slide_panes=1)
-        sliding = SlidingWindowAggregate(flows_node, spec)
-        reference = sliding.process(rows)
-        sub = SubAggregateOp(flows_node)
-        # time-partitioned: each host holds a subset of panes
-        incomplete = sub.process([r for r in rows if (r["time"] // 2) % 2 == 0])
-        assert not batches_equal(sliding.combine_partials(incomplete), reference)
+    def test_temporal_partitioning_breaks_windows(self, catalog):
+        """The §3.5.1 rationale, demonstrated: hashing on the pane index
+        puts each host in charge of a subset of panes, so every window's
+        reassembly depends on every host shipping its panes.  With all
+        of them shipped the windows come out right; a host that misses
+        its epochs (a re-allocation glitch) corrupts them."""
+        rows = [packet(t, 1, 10) for t in range(8)]
+        dag = _windowed_flows(catalog, WindowSpec(window_panes=2, slide_panes=1))
+        sim, splitter = deploy(dag, 2, PartitioningSet.of("time/2"))
+        reference = run_centralized(dag, {"TCP": rows})["flows"]
+        complete = sim.run_streaming({"TCP": rows}, splitter, 8.0)
+        assert batches_equal(complete.outputs["flows"], reference)
+        glitched = sim.run_streaming(
+            {"TCP": rows}, splitter, 8.0,
+            faults=FaultPlan.of(Fault("skip", 1, 0, 99)),
+        )
+        assert not batches_equal(glitched.outputs["flows"], reference)
 
 
 class TestValidation:
     def test_requires_aggregation_node(self, catalog):
         node = catalog.define_query("sel", "SELECT srcIP FROM TCP")
         with pytest.raises(ValueError):
-            SlidingWindowAggregate(node, WindowSpec(2, 1))
+            WindowAggregateOp(node, WindowSpec(2, 1))
 
     def test_requires_temporal_column(self, catalog):
         node = catalog.define_query(
             "no_time", "SELECT srcIP, COUNT(*) as c FROM TCP GROUP BY srcIP"
         )
         with pytest.raises(ValueError):
-            SlidingWindowAggregate(node, WindowSpec(2, 1))
+            WindowAggregateOp(node, WindowSpec(2, 1))
 
-    def test_explicit_pane_column_checked(self, flows_node):
-        with pytest.raises(ValueError):
-            SlidingWindowAggregate(flows_node, WindowSpec(2, 1), pane_column="nope")
+    def test_explicit_pane_column_checked(self, catalog):
+        """The pane is the one temporal group-by column; two leave it
+        ambiguous."""
+        node = catalog.define_query(
+            "two_times",
+            "SELECT tb, t, COUNT(*) as c FROM TCP GROUP BY time/2 as tb, time as t",
+        )
+        with pytest.raises(ValueError, match="exactly one temporal"):
+            WindowAggregateOp(node, WindowSpec(2, 1))
 
     def test_pane_expression_helper(self, flows_node):
-        pane_of = pane_expression(flows_node, "tb")
-        assert pane_of(packet(5, 1, 1)) == 2
-        with pytest.raises(ValueError):
-            pane_expression(flows_node, "missing")
+        """A row's pane is its temporal group-by value (``time/2``): a
+        packet at time 5 is in pane 2, so it lands in the windows ending
+        at 2 and 3."""
+        out = WindowAggregateOp(flows_node, WindowSpec(2, 1)).process(
+            [packet(5, 1, 1)]
+        )
+        assert sorted(row["tb"] for row in out) == [2, 3]
+
+    def test_requires_window(self, flows_node):
+        with pytest.raises(ValueError, match="no window clause"):
+            WindowAggregateOp(flows_node)
 
 
-# --- property-based: panes == per-window recomputation -------------------------
+# --- property-based: the window operator == per-window recomputation ---------
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -277,14 +303,9 @@ class TestValidation:
     slide_offset=st.integers(min_value=0, max_value=3),
 )
 def test_sliding_matches_oracle_randomized(catalog_factory, times, window, slide_offset):
-    catalog = catalog_factory()
-    node = catalog.define_query(
-        "flows",
-        "SELECT tb, srcIP, COUNT(*) as cnt, SUM(len) as bytes, MAX(len) as biggest "
-        "FROM TCP GROUP BY time/2 as tb, srcIP",
-    )
+    node = catalog_factory().define_query("flows", FLOWS)
     slide = max(1, min(window, 1 + slide_offset))
     spec = WindowSpec(window, slide)
     rows = [packet(t, 1 + (t % 2), 10 + t) for t in times]
-    sliding = SlidingWindowAggregate(node, spec)
-    assert batches_equal(sliding.process(rows), oracle(rows, node, spec))
+    sliding = WindowAggregateOp(node, spec)
+    assert batches_equal(sliding.process(rows), oracle(rows, spec))

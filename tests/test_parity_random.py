@@ -33,6 +33,9 @@ tumbling oracle on a sliding seed must fail —
 ``test_sliding_parity_rejects_a_tumbling_oracle``), and every
 approximate one stays within its declared bounds of it (an emptied
 answer must fail — ``test_sliding_parity_rejects_an_emptied_answer``).
+The windowed oracle folds raw rows by definition, so a wrong aggregate
+``merge`` in the SUPER fails it too
+(``test_sliding_parity_rejects_a_stale_merge``).
 
 A sweep that never exercised its mechanism would test nothing, so two
 sweep-level checks follow: some seed migrated, and semantic recall is
@@ -56,6 +59,7 @@ from tests.parity import (
     SLIDING_SHAPES,
     SOURCES,
     WORKLOADS,
+    assert_matches_centralized,
     assert_rebalanced_matches_oneshot,
     assert_shedding_dominates,
     assert_sliding_matches_oneshot,
@@ -65,6 +69,7 @@ from tests.parity import (
     semantic_shedding,
     shed_trial,
     skewed_packets,
+    windowed_last_value_run,
 )
 
 SEEDS = range(50)
@@ -112,6 +117,19 @@ def test_sliding_parity_rejects_an_emptied_answer():
     omits."""
     with pytest.raises(AssertionError, match="missing heavy key"):
         assert_sliding_matches_oneshot(7, "columnar", answer=lambda rows: [])
+
+
+def test_sliding_parity_rejects_a_stale_merge():
+    """The windowed §3.4 check bites on a wrong ``merge``: the oracle
+    folds each window's raw rows with ``update`` only, so a SUPER whose
+    LAST_VALUE merge keeps the older pane state fails it, while the
+    correct LAST_VALUE on the same plan and split meets it."""
+    packets = random_packets(4)
+    dag, correct = windowed_last_value_run("LAST_VALUE", packets)
+    assert_matches_centralized(dag, packets, correct)
+    dag, stale = windowed_last_value_run("STALE_LAST_VALUE", packets)
+    with pytest.raises(AssertionError, match="latest: distributed output differs"):
+        assert_matches_centralized(dag, packets, stale)
 
 
 @pytest.fixture(scope="module")

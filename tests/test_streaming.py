@@ -20,7 +20,7 @@ from repro.distopt import DistributedOptimizer, Placement
 from repro.distopt.plan_ir import DistKind
 from repro.engine import ColumnBatch, batches_equal
 from repro.engine import streaming as streaming_module
-from repro.engine.operators import NullPadOp, build_operator
+from repro.engine.operators import build_operator
 from repro.engine.streaming import (
     ColumnBuffer,
     lower_bound,
@@ -228,7 +228,8 @@ def test_outer_join_nullpad_streaming_parity(source, catalog_factory, tiny_trace
 def test_outer_join_engine_parity(catalog_factory, tiny_trace):
     """The hand-built plan is not the centralized query (partition 0
     joins alone), so its reference is the oracle's own operators applied
-    to the same three partitions by hand."""
+    to the same three partitions by hand: a NULLPAD partition is the
+    outer join over an empty opposite side."""
     dag, plan = outer_join_plan(catalog_factory())
     splitter = RoundRobinSplitter(plan.num_partitions)
     sim = ClusterSimulator(dag, plan, stream_rate=1000)
@@ -237,11 +238,11 @@ def test_outer_join_engine_parity(catalog_factory, tiny_trace):
         build_operator(dag.node("flows")).process(part)
         for part in splitter.split(tiny_trace.packets)
     ]
-    pairs = dag.node("pairs")
+    join = build_operator(dag.node("pairs"))
     expected = (
-        build_operator(pairs).process(flows[0], flows[0])
-        + NullPadOp(pairs, "left").process(flows[1])
-        + NullPadOp(pairs, "right").process(flows[2])
+        join.process(flows[0], flows[0])
+        + join.process(flows[1], [])
+        + join.process([], flows[2])
     )
     assert batches_equal(result.outputs["pairs"], expected)
 

@@ -17,13 +17,19 @@ from repro.distopt import DistributedOptimizer, Placement
 from repro.distopt.plan_ir import DistKind
 from repro.engine import batches_equal, canonical, run_centralized
 from repro.engine.aggregates import AggregateFunction, register_aggregate
-from repro.engine.operators import AggregateOp, SubAggregateOp, SuperAggregateOp
+from repro.engine.operators import AggregateOp
 from repro.gsql.catalog import Catalog
 from repro.gsql.errors import SemanticError
 from repro.gsql.schema import tcp_schema
 from repro.gsql.types import UINT64
 from repro.plan import QueryDag
-from tests.parity import WORKERS, deploy, last_value_dag, reverse_the_fold
+from tests.parity import (
+    WORKERS,
+    deploy,
+    kernel_sub_super,
+    last_value_dag,
+    reverse_the_fold,
+)
 
 
 class DistinctCount(AggregateFunction):
@@ -145,10 +151,7 @@ class TestEvaluation:
             "SELECT srcIP, DISTINCT_CNT(destIP) as dsts FROM TCP GROUP BY srcIP",
         )
         data = rows()
-        partials = []
-        for third in (data[0::3], data[1::3], data[2::3]):
-            partials.extend(SubAggregateOp(node).process(third))
-        combined = SuperAggregateOp(node).process(partials)
+        combined = kernel_sub_super(node, [data[0::3], data[1::3], data[2::3]])
         assert batches_equal(combined, AggregateOp(node).process(data))
 
     def test_having_on_udaf(self, udaf_catalog):

@@ -73,6 +73,34 @@ def test_arithmetic_matches_row_engine(text):
 
 
 @pytest.mark.parametrize(
+    "text,bits",
+    [
+        ("MIN2(len, len * 1.5) & 1", [0, 1, 0]),
+        ("MAX2(len, len * 0.5) & 1", [0, 1, 0]),
+        ("MIN2(len, len * 0.5)", None),
+        ("MAX2(len * 1.5, len)", None),
+        ("MIN2(1, 2.5)", None),
+    ],
+)
+def test_min2_max2_keep_each_rows_winner_type(text, bits):
+    """``min``/``max`` return one of their operands, so over an int and a
+    float each row keeps its winner's type (the first operand on ties):
+    a bitwise operator after MIN2 then sees ints, where a column promoted
+    to float would make ``bitwise_and`` raise."""
+    expr = parse_scalar(text)
+    lens = [0, 3, 40]
+    row_fn = compile_expr(expr)
+    want = [row_fn({"len": value}) for value in lens]
+    got = materialize(
+        vectorize_expr(expr)({"len": np.asarray(lens)}, len(lens)), len(lens)
+    ).tolist()
+    assert got == want
+    assert [type(value) for value in got] == [type(value) for value in want]
+    if bits is not None:
+        assert want == bits
+
+
+@pytest.mark.parametrize(
     "func,args",
     [
         ("EQ", ("len", 40)),
