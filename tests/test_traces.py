@@ -136,3 +136,29 @@ class TestTaps:
         trace = four_tap_trace(config)
         assert abs(trace.rate - 1000) < 100
         assert trace.notes == {"taps": 4}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("duration", 0),
+        ("rate", -5),
+        ("mean_flow_packets", 0),
+        ("mean_flow_packets", float("nan")),
+        ("heavy_tail_alpha", 0),
+        ("num_src_hosts", 0),
+        ("num_dst_hosts", 0),
+        ("num_taps", 0),
+        ("flows_per_session", 0),
+        ("mean_flow_lifetime", -1.0),
+        ("session_spread", -0.5),
+        ("seed", -1),
+        ("suspicious_fraction", 1.5),
+        ("suspicious_fraction", -0.1),
+        ("src_base", -1),
+        ("dst_base", (1 << 32) - 1),
+    ],
+)
+def test_config_rejects_a_bad_field_by_name(field, value):
+    with pytest.raises(ValueError, match=field):
+        TraceConfig(**{field: value})
