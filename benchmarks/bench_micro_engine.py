@@ -1,13 +1,15 @@
 """Kernel ratios, measured inside one process.
 
-Four hard assertions: the vectorized aggregation kernel is at least 5x
+Five hard assertions: the vectorized aggregation kernel is at least 5x
 the row operator, the vectorized join at least 10x, the vectorized
 sliding-window FULL kernel at least 15x the row ``WindowAggregateOp``,
-and the round-robin split into strided views, followed by the pairwise
+the round-robin split into strided views, followed by the pairwise
 host merge, at least 2x the counting-sort split of the same assignment
-followed by the same merge.  Each pair runs on the same input in the
-same process, so the ratio transfers between machines where an absolute
-throughput would not.  Whole-run throughput and per-kernel wall time are
+followed by the same merge, and the order-free group factorization a
+COUNT(*) aggregate uses at least 1.3x the order-carrying one on the same
+keys.  Each pair runs on the same input in the same process, so the
+ratio transfers between machines where an absolute throughput would
+not.  Whole-run throughput and per-kernel wall time are
 ``benchmarks/e2e``'s job (``rows_per_s``, ``engine.<kind>_ms``), which
 also fails any run that falls back off the columnar engine.
 """
@@ -25,6 +27,8 @@ from repro.engine import (
     build_variant_kernel,
     build_variant_operator,
 )
+from repro.engine.columnar import _group
+from repro.expr.vectorizer import vectorize_key
 from repro.traces import TraceConfig, generate_trace
 from repro.workloads import (
     complex_catalog,
@@ -140,3 +144,27 @@ def test_round_robin_view_split_speedup():
             assert np.array_equal(fast.column(name), slow.column(name))
     speedup = _best_of(counting_sort) / _best_of(views)
     assert speedup >= 2.0, f"view split only {speedup:.1f}x the counting sort"
+
+
+def test_order_free_group_speedup():
+    """The acceptance bar: on the section 6.3 ``flows`` keys (``time/2,
+    srcIP, destIP``) of a ~200k-row trace, the order-free factorization
+    (index-free codes, keys read back from the sort) is >=1.3x the
+    order-carrying one, with the same groups, counts and keys."""
+    batch = generate_trace(
+        TraceConfig(duration=20, rate=10_000, num_taps=1, seed=13)
+    ).column_batch()
+    _, dag = complex_catalog()
+    key_fn = vectorize_key([g.expr for g in dag.node("flows").group_by])
+    keys = key_fn(batch.columns, len(batch))
+    _, starts, counts, group_keys = _group(keys, len(batch))
+    order, free_starts, free_counts, free_keys = _group(keys, len(batch), False)
+    assert order is None
+    assert np.array_equal(starts, free_starts)
+    assert np.array_equal(counts, free_counts)
+    for ordered_key, free_key in zip(group_keys, free_keys):
+        assert np.array_equal(ordered_key, free_key)
+    ordered_time = _best_of(_group, keys, len(batch), True, repeats=15)
+    free_time = _best_of(_group, keys, len(batch), False, repeats=15)
+    speedup = ordered_time / free_time
+    assert speedup >= 1.3, f"order-free group only {speedup:.2f}x the ordered one"

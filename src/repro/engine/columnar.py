@@ -5,19 +5,28 @@ per tuple; this module processes a whole batch per operator call over a
 :class:`ColumnBatch` — a mapping of column name to NumPy array, and the
 one batch type that crosses a plan-node boundary.  Selection
 becomes a boolean-mask filter, tumbling-window aggregation becomes a
-group factorization (one sort of the group keys packed into ``uint64``
+group factorization (one sort of the group keys packed into unsigned
 codes, :func:`_group`) with per-aggregate ``ufunc.reduceat``
-reductions, and merge becomes array concatenation.  Scalar expressions are
-lowered by :mod:`repro.expr.vectorizer`.
+reductions, and merge becomes array concatenation.  Scalar expressions
+are lowered by :mod:`repro.expr.vectorizer`.
+
+The row index rides in the codes' low bits only when values follow the
+keys: an aggregate with an argument reads its values through the sort
+permutation, and the group keys are gathered through it at group
+starts.  Such codes are ``uint64``.  A kernel whose aggregates all lack
+an argument (COUNT(*)) sorts the keys alone, in ``uint32`` codes when
+they fit 32 bits, and decodes each group's key from its sorted code: it
+has no permutation to gather through, while where there is one,
+gathering beats decoding.
 
 Joins and NULL-padding are vectorized too: :class:`ColumnarJoinOp`
-factorizes both sides' key columns jointly (the same :func:`_group`
-aggregation grouping uses), probes the build side with gather indices to
-produce aligned left/right row selectors, and projects the SELECT list
-over the merged, qualified (``alias.column``) columns;
-:class:`ColumnarNullPadOp` shares the padded projection, which evaluates
-the SELECT list with the padded side's columns all-None and turns a
-``TypeError`` into NULL, as the row projection does
+factorizes both sides' key columns jointly (:func:`_group_rows`, the
+ordered factorization aggregation grouping uses), probes the build side
+with gather indices to produce aligned left/right row selectors, and
+projects the SELECT list over the merged, qualified (``alias.column``)
+columns; :class:`ColumnarNullPadOp` shares the padded projection,
+which evaluates the SELECT list with the padded side's columns all-None
+and turns a ``TypeError`` into NULL, as the row projection does
 (:func:`repro.expr.vectorizer.vectorize_padded_output`).
 
 Every plan node has a kernel.  An aggregate with no array form (a UDAF)
@@ -210,18 +219,23 @@ def ensure_rows(batch) -> List[dict]:
 # -- group-by factorization ----------------------------------------------------
 
 
-def _pack_keys(keys: List[np.ndarray], length: int) -> Optional[np.ndarray]:
-    """One ``uint64`` code per row: the keys bit-concatenated, row index last.
+def _pack_keys(
+    keys: List[np.ndarray], length: int, index: bool = True
+) -> Optional[Tuple[np.ndarray, List[Tuple[int, int, int]]]]:
+    """The keys bit-concatenated into one unsigned code per row.
 
     Each integer or bool key takes ``(max - min).bit_length()`` bits,
     stored offset from its minimum, the first key in the most significant
-    bits; constant keys take none.  The low ``(length - 1).bit_length()``
-    bits hold the row index, so every code is unique and sorting the codes
-    orders rows exactly as a stable lexsort of the keys does.  Returns
-    None when a key is not integer or bool, or the fields exceed 64 bits.
+    bits; constant keys take none.  With ``index`` the low ``(length -
+    1).bit_length()`` bits hold the row index, so every code is unique and
+    sorting the codes orders rows exactly as a stable lexsort of the keys
+    does.  Codes with the index are ``uint64``; codes without it are
+    ``uint32`` when the fields fit 32 bits.  Returns the codes and each
+    key's ``(lowest, width, shift)`` field, or None when a key is not
+    integer or bool, or the fields exceed 64 bits.
     """
-    fields = []
-    bits = (length - 1).bit_length()
+    bits = (length - 1).bit_length() if index else 0
+    extents = []
     for key in keys:
         if key.dtype.kind not in "iub":
             return None
@@ -230,64 +244,131 @@ def _pack_keys(keys: List[np.ndarray], length: int) -> Optional[np.ndarray]:
         bits += width
         if bits > 64:
             return None
-        if width:
-            fields.append((key, lowest, width))
-    code = np.arange(length, dtype=np.uint64)
-    part = np.empty(length, dtype=np.uint64)
+        extents.append((lowest, width))
+    # A narrow code with the index sorts faster but costs a cast per
+    # 8-byte key, which loses on the small batches most ordered calls get.
+    unsigned = np.uint64 if index or bits > 32 else np.uint32
+    code = np.arange(length, dtype=unsigned) if index else np.zeros(length, unsigned)
+    part = np.empty(length, dtype=unsigned)
+    modulus = 1 << 8 * code.itemsize
+    fields = []
     shift = bits
-    for key, lowest, width in fields:
+    for key, (lowest, width) in zip(keys, extents):
         shift -= width
-        # Modulo 2**64 the offset is exact for every integer dtype: 8-byte
-        # keys are reinterpreted, narrower and bool keys cast once.
-        if key.dtype.itemsize == 8:
-            key = key.view(np.uint64)
+        fields.append((lowest, width, shift))
+        if not width:
+            continue
+        # Modulo 2**(8 * itemsize) the offset is exact, and it fits the
+        # code: keys as wide as the code are reinterpreted as unsigned,
+        # other and bool keys cast into the scratch once.
+        if key.itemsize == code.itemsize:
+            key = key.view(unsigned)
         else:
             np.copyto(part, key, casting="unsafe")
             key = part
-        np.subtract(key, np.uint64(lowest % (1 << 64)), out=part)
-        np.left_shift(part, np.uint64(shift), out=part)
+        np.subtract(key, unsigned(lowest % modulus), out=part)
+        if shift:
+            np.left_shift(part, unsigned(shift), out=part)
         np.bitwise_or(code, part, out=code)
-    return code
+    return code, fields
 
 
-def _group(keys: List[np.ndarray], length: int):
-    """Factorize rows by key tuple with one sort of packed ``uint64`` codes.
+def _unpack_keys(
+    codes: np.ndarray, keys: List[np.ndarray], fields: List[Tuple[int, int, int]]
+) -> List[np.ndarray]:
+    """Each key's value in index-free ``codes``, in the key's dtype: its
+    field shifted down and masked, plus its minimum (modulo 2**64, which
+    the cast to a narrower dtype keeps exact)."""
+    codes = codes.astype(np.uint64, copy=False)
+    values = []
+    for key, (lowest, width, shift) in zip(keys, fields):
+        value = codes >> np.uint64(shift)
+        value &= np.uint64((1 << width) - 1)
+        value += np.uint64(lowest % (1 << 64))
+        if key.dtype.itemsize == 8:
+            values.append(value.view(key.dtype))
+        else:
+            values.append(value.astype(key.dtype))
+    return values
 
-    Returns ``(order, starts, counts, group_keys)``: the sort permutation
-    (the one a stable lexsort of the keys returns), the start offset of
-    each group in sorted order, per-group row counts, and each key's
-    representative value per group.  With no keys all rows form one group
-    (a global aggregate).  Keys :func:`_pack_keys` cannot pack (float,
-    object, or too wide) fall back to ``np.lexsort``.  ``length`` must be
-    positive.
-    """
-    if not keys:
-        order = np.arange(length)
-        starts = np.zeros(1, dtype=np.intp)
-        counts = np.asarray([length], dtype=np.int64)
-        return order, starts, counts, []
-    code = _pack_keys(keys, length)
+
+def _sort_order(
+    keys: List[np.ndarray], length: int
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The permutation a stable lexsort of the keys returns, and each
+    sorted row's key-only code (None when the keys fall back to
+    ``np.lexsort``): one sort of codes that carry the row index.
+    ``length`` must be positive."""
+    packed = _pack_keys(keys, length)
+    if packed is None:
+        return np.lexsort(tuple(reversed(keys))), None
+    code, _ = packed
+    code.sort()
+    index_bits = (length - 1).bit_length()
+    group_code = code >> np.uint64(index_bits)
+    code &= np.uint64((1 << index_bits) - 1)
+    return code.view(np.intp), group_code
+
+
+def _starts_and_counts(change: np.ndarray):
+    """Each group's start and row count, from the flags of sorted rows
+    whose key differs from the row before (the first row's set)."""
+    starts = change.nonzero()[0]
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1] = len(change) - starts[-1]
+    return starts, counts
+
+
+def _group_rows(keys: List[np.ndarray], length: int):
+    """``(order, starts, counts)``: the stable sort permutation of the key
+    tuples, each group's start offset in it and each group's row count.
+    ``keys`` and ``length`` must be non-empty."""
+    order, group_code = _sort_order(keys, length)
     change = np.empty(length, dtype=bool)
     change[0] = True
-    if code is not None:
-        code.sort()
-        index_bits = np.uint64((length - 1).bit_length())
-        group_code = code >> index_bits
+    if group_code is not None:
         np.not_equal(group_code[1:], group_code[:-1], out=change[1:])
-        code &= (np.uint64(1) << index_bits) - np.uint64(1)
-        order = code.view(np.intp)
     else:
-        order = np.lexsort(tuple(reversed(keys)))
         change[1:] = False
         for key in keys:
             ordered = key[order]
             change[1:] |= ordered[1:] != ordered[:-1]
-    starts = change.nonzero()[0]
-    counts = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
-    counts[-1] = length - starts[-1]
-    firsts = order[starts]
-    return order, starts, counts, [key[firsts] for key in keys]
+    return (order, *_starts_and_counts(change))
+
+
+def _group(keys: List[np.ndarray], length: int, ordered: bool = True):
+    """Factorize rows by key tuple with one sort of packed codes.
+
+    Returns ``(order, starts, counts, group_keys)``: the sort permutation
+    (the one a stable lexsort of the keys returns), the start offset of
+    each group in sorted order, per-group row counts, and each key's
+    value per group.  With no keys all rows form one group (a global
+    aggregate).  Keys :func:`_pack_keys` cannot pack (float, object, or
+    too wide) fall back to ``np.lexsort``.  ``length`` must be positive.
+
+    A caller that reads no value in group order passes ``ordered=False``
+    and gets no order (None): its codes carry no row index, and each
+    group's key is read back from its sorted code.  Groups, starts,
+    counts and keys are the ordered call's.
+    """
+    if not keys:
+        starts = np.zeros(1, dtype=np.intp)
+        counts = np.asarray([length], dtype=np.int64)
+        return (np.arange(length) if ordered else None), starts, counts, []
+    packed = None if ordered else _pack_keys(keys, length, index=False)
+    if packed is None:
+        order, starts, counts = _group_rows(keys, length)
+        firsts = order[starts]
+        group_keys = [key[firsts] for key in keys]
+        return (order if ordered else None), starts, counts, group_keys
+    code, fields = packed
+    code.sort()
+    change = np.empty(length, dtype=bool)
+    change[0] = True
+    np.not_equal(code[1:], code[:-1], out=change[1:])
+    starts, counts = _starts_and_counts(change)
+    return None, starts, counts, _unpack_keys(code[starts], keys, fields)
 
 
 def distinct_keys(keys: List[np.ndarray], length: int):
@@ -592,6 +673,9 @@ class ColumnarAggregateOp(ColumnarOperator):
             vectorize_expr(call.arg) if call.arg is not None else None
             for call in node.aggregates
         ]
+        # COUNT(*) reads no value in group order, so without an argument
+        # to gather the factorization needs no order.
+        self._ordered = any(arg is not None for arg in self._args)
         self._slots = [call.slot for call in node.aggregates]
         self._having = (
             vectorize_predicate(node.having) if node.having is not None else None
@@ -617,7 +701,7 @@ class ColumnarAggregateOp(ColumnarOperator):
             if length == 0:
                 return self._empty()
         keys = self._keys(columns, length)
-        order, starts, counts, group_keys = _group(keys, length)
+        order, starts, counts, group_keys = _group(keys, length, self._ordered)
         group_columns: Dict[str, Column] = dict(zip(self._gb_names, group_keys))
         num_groups = len(counts)
         states = self._reduce(columns, length, order, starts, counts)
@@ -690,7 +774,9 @@ class ColumnarSuperAggregateOp(ColumnarOperator):
             return _empty_output(self._output_names)
         columns = batch.columns
         keys = [np.asarray(columns[name]) for name in self._gb_names]
-        order, starts, counts, group_keys = _group(keys, length)
+        order, starts, counts, group_keys = _group(
+            keys, length, bool(self._kernels)
+        )
         group_columns: Dict[str, Column] = dict(zip(self._gb_names, group_keys))
         num_groups = len(counts)
         for kernel, slot, state_name in zip(
@@ -730,7 +816,7 @@ def _join_codes(
         for left, right in zip(left_keys, right_keys)
     ]
     length = len(combined[0])
-    order, starts, counts, _ = _group(combined, length)
+    order, _, counts = _group_rows(combined, length)
     codes = np.empty(length, dtype=np.intp)
     codes[order] = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
     right_order = order[order >= n_left] - n_left

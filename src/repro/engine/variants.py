@@ -228,6 +228,8 @@ class ColumnarSketchSubOp(ColumnarOperator):
             None if call.func == "COUNT" else vectorize_expr(call.arg)
             for call in node.aggregates
         ]
+        # Only a SUM weight is read in group order.
+        self._ordered = any(fn is not None for fn in self._weights)
         # Aggregate ``index``'s Count-Min hashes depth row ``row`` with
         # seed ``index * 1001 + row`` (CountMinSketch._columns).
         self._seeds = [
@@ -245,7 +247,7 @@ class ColumnarSketchSubOp(ColumnarOperator):
         if length == 0:
             return _empty_output([self._pane_name, SUMMARY_COLUMN])
         order, starts, counts, (group_pane, *group_keys) = _group(
-            self._keys(columns, length), length
+            self._keys(columns, length), length, self._ordered
         )
         # Groups are pane-major: each pane is a run of groups.
         pane_starts = np.flatnonzero(

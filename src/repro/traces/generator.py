@@ -40,7 +40,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..engine.columnar import _pack_keys
+from ..engine.columnar import _sort_order
 from .packet import ACK, ATTACK_PATTERN, FIN, PSH, SYN, URG, Packet
 
 # Column order of a generated trace (also the row dicts' key order).
@@ -584,16 +584,12 @@ def _sorted_by_time(columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
 
 
 def _time_order(time: np.ndarray, timestamp: np.ndarray) -> np.ndarray:
-    """The permutation a stable lexsort by (time, timestamp) returns, from
-    one sort of packed codes when the fields fit 64 bits."""
+    """The permutation a stable lexsort by (time, timestamp) returns: the
+    group-by's ordering sort (one sort of packed codes when the fields
+    fit 64 bits)."""
     if not len(time):
         return np.arange(0)
-    code = _pack_keys([time, timestamp], len(time))
-    if code is None:
-        return np.lexsort((timestamp, time))
-    code.sort()
-    code &= np.uint64((1 << (len(time) - 1).bit_length()) - 1)
-    return code.view(np.intp)
+    return _sort_order([time, timestamp], len(time))[0]
 
 
 def slice_by_epoch(batch, column: str = "time"):

@@ -23,7 +23,7 @@ from repro.engine import (
 )
 from repro.partitioning import PartitioningSet
 from repro.partitioning.partition_set import fnv1a_hash, fnv1a_hash_arrays
-from repro.workloads import suspicious_flows_catalog
+from repro.workloads import complex_catalog, suspicious_flows_catalog
 from tests.parity import kernel_sub_super
 
 
@@ -377,15 +377,23 @@ def _lexsort_group(keys, length):
 
 
 def _assert_groups_like_lexsort(keys, length):
-    got = columnar._group(keys, length)
+    """The ordered call equals the reference in all four values; the
+    order-free call returns no order and equals it in the other three."""
     want = _lexsort_group(keys, length)
-    for name, g, w in zip(("order", "starts", "counts"), got[:3], want[:3]):
-        assert g.dtype == w.dtype, name
-        assert np.array_equal(g, w), name
-    assert len(got[3]) == len(want[3])
-    for g, w in zip(got[3], want[3]):
-        assert g.dtype == w.dtype
-        assert np.array_equal(g, w)
+    for ordered in (True, False):
+        got = columnar._group(keys, length, ordered)
+        if ordered:
+            pairs = zip(("order", "starts", "counts"), got[:3], want[:3])
+        else:
+            assert got[0] is None
+            pairs = zip(("starts", "counts"), got[1:3], want[1:3])
+        for name, g, w in pairs:
+            assert g.dtype == w.dtype, (ordered, name)
+            assert np.array_equal(g, w), (ordered, name)
+        assert len(got[3]) == len(want[3])
+        for g, w in zip(got[3], want[3]):
+            assert g.dtype == w.dtype, ordered
+            assert np.array_equal(g, w), ordered
 
 
 _PACKABLE_DTYPES = (
@@ -456,6 +464,36 @@ class TestGroupFactorization:
         narrow[:2] = 0, top
         keys = [wide, narrow]
         assert (columnar._pack_keys(keys, length) is not None) is packed
+        _assert_groups_like_lexsort(keys, length)
+
+    @pytest.mark.parametrize(
+        "index, extra_bits, dtype",
+        [
+            (False, 0, np.uint32),
+            (False, 1, np.uint64),
+            (True, 0, np.uint64),
+            (True, 1, np.uint64),
+        ],
+    )
+    def test_32_bits_pack_narrow_and_33_wide(self, index, extra_bits, dtype):
+        # Index-free codes narrow at 32 bits; codes with the index never
+        # do.  1024 rows take 10 index bits when the index rides; the
+        # keys 5, 7 (or 8) and the rest up to 32 bits.
+        length = 1024
+        rng = np.random.default_rng(5)
+        rest = 32 - 12 - (10 if index else 0)
+        tops = [2**5 - 1, 2 ** (7 + extra_bits) - 1, 2**rest - 1]
+        lows = [-9, 100, 2**40]
+        keys = []
+        for low, top in zip(lows, tops):
+            key = low + rng.integers(0, 4, length) * (top // 3)
+            key[:2] = low, low + top
+            keys.append(key)
+        keys[0] = keys[0].astype(np.int8)
+        keys[1] = keys[1].astype(np.uint16)
+        code, fields = columnar._pack_keys(keys, length, index)
+        assert code.dtype == dtype
+        assert [width for _, width, _ in fields] == [5, 7 + extra_bits, rest]
         _assert_groups_like_lexsort(keys, length)
 
     @pytest.mark.parametrize(
@@ -535,11 +573,15 @@ def test_group_accepts_read_only_strided_keys(case, step):
 def _reversed_within_groups(group):
     """A ``_group`` that keeps every group but reverses each one's rows."""
 
-    def reversed_group(keys, length):
-        order, starts, counts, group_keys = group(keys, length)
-        order = np.concatenate(
-            [order[start:start + count][::-1] for start, count in zip(starts, counts)]
-        )
+    def reversed_group(keys, length, ordered=True):
+        order, starts, counts, group_keys = group(keys, length, ordered)
+        if order is not None:
+            order = np.concatenate(
+                [
+                    order[start:start + count][::-1]
+                    for start, count in zip(starts, counts)
+                ]
+            )
         return order, starts, counts, group_keys
 
     return reversed_group
@@ -572,8 +614,39 @@ def _assert_sum_folds_in_input_order(catalog, path):
     assert batches_equal(got, want)
 
 
+def _spy_on_group(monkeypatch):
+    """Record the ``ordered`` argument of every ``_group`` call."""
+    asked = []
+    group = columnar._group
+
+    def spy(keys, length, ordered=True):
+        asked.append(ordered)
+        return group(keys, length, ordered)
+
+    monkeypatch.setattr(columnar, "_group", spy)
+    return asked
+
+
 class TestGroupOrderPin:
     """Within a group, rows reach the reductions in input order."""
+
+    @pytest.mark.parametrize("variant", ["full", "sub"])
+    def test_count_star_kernel_asks_for_no_order(
+        self, monkeypatch, tiny_trace, variant
+    ):
+        _, dag = complex_catalog()
+        kernel = build_columnar_operator(dag.node("flows"), variant)
+        asked = _spy_on_group(monkeypatch)
+        assert len(kernel.process(tiny_trace.column_batch())) > 0
+        assert asked == [False]
+
+    @pytest.mark.parametrize("path", ["full", "sub_super"])
+    def test_float_sum_kernel_always_asks_for_order(
+        self, catalog, monkeypatch, path
+    ):
+        asked = _spy_on_group(monkeypatch)
+        _assert_sum_folds_in_input_order(catalog, path)
+        assert asked and all(asked)
 
     @pytest.mark.parametrize("path", ["full", "sub_super"])
     def test_float_sum_equals_the_row_fold(self, catalog, path):
