@@ -31,7 +31,7 @@ def test_partitioning_key_balance(benchmark, exp1_sweep):
                 splitter = RoundRobinSplitter(8)
             else:
                 splitter = HashSplitter(8, ps)
-            report = partition_balance(splitter, trace.packets)
+            report = partition_balance(splitter, trace.column_batch())
             rows.append((name, report))
         return rows
 

@@ -146,7 +146,7 @@ class DeploymentAdvisor:
         )
         source_rows = {source.name: trace.packets for source in self._dag.sources()}
         simulation = simulator.run(source_rows, splitter, trace.duration_sec)
-        balance = partition_balance(splitter, trace.packets, placement)
+        balance = partition_balance(splitter, trace.column_batch(), placement)
         verified = self._verify(source_rows, simulation)
         return DeploymentReport(
             num_hosts=num_hosts,

@@ -14,7 +14,7 @@ from .simulator import (
     SimulationResult,
     Timeline,
 )
-from .splitter import HashSplitter, RoundRobinSplitter, Splitter, partition_histogram
+from .splitter import HashSplitter, RoundRobinSplitter, Splitter
 
 __all__ = [
     "BalanceReport",
@@ -37,5 +37,4 @@ __all__ = [
     "Splitter",
     "Timeline",
     "default_capacity",
-    "partition_histogram",
 ]

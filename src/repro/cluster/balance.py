@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..distopt.placement import Placement
-from ..engine.columnar import ColumnBatch, ensure_rows
-from ..expr.vectorizer import UnsupportedExpression
+from ..engine.columnar import ColumnBatch, ensure_columns
 from .splitter import Splitter
 
 
@@ -105,17 +104,18 @@ def partition_balance(
 ) -> BalanceReport:
     """Measure the tuple balance a splitter achieves on ``rows``.
 
-    ``rows`` may be a row sequence or a :class:`ColumnBatch`; columnar
-    input goes through the splitter's vectorized assignment
-    (:meth:`Splitter.assign_indices` + ``np.bincount``) when the
-    splitter supports it, falling back to the row loop otherwise.
-    Both paths count identically.
+    ``rows`` may be a row sequence (converted once) or a
+    :class:`ColumnBatch`; it is counted with the splitter's own
+    assignment (:meth:`Splitter.assign_indices` + ``np.bincount``).
 
     With a ``placement``, per-host totals (summing each host's
     partitions) are included — the quantity that actually determines leaf
     CPU balance when hosts own several partitions.
     """
-    counts = _partition_counts(splitter, rows)
+    counts = np.bincount(
+        splitter.assign_indices(ensure_columns(rows)),
+        minlength=splitter.num_partitions,
+    ).tolist()
     host_counts = None
     if placement is not None:
         if placement.num_partitions != splitter.num_partitions:
@@ -128,28 +128,9 @@ def partition_balance(
     return BalanceReport(counts, host_counts)
 
 
-def _partition_counts(
-    splitter: Splitter, rows: Union[Sequence[dict], ColumnBatch]
-) -> List[int]:
-    if isinstance(rows, ColumnBatch):
-        try:
-            indices = splitter.assign_indices(rows)
-        except UnsupportedExpression:
-            rows = ensure_rows(rows)
-        else:
-            return np.bincount(
-                np.asarray(indices, dtype=np.int64),
-                minlength=splitter.num_partitions,
-            ).tolist()
-    counts = [0] * splitter.num_partitions
-    assign = splitter.assigner()
-    for row in rows:
-        counts[assign(row)] += 1
-    return counts
-
-
 def compare_balance(
-    splitters: Dict[str, Splitter], rows: Sequence[dict]
+    splitters: Dict[str, Splitter], rows: Union[Sequence[dict], ColumnBatch]
 ) -> Dict[str, BalanceReport]:
     """Balance reports for several candidate splitters on one trace."""
-    return {name: partition_balance(s, rows) for name, s in splitters.items()}
+    batch = ensure_columns(rows)
+    return {name: partition_balance(s, batch) for name, s in splitters.items()}

@@ -17,19 +17,20 @@ so its partitions are strided views of the input batch, and the host
 ``MERGE`` that follows is the only copy.  Hash partitions are located by
 content, so :meth:`HashSplitter.split_columns` assigns every row and
 gathers each column once, in partition order (:func:`gather_partitions`,
-a counting sort).
+a counting sort).  Its hash,
+:func:`~repro.partitioning.partition_set.fnv1a_hash_arrays`, gives keys
+that compare equal (``100`` and ``100.0`` too) one partition, so every
+row of a group reaches the same one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import List
 
 import numpy as np
 
 from ..engine.columnar import ColumnBatch
 from ..partitioning.partition_set import PartitioningSet
-
-Row = Mapping[str, object]
 
 
 class Splitter:
@@ -40,41 +41,24 @@ class Splitter:
             raise ValueError("num_partitions must be positive")
         self.num_partitions = num_partitions
 
-    def split(self, rows: Iterable[Row], offset: int = 0) -> List[List[Row]]:
-        """Partition ``rows`` into ``num_partitions`` batches.
+    def split_columns(
+        self, batch: ColumnBatch, offset: int = 0
+    ) -> List[ColumnBatch]:
+        """Partition ``batch`` into ``num_partitions`` batches, keeping
+        within-partition order.
 
         ``offset`` is the number of tuples of the same stream already
         split in earlier calls — it lets stateful splitters (round-robin)
         continue their cursor when a trace arrives epoch by epoch, so the
         sliced assignment matches one whole-trace split exactly.
-        Content-hash splitters ignore it.
-        """
-        batches: List[List[Row]] = [[] for _ in range(self.num_partitions)]
-        assign = self.assigner(offset)
-        for row in rows:
-            batches[assign(row)].append(row)
-        return batches
-
-    def split_columns(
-        self, batch: ColumnBatch, offset: int = 0
-    ) -> List[ColumnBatch]:
-        """Partition a columnar batch without leaving the array form.
-
-        Produces the same row-to-partition assignment as :meth:`split`
-        (parity-tested), preserving within-partition order.  The returned
-        batches are *read-only, non-overlapping views*: writing into one
-        raises ``ValueError``.  Raises
-        :class:`~repro.expr.vectorizer.UnsupportedExpression` when the
-        partitioning has no vectorized form, so callers can fall back to
-        rows.
+        Content-hash splitters ignore it.  The returned batches are
+        *read-only, non-overlapping views*: writing into one raises
+        ``ValueError``.
         """
         raise NotImplementedError
 
     def assign_indices(self, batch: ColumnBatch, offset: int = 0) -> np.ndarray:
         """Partition index of every row of a columnar batch, at once."""
-        raise NotImplementedError
-
-    def assigner(self, offset: int = 0) -> Callable[[Row], int]:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -83,17 +67,6 @@ class Splitter:
 
 class RoundRobinSplitter(Splitter):
     """Query-independent even spreading, one tuple at a time."""
-
-    def assigner(self, offset: int = 0) -> Callable[[Row], int]:
-        state = {"next": offset % self.num_partitions}
-        count = self.num_partitions
-
-        def assign(_row: Row) -> int:
-            index = state["next"]
-            state["next"] = (index + 1) % count
-            return index
-
-        return assign
 
     def split_columns(
         self, batch: ColumnBatch, offset: int = 0
@@ -124,18 +97,11 @@ class HashSplitter(Splitter):
         if ps.is_empty:
             raise ValueError("hash splitter needs a non-empty partitioning set")
         self.partitioning_set = ps
-        self._vector_partition: Optional[Callable] = None
-
-    def assigner(self, offset: int = 0) -> Callable[[Row], int]:
-        # Content hashing is position-independent; the offset is ignored.
-        return self.partitioning_set.partitioner(self.num_partitions)
+        self._partition = ps.vector_partitioner(num_partitions)
 
     def assign_indices(self, batch: ColumnBatch, offset: int = 0) -> np.ndarray:
-        if self._vector_partition is None:
-            self._vector_partition = self.partitioning_set.vector_partitioner(
-                self.num_partitions
-            )
-        return self._vector_partition(batch.columns, len(batch))
+        # Content hashing is position-independent; the offset is ignored.
+        return self._partition(batch.columns, len(batch))
 
     def split_columns(
         self, batch: ColumnBatch, offset: int = 0
@@ -171,13 +137,3 @@ def gather_partitions(
         gathered.slice(start, stop) if stop > start else empty
         for start, stop in zip(bounds, bounds[1:])
     ]
-
-
-def partition_histogram(splitter: Splitter, rows: Iterable[Row]) -> Dict[int, int]:
-    """Tuples per partition — used to check load balance in tests."""
-    assign = splitter.assigner()
-    histogram: Dict[int, int] = {}
-    for row in rows:
-        index = assign(row)
-        histogram[index] = histogram.get(index, 0) + 1
-    return histogram

@@ -209,13 +209,6 @@ def ensure_columns(batch) -> ColumnBatch:
     return ColumnBatch.from_rows(batch)
 
 
-def ensure_rows(batch) -> List[dict]:
-    """Coerce a ColumnBatch (or row list) to the row representation."""
-    if isinstance(batch, ColumnBatch):
-        return batch.to_rows()
-    return batch
-
-
 # -- group-by factorization ----------------------------------------------------
 
 

@@ -64,27 +64,35 @@ def hash_keys(parts: Sequence[np.ndarray], seeds: Sequence[int]) -> np.ndarray:
     ``parts[i]`` holds every key's ``i``-th element (no parts: one empty
     key).  Returns a ``(len(seeds), keys)`` ``uint64`` array equal bit for
     bit to ``_hash_key`` of each key as the tuple of Python scalars
-    ``tolist`` yields.  Each distinct element is ``repr``-encoded once;
-    the FNV-1a fold then runs over a zero-padded byte grid, one byte
-    column per step, for every seed and key together.
+    ``tolist`` yields.  Each distinct element is ``repr``-encoded once
+    (:func:`fold_repr_bytes`), for every seed and key together.
     """
-    prime = np.uint64(_FNV_PRIME)
     count = len(parts[0]) if parts else 1
     start = [(_FNV_OFFSET ^ (seed * _FNV_PRIME)) & _MASK64 for seed in seeds]
     value = np.repeat(np.asarray(start, dtype=np.uint64)[:, None], count, axis=1)
     for part in parts:
         if count == 0:
             break
-        grid, lengths = _byte_grid(np.asarray(part))
-        shortest = int(lengths.min())
-        for column in range(grid.shape[1]):
-            folded = (value ^ grid[:, column]) * prime
-            value = (
-                folded
-                if column < shortest
-                else np.where(column < lengths, folded, value)
-            )
-        value = (value ^ np.uint64(0x2D)) * prime
+        value = fold_repr_bytes(value, np.asarray(part))
+        value = (value ^ np.uint64(0x2D)) * np.uint64(_FNV_PRIME)
+    return value
+
+
+def fold_repr_bytes(value: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """FNV-1a steps over each element of a non-empty ``part``'s ``repr``
+    bytes: ``value[..., i]`` (any leading axes) folds element ``i``'s.
+    The fold runs over a zero-padded byte grid, one byte column per step
+    for every element together."""
+    prime = np.uint64(_FNV_PRIME)
+    grid, lengths = _byte_grid(part)
+    shortest = int(lengths.min())
+    for column in range(grid.shape[1]):
+        folded = (value ^ grid[:, column]) * prime
+        value = (
+            folded
+            if column < shortest
+            else np.where(column < lengths, folded, value)
+        )
     return value
 
 

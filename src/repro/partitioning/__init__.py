@@ -16,7 +16,7 @@ from .hardware import (
     HardwareConstraint,
     tcp_header_splitter,
 )
-from .partition_set import PartitioningSet, fnv1a_hash, subset_sets
+from .partition_set import PartitioningSet, subset_sets
 from .reconcile import reconcile_all, reconcile_partition_sets
 from .search import Candidate, PartitioningSearch, SearchResult, choose_partitioning
 
@@ -36,7 +36,6 @@ __all__ = [
     "choose_partitioning",
     "compatible_nodes",
     "compatible_set",
-    "fnv1a_hash",
     "is_compatible",
     "node_basis",
     "reconcile_all",

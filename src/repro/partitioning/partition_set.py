@@ -8,7 +8,7 @@ bucketed-hash scheme.
 
 The hash is a deterministic FNV-1a over a canonical byte encoding of the
 key tuple, so simulations are reproducible across processes regardless of
-``PYTHONHASHSEED``.
+``PYTHONHASHSEED``, and keys that compare equal hash alike.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from typing import Callable, Iterable, Iterator, List, Mapping, Sequence, Tuple,
 
 import numpy as np
 
-from ..expr import compile_key
+from ..engine.sketches import fold_repr_bytes
 from ..expr.expressions import ScalarExpr, parse_scalar
-from ..expr.vectorizer import UnsupportedExpression, vectorize_key
+from ..expr.vectorizer import vectorize_key
 
 HASH_RANGE = 1 << 32
 
@@ -28,20 +28,8 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 #: Bytes one integer key element contributes to the hash.
 _KEY_BYTES = 16
-
-
-def fnv1a_hash(key: tuple) -> int:
-    """Deterministic 32-bit hash of a key tuple (FNV-1a, folded)."""
-    value = _FNV_OFFSET
-    for element in key:
-        if isinstance(element, int):
-            data = element.to_bytes(_KEY_BYTES, "little", signed=True)
-        else:
-            data = str(element).encode()
-        for byte in data:
-            value ^= byte
-            value = (value * _FNV_PRIME) & 0xFFFFFFFFFFFFFFFF
-    return (value ^ (value >> 32)) & 0xFFFFFFFF
+#: The integers a key column holds: those of int64 and of uint64.
+_INT_LOW, _INT_HIGH = -(1 << 63), 1 << 64
 
 
 def _significant_bytes(lowest: int, highest: int) -> int:
@@ -55,55 +43,103 @@ def _significant_bytes(lowest: int, highest: int) -> int:
 
 
 def fnv1a_hash_arrays(keys: Sequence[np.ndarray]) -> np.ndarray:
-    """Vectorized :func:`fnv1a_hash` over parallel key-element arrays.
+    """Deterministic 32-bit hash of every row's key tuple, one array per
+    key element: FNV-1a over a canonical byte encoding, folded to 32 bits.
 
-    Bit-for-bit identical to the row hash for integer keys of any width
-    and signedness.  Each element stands for the same 16 little-endian
-    two's-complement bytes, but only the significant ones (found from the
-    array's min/max) are folded byte by byte.  The rest are sign bytes.
-    For a non-negative array they are all zero: ``x ^ 0 == x``, so each
-    of those ``k`` steps is one multiply by the prime, and because
-    multiplication modulo 2**64 is associative the ``k`` steps equal one
-    multiply by ``_FNV_PRIME**k mod 2**64``.  An array holding a negative
-    value folds its ``0xFF``/``0x00`` sign bytes one step at a time.
+    Keys equal under Python ``==`` hash equal, because ``==`` is how the
+    group-by and the join match keys: rows of one group that hashed apart
+    would be split across partitions.  So an integer (of an integer or
+    bool column, or an integral float in the int64/uint64 range) stands
+    for its 16 little-endian two's-complement bytes, and any other float
+    for the ``str`` bytes of its shortest repr.  ``object`` columns, where
+    ``MIN2``/``MAX2`` mix ints and floats, are classified element by
+    element.  Deterministic across processes, unlike ``hash()``.
     """
     if not keys:
         raise ValueError("need at least one key array")
     value = np.full(len(keys[0]), _FNV_OFFSET, dtype=np.uint64)
+    for key in keys:
+        if key.dtype.kind in "biu":
+            value = _fold_integers(value, key)
+            continue
+        for rows, part in _by_encoding(key):
+            if len(part):
+                fold = _fold_integers if part.dtype.kind in "iu" else fold_repr_bytes
+                value[rows] = fold(value[rows], part)
+    value ^= value >> np.uint64(32)
+    value &= np.uint64(0xFFFFFFFF)
+    return value
+
+
+def _fold_integers(value: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Fold one integer key element per row into ``value``, in place.
+
+    Each element stands for 16 little-endian two's-complement bytes, but
+    only the significant ones (found from the array's min/max) are folded
+    byte by byte.  The rest are sign bytes.  For a non-negative array they
+    are all zero: ``x ^ 0 == x``, so each of those ``k`` steps is one
+    multiply by the prime, and because multiplication modulo 2**64 is
+    associative the ``k`` steps equal one multiply by
+    ``_FNV_PRIME**k mod 2**64``.  An array holding a negative value folds
+    its ``0xFF``/``0x00`` sign bytes one step at a time.
+    """
+    lowest, highest = (int(key.min()), int(key.max())) if len(key) else (0, 0)
+    if key.dtype.kind == "u":
+        # Unsigned keys have no sign bytes, even at or above 2**63.
+        bits = key.astype(np.uint64, copy=False)
+    else:
+        bits = key.astype(np.int64, copy=False).view(np.uint64)
     scratch = np.empty_like(value)
     prime = np.uint64(_FNV_PRIME)
     byte_mask = np.uint64(0xFF)
-    for key in keys:
-        if key.dtype.kind not in "iu":
-            raise UnsupportedExpression(
-                f"vectorized hash needs integer keys, got dtype {key.dtype}"
-            )
-        lowest, highest = (int(key.min()), int(key.max())) if len(key) else (0, 0)
-        if key.dtype.kind == "u":
-            # Unsigned keys have no sign bytes, even at or above 2**63.
-            bits = key.astype(np.uint64, copy=False)
-        else:
-            bits = key.astype(np.int64, copy=False).view(np.uint64)
-        significant = _significant_bytes(lowest, highest)
-        for index in range(significant):
-            np.right_shift(bits, np.uint64(8 * index), out=scratch)
-            np.bitwise_and(scratch, byte_mask, out=scratch)
+    significant = _significant_bytes(lowest, highest)
+    for index in range(significant):
+        np.right_shift(bits, np.uint64(8 * index), out=scratch)
+        np.bitwise_and(scratch, byte_mask, out=scratch)
+        value ^= scratch
+        value *= prime
+    if lowest < 0:
+        np.right_shift(bits, np.uint64(63), out=scratch)
+        scratch *= byte_mask  # 0xFF where negative, 0x00 elsewhere
+        for _ in range(_KEY_BYTES - significant):
             value ^= scratch
             value *= prime
-        if lowest < 0:
-            np.right_shift(bits, np.uint64(63), out=scratch)
-            scratch *= byte_mask  # 0xFF where negative, 0x00 elsewhere
-            for _ in range(_KEY_BYTES - significant):
-                value ^= scratch
-                value *= prime
-        else:
-            value *= np.uint64(
-                pow(_FNV_PRIME, _KEY_BYTES - significant, 1 << 64)
-            )
-    np.right_shift(value, np.uint64(32), out=scratch)
-    value ^= scratch
-    value &= np.uint64(0xFFFFFFFF)
+    else:
+        value *= np.uint64(pow(_FNV_PRIME, _KEY_BYTES - significant, 1 << 64))
     return value
+
+
+def _by_encoding(key: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The rows of a float or ``object`` key column as ``(row mask,
+    elements)`` groups, by how they hash: integers in int64, integers only
+    uint64 holds, and every other float (hashed by its ``str`` bytes)."""
+    if key.dtype.kind == "f":
+        numbers = key
+        integral = (key == np.trunc(key)) & (key >= _INT_LOW) & (key < _INT_HIGH)
+    else:  # MIN2/MAX2 of an int and a float operand mix both in objects
+        numbers = np.fromiter(map(_canonical, key.tolist()), object, len(key))
+        integral = np.fromiter((type(n) is int for n in numbers), bool, len(key))
+    signed = integral.copy()
+    signed[integral] = numbers[integral] < (1 << 63)
+    unsigned = integral & ~signed
+    other = ~integral
+    return [
+        (signed, numbers[signed].astype(np.int64)),
+        (unsigned, numbers[unsigned].astype(np.uint64)),
+        (other, numbers[other]),
+    ]
+
+
+def _canonical(element: object) -> Union[int, float]:
+    """A key element as the int it equals, if it equals one in the
+    int64/uint64 range, else as the float it is."""
+    if isinstance(element, float):
+        if element.is_integer() and _INT_LOW <= element < _INT_HIGH:
+            return int(element)
+        return element
+    if isinstance(element, int) and _INT_LOW <= element < _INT_HIGH:
+        return int(element)
+    raise ValueError(f"cannot hash key element {element!r}")
 
 
 @dataclass(frozen=True)
@@ -151,40 +187,15 @@ class PartitioningSet:
             result |= expr.attrs()
         return result
 
-    def key_function(self) -> Callable[[Mapping], tuple]:
-        """Compile the partition-key extractor for this set."""
-        if self.is_empty:
-            raise ValueError("the empty partitioning set has no key function")
-        return compile_key(self.exprs)
-
-    def partitioner(self, num_partitions: int) -> Callable[[Mapping], int]:
-        """Compile ``row -> partition index`` for ``num_partitions`` buckets.
-
-        Implements the paper's bucketed hash: partition ``i`` receives rows
-        with ``H(A)`` in ``[i*R/M, (i+1)*R/M)``.
-        """
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        key_of = self.key_function()
-        bucket = HASH_RANGE // num_partitions + (HASH_RANGE % num_partitions > 0)
-
-        def partition(row: Mapping) -> int:
-            index = fnv1a_hash(key_of(row)) // bucket
-            # Guard against the final, slightly-short bucket.
-            return min(index, num_partitions - 1)
-
-        return partition
-
     def vector_partitioner(
         self, num_partitions: int
     ) -> Callable[[Mapping[str, np.ndarray], int], np.ndarray]:
-        """Batch analogue of :meth:`partitioner`: columns -> index array.
+        """Compile ``(columns, length) -> partition index array`` for
+        ``num_partitions`` buckets.
 
-        Compiles the member expressions with the vectorizer and hashes all
-        key tuples at once; assignments match the row partitioner exactly
-        (same FNV-1a, same bucketing).  Raises
-        :class:`~repro.expr.vectorizer.UnsupportedExpression` when a member
-        expression (or its key dtype) has no vectorized lowering.
+        Evaluates the member expressions with the vectorizer and hashes
+        every key tuple at once (:func:`fnv1a_hash_arrays`).  Partition
+        ``i`` receives the keys with ``H(A)`` in ``[i*R/M, (i+1)*R/M)``.
         """
         if num_partitions <= 0:
             raise ValueError("num_partitions must be positive")

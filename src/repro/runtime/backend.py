@@ -45,7 +45,7 @@ from ..engine.streaming import (
 )
 from ..engine.variants import build_variant_kernel, is_sliding
 from ..expr.expressions import Attr
-from ..expr.vectorizer import UnsupportedExpression, vectorize_expr
+from ..expr.vectorizer import vectorize_expr
 from ..gsql.analyzer import NodeKind
 from ..plan.dag import QueryDag
 
@@ -104,14 +104,7 @@ class EngineBackend:
         self, batch: ColumnBatch, splitter: "Splitter", offset: int
     ) -> List[ColumnBatch]:
         """Partition one batch, continuing a stateful cursor at ``offset``."""
-        try:
-            return splitter.split_columns(batch, offset=offset)
-        except UnsupportedExpression:
-            # A hash key with no integer lowering: hash it row by row.
-            return [
-                ColumnBatch.from_rows(part)
-                for part in splitter.split(batch.to_rows(), offset=offset)
-            ]
+        return splitter.split_columns(batch, offset=offset)
 
     # -- streaming-node construction ------------------------------------------
 

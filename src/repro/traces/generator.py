@@ -490,7 +490,7 @@ def skewed_trace(
     per-partition key pool so that partition ``p`` receives
     ``partition_weights[p]`` of the stream, regardless of how the hash
     scatters ordinary addresses.  The pools are found by trial-hashing
-    candidate addresses through ``partitioning.partitioner`` — the same
+    candidate addresses through ``partitioning.vector_partitioner`` — the
     function the :class:`~repro.cluster.splitter.HashSplitter` applies —
     so the skew survives splitting exactly as specified.
 
@@ -510,20 +510,7 @@ def skewed_trace(
     if total <= 0 or any(w < 0 for w in partition_weights):
         raise ValueError("partition weights must be nonnegative, sum > 0")
     weights = np.asarray(partition_weights, dtype=np.float64) / total
-    assign = partitioning.partitioner(num_partitions)
-    pools: List[List[int]] = [[] for _ in range(num_partitions)]
-    found = 0
-    candidate = 0x0A000000
-    probe = {name: 0 for name in TRACE_COLUMNS}
-    while found < num_partitions * keys_per_partition:
-        probe["srcIP"] = candidate
-        pool = pools[assign(probe)]
-        if len(pool) < keys_per_partition:
-            pool.append(candidate)
-            found += 1
-        candidate += 1
-        if candidate - 0x0A000000 > 1_000_000:  # pragma: no cover
-            raise RuntimeError("trial hashing failed to fill the key pools")
+    pools = _key_pools(partitioning, num_partitions, keys_per_partition)
 
     rng = np.random.default_rng(seed)
     src_parts: List[np.ndarray] = []
@@ -575,6 +562,31 @@ def skewed_trace(
             "drift_period": drift_period,
         },
     )
+
+
+def _key_pools(
+    partitioning, num_partitions: int, keys_per_partition: int
+) -> List[List[int]]:
+    """The first ``keys_per_partition`` addresses from 10.0.0.0 up that
+    hash to each partition (every other column zero), hashed a block of
+    candidates at a time."""
+    partition = partitioning.vector_partitioner(num_partitions)
+    block = 4096
+    zeros = np.zeros(block, dtype=np.int64)
+    probe = {name: zeros for name in TRACE_COLUMNS}
+    pools: List[List[int]] = [[] for _ in range(num_partitions)]
+    missing = num_partitions * keys_per_partition
+    for start in range(0x0A000000, 0x0A000000 + 1_000_000, block):
+        probe["srcIP"] = np.arange(start, start + block, dtype=np.int64)
+        indices = partition(probe, block).tolist()
+        for candidate, index in enumerate(indices, start):
+            pool = pools[index]
+            if len(pool) < keys_per_partition:
+                pool.append(candidate)
+                missing -= 1
+                if not missing:
+                    return pools
+    raise RuntimeError("trial hashing failed to fill the key pools")  # pragma: no cover
 
 
 def _sorted_by_time(columns: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:

@@ -13,6 +13,7 @@ from repro.cluster import (
 )
 from repro.distopt import Placement
 from repro.partitioning import PartitioningSet
+from tests.split_reference import reference_assign
 
 
 class TestBalanceReport:
@@ -60,6 +61,13 @@ class TestBalanceReport:
     def test_hot_host_ratio(self):
         report = BalanceReport([10, 10, 10, 10], [30, 10])
         assert report.host_max_over_mean == 1.5
+
+
+def _reference_counts(splitter, rows):
+    counts = [0] * splitter.num_partitions
+    for index in reference_assign(splitter, rows):
+        counts[index] += 1
+    return counts
 
 
 class TestPartitionBalance:
@@ -117,14 +125,17 @@ class TestPartitionBalance:
             )
 
     def test_columnar_batch_matches_rows(self, small_trace):
-        """A ColumnBatch goes through the vectorized assignment and must
-        count exactly like the per-row assigner."""
+        """A ColumnBatch and the row list it holds count alike, and like
+        the per-row reference assignment."""
         splitter = HashSplitter(
             8, PartitioningSet.of("srcIP", "destIP", "srcPort", "destPort")
         )
         from_rows = partition_balance(splitter, small_trace.packets)
         from_batch = partition_balance(splitter, small_trace.column_batch())
         assert from_batch.partition_counts == from_rows.partition_counts
+        assert from_rows.partition_counts == _reference_counts(
+            splitter, small_trace.packets
+        )
 
     def test_columnar_round_robin_matches_rows(self, small_trace):
         from_rows = partition_balance(RoundRobinSplitter(8),
@@ -133,22 +144,15 @@ class TestPartitionBalance:
                                        small_trace.column_batch())
         assert from_batch.partition_counts == from_rows.partition_counts
 
-    def test_columnar_falls_back_on_unsupported_expression(
-        self, small_trace, monkeypatch
-    ):
-        """A splitter the vectorizer cannot handle must quietly take the
-        per-row path instead of failing."""
-        from repro.expr.vectorizer import UnsupportedExpression
-
-        splitter = HashSplitter(8, PartitioningSet.of("srcIP"))
-        reference = partition_balance(splitter, small_trace.packets)
-
-        def unsupported(batch, offset=0):
-            raise UnsupportedExpression("forced for the test")
-
-        monkeypatch.setattr(splitter, "assign_indices", unsupported)
-        report = partition_balance(splitter, small_trace.column_batch())
-        assert report.partition_counts == reference.partition_counts
+    def test_columnar_falls_back_on_unsupported_expression(self, small_trace):
+        """A float-keyed splitter (the column hash once had no float
+        path) reports the balance of the per-row reference split."""
+        for spec in ("srcIP * 1.5", "MAX2(len, 100.0)", "time / 4.0"):
+            splitter = HashSplitter(8, PartitioningSet.of(spec))
+            report = partition_balance(splitter, small_trace.column_batch())
+            assert report.partition_counts == _reference_counts(
+                splitter, small_trace.packets
+            ), spec
 
     def test_compare_balance(self, small_trace):
         reports = compare_balance(

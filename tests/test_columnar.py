@@ -19,12 +19,12 @@ from repro.engine import (
     build_columnar_operator,
     build_operator,
     ensure_columns,
-    ensure_rows,
 )
 from repro.partitioning import PartitioningSet
-from repro.partitioning.partition_set import fnv1a_hash, fnv1a_hash_arrays
+from repro.partitioning.partition_set import fnv1a_hash_arrays
 from repro.workloads import complex_catalog, suspicious_flows_catalog
 from tests.parity import kernel_sub_super
+from tests.split_reference import fnv1a_hash, reference_assign, reference_split
 
 
 class TestColumnBatch:
@@ -61,8 +61,7 @@ class TestColumnBatch:
         rows = [{"x": 1}]
         batch = ensure_columns(rows)
         assert ensure_columns(batch) is batch
-        assert ensure_rows(rows) is rows
-        assert ensure_rows(batch) == rows
+        assert batch.to_rows() == rows
 
 
 def _columnar_matches_row(node, packets):
@@ -311,8 +310,7 @@ class TestVectorizedSplitting:
         for spec in (("srcIP",), ("srcIP & 0xFFF0", "destIP"),
                      ("srcIP", "destIP", "srcPort", "destPort")):
             splitter = HashSplitter(8, PartitioningSet.of(*spec))
-            assign = splitter.assigner()
-            expected = [assign(row) for row in tiny_trace.packets]
+            expected = reference_assign(splitter, tiny_trace.packets)
             indices = splitter.assign_indices(tiny_trace.column_batch())
             assert indices.tolist() == expected, spec
 
@@ -323,7 +321,7 @@ class TestVectorizedSplitting:
 
     def test_split_columns_matches_split(self, tiny_trace):
         splitter = HashSplitter(4, PartitioningSet.of("srcIP"))
-        by_rows = splitter.split(tiny_trace.packets)
+        by_rows = reference_split(splitter, tiny_trace.packets)
         by_columns = splitter.split_columns(tiny_trace.column_batch())
         assert [part.to_rows() for part in by_columns] == by_rows
 

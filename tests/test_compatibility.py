@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.cluster import ClusterSimulator
+from repro.distopt import DistributedOptimizer, Placement
 from repro.engine import batches_equal, run_centralized
 from repro.partitioning import (
     PartitioningSet,
+    choose_partitioning,
     compatible_set,
     is_compatible,
     node_basis,
@@ -12,6 +15,9 @@ from repro.partitioning import (
     temporal_attributes,
 )
 from repro.cluster.splitter import HashSplitter
+from repro.plan import QueryDag
+from repro.traces import TraceConfig, generate_trace
+from tests.split_reference import reference_split
 
 
 class TestTemporalAttributes:
@@ -137,7 +143,7 @@ class TestSemanticCompatibility:
         union = []
         from repro.engine.operators import build_operator
 
-        for part in splitter.split(tiny_trace.packets):
+        for part in reference_split(splitter, tiny_trace.packets):
             union.extend(build_operator(flows).process(part))
         assert batches_equal(union, reference["flows"])
 
@@ -153,6 +159,28 @@ class TestSemanticCompatibility:
         reference = run_centralized(complex_dag, {"TCP": tiny_trace.packets})
         splitter = HashSplitter(4, ps)
         union = []
-        for part in splitter.split(tiny_trace.packets):
+        for part in reference_split(splitter, tiny_trace.packets):
             union.extend(build_operator(flows).process(part))
         assert not batches_equal(union, reference["flows"])
+
+    def test_equal_int_and_float_keys_share_a_partition(self, catalog):
+        """``MAX2(len, 100.0)`` is ``100`` where ``len`` is 100 and
+        ``100.0`` where it is less: one group, so one partition.  Hashing
+        the two apart split the group and delivered 1 321 rows where the
+        centralized run has 1 320."""
+        catalog.define_query(
+            "capped",
+            "SELECT tb, m, COUNT(*) as cnt FROM TCP "
+            "GROUP BY time/60 as tb, MAX2(len, 100.0) as m",
+        )
+        dag = QueryDag.from_catalog(catalog)
+        ps = choose_partitioning(dag, 2000).partitioning
+        assert str(ps) == "{MAX2(len, 100.0)}"
+        packets = generate_trace(TraceConfig(duration=2, rate=2000, seed=1)).packets
+        plan = DistributedOptimizer(dag, Placement(2, 2), ps).optimize()
+        result = ClusterSimulator(dag, plan, stream_rate=2000).run(
+            {"TCP": packets}, HashSplitter(4, ps), duration_sec=2
+        )
+        reference = run_centralized(dag, {"TCP": packets})["capped"]
+        assert len(reference) == 1320
+        assert batches_equal(result.outputs["capped"], reference)

@@ -1,27 +1,36 @@
 """The row engine stays out of the runtime.
 
 ``repro.expr.evaluator`` compiles expressions into per-row Python
-closures, and ``repro.engine.operators`` with
+closures (``repro.expr`` re-exports ``compile_key``, ``compile_expr`` and
+``evaluate`` from it), and ``repro.engine.operators`` with
 ``repro.engine.variants.build_variant_operator`` are the row operators
-built on it.  Together they serve the §3.4 oracle (the centralized row
-run the distributed outputs must equal) and the row partitioner.  The
-runtime — every module under ``src/repro/runtime/`` and the streaming
-wrappers in ``engine/streaming.py`` — runs kernels over columns with
-``repro.expr.vectorizer`` instead, so none of it may import them.
+built on it.  Together they serve the §3.4 oracle, the centralized row
+run the distributed outputs must equal.  The runtime — every module
+under ``src/repro/runtime/``, ``cluster/``, ``partitioning/`` and
+``traces/``, and the streaming wrappers in ``engine/streaming.py`` —
+runs kernels over columns with ``repro.expr.vectorizer`` instead, so none
+of it may import them.
 """
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-EVALUATOR = ("repro.expr.evaluator",)
+EVALUATOR = (
+    "repro.expr.evaluator",
+    "repro.expr.compile_key",
+    "repro.expr.compile_expr",
+    "repro.expr.evaluate",
+)
 ROW_OPERATORS = (
     "repro.engine.operators",
     "repro.engine.variants.build_variant_operator",
 )
-RUNTIME = sorted((SRC / "repro" / "runtime").rglob("*.py")) + [
-    SRC / "repro" / "engine" / "streaming.py"
-]
+RUNTIME = [
+    path
+    for package in ("runtime", "cluster", "partitioning", "traces")
+    for path in sorted((SRC / "repro" / package).rglob("*.py"))
+] + [SRC / "repro" / "engine" / "streaming.py"]
 
 
 def _imports(path, root):
@@ -71,15 +80,18 @@ def test_runtime_does_not_import_the_row_operators():
 
 def test_scanner_flags_every_import_form(tmp_path):
     """Known-bad companion: a temporary runtime module importing the
-    evaluator or a row operator relatively, absolutely, or as a name is
-    flagged; one that imports only the vectorizer or a kernel builder is
-    not."""
+    evaluator or a row operator relatively, absolutely, as a name, or
+    through the ``repro.expr`` package's re-export is flagged; one that
+    imports only the vectorizer, a kernel builder or another ``repro.expr``
+    name is not."""
     runtime = tmp_path / "repro" / "runtime"
     runtime.mkdir(parents=True)
     bad = {
         "relative.py": "from ..expr.evaluator import compile_key\n",
         "named.py": "from ..expr import evaluator\n",
         "absolute.py": "import repro.expr.evaluator\n",
+        "reexport.py": "from ..expr import compile_key\n",
+        "reexport_absolute.py": "from repro.expr import evaluate, parse_scalar\n",
         "operators.py": "from ..engine.operators import JoinOp\n",
         "operators_named.py": "from ..engine import operators\n",
         "variant_operator.py": (
@@ -90,6 +102,7 @@ def test_scanner_flags_every_import_form(tmp_path):
         (runtime / name).write_text(text)
     (runtime / "good.py").write_text(
         "from ..expr.vectorizer import vectorize_key\n"
+        "from ..expr import expressions, parse_scalar\n"
         "from ..engine.variants import build_variant_kernel, is_sliding\n"
     )
     flagged = importers(

@@ -1,18 +1,21 @@
 """Partitioning sets and the bucketed hash partitioner (§3.3)."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.cluster import HashSplitter
 from repro.expr import mask, parse_scalar
-from repro.expr.vectorizer import UnsupportedExpression
-from repro.partitioning import PartitioningSet, fnv1a_hash, subset_sets
+from repro.partitioning import PartitioningSet, subset_sets
 from repro.partitioning.partition_set import (
     HASH_RANGE,
     dedupe_exprs,
     fnv1a_hash_arrays,
 )
+from tests.split_reference import fnv1a_hash, reference_assign
 
 INTEGER_DTYPES = (
     np.int8, np.int16, np.int32, np.int64,
@@ -104,19 +107,24 @@ class TestVectorizedHash:
         assert hashed.dtype == np.uint64 and len(hashed) == 0
 
     def test_rejects_non_integer_keys(self):
-        with pytest.raises(UnsupportedExpression):
-            fnv1a_hash_arrays([np.array([1.5])])
+        """Keys that are neither integers nor floats have no encoding."""
+        with pytest.raises(ValueError):
+            fnv1a_hash_arrays([np.array(["a", "b"])])
+        with pytest.raises(ValueError):
+            fnv1a_hash_arrays([np.array([1, "a", None], dtype=object)])
         with pytest.raises(ValueError):
             fnv1a_hash_arrays([])
 
     def test_vector_partitioner_matches_rows_on_unsigned_keys(self):
         values = [0, 7, 2**63 - 1, 2**63, 2**63 + 12345, 2**64 - 1]
         ps = PartitioningSet.of("x")
-        assign = ps.partitioner(8)
         indices = ps.vector_partitioner(8)(
             {"x": np.array(values, dtype=np.uint64)}, len(values)
         )
-        assert indices.tolist() == [assign({"x": value}) for value in values]
+        expected = reference_assign(
+            HashSplitter(8, ps), [{"x": value} for value in values]
+        )
+        assert indices.tolist() == expected
 
 
 @given(
@@ -135,47 +143,114 @@ def test_vectorized_hash_equals_row_hash(key, salt):
     assert hashed.tolist() == _row_hashes(key.tolist(), salts.tolist())
 
 
+# Every key column the runtime produces: int64 and uint64 attributes,
+# float64 arithmetic, and the object columns MIN2/MAX2 make of an int and
+# a float operand.  Integral floats at the int64/uint64 edges, -0.0, NaN
+# and the infinities included.
+INTS = st.integers(-(2**63), 2**64 - 1)
+FLOATS = st.one_of(
+    st.floats(), INTS.map(float), st.sampled_from([-0.0, 2.0**63, 2.0**64])
+)
+KEY_COLUMNS = st.one_of(
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1).map(
+        lambda values: np.array(values, dtype=np.int64)
+    ),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1).map(
+        lambda values: np.array(values, dtype=np.uint64)
+    ),
+    st.lists(FLOATS, min_size=1).map(lambda values: np.array(values, dtype=np.float64)),
+    st.lists(st.one_of(INTS, FLOATS, st.booleans()), min_size=1).map(
+        lambda values: np.array(values, dtype=object)
+    ),
+)
+
+
+@given(KEY_COLUMNS, st.integers(min_value=0, max_value=2**16))
+def test_every_key_column_hashes_like_the_reference(key, salt):
+    salts = np.full(len(key), salt, dtype=np.int64)
+    hashed = fnv1a_hash_arrays([key, salts])
+    assert hashed.tolist() == _row_hashes(key.tolist(), salts.tolist())
+
+
+@given(st.lists(INTS, min_size=1, max_size=20))
+def test_keys_equal_under_eq_hash_equal(values):
+    """An int, the float equal to it and the bool equal to it are one
+    group key to the group-by and the join, so they must share a
+    partition, whichever column type carries them."""
+    twins = []
+    for value in values:
+        twins.append(value)
+        if float(value) == value:
+            twins.append(float(value))
+        if value in (0, 1):
+            twins.append(bool(value))
+    hashed = fnv1a_hash_arrays([np.array(twins, dtype=object)]).tolist()
+    for (left, left_hash), (right, right_hash) in itertools.combinations(
+        zip(twins, hashed), 2
+    ):
+        if left == right:
+            assert left_hash == right_hash, (left, right)
+    for value, value_hash in zip(twins, hashed):  # alone, in a typed column
+        dtype = (np.int64 if value < 2**63 else np.uint64) if type(value) is int else None
+        typed = np.array([value], dtype=dtype)
+        assert fnv1a_hash_arrays([typed]).tolist() == [value_hash], value
+
+
+def test_mixed_int_and_float_keys_share_a_partition():
+    """``100`` and ``100.0`` (a ``MAX2(len, 100.0)`` key), ``True`` and
+    ``1``, ``-0.0`` and ``0``: one hash whatever the column type."""
+    cases = [
+        [np.array([100]), np.array([100.0]), np.array([100, 100.0], dtype=object)],
+        [np.array([1]), np.array([True]), np.array([True, 1, 1.0], dtype=object)],
+        [np.array([0], dtype=np.uint64), np.array([-0.0]), np.array([-0.0], dtype=object)],
+    ]
+    for columns in cases:
+        hashes = {h for column in columns for h in fnv1a_hash_arrays([column]).tolist()}
+        assert len(hashes) == 1, columns
+
+
+def assign(ps, num_partitions, values, name="srcIP"):
+    """The partition of every value of column ``name``."""
+    column = np.array(values, dtype=np.int64)
+    return ps.vector_partitioner(num_partitions)({name: column}, len(column)).tolist()
+
+
 class TestPartitioner:
     def test_all_rows_assigned_in_range(self):
-        ps = PartitioningSet.of("srcIP")
-        assign = ps.partitioner(8)
-        for value in range(1000):
-            index = assign({"srcIP": value})
-            assert 0 <= index < 8
+        indices = assign(PartitioningSet.of("srcIP"), 8, range(1000))
+        assert all(0 <= index < 8 for index in indices)
 
     def test_equal_keys_same_partition(self):
         ps = PartitioningSet.of("srcIP", "destIP")
-        assign = ps.partitioner(4)
-        row1 = {"srcIP": 10, "destIP": 20, "len": 1}
-        row2 = {"srcIP": 10, "destIP": 20, "len": 999}
-        assert assign(row1) == assign(row2)
+        columns = {
+            "srcIP": np.array([10, 10]),
+            "destIP": np.array([20, 20]),
+            "len": np.array([1, 999]),
+        }
+        first, second = ps.vector_partitioner(4)(columns, 2).tolist()
+        assert first == second
 
     def test_rough_balance(self):
         """Hash partitioning should spread distinct keys roughly evenly."""
-        ps = PartitioningSet.of("srcIP")
-        assign = ps.partitioner(4)
-        counts = [0, 0, 0, 0]
-        for value in range(4000):
-            counts[assign({"srcIP": value})] += 1
+        counts = np.bincount(assign(PartitioningSet.of("srcIP"), 4, range(4000)))
         assert min(counts) > 700  # perfectly even would be 1000
 
     def test_single_partition(self):
-        assign = PartitioningSet.of("srcIP").partitioner(1)
-        assert assign({"srcIP": 42}) == 0
+        assert assign(PartitioningSet.of("srcIP"), 1, [42]) == [0]
 
     def test_invalid_partition_count(self):
         with pytest.raises(ValueError):
-            PartitioningSet.of("srcIP").partitioner(0)
+            PartitioningSet.of("srcIP").vector_partitioner(0)
 
     def test_empty_set_has_no_key_function(self):
         with pytest.raises(ValueError):
-            PartitioningSet.empty().key_function()
+            PartitioningSet.empty().vector_partitioner(4)
 
     def test_mask_expression_partitioning(self):
         """Rows equal under the mask land together even when raw IPs differ."""
         ps = PartitioningSet.of("srcIP & 0xFFF0")
-        assign = ps.partitioner(8)
-        assert assign({"srcIP": 0x0A0001A1}) == assign({"srcIP": 0x0A0001AF})
+        first, second = assign(ps, 8, [0x0A0001A1, 0x0A0001AF])
+        assert first == second
 
 
 class TestHelpers:
@@ -191,8 +266,8 @@ class TestHelpers:
 
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=64))
 def test_partitioner_always_in_range(value, num_partitions):
-    assign = PartitioningSet.of("x").partitioner(num_partitions)
-    assert 0 <= assign({"x": value}) < num_partitions
+    (index,) = assign(PartitioningSet.of("x"), num_partitions, [value], "x")
+    assert 0 <= index < num_partitions
 
 
 @given(
@@ -201,11 +276,7 @@ def test_partitioner_always_in_range(value, num_partitions):
 )
 def test_partition_is_a_function_of_the_key(values, num_partitions):
     """The same key value must always land in the same partition."""
-    assign = PartitioningSet.of("x & 0xFF00").partitioner(num_partitions)
+    indices = assign(PartitioningSet.of("x & 0xFF00"), num_partitions, values, "x")
     seen = {}
-    for value in values:
-        key = value & 0xFF00
-        index = assign({"x": value})
-        if key in seen:
-            assert seen[key] == index
-        seen[key] = index
+    for value, index in zip(values, indices):
+        assert seen.setdefault(value & 0xFF00, index) == index

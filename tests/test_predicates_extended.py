@@ -104,12 +104,16 @@ class TestModuloRefinement:
 
     def test_mod_partitioning_set_usable(self):
         """A modulo expression works as a partitioning key end to end."""
+        from repro.cluster import HashSplitter
+        from repro.engine import ColumnBatch
         from repro.partitioning import PartitioningSet
+        from tests.split_reference import reference_assign
 
-        ps = PartitioningSet.of("srcIP % 16")
-        assign = ps.partitioner(4)
-        # rows equal mod 16 land together
-        assert assign({"srcIP": 5}) == assign({"srcIP": 21}) == assign({"srcIP": 37})
+        splitter = HashSplitter(4, PartitioningSet.of("srcIP % 16"))
+        rows = [{"srcIP": 5}, {"srcIP": 21}, {"srcIP": 37}]
+        indices = splitter.assign_indices(ColumnBatch.from_rows(rows)).tolist()
+        # rows equal mod 16 land together, where the reference puts them
+        assert indices == reference_assign(splitter, rows) == [indices[0]] * 3
 
     def test_mod_group_by_compatibility(self, catalog):
         from repro.partitioning import PartitioningSet, is_compatible

@@ -435,29 +435,21 @@ class TestOneBatchType:
         assert watched["steps"] > 0 and watched["returns"] > 0
 
     def test_per_row_split_meets_the_oracle(
-        self, watched, monkeypatch, tiny_trace
+        self, watched, to_rows_calls, tiny_trace
     ):
-        """A hash key the vectorized hash cannot take (a float product)
-        sends every piece through the splitter's per-row assigner; the
-        partitions go back into batches, and one-shot and streaming runs
-        still answer what the centralized run answers."""
+        """A float hash key (a product), which once sent every piece
+        through a per-row split, is hashed on the columns: the run builds
+        no row from a batch, and one-shot and streaming runs still answer
+        what the centralized run answers."""
         catalog_fn, deliver = WORKLOADS["jitter"]
         dag = catalog_fn()[1]
         sim, splitter = deploy(dag, 3, PartitioningSet.of("srcIP * 1.5"), deliver)
-        split = type(splitter).split
-        row_splits = []
-
-        def counted(self, rows, offset=0):
-            row_splits.append(offset)
-            return split(self, rows, offset)
-
-        monkeypatch.setattr(type(splitter), "split", counted)
         for streaming in (False, True):
-            row_splits.clear()
+            to_rows_calls.clear()
             result = sim.run(
                 {"TCP": tiny_trace.packets}, splitter, 10.0, streaming=streaming
             )
-            assert row_splits, "the vectorized split ran"
+            assert not to_rows_calls, "a batch was converted to rows"
             assert result.outputs.row_count() > 0
             assert_matches_centralized(dag, tiny_trace.packets, result)
         assert watched["steps"] > 0

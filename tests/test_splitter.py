@@ -7,33 +7,35 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster.splitter import (
-    HashSplitter,
-    RoundRobinSplitter,
-    partition_histogram,
-)
+from repro.cluster import partition_balance
+from repro.cluster.splitter import HashSplitter, RoundRobinSplitter
 from repro.engine.columnar import ColumnBatch
 from repro.partitioning import PartitioningSet
+from tests.split_reference import reference_assign, reference_split
 
 
 def rows(n):
     return [{"srcIP": i % 7, "destIP": i % 3, "len": i} for i in range(n)]
 
 
+def batch_of(n):
+    return ColumnBatch.from_rows(rows(n))
+
+
 class TestRoundRobin:
     def test_even_spread(self):
         splitter = RoundRobinSplitter(4)
-        batches = splitter.split(rows(100))
+        batches = splitter.split_columns(batch_of(100))
         assert [len(b) for b in batches] == [25, 25, 25, 25]
 
     def test_cyclic_assignment(self):
         splitter = RoundRobinSplitter(3)
-        assign = splitter.assigner()
-        assert [assign({}) for _ in range(6)] == [0, 1, 2, 0, 1, 2]
+        indices = splitter.assign_indices(batch_of(6))
+        assert indices.tolist() == [0, 1, 2, 0, 1, 2]
 
     def test_preserves_all_tuples(self):
         splitter = RoundRobinSplitter(5)
-        batches = splitter.split(rows(17))
+        batches = splitter.split_columns(batch_of(17))
         assert sum(len(b) for b in batches) == 17
 
     def test_describe(self):
@@ -45,53 +47,44 @@ class TestRoundRobin:
 
     def test_offset_continues_the_cursor(self):
         """Splitting a stream chunk by chunk with running offsets must
-        reproduce the whole-stream assignment — the invariant epoch-sliced
-        streaming relies on."""
+        reproduce the per-row cursor over the whole stream — the
+        invariant epoch-sliced streaming relies on."""
         splitter = RoundRobinSplitter(3)
-        data = rows(20)
-        whole = splitter.split(data)
+        data = batch_of(20)
         chunked = [[] for _ in range(3)]
         offset = 0
         for size in (7, 0, 5, 8):
-            chunk = data[offset : offset + size]
-            for partition, batch in enumerate(splitter.split(chunk, offset=offset)):
-                chunked[partition].extend(batch)
+            chunk = data.slice(offset, offset + size)
+            for partition, part in enumerate(splitter.split_columns(chunk, offset)):
+                chunked[partition].extend(part.to_rows())
             offset += size
-        assert chunked == whole
+        assert chunked == reference_split(splitter, rows(20))
 
     def test_offset_starts_mid_cycle(self):
         splitter = RoundRobinSplitter(3)
-        assign = splitter.assigner(offset=4)
-        assert [assign({}) for _ in range(4)] == [1, 2, 0, 1]
+        indices = splitter.assign_indices(batch_of(4), offset=4)
+        assert indices.tolist() == [1, 2, 0, 1]
 
     def test_vectorized_offset_matches_rows(self):
-        import numpy as np
-
-        from repro.engine.columnar import ColumnBatch
-
         splitter = RoundRobinSplitter(4)
-        data = rows(13)
-        batch = ColumnBatch.from_rows(data)
-        indices = splitter.assign_indices(batch, offset=6)
-        assign = splitter.assigner(offset=6)
-        assert list(indices) == [assign(row) for row in data]
+        indices = splitter.assign_indices(batch_of(13), offset=6)
+        assert indices.tolist() == reference_assign(splitter, rows(13), offset=6)
         assert indices.dtype == np.int64
 
 
 class TestHashSplitter:
     def test_key_locality(self):
         splitter = HashSplitter(4, PartitioningSet.of("srcIP"))
-        batches = splitter.split(rows(100))
+        batches = splitter.split_columns(batch_of(100))
         # every batch must contain only whole srcIP groups
         seen = {}
         for index, batch in enumerate(batches):
-            for row in batch:
-                key = row["srcIP"]
+            for key in batch.column("srcIP").tolist():
                 assert seen.setdefault(key, index) == index
 
     def test_preserves_all_tuples(self):
         splitter = HashSplitter(8, PartitioningSet.of("srcIP", "destIP"))
-        batches = splitter.split(rows(123))
+        batches = splitter.split_columns(batch_of(123))
         assert sum(len(b) for b in batches) == 123
 
     def test_empty_ps_rejected(self):
@@ -103,26 +96,30 @@ class TestHashSplitter:
         assert "0xfff0" in splitter.describe()
 
     def test_histogram(self):
+        """The balance report counts what the per-row reference assigns."""
         splitter = HashSplitter(4, PartitioningSet.of("len"))
-        histogram = partition_histogram(splitter, rows(50))
-        assert sum(histogram.values()) == 50
+        counts = partition_balance(splitter, rows(50)).partition_counts
+        expected = np.bincount(reference_assign(splitter, rows(50)), minlength=4)
+        assert counts == expected.tolist()
+        assert sum(counts) == 50
 
     def test_offset_is_ignored(self):
         # Content hashing is position-independent: any offset yields the
         # same assignment, so epoch slicing cannot perturb it.
         splitter = HashSplitter(4, PartitioningSet.of("srcIP"))
-        data = rows(30)
-        assert splitter.split(data, offset=11) == splitter.split(data)
+        data = batch_of(30)
+        assert [part.to_rows() for part in splitter.split_columns(data, 11)] == [
+            part.to_rows() for part in splitter.split_columns(data)
+        ]
 
     def test_reasonable_balance_on_trace(self, small_trace):
         """The paper's premise: hashing on flow keys spreads load well."""
         splitter = HashSplitter(
             8, PartitioningSet.of("srcIP", "destIP", "srcPort", "destPort")
         )
-        histogram = partition_histogram(splitter, small_trace.packets)
-        total = sum(histogram.values())
-        expected = total / 8
-        assert max(histogram.values()) < 2.5 * expected
+        counts = partition_balance(splitter, small_trace.column_batch()).partition_counts
+        expected = sum(counts) / 8
+        assert max(counts) < 2.5 * expected
 
 
 def _mixed_batch(keys):
@@ -156,8 +153,8 @@ KEYS = st.lists(
 
 
 class TestSplitColumns:
-    """The one-pass columnar split is the row split, partition by
-    partition and row by row."""
+    """The one-pass columnar split is the per-row reference split,
+    partition by partition and row by row."""
 
     @given(
         keys=KEYS,
@@ -169,7 +166,7 @@ class TestSplitColumns:
         splitter = _splitter(kind, num_partitions)
         batch = _mixed_batch(keys)
         by_columns = splitter.split_columns(batch, offset=offset)
-        by_rows = splitter.split(batch.to_rows(), offset=offset)
+        by_rows = reference_split(splitter, batch.to_rows(), offset)
         assert len(by_columns) == num_partitions
         assert [len(part) for part in by_columns] == [len(part) for part in by_rows]
         assert [part.to_rows() for part in by_columns] == by_rows
@@ -233,8 +230,8 @@ class TestSplitColumns:
         parts = splitter.split_columns(batch, offset=290)
         assert len(parts) == 300
         assert sum(1 for part in parts if len(part)) <= 17
-        assert [part.to_rows() for part in parts] == splitter.split(
-            batch.to_rows(), offset=290
+        assert [part.to_rows() for part in parts] == reference_split(
+            splitter, batch.to_rows(), offset=290
         )
         for part in parts:
             assert part.names() == batch.names()

@@ -45,6 +45,7 @@ from tests.parity import (
     qset_dag,
     tcp_source,
 )
+from tests.split_reference import reference_split
 
 
 class TestLowerBound:
@@ -236,7 +237,7 @@ def test_outer_join_engine_parity(catalog_factory, tiny_trace):
     result = sim.run({"TCP": tiny_trace.packets}, splitter, 10.0)
     flows = [
         build_operator(dag.node("flows")).process(part)
-        for part in splitter.split(tiny_trace.packets)
+        for part in reference_split(splitter, tiny_trace.packets)
     ]
     join = build_operator(dag.node("pairs"))
     expected = (

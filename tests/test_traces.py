@@ -1,9 +1,12 @@
 """Synthetic trace generation: structure and statistics."""
 
+import hashlib
 from collections import defaultdict
 
+import numpy as np
 import pytest
 
+from repro.partitioning import PartitioningSet
 from repro.traces import (
     ACK,
     ATTACK_PATTERN,
@@ -13,7 +16,9 @@ from repro.traces import (
     generate_trace,
     ip,
     merge_taps,
+    skewed_trace,
 )
+from repro.traces.generator import TRACE_COLUMNS
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +167,32 @@ class TestTaps:
 def test_config_rejects_a_bad_field_by_name(field, value):
     with pytest.raises(ValueError, match=field):
         TraceConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (("srcIP",), "c91807f67131d38030d4f0111a08257d8af827e95b5d1a0f02637b8b8b3df49b"),
+        (
+            ("srcIP & 0xFFF0", "destIP"),
+            "464d31c08ba9de2133cef20a10eaa38a65ce2590bee3830445b5c58ac02440aa",
+        ),
+    ],
+)
+def test_skewed_trace_is_pinned(spec, digest):
+    """The key pools are filled by hashing blocks of candidate addresses
+    at once; the drifting trace must stay the one the per-address loop
+    that hashed one candidate at a time produced."""
+    trace = skewed_trace(
+        PartitioningSet.of(*spec),
+        8,
+        [0.30, 0.20, 0.10, 0.08, 0.08, 0.08, 0.08, 0.08],
+        duration=8,
+        rate=500,
+        drift_period=2,
+    )
+    sha = hashlib.sha256()
+    for name in TRACE_COLUMNS:
+        sha.update(name.encode())
+        sha.update(np.ascontiguousarray(trace.columns[name], dtype=np.int64).tobytes())
+    assert sha.hexdigest() == digest
