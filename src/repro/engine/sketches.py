@@ -14,10 +14,8 @@ Sliding-Window Data Streams" (PAPERS.md):
 * :class:`CountMinSketch` — the classic ``d x w`` counter grid
   (``w = ceil(e / eps)``, ``d = ceil(ln(1 / delta))``).  Estimates never
   undercount and exceed the truth by more than ``eps * N`` with
-  probability at most ``delta``.  Plain updates are *linear*, so sketches
-  merge exactly (the distributed path relies on this); the optional
-  conservative-update mode tightens single-site error but sacrifices
-  mergeability, so shipped summaries never use it.
+  probability at most ``delta``.  Updates are *linear*, so sketches
+  merge exactly (the distributed path relies on this).
 * The ECM-sketch's pane ring — a Count-Min grid per pane, a window
   answered from the grids of its panes — is kept at per-pane resolution:
   the aggregator sums the window's pane grids cell-wise
@@ -25,10 +23,12 @@ Sliding-Window Data Streams" (PAPERS.md):
   over the window, and the streaming wrapper drops panes no later window
   reads, so aggregator state stays independent of stream length.
 
-Key hashing is seeded FNV-1a over the key tuple's repr — deterministic
-across processes (independent of ``PYTHONHASHSEED``), so worker-shipped
-summaries merge bit-identically with driver-side ones.  :func:`hash_keys`
-is the same hash, vectorized.
+Key hashing is seeded FNV-1a over the ``repr`` of each key element, or
+of the int it equals (:func:`canonical_element`), so keys equal under
+``==`` — as the group-by matches them — share their cells.  It is
+deterministic across processes (independent of ``PYTHONHASHSEED``), so
+worker-shipped summaries merge bit-identically with driver-side ones.
+:func:`hash_keys` is the same hash, vectorized.
 """
 
 from __future__ import annotations
@@ -44,13 +44,60 @@ from ..gsql.analyzer import AnalyzedNode
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+#: The integers a key column holds: those of int64 and of uint64.
+_INT_LOW, _INT_HIGH = -(1 << 63), 1 << 64
+
+
+def canonical_element(element: object) -> object:
+    """A key element as the int it equals, if it is a bool, an int, or an
+    integral float in the int64/uint64 range (``True``, ``1`` and ``1.0``
+    are all ``1``, ``-0.0`` is ``0``); any other element as it is.
+
+    Keys equal under ``==`` must encode alike, because ``==`` is how the
+    group-by and the join match them.  :func:`by_encoding` is this rule
+    for a whole column.
+    """
+    if isinstance(element, float):
+        if element.is_integer() and _INT_LOW <= element < _INT_HIGH:
+            return int(element)
+        return element
+    if isinstance(element, int):
+        return int(element)
+    return element
+
+
+def by_encoding(key: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The rows of a float or ``object`` key column as ``(row mask,
+    elements)`` groups, by how they encode: integers in int64, integers
+    only uint64 holds, and every other element (a float that equals no
+    such integer, or anything else an object column holds)."""
+    if key.dtype.kind == "f":
+        numbers = key
+        integral = (key == np.trunc(key)) & (key >= _INT_LOW) & (key < _INT_HIGH)
+    else:  # MIN2/MAX2 of an int and a float operand mix both in objects
+        numbers = np.fromiter(map(canonical_element, key.tolist()), object, len(key))
+        integral = np.fromiter(
+            (type(n) is int and _INT_LOW <= n < _INT_HIGH for n in numbers),
+            bool,
+            len(key),
+        )
+    signed = integral.copy()
+    signed[integral] = numbers[integral] < (1 << 63)
+    unsigned = integral & ~signed
+    other = ~integral
+    return [
+        (signed, numbers[signed].astype(np.int64)),
+        (unsigned, numbers[unsigned].astype(np.uint64)),
+        (other, numbers[other]),
+    ]
 
 
 def _hash_key(key: tuple, seed: int) -> int:
-    """Seeded FNV-1a over the key tuple — stable across processes."""
+    """Seeded FNV-1a over the key tuple's canonical elements' ``repr`` —
+    stable across processes."""
     value = (_FNV_OFFSET ^ (seed * _FNV_PRIME)) & _MASK64
     for part in key:
-        for byte in repr(part).encode():
+        for byte in repr(canonical_element(part)).encode():
             value ^= byte
             value = (value * _FNV_PRIME) & _MASK64
         value ^= 0x2D  # separator so (1, 23) != (12, 3)
@@ -79,8 +126,9 @@ def hash_keys(parts: Sequence[np.ndarray], seeds: Sequence[int]) -> np.ndarray:
 
 
 def fold_repr_bytes(value: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """FNV-1a steps over each element of a non-empty ``part``'s ``repr``
-    bytes: ``value[..., i]`` (any leading axes) folds element ``i``'s.
+    """FNV-1a steps over the ``repr`` bytes of each element of a
+    non-empty ``part``, or of the int it equals (:func:`canonical_element`):
+    ``value[..., i]`` (any leading axes) folds element ``i``'s.
     The fold runs over a zero-padded byte grid, one byte column per step
     for every element together."""
     prime = np.uint64(_FNV_PRIME)
@@ -97,15 +145,21 @@ def fold_repr_bytes(value: np.ndarray, part: np.ndarray) -> np.ndarray:
 
 
 def _byte_grid(part: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Every element's ``repr`` bytes, zero-padded into one ``uint8`` row
+    """Every element's encoded bytes, zero-padded into one ``uint8`` row
     each, plus the byte counts.  Integer, bool and string columns encode
-    once per distinct value; any other (floats, where ``0.0 == -0.0``;
-    object columns, possibly of mixed types) element by element."""
-    if part.dtype.kind in "iubUS":
+    once per distinct value; floats and object columns (possibly of mixed
+    types) element by element, through :func:`by_encoding`."""
+    if part.dtype.kind == "b":
+        part = part.astype(np.int64)  # a bool encodes as the int it equals
+    if part.dtype.kind in "iuUS":
         distinct, inverse = np.unique(part, return_inverse=True)
+        encoded = [repr(value).encode() for value in distinct.tolist()]
     else:
-        distinct, inverse = part, None
-    encoded = [repr(value).encode() for value in distinct.tolist()]
+        inverse = None
+        codes = np.empty(len(part), dtype=object)
+        for rows, elements in by_encoding(part):
+            codes[rows] = [repr(value).encode() for value in elements.tolist()]
+        encoded = codes.tolist()
     width = max(map(len, encoded))
     grid = np.frombuffer(
         b"".join(code.ljust(width, b"\0") for code in encoded), dtype=np.uint8
@@ -132,41 +186,26 @@ class CountMinSketch:
 
     ``update`` folds a non-negative weight (1 for COUNT, the argument
     value for SUM); ``estimate`` returns the per-row minimum, an upper
-    bound on the key's true total.  With ``conservative=True`` each
-    update raises only the rows still at the current minimum — strictly
-    tighter estimates, but the sketch is no longer a linear transform of
-    the input, so :meth:`merge` refuses; distributed (shipped) sketches
-    must stay plain.
+    bound on the key's true total.
     """
 
-    __slots__ = ("width", "depth", "seed", "conservative", "counts", "total")
+    __slots__ = ("width", "depth", "seed", "counts", "total")
 
-    def __init__(
-        self,
-        width: int,
-        depth: int,
-        seed: int = 0,
-        conservative: bool = False,
-    ):
+    def __init__(self, width: int, depth: int, seed: int = 0):
         if width <= 0 or depth <= 0:
             raise ValueError("width and depth must be positive")
         self.width = width
         self.depth = depth
         self.seed = seed
-        self.conservative = conservative
         self.counts = np.zeros((depth, width), dtype=np.int64)
         self.total = 0
 
     @classmethod
     def from_error(
-        cls,
-        epsilon: float,
-        delta: float,
-        seed: int = 0,
-        conservative: bool = False,
+        cls, epsilon: float, delta: float, seed: int = 0
     ) -> "CountMinSketch":
         width, depth = sketch_dimensions(epsilon, delta)
-        return cls(width, depth, seed=seed, conservative=conservative)
+        return cls(width, depth, seed=seed)
 
     def _columns(self, key: tuple) -> List[int]:
         return [
@@ -177,20 +216,9 @@ class CountMinSketch:
     def update(self, key: tuple, weight: int = 1) -> None:
         if weight < 0:
             raise ValueError("Count-Min handles non-negative weights only")
-        columns = self._columns(key)
         self.total += weight
-        if self.conservative:
-            current = min(
-                self.counts[row, column]
-                for row, column in enumerate(columns)
-            )
-            target = current + weight
-            for row, column in enumerate(columns):
-                if self.counts[row, column] < target:
-                    self.counts[row, column] = target
-        else:
-            for row, column in enumerate(columns):
-                self.counts[row, column] += weight
+        for row, column in enumerate(self._columns(key)):
+            self.counts[row, column] += weight
 
     def estimate(self, key: tuple) -> int:
         columns = self._columns(key)
@@ -199,12 +227,7 @@ class CountMinSketch:
         )
 
     def merge(self, other: "CountMinSketch") -> None:
-        """Cell-wise sum — exact for plain sketches (linearity)."""
-        if self.conservative or other.conservative:
-            raise ValueError(
-                "conservative-update sketches are not mergeable; "
-                "distributed sketches must use plain updates"
-            )
+        """Cell-wise sum — exact, because updates are linear."""
         if (
             self.width != other.width
             or self.depth != other.depth
@@ -215,10 +238,7 @@ class CountMinSketch:
         self.total += other.total
 
     def copy(self) -> "CountMinSketch":
-        clone = CountMinSketch(
-            self.width, self.depth, seed=self.seed,
-            conservative=self.conservative,
-        )
+        clone = CountMinSketch(self.width, self.depth, seed=self.seed)
         clone.counts = self.counts.copy()
         clone.total = self.total
         return clone
@@ -230,7 +250,6 @@ class CountMinSketch:
             self.width == other.width
             and self.depth == other.depth
             and self.seed == other.seed
-            and self.conservative == other.conservative
             and self.total == other.total
             and bool(np.array_equal(self.counts, other.counts))
         )
@@ -238,15 +257,12 @@ class CountMinSketch:
     def __reduce__(self):
         return (
             _rebuild_sketch,
-            (
-                self.width, self.depth, self.seed, self.conservative,
-                self.counts, self.total,
-            ),
+            (self.width, self.depth, self.seed, self.counts, self.total),
         )
 
 
-def _rebuild_sketch(width, depth, seed, conservative, counts, total):
-    sketch = CountMinSketch(width, depth, seed=seed, conservative=conservative)
+def _rebuild_sketch(width, depth, seed, counts, total):
+    sketch = CountMinSketch(width, depth, seed=seed)
     sketch.counts = counts
     sketch.total = total
     return sketch
@@ -256,13 +272,13 @@ def _rebuild_sketch(width, depth, seed, conservative, counts, total):
 class EpochSummary:
     """One host's shipped digest of one pane — the sketch-variant wire unit.
 
-    ``sketches`` holds one plain Count-Min per aggregate call (COUNT
+    ``sketches`` holds one Count-Min per aggregate call (COUNT
     folds weight 1, SUM folds the argument value); ``candidates`` are the
     host's locally heavy keys — every key whose local row count reaches
     ``epsilon * local_rows`` — which caps the list at ``1/epsilon``
     entries while guaranteeing every globally epsilon-heavy key is a
-    candidate on at least one host.  Summaries merge exactly (plain
-    sketches are linear; candidate sets union), so aggregation order
+    candidate on at least one host.  Summaries merge exactly (sketches
+    are linear; candidate sets union), so aggregation order
     never changes the reassembled answer.
     """
 

@@ -200,7 +200,7 @@ class ColumnarSketchSubOp(ColumnarOperator):
 
     Applies the node's WHERE filter and factorizes ``(pane, key)`` groups
     once.  Each group's weight — its row count for COUNT, its summed
-    (integer) argument for SUM — is added into one plain (mergeable)
+    (integer) argument for SUM — is added into one (mergeable)
     ``depth x width`` Count-Min grid per aggregate call and pane, at the
     cells :func:`~repro.engine.sketches.hash_keys` gives the key.  The
     candidates are the locally heavy keys: every key whose pane-local row
@@ -281,7 +281,7 @@ class ColumnarSketchSubOp(ColumnarOperator):
                 pane=pane,
                 sketches=tuple(
                     _rebuild_sketch(
-                        self._width, self._depth, call, False,
+                        self._width, self._depth, call,
                         grids[index, call], totals[call][index],
                     )
                     for call in range(len(self._weights))
@@ -330,7 +330,7 @@ class ColumnarSketchSuperOp(ColumnarOperator):
     of the label's Count-Min grids.
 
     Run inside :class:`ColumnarSlidingOp`, a label is a window end and its
-    summaries are the window's panes from every host.  Plain sketches are
+    summaries are the window's panes from every host.  Count-Min sketches are
     linear, so their cell-wise sum is the window's own sketch — the ECM
     pane ring of Papapetrou et al. at per-pane resolution, exact over the
     window — and all approximation error comes from the Count-Min grids,

@@ -33,7 +33,7 @@ Python's values because NumPy's object loops call the Python operators:
 ``None == x`` is False, ``bool(None)`` is False, and ``None + 1`` or
 ``None < 1`` raise ``TypeError``.
 
-Every scalar function the analyzer accepts (the row evaluator's table)
+Every scalar function the analyzer accepts (:data:`SCALAR_FUNCTIONS`)
 lowers here.  Anything else raises :class:`UnsupportedExpression` — an
 operator or function no analyzed query contains, or a partitioning
 expression a splitter cannot vectorize.
@@ -158,6 +158,10 @@ _SIMPLE_FUNCS: Dict[str, Callable] = {
     "OR": _or,
     "NOT": _not,
 }
+
+#: Every scalar function GSQL accepts (the analyzer checks calls against
+#: it): each lowers here, and the row evaluator defines each one too.
+SCALAR_FUNCTIONS = frozenset(_SIMPLE_FUNCS) | {"IN", "LITERAL"}
 
 
 def vectorize_expr(expr: ScalarExpr) -> VectorEvaluator:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..expr import analysis as xanalysis
 from ..expr import expressions as xp
-from ..expr.evaluator import _SCALAR_FUNCS
+from ..expr.vectorizer import SCALAR_FUNCTIONS
 from . import ast_nodes as ast
 from .errors import SemanticError, UnknownColumnError
 from .schema import Column, Ordering, StreamSchema
@@ -856,10 +856,10 @@ class Analyzer:
                 raise SemanticError(
                     f"aggregate {node.name} is not allowed in this clause"
                 )
-            if node.name not in _SCALAR_FUNCS:
+            if node.name not in SCALAR_FUNCTIONS:
                 raise SemanticError(
                     f"unknown scalar function {node.name!r}; known: "
-                    f"{', '.join(sorted(_SCALAR_FUNCS))}"
+                    f"{', '.join(sorted(SCALAR_FUNCTIONS))}"
                 )
             args = tuple(self._convert_ast(arg, resolve) for arg in node.args)
             return xp.Func(node.name, args)

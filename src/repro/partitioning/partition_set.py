@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, List, Mapping, Sequence, Tuple,
 
 import numpy as np
 
-from ..engine.sketches import fold_repr_bytes
+from ..engine.sketches import by_encoding, fold_repr_bytes
 from ..expr.expressions import ScalarExpr, parse_scalar
 from ..expr.vectorizer import vectorize_key
 
@@ -28,8 +28,6 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 #: Bytes one integer key element contributes to the hash.
 _KEY_BYTES = 16
-#: The integers a key column holds: those of int64 and of uint64.
-_INT_LOW, _INT_HIGH = -(1 << 63), 1 << 64
 
 
 def _significant_bytes(lowest: int, highest: int) -> int:
@@ -51,9 +49,11 @@ def fnv1a_hash_arrays(keys: Sequence[np.ndarray]) -> np.ndarray:
     would be split across partitions.  So an integer (of an integer or
     bool column, or an integral float in the int64/uint64 range) stands
     for its 16 little-endian two's-complement bytes, and any other float
-    for the ``str`` bytes of its shortest repr.  ``object`` columns, where
-    ``MIN2``/``MAX2`` mix ints and floats, are classified element by
-    element.  Deterministic across processes, unlike ``hash()``.
+    for the bytes of its shortest ``repr``; other elements raise
+    ``ValueError``.  Float and ``object`` columns, where ``MIN2``/``MAX2``
+    mix ints and floats, are classified by
+    :func:`~repro.engine.sketches.by_encoding`, the rule the Count-Min key
+    hash follows too.  Deterministic across processes, unlike ``hash()``.
     """
     if not keys:
         raise ValueError("need at least one key array")
@@ -62,13 +62,25 @@ def fnv1a_hash_arrays(keys: Sequence[np.ndarray]) -> np.ndarray:
         if key.dtype.kind in "biu":
             value = _fold_integers(value, key)
             continue
-        for rows, part in _by_encoding(key):
+        for rows, part in by_encoding(key):
             if len(part):
-                fold = _fold_integers if part.dtype.kind in "iu" else fold_repr_bytes
-                value[rows] = fold(value[rows], part)
+                value[rows] = _fold(value[rows], part)
     value ^= value >> np.uint64(32)
     value &= np.uint64(0xFFFFFFFF)
     return value
+
+
+def _fold(value: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """Fold one :func:`~repro.engine.sketches.by_encoding` group: integers
+    by their bytes, floats by their ``repr``; any other element has no
+    encoding."""
+    if part.dtype.kind in "iu":
+        return _fold_integers(value, part)
+    if part.dtype.kind != "f":
+        for element in part.tolist():
+            if not isinstance(element, float):
+                raise ValueError(f"cannot hash key element {element!r}")
+    return fold_repr_bytes(value, part)
 
 
 def _fold_integers(value: np.ndarray, key: np.ndarray) -> np.ndarray:
@@ -107,39 +119,6 @@ def _fold_integers(value: np.ndarray, key: np.ndarray) -> np.ndarray:
     else:
         value *= np.uint64(pow(_FNV_PRIME, _KEY_BYTES - significant, 1 << 64))
     return value
-
-
-def _by_encoding(key: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """The rows of a float or ``object`` key column as ``(row mask,
-    elements)`` groups, by how they hash: integers in int64, integers only
-    uint64 holds, and every other float (hashed by its ``str`` bytes)."""
-    if key.dtype.kind == "f":
-        numbers = key
-        integral = (key == np.trunc(key)) & (key >= _INT_LOW) & (key < _INT_HIGH)
-    else:  # MIN2/MAX2 of an int and a float operand mix both in objects
-        numbers = np.fromiter(map(_canonical, key.tolist()), object, len(key))
-        integral = np.fromiter((type(n) is int for n in numbers), bool, len(key))
-    signed = integral.copy()
-    signed[integral] = numbers[integral] < (1 << 63)
-    unsigned = integral & ~signed
-    other = ~integral
-    return [
-        (signed, numbers[signed].astype(np.int64)),
-        (unsigned, numbers[unsigned].astype(np.uint64)),
-        (other, numbers[other]),
-    ]
-
-
-def _canonical(element: object) -> Union[int, float]:
-    """A key element as the int it equals, if it equals one in the
-    int64/uint64 range, else as the float it is."""
-    if isinstance(element, float):
-        if element.is_integer() and _INT_LOW <= element < _INT_HIGH:
-            return int(element)
-        return element
-    if isinstance(element, int) and _INT_LOW <= element < _INT_HIGH:
-        return int(element)
-    raise ValueError(f"cannot hash key element {element!r}")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ and validated once, by :class:`RunOptions`.
 
 Operators come pre-compiled from the :class:`~repro.runtime.backend.EngineBackend`
 (at session construction, never per batch), and every batch from the
-source door to the first read
+source door to a read
 of a query's rows (:class:`DeliveredRows`) is a
 :class:`~repro.engine.columnar.ColumnBatch`; all accounting flows
 through the :class:`~repro.runtime.metrics.MetricsRecorder`.
@@ -383,22 +383,48 @@ class DeliveredRows(Mapping[str, List[Row]]):
     """Query name -> delivered rows, built from the step batches on read.
 
     The run loop keeps each step's delivered ``ColumnBatch``, never
-    concatenated (steps may differ in dtype).  A query's rows are those
-    batches' ``to_rows()`` in step order, built on first read and cached.
+    concatenated (steps may differ in dtype).  A query's rows are the
+    batches' ``to_rows()`` in step order, built on every read.  The
+    result holds the list read last, and only until the next read: that
+    read drops it if it still equals the batches, or keeps it for good
+    if the caller changed it (a NaN counts as a change).  Row dicts cost
+    several times their columns' bytes, so a caller reading the queries
+    one after another holds one query's rows at a time, while an edit
+    made to a delivered list before the next read is what every later
+    read returns.  Two reads of an unchanged query return equal, distinct
+    lists; keep the list to read it twice.
     """
 
     def __init__(self, batches: Dict[str, List[ColumnBatch]]):
         #: Per query, the non-empty batches its delivery node returned.
         self.batches = batches
-        self._rows: Dict[str, List[Row]] = {}
+        #: Lists changed by the caller, returned by every later read.
+        self._edited: Dict[str, List[Row]] = {}
+        #: ``(query, rows)`` of the list read last, until the next read.
+        self._last: Optional[Tuple[str, List[Row]]] = None
 
     def __getitem__(self, name: str) -> List[Row]:
-        rows = self._rows.get(name)
+        if self._last is not None:
+            last, rows = self._last
+            self._last = None
+            if not self._unchanged(last, rows):
+                self._edited[last] = rows
+        rows = self._edited.get(name)
         if rows is None:
-            rows = self._rows[name] = [
-                row for batch in self.batches[name] for row in batch.to_rows()
-            ]
+            rows = [row for batch in self.batches[name] for row in batch.to_rows()]
+            self._last = (name, rows)
         return rows
+
+    def _unchanged(self, name: str, rows: List[Row]) -> bool:
+        """Whether ``rows`` equal the rows of ``name``'s batches, compared
+        batch by batch so that no second whole list is built."""
+        start = 0
+        for batch in self.batches[name]:
+            stop = start + len(batch)
+            if rows[start:stop] != batch.to_rows():
+                return False
+            start = stop
+        return start == len(rows)
 
     def __iter__(self):
         return iter(self.batches)
@@ -427,6 +453,9 @@ class SimulationResult:
 
     hosts: List["Host"]
     network: "NetworkMeter"
+    # Query name -> delivered rows, built from the kept column batches on
+    # read; the result keeps only the list read last, until the next read,
+    # and lists the caller changed (see DeliveredRows).
     outputs: DeliveredRows
     duration_sec: float
     aggregator: int
@@ -724,7 +753,7 @@ class ExecutionSession:
                     controller.resident_rows(),
                 )
                 # Delivery: the run loop keeps the step's batch; rows are
-                # built when ``result.outputs[name]`` is first read.
+                # built on each read of ``result.outputs[name]``.
                 for name, node_id in self._plan.delivery.items():
                     batch = outcome.returns[node_id]
                     if len(batch):

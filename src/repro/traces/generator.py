@@ -167,11 +167,7 @@ class Trace:
     def packets(self) -> List[Packet]:
         """The trace as row dicts (materialized from columns on demand)."""
         if self._packets is None:
-            names = list(self._columns)
-            pools = [self._columns[name].tolist() for name in names]
-            self._packets = [
-                dict(zip(names, values)) for values in zip(*pools)
-            ]
+            self._packets = self.column_batch().to_rows()
         return self._packets
 
     @property

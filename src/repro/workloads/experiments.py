@@ -313,9 +313,21 @@ def per_query_recall(
     reference output is empty reports NaN — it has no answers to lose,
     which is not the same thing as losing none.
     """
+    return _recall(_canonical_outputs(reference_outputs), outputs)
+
+
+def _canonical_outputs(outputs: Mapping[str, Sequence]) -> Dict[str, Counter]:
+    """Every query's rows as :func:`_canonical_rows` multisets."""
+    return {name: _canonical_rows(outputs[name]) for name in outputs}
+
+
+def _recall(
+    reference_outputs: Mapping[str, Counter], outputs: Mapping[str, Sequence]
+) -> Dict[str, float]:
+    """:func:`per_query_recall` against an already canonical reference."""
     recall: Dict[str, float] = {}
     for name in sorted(reference_outputs):
-        reference = _canonical_rows(reference_outputs[name])
+        reference = reference_outputs[name]
         total = sum(reference.values())
         if total == 0:
             recall[name] = float("nan")
@@ -361,7 +373,8 @@ def overload_sweep(
         run_configuration, dag, trace, configuration, num_hosts,
         streaming=True, **run,
     )
-    reference = stream()
+    # Canonical once: each read of a result's outputs builds its rows.
+    reference = _canonical_outputs(stream().result.outputs)
     points: List[OverloadPoint] = []
     for fraction, policy in zip(fractions, policies):
         outcome = stream(queue_policy=policy)
@@ -374,9 +387,7 @@ def overload_sweep(
                 rows_delivered=sum(s.total_delivered for s in stats),
                 rows_dropped=sum(s.total_dropped for s in stats),
                 output_rows=outcome.result.outputs.row_count(),
-                recall=per_query_recall(
-                    reference.result.outputs, outcome.result.outputs
-                ),
+                recall=_recall(reference, outcome.result.outputs),
             )
         )
     return points

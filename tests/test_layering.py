@@ -8,8 +8,9 @@ built on it.  Together they serve the §3.4 oracle, the centralized row
 run the distributed outputs must equal.  The runtime — every module
 under ``src/repro/runtime/``, ``cluster/``, ``partitioning/`` and
 ``traces/``, and the streaming wrappers in ``engine/streaming.py`` —
-runs kernels over columns with ``repro.expr.vectorizer`` instead, so none
-of it may import them.
+runs kernels over columns with ``repro.expr.vectorizer`` instead, and
+the front end it compiles from (``gsql/``) checks function calls
+against the vectorizer's names, so none of it may import them.
 """
 
 import ast
@@ -28,7 +29,7 @@ ROW_OPERATORS = (
 )
 RUNTIME = [
     path
-    for package in ("runtime", "cluster", "partitioning", "traces")
+    for package in ("runtime", "cluster", "partitioning", "traces", "gsql")
     for path in sorted((SRC / "repro" / package).rglob("*.py"))
 ] + [SRC / "repro" / "engine" / "streaming.py"]
 
@@ -109,3 +110,16 @@ def test_scanner_flags_every_import_form(tmp_path):
         sorted(runtime.glob("*.py")), tmp_path, EVALUATOR + ROW_OPERATORS
     )
     assert sorted(path.name for path in flagged) == sorted(bad)
+
+
+def test_scanner_covers_the_front_end(tmp_path):
+    """Known-bad companion for ``gsql/``: an analyzer taking the names it
+    accepts from the row evaluator's table is flagged; one taking them
+    from the vectorizer is not."""
+    assert SRC / "repro" / "gsql" / "analyzer.py" in RUNTIME
+    gsql = tmp_path / "repro" / "gsql"
+    gsql.mkdir(parents=True)
+    (gsql / "analyzer.py").write_text("from ..expr.evaluator import _SCALAR_FUNCS\n")
+    (gsql / "parser.py").write_text("from ..expr.vectorizer import SCALAR_FUNCTIONS\n")
+    flagged = importers(sorted(gsql.glob("*.py")), tmp_path, EVALUATOR)
+    assert [path.name for path in flagged] == ["analyzer.py"]

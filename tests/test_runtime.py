@@ -9,6 +9,7 @@ identical to the facade-era numbers.
 
 import collections
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -444,11 +445,10 @@ class TestOneBatchType:
         catalog_fn, deliver = WORKLOADS["jitter"]
         dag = catalog_fn()[1]
         sim, splitter = deploy(dag, 3, PartitioningSet.of("srcIP * 1.5"), deliver)
+        packets = tiny_trace.packets  # built through to_rows on first read
         for streaming in (False, True):
             to_rows_calls.clear()
-            result = sim.run(
-                {"TCP": tiny_trace.packets}, splitter, 10.0, streaming=streaming
-            )
+            result = sim.run({"TCP": packets}, splitter, 10.0, streaming=streaming)
             assert not to_rows_calls, "a batch was converted to rows"
             assert result.outputs.row_count() > 0
             assert_matches_centralized(dag, tiny_trace.packets, result)
@@ -530,8 +530,9 @@ def _assert_deferred_equals_eager(result, eager):
 
 class TestDeferredDelivery:
     """The run loop keeps each step's delivered ``ColumnBatch``; rows are
-    built when ``result.outputs[query]`` is first read, and equal what a
-    conversion at every step would have built."""
+    built on every read of ``result.outputs[query]``, kept only until the
+    next read unless the caller changed them, and equal what a conversion
+    at every step would have built."""
 
     def test_execute_builds_no_rows(self, jitter_dag, tiny_trace, to_rows_calls):
         sim, splitter = deploy(
@@ -541,17 +542,44 @@ class TestDeferredDelivery:
         assert result.fallback_nodes == {}
         # no adapted row operator either: it would have called to_rows
         assert to_rows_calls == []
+        previous = []  # the batches of the list read last
         for name, batches in result.outputs.batches.items():
             assert len(batches) > 1 and all(len(batch) for batch in batches)
             rows = result.outputs[name]
-            assert to_rows_calls == batches  # one call per step batch, in order
-            assert result.outputs[name] is rows  # cached
-            assert to_rows_calls == batches
+            # The read checks the list read last against its batches, then
+            # calls to_rows once per step batch, in order.
+            assert to_rows_calls == previous + batches
+            to_rows_calls.clear()
+            again = result.outputs[name]  # drops ``rows`` unchanged, builds anew
+            assert again == rows and again is not rows
+            assert to_rows_calls == batches * 2
+            # Only this frame (and getrefcount's argument) holds the first
+            # list and its rows: the result retained none of them.
+            list_refs, row_refs = sys.getrefcount(rows), sys.getrefcount(rows[0])
+            assert list_refs == row_refs == 2
             assert len(rows) == result.outputs.row_count(name)
             to_rows_calls.clear()
+            previous = batches
         assert result.outputs.row_count() == sum(
             len(result.outputs[name]) for name in result.outputs
         )
+
+    def test_an_edit_before_the_next_read_is_kept(self, jitter_dag, tiny_trace):
+        sim, splitter = deploy(
+            jitter_dag, 2, PartitioningSet.of("srcIP"), WORKLOADS["jitter"][1]
+        )
+        result = sim.run_streaming({"TCP": tiny_trace.column_batch()}, splitter, 10.0)
+        outputs = result.outputs
+        first, second, *_ = sorted(outputs)
+        edited = outputs[first]
+        row = edited[0]
+        column = sorted(row)[-1]
+        row[column] += 1
+        cleared = outputs[second]  # drops nothing: ``edited`` changed
+        cleared.clear()
+        assert outputs[first] is edited and edited[0][column] == row[column]
+        assert outputs[second] is cleared == []
+        assert outputs.row_count(second) > 0  # the batches are untouched
 
     @pytest.mark.parametrize(
         "case", ("outer-join", "mixed-dtype", "jitter", "jitter-parallel")

@@ -15,7 +15,8 @@ here directly:
 The key hash itself is pinned: ``_hash_key`` against golden values, and
 the vectorized :func:`hash_keys` the SKETCH_SUB kernel folds grids with
 against ``_hash_key``, bit for bit.  Changing either re-blesses every
-approximate answer.
+approximate answer.  Keys equal under ``==`` (``100``, ``100.0``, and
+``1``, ``True``) share their cells, as they share a group.
 """
 
 import math
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import Catalog, tcp_schema
 from repro.distopt import DistributedOptimizer, Placement
 from repro.distopt.plan_ir import Variant
 from repro.engine.columnar import ColumnBatch
@@ -38,6 +40,7 @@ from repro.engine.sketches import (
     summary_wire_bytes,
 )
 from repro.engine.variants import SUMMARY_COLUMN, build_variant_kernel
+from repro.plan import QueryDag
 from repro.runtime.backend import EngineBackend
 from repro.workloads import approx_heavy_catalog
 
@@ -49,13 +52,14 @@ streams = st.lists(st.tuples(keys, weights), max_size=200)
 # -- the key hash ------------------------------------------------------------
 
 #: ``_hash_key(key, seed)`` for seeds 0, 1 and 1001, recorded before the
-#: vectorized hash existed.
+#: vectorized hash existed.  ``True`` hashes as the ``1`` it equals (it
+#: once hashed as its repr, ``"True"``).
 HASH_GOLDEN = {
     (0x0A000001, 0xC0A80002): (
         14511442430783606412, 17336162063160898461, 8635163641630881765,
     ),
     ("abc", -5, True): (
-        4861089768251808342, 2845012572670657673, 13096294750800644833,
+        8762696838550964305, 9740341752081579804, 7236915733257620708,
     ),
     (2**64 - 1, -(2**63), 3.5): (
         5168707219040203037, 6181390345690970678, 16328094211009427614,
@@ -127,12 +131,85 @@ def test_vectorized_hash_matches_hash_key(parts, seeds):
 # -- Count-Min ---------------------------------------------------------------
 
 
-@settings(deadline=None, max_examples=60)
-@given(stream=streams, seed=st.integers(0, 7), conservative=st.booleans())
-def test_cm_never_underestimates(stream, seed, conservative):
-    sketch = CountMinSketch.from_error(
-        0.1, 0.05, seed=seed, conservative=conservative
+#: Integers and their spellings as other types that compare equal.
+equal_ints = st.one_of(
+    st.integers(-(2**53), 2**53),
+    st.sampled_from((2**63, 2**64 - 2048, -(2**63), 0, 1)),
+)
+
+
+def _spellings(value: int) -> list:
+    return (
+        [value, float(value)]
+        + ([-0.0] if value == 0 else [])
+        + ([bool(value)] if value in (0, 1) else [])
     )
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data(), seeds=st.lists(st.integers(0, 5000), min_size=1, max_size=4))
+def test_keys_equal_under_eq_get_equal_cells(data, seeds):
+    """A key spelled as an int, a float, ``-0.0`` or a bool hashes to the
+    int's cells, element by element and as a float or object column."""
+    ints = data.draw(st.lists(equal_ints, min_size=1, max_size=12))
+    spelled = [data.draw(st.sampled_from(_spellings(value))) for value in ints]
+    assert spelled == ints
+    expected = hash_keys([np.array(ints, dtype=object)], seeds).tolist()
+    for column in (np.array(spelled, dtype=object), np.array(spelled, dtype=float)):
+        assert hash_keys([column], seeds).tolist() == expected
+    for value, other in zip(ints, spelled):
+        assert [_hash_key((other, 7), seed) for seed in seeds] == [
+            _hash_key((value, 7), seed) for seed in seeds
+        ]
+    sketch = CountMinSketch(width=97, depth=3, seed=seeds[0])
+    for value in spelled:
+        sketch.update((value,))
+    for value in ints:
+        assert sketch.estimate((value,)) >= ints.count(value)
+
+
+def test_sketch_super_never_undercounts_a_key_spelled_two_ways():
+    """Two hosts' SKETCH_SUB give ``MAX2(len, 100.0)`` the key ``100`` (a
+    ``len`` of 100 wins as an int) and ``100.0`` (a shorter ``len`` loses
+    to the float): one group, so SKETCH_SUPER must count both hosts' rows.
+    Hashing each element's repr put them in different cells, and the
+    estimate read one host's count."""
+    catalog = Catalog()
+    catalog.add_stream(tcp_schema())
+    catalog.load_script(
+        """
+DEFINE QUERY capped AS
+SELECT tb, m, APPROX_COUNT(*) as cnt FROM TCP
+GROUP BY time as tb, MAX2(len, 100.0) as m
+RANGE 1 SLIDE 1 ERROR 0.05 CONFIDENCE 0.95;
+"""
+    )
+    node = QueryDag.from_catalog(catalog).node("capped")
+    sub = build_variant_kernel(node, "sketch_sub")
+    hosts = [(100, 3), (40, 5)]  # (len, rows) per host
+    shipped = []
+    for length, rows in hosts:
+        batch = ColumnBatch(
+            {"time": np.zeros(rows, dtype=np.int64), "len": np.full(rows, length)},
+            rows,
+        )
+        out = sub.process(batch)
+        assert out.columns[SUMMARY_COLUMN][0].candidates[0][0] == 100
+        shipped += out.columns[SUMMARY_COLUMN].tolist()
+    key_types = {
+        type(summary.candidates[0][0]).__name__ for summary in shipped
+    }
+    assert key_types == {"int", "float"}
+    rows = build_variant_kernel(node, "sketch_super").process_window(
+        _shipped(shipped), [0]
+    ).to_rows()
+    assert [(row["m"], row["cnt"]) for row in rows] == [(100, 8)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(stream=streams, seed=st.integers(0, 7))
+def test_cm_never_underestimates(stream, seed):
+    sketch = CountMinSketch.from_error(0.1, 0.05, seed=seed)
     truth = {}
     for key, weight in stream:
         sketch.update((key,), weight)
@@ -185,30 +262,41 @@ def test_cm_merge_is_exact(stream, cut, seed):
 
 
 def test_cm_merge_refuses_shape_and_conservative_mismatch():
-    plain = CountMinSketch(width=8, depth=2)
-    with pytest.raises(ValueError):
-        plain.merge(CountMinSketch(width=9, depth=2))
-    with pytest.raises(ValueError):
-        plain.merge(CountMinSketch(width=8, depth=2, seed=5))
-    conservative = CountMinSketch(width=8, depth=2, conservative=True)
-    with pytest.raises(ValueError):
-        plain.merge(conservative)
-    with pytest.raises(ValueError):
-        conservative.merge(CountMinSketch(width=8, depth=2))
+    """Merge refuses a sketch of another width, depth or seed: its cells
+    count other keys.  (The conservative-update mode, which merge also
+    refused, is gone.)"""
+    sketch = CountMinSketch(width=8, depth=2)
+    for other in (
+        CountMinSketch(width=9, depth=2),
+        CountMinSketch(width=8, depth=3),
+        CountMinSketch(width=8, depth=2, seed=5),
+    ):
+        with pytest.raises(ValueError):
+            sketch.merge(other)
+        with pytest.raises(ValueError):
+            other.merge(sketch)
+    sketch.merge(CountMinSketch(width=8, depth=2))
 
 
 @settings(deadline=None, max_examples=40)
 @given(stream=streams)
 def test_conservative_update_is_tighter(stream):
-    plain = CountMinSketch(width=10, depth=2)
-    tight = CountMinSketch(width=10, depth=2, conservative=True)
+    """The tightness a sketch has without the retired conservative mode:
+    a key that has a cell of its own in some row is estimated exactly,
+    and no key below its total."""
+    sketch = CountMinSketch(width=10, depth=2)
     truth = {}
     for key, weight in stream:
-        plain.update((key,), weight)
-        tight.update((key,), weight)
+        sketch.update((key,), weight)
         truth[key] = truth.get(key, 0) + weight
+    cells = {key: sketch._columns((key,)) for key in truth}
     for key, total in truth.items():
-        assert total <= tight.estimate((key,)) <= plain.estimate((key,))
+        own_cell = any(
+            all(cells[other][row] != cells[key][row] for other in truth if other != key)
+            for row in range(sketch.depth)
+        )
+        estimate = sketch.estimate((key,))
+        assert estimate == total if own_cell else estimate >= total
 
 
 def test_cm_rejects_negative_weights_and_bad_dimensions():

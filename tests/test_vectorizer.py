@@ -23,7 +23,12 @@ from repro.expr import (
 )
 from repro.expr.evaluator import _SCALAR_FUNCS
 from repro.expr.expressions import Attr, Binary, Const, Func, Unary
-from repro.expr.vectorizer import _BINARY_OPS, _SIMPLE_FUNCS, _UNARY_OPS
+from repro.expr.vectorizer import (
+    _BINARY_OPS,
+    _SIMPLE_FUNCS,
+    _UNARY_OPS,
+    SCALAR_FUNCTIONS,
+)
 
 COLUMNS = {
     "srcIP": np.asarray([0x0A000001, 0x0A0000F3, 0x0A000010, 0x0A000001]),
@@ -163,10 +168,14 @@ def test_vectorize_key_materializes_every_member():
     assert second.tolist() == [7] * LENGTH
 
 
-@pytest.mark.parametrize("name", sorted(_SCALAR_FUNCS))
+def test_the_row_evaluator_defines_every_accepted_function():
+    assert set(_SCALAR_FUNCS) == SCALAR_FUNCTIONS
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_FUNCTIONS))
 def test_every_row_function_lowers(name):
-    """The analyzer accepts exactly the row evaluator's functions, so
-    each one must lower here too, to the row engine's values."""
+    """The analyzer accepts exactly ``SCALAR_FUNCTIONS``, so each one
+    must lower here, to the row engine's values."""
     if name in ("ABS", "NOT", "LITERAL"):
         args = (Attr("len"),)
     elif name == "IN":
