@@ -31,7 +31,6 @@ from .gsql.errors import GsqlError
 from .runtime import (
     BLOCK,
     QUEUE_MODES,
-    SEMANTIC,
     Fault,
     FaultPlan,
     QueuePolicy,
@@ -310,18 +309,6 @@ def cmd_timeline(args) -> int:
         )
     if queue_policy is not None:
         print(f"ingest queue: {queue_policy.describe()}")
-    if queue_policy is not None and queue_policy.mode == SEMANTIC:
-        if result.shed_counts:
-            charged = ", ".join(
-                f"{query}={rows}"
-                for query, rows in sorted(result.shed_counts.items())
-            )
-            print(f"shed rows charged per query: {charged}")
-        elif any(s.total_dropped for s in result.flow_stats.values()):
-            # every shed row was provably worthless to every query
-            print("shed rows charged per query: none (only dead rows shed)")
-        else:
-            print("shed rows charged per query: none (capacity held)")
     if result.flow_stats:
         print("\ningest per host (rows):")
         print(f"{'host':>6} {'in':>10} {'delivered':>10} {'dropped':>10}")
@@ -470,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=QUEUE_MODES,
         default=BLOCK,
         help="overflow handling for --queue-limit (default: block, "
-        "lossless); 'semantic' ranks overflow rows by plan-derived value "
-        "and sheds the least valuable first",
+        "lossless)",
     )
     timeline.add_argument(
         "--fault",

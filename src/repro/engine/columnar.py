@@ -364,16 +364,6 @@ def _group(keys: List[np.ndarray], length: int, ordered: bool = True):
     return None, starts, counts, _unpack_keys(code[starts], keys, fields)
 
 
-def distinct_keys(keys: List[np.ndarray], length: int):
-    """:func:`_group` plus each row's group index and each group's key as
-    a tuple of native scalars: ``(order, starts, inverse, distinct)``.
-    ``keys`` and ``length`` must be non-empty."""
-    order, starts, counts, group_keys = _group(keys, length)
-    inverse = np.empty(length, dtype=np.intp)
-    inverse[order] = np.repeat(np.arange(len(starts)), counts)
-    return order, starts, inverse, list(zip(*(key.tolist() for key in group_keys)))
-
-
 # -- vectorized aggregate kernels ----------------------------------------------
 
 

@@ -43,9 +43,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..expr.expressions import Attr, Binary, Const, ScalarExpr
-from ..expr.vectorizer import materialize, vectorize_expr, vectorize_key
+from ..expr.vectorizer import materialize, vectorize_expr
 from ..gsql.analyzer import AnalyzedNode
-from .columnar import ColumnBatch, distinct_keys
+from .columnar import ColumnBatch
 
 Number = Union[int, float]
 #: Maps column name -> inclusive lower bound on that column in all rows
@@ -521,17 +521,13 @@ class StreamingJoin(StreamingNode):
     roots, and anything downstream drains at the flush.
 
     Both sides buffer columnar whatever the operator is inside; the
-    temporal and join keys always vectorize (anything the evaluator
-    compiles, the vectorizer lowers).
+    temporal key always vectorizes (anything the evaluator compiles,
+    the vectorizer lowers).
     """
 
     def __init__(self, operator, node: AnalyzedNode):
         equality = next((eq for eq in node.equalities if eq.temporal), None)
         self._operator = operator
-        self._hint_keys = (
-            vectorize_key([eq.left for eq in node.equalities]),
-            vectorize_key([eq.right for eq in node.equalities]),
-        )
         self._left_expr = equality.left if equality is not None else None
         self._right_expr = equality.right if equality is not None else None
         self._left, self._right = (
@@ -541,24 +537,6 @@ class StreamingJoin(StreamingNode):
 
     def buffered_rows(self) -> int:
         return len(self._left) + len(self._right)
-
-    def value_hints(self):
-        """The join keys currently buffered on each side — the "open
-        buckets" a future arrival could still complete, one tuple per
-        distinct key — which semantic shedding
-        (:mod:`repro.runtime.shedding`) asks for between steps.
-        Frozensets are only ever used for membership, so worker-reported
-        hints merge with in-process ones without any ordering concerns."""
-        return tuple(
-            frozenset(
-                distinct_keys(key_fn(batch.columns, len(batch)), len(batch))[3]
-                if len(batch)
-                else ()
-            )
-            for key_fn, batch in zip(
-                self._hint_keys, (self._left.merged(), self._right.merged())
-            )
-        )
 
     def step(self, inputs, watermarks, flush):
         left_in, right_in = inputs

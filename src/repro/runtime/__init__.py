@@ -1,6 +1,6 @@
 """The layered execution runtime.
 
-Seven modules, each with one responsibility:
+Six modules, each with one responsibility:
 
 * :mod:`repro.runtime.backend` — the engine backend.  The
   :class:`~repro.runtime.backend.EngineBackend` compiles plan nodes into
@@ -17,14 +17,11 @@ Seven modules, each with one responsibility:
   event trace for offline inspection.
 * :mod:`repro.runtime.flowcontrol` — backpressure and fault injection.
   A :class:`~repro.runtime.flowcontrol.QueuePolicy` bounds each host's
-  per-epoch ingest (block / drop-newest / drop-oldest / semantic) and a
+  per-epoch ingest (block / drop-newest / drop-oldest) and a
   :class:`~repro.runtime.flowcontrol.FaultPlan` injects host skips,
   delayed delivery, and duplicate delivery; drops and faults are charged
   to the recorder as per-epoch, per-host counters and ``drop``/``fault``
   events.
-* :mod:`repro.runtime.shedding` — the ``semantic`` queue mode's value
-  model: overflow rows are ranked by what the plan says they are worth
-  to each delivered query, and the least valuable are shed.
 * :mod:`repro.runtime.rebalance` — adaptive repartitioning under skew.
   A :class:`~repro.runtime.rebalance.RebalancePolicy` lets hot
   partitions migrate to cooler hosts at epoch boundaries; a migration
@@ -55,7 +52,6 @@ from .flowcontrol import (
     DROP_OLDEST,
     FAULT_KINDS,
     QUEUE_MODES,
-    SEMANTIC,
     Fault,
     FaultPlan,
     IngestController,
@@ -103,7 +99,6 @@ __all__ = [
     "RebalanceLog",
     "RebalancePolicy",
     "RunOptions",
-    "SEMANTIC",
     "SimulationResult",
     "StepExecutor",
     "StepOutcome",

@@ -13,10 +13,8 @@ queues:
   stalls on the oldest queued epoch so downstream buffering stays
   correct, and streaming output remains exactly the one-shot output),
   ``drop-newest`` refuses rows at admission once the step's budget is
-  spent, ``drop-oldest`` evicts the longest-queued rows to make room
-  for new arrivals, and ``semantic`` sheds the backlog above capacity in
-  ascending plan-derived value (:mod:`repro.runtime.shedding`) instead
-  of by arrival position.  Every drop is charged to the
+  spent, and ``drop-oldest`` evicts the longest-queued rows to make room
+  for new arrivals.  Every drop is charged to the
   :class:`~repro.runtime.metrics.MetricsRecorder` as a per-epoch,
   per-host counter (and a ``drop`` event).
 * :class:`FaultPlan` injects host misbehaviour by epoch index: ``skip``
@@ -60,18 +58,14 @@ from typing import (
 from ..distopt.plan_ir import DistKind, DistNode, DistributedPlan
 from ..engine.columnar import ColumnBatch
 from ..engine.streaming import take_prefix
-from .shedding import ValueModel
 
 if TYPE_CHECKING:
-    from ..plan.dag import QueryDag
     from .metrics import MetricsRecorder
-    from .session import StepExecutor
 
 BLOCK = "block"
 DROP_OLDEST = "drop-oldest"
 DROP_NEWEST = "drop-newest"
-SEMANTIC = "semantic"
-QUEUE_MODES = (BLOCK, DROP_NEWEST, DROP_OLDEST, SEMANTIC)
+QUEUE_MODES = (BLOCK, DROP_NEWEST, DROP_OLDEST)
 
 SKIP = "skip"
 DELAY = "delay"
@@ -96,15 +90,11 @@ class QueuePolicy:
     """A per-host ingest queue: capacity in rows per epoch step + mode.
 
     ``block`` is lossless (overflow waits, watermarks stall); the other
-    modes shed load — ``drop-newest`` refuses the newest arrivals once
-    the step's budget is spent, ``drop-oldest`` evicts the oldest queued
-    rows so the freshest data survives, and ``semantic`` admits every
-    arrival, then sheds the backlog above capacity in ascending
-    plan-derived value order (ties newest first, which degrades to
-    exactly ``drop-newest`` when the plan gives the value model nothing
-    to rank) with per-query loss attribution in
-    ``SimulationResult.shed_counts``.  Delivery is FIFO up to
-    ``capacity`` in every mode, so all lossy modes share one drop budget.
+    modes shed load blind to the rows' content — ``drop-newest``
+    refuses the newest arrivals once the step's budget is spent, and
+    ``drop-oldest`` evicts the oldest queued rows so the freshest data
+    survives.  Delivery is FIFO up to ``capacity`` in every mode, so
+    both lossy modes share one drop budget.
     """
 
     capacity: int
@@ -329,10 +319,7 @@ class IngestController:
     the epoch's freshly split partitions and returns the accepted row
     count per stream (the splitter-cursor advance); :meth:`batch` hands
     each SOURCE node its delivered rows and :meth:`watermark_bound` the
-    temporal bound its watermark may claim.  ``executor`` is there for
-    an overflow rule that reads operator state: no node steps during
-    :meth:`begin_step`, so what it asks is the state the previous step
-    left.
+    temporal bound its watermark may claim.
     """
 
     def begin_step(
@@ -341,7 +328,6 @@ class IngestController:
         epoch: object,
         raw: Dict[str, List[ColumnBatch]],
         flush: bool,
-        executor: "StepExecutor",
     ) -> Dict[str, int]:
         self._raw = raw
         return {
@@ -390,12 +376,9 @@ class QueuedIngestController(IngestController):
         policy: Optional[QueuePolicy],
         faults: Optional[FaultPlan],
         directory: PartitionDirectory,
-        value_model: Optional[ValueModel] = None,
     ):
         self._recorder = recorder
         self._policy = policy
-        # Present exactly when the policy's mode is ``semantic``.
-        self._value_model = value_model
         self._faults = faults if faults is not None else FaultPlan()
         self._sources: List[Tuple[str, int]] = [
             (node.stream, next(iter(node.partitions)))
@@ -416,11 +399,8 @@ class QueuedIngestController(IngestController):
 
     # -- the session-facing protocol ------------------------------------------
 
-    def begin_step(self, index, epoch, raw, flush, executor):
+    def begin_step(self, index, epoch, raw, flush):
         recorder = self._recorder
-        # Semantic shedding asks the executor for the open join buckets
-        # when the first host overflows, at most once per step.
-        self._executor, self._buckets = executor, None
         accepted = {stream: 0 for stream in raw}
         rows_in = {host: 0 for host in self._hosts}
         dropped = {host: 0 for host in self._hosts}
@@ -448,10 +428,6 @@ class QueuedIngestController(IngestController):
                     recorder.record_fault(host, SKIP, count)
                     rows_in[host] += count
                     dropped[host] += count
-                    if self._value_model is not None:
-                        # Lost rows corrupt their groups exactly like
-                        # shed rows: stop protecting those groups.
-                        self._value_model.mark_lost(stream, batch)
                     continue
                 if self._faults.active(DUPLICATE, host, index) is not None:
                     recorder.record_fault(host, DUPLICATE, count)
@@ -478,14 +454,6 @@ class QueuedIngestController(IngestController):
                 host, arrivals[host], rows_in, dropped, accepted, flush
             )
         self._refresh_floors()
-        if self._value_model is not None:
-            # Fold this step's deliveries into the model's running
-            # HAVING-feasibility state.  The folds are commutative, but
-            # iterate in sorted key order anyway so the walk itself is
-            # reproducible.
-            for (stream, _), pieces in sorted(self._delivered.items()):
-                for piece in pieces:
-                    self._value_model.observe_delivered(stream, piece)
         return accepted
 
     def batch(self, stream: str, partition: int) -> ColumnBatch:
@@ -558,24 +526,6 @@ class QueuedIngestController(IngestController):
                     _, entry.batch = take_prefix(entry.batch, excess)
                     dropped[host] += excess
                     excess = 0
-        # Semantic shedding: admit everything (admission room stayed
-        # infinite above), then shed the backlog above capacity in
-        # ascending plan-derived value order.  Like drop-oldest, every
-        # arrival counts as accepted — the splitter cursor advanced on
-        # admission, shedding only charges drops.
-        if not flush and policy is not None and policy.mode == SEMANTIC:
-            excess = sum(len(e.batch) for e in queue) - policy.capacity
-            if excess > 0:
-                model = self._value_model
-                if self._buckets is None:
-                    self._buckets = model.join_buckets(self._executor)
-                shed, charged = model.shed(queue, excess, self._buckets)
-                dropped[host] += shed
-                for _ in range(len(queue)):
-                    entry = queue.popleft()
-                    if len(entry.batch):
-                        queue.append(entry)
-                self._recorder.record_shed(host, shed, charged)
         # Delivery: up to the step budget, FIFO; the flush drains fully.
         budget = math.inf
         if not flush and policy is not None:
@@ -618,7 +568,6 @@ class QueuedIngestController(IngestController):
 
 
 def create_ingest_controller(
-    dag: "QueryDag",
     plan: DistributedPlan,
     recorder: "MetricsRecorder",
     policy: Optional[QueuePolicy],
@@ -631,9 +580,7 @@ def create_ingest_controller(
     Membership (``leave``/``join``) faults are stripped here — they are
     the rebalance controller's input, not the ingest layer's — so a plan
     holding only membership faults keeps the pass-through path (and its
-    absence of per-host flow accounting).  A ``semantic`` policy gets
-    its :class:`~repro.runtime.shedding.ValueModel` built here: the
-    ingest queues are its only reader.
+    absence of per-host flow accounting).
     """
     ingest_faults: Optional[FaultPlan] = None
     if faults:
@@ -645,8 +592,6 @@ def create_ingest_controller(
             ingest_faults = FaultPlan(kept)
     if policy is None and ingest_faults is None:
         return IngestController()
-    semantic = policy is not None and policy.mode == SEMANTIC
     return QueuedIngestController(
-        plan, recorder, policy, ingest_faults, directory,
-        value_model=ValueModel(dag, plan) if semantic else None,
+        plan, recorder, policy, ingest_faults, directory
     )

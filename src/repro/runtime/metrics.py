@@ -171,7 +171,6 @@ class MetricsRecorder:
         self.record_events = record_events
         self.node_stats: Dict[str, NodeStats] = {}
         self.flow_stats: Dict[int, HostFlowStats] = {}
-        self.shed_counts: Dict[str, int] = {}
         self.fault_counts: Dict[Tuple[int, str], int] = {}
         self.rebalance_counts: Dict[str, int] = {}
         self.source_columns: Dict[str, Tuple[List[str], List[str]]] = {}
@@ -195,7 +194,6 @@ class MetricsRecorder:
         self.network.reset()
         self.node_stats.clear()
         self.flow_stats.clear()
-        self.shed_counts.clear()
         self.fault_counts.clear()
         self.rebalance_counts.clear()
         self.source_columns.clear()
@@ -371,33 +369,6 @@ class MetricsRecorder:
                     "epoch": self._phase,
                     "rows": rows_dropped,
                     "queued": rows_queued,
-                },
-                host=host,
-            )
-
-    def record_shed(
-        self, host: int, rows: int, queries: Dict[str, int]
-    ) -> None:
-        """One host's semantic-shedding decision for the current step.
-
-        ``rows`` were shed (they are also counted in the step's
-        ``rows_dropped`` via :meth:`record_ingest`, so flow conservation
-        is unchanged); ``queries`` attributes the loss per delivered
-        query — how many of the shed rows still carried value for it at
-        the moment they were shed.  A row provably worthless to every
-        query is shed without charging anyone.
-        """
-        if not rows:
-            return
-        for query, count in queries.items():
-            self.shed_counts[query] = self.shed_counts.get(query, 0) + count
-        if self.record_events:
-            self._event(
-                {
-                    "event": "shed",
-                    "epoch": self._phase,
-                    "rows": rows,
-                    "queries": dict(sorted(queries.items())),
                 },
                 host=host,
             )

@@ -96,10 +96,9 @@ def _worker_main(
     worker's nodes per stage, in plan order.  Streaming-node buffers
     persist in this process across steps; step-local outputs and
     watermarks reset whenever a new step index arrives.  Between steps
-    the driver may ``ask`` one :class:`~repro.runtime.session.NodeTable`
-    question of named nodes: ``buffered`` row counts (a partition
-    migration's handoff price) or ``value_hints`` (semantic shedding's
-    open join buckets).
+    the driver may ``ask`` named nodes their
+    :meth:`~repro.runtime.session.NodeTable.buffered` row counts (a
+    partition migration's handoff price).
     """
     try:
         table = NodeTable(
@@ -116,8 +115,7 @@ def _worker_main(
             if kind == "stop":
                 break
             if kind == "ask":
-                _, what, node_ids = message
-                conn.send(("answer", getattr(table, what)(node_ids)))
+                conn.send(("answer", table.buffered(message[1])))
                 continue
             _, step, stage, flush, sources, inbound = message
             if step != current_step:
@@ -265,20 +263,14 @@ class ParallelExecutor(StepExecutor):
             self._receive(worker)
 
     def buffered(self, node_ids: Sequence[str]) -> Dict[str, int]:
-        return self._ask("buffered", node_ids)
-
-    def value_hints(self, node_ids: Sequence[str]) -> Dict[str, object]:
-        return self._ask("value_hints", node_ids)
-
-    def _ask(self, what: str, node_ids: Sequence[str]) -> Dict[str, object]:
-        """Ask each named node's worker its ``NodeTable.<what>`` answer."""
-        self._activity = f"answering {what} before step {self._step + 1}"
+        """Ask each named node's worker its ``NodeTable.buffered`` count."""
+        self._activity = f"answering buffered before step {self._step + 1}"
         by_worker: Dict[int, List[str]] = {}
         for node_id in node_ids:
             by_worker.setdefault(self._worker_of[node_id], []).append(node_id)
         for worker, ids in sorted(by_worker.items()):
-            self._send(worker, ("ask", what, ids))
-        answers: Dict[str, object] = {}
+            self._send(worker, ("ask", ids))
+        answers: Dict[str, int] = {}
         for worker in sorted(by_worker):
             (reply,) = self._receive(worker)
             answers.update(reply)

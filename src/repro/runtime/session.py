@@ -102,7 +102,7 @@ class RunOptions:
 
     ``queue_policy`` bounds each host's per-epoch ingest
     (:class:`~repro.runtime.flowcontrol.QueuePolicy`: ``block`` defers
-    losslessly, the drop modes and ``semantic`` shed into
+    losslessly, ``drop-newest`` and ``drop-oldest`` shed into
     ``SimulationResult.flow_stats``) and ``faults`` injects host
     misbehaviour (:class:`~repro.runtime.flowcontrol.FaultPlan`).  With
     neither set delivery is unbounded and reliable.
@@ -211,11 +211,6 @@ class StepExecutor:
         """
         raise NotImplementedError
 
-    def value_hints(self, node_ids: Sequence[str]) -> Dict[str, object]:
-        """Each named join node's buffered keys now (semantic shedding's
-        open buckets, asked for between steps)."""
-        raise NotImplementedError
-
     def close(self) -> None:
         """Release resources (worker processes)."""
 
@@ -309,10 +304,6 @@ class NodeTable:
             for node_id in node_ids
         }
 
-    def value_hints(self, node_ids) -> Dict[str, object]:
-        """Each named node's ``value_hints()``."""
-        return {node_id: self.nodes[node_id].value_hints() for node_id in node_ids}
-
 
 class InProcessExecutor(StepExecutor):
     """Runs every node in the driver process."""
@@ -335,9 +326,6 @@ class InProcessExecutor(StepExecutor):
 
     def buffered(self, node_ids: Sequence[str]) -> Dict[str, int]:
         return self._table.buffered(node_ids)
-
-    def value_hints(self, node_ids: Sequence[str]) -> Dict[str, object]:
-        return self._table.value_hints(node_ids)
 
     def run_step(self, flush: bool, sources: SourceFeed) -> StepOutcome:
         table = self._table
@@ -477,10 +465,6 @@ class SimulationResult:
     # Per-host ingest-queue accounting; populated only when a streaming
     # run had flow control or fault injection active.
     flow_stats: Dict[int, HostFlowStats] = field(default_factory=dict)
-    # Semantic-shedding attribution: delivered query name -> rows shed
-    # that still carried value for it.  Empty unless the run's queue
-    # policy had mode ``semantic`` and actually shed.
-    shed_counts: Dict[str, int] = field(default_factory=dict)
     # How operators actually executed: "inprocess" or "parallel".  A run
     # requested as parallel that fell back reports "inprocess" here, and
     # why in ``execution_fallback`` (None when it ran as asked).
@@ -681,8 +665,7 @@ class ExecutionSession:
         # pass-through (historical behaviour) unless flow control or
         # fault injection was requested.
         controller = create_ingest_controller(
-            self._dag, self._plan, recorder,
-            options.queue_policy, faults, directory,
+            self._plan, recorder, options.queue_policy, faults, directory,
         )
         # Last, so nothing above can raise with a worker pool open.
         executor = self._create_executor(options, order)
@@ -715,9 +698,7 @@ class ExecutionSession:
                         partitions[stream] = backend.split(
                             piece, splitter, offsets[stream]
                         )
-                accepted = controller.begin_step(
-                    index, epoch, partitions, flush, executor
-                )
+                accepted = controller.begin_step(index, epoch, partitions, flush)
                 if not flush:
                     # The round-robin cursor advances by what the ingest layer
                     # *accepted*, not by what the splitter sent — rows refused
@@ -780,7 +761,6 @@ class ExecutionSession:
             node_stats=dict(recorder.node_stats),
             node_variants=dict(self._node_variants),
             flow_stats=dict(recorder.flow_stats),
-            shed_counts=dict(recorder.shed_counts),
             execution=executor.mode,
             execution_fallback=executor.fallback,
             rebalance=rebalancer.log,

@@ -356,9 +356,8 @@ def overload_sweep(
     epoch still completes and per-host accounting stays conserved.
 
     ``mode`` is one of the :class:`QueuePolicy` modes (``block``,
-    ``drop-newest``, ``drop-oldest``, or ``semantic`` for query-aware
-    shedding); the policies are built before anything runs, so a bad
-    mode costs no reference run.  Every point carries per-query
+    ``drop-newest`` or ``drop-oldest``); the policies are built before
+    anything runs, so a bad mode costs no reference run.  Every point carries per-query
     ``recall`` against an unbounded reference run of the same
     configuration, so the sweep reads as answer-quality (not just
     delivery-volume) degradation curves.  ``run`` goes to every

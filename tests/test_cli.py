@@ -342,28 +342,22 @@ class TestTimeline:
         assert "rebalance" in capsys.readouterr().err
 
     def test_timeline_semantic_queue_policy(self, capsys):
-        code = main(
-            [
-                "timeline",
-                "--experiment",
-                "1",
-                "--config",
-                "partitioned",
-                "--hosts",
-                "2",
-                "--seed",
-                "3",
-                "--queue-limit",
-                "600",
-                "--queue-policy",
-                "semantic",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "ingest queue: semantic queue, 600 rows/epoch per host" in out
-        assert "shed rows charged per query:" in out
-        assert "ingest per host (rows):" in out
+        """The retired query-aware mode is refused by the parser: exit 2
+        naming the three modes, before any trace is generated."""
+        with pytest.raises(SystemExit) as refused:
+            main(
+                [
+                    "timeline", "--experiment", "1", "--config", "partitioned",
+                    "--hosts", "2", "--seed", "3", "--queue-limit", "600",
+                    "--queue-policy", "semantic",
+                ]
+            )
+        assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'semantic'" in captured.err
+        for mode in ("block", "drop-newest", "drop-oldest"):
+            assert f"'{mode}'" in captured.err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -374,9 +368,11 @@ class TestTimeline:
                 "queue capacity must be positive",
             ),
             (
+                # The id is the retired semantic mode's, which the parser
+                # now refuses; a lossy mode still needs a limit.
                 ["timeline", "--experiment", "1", "--config", "naive",
-                 "--queue-policy", "semantic"],
-                "--queue-policy semantic requires --queue-limit",
+                 "--queue-policy", "drop-oldest"],
+                "--queue-policy drop-oldest requires --queue-limit",
             ),
             (
                 ["timeline", "--experiment", "1", "--config", "naive",

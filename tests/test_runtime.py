@@ -720,7 +720,10 @@ class TestLineagePruning:
             {},
             {"queue_policy": QueuePolicy(30, "block")},
             {"queue_policy": QueuePolicy(30, "drop-oldest")},
-            {"queue_policy": QueuePolicy(30, "semantic")},
+            {
+                "queue_policy": QueuePolicy(30, "drop-newest"),
+                "faults": FaultPlan.of(Fault("skip", 1, 1, 2)),
+            },
         ),
         ids=("unbounded", "block", "drop-oldest", "shedding"),
     )
@@ -728,8 +731,8 @@ class TestLineagePruning:
     def test_junk_column_changes_nothing(
         self, workload, control, execution, tiny_trace
     ):
-        """Queued source rows are re-read by the shedding value model's
-        lineage expressions: pruning must keep everything those need."""
+        """Source rows are pruned before they queue: a column nothing
+        reads changes no queueing, dropping or fault decision."""
         catalog_fn, deliver = WORKLOADS[workload]
         _, dag = catalog_fn()
         sim, splitter = deploy(dag, 2, PartitioningSet.of("srcIP"), deliver)
@@ -744,10 +747,9 @@ class TestLineagePruning:
         assert junk.execution == execution
         assert_identical_simulation(plain, junk)
         assert junk.outputs == plain.outputs  # row for row, not as multisets
-        assert junk.shed_counts == plain.shed_counts
         assert "junk" in junk.source_columns["TCP"][1]
         assert "junk" not in plain.source_columns["TCP"][1]
-        if control.get("queue_policy") == QueuePolicy(30, "semantic"):
+        if "faults" in control:
             assert sum(plain.rows_dropped(host) for host in range(2)) > 0
 
     def test_pruning_is_traced_and_summarized(self, complex_dag, tiny_trace):
@@ -792,8 +794,9 @@ REJECTED_OPTIONS = {
     "flow-control-oneshot": (
         {"queue_policy": QueuePolicy(10)}, ValueError, "require streaming",
     ),
+    # A lossy queue one-shot; the id is the retired semantic mode's.
     "semantic-oneshot": (
-        {"queue_policy": QueuePolicy(10, "semantic")},
+        {"queue_policy": QueuePolicy(10, "drop-newest")},
         ValueError, "require streaming",
     ),
     "faults-oneshot": (

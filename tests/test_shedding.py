@@ -1,33 +1,33 @@
-"""Query-aware load shedding: the value model's contract, property-tested.
+"""Blind load shedding: the lossy queue modes' contract, property-tested.
 
-Three invariant families over ``QueuePolicy(capacity, "semantic")``:
+Three invariant families over ``QueuePolicy(capacity, mode)`` for the
+modes that drop rows without looking at them, ``drop-newest`` and
+``drop-oldest``:
 
-* **conservation** — shedding is accounting-neutral: per host, per epoch,
-  ``prior backlog + rows_in == rows_delivered + rows_dropped + backlog``
-  under *every* overflow policy, blind or semantic, and nothing survives
-  the final flush;
-* **determinism** — the value ranking is a pure function of the plan and
-  the delivered prefix, so re-running the same bounded trace reproduces
-  outputs, per-epoch flow series, and per-query shed attribution exactly;
+* **conservation** — per host, per epoch, ``prior backlog + rows_in ==
+  rows_delivered + rows_dropped + backlog`` under every overflow policy,
+  and nothing survives the final flush;
+* **determinism** — a drop decision is a pure function of arrival order
+  and capacity, so re-running the same bounded trace reproduces outputs,
+  per-node counts and per-epoch flow series exactly;
 * **lossless capacity never sheds** — a capacity at or above the offered
-  rate makes the shedder a no-op: zero drops, zero shed charges, and
-  outputs byte-identical to the unbounded run.
+  rate makes either lossy mode a no-op: zero drops and outputs
+  byte-identical to the unbounded run.
 
-Pinned decisions: sha256 digests of delivered outputs, shed attribution
-and flow stats for a few seeds of each workload (one with a ``skip``
-fault each), recorded when the value model still scored rows one at a
-time with the row evaluator.  The columnar model must reproduce every
-one; without the open join buckets the jitter and complex pins must
-fail.  The buckets are asked of the executor only when a host
-overflows, at most once per step.
+Pinned decisions: sha256 digests of delivered outputs, flow stats and
+per-node counts for a few seeds of each workload (one with a ``skip``
+fault each), under both lossy modes, recorded before the query-aware
+``semantic`` mode was removed.  One row/epoch less capacity must move
+every pin, and neither mode asks the executor anything.
 
-Plus the recall plumbing the shedding-quality harness stands on:
+Plus the recall plumbing the overload curve stands on:
 ``per_query_recall`` multiset math (NaN for empty-reference queries, not
 1.0), ``OverloadPoint.mean_recall`` NaN-skipping, and ``overload_sweep``
 rejecting unknown modes before it runs anything.
 """
 
 import hashlib
+import inspect
 import math
 
 import pytest
@@ -36,9 +36,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import QueuePolicy
 from repro.partitioning import PartitioningSet
-from repro.runtime import InProcessExecutor
+from repro.runtime import IngestController, InProcessExecutor
 from repro.runtime.flowcontrol import QUEUE_MODES, Fault, FaultPlan
-from repro.runtime.shedding import ValueModel
 from repro.traces import Trace
 from repro.workloads import (
     OverloadPoint,
@@ -52,6 +51,7 @@ from repro.workloads import (
 from tests.parity import WORKLOADS, assert_same_outputs, deploy, skewed_packets
 
 CAPACITY = 8  # rows/epoch per host — far below skewed_packets' offered rate
+LOSSY_MODES = ("drop-newest", "drop-oldest")
 
 
 def _simulation(workload, seed, hosts=2):
@@ -65,23 +65,26 @@ def _stream(sim, packets, splitter, **bounds):
     return sim.run_streaming({"TCP": packets}, splitter, 10.0, **bounds)
 
 
-def semantic(capacity):
-    return QueuePolicy(capacity, "semantic")
-
-
 class TestSemanticQueuePolicy:
     def test_defaults_and_describe(self):
-        policy = semantic(25)
-        assert "semantic" in QUEUE_MODES
-        assert not policy.lossless
-        assert "semantic" in policy.describe()
-        assert "25" in policy.describe()
+        """Three modes remain; the retired ``semantic`` one is refused at
+        construction, naming them."""
+        assert QUEUE_MODES == ("block", "drop-newest", "drop-oldest")
+        with pytest.raises(ValueError, match="semantic") as refused:
+            QueuePolicy(25, "semantic")
+        for mode in QUEUE_MODES:
+            assert mode in str(refused.value)
+        for mode in LOSSY_MODES:
+            policy = QueuePolicy(25, mode)
+            assert not policy.lossless
+            assert policy.describe() == f"{mode} queue, 25 rows/epoch per host"
 
     def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            semantic(0)
-        with pytest.raises(ValueError, match="capacity"):
-            semantic(-3)
+        for mode in LOSSY_MODES:
+            with pytest.raises(ValueError, match="capacity"):
+                QueuePolicy(0, mode)
+            with pytest.raises(ValueError, match="capacity"):
+                QueuePolicy(-3, mode)
 
 
 @settings(max_examples=20, deadline=None)
@@ -92,7 +95,7 @@ class TestSemanticQueuePolicy:
 )
 def test_conservation_under_every_policy(seed, workload, mode):
     """in == delivered + dropped (+ queued per epoch) whichever way
-    overflow is handled — semantic shedding included."""
+    overflow is handled; only the lossy modes drop."""
     sim, packets, splitter = _simulation(workload, seed)
     stream = _stream(
         sim, packets, splitter, queue_policy=QueuePolicy(CAPACITY, mode)
@@ -101,32 +104,28 @@ def test_conservation_under_every_policy(seed, workload, mode):
     for stats in stream.flow_stats.values():
         assert stats.conserves()
         assert stats.total_in == stats.total_delivered + stats.total_dropped
-    if mode == "semantic":
-        dropped = sum(s.total_dropped for s in stream.flow_stats.values())
-        # attribution is per (row, query) — a dropped row may be charged
-        # to every query it would have fed, but to each at most once
-        for query, charged in stream.shed_counts.items():
-            assert charged <= dropped, query
+    dropped = sum(s.total_dropped for s in stream.flow_stats.values())
+    assert (dropped > 0) == (mode in LOSSY_MODES)
 
 
 @settings(max_examples=10, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     workload=st.sampled_from(sorted(WORKLOADS)),
+    mode=st.sampled_from(LOSSY_MODES),
 )
-def test_value_ranking_is_deterministic(seed, workload):
+def test_value_ranking_is_deterministic(seed, workload, mode):
     """Two fresh simulators over the same bounded trace make identical
-    shed decisions: outputs, flow series, and attribution all match."""
+    drop decisions: outputs, per-node counts and flow series match."""
     first_sim, packets, splitter = _simulation(workload, seed)
     first = _stream(
-        first_sim, packets, splitter, queue_policy=semantic(CAPACITY)
+        first_sim, packets, splitter, queue_policy=QueuePolicy(CAPACITY, mode)
     )
     second_sim, _, _ = _simulation(workload, seed)
     second = _stream(
-        second_sim, packets, splitter, queue_policy=semantic(CAPACITY)
+        second_sim, packets, splitter, queue_policy=QueuePolicy(CAPACITY, mode)
     )
     assert_same_outputs(first, second)
-    assert first.shed_counts == second.shed_counts
     assert first.flow_stats == second.flow_stats
 
 
@@ -134,54 +133,79 @@ def test_value_ranking_is_deterministic(seed, workload):
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     workload=st.sampled_from(sorted(WORKLOADS)),
+    mode=st.sampled_from(LOSSY_MODES),
 )
-def test_lossless_capacity_never_sheds(seed, workload):
+def test_lossless_capacity_never_sheds(seed, workload, mode):
     """A capacity at or above the offered rate is a no-op: the bounded
-    run is byte-identical to the unbounded one and nothing is charged."""
+    run is byte-identical to the unbounded one and nothing drops."""
     sim, packets, splitter = _simulation(workload, seed)
     unbounded = _stream(sim, packets, splitter)
     bounded = _stream(
-        sim, packets, splitter, queue_policy=semantic(len(packets))
+        sim, packets, splitter, queue_policy=QueuePolicy(len(packets), mode)
     )
     assert_same_outputs(unbounded, bounded)
-    assert bounded.shed_counts == {}
     for stats in bounded.flow_stats.values():
         assert stats.conserves()
         assert stats.total_dropped == 0
         assert stats.total_delivered == stats.total_in
 
 
-# -- pinned shed decisions ---------------------------------------------------------
+# -- pinned drop decisions ---------------------------------------------------------
 
-#: (workload, seed, skip fault on host 1 for epochs 1-2) -> sha256 of a
-#: semantic run at CAPACITY, recorded with the row-at-a-time value model.
+#: (workload, seed, skip fault on host 1 for epochs 1-2) -> mode -> sha256
+#: of a run at CAPACITY, recorded while the ``semantic`` mode still
+#: shared the queues.
 PINS = {
-    ("suspicious", 1, False):
-        "ca207fb1eef4f6cd7ddb60ff06e4207c4a69e17fd47fe459e5962c2342b78c74",
-    ("suspicious", 4, True):
-        "4b71fd82210a6d6a1846239d98ade7ba7d4e54c04d0f4a55673070c8acb5ab9f",
-    ("jitter", 2, False):
-        "ce06af6de5c4986537d11ec4b882f9ee30262ee0e3dc13b619da47230b9f93bc",
-    ("jitter", 3, True):
-        "96b6d3557116b07195687ccc4e3343e36468e455b6b9ac7b9edb744e84493409",
-    ("complex", 0, False):
-        "5b68c9d44bb724f64dbe0c09542c89f2c443991525e813ecc3887c5d8338629f",
-    ("complex", 6, True):
-        "5a48d0892c2f1e63d2166ee84f94654f7a9e678c63a416f6d5fb5bab1199864a",
+    ("suspicious", 1, False): {
+        "drop-newest":
+            "36e7a452a7ccf0e11a18c91cab947681b7ec4d0e73596a90fd07cf41a04a6fa9",
+        "drop-oldest":
+            "5ba3f148d925a08650ae8813812a39b2ac4a94512ea1c11f9a55f9e5df7a2829",
+    },
+    ("suspicious", 4, True): {
+        "drop-newest":
+            "fe3d5b81f079f8ce825110c87987ef9167a7101348427879106916aaaac3274c",
+        "drop-oldest":
+            "37c1e38379e6db23400e2f3124726733816844580386c08ed96f3ef5f54a363f",
+    },
+    ("jitter", 2, False): {
+        "drop-newest":
+            "8c172890707b25045df8601a8d6c2fb9ec6dad70be8899b0652af844429db2db",
+        "drop-oldest":
+            "dc3a7aba1e75db714592d23e3d728bcafd1918f7f80986a08789411f41a42e19",
+    },
+    ("jitter", 3, True): {
+        "drop-newest":
+            "6368d01995f465c11da81318dbaa6b77c998ff312ae3869de757c5c5bc91aef7",
+        "drop-oldest":
+            "169290534c3a72b3775091eb6be7aa83077ed8e023cfa9537d654b3760294994",
+    },
+    ("complex", 0, False): {
+        "drop-newest":
+            "1a30f94e5814bdb6f141b7f4fcffe88f0caaf75db10b9fa15521e8fb92f87b66",
+        "drop-oldest":
+            "b1e89289c79075aee7ecbc468a922154b4a3b35748ef8a41a60daf295c0c6150",
+    },
+    ("complex", 6, True): {
+        "drop-newest":
+            "9fa491bfd4483545d0635bc47043259c80610bf48fa6117c37a89278a8723c63",
+        "drop-oldest":
+            "f9d651b927a8880e383634d5d5cdd8a03a4ecb4e1fbf2be12e73e7d2d5a63d46",
+    },
 }
 
 
-def _pinned_digest(workload, seed, skip):
+def _pinned_digest(workload, seed, skip, mode, capacity=CAPACITY):
     sim, packets, splitter = _simulation(workload, seed)
     result = _stream(
-        sim, packets, splitter, queue_policy=semantic(CAPACITY),
+        sim, packets, splitter, queue_policy=QueuePolicy(capacity, mode),
         faults=FaultPlan.of(Fault("skip", 1, 1, 2)) if skip else None,
     )
     digest = hashlib.sha256()
     for name in sorted(result.outputs):
         digest.update(repr((name, result.outputs[name])).encode())
-    digest.update(repr(sorted(result.shed_counts.items())).encode())
     digest.update(repr(sorted(result.flow_stats.items())).encode())
+    digest.update(repr(sorted(result.node_output_counts.items())).encode())
     return digest.hexdigest()
 
 
@@ -189,49 +213,61 @@ def _pinned_digest(workload, seed, skip):
     "case", sorted(PINS), ids=lambda c: f"{c[0]}-{c[1]}" + "-skip" * c[2]
 )
 def test_shed_decisions_match_pins(case):
-    assert _pinned_digest(*case) == PINS[case]
+    for mode, pin in PINS[case].items():
+        assert _pinned_digest(*case, mode) == pin, mode
 
 
-def test_pins_need_the_open_join_buckets(monkeypatch):
-    """Known-bad companion: answered with no open buckets, every join
-    workload's pin must fail — so the pins see the executor's answer."""
-    monkeypatch.setattr(ValueModel, "join_buckets", lambda self, executor: {})
-    for case, pin in PINS.items():
-        if case[0] != "suspicious":
-            assert _pinned_digest(*case) != pin, case
+def test_pins_need_the_open_join_buckets():
+    """Known-bad companion: one row/epoch less capacity moves every pin,
+    so the pins see each drop decision."""
+    for case, pins in PINS.items():
+        for mode, pin in pins.items():
+            assert _pinned_digest(*case, mode, CAPACITY - 1) != pin, (case, mode)
 
 
-def _spy(monkeypatch):
-    """Log every ``run_step`` and ``value_hints`` call, in order."""
+def _refuse_questions(monkeypatch):
+    """Make every question to the executor fail; log its steps."""
     log = []
-    for name in ("run_step", "value_hints"):
-        original = getattr(InProcessExecutor, name)
+    run_step = InProcessExecutor.run_step
 
-        def spy(self, *args, _name=name, _original=original):
-            log.append(_name)
-            return _original(self, *args)
+    def spy(self, *args):
+        log.append("run_step")
+        return run_step(self, *args)
 
-        monkeypatch.setattr(InProcessExecutor, name, spy)
+    def refuse(self, node_ids):
+        raise AssertionError(f"the executor was asked about {node_ids}")
+
+    monkeypatch.setattr(InProcessExecutor, "run_step", spy)
+    monkeypatch.setattr(InProcessExecutor, "buffered", refuse)
     return log
 
 
 def test_buckets_are_asked_only_on_overflow(monkeypatch):
+    """No lossy mode asks the executor anything, even with room to spare:
+    the ingest layer is not handed one."""
+    assert "executor" not in inspect.signature(IngestController.begin_step).parameters
     sim, packets, splitter = _simulation("jitter", 2)
-    log = _spy(monkeypatch)
-    result = _stream(sim, packets, splitter, queue_policy=semantic(len(packets)))
-    assert result.shed_counts == {}
+    log = _refuse_questions(monkeypatch)
+    for mode in LOSSY_MODES:
+        result = _stream(
+            sim, packets, splitter, queue_policy=QueuePolicy(len(packets), mode)
+        )
+        assert sum(s.total_dropped for s in result.flow_stats.values()) == 0
     assert log.count("run_step") > 0
-    assert log.count("value_hints") == 0
 
 
 def test_buckets_are_asked_at_most_once_per_step(monkeypatch):
-    sim, packets, splitter = _simulation("jitter", 2)
-    log = _spy(monkeypatch)
-    result = _stream(sim, packets, splitter, queue_policy=semantic(CAPACITY))
-    assert sum(result.shed_counts.values()) > 0
-    assert log.count("value_hints") > 0
-    # Both hosts overflow, yet no step asks twice.
-    assert "value_hints value_hints" not in " ".join(log)
+    """No lossy mode asks the executor anything while it drops, a
+    ``skip`` fault included."""
+    sim, packets, splitter = _simulation("jitter", 3)
+    log = _refuse_questions(monkeypatch)
+    for mode in LOSSY_MODES:
+        result = _stream(
+            sim, packets, splitter, queue_policy=QueuePolicy(CAPACITY, mode),
+            faults=FaultPlan.of(Fault("skip", 1, 1, 2)),
+        )
+        assert sum(s.total_dropped for s in result.flow_stats.values()) > 0
+    assert log.count("run_step") > 0
 
 
 # -- recall plumbing -------------------------------------------------------------
@@ -291,27 +327,29 @@ def test_format_overload_renders_nan_as_dash():
 def test_overload_sweep_rejects_unknown_mode(tiny_trace):
     _, dag = suspicious_flows_catalog()
     configuration = experiment1_configurations()[2]  # Partitioned
-    with pytest.raises(ValueError, match="semantic"):
-        overload_sweep(
-            dag, tiny_trace, configuration, num_hosts=2, mode="bogus"
-        )
+    for mode in ("bogus", "semantic"):
+        with pytest.raises(ValueError, match="drop-oldest"):
+            overload_sweep(
+                dag, tiny_trace, configuration, num_hosts=2, mode=mode
+            )
 
 
 def test_overload_sweep_semantic_mode_reports_recall():
-    """A semantic sweep over a hot-key trace: conserved at every point,
+    """Both blind sweeps over a hot-key trace: conserved at every point,
     recall defined (the trace actually produces suspicious flows), and
     degrading no faster than capacity."""
     _, dag = suspicious_flows_catalog()
     configuration = experiment1_configurations()[2]  # Partitioned
     packets = skewed_packets(3)
     trace = Trace(packets=packets, duration_sec=len({p["time"] for p in packets}))
-    points = overload_sweep(
-        dag, trace, configuration, num_hosts=2,
-        fractions=(1.0, 0.25), mode="semantic",
-    )
-    assert [p.fraction for p in points] == [1.0, 0.25]
-    for point in points:
-        assert point.rows_in == point.rows_delivered + point.rows_dropped
-        assert not math.isnan(point.mean_recall)
-    assert points[-1].rows_dropped > 0
-    assert points[-1].mean_recall <= points[0].mean_recall + 1e-9
+    for mode in LOSSY_MODES:
+        points = overload_sweep(
+            dag, trace, configuration, num_hosts=2,
+            fractions=(1.0, 0.25), mode=mode,
+        )
+        assert [p.fraction for p in points] == [1.0, 0.25]
+        for point in points:
+            assert point.rows_in == point.rows_delivered + point.rows_dropped
+            assert not math.isnan(point.mean_recall)
+        assert points[-1].rows_dropped > 0
+        assert points[-1].mean_recall <= points[0].mean_recall + 1e-9, mode
