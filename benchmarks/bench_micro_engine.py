@@ -1,13 +1,15 @@
 """Kernel ratios, measured inside one process.
 
-Five hard assertions: the vectorized aggregation kernel is at least 5x
+Six hard assertions: the vectorized aggregation kernel is at least 5x
 the row operator, the vectorized join at least 10x, the vectorized
 sliding-window FULL kernel at least 15x the row ``WindowAggregateOp``,
 the round-robin split into strided views, followed by the pairwise
 host merge, at least 2x the counting-sort split of the same assignment
-followed by the same merge, and the order-free group factorization a
+followed by the same merge, the order-free group factorization a
 COUNT(*) aggregate uses at least 1.3x the order-carrying one on the same
-keys.  Each pair runs on the same input in the same process, so the
+keys, and the SKETCH_SUB kernel of an approximate node costs at most
+3.5x the exact SUB kernel of the same node.  Each pair runs on the same
+input in the same process, so the
 ratio transfers between machines where an absolute throughput would
 not.  Whole-run throughput and per-kernel wall time are
 ``benchmarks/e2e``'s job (``rows_per_s``, ``engine.<kind>_ms``), which
@@ -31,6 +33,7 @@ from repro.engine.columnar import _group
 from repro.expr.vectorizer import vectorize_key
 from repro.traces import TraceConfig, generate_trace
 from repro.workloads import (
+    approx_heavy_catalog,
     complex_catalog,
     sliding_flows_catalog,
     suspicious_flows_catalog,
@@ -168,3 +171,39 @@ def test_order_free_group_speedup():
     free_time = _best_of(_group, keys, len(batch), False, repeats=15)
     speedup = ordered_time / free_time
     assert speedup >= 1.3, f"order-free group only {speedup:.2f}x the ordered one"
+
+
+def test_sketch_sub_cost_ratio():
+    """The acceptance bar: on one batch shaped like the ``sliding_sketch``
+    benchmark's (a Zipf(1.1) stream over 10 000 ``(srcIP, destIP)``
+    groups, 6 panes of 8 000 rows), the SKETCH_SUB kernel of
+    ``approx_heavy`` costs <=3.5x the SUB kernel of the same node.  Both
+    factorize the same groups; the sketch adds the key hash for every
+    ``aggregates x depth`` lane and the grid fold.  Timed interleaved,
+    best of 15 each, so host drift hits both sides alike."""
+    groups, panes, pane_rows = 10_000, 6, 8_000
+    rng = np.random.default_rng(7)
+    weights = 1.0 / np.arange(1, groups + 1) ** 1.1
+    keys = rng.permutation(groups)[
+        rng.choice(groups, size=panes * pane_rows, p=weights / weights.sum())
+    ]
+    batch = ColumnBatch(
+        {
+            "time": np.repeat(np.arange(panes, dtype=np.int64), pane_rows),
+            "srcIP": 0x0A000000 + keys // 64,
+            "destIP": 0xC0A80000 + keys % 64,
+            "len": rng.integers(40, 1500, len(keys)),
+        },
+        len(keys),
+    )
+    _, dag = approx_heavy_catalog(window_panes=3, slide_panes=1)
+    node = dag.node("approx_heavy")
+    sketch = build_variant_kernel(node, "sketch_sub")
+    exact = build_variant_kernel(node, "sub")
+    assert len(sketch.process(batch)) == panes
+    best_sketch = best_exact = float("inf")
+    for _ in range(15):
+        best_sketch = min(best_sketch, _best_of(sketch.process, batch, repeats=1))
+        best_exact = min(best_exact, _best_of(exact.process, batch, repeats=1))
+    ratio = best_sketch / best_exact
+    assert ratio <= 3.5, f"sketch SUB costs {ratio:.2f}x the exact SUB"

@@ -23,151 +23,58 @@ Sliding-Window Data Streams" (PAPERS.md):
   over the window, and the streaming wrapper drops panes no later window
   reads, so aggregator state stays independent of stream length.
 
-Key hashing is seeded FNV-1a over the ``repr`` of each key element, or
-of the int it equals (:func:`canonical_element`), so keys equal under
-``==`` — as the group-by matches them — share their cells.  It is
-deterministic across processes (independent of ``PYTHONHASHSEED``), so
+A key is folded once, to its partition-hash state
+(:func:`~repro.engine.keyhash.fold_keys`), so keys equal under ``==``
+share their cells; each lane finalizes that state with its own seed
+(:func:`lane_hashes`).  Cells are independent of ``PYTHONHASHSEED``, so
 worker-shipped summaries merge bit-identically with driver-side ones.
-:func:`hash_keys` is the same hash, vectorized.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from ..gsql.analyzer import AnalyzedNode
+from .keyhash import fold_keys
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-#: The integers a key column holds: those of int64 and of uint64.
-_INT_LOW, _INT_HIGH = -(1 << 63), 1 << 64
-
-
-def canonical_element(element: object) -> object:
-    """A key element as the int it equals, if it is a bool, an int, or an
-    integral float in the int64/uint64 range (``True``, ``1`` and ``1.0``
-    are all ``1``, ``-0.0`` is ``0``); any other element as it is.
-
-    Keys equal under ``==`` must encode alike, because ``==`` is how the
-    group-by and the join match them.  :func:`by_encoding` is this rule
-    for a whole column.
-    """
-    if isinstance(element, float):
-        if element.is_integer() and _INT_LOW <= element < _INT_HIGH:
-            return int(element)
-        return element
-    if isinstance(element, int):
-        return int(element)
-    return element
+#: splitmix64's increment; a lane's seed times it is the lane's constant.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
-def by_encoding(key: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """The rows of a float or ``object`` key column as ``(row mask,
-    elements)`` groups, by how they encode: integers in int64, integers
-    only uint64 holds, and every other element (a float that equals no
-    such integer, or anything else an object column holds)."""
-    if key.dtype.kind == "f":
-        numbers = key
-        integral = (key == np.trunc(key)) & (key >= _INT_LOW) & (key < _INT_HIGH)
-    else:  # MIN2/MAX2 of an int and a float operand mix both in objects
-        numbers = np.fromiter(map(canonical_element, key.tolist()), object, len(key))
-        integral = np.fromiter(
-            (type(n) is int and _INT_LOW <= n < _INT_HIGH for n in numbers),
-            bool,
-            len(key),
-        )
-    signed = integral.copy()
-    signed[integral] = numbers[integral] < (1 << 63)
-    unsigned = integral & ~signed
-    other = ~integral
-    return [
-        (signed, numbers[signed].astype(np.int64)),
-        (unsigned, numbers[unsigned].astype(np.uint64)),
-        (other, numbers[other]),
-    ]
+def lane_seeds(aggregates: Sequence[int], depth: int) -> np.ndarray:
+    """Every lane's seed for the sketches of the aggregates numbered
+    ``aggregates``, aggregate-major: depth row ``row`` of aggregate
+    ``index`` hashes with seed ``index * 1001 + row``."""
+    index = np.asarray(aggregates, dtype=np.uint64)[:, None]
+    return (index * np.uint64(1001) + np.arange(depth, dtype=np.uint64)).ravel()
 
 
-def _hash_key(key: tuple, seed: int) -> int:
-    """Seeded FNV-1a over the key tuple's canonical elements' ``repr`` —
-    stable across processes."""
-    value = (_FNV_OFFSET ^ (seed * _FNV_PRIME)) & _MASK64
-    for part in key:
-        for byte in repr(canonical_element(part)).encode():
-            value ^= byte
-            value = (value * _FNV_PRIME) & _MASK64
-        value ^= 0x2D  # separator so (1, 23) != (12, 3)
-        value = (value * _FNV_PRIME) & _MASK64
+def lane_hashes(states: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """``(lanes, keys)`` 64-bit hashes: splitmix64 of each key's
+    :func:`~repro.engine.keyhash.fold_keys` state xor its lane's constant
+    (the lane seed times the splitmix64 increment).  A key's cell in a
+    lane is its hash modulo the sketch width."""
+    value = states[None, :] ^ (seeds * _GAMMA)[:, None]
+    value += _GAMMA
+    value ^= value >> np.uint64(30)
+    value *= _MIX1
+    value ^= value >> np.uint64(27)
+    value *= _MIX2
+    value ^= value >> np.uint64(31)
     return value
 
 
-def hash_keys(parts: Sequence[np.ndarray], seeds: Sequence[int]) -> np.ndarray:
-    """:func:`_hash_key` of many keys under many seeds at once.
-
-    ``parts[i]`` holds every key's ``i``-th element (no parts: one empty
-    key).  Returns a ``(len(seeds), keys)`` ``uint64`` array equal bit for
-    bit to ``_hash_key`` of each key as the tuple of Python scalars
-    ``tolist`` yields.  Each distinct element is ``repr``-encoded once
-    (:func:`fold_repr_bytes`), for every seed and key together.
-    """
-    count = len(parts[0]) if parts else 1
-    start = [(_FNV_OFFSET ^ (seed * _FNV_PRIME)) & _MASK64 for seed in seeds]
-    value = np.repeat(np.asarray(start, dtype=np.uint64)[:, None], count, axis=1)
-    for part in parts:
-        if count == 0:
-            break
-        value = fold_repr_bytes(value, np.asarray(part))
-        value = (value ^ np.uint64(0x2D)) * np.uint64(_FNV_PRIME)
-    return value
-
-
-def fold_repr_bytes(value: np.ndarray, part: np.ndarray) -> np.ndarray:
-    """FNV-1a steps over the ``repr`` bytes of each element of a
-    non-empty ``part``, or of the int it equals (:func:`canonical_element`):
-    ``value[..., i]`` (any leading axes) folds element ``i``'s.
-    The fold runs over a zero-padded byte grid, one byte column per step
-    for every element together."""
-    prime = np.uint64(_FNV_PRIME)
-    grid, lengths = _byte_grid(part)
-    shortest = int(lengths.min())
-    for column in range(grid.shape[1]):
-        folded = (value ^ grid[:, column]) * prime
-        value = (
-            folded
-            if column < shortest
-            else np.where(column < lengths, folded, value)
-        )
-    return value
-
-
-def _byte_grid(part: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Every element's encoded bytes, zero-padded into one ``uint8`` row
-    each, plus the byte counts.  Integer, bool and string columns encode
-    once per distinct value; floats and object columns (possibly of mixed
-    types) element by element, through :func:`by_encoding`."""
-    if part.dtype.kind == "b":
-        part = part.astype(np.int64)  # a bool encodes as the int it equals
-    if part.dtype.kind in "iuUS":
-        distinct, inverse = np.unique(part, return_inverse=True)
-        encoded = [repr(value).encode() for value in distinct.tolist()]
-    else:
-        inverse = None
-        codes = np.empty(len(part), dtype=object)
-        for rows, elements in by_encoding(part):
-            codes[rows] = [repr(value).encode() for value in elements.tolist()]
-        encoded = codes.tolist()
-    width = max(map(len, encoded))
-    grid = np.frombuffer(
-        b"".join(code.ljust(width, b"\0") for code in encoded), dtype=np.uint8
-    ).reshape(len(encoded), width)
-    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
-    if inverse is None:
-        return grid, lengths
-    return grid[inverse], lengths[inverse]
+def key_cells(parts: Sequence[np.ndarray], seeds: np.ndarray, width: int) -> np.ndarray:
+    """``(lanes, keys)`` cells of the keys whose parts are ``parts`` (no
+    parts: the one empty key), one lane per seed."""
+    cells = lane_hashes(fold_keys(parts), seeds) % np.uint64(width)
+    return cells.astype(np.intp)
 
 
 def sketch_dimensions(epsilon: float, delta: float) -> Tuple[int, int]:
@@ -184,9 +91,10 @@ def sketch_dimensions(epsilon: float, delta: float) -> Tuple[int, int]:
 class CountMinSketch:
     """A ``depth x width`` counter grid over hashed group keys.
 
-    ``update`` folds a non-negative weight (1 for COUNT, the argument
-    value for SUM); ``estimate`` returns the per-row minimum, an upper
-    bound on the key's true total.
+    Keys come as columns, one array per key part.  ``update`` folds
+    non-negative weights (1 for COUNT, the argument value for SUM);
+    ``estimate`` returns each key's per-row minimum, an upper bound on its
+    true total.  ``seed`` is the aggregate's index (:func:`lane_seeds`).
     """
 
     __slots__ = ("width", "depth", "seed", "counts", "total")
@@ -207,24 +115,23 @@ class CountMinSketch:
         width, depth = sketch_dimensions(epsilon, delta)
         return cls(width, depth, seed=seed)
 
-    def _columns(self, key: tuple) -> List[int]:
-        return [
-            _hash_key(key, self.seed * 1001 + row) % self.width
-            for row in range(self.depth)
-        ]
+    def _cells(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        return key_cells(parts, lane_seeds([self.seed], self.depth), self.width)
 
-    def update(self, key: tuple, weight: int = 1) -> None:
-        if weight < 0:
+    def update(self, parts: Sequence[np.ndarray], weights=1) -> None:
+        """Fold every key of the columns ``parts`` with its weight (one
+        weight for all, or one per key)."""
+        cells = self._cells(parts)
+        weights = np.broadcast_to(np.asarray(weights, dtype=np.int64), cells.shape[1:])
+        if (weights < 0).any():
             raise ValueError("Count-Min handles non-negative weights only")
-        self.total += weight
-        for row, column in enumerate(self._columns(key)):
-            self.counts[row, column] += weight
+        self.total += int(weights.sum())
+        np.add.at(self.counts, (np.arange(self.depth)[:, None], cells), weights)
 
-    def estimate(self, key: tuple) -> int:
-        columns = self._columns(key)
-        return int(
-            min(self.counts[row, column] for row, column in enumerate(columns))
-        )
+    def estimate(self, parts: Sequence[np.ndarray]) -> np.ndarray:
+        """Every key's estimate: its cells' minimum over the depth rows."""
+        cells = self._cells(parts)
+        return self.counts[np.arange(self.depth)[:, None], cells].min(axis=0)
 
     def merge(self, other: "CountMinSketch") -> None:
         """Cell-wise sum — exact, because updates are linear."""

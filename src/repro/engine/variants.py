@@ -40,7 +40,7 @@ window the input panes intersect, which is the one-shot semantics.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -59,10 +59,10 @@ from .columnar import (
 from .operators import AggregateOp, Batch, Operator, build_operator
 from .panes import WindowSpec
 from .sketches import (
-    CountMinSketch,
     EpochSummary,
     _rebuild_sketch,
-    hash_keys,
+    key_cells,
+    lane_seeds,
     sketch_dimensions,
 )
 
@@ -202,7 +202,7 @@ class ColumnarSketchSubOp(ColumnarOperator):
     once.  Each group's weight — its row count for COUNT, its summed
     (integer) argument for SUM — is added into one (mergeable)
     ``depth x width`` Count-Min grid per aggregate call and pane, at the
-    cells :func:`~repro.engine.sketches.hash_keys` gives the key.  The
+    cells :func:`~repro.engine.sketches.key_cells` gives the key.  The
     candidates are the locally heavy keys: every key whose pane-local row
     count reaches ``max(1, epsilon * pane_rows)``, which caps the list at
     ``1/epsilon`` entries while guaranteeing every globally epsilon-heavy
@@ -230,13 +230,7 @@ class ColumnarSketchSubOp(ColumnarOperator):
         ]
         # Only a SUM weight is read in group order.
         self._ordered = any(fn is not None for fn in self._weights)
-        # Aggregate ``index``'s Count-Min hashes depth row ``row`` with
-        # seed ``index * 1001 + row`` (CountMinSketch._columns).
-        self._seeds = [
-            index * 1001 + row
-            for index in range(len(self._weights))
-            for row in range(self._depth)
-        ]
+        self._seeds = lane_seeds(range(len(self._weights)), self._depth)
 
     def process(self, *batches: ColumnBatch) -> ColumnBatch:
         (batch,) = batches
@@ -297,11 +291,8 @@ class ColumnarSketchSubOp(ColumnarOperator):
         """``(panes, aggregates, depth, width)`` Count-Min grids: every
         group's weight added at its key's cell in each depth row."""
         seeds, width = len(self._seeds), self._width
-        cells = (hash_keys(group_keys, self._seeds) % np.uint64(width)).astype(
-            np.intp
-        )
-        if not group_keys:  # no key columns: every group is the key ()
-            cells = np.repeat(cells, len(pane_of), axis=1)
+        # No key columns: one column of cells, the key () of every group.
+        cells = key_cells(group_keys, self._seeds, width)
         flat = (pane_of * seeds + np.arange(seeds)[:, None]) * width + cells
         grids = np.zeros(num_panes * seeds * width, dtype=np.int64)
         np.add.at(grids, flat.ravel(), np.repeat(weights, self._depth, axis=0).ravel())
@@ -335,14 +326,20 @@ class ColumnarSketchSuperOp(ColumnarOperator):
     pane ring of Papapetrou et al. at per-pane resolution, exact over the
     window — and all approximation error comes from the Count-Min grids,
     which the accuracy clause sizes.  Every candidate key of the window's
-    panes is estimated (in ``repr`` order), then HAVING and the projection
-    run over the estimates.
+    panes is estimated (in ``repr`` order): the candidates of every label
+    are hashed in one :func:`~repro.engine.sketches.key_cells` call, and
+    each estimate is the minimum over its label's summed grid at its
+    cells.  Then HAVING and the projection run over the estimates.
     """
 
     def __init__(self, node: AnalyzedNode):
         self._pane_name = _sketch_prologue(node).name
         self._key_names = [g.name for g in node.group_by if not g.is_temporal]
         self._slots = [call.slot for call in node.aggregates]
+        self._width, self._depth = sketch_dimensions(
+            node.accuracy.epsilon, node.accuracy.delta
+        )
+        self._seeds = lane_seeds(range(len(self._slots)), self._depth)
         self._having = (
             vectorize_predicate(node.having) if node.having is not None else None
         )
@@ -359,38 +356,37 @@ class ColumnarSketchSuperOp(ColumnarOperator):
             labels = batch.columns[self._pane_name].tolist()
             for label, summary in zip(labels, batch.columns[SUMMARY_COLUMN]):
                 windows.setdefault(label, []).append(summary)
-        labels, keys = [], []
-        estimates: List[List[int]] = [[] for _ in self._slots]
-        for label in sorted(windows):
+        labels, keys, owners, grids = [], [], [], []
+        for owner, label in enumerate(sorted(windows)):
             summaries = windows[label]
-            sketches = [
-                _summed(summary.sketches[index] for summary in summaries)
-                for index in range(len(self._slots))
-            ]
+            counts = [[sketch.counts for sketch in s.sketches] for s in summaries]
+            grids.append(np.sum(counts, axis=0))  # (aggregates, depth, width)
             candidates = {key for summary in summaries for key in summary.candidates}
-            for key in sorted(candidates, key=repr):
-                labels.append(label)
-                keys.append(key)
-                for column, sketch in zip(estimates, sketches):
-                    column.append(sketch.estimate(key))
+            ordered = sorted(candidates, key=repr)
+            labels += [label] * len(ordered)
+            owners += [owner] * len(ordered)
+            keys += ordered
         if not labels:
             return _empty_output(self._output_names)
+        count, key_parts = len(keys), list(zip(*keys))
+        # Object columns keep each part exactly as the candidate holds it.
+        parts = [np.fromiter(part, object, count) for part in key_parts]
+        cells = key_cells(parts, self._seeds, self._width).reshape(
+            len(self._slots), self._depth, -1
+        )
+        estimates = np.stack(grids)[
+            np.asarray(owners),
+            np.arange(len(self._slots))[:, None, None],
+            np.arange(self._depth)[:, None],
+            cells,
+        ].min(axis=1)
         columns = {self._pane_name: np.asarray(labels)}
-        for index, name in enumerate(self._key_names):
-            columns[name] = np.asarray([key[index] for key in keys])
-        columns.update(zip(self._slots, map(np.asarray, estimates)))
+        columns.update(zip(self._key_names, map(np.asarray, key_parts)))
+        columns.update(zip(self._slots, estimates))
         return _filter_then_project(
-            columns, len(labels), self._having, self._outputs,
+            columns, count, self._having, self._outputs,
             self._output_names,
         )
-
-
-def _summed(sketches: Iterable[CountMinSketch]) -> CountMinSketch:
-    first, *rest = sketches
-    total = first.copy()
-    for sketch in rest:
-        total.merge(sketch)
-    return total
 
 
 def is_sliding(node: AnalyzedNode, variant: str) -> bool:

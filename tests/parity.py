@@ -42,6 +42,7 @@ per-link network counters.  This module holds the reusable pieces:
 import collections
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -62,7 +63,7 @@ from repro.gsql.catalog import Catalog
 from repro.gsql.schema import tcp_schema
 from repro.partitioning import PartitioningSet
 from repro.plan import QueryDag
-from repro.runtime.flowcontrol import Fault
+from repro.runtime.flowcontrol import Fault, QueuedIngestController
 from repro.workloads import (
     approx_heavy_catalog,
     complex_catalog,
@@ -685,17 +686,67 @@ def mean_recall(recall):
     return sum(scores) / len(scores)
 
 
+def _batch_rows(batch):
+    return list(zip(*(batch.column(name).tolist() for name in batch.names())))
+
+
+def _by_source(rows):
+    """``[(stream, partition, row)]`` as each source's rows, in order."""
+    grouped = collections.defaultdict(list)
+    for stream, partition, row in rows:
+        grouped[stream, partition].append(row)
+    return dict(grouped)
+
+
+def _shedding_spy(step_host):
+    """``QueuedIngestController._step_host`` that also checks which rows
+    a drop mode kept.  Neither drop mode carries a backlog: after
+    admission (``drop-newest``) or eviction (``drop-oldest``) the queue
+    fits one step's budget, so it empties every step.  So per host and
+    step, ``drop-newest`` delivers the first ``capacity`` rows of the
+    step's arrivals, and ``drop-oldest`` the last, in arrival order."""
+
+    def spy(self, host, arrivals, rows_in, dropped, accepted, flush):
+        before = {key: len(pieces) for key, pieces in self._delivered.items()}
+        offered = [
+            (entry.stream, entry.partition, row)
+            for entry, _ in arrivals
+            for row in _batch_rows(entry.batch)
+        ]
+        step_host(self, host, arrivals, rows_in, dropped, accepted, flush)
+        if flush:
+            return
+        capacity = self._policy.capacity
+        kept = (
+            offered[:capacity]
+            if self._policy.mode == "drop-newest"
+            else offered[max(0, len(offered) - capacity):]
+        )
+        delivered = [
+            (stream, partition, row)
+            for (stream, partition), pieces in self._delivered.items()
+            for piece in pieces[before.get((stream, partition), 0):]
+            for row in _batch_rows(piece)
+        ]
+        assert not self._queues[host], f"host {host} kept a backlog"
+        assert _by_source(delivered) == _by_source(kept), (
+            f"{self._policy.mode} on host {host} delivered the wrong rows"
+        )
+
+    return spy
+
+
 def assert_blind_shedding(workload, seed, source, execution="inprocess"):
     """One randomized blind-shedding trial.
 
     A hot-key trace (the same shape the rebalance sweep uses) runs
     unbounded, under ``drop-newest`` and under ``drop-oldest`` at one
     per-host capacity, a quarter or a tenth of the offered rate (see
-    :func:`shed_trial`).  No query recalls more than the unbounded run
-    delivered, and — when ``execution="parallel"`` — a forked
-    ``drop-newest`` run on two workers is byte-identical to the
-    in-process one: outputs, per-node counts and the per-epoch flow
-    series.
+    :func:`shed_trial`).  Every host step of every lossy run keeps the
+    rows its mode names (:func:`_shedding_spy`), and — when
+    ``execution="parallel"`` — a forked ``drop-newest`` run on two
+    workers is byte-identical to the in-process one: outputs, per-node
+    counts and the per-epoch flow series.
 
     Returns the lowest per-query recall either mode left, so the sweep
     can check that some seed's drops cost some query rows.
@@ -706,9 +757,11 @@ def assert_blind_shedding(workload, seed, source, execution="inprocess"):
     modes = [blind_shedding, oldest_shedding]
     if execution == "parallel":
         modes.append(forked_blind_shedding)
-    (newest, newest_recall), (_, oldest_recall), *forked = shed_trial(
-        workload, seed, source, hosts, fraction, modes
-    )
+    spy = _shedding_spy(QueuedIngestController._step_host)
+    with mock.patch.object(QueuedIngestController, "_step_host", spy):
+        (newest, newest_recall), (_, oldest_recall), *forked = shed_trial(
+            workload, seed, source, hosts, fraction, modes
+        )
     scores = [
         value
         for recall in (newest_recall, oldest_recall)

@@ -12,11 +12,14 @@ here directly:
   estimate is the merged sketch's, and streaming state stays bounded by
   the window, however long the stream.
 
-The key hash itself is pinned: ``_hash_key`` against golden values, and
-the vectorized :func:`hash_keys` the SKETCH_SUB kernel folds grids with
-against ``_hash_key``, bit for bit.  Changing either re-blesses every
+The key hash itself is pinned: every lane's 64-bit hash
+(:func:`lane_hashes` of :func:`~repro.engine.keyhash.fold_keys`, the
+partition hash's key state) against golden values, and against the
+scalar definition in ``tests/split_reference.py`` (``fnv1a_state`` and
+``lane_hash``), bit for bit.  Changing either re-blesses every
 approximate answer.  Keys equal under ``==`` (``100``, ``100.0``, and
-``1``, ``True``) share their cells, as they share a group.
+``1``, ``True``) share their cells, as they share a group.  Sketches take
+their keys as columns, one array per key part.
 """
 
 import math
@@ -31,11 +34,13 @@ from repro import Catalog, tcp_schema
 from repro.distopt import DistributedOptimizer, Placement
 from repro.distopt.plan_ir import Variant
 from repro.engine.columnar import ColumnBatch
+from repro.engine.keyhash import fold_keys
 from repro.engine.sketches import (
     CountMinSketch,
     EpochSummary,
-    _hash_key,
-    hash_keys,
+    key_cells,
+    lane_hashes,
+    lane_seeds,
     sketch_dimensions,
     summary_wire_bytes,
 )
@@ -43,33 +48,51 @@ from repro.engine.variants import SUMMARY_COLUMN, build_variant_kernel
 from repro.plan import QueryDag
 from repro.runtime.backend import EngineBackend
 from repro.workloads import approx_heavy_catalog
+from tests.split_reference import fnv1a_state, lane_hash
+from tests.test_partition_set import EDGE_VALUES
 
 keys = st.integers(min_value=0, max_value=40)
 weights = st.integers(min_value=0, max_value=50)
 streams = st.lists(st.tuples(keys, weights), max_size=200)
 
 
+def _feed(sketch, stream):
+    """Fold a stream of ``(int key, weight)`` pairs into ``sketch``."""
+    sketch.update(
+        [np.array([key for key, _ in stream], dtype=np.int64)],
+        np.array([weight for _, weight in stream], dtype=np.int64),
+    )
+
+
 # -- the key hash ------------------------------------------------------------
 
-#: ``_hash_key(key, seed)`` for seeds 0, 1 and 1001, recorded before the
-#: vectorized hash existed.  ``True`` hashes as the ``1`` it equals (it
-#: once hashed as its repr, ``"True"``).
+#: Every lane's 64-bit hash of each key, for lane seeds 0, 1 and 1001,
+#: each key part given as a one-element column.  ``True`` hashes as the
+#: ``1`` it equals.
 HASH_GOLDEN = {
     (0x0A000001, 0xC0A80002): (
-        14511442430783606412, 17336162063160898461, 8635163641630881765,
+        14330472378977240317, 18247135192246700939, 12273469067429895004,
     ),
     ("abc", -5, True): (
-        8762696838550964305, 9740341752081579804, 7236915733257620708,
+        18222676958222341838, 9110465990357376545, 13439958182626437233,
     ),
     (2**64 - 1, -(2**63), 3.5): (
-        5168707219040203037, 6181390345690970678, 16328094211009427614,
+        5196321139431929610, 17028075109408904162, 8346517946414223197,
     ),
 }
 
 
 def test_hash_key_golden_values():
+    seeds = np.array([0, 1, 1001], dtype=np.uint64)
     for key, expected in HASH_GOLDEN.items():
-        assert tuple(_hash_key(key, seed) for seed in (0, 1, 1001)) == expected
+        parts = [np.array([part]) for part in key]
+        assert tuple(lane_hashes(fold_keys(parts), seeds)[:, 0].tolist()) == expected
+
+
+def test_lane_seeds_are_aggregate_major():
+    """Depth row ``row`` of aggregate ``index`` is lane seed ``index *
+    1001 + row``, in the order the SUB lays its grids out."""
+    assert lane_seeds(range(3), 2).tolist() == [0, 1, 1001, 1002, 2002, 2003]
 
 
 INT_DTYPES = (
@@ -81,26 +104,50 @@ INT_DTYPES = (
 @st.composite
 def key_parts(draw):
     """Up to three key columns of one length: integers of every width
-    (extremes included), bools, floats, strings, or an object column
-    mixing types."""
+    (extremes, the partition hash's edge values and uint64 values at or
+    above 2**63 included), bools, integral and fractional floats,
+    strings, an ``object`` column of ints and floats as ``MIN2``/``MAX2``
+    mix them, or one mixing anything."""
     length = draw(st.integers(1, 25))
     column = lambda elements: st.lists(  # noqa: E731
         elements, min_size=length, max_size=length
     )
     parts = []
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(("int", "bool", "float", "str", "mixed")))
+        kind = draw(
+            st.sampled_from(("int", "bool", "float", "str", "minmax", "mixed"))
+        )
         if kind == "int":
             dtype = np.dtype(draw(st.sampled_from(INT_DTYPES)))
             info = np.iinfo(dtype)
-            values = draw(column(st.integers(int(info.min), int(info.max))))
+            edges = [v for v in EDGE_VALUES if info.min <= v <= info.max]
+            if dtype == np.uint64:
+                edges += [2**63, 2**64 - 1]
+            values = draw(
+                column(
+                    st.one_of(
+                        st.integers(int(info.min), int(info.max)),
+                        st.sampled_from(edges),
+                    )
+                )
+            )
             parts.append(np.array(values, dtype=dtype))
         elif kind == "bool":
             parts.append(np.array(draw(column(st.booleans()))))
         elif kind == "float":
-            parts.append(np.array(draw(column(st.floats(width=64)))))
+            floats = st.one_of(
+                st.floats(width=64), st.integers(-(2**53), 2**53).map(float)
+            )
+            parts.append(np.array(draw(column(floats)), dtype=float))
         elif kind == "str":
             parts.append(np.array(draw(column(st.text(max_size=6)))))
+        elif kind == "minmax":
+            numbers = st.one_of(
+                st.integers(-(2**63), 2**64 - 1),
+                st.floats(allow_nan=False),
+                st.integers(-(2**53), 2**53).map(float),
+            )
+            parts.append(np.array(draw(column(numbers)), dtype=object))
         else:
             mixed = st.one_of(
                 st.integers(-(2**64), 2**64), st.text(max_size=4),
@@ -111,21 +158,30 @@ def key_parts(draw):
 
 
 @settings(deadline=None, max_examples=150)
-@given(parts=key_parts(), seeds=st.lists(st.integers(0, 5000), min_size=1, max_size=6))
+@given(
+    parts=key_parts(),
+    seeds=st.lists(st.integers(0, 5000), min_size=1, max_size=6),
+    width=st.integers(1, 300),
+)
 @example(
     parts=[
         np.array([2**63, 2**64 - 1, 0], dtype=np.uint64),
         np.array([-(2**63), 2**63 - 1, -1], dtype=np.int64),
     ],
     seeds=[0, 1, 1001],
+    width=55,
 )
-@example(parts=[np.array([0.0, -0.0, np.nan, 1.5])], seeds=[7])
-def test_vectorized_hash_matches_hash_key(parts, seeds):
-    """``hash_keys`` is ``_hash_key`` of each key as the tuple of Python
-    scalars ``tolist`` yields, for every seed."""
+@example(parts=[np.array([0.0, -0.0, np.nan, 1.5])], seeds=[7], width=55)
+def test_vectorized_hash_matches_hash_key(parts, seeds, width):
+    """Every lane's hash, and so every cell, of each key is the scalar
+    reference's (``lane_hash`` of ``fnv1a_state``) of the key as the tuple
+    of Python scalars ``tolist`` yields, bit for bit."""
     keys = list(zip(*(part.tolist() for part in parts))) if parts else [()]
-    expected = [[_hash_key(key, seed) for key in keys] for seed in seeds]
-    assert hash_keys(parts, seeds).tolist() == expected
+    expected = [[lane_hash(fnv1a_state(key), seed) for key in keys] for seed in seeds]
+    lanes = np.array(seeds, dtype=np.uint64)
+    assert lane_hashes(fold_keys(parts), lanes).tolist() == expected
+    cells = [[value % width for value in row] for row in expected]
+    assert key_cells(parts, lanes, width).tolist() == cells
 
 
 # -- Count-Min ---------------------------------------------------------------
@@ -150,22 +206,23 @@ def _spellings(value: int) -> list:
 @given(data=st.data(), seeds=st.lists(st.integers(0, 5000), min_size=1, max_size=4))
 def test_keys_equal_under_eq_get_equal_cells(data, seeds):
     """A key spelled as an int, a float, ``-0.0`` or a bool hashes to the
-    int's cells, element by element and as a float or object column."""
+    int's cells, as a float or object column and as the first part of a
+    two-part key."""
     ints = data.draw(st.lists(equal_ints, min_size=1, max_size=12))
     spelled = [data.draw(st.sampled_from(_spellings(value))) for value in ints]
     assert spelled == ints
-    expected = hash_keys([np.array(ints, dtype=object)], seeds).tolist()
+    lanes = np.array(seeds, dtype=np.uint64)
+    sevens = np.full(len(ints), 7)
+    expected = key_cells([np.array(ints, dtype=object)], lanes, 97).tolist()
+    paired = key_cells([np.array(ints, dtype=object), sevens], lanes, 97).tolist()
     for column in (np.array(spelled, dtype=object), np.array(spelled, dtype=float)):
-        assert hash_keys([column], seeds).tolist() == expected
-    for value, other in zip(ints, spelled):
-        assert [_hash_key((other, 7), seed) for seed in seeds] == [
-            _hash_key((value, 7), seed) for seed in seeds
-        ]
+        assert key_cells([column], lanes, 97).tolist() == expected
+        assert key_cells([column, sevens], lanes, 97).tolist() == paired
     sketch = CountMinSketch(width=97, depth=3, seed=seeds[0])
-    for value in spelled:
-        sketch.update((value,))
-    for value in ints:
-        assert sketch.estimate((value,)) >= ints.count(value)
+    sketch.update([np.array(spelled, dtype=object)])
+    estimates = sketch.estimate([np.array(ints, dtype=object)]).tolist()
+    for value, estimate in zip(ints, estimates):
+        assert estimate >= ints.count(value)
 
 
 def test_sketch_super_never_undercounts_a_key_spelled_two_ways():
@@ -210,14 +267,14 @@ RANGE 1 SLIDE 1 ERROR 0.05 CONFIDENCE 0.95;
 @given(stream=streams, seed=st.integers(0, 7))
 def test_cm_never_underestimates(stream, seed):
     sketch = CountMinSketch.from_error(0.1, 0.05, seed=seed)
+    _feed(sketch, stream)
     truth = {}
     for key, weight in stream:
-        sketch.update((key,), weight)
         truth[key] = truth.get(key, 0) + weight
-    for key, total in truth.items():
-        assert sketch.estimate((key,)) >= total
+    seen = np.array(list(truth), dtype=np.int64)
+    assert (sketch.estimate([seen]) >= np.array(list(truth.values()))).all()
     # Keys never inserted still get a non-negative upper bound.
-    assert sketch.estimate(("never",)) >= 0
+    assert sketch.estimate([np.array(["never"])]).tolist()[0] >= 0
 
 
 def test_cm_error_bound_holds_with_confidence():
@@ -231,16 +288,17 @@ def test_cm_error_bound_holds_with_confidence():
     trials = 0
     for trial in range(40):
         sketch = CountMinSketch.from_error(epsilon, delta, seed=trial)
+        stream = [min(rng.randrange(1, 500) for _ in range(2)) for _ in range(2000)]
+        sketch.update([np.array(stream)])
         truth = {}
-        for _ in range(2000):
-            key = min(rng.randrange(1, 500) for _ in range(2))
-            sketch.update((key,))
+        for key in stream:
             truth[key] = truth.get(key, 0) + 1
         n = sketch.total
         sample = rng.sample(sorted(truth), 25)
-        for key in sample:
+        estimates = sketch.estimate([np.array(sample)]).tolist()
+        for key, estimate in zip(sample, estimates):
             trials += 1
-            if sketch.estimate((key,)) - truth[key] > epsilon * n:
+            if estimate - truth[key] > epsilon * n:
                 violations += 1
     # Expected failure rate <= delta = 0.1; allow 2x slack for variance.
     assert violations <= 2 * delta * trials
@@ -254,9 +312,9 @@ def test_cm_merge_is_exact(stream, cut, seed):
     single = CountMinSketch(width=30, depth=3, seed=seed)
     left = CountMinSketch(width=30, depth=3, seed=seed)
     right = CountMinSketch(width=30, depth=3, seed=seed)
-    for index, (key, weight) in enumerate(stream):
-        single.update((key,), weight)
-        (left if index < cut else right).update((key,), weight)
+    _feed(single, stream)
+    _feed(left, stream[:cut])
+    _feed(right, stream[cut:])
     left.merge(right)
     assert left == single
 
@@ -285,24 +343,25 @@ def test_conservative_update_is_tighter(stream):
     a key that has a cell of its own in some row is estimated exactly,
     and no key below its total."""
     sketch = CountMinSketch(width=10, depth=2)
+    _feed(sketch, stream)
     truth = {}
     for key, weight in stream:
-        sketch.update((key,), weight)
         truth[key] = truth.get(key, 0) + weight
-    cells = {key: sketch._columns((key,)) for key in truth}
-    for key, total in truth.items():
+    seen = [np.array(list(truth), dtype=np.int64)]
+    cells = dict(zip(truth, sketch._cells(seen).T.tolist()))
+    for key, estimate in zip(truth, sketch.estimate(seen).tolist()):
         own_cell = any(
             all(cells[other][row] != cells[key][row] for other in truth if other != key)
             for row in range(sketch.depth)
         )
-        estimate = sketch.estimate((key,))
+        total = truth[key]
         assert estimate == total if own_cell else estimate >= total
 
 
 def test_cm_rejects_negative_weights_and_bad_dimensions():
     sketch = CountMinSketch(width=4, depth=1)
     with pytest.raises(ValueError):
-        sketch.update(("k",), -1)
+        sketch.update([np.array(["k", "l"])], np.array([1, -1]))
     with pytest.raises(ValueError):
         CountMinSketch(width=0, depth=1)
     for epsilon, delta in ((0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)):
@@ -349,9 +408,10 @@ def test_ecm_full_window_matches_merged_cm(panes):
     summaries = []
     for pane, stream in enumerate(panes):
         sketches = [CountMinSketch(width, depth, seed=seed) for seed in (0, 1)]
-        for key, weight in stream:
-            for sketch in sketches + merged:
-                sketch.update((key, -key), weight)
+        src = np.array([key for key, _ in stream], dtype=np.int64)
+        amounts = np.array([weight for _, weight in stream], dtype=np.int64)
+        for sketch in sketches + merged:
+            sketch.update([src, -src], amounts)
         candidates = sorted({(key, -key) for key, _ in stream}, key=repr)
         summaries.append(
             EpochSummary(pane, tuple(sketches), tuple(candidates), len(stream))
@@ -362,10 +422,74 @@ def test_ecm_full_window_matches_merged_cm(panes):
     assert {(row["srcIP"], row["destIP"]) for row in rows} == {
         (key, -key) for stream in panes for key, _ in stream
     }
-    for row in rows:
-        key = (row["srcIP"], row["destIP"])
-        assert row["cnt"] == merged[0].estimate(key)
-        assert row["bytes"] == merged[1].estimate(key)
+    parts = [np.array([row[name] for row in rows]) for name in ("srcIP", "destIP")]
+    assert [row["cnt"] for row in rows] == merged[0].estimate(parts).tolist()
+    assert [row["bytes"] for row in rows] == merged[1].estimate(parts).tolist()
+
+
+def test_sketch_super_estimates_every_candidate_per_key():
+    """The SUPER's estimates, read for all of a window's candidates at
+    once, are each candidate's own estimate: the minimum over depth rows
+    of the window's summed grid at the cell the scalar reference gives
+    that key in that aggregate's lane (seed ``index * 1001 + row``).
+    Three hosts' SUBs ship three panes each; a SUPER reading another
+    aggregate's lanes, or another window's grid, fails."""
+    dag, node, (width, depth) = _approx_node(3)
+    sub = build_variant_kernel(node, "sketch_sub")
+    rng = np.random.default_rng(11)
+    shipped = []
+    for host in range(3):
+        # Per pane: 16 keys 25 times each (heavy at epsilon 0.05 of 500
+        # rows), shifted by host and pane, plus a 100-row tail.
+        time = np.repeat(np.arange(3), 500)
+        key = np.concatenate(
+            [
+                np.concatenate(
+                    (
+                        np.repeat(host * 10 + pane * 3 + np.arange(16), 25),
+                        rng.integers(1000, 5000, 100),
+                    )
+                )
+                for pane in range(3)
+            ]
+        )
+        batch = ColumnBatch(
+            {
+                "time": time,
+                "srcIP": 0x0A000000 + key // 16,
+                "destIP": 0xC0A80000 + key % 16,
+                "len": rng.integers(40, 1500, len(key)),
+            },
+            len(key),
+        )
+        shipped += sub.process(batch).columns[SUMMARY_COLUMN].tolist()
+    assert len(shipped) == 9
+    out = build_variant_kernel(node, "sketch_super").process_window(
+        _shipped(shipped), [2, 3]
+    )
+    rows = out.to_rows()
+    for end in (2, 3):
+        window = [s for s in shipped if end - 3 < s.pane <= end]
+        grids = [
+            sum(summary.sketches[index].counts for summary in window)
+            for index in range(2)
+        ]
+        candidates = {key for summary in window for key in summary.candidates}
+        emitted = {
+            (row["srcIP"], row["destIP"]): (row["cnt"], row["bytes"])
+            for row in rows
+            if row["tb"] == end
+        }
+        assert set(emitted) == candidates and len(candidates) > 20
+        for key, estimates in emitted.items():
+            state = fnv1a_state(key)
+            assert estimates == tuple(
+                min(
+                    int(grid[row, lane_hash(state, index * 1001 + row) % width])
+                    for row in range(depth)
+                )
+                for index, grid in enumerate(grids)
+            ), key
 
 
 def test_ecm_expire_bounds_state():
@@ -382,19 +506,20 @@ def test_ecm_expire_bounds_state():
     for pane in range(20):
         sketches = tuple(CountMinSketch(width, depth, seed=s) for s in (0, 1))
         for sketch in sketches:
-            sketch.update((pane % 3, 0))
+            sketch.update([np.array([pane % 3]), np.array([0])])
         history.append(EpochSummary(pane, sketches, ((pane % 3, 0),), 1))
         out, _ = snode.step([_shipped(history[-1:])], [{"tb": pane + 1}], False)
         assert snode.buffered_rows() <= 4  # window - slide
         window = CountMinSketch(width, depth, seed=0)
         for summary in history[-5:]:
             window.merge(summary.sketches[0])
-        live = {p % 3 for p in range(max(0, pane - 4), pane + 1)}
+        live = sorted({p % 3 for p in range(max(0, pane - 4), pane + 1)})
+        estimates = window.estimate([np.array(live), np.zeros(len(live), int)])
         rows = out.to_rows()
         assert {row["tb"] for row in rows} == {pane}
-        assert {(row["srcIP"], row["cnt"]) for row in rows} == {
-            (key, window.estimate((key, 0))) for key in live
-        }
+        assert {(row["srcIP"], row["cnt"]) for row in rows} == set(
+            zip(live, estimates.tolist())
+        )
 
 
 # -- epoch summaries ---------------------------------------------------------
@@ -402,9 +527,9 @@ def test_ecm_expire_bounds_state():
 
 def _summary(pane, stream, seed=0):
     sketch = CountMinSketch(16, 2, seed=seed)
+    _feed(sketch, stream)
     truth = {}
     for key, weight in stream:
-        sketch.update((key,), weight)
         truth[key] = truth.get(key, 0) + weight
     return EpochSummary(
         pane=pane,

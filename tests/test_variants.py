@@ -301,10 +301,12 @@ def _zipf_packets():
 PIN_TRACES = {"random29": lambda: random_packets(29), "zipf": _zipf_packets}
 
 #: sha256 of ``repr(canonical(answer))`` of ``approx_heavy`` on three
-#: round-robin hosts, recorded when the sketch pair was per-row Python.
+#: round-robin hosts, recorded when the Count-Min lanes became splitmix64
+#: finalizations of the partition hash's key state; a SUPER estimating
+#: one candidate at a time gives the same digests.
 APPROX_DIGESTS = {
-    "random29": "830378d8d88e40c64078a54617c36f739522fc8d78ae039a4e3e563682f0dfce",
-    "zipf": "b690f2b3364560c404a2e5ba12f79e25e56a69bfba24918658cc641d8e58fa02",
+    "random29": "f6436d0531218ce1d6cb6470b183ef4f32f684cb6cd55a475212b48ecd0f306d",
+    "zipf": "f66960ba09d666830c544bff411c13e6c48898fb84ae0acc7d56168cc090f53b",
 }
 
 
