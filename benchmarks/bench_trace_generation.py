@@ -1,10 +1,18 @@
-"""Trace generation against the per-flow loop, measured inside one process.
+"""Trace generation's speed and memory, measured inside one process.
 
 Two hard assertions on the §6.3 benchmark trace (experiment 3's config
 at 40k rows/s for 20 s, flow-size tail 2.5: about 800k rows and 40k
-flows): ``generate_trace`` is at least 3x as fast as the reference loop
-in ``tests/trace_reference.py``, and its ``tracemalloc`` peak is no
-higher than the loop's.  Both sides also produce the same columns.
+flows):
+
+* ``generate_trace`` takes at most 8x as long as ``np.argsort`` of as
+  many random doubles (interleaved best of 5 each), a yardstick that
+  moves with the machine.  It reads 3.2-3.7x on a 2-core Xeon; a loop
+  making one NumPy call per flow and column reads about 65x.
+* Its ``tracemalloc`` peak is at most 1.4x the bytes of the columns it
+  returns.  It reads 1.24x: the nine int64 columns plus the sort
+  permutation and the row-to-flow index.  One more trace-length int64
+  temporary kept alive adds 0.11x.
+
 Set-up time, of which generation is most, is ``benchmarks/e2e``'s
 ``setup_s``; ``traces.generate_rows_per_s`` is its per-layer reading.
 """
@@ -17,44 +25,51 @@ import numpy as np
 
 from repro.traces import generate_trace
 from repro.workloads.experiments import experiment3_trace_config
-from tests.trace_reference import reference_trace
 
 CONFIG = replace(experiment3_trace_config(7), rate=40_000, heavy_tail_alpha=2.5)
+MAX_YARDSTICKS = 8.0
+MAX_PEAK_PER_COLUMN_BYTE = 1.4
 
 
-def _wall(generate, repeats):
-    best = float("inf")
+def _seconds(work):
+    started = time.perf_counter()
+    work()
+    return time.perf_counter() - started
+
+
+def wall_and_yardstick(generate, repeats=5):
+    """Best-of-``repeats`` walls of ``generate(CONFIG)`` and of the
+    yardstick, taken in turns."""
+    values = np.random.default_rng(0).random(CONFIG.total_packets())
+    wall = yardstick = float("inf")
     for _ in range(repeats):
-        started = time.perf_counter()
-        generate(CONFIG)
-        best = min(best, time.perf_counter() - started)
-    return best
+        wall = min(wall, _seconds(lambda: generate(CONFIG)))
+        yardstick = min(yardstick, _seconds(lambda: np.argsort(values)))
+    return wall, yardstick
 
 
-def _peak_bytes(generate):
+def peak_and_column_bytes(generate):
     tracemalloc.start()
     try:
         trace = generate(CONFIG)
-        return trace, tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return peak, sum(column.nbytes for column in trace.columns.values())
 
 
-def test_generation_speedup_and_peak_memory():
-    loop_wall = _wall(reference_trace, repeats=1)
-    wall = _wall(generate_trace, repeats=3)
-    expected, loop_peak = _peak_bytes(reference_trace)
-    trace, peak = _peak_bytes(generate_trace)
-    for name, column in expected.columns.items():
-        np.testing.assert_array_equal(trace.columns[name], column, err_msg=name)
-    speedup = loop_wall / wall
+def test_generation_speed_and_peak_memory():
+    wall, yardstick = wall_and_yardstick(generate_trace)
+    peak, column_bytes = peak_and_column_bytes(generate_trace)
     print(
-        f"\n{trace.num_packets} rows: {wall:.3f} s vs the loop's "
-        f"{loop_wall:.3f} s ({speedup:.1f}x); tracemalloc peak "
-        f"{peak / 2**20:.1f} vs {loop_peak / 2**20:.1f} MiB"
+        f"\ngeneration {wall * 1e3:.1f} ms, {wall / yardstick:.2f}x the "
+        f"yardstick's {yardstick * 1e3:.1f} ms; tracemalloc peak "
+        f"{peak / 2**20:.1f} MiB, {peak / column_bytes:.2f}x the columns' "
+        f"{column_bytes / 2**20:.1f} MiB"
     )
-    assert speedup >= 3.0, f"generation only {speedup:.1f}x the loop"
-    assert peak <= loop_peak, (
-        f"generation peaked at {peak / 2**20:.1f} MiB, the loop at "
-        f"{loop_peak / 2**20:.1f} MiB"
+    assert wall <= MAX_YARDSTICKS * yardstick, (
+        f"generation took {wall / yardstick:.1f}x the yardstick"
+    )
+    assert peak <= MAX_PEAK_PER_COLUMN_BYTE * column_bytes, (
+        f"generation peaked at {peak / column_bytes:.2f}x its columns' bytes"
     )

@@ -14,8 +14,9 @@ Sliding-Window Data Streams" (PAPERS.md):
 * :class:`CountMinSketch` — the classic ``d x w`` counter grid
   (``w = ceil(e / eps)``, ``d = ceil(ln(1 / delta))``).  Estimates never
   undercount and exceed the truth by more than ``eps * N`` with
-  probability at most ``delta``.  Updates are *linear*, so sketches
-  merge exactly (the distributed path relies on this).
+  probability at most ``delta``.  Updates are *linear*: the cell-wise
+  sum of two streams' grids is the grid of both (the distributed path
+  relies on this).
 * The ECM-sketch's pane ring — a Count-Min grid per pane, a window
   answered from the grids of its panes — is kept at per-pane resolution:
   the aggregator sums the window's pane grids cell-wise
@@ -27,7 +28,7 @@ A key is folded once, to its partition-hash state
 (:func:`~repro.engine.keyhash.fold_keys`), so keys equal under ``==``
 share their cells; each lane finalizes that state with its own seed
 (:func:`lane_hashes`).  Cells are independent of ``PYTHONHASHSEED``, so
-worker-shipped summaries merge bit-identically with driver-side ones.
+worker-shipped summaries sum bit-identically with driver-side ones.
 """
 
 from __future__ import annotations
@@ -108,13 +109,6 @@ class CountMinSketch:
         self.counts = np.zeros((depth, width), dtype=np.int64)
         self.total = 0
 
-    @classmethod
-    def from_error(
-        cls, epsilon: float, delta: float, seed: int = 0
-    ) -> "CountMinSketch":
-        width, depth = sketch_dimensions(epsilon, delta)
-        return cls(width, depth, seed=seed)
-
     def _cells(self, parts: Sequence[np.ndarray]) -> np.ndarray:
         return key_cells(parts, lane_seeds([self.seed], self.depth), self.width)
 
@@ -132,23 +126,6 @@ class CountMinSketch:
         """Every key's estimate: its cells' minimum over the depth rows."""
         cells = self._cells(parts)
         return self.counts[np.arange(self.depth)[:, None], cells].min(axis=0)
-
-    def merge(self, other: "CountMinSketch") -> None:
-        """Cell-wise sum — exact, because updates are linear."""
-        if (
-            self.width != other.width
-            or self.depth != other.depth
-            or self.seed != other.seed
-        ):
-            raise ValueError("cannot merge sketches with different shapes")
-        self.counts += other.counts
-        self.total += other.total
-
-    def copy(self) -> "CountMinSketch":
-        clone = CountMinSketch(self.width, self.depth, seed=self.seed)
-        clone.counts = self.counts.copy()
-        clone.total = self.total
-        return clone
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CountMinSketch):
@@ -184,32 +161,15 @@ class EpochSummary:
     host's locally heavy keys — every key whose local row count reaches
     ``epsilon * local_rows`` — which caps the list at ``1/epsilon``
     entries while guaranteeing every globally epsilon-heavy key is a
-    candidate on at least one host.  Summaries merge exactly (sketches
-    are linear; candidate sets union), so aggregation order
-    never changes the reassembled answer.
+    candidate on at least one host.  The aggregator sums a window's grids
+    (sketches are linear) and unions its candidates, so aggregation
+    order never changes the reassembled answer.
     """
 
     pane: int
     sketches: Tuple[CountMinSketch, ...]
     candidates: Tuple[tuple, ...]
     rows: int = 0
-
-    def merge(self, other: "EpochSummary") -> "EpochSummary":
-        if self.pane != other.pane:
-            raise ValueError("cannot merge summaries of different panes")
-        merged = tuple(sketch.copy() for sketch in self.sketches)
-        for mine, theirs in zip(merged, other.sketches):
-            mine.merge(theirs)
-        seen = set(self.candidates)
-        candidates = list(self.candidates) + [
-            key for key in other.candidates if key not in seen
-        ]
-        return EpochSummary(
-            pane=self.pane,
-            sketches=merged,
-            candidates=tuple(candidates),
-            rows=self.rows + other.rows,
-        )
 
 
 def summary_wire_bytes(

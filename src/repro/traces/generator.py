@@ -19,18 +19,12 @@ flow-level structure the experiments actually depend on:
 * the trace can be produced as several *taps* merged together, like the
   paper's four concurrent capture points.
 
-Generation is NumPy-vectorized and fully determined by the seed.  It
-is also *RNG-identical* to a per-flow loop, kept as the reference in
-``tests/trace_reference.py``: the per-flow parameters come from the same
-whole-array draws, and the packets come from the PCG64 raw 64-bit words
-those loop calls would have consumed.  Per flow of ``c`` packets, in
-flow order: ``c`` words for the offsets, then ``2c`` 32-bit draws (each
-word's low half, then its high half, which a later draw may take) for
-the lengths and flag-menu picks, each bounded by NumPy's Lemire step
-(see :func:`_packet_draws`).  ``tests/test_trace_parity.py`` holds the
-two equal column for column, so a NumPy release that changes
-``Generator``'s algorithms fails it rather than silently changing every
-seeded trace.
+Generation is NumPy-vectorized and fully determined by the seed: a
+handful of whole-array draws fix every flow (its size, 5-tuple, activity
+window and whether it is suspicious), then three more draw every
+packet's moment in its flow's lifetime, its length and its flag.  A
+NumPy release that changes ``Generator``'s algorithms changes every
+seeded trace; ``tests/test_trace_parity.py`` pins their digests.
 """
 
 from __future__ import annotations
@@ -205,11 +199,10 @@ def generate_trace(config: TraceConfig = TraceConfig()) -> Trace:
     """Generate one deterministic synthetic trace.
 
     The per-flow parameters come from a handful of whole-array draws.
-    The packets then come from one pass over the bit generator's raw
-    64-bit words that reproduces, bit for bit, a loop drawing each flow's
-    ``uniform(0, lifetime, c)`` offsets, ``integers(40, 1500, c)``
-    lengths and ``choice(menu, c)`` flags in flow order (see
-    :func:`_packet_draws`); ``tests/trace_reference.py`` keeps that loop.
+    Then, for every packet at once: its moment as a uniform fraction of
+    its flow's lifetime, its length in [40, 1500) and its pick from its
+    flow's flag menu.  Rows are sorted by (time, timestamp), and each
+    flow's first packet in that order carries its opener.
     """
     rng = np.random.default_rng(config.seed)
     num_flows = config.expected_flows()
@@ -254,53 +247,51 @@ def generate_trace(config: TraceConfig = TraceConfig()) -> Trace:
         config.duration - starts,
     )
 
+    # Packets, drawn for the whole trace at once: each one's moment in
+    # its flow's lifetime, its length and its pick from its flow's flag
+    # menu (the attack menu's picks index past the normal one's).
     counts = packets_per_flow
+    rows = int(counts.sum())
+    moments = rng.random(rows)
+    lengths = rng.integers(_LENGTH_LOW, _LENGTH_HIGH, rows, dtype=np.uint16)
     menu_sizes = np.where(suspicious, len(_ATTACK_FLAGS), len(_NORMAL_FLAGS))
-    keys, lengths, picks = _packet_draws(
-        rng.bit_generator, counts, menu_sizes.astype(np.uint32)
+    picks = rng.integers(
+        0, np.repeat(menu_sizes.astype(np.uint8), counts), dtype=np.uint8
     )
-
-    # Each flow's packets in ascending offset order.  An offset is
-    # lifetime * ((w >> 11) * 2**-53), monotone in the 53-bit key.  Over
-    # a block of 2**11 consecutive flows, a flow's place in the block
-    # fits above its keys in 64 bits, and the block's rows are
-    # contiguous: sorting each block's codes orders all its flows.
-    place = np.arange(num_flows, dtype=np.uint64) % np.uint64(_SORT_BLOCK)
-    keys |= np.repeat(place << np.uint64(53), counts)
-    ends = np.cumsum(counts)
-    edges = np.concatenate(([0], ends[_SORT_BLOCK - 1 :: _SORT_BLOCK], ends[-1:]))
-    for start, stop in zip(edges[:-1], edges[1:]):
-        keys[start:stop].sort()
-    keys &= np.uint64((1 << 53) - 1)
-    moments = keys.astype(np.float64)
-    del keys
-    moments *= 2.0**-53
+    picks[np.repeat(suspicious, counts)] += len(_NORMAL_FLAGS)
     moments *= np.repeat(lifetimes, counts)
     moments += np.repeat(starts, counts)
     time = moments.astype(np.int64)
     moments *= 1_000_000
     timestamp = moments.astype(np.int64)
     del moments
-
-    # A flow's first packet opens it: SYN, or the full attack pattern
-    # (which guarantees the flags' OR-fold).  The normal menu already
-    # carries ACK on every later packet.
-    first_rows = ends - counts
-    picks[np.repeat(suspicious, counts)] += len(_NORMAL_FLAGS)
-    picks[first_rows] = np.where(suspicious, _OPENER_ATTACK, _OPENER_NORMAL)
-
     order = _time_order(time, timestamp)
+
+    # A flow's first packet in trace order opens it: SYN, or the full
+    # attack pattern (which guarantees the flags' OR-fold).  The normal
+    # menu already carries ACK on every later packet.  Narrow ranks, and
+    # sorted columns that replace their unsorted copies, keep the peak
+    # near 1.2x the returned columns (bench_trace_generation.py).
+    rank = np.empty(rows, dtype=np.min_scalar_type(rows))
+    rank[order] = np.arange(rows, dtype=rank.dtype)
+    openers = np.minimum.reduceat(rank, np.cumsum(counts) - counts)
+    del rank
+    time, timestamp, lengths, picks = (
+        column.take(order) for column in (time, timestamp, lengths, picks)
+    )
+    picks[openers] = np.where(suspicious, _OPENER_ATTACK, _OPENER_NORMAL)
     flow = np.repeat(np.arange(num_flows), counts).take(order)
+    del order
     columns = {
         "srcIP": src_ips.take(flow),
         "destIP": dst_ips.take(flow),
         "srcPort": src_ports.take(flow),
         "destPort": dst_ports.take(flow),
         "protocol": protocols.take(flow),
-        "time": time.take(order),
-        "timestamp": timestamp.take(order),
-        "flags": _FLAG_TABLE.take(picks.take(order)),
-        "len": np.add(lengths.take(order), _LENGTH_LOW, dtype=np.int64),
+        "time": time,
+        "timestamp": timestamp,
+        "flags": _FLAG_TABLE.take(picks),
+        "len": lengths.astype(np.int64),
     }
     return Trace(
         columns=columns,
@@ -313,160 +304,12 @@ def generate_trace(config: TraceConfig = TraceConfig()) -> Trace:
 
 # Packet lengths are integers(40, 1500); flags index one table: the
 # normal menu, the attack menu, then the two flow openers.
-_LENGTH_LOW, _LENGTH_SPAN = 40, 1460
+_LENGTH_LOW, _LENGTH_HIGH = 40, 1500
 _NORMAL_FLAGS = (ACK, ACK | PSH, SYN | ACK, FIN | ACK)
 _ATTACK_FLAGS = (FIN, PSH, URG, FIN | PSH, PSH | URG)
 _FLAG_TABLE = np.array(_NORMAL_FLAGS + _ATTACK_FLAGS + (SYN, ATTACK_PATTERN))
 _OPENER_NORMAL = len(_NORMAL_FLAGS) + len(_ATTACK_FLAGS)
 _OPENER_ATTACK = _OPENER_NORMAL + 1
-_MASK32 = (1 << 32) - 1
-_SORT_BLOCK = 1 << 11
-
-
-def _packet_draws(bit_generator, counts, menu_sizes):
-    """Every packet's random draws, in flow order, from one pass over the
-    raw stream: ``(keys, lengths, picks)``.
-
-    The reference loop draws, per flow of ``c`` packets,
-    ``uniform(0, lifetime, c)``, ``integers(40, 1500, c)`` and
-    ``choice(menu, c)``.  On PCG64 that consumes:
-
-    * ``c`` 64-bit words ``w`` for the offsets, each ``lifetime * ((w >>
-      11) * 2**-53)``; ``keys`` holds ``w >> 11``;
-    * ``2c`` 32-bit draws for the lengths, then the menu indexes.  A word
-      yields its low half first; its high half is kept, across calls and
-      flows, for the next draw (the state's ``has_uint32``/``uinteger``,
-      which the calls before may have left set).  A draw ``u`` bounded by
-      ``n`` is NumPy's Lemire step: ``m = u * n``, value ``m >> 32``,
-      redrawn while ``m mod 2**32 < (2**32 - n) mod n`` -- 616 for the
-      lengths, 1 for the five-entry attack menu, 0 for the normal one.
-
-    Without a redraw a flow takes exactly ``2c`` words, so every flow's
-    words sit at fixed offsets and all flows are drawn at once.  A flow
-    with a redraw (about one 800k-row trace in nine has one) is walked
-    draw by draw, and the pass resumes after it.  ``lengths`` holds the
-    value above 40, ``picks`` the menu index.
-    """
-    rows = int(counts.sum())
-    keys = np.empty(rows, dtype=np.uint64)
-    lengths = np.empty(rows, dtype=np.uint16)
-    picks = np.empty(rows, dtype=np.uint8)
-    stream = _RawStream(bit_generator, 2 * rows)
-    firsts = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=firsts[1:])
-    flow = 0
-    while flow < len(counts):
-        rest = slice(firsts[flow], rows)
-        words = stream.peek(2 * (rows - firsts[flow]))
-        redrawn = _draw_flows(
-            words, counts[flow:], menu_sizes[flow:], stream.carry,
-            keys[rest], lengths[rest], picks[rest],
-        )
-        if redrawn is None:
-            break
-        skipped = 2 * int(firsts[flow + redrawn] - firsts[flow])
-        if skipped and stream.carry is not None:
-            stream.carry = int(words[skipped - 1]) >> 32
-        stream.skip(skipped)
-        flow += redrawn
-        rows_of_flow = slice(firsts[flow], firsts[flow + 1])
-        count = int(counts[flow])
-        keys[rows_of_flow] = stream.take(count) >> np.uint64(11)
-        lengths[rows_of_flow] = [stream.bounded(_LENGTH_SPAN) for _ in range(count)]
-        menu = int(menu_sizes[flow])
-        picks[rows_of_flow] = [stream.bounded(menu) for _ in range(count)]
-        flow += 1
-    return keys, lengths, picks
-
-
-def _draw_flows(words, counts, menu_sizes, carry, keys, lengths, picks):
-    """Fill ``keys``, ``lengths`` and ``picks`` for consecutive flows from
-    ``words`` (``2 * sum(counts)`` of them), as if no draw were redrawn.
-
-    Returns the index of the first flow that redraws, whose rows and all
-    later ones are then wrong, or None.  ``carry`` is the kept 32-bit
-    half, or None.
-    """
-    # Each flow's block: its c offset words, then its c integer words.
-    second = np.repeat(
-        np.tile(np.array([False, True]), len(counts)), np.repeat(counts, 2)
-    )
-    np.right_shift(words[~second], np.uint64(11), out=keys)
-    integer_words = words[second]
-    # The 32-bit draw stream: the kept half, then low and high halves.
-    # Every flow consumes exactly 2c draws, the same split as its words.
-    halves = integer_words.astype("<u8", copy=False).view("<u4")
-    if carry is not None:
-        halves = np.concatenate((np.array([carry], np.uint32), halves[:-1]))
-    del integer_words
-    redrawn = _lemire(halves[~second], _LENGTH_SPAN, _threshold(_LENGTH_SPAN), lengths)
-    redrawn |= _lemire(
-        halves[second],
-        np.repeat(menu_sizes, counts),
-        np.repeat(_threshold(menu_sizes.astype(np.int64)), counts),
-        picks,
-    )
-    rows = np.flatnonzero(redrawn)
-    if not len(rows):
-        return None
-    return int(np.searchsorted(np.cumsum(counts), rows[0], side="right"))
-
-
-def _threshold(bound):
-    """Below this, NumPy redraws a 32-bit draw bounded by ``bound``."""
-    return ((1 << 32) - bound) % bound
-
-
-def _lemire(draws, bound, threshold, out):
-    """NumPy's bounded draw below ``bound`` from 32-bit ``draws``, into
-    ``out``; returns which draws NumPy would have redrawn."""
-    redrawn = np.multiply(draws, bound, dtype=np.uint32) < threshold
-    scaled = np.multiply(draws, bound, dtype=np.uint64)
-    np.copyto(out, np.right_shift(scaled, 32, out=scaled), casting="unsafe")
-    return redrawn
-
-
-class _RawStream:
-    """A bit generator's raw 64-bit words, read front to back, with the
-    32-bit half its state holds back for the next 32-bit draw."""
-
-    def __init__(self, bit_generator, count: int):
-        state = bit_generator.state
-        self.carry = int(state["uinteger"]) if state["has_uint32"] else None
-        self._bit_generator = bit_generator
-        self._words = bit_generator.random_raw(count)
-        self._next = 0
-
-    def peek(self, count: int) -> np.ndarray:
-        """The next ``count`` words, not consumed."""
-        missing = self._next + count - len(self._words)
-        if missing > 0:
-            self._words = np.concatenate(
-                (self._words[self._next :], self._bit_generator.random_raw(missing))
-            )
-            self._next = 0
-        return self._words[self._next : self._next + count]
-
-    def skip(self, count: int) -> None:
-        self._next += count
-
-    def take(self, count: int) -> np.ndarray:
-        words = self.peek(count)
-        self.skip(count)
-        return words
-
-    def bounded(self, bound: int) -> int:
-        """One ``integers(0, bound)`` draw, as NumPy makes it."""
-        threshold = _threshold(bound)
-        while True:
-            if self.carry is None:
-                word = int(self.take(1)[0])
-                draw, self.carry = word & _MASK32, word >> 32
-            else:
-                draw, self.carry = self.carry, None
-            scaled = draw * bound
-            if scaled & _MASK32 >= threshold:
-                return scaled >> 32
 
 
 def skewed_trace(

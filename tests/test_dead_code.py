@@ -6,6 +6,11 @@ in a Python file under ``src/``, ``tests/``, ``benchmarks/`` or
 is — a call, an attribute, a string handed to ``getattr`` — so the
 check only catches names nothing could be reaching.  Dunder names are
 exempt: Python calls them.
+
+A second scan leaves ``tests/`` out of the corpus: what it finds is
+code only tests reach.  Those definitions are frozen in
+:data:`TEST_ONLY`, so a new one fails the scan; an entry goes when its
+definition goes or gains a caller outside the tests.
 """
 
 import ast
@@ -14,6 +19,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ("src", "tests", "benchmarks", "examples")
+RUNTIME_CORPUS = ("src", "benchmarks", "examples")
+
+#: ``(module under src/repro, name)`` of each definition only tests name.
+TEST_ONLY = {
+    ("advisor.py", "minimum_hosts"),
+    ("distopt/plan_ir.py", "parents_of"),
+    ("distopt/plan_ir.py", "ops_for"),
+    ("distopt/plan_ir.py", "network_edges"),
+    ("distopt/render.py", "render_summary"),
+    ("engine/panes.py", "is_tumbling"),
+    ("gsql/types.py", "is_numeric"),
+    ("gsql/types.py", "type_from_name"),
+    ("plan/dag.py", "descends_to_source_only_via"),
+    ("runtime/backend.py", "cached_operators"),
+    ("runtime/flowcontrol.py", "static_host"),
+    ("runtime/flowcontrol.py", "partitions_on"),
+    ("runtime/metrics.py", "host_cpu_series"),
+    ("runtime/metrics.py", "conserves"),
+    ("runtime/session.py", "mean_host_cpu_load"),
+    ("workloads/experiments.py", "delivered_fraction"),
+    ("workloads/experiments.py", "mean_recall"),
+}
 WORD = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -73,6 +100,23 @@ def test_every_definition_is_referenced():
     )
 
 
+def test_no_new_test_only_definitions():
+    package = ROOT / "src" / "repro"
+    test_only = {
+        (where.relative_to(package).as_posix(), name)
+        for where, _, name in dead_definitions(
+            _python_files(package),
+            _python_files(*(ROOT / name for name in RUNTIME_CORPUS)),
+        )
+    }
+    assert test_only <= TEST_ONLY, "named only by tests:\n" + "\n".join(
+        f"  {where} {name}" for where, name in sorted(test_only - TEST_ONLY)
+    )
+    assert TEST_ONLY <= test_only, "no longer test-only, drop from TEST_ONLY:\n" + (
+        "\n".join(f"  {where} {name}" for where, name in sorted(TEST_ONLY - test_only))
+    )
+
+
 def test_scanner_flags_an_unreferenced_function(tmp_path):
     """Known-bad companion: a function only its own body names is dead;
     the function, class and method the module does reach are not."""
@@ -94,3 +138,14 @@ def test_scanner_flags_an_unreferenced_function(tmp_path):
         "Holder().method()\n"
     )
     assert dead_definitions([module], [module]) == [(module, 5, "orphan")]
+
+
+def test_scanner_flags_a_test_only_function(tmp_path):
+    """Known-bad companion: a function only a test names is found by the
+    scan without the tests, and not by the scan with them."""
+    module = tmp_path / "module.py"
+    module.write_text("def helper():\n    return 1\n")
+    test = tmp_path / "test_module.py"
+    test.write_text("from module import helper\n\n\nassert helper() == 1\n")
+    assert dead_definitions([module], [module]) == [(module, 1, "helper")]
+    assert dead_definitions([module], [module, test]) == []

@@ -6,11 +6,12 @@ here directly:
 * Count-Min never undercounts, and overshoots ``eps * N`` with
   probability at most ``delta`` (the §tentpole accuracy contract);
 * plain sketches are *linear*, so splitting a stream across hosts and
-  merging the per-host sketches reproduces the single-site sketch
-  bit-for-bit — aggregation order and placement never change the answer;
+  summing the per-host grids, as the sketch SUPER does, reproduces the
+  single-site grid bit-for-bit — aggregation order and placement never
+  change the answer;
 * the ECM pane ring is exact over a window: the sketch SUPER's window
-  estimate is the merged sketch's, and streaming state stays bounded by
-  the window, however long the stream.
+  estimate is that of one sketch fed the whole window, and streaming
+  state stays bounded by the window, however long the stream.
 
 The key hash itself is pinned: every lane's 64-bit hash
 (:func:`lane_hashes` of :func:`~repro.engine.keyhash.fold_keys`, the
@@ -266,7 +267,7 @@ RANGE 1 SLIDE 1 ERROR 0.05 CONFIDENCE 0.95;
 @settings(deadline=None, max_examples=60)
 @given(stream=streams, seed=st.integers(0, 7))
 def test_cm_never_underestimates(stream, seed):
-    sketch = CountMinSketch.from_error(0.1, 0.05, seed=seed)
+    sketch = CountMinSketch(*sketch_dimensions(0.1, 0.05), seed=seed)
     _feed(sketch, stream)
     truth = {}
     for key, weight in stream:
@@ -287,7 +288,7 @@ def test_cm_error_bound_holds_with_confidence():
     violations = 0
     trials = 0
     for trial in range(40):
-        sketch = CountMinSketch.from_error(epsilon, delta, seed=trial)
+        sketch = CountMinSketch(*sketch_dimensions(epsilon, delta), seed=trial)
         stream = [min(rng.randrange(1, 500) for _ in range(2)) for _ in range(2000)]
         sketch.update([np.array(stream)])
         truth = {}
@@ -307,33 +308,37 @@ def test_cm_error_bound_holds_with_confidence():
 @settings(deadline=None, max_examples=60)
 @given(stream=streams, cut=st.integers(0, 200), seed=st.integers(0, 7))
 def test_cm_merge_is_exact(stream, cut, seed):
-    """Linearity: any split of the stream merges back to the single-site
-    sketch, cell for cell."""
-    single = CountMinSketch(width=30, depth=3, seed=seed)
-    left = CountMinSketch(width=30, depth=3, seed=seed)
-    right = CountMinSketch(width=30, depth=3, seed=seed)
+    """Linearity, as the sketch SUPER relies on it: the cell-wise sum of
+    the grids of any split of the stream is the whole stream's grid, bit
+    for bit."""
+    single, left, right = (
+        CountMinSketch(width=30, depth=3, seed=seed) for _ in range(3)
+    )
     _feed(single, stream)
     _feed(left, stream[:cut])
     _feed(right, stream[cut:])
-    left.merge(right)
-    assert left == single
+    assert np.array_equal(left.counts + right.counts, single.counts)
+    assert left.total + right.total == single.total
 
 
 def test_cm_merge_refuses_shape_and_conservative_mismatch():
-    """Merge refuses a sketch of another width, depth or seed: its cells
-    count other keys.  (The conservative-update mode, which merge also
-    refused, is gone.)"""
-    sketch = CountMinSketch(width=8, depth=2)
-    for other in (
-        CountMinSketch(width=9, depth=2),
-        CountMinSketch(width=8, depth=3),
-        CountMinSketch(width=8, depth=2, seed=5),
-    ):
+    """Grids sum cell for cell only under one width, depth and seed.  The
+    sketch SUPER refuses a window whose summaries' grids differ in shape,
+    and a sketch of another seed puts the same keys in other cells.
+    (The conservative-update mode, which a merge also refused, is gone.)"""
+    _, node, (width, depth) = _approx_node(1)
+    stream = [(key, 1) for key in range(20)]
+    for shape in ((width + 1, depth), (width, depth + 1)):
+        summaries = [
+            _host_summary(0, stream, width, depth),
+            _host_summary(0, stream, *shape),
+        ]
         with pytest.raises(ValueError):
-            sketch.merge(other)
-        with pytest.raises(ValueError):
-            other.merge(sketch)
-    sketch.merge(CountMinSketch(width=8, depth=2))
+            _window_rows(node, summaries, 0)
+    reseeded = CountMinSketch(width, depth, seed=5)
+    _feed(reseeded, stream)
+    grid = _host_summary(0, stream, width, depth).sketches[0].counts
+    assert not np.array_equal(reseeded.counts, grid)
 
 
 @settings(deadline=None, max_examples=40)
@@ -511,8 +516,7 @@ def test_ecm_expire_bounds_state():
         out, _ = snode.step([_shipped(history[-1:])], [{"tb": pane + 1}], False)
         assert snode.buffered_rows() <= 4  # window - slide
         window = CountMinSketch(width, depth, seed=0)
-        for summary in history[-5:]:
-            window.merge(summary.sketches[0])
+        window.counts = sum(summary.sketches[0].counts for summary in history[-5:])
         live = sorted({p % 3 for p in range(max(0, pane - 4), pane + 1)})
         estimates = window.estimate([np.array(live), np.zeros(len(live), int)])
         rows = out.to_rows()
@@ -525,44 +529,60 @@ def test_ecm_expire_bounds_state():
 # -- epoch summaries ---------------------------------------------------------
 
 
-def _summary(pane, stream, seed=0):
-    sketch = CountMinSketch(16, 2, seed=seed)
-    _feed(sketch, stream)
-    truth = {}
-    for key, weight in stream:
-        truth[key] = truth.get(key, 0) + weight
-    return EpochSummary(
-        pane=pane,
-        sketches=(sketch,),
-        candidates=tuple(sorted(truth, key=repr)),
-        rows=len(stream),
-    )
+def _host_summary(pane, stream, width, depth):
+    """One host's summary of ``(key, weight)`` pairs for the
+    ``approx_heavy`` node: keys ``(key, -key)``, COUNT and SUM sketches."""
+    src = np.array([key for key, _ in stream], dtype=np.int64)
+    amounts = np.array([weight for _, weight in stream], dtype=np.int64)
+    sketches = tuple(CountMinSketch(width, depth, seed=seed) for seed in (0, 1))
+    sketches[0].update([src, -src])
+    sketches[1].update([src, -src], amounts)
+    candidates = sorted({(key, -key) for key, _ in stream}, key=repr)
+    return EpochSummary(pane, sketches, tuple(candidates), len(stream))
+
+
+def _window_rows(node, summaries, end):
+    kernel = build_variant_kernel(node, "sketch_super")
+    return kernel.process_window(_shipped(summaries), [end]).to_rows()
 
 
 @settings(deadline=None, max_examples=40)
 @given(stream=streams, cut=st.integers(0, 200))
 def test_summary_merge_equals_single_site(stream, cut):
-    """The distributed invariant end to end: per-host summaries merged at
-    the aggregator carry exactly the single-site sketch."""
-    whole = _summary(3, stream)
-    left = _summary(3, stream[:cut])
-    right = _summary(3, stream[cut:])
-    merged = left.merge(right)
-    assert merged.sketches[0] == whole.sketches[0]
-    assert merged.rows == whole.rows
-    assert set(merged.candidates) == set(whole.candidates)
+    """The distributed invariant end to end: the sketch SUPER answers a
+    pane summarized by two hosts exactly as one host's summary of the
+    whole pane."""
+    _, node, (width, depth) = _approx_node(1)
+    whole = _host_summary(0, stream, width, depth)
+    left = _host_summary(0, stream[:cut], width, depth)
+    right = _host_summary(0, stream[cut:], width, depth)
+    assert _window_rows(node, [left, right], 0) == _window_rows(node, [whole], 0)
 
 
 def test_summary_merge_rejects_pane_mismatch():
-    with pytest.raises(ValueError):
-        _summary(1, [(1, 1)]).merge(_summary(2, [(1, 1)]))
+    """A window sums only its own panes' grids: another pane's summary
+    of the same keys adds nothing to it."""
+    _, node, (width, depth) = _approx_node(1)
+    stream = [(1, 3), (2, 5), (2, 1)]
+    own = _host_summary(0, stream, width, depth)
+    other = _host_summary(1, stream, width, depth)
+    assert _window_rows(node, [own, other], 0) == _window_rows(node, [own], 0)
+    assert [row["cnt"] for row in _window_rows(node, [own], 0)] == [1, 2]
 
 
 def test_summary_merge_leaves_inputs_untouched():
-    left = _summary(0, [(1, 2), (2, 3)])
-    before = left.sketches[0].counts.copy()
-    left.merge(_summary(0, [(1, 5)]))
-    assert np.array_equal(left.sketches[0].counts, before)
+    """Summing a window's grids leaves every shipped summary's grid as it
+    was: in-process runs hand the SUPER the SUB's own objects."""
+    _, node, (width, depth) = _approx_node(1)
+    summaries = [
+        _host_summary(0, [(1, 2), (2, 3)], width, depth),
+        _host_summary(0, [(1, 5)], width, depth),
+    ]
+    before = [[s.counts.copy() for s in summary.sketches] for summary in summaries]
+    _window_rows(node, summaries, 0)
+    for summary, grids in zip(summaries, before):
+        for sketch, grid in zip(summary.sketches, grids):
+            assert np.array_equal(sketch.counts, grid)
 
 
 def test_summary_wire_bytes_is_data_independent():

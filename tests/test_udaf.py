@@ -284,41 +284,43 @@ def _pin_dag(text):
 
 
 #: (plan, streaming, execution) -> sha256 over the canonical outputs,
-#: per-node counts, host CPU units and network meters, recorded with
-#: the reference row operators adapted behind the kernel interface.
+#: per-node counts, host CPU units and network meters.  When recorded,
+#: in-process and parallel runs agreed, and every plan but last_value
+#: (whose answer depends on row order across hosts) delivered the
+#: centralized oracle's rows.
 PINS = {
     ("last_value", False, "inprocess"):
-        "eb5ac785034dcbae29a716f6c1af2c47524d601ec1b9b6add96c551f6d5d20c8",
+        "1b0de97b6785ade848b3ead6362f1679aa88fcd2b7fa7d259bef83b275c2c96c",
     ("last_value", False, "parallel"):
-        "eb5ac785034dcbae29a716f6c1af2c47524d601ec1b9b6add96c551f6d5d20c8",
+        "1b0de97b6785ade848b3ead6362f1679aa88fcd2b7fa7d259bef83b275c2c96c",
     ("last_value", True, "inprocess"):
-        "132352d5b4da244dd0a6db6ece775b5615db2c0981d92df25301e3ade1f6a0b2",
+        "4555be716378ef57a862a164a066bca71cea2947cd47f2e4a2dea301434ad2cb",
     ("last_value", True, "parallel"):
-        "132352d5b4da244dd0a6db6ece775b5615db2c0981d92df25301e3ade1f6a0b2",
+        "4555be716378ef57a862a164a066bca71cea2947cd47f2e4a2dea301434ad2cb",
     ("odd_as_float", False, "inprocess"):
-        "09fe69270b54a993140fa77c3206a3f0ef72d1f679bbdd1c7544881af78463a0",
+        "3eca6c0a25ac343bc46181ee24c74cc3abc734865421563272669f16293ee493",
     ("odd_as_float", False, "parallel"):
-        "09fe69270b54a993140fa77c3206a3f0ef72d1f679bbdd1c7544881af78463a0",
+        "3eca6c0a25ac343bc46181ee24c74cc3abc734865421563272669f16293ee493",
     ("odd_as_float", True, "inprocess"):
-        "9110f408f239e0eb5e243a2455fecb40253a0547032f000a2fcd6a214f878061",
+        "49cb50967d58e1157da3cf220a650d39188e46d54cda9fd7cbfbaa45b78c04db",
     ("odd_as_float", True, "parallel"):
-        "9110f408f239e0eb5e243a2455fecb40253a0547032f000a2fcd6a214f878061",
+        "49cb50967d58e1157da3cf220a650d39188e46d54cda9fd7cbfbaa45b78c04db",
     ("windowed_distinct", False, "inprocess"):
-        "1d4179244ed6ffe73b941078375ea36bf124bf2b8cc68033f56b52f91ccdde7b",
+        "3ea9d7c73ebb795302255bbaf8ff0262e718364fb871e2a356ee8cc91b6f484f",
     ("windowed_distinct", False, "parallel"):
-        "1d4179244ed6ffe73b941078375ea36bf124bf2b8cc68033f56b52f91ccdde7b",
+        "3ea9d7c73ebb795302255bbaf8ff0262e718364fb871e2a356ee8cc91b6f484f",
     ("windowed_distinct", True, "inprocess"):
-        "ce63df458091511c3db8cd4fba31d5ca1ba558f9ec0a00116a06f0a5e2da9bd8",
+        "dbd38a4efe6d1616187840ab5ae58f9ea68b2fb9ab2bd136aad518694b82d8d3",
     ("windowed_distinct", True, "parallel"):
-        "ce63df458091511c3db8cd4fba31d5ca1ba558f9ec0a00116a06f0a5e2da9bd8",
+        "dbd38a4efe6d1616187840ab5ae58f9ea68b2fb9ab2bd136aad518694b82d8d3",
     ("median", False, "inprocess"):
-        "f5230d7b261045658a1e74584c346534bcd63cc05fe01d30fa344db6fc49d64b",
+        "154c2796f246f18c42b43fa46e2b19a7a73b5776536499081d5ddd8734b1e765",
     ("median", False, "parallel"):
-        "f5230d7b261045658a1e74584c346534bcd63cc05fe01d30fa344db6fc49d64b",
+        "154c2796f246f18c42b43fa46e2b19a7a73b5776536499081d5ddd8734b1e765",
     ("median", True, "inprocess"):
-        "a8b20974c681d65fc449d1d8fde901970135ac33832b9ce87994529a28772ed6",
+        "944374bb954ee3eed90736d8e0de90109b42434b13f2811cbed851cde0882120",
     ("median", True, "parallel"):
-        "a8b20974c681d65fc449d1d8fde901970135ac33832b9ce87994529a28772ed6",
+        "944374bb954ee3eed90736d8e0de90109b42434b13f2811cbed851cde0882120",
 }
 
 
