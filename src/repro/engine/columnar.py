@@ -3,9 +3,9 @@
 The reference operators (:mod:`repro.engine.operators`) process one dict
 per tuple; this module processes a whole batch per operator call over a
 :class:`ColumnBatch` — a mapping of column name to NumPy array, and the
-one batch type that crosses a plan-node boundary.  Selection
-becomes a boolean-mask filter, tumbling-window aggregation becomes a
-group factorization (one sort of the group keys packed into unsigned
+one batch type that crosses a plan-node boundary.  Selection becomes
+an index gather (:func:`_filter`), tumbling-window aggregation becomes
+a group factorization (one sort of the group keys packed into unsigned
 codes, :func:`_group`) with per-aggregate ``ufunc.reduceat``
 reductions, and merge becomes array concatenation.  Scalar expressions
 are lowered by :mod:`repro.expr.vectorizer`.
@@ -395,11 +395,14 @@ class VectorAggregate:
         return state[0] if len(state) == 1 else state
 
 
-def _numeric(values: np.ndarray) -> np.ndarray:
-    """Sum-style aggregates fold booleans as ints, like Python's ``+``."""
-    if values.dtype == bool:
-        return values.astype(np.int64)
-    return values
+def _sum_dtype(values: np.ndarray) -> Optional[type]:
+    """The dtype sum-style aggregates fold ``values`` in, as Python's
+    ``+`` does: booleans and integers narrower than 64 bits in ``int64``
+    (NumPy's own sums are logical over bools and ``uint64`` over a
+    ``uint16`` column, which wraps once the sum goes negative)."""
+    if values.dtype.kind in "biu" and values.dtype.itemsize < 8:
+        return np.int64
+    return None
 
 
 class _VectorCount(VectorAggregate):
@@ -412,7 +415,7 @@ class _VectorCount(VectorAggregate):
 
 class _VectorSum(VectorAggregate):
     def update(self, values, starts, counts):
-        return (np.add.reduceat(_numeric(values), starts),)
+        return (np.add.reduceat(values, starts, dtype=_sum_dtype(values)),)
 
     def merge(self, components, starts):
         return (np.add.reduceat(components[0], starts),)
@@ -436,7 +439,7 @@ class _VectorMax(VectorAggregate):
 
 class _VectorAvg(VectorAggregate):
     def update(self, values, starts, counts):
-        return (np.add.reduceat(_numeric(values), starts), counts)
+        return (np.add.reduceat(values, starts, dtype=_sum_dtype(values)), counts)
 
     def merge(self, components, starts):
         return tuple(np.add.reduceat(part, starts) for part in components)
@@ -448,11 +451,11 @@ class _VectorAvg(VectorAggregate):
 
 class _VectorVariance(VectorAggregate):
     def update(self, values, starts, counts):
-        values = _numeric(values)
+        dtype = _sum_dtype(values)
         return (
             counts,
-            np.add.reduceat(values, starts),
-            np.add.reduceat(values * values, starts),
+            np.add.reduceat(values, starts, dtype=dtype),
+            np.add.reduceat(np.multiply(values, values, dtype=dtype), starts),
         )
 
     def merge(self, components, starts):
@@ -584,8 +587,17 @@ class ColumnarMergeOp(ColumnarOperator):
         return ColumnBatch.concat(batches)
 
 
-def _filter(columns: Dict[str, Column], mask: np.ndarray) -> Dict[str, Column]:
-    return {name: _take(column, mask) for name, column in columns.items()}
+def _filter(
+    columns: Dict[str, Column], length: int, mask: np.ndarray
+) -> Tuple[Dict[str, Column], int]:
+    """The rows ``mask`` keeps, and how many: the columns as they are
+    when it keeps all, else each gathered through one index array (a
+    boolean mask would be scanned once per column)."""
+    kept = int(np.count_nonzero(mask))
+    if kept == length:
+        return columns, length
+    index = np.flatnonzero(mask)
+    return {name: _take(column, index) for name, column in columns.items()}, kept
 
 
 def _empty_output(names: Sequence[str]) -> ColumnBatch:
@@ -598,11 +610,7 @@ def _filter_then_project(
     """Keep the rows ``predicate`` (WHERE or HAVING; may be None) passes,
     then evaluate the SELECT list ``outputs`` over them."""
     if predicate is not None:
-        mask = predicate(columns, length)
-        kept = int(np.count_nonzero(mask))
-        if kept != length:
-            columns = _filter(columns, mask)
-            length = kept
+        columns, length = _filter(columns, length, predicate(columns, length))
         if length == 0:
             return _empty_output(output_names)
     out = {name: materialize(fn(columns, length), length) for name, fn in outputs}
@@ -610,7 +618,7 @@ def _filter_then_project(
 
 
 class ColumnarSelectionOp(ColumnarOperator):
-    """Selection/projection: boolean-mask filter + computed columns."""
+    """Selection/projection: index filter + computed columns."""
 
     def __init__(self, node: AnalyzedNode):
         if node.kind is not NodeKind.SELECTION:
@@ -676,11 +684,7 @@ class ColumnarAggregateOp(ColumnarOperator):
             return self._empty()
         columns = batch.columns
         if self._where is not None:
-            mask = self._where(columns, length)
-            kept = int(np.count_nonzero(mask))
-            if kept != length:
-                columns = _filter(columns, mask)
-                length = kept
+            columns, length = _filter(columns, length, self._where(columns, length))
             if length == 0:
                 return self._empty()
         keys = self._keys(columns, length)
@@ -950,13 +954,11 @@ class ColumnarJoinOp(ColumnarOperator):
         ]
         merged, length = self._merge(left, right, left_sel, right_sel)
         if self._residual is not None:
+            # The selectors ride along; a qualified name always has a dot.
             mask = self._residual(merged, length)
-            kept = int(np.count_nonzero(mask))
-            if kept != length:
-                merged = _filter(merged, mask)
-                left_sel = left_sel[mask]
-                right_sel = right_sel[mask]
-                length = kept
+            merged["left"], merged["right"] = left_sel, right_sel
+            merged, length = _filter(merged, length, mask)
+            left_sel, right_sel = merged.pop("left"), merged.pop("right")
         matched_left[left_sel] = True
         matched_right[right_sel] = True
         if length == 0:

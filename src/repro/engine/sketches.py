@@ -98,7 +98,7 @@ class CountMinSketch:
     true total.  ``seed`` is the aggregate's index (:func:`lane_seeds`).
     """
 
-    __slots__ = ("width", "depth", "seed", "counts", "total")
+    __slots__ = ("width", "depth", "seed", "counts")
 
     def __init__(self, width: int, depth: int, seed: int = 0):
         if width <= 0 or depth <= 0:
@@ -107,7 +107,6 @@ class CountMinSketch:
         self.depth = depth
         self.seed = seed
         self.counts = np.zeros((depth, width), dtype=np.int64)
-        self.total = 0
 
     def _cells(self, parts: Sequence[np.ndarray]) -> np.ndarray:
         return key_cells(parts, lane_seeds([self.seed], self.depth), self.width)
@@ -119,7 +118,6 @@ class CountMinSketch:
         weights = np.broadcast_to(np.asarray(weights, dtype=np.int64), cells.shape[1:])
         if (weights < 0).any():
             raise ValueError("Count-Min handles non-negative weights only")
-        self.total += int(weights.sum())
         np.add.at(self.counts, (np.arange(self.depth)[:, None], cells), weights)
 
     def estimate(self, parts: Sequence[np.ndarray]) -> np.ndarray:
@@ -134,21 +132,19 @@ class CountMinSketch:
             self.width == other.width
             and self.depth == other.depth
             and self.seed == other.seed
-            and self.total == other.total
             and bool(np.array_equal(self.counts, other.counts))
         )
 
     def __reduce__(self):
         return (
             _rebuild_sketch,
-            (self.width, self.depth, self.seed, self.counts, self.total),
+            (self.width, self.depth, self.seed, self.counts),
         )
 
 
-def _rebuild_sketch(width, depth, seed, counts, total):
+def _rebuild_sketch(width, depth, seed, counts):
     sketch = CountMinSketch(width, depth, seed=seed)
     sketch.counts = counts
-    sketch.total = total
     return sketch
 
 
@@ -169,7 +165,6 @@ class EpochSummary:
     pane: int
     sketches: Tuple[CountMinSketch, ...]
     candidates: Tuple[tuple, ...]
-    rows: int = 0
 
 
 def summary_wire_bytes(

@@ -236,8 +236,7 @@ class ColumnarSketchSubOp(ColumnarOperator):
         (batch,) = batches
         columns, length = batch.columns, len(batch)
         if length and self._where is not None:
-            mask = self._where(columns, length)
-            columns, length = _filter(columns, mask), int(np.count_nonzero(mask))
+            columns, length = _filter(columns, length, self._where(columns, length))
         if length == 0:
             return _empty_output([self._pane_name, SUMMARY_COLUMN])
         order, starts, counts, (group_pane, *group_keys) = _group(
@@ -261,7 +260,6 @@ class ColumnarSketchSubOp(ColumnarOperator):
             ]
         )
         grids = self._fold(weights, pane_of, num_panes, group_keys)
-        totals = np.add.reduceat(weights, pane_starts, axis=1).tolist()
         heavy = counts >= np.maximum(1.0, self._epsilon * pane_rows)[pane_of]
         candidates: List[List[tuple]] = [[] for _ in range(num_panes)]
         for pane, key in zip(
@@ -275,13 +273,11 @@ class ColumnarSketchSubOp(ColumnarOperator):
                 pane=pane,
                 sketches=tuple(
                     _rebuild_sketch(
-                        self._width, self._depth, call,
-                        grids[index, call], totals[call][index],
+                        self._width, self._depth, call, grids[index, call]
                     )
                     for call in range(len(self._weights))
                 ),
                 candidates=tuple(sorted(candidates[index], key=repr)),
-                rows=int(pane_rows[index]),
             )
         return ColumnBatch(
             {self._pane_name: panes, SUMMARY_COLUMN: summaries}, num_panes

@@ -18,11 +18,15 @@ Semantics mirror the row evaluator exactly:
 * ``IN`` over an all-constant member list lowers to :func:`numpy.isin`
   against a precomputed constant array (the row engine's frozenset
   optimization); non-constant members fall back to an OR of equalities;
-* a bool is an int, as in Python: a boolean operand of ``+``/``-`` and of
-  unary ``-``/``~`` computes on ``int64`` (``~True`` is -2), while
-  ``&``/``|``/``^`` keep bool with bool a bool;
+* ints compute as Python's do: an arithmetic or bitwise operator whose
+  operands are all ints, one of them a bool or an array narrower than 64
+  bits (a trace column at its header width), computes on ``int64``
+  (``~True`` is -2, a ``uint16`` length minus 100 000 is negative), while
+  ``&``/``|``/``^`` keep bool with bool a bool.  Comparisons and ``IN``
+  read a narrow column as it is: NumPy compares it exactly with any int;
 * ``MIN2``/``MAX2`` return one of their operands, as ``min``/``max`` do:
-  over an int and a float operand each row keeps its winner's type.
+  two ints of different widths meet in ``int64``, and over an int and a
+  float operand each row keeps its winner's type.
 
 For outer-join repair the module also compiles *padded* projections
 (:func:`vectorize_padded_output`): the SELECT list of a join evaluated
@@ -69,41 +73,82 @@ def _is_float(value: ArrayLike) -> bool:
     return isinstance(value, (float, np.floating))
 
 
-def _gsql_div(left: ArrayLike, right: ArrayLike) -> ArrayLike:
+def _gsql_div(left: ArrayLike, right: ArrayLike, **kwargs) -> ArrayLike:
     """GSQL division: floor for integer operands, true for floats."""
     if _is_float(left) or _is_float(right):
         return np.true_divide(left, right)
-    return np.floor_divide(left, right)
+    return np.floor_divide(left, right, **kwargs)
 
 
-def _int_if_bool(value: ArrayLike) -> ArrayLike:
-    """A bool operand as the int Python computes it as (``~True`` is -2,
-    ``True + True`` is 2); NumPy's bool arithmetic is logical instead."""
-    if isinstance(value, np.ndarray):
-        return value.astype(np.int64) if value.dtype == np.bool_ else value
-    if isinstance(value, (bool, np.bool_)):
-        return int(value)  # a Python int, weakly typed against the array
-    return value
+#: How an operand stands to Python's ints: an int ``int64`` holds as it
+#: is (a Python int, an int64 array), an integer array narrower than 64
+#: bits, or a bool.  Anything else (a float, an object column, uint64,
+#: which keeps NumPy's own promotion) is no int, class 0.
+_WIDE, _NARROW, _BOOL = 1, 2, 4
+_INT_CLASS = {
+    np.dtype(np.int64): _WIDE,
+    np.dtype(np.bool_): _BOOL,
+    **{
+        np.dtype(narrow): _NARROW
+        for narrow in (np.int8, np.int16, np.int32, np.uint8, np.uint16, np.uint32)
+    },
+}
+_SCALAR_CLASS = {int: _WIDE, bool: _BOOL}
 
 
-def _on_ints(op: Callable) -> Callable:
-    return lambda left, right: op(_int_if_bool(left), _int_if_bool(right))
+def _int_class(value: ArrayLike) -> int:
+    dtype = getattr(value, "dtype", None)
+    if dtype is None:
+        return _SCALAR_CLASS.get(type(value), 0)
+    return _INT_CLASS.get(dtype, 0)
+
+
+def _on_ints(op: Callable, as_is=((_WIDE, _WIDE),)) -> Callable:
+    """``op`` as Python computes it on ints: on ``int64`` when both
+    operands are ints and one is a bool or narrow (``True + True`` is 2,
+    a ``uint16`` column minus 100 000 goes negative).  The ufunc casts
+    as it loops, so no widened copy of a column is made.  Operand
+    classes in ``as_is`` keep NumPy's own result."""
+
+    def apply(left: ArrayLike, right: ArrayLike) -> ArrayLike:
+        classes = _int_class(left), _int_class(right)
+        if all(classes) and classes not in as_is:
+            return op(left, right, dtype=np.int64)
+        return op(left, right)
+
+    return apply
+
+
+#: Under ``& | ^`` bool with bool stays a bool, as in Python.
+_BITWISE_AS_IS = ((_WIDE, _WIDE), (_BOOL, _BOOL))
+
+
+def _unary(op: Callable) -> Callable:
+    """A unary operator on a bool or a narrow int computes on ``int64``
+    (``~True`` is -2, ``-len`` is negative)."""
+
+    def apply(operand: ArrayLike) -> ArrayLike:
+        if _int_class(operand) > _WIDE:
+            return op(operand, dtype=np.int64)
+        return op(operand)
+
+    return apply
 
 
 _BINARY_OPS: Dict[str, Callable] = {
     "+": _on_ints(np.add),
     "-": _on_ints(np.subtract),
-    "*": np.multiply,
-    "/": _gsql_div,
-    "%": np.mod,  # same sign convention as Python's %
-    "&": np.bitwise_and,
-    "|": np.bitwise_or,
-    "^": np.bitwise_xor,
-    "<<": np.left_shift,
-    ">>": np.right_shift,
+    "*": _on_ints(np.multiply),
+    "/": _on_ints(_gsql_div),
+    "%": _on_ints(np.mod),  # same sign convention as Python's %
+    "&": _on_ints(np.bitwise_and, _BITWISE_AS_IS),
+    "|": _on_ints(np.bitwise_or, _BITWISE_AS_IS),
+    "^": _on_ints(np.bitwise_xor, _BITWISE_AS_IS),
+    "<<": _on_ints(np.left_shift),
+    ">>": _on_ints(np.right_shift),
 }
 
-_UNARY_OPS: Dict[str, Callable] = {"-": np.negative, "~": np.invert}
+_UNARY_OPS: Dict[str, Callable] = {"-": _unary(np.negative), "~": _unary(np.invert)}
 
 
 def _as_bool(value: ArrayLike) -> ArrayLike:
@@ -136,6 +181,9 @@ def _pick(same_dtype: Callable, beats: Callable) -> Callable:
         left, right = np.asarray(a), np.asarray(b)
         if left.dtype == right.dtype:
             return same_dtype(a, b)
+        if {_int_class(left), _int_class(right)} <= {_WIDE, _NARROW}:
+            # Ints of two widths: both as int64, which holds either.
+            return same_dtype(a, b, dtype=np.int64)
         picked = np.where(
             beats(right, left), right.astype(object), left.astype(object)
         )
@@ -192,9 +240,7 @@ def vectorize_expr(expr: ScalarExpr) -> VectorEvaluator:
                 f"unknown unary operator {expr.op!r}"
             ) from None
         operand = vectorize_expr(expr.operand)
-        return lambda columns, length: unary(
-            _int_if_bool(operand(columns, length))
-        )
+        return lambda columns, length: unary(operand(columns, length))
     if isinstance(expr, Func):
         return _vectorize_func(expr)
     raise UnsupportedExpression(f"cannot vectorize {expr!r}")

@@ -1,10 +1,13 @@
 """Column types for GSQL stream schemas.
 
 Gigascope schemas carry low-level network types (IP addresses, unsigned
-integers of various widths).  For the purposes of this reproduction all
-numeric types are represented as Python ints at runtime; the type objects
-exist so the analyzer can type-check expressions and so the cost model can
-compute tuple widths in bytes.
+integers of various widths).  The type objects let the analyzer
+type-check expressions and the cost model compute tuple widths in bytes.
+At runtime a trace column is a NumPy array at the width its header field
+has (:data:`repro.traces.generator.TRACE_COLUMNS`: ``uint32`` for an
+``ip``, ``uint16`` for a ``uint16`` port, and so on, with ``time`` in
+``int64``), and the columnar engine computes on it as Python does on
+unbounded ints; a row, and every value the oracle folds, is a Python int.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ handful of whole-array draws fix every flow (its size, 5-tuple, activity
 window and whether it is suspicious), then three more draw every
 packet's moment in its flow's lifetime, its length and its flag.  A
 NumPy release that changes ``Generator``'s algorithms changes every
-seeded trace; ``tests/test_trace_parity.py`` pins their digests.
+seeded trace; ``tests/test_trace_parity.py`` pins their digests.  Each
+column is held at its header width (:data:`TRACE_COLUMNS`).
 """
 
 from __future__ import annotations
@@ -37,18 +38,42 @@ import numpy as np
 from ..engine.columnar import _sort_order
 from .packet import ACK, ATTACK_PATTERN, FIN, PSH, SYN, URG, Packet
 
-# Column order of a generated trace (also the row dicts' key order).
-TRACE_COLUMNS = (
-    "srcIP",
-    "destIP",
-    "srcPort",
-    "destPort",
-    "protocol",
-    "time",
-    "timestamp",
-    "flags",
-    "len",
-)
+#: Column order of a generated trace (also the row dicts' key order) and
+#: each column's dtype: the header width ``tcp_schema()`` declares, so
+#: addresses are ``uint32``, ports ``uint16``, protocol and flags
+#: ``uint8``; ``len`` takes the IP total-length field's ``uint16``, below
+#: the schema's ``uint``.  ``time`` and ``timestamp`` stay ``int64``: a
+#: microsecond timestamp passes 2**32 after 71 minutes.
+TRACE_COLUMNS: Dict[str, type] = {
+    "srcIP": np.uint32,
+    "destIP": np.uint32,
+    "srcPort": np.uint16,
+    "destPort": np.uint16,
+    "protocol": np.uint8,
+    "time": np.int64,
+    "timestamp": np.int64,
+    "flags": np.uint8,
+    "len": np.uint16,
+}
+
+
+def at_trace_width(name: str, values) -> np.ndarray:
+    """``values`` as trace column ``name``'s dtype; a value the dtype
+    cannot hold raises a ``ValueError`` naming the column."""
+    dtype = np.dtype(TRACE_COLUMNS[name])
+    column = np.asarray(values)
+    if column.dtype == dtype:
+        return column
+    if len(column):
+        bounds = np.iinfo(dtype)
+        low, high = column.min(), column.max()
+        if low < bounds.min or high > bounds.max:
+            bad = low if low < bounds.min else high
+            raise ValueError(
+                f"trace column {name!r} holds {bad}, outside {dtype}'s "
+                f"range [{bounds.min}, {bounds.max}]"
+            )
+    return column.astype(dtype)
 
 
 @dataclass(frozen=True)
@@ -169,8 +194,8 @@ class Trace:
         """The trace as column arrays (built from rows on demand)."""
         if self._columns is None:
             self._columns = {
-                name: np.asarray(
-                    [packet[name] for packet in self._packets], dtype=np.int64
+                name: at_trace_width(
+                    name, [packet[name] for packet in self._packets]
                 )
                 for name in TRACE_COLUMNS
             }
@@ -218,18 +243,21 @@ def generate_trace(config: TraceConfig = TraceConfig()) -> Trace:
     # 5-tuples, session-structured.  A *session* is one (client, server)
     # pair carrying flows_per_session concurrent connections that differ
     # only in source port; clients sit in /28 subnets (16 per subnet)
-    # under the paper's srcIP & 0xFFF0 mask.
+    # under the paper's srcIP & 0xFFF0 mask.  Each per-flow column takes
+    # its trace width as soon as it is drawn.
     num_sessions = max(1, int(round(num_flows / config.flows_per_session)))
     session_client = rng.integers(0, config.num_src_hosts, num_sessions)
     session_dst = config.dst_base + rng.integers(0, config.num_dst_hosts, num_sessions)
     session_of_flow = rng.integers(0, num_sessions, num_flows)
-    src_ips = config.src_base + session_client[session_of_flow]
-    dst_ips = session_dst[session_of_flow]
-    src_ports = rng.integers(1024, 65536, num_flows)
-    dst_ports = rng.choice(
-        np.array([80, 443, 22, 25, 53, 8080]), num_flows
-    )
-    protocols = np.full(num_flows, 6)  # TCP
+    per_flow = {
+        name: values.astype(TRACE_COLUMNS[name])
+        for name, values in (
+            ("srcIP", config.src_base + session_client[session_of_flow]),
+            ("destIP", session_dst[session_of_flow]),
+            ("srcPort", rng.integers(1024, 65536, num_flows)),
+            ("destPort", rng.choice(np.array([80, 443, 22, 25, 53, 8080]), num_flows)),
+        )
+    }
 
     suspicious = rng.random(num_flows) < config.suspicious_fraction
 
@@ -259,9 +287,12 @@ def generate_trace(config: TraceConfig = TraceConfig()) -> Trace:
         0, np.repeat(menu_sizes.astype(np.uint8), counts), dtype=np.uint8
     )
     picks[np.repeat(suspicious, counts)] += len(_NORMAL_FLAGS)
+    flags = _FLAG_TABLE.take(picks)
+    del picks
     moments *= np.repeat(lifetimes, counts)
     moments += np.repeat(starts, counts)
-    time = moments.astype(np.int64)
+    # The second fits a byte or two until the trace is written out.
+    time = moments.astype(np.min_scalar_type(config.duration))
     moments *= 1_000_000
     timestamp = moments.astype(np.int64)
     del moments
@@ -269,30 +300,34 @@ def generate_trace(config: TraceConfig = TraceConfig()) -> Trace:
 
     # A flow's first packet in trace order opens it: SYN, or the full
     # attack pattern (which guarantees the flags' OR-fold).  The normal
-    # menu already carries ACK on every later packet.  Narrow ranks, and
-    # sorted columns that replace their unsorted copies, keep the peak
-    # near 1.2x the returned columns (bench_trace_generation.py).
+    # menu already carries ACK on every later packet.
     rank = np.empty(rows, dtype=np.min_scalar_type(rows))
     rank[order] = np.arange(rows, dtype=rank.dtype)
     openers = np.minimum.reduceat(rank, np.cumsum(counts) - counts)
     del rank
-    time, timestamp, lengths, picks = (
-        column.take(order) for column in (time, timestamp, lengths, picks)
-    )
-    picks[openers] = np.where(suspicious, _OPENER_ATTACK, _OPENER_NORMAL)
-    flow = np.repeat(np.arange(num_flows), counts).take(order)
-    del order
+    # The peak stays near 1.2x the returned columns
+    # (bench_trace_generation.py): both time columns sort in place (time
+    # and timestamp rise together, so each one's sorted order is its
+    # take(order)), every other sorted column replaces its unsorted copy,
+    # and a per-flow column is repeated at its own width, not gathered
+    # through a row-to-flow index that take() would widen to intp.
+    time.sort()
+    timestamp.sort()
+    lengths = lengths.take(order)
+    flags = flags.take(order)
+    flags[openers] = np.where(suspicious, ATTACK_PATTERN, SYN)
     columns = {
-        "srcIP": src_ips.take(flow),
-        "destIP": dst_ips.take(flow),
-        "srcPort": src_ports.take(flow),
-        "destPort": dst_ports.take(flow),
-        "protocol": protocols.take(flow),
-        "time": time,
-        "timestamp": timestamp,
-        "flags": _FLAG_TABLE.take(picks),
-        "len": lengths.astype(np.int64),
+        name: np.repeat(values, counts).take(order)
+        for name, values in per_flow.items()
     }
+    del order
+    columns.update(
+        protocol=np.full(rows, 6, dtype=TRACE_COLUMNS["protocol"]),  # TCP
+        time=time.astype(TRACE_COLUMNS["time"]),
+        timestamp=timestamp,
+        flags=flags,
+        len=lengths,
+    )
     return Trace(
         columns=columns,
         config=config,
@@ -302,14 +337,12 @@ def generate_trace(config: TraceConfig = TraceConfig()) -> Trace:
     )
 
 
-# Packet lengths are integers(40, 1500); flags index one table: the
-# normal menu, the attack menu, then the two flow openers.
+# Packet lengths are integers(40, 1500); a flag pick indexes the normal
+# menu, then the attack menu.
 _LENGTH_LOW, _LENGTH_HIGH = 40, 1500
 _NORMAL_FLAGS = (ACK, ACK | PSH, SYN | ACK, FIN | ACK)
 _ATTACK_FLAGS = (FIN, PSH, URG, FIN | PSH, PSH | URG)
-_FLAG_TABLE = np.array(_NORMAL_FLAGS + _ATTACK_FLAGS + (SYN, ATTACK_PATTERN))
-_OPENER_NORMAL = len(_NORMAL_FLAGS) + len(_ATTACK_FLAGS)
-_OPENER_ATTACK = _OPENER_NORMAL + 1
+_FLAG_TABLE = np.array(_NORMAL_FLAGS + _ATTACK_FLAGS, dtype=TRACE_COLUMNS["flags"])
 
 
 def skewed_trace(
@@ -380,15 +413,14 @@ def skewed_trace(
         "destIP": 0xC0A80000 + rng.integers(0, 64, n),
         "srcPort": rng.integers(1024, 65536, n),
         "destPort": rng.choice(np.array([80, 443, 22, 8080]), n),
-        "protocol": np.full(n, 6, dtype=np.int64),
+        "protocol": np.full(n, 6),
         "time": np.concatenate(time_parts),
         "timestamp": np.concatenate(timestamp_parts),
         "flags": rng.choice(np.array([ACK, ACK | PSH, SYN | ACK]), n),
         "len": rng.integers(40, 1500, n),
     }
     columns = {
-        name: np.asarray(column, dtype=np.int64)
-        for name, column in columns.items()
+        name: at_trace_width(name, column) for name, column in columns.items()
     }
     return Trace(
         columns=_sorted_by_time(columns),
@@ -476,7 +508,9 @@ def merge_taps(traces: List[Trace]) -> Trace:
     if not traces:
         raise ValueError("need at least one tap")
     merged = {
-        name: np.concatenate([trace.columns[name] for trace in traces])
+        name: at_trace_width(
+            name, np.concatenate([trace.columns[name] for trace in traces])
+        )
         for name in TRACE_COLUMNS
     }
     return Trace(

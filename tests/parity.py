@@ -29,7 +29,10 @@ per-link network counters.  This module holds the reusable pieces:
   through that split, where a wrong ``merge`` must fail the oracle;
 * :func:`tcp_source` — the one axis the trials still rotate that is not
   derived from the seed: whether the trace enters the run as dict rows
-  (converted once, at the door) or as a ``ColumnBatch``.
+  (converted once, at the door, to ``int64`` columns) or as a
+  ``ColumnBatch`` at the trace's header widths (``uint32`` addresses,
+  ``uint16`` ports, ...), which the runtime must compute on as Python
+  does.
 * :func:`skewed_packets` / :func:`assert_rebalanced_matches_oneshot` —
   the adaptive-rebalancing leg: a hot-key trace drives mid-stream
   migrations, and the streaming outputs must stay byte-identical to the
@@ -64,6 +67,7 @@ from repro.gsql.schema import tcp_schema
 from repro.partitioning import PartitioningSet
 from repro.plan import QueryDag
 from repro.runtime.flowcontrol import Fault, QueuedIngestController
+from repro.traces import Trace
 from repro.workloads import (
     approx_heavy_catalog,
     complex_catalog,
@@ -88,9 +92,12 @@ SOURCES = ("row", "columnar")
 
 
 def tcp_source(packets, form):
-    """``packets`` as the run's ``TCP`` stream, in one of :data:`SOURCES`."""
+    """``packets`` as the run's ``TCP`` stream, in one of :data:`SOURCES`:
+    dict rows, or columns at the trace's header widths."""
     assert form in SOURCES, form
-    return {"TCP": packets if form == "row" else ColumnBatch.from_rows(packets)}
+    if form == "row":
+        return {"TCP": packets}
+    return {"TCP": Trace(packets=packets).column_batch()}
 
 
 class LastValue(AggregateFunction):

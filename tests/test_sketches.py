@@ -294,7 +294,7 @@ def test_cm_error_bound_holds_with_confidence():
         truth = {}
         for key in stream:
             truth[key] = truth.get(key, 0) + 1
-        n = sketch.total
+        n = len(stream)  # unit weights: N is the stream's length
         sample = rng.sample(sorted(truth), 25)
         estimates = sketch.estimate([np.array(sample)]).tolist()
         for key, estimate in zip(sample, estimates):
@@ -318,7 +318,6 @@ def test_cm_merge_is_exact(stream, cut, seed):
     _feed(left, stream[:cut])
     _feed(right, stream[cut:])
     assert np.array_equal(left.counts + right.counts, single.counts)
-    assert left.total + right.total == single.total
 
 
 def test_cm_merge_refuses_shape_and_conservative_mismatch():
@@ -419,7 +418,7 @@ def test_ecm_full_window_matches_merged_cm(panes):
             sketch.update([src, -src], amounts)
         candidates = sorted({(key, -key) for key, _ in stream}, key=repr)
         summaries.append(
-            EpochSummary(pane, tuple(sketches), tuple(candidates), len(stream))
+            EpochSummary(pane, tuple(sketches), tuple(candidates))
         )
     kernel = build_variant_kernel(node, "sketch_super")
     window = kernel.process_window(_shipped(summaries), [len(panes) - 1])
@@ -512,7 +511,7 @@ def test_ecm_expire_bounds_state():
         sketches = tuple(CountMinSketch(width, depth, seed=s) for s in (0, 1))
         for sketch in sketches:
             sketch.update([np.array([pane % 3]), np.array([0])])
-        history.append(EpochSummary(pane, sketches, ((pane % 3, 0),), 1))
+        history.append(EpochSummary(pane, sketches, ((pane % 3, 0),)))
         out, _ = snode.step([_shipped(history[-1:])], [{"tb": pane + 1}], False)
         assert snode.buffered_rows() <= 4  # window - slide
         window = CountMinSketch(width, depth, seed=0)
@@ -538,7 +537,7 @@ def _host_summary(pane, stream, width, depth):
     sketches[0].update([src, -src])
     sketches[1].update([src, -src], amounts)
     candidates = sorted({(key, -key) for key, _ in stream}, key=repr)
-    return EpochSummary(pane, sketches, tuple(candidates), len(stream))
+    return EpochSummary(pane, sketches, tuple(candidates))
 
 
 def _window_rows(node, summaries, end):

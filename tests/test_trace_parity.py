@@ -151,10 +151,10 @@ def test_experiment_configs_keep_their_flows(name, seed):
     ids=["kept-half", "no-kept-half"],
 )
 def test_a_redrawn_length_is_walked(config):
-    """Lengths are ``integers(40, 1500)``: both ends are reached, and
-    nothing outside them."""
+    """Lengths are ``integers(40, 1500)`` held in the IP total-length
+    field's ``uint16``: both ends are reached, and nothing outside them."""
     lengths = generate_trace(config).columns["len"]
-    assert lengths.dtype == np.int64
+    assert lengths.dtype == np.uint16 == TRACE_COLUMNS["len"]
     assert (lengths.min(), lengths.max()) == (40, 1499)
 
 
